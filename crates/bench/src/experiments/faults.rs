@@ -326,8 +326,8 @@ impl Faults {
         println!();
     }
 
-    /// Renders the report as JSON (hand-rolled: the vendored serde
-    /// stand-in does not serialize).
+    /// Renders the report as the JSON document `scripts/check_bench.py`
+    /// validates.
     pub fn to_json(&self) -> String {
         format!(
             "{{\n  \"experiment\": \"faults\",\n  \"scale\": \"{}\",\n  \

@@ -3,12 +3,14 @@
 //! Paper: 1 → 100 nodes at 10.5 M tweets/node; flat max/avg/min lines mean
 //! perfect scaling; load imbalance (max/avg) stays below 1.3 and query
 //! broadcast costs < 1% of runtime. The simulation keeps data per node
-//! fixed and grows node count, measuring each node's compute time.
+//! fixed and grows the shard count of a [`ShardedIndex`], timing each
+//! shard's merge and query batch directly on its own engine.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use plsh_cluster::{Cluster, ClusterConfig};
+use plsh_cluster::ShardedIndex;
 use plsh_core::engine::EngineConfig;
+use plsh_core::search::SearchRequest;
 use plsh_workload::{CorpusConfig, SyntheticCorpus};
 
 use crate::setup::{ms, Fixture, Scale};
@@ -37,12 +39,24 @@ pub struct Fig9 {
     pub docs_per_node: usize,
 }
 
+/// `(max, avg, min)` of per-node times.
+fn spread(times: &[Duration]) -> (Duration, Duration, Duration) {
+    let max = times.iter().copied().max().unwrap_or_default();
+    let min = times.iter().copied().min().unwrap_or_default();
+    let avg = times.iter().sum::<Duration>() / times.len().max(1) as u32;
+    (max, avg, min)
+}
+
 /// Sweeps node counts with fixed per-node data.
 pub fn run(f: &Fixture) -> Fig9 {
     let (node_counts, docs_per_node): (&[usize], usize) = match f.scale {
         Scale::Quick => (&[1, 2, 4], 5_000),
         Scale::Full => (&[1, 2, 4, 8], 12_500),
     };
+    // Hash routing is even only statistically (see
+    // `ShardedStats::routing_imbalance`), and `insert_batch` refuses a
+    // batch whole if any shard would overflow: give every shard 1/8 slack.
+    let capacity = docs_per_node + docs_per_node / 8;
     let points = node_counts
         .iter()
         .map(|&nodes| {
@@ -55,36 +69,56 @@ pub fn run(f: &Fixture) -> Fig9 {
                 duplicate_fraction: 0.2,
                 seed: 0xC0FFEE ^ nodes as u64,
             });
-            let config = ClusterConfig::new(
-                EngineConfig::new(f.params.clone(), docs_per_node).manual_merge(),
-                nodes,
-                nodes, // insert window spanning the cluster spreads data evenly
-            );
-            let cluster = Cluster::new(config, &f.pool).expect("valid cluster");
-            cluster
-                .insert_batch(corpus.vectors(), &f.pool)
-                .expect("cluster capacity matches corpus");
-            let t0 = std::time::Instant::now();
-            cluster.merge_all(&f.pool);
-            let merge_total = t0.elapsed();
-            // merge_all is sequential over nodes; approximate per-node time
-            // by the mean (nodes are statistically identical).
-            let per_node_init = merge_total / nodes as u32;
-            let init = (per_node_init, per_node_init, per_node_init);
+            let index =
+                ShardedIndex::builder(EngineConfig::new(f.params.clone(), capacity).manual_merge())
+                    .shards(nodes)
+                    .threads(f.pool.num_threads())
+                    .build()
+                    .expect("valid sharded config");
+            index
+                .insert_batch(corpus.vectors())
+                .expect("per-shard capacity has routing slack");
+            index.flush().expect("ingest workers alive");
+            let shards = || (0..nodes).map(|i| index.shard(i));
+            let init_times: Vec<Duration> = shards()
+                .map(|shard| {
+                    let t0 = Instant::now();
+                    shard.merge_now();
+                    t0.elapsed()
+                })
+                .collect();
 
             let queries = f.query_vecs();
-            let _ = cluster.query_batch(&queries[..queries.len().min(16)], &f.pool);
-            let report = cluster.query_batch(queries, &f.pool);
+            let _ = index.search(&SearchRequest::batch(
+                queries[..queries.len().min(16)].to_vec(),
+            ));
+            let query_times: Vec<Duration> = shards()
+                .map(|shard| {
+                    let t0 = Instant::now();
+                    let _ = shard.query_batch(queries);
+                    t0.elapsed()
+                })
+                .collect();
+            // Coordinator overhead: fanned-out end-to-end time not
+            // accounted for by shard compute. Shard tasks share the
+            // fan-out pool, so the compute baseline is total shard time
+            // over the lanes actually available, floored at the slowest
+            // shard (what a shard-per-machine deployment would wait for).
+            let t0 = Instant::now();
+            index
+                .search(&SearchRequest::batch(queries.to_vec()))
+                .expect("valid batch");
+            let elapsed = t0.elapsed().as_secs_f64();
+            let query = spread(&query_times);
+            let lanes = index.pool().num_threads().clamp(1, nodes) as f64;
+            let total: f64 = query_times.iter().map(Duration::as_secs_f64).sum();
+            let busy = (total / lanes).max(query.0.as_secs_f64());
             Point {
                 nodes,
-                init,
-                query: (
-                    report.max_node_time(),
-                    report.avg_node_time(),
-                    report.min_node_time(),
-                ),
-                imbalance: report.load_imbalance(),
-                coordination: report.coordination_overhead(f.pool.num_threads()),
+                init: spread(&init_times),
+                query,
+                imbalance: query.0.as_secs_f64() / query.1.as_secs_f64(),
+                coordination: ((elapsed - busy) / elapsed).max(0.0),
             }
         })
         .collect();
@@ -101,13 +135,15 @@ impl Fig9 {
             "## Figure 9 — multi-node scaling ({} docs per node; flat lines = perfect scaling)\n",
             self.docs_per_node
         );
-        println!("| Nodes | Init/node | Query max | Query avg | Query min | Imbalance | Coord. overhead |");
-        println!("|---:|---:|---:|---:|---:|---:|---:|");
+        println!("| Nodes | Init max | Init avg | Init min | Query max | Query avg | Query min | Imbalance | Coord. overhead |");
+        println!("|---:|---:|---:|---:|---:|---:|---:|---:|---:|");
         for p in &self.points {
             println!(
-                "| {} | {:.0} ms | {:.0} ms | {:.0} ms | {:.0} ms | {:.2} | {:.1}% |",
+                "| {} | {:.2} ms | {:.2} ms | {:.2} ms | {:.1} ms | {:.1} ms | {:.1} ms | {:.2} | {:.1}% |",
                 p.nodes,
+                ms(p.init.0),
                 ms(p.init.1),
+                ms(p.init.2),
                 ms(p.query.0),
                 ms(p.query.1),
                 ms(p.query.2),

@@ -422,8 +422,8 @@ impl ScalingReport {
         );
     }
 
-    /// Renders the report as JSON (hand-rolled: the vendored serde
-    /// stand-in does not serialize).
+    /// Renders the report as the JSON document `scripts/check_bench.py`
+    /// validates.
     pub fn to_json(&self) -> String {
         let configs: Vec<String> = self
             .points

@@ -492,8 +492,8 @@ impl ServeReport {
         println!();
     }
 
-    /// Renders the report as JSON (hand-rolled: the vendored serde
-    /// stand-in does not serialize).
+    /// Renders the report as the JSON document `scripts/check_bench.py`
+    /// validates.
     pub fn to_json(&self) -> String {
         format!(
             "{{\n  \"experiment\": \"serve\",\n  \"scale\": \"{}\",\n  \

@@ -286,8 +286,8 @@ impl Soak {
         println!();
     }
 
-    /// Renders the report as JSON (hand-rolled: the vendored serde
-    /// stand-in does not serialize).
+    /// Renders the report as the JSON document `scripts/check_bench.py`
+    /// validates.
     pub fn to_json(&self) -> String {
         let num_series = |f: &dyn Fn(&SoakInterval) -> String| -> String {
             let vals: Vec<String> = self.intervals.iter().map(f).collect();

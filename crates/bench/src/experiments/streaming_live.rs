@@ -2,8 +2,8 @@
 //! recorded to `BENCH_streaming.json`.
 //!
 //! The paper's headline scenario: a node pre-loaded to 50% static serves
-//! query batches *while* a Twitter-paced firehose streams the other 50%
-//! in, with background merges firing at `η·C`. The experiment measures
+//! query batches *while* a Twitter-paced ingest thread streams the other
+//! 50% in, with background merges firing at `η·C`. The experiment measures
 //!
 //! * insert throughput on the ingest thread (hash + bucket + seal),
 //! * merge cost split into off-to-the-side build time and the publish
@@ -17,14 +17,14 @@
 
 use std::time::{Duration, Instant};
 
-use plsh_cluster::firehose::Firehose;
 use plsh_core::engine::EngineConfig;
+use plsh_core::sparse::SparseVector;
 use plsh_core::streaming::StreamingEngine;
 
 use crate::setup::{percentile_ms, Fixture, Scale};
 
 /// Target wall time for draining the ingest half of the corpus, per
-/// scale; sets the firehose pacing so the arrival process resembles a
+/// scale; sets the ingest pacing so the arrival process resembles a
 /// rate-limited stream (the paper's per-node Twitter arrival is ~1.2 K
 /// tweets/s, a small fraction of insert capability) rather than a
 /// CPU-saturating bulk load. The full corpus hashes ~3× more per point
@@ -47,7 +47,7 @@ pub struct StreamingLive {
     pub preload_points: usize,
     /// Points streamed in during the measurement.
     pub ingest_points: usize,
-    /// Firehose batch size.
+    /// Points per ingest batch.
     pub batch_size: usize,
     /// Insert throughput over time spent inside `insert_batch`.
     pub insert_qps: f64,
@@ -92,6 +92,49 @@ pub struct StreamingLive {
     pub scale: &'static str,
 }
 
+/// What the paced ingest thread did, measured on that thread.
+#[derive(Default)]
+struct IngestStats {
+    /// Batches inserted.
+    batches: u64,
+    /// Points inserted.
+    points: u64,
+    /// Time spent inside `insert_batch` (hash + bucket + seal).
+    insert_time: Duration,
+    /// Wall time from the first batch to the last (includes pacing waits).
+    elapsed: Duration,
+    /// The insert error that stopped the stream early, if any.
+    error: Option<String>,
+}
+
+/// Streams `docs` into `engine` in `batch_size` chunks, releasing each
+/// chunk only once its arrival time at `points_per_sec` has passed.
+fn paced_ingest(
+    engine: &StreamingEngine,
+    docs: &[SparseVector],
+    batch_size: usize,
+    points_per_sec: f64,
+) -> IngestStats {
+    let t0 = Instant::now();
+    let mut stats = IngestStats::default();
+    for batch in docs.chunks(batch_size) {
+        let due = Duration::from_secs_f64(stats.points as f64 / points_per_sec);
+        if let Some(wait) = due.checked_sub(t0.elapsed()) {
+            std::thread::sleep(wait);
+        }
+        let t1 = Instant::now();
+        if let Err(e) = engine.insert_batch(batch) {
+            stats.error = Some(e.to_string());
+            break;
+        }
+        stats.insert_time += t1.elapsed();
+        stats.batches += 1;
+        stats.points += batch.len() as u64;
+    }
+    stats.elapsed = t0.elapsed();
+    stats
+}
+
 /// Runs the live overlap measurement.
 pub fn run(f: &Fixture) -> StreamingLive {
     let capacity = f.corpus.len();
@@ -133,9 +176,12 @@ pub fn run(f: &Fixture) -> StreamingLive {
     let _ = engine.query_batch(slice);
     let merges_before = engine.stats().merges;
 
-    // Ingest thread: the paced firehose pumped into the engine.
-    let hose = Firehose::start_paced(f.corpus.vectors()[preload..].to_vec(), batch_size, 4, rate);
-    let pump = hose.pump_into(engine.clone());
+    // Ingest thread: the paced stream inserted into the engine.
+    let ingest = {
+        let engine = engine.clone();
+        let docs = f.corpus.vectors()[preload..].to_vec();
+        std::thread::spawn(move || paced_ingest(&engine, &docs, batch_size, rate))
+    };
 
     // Query thread (this one): batches against whatever epoch is live.
     let mut during_time = Duration::ZERO;
@@ -144,7 +190,7 @@ pub fn run(f: &Fixture) -> StreamingLive {
     let mut during_batches = 0u64;
     let mut probe_always_found = true;
     let mut epoch_always_consistent = true;
-    while !pump.is_finished() {
+    while !ingest.is_finished() {
         let info = engine.epoch_info();
         epoch_always_consistent &= info.visible_points == info.static_points + info.sealed_points;
         let t0 = Instant::now();
@@ -156,7 +202,13 @@ pub fn run(f: &Fixture) -> StreamingLive {
         during_batches += 1;
         probe_always_found &= check(&answers);
     }
-    let ingest = pump.join();
+    let ingest = ingest.join().expect("ingest thread panicked");
+    if let Some(e) = &ingest.error {
+        eprintln!(
+            "ingest stopped after {} batches ({} points): {e}",
+            ingest.batches, ingest.points
+        );
+    }
     engine.wait_for_merge();
     // Count (and time) only the merges the ingest itself triggered; the
     // quiescing merge below is bookkeeping, not part of the measurement.
@@ -191,7 +243,7 @@ pub fn run(f: &Fixture) -> StreamingLive {
         preload_points: preload,
         ingest_points: ingest.points as usize,
         batch_size,
-        insert_qps: ingest.insert_qps(),
+        insert_qps: qps(ingest.points, ingest.insert_time),
         ingest_elapsed: ingest.elapsed,
         merges,
         merge_build: merge_report.build,
@@ -235,7 +287,7 @@ impl StreamingLive {
         println!("| Quantity | Measured |");
         println!("|---|---:|");
         println!(
-            "| Ingest | {} points in {:.2} s ({} per firehose batch) |",
+            "| Ingest | {} points in {:.2} s ({} per batch) |",
             self.ingest_points,
             self.ingest_elapsed.as_secs_f64(),
             self.batch_size
@@ -282,8 +334,8 @@ impl StreamingLive {
         println!();
     }
 
-    /// Renders the report as JSON (hand-rolled: the vendored serde
-    /// stand-in does not serialize).
+    /// Renders the report as the JSON document `scripts/check_bench.py`
+    /// validates.
     pub fn to_json(&self) -> String {
         format!(
             "{{\n  \"experiment\": \"streaming\",\n  \"scale\": \"{}\",\n  \

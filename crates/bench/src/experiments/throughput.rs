@@ -300,8 +300,8 @@ impl Throughput {
         );
     }
 
-    /// Renders the report as JSON (hand-rolled: the vendored serde
-    /// stand-in does not serialize).
+    /// Renders the report as the JSON document `scripts/check_bench.py`
+    /// validates.
     pub fn to_json(&self) -> String {
         let levels: Vec<String> = self.levels.iter().map(LevelResult::json).collect();
         format!(

@@ -2,8 +2,8 @@
 //!
 //! One module per table/figure of the paper's evaluation (Section 8); the
 //! `repro` binary drives them (`cargo run -p plsh-bench --release --bin
-//! repro -- <experiment>|all`). Criterion micro-benchmarks for the
-//! timing-sensitive experiments live in `benches/`.
+//! repro -- <experiment>|all`). Regression-grade performance numbers come
+//! from the repo benchmark (`benchmark/run.sh`), not from here.
 //!
 //! Every experiment prints the paper's reported numbers next to the
 //! measured ones so EXPERIMENTS.md can be regenerated by redirecting the

@@ -11,7 +11,7 @@ use plsh_workload::{CorpusConfig, QuerySet, SyntheticCorpus};
 /// what one container core can turn around.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Fast preset for CI and criterion benches (N = 20 K, D = 20 K).
+    /// Fast preset for CI (N = 20 K, D = 20 K).
     Quick,
     /// The default experiment scale (N = 100 K, D = 50 K, 1000 queries).
     Full,

@@ -1,4 +1,4 @@
-//! Cluster-level errors, convertible into the workspace-wide
+//! Errors of the sharded index, convertible into the workspace-wide
 //! [`plsh_core::PlshError`] so multi-node and single-node callers share
 //! one `Result` type end-to-end.
 

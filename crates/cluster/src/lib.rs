@@ -1,39 +1,31 @@
-//! # plsh-cluster — multi-node PLSH simulation
+//! # plsh-cluster — the shard-per-core streaming index
 //!
 //! The paper runs PLSH on 100 nodes (Section 4, Figure 1): every node holds
-//! a disjoint slice of the data, queries are broadcast to all nodes and the
-//! partial answers concatenated by a coordinator, and **inserts are
-//! restricted to a rolling window of `M` nodes** so that when the cluster
-//! fills up, the window containing the oldest data can be retired (erased)
-//! wholesale — exact expiration without per-point timestamps.
+//! a disjoint slice of the data, queries go to all nodes and a coordinator
+//! concatenates the partial answers, and the oldest data is expired
+//! wholesale as the stream advances.
 //!
 //! The real system used MPI over Infiniband; the paper measures
 //! communication at well under 1% of query time (Section 8.4), so the
-//! interesting behaviour is per-node. This crate therefore simulates nodes
-//! **in-process**: each node is a full [`plsh_core::Engine`], the
-//! coordinator broadcasts query batches with one work-stealing task per
-//! node, and per-node compute times are measured directly — the max/avg/min
-//! series of Figure 9 and the load-imbalance ratio come straight from
-//! those measurements.
-//!
-//! [`firehose`] adds a producer/consumer harness (a bounded channel fed by
-//! a generator thread) used by the streaming examples to mimic the Twitter
-//! firehose's arrival pattern.
-//!
-//! [`sharded`] is the scaling successor to the broadcast coordinator: a
-//! [`ShardedIndex`] routes inserts by a stable hash of the point id into
-//! per-shard [`plsh_core::streaming::StreamingEngine`]s (each with its own
-//! ingest queue and background merge), fans queries out over the shards
-//! through a work-stealing pool, and defaults its shard count to a
-//! Section-7 performance-model prediction. Unlike [`Cluster`], whose
-//! ingest used to demand exclusive access, every `ShardedIndex` operation
+//! interesting behaviour is per-node. This crate therefore runs the nodes
+//! **in-process** as shards of one [`ShardedIndex`] (see [`sharded`]): it
+//! routes inserts by a stable hash of the point id into per-shard
+//! [`plsh_core::streaming::StreamingEngine`]s (each with its own bounded,
+//! optionally paced ingest queue and background merge), fans queries out
+//! over the shards through a work-stealing pool, and defaults its shard
+//! count to a Section-7 performance-model prediction. Every operation
 //! takes `&self` and overlaps freely across threads.
+//!
+//! The paper's rolling-window expiration is reproduced by
+//! [`WindowSpec`](plsh_core::engine::WindowSpec): a windowed index keeps
+//! the newest `n` documents (or the last `d` of wall-clock time), advances
+//! one global watermark ([`ShardedIndex::retired_below`]) as the stream
+//! head moves, and ships every shard the matching cut so the window edge
+//! is consistent across shards — exact expiration without per-point
+//! timestamps, reclaimed by each shard's merge compaction.
 
-mod cluster;
 mod error;
-pub mod firehose;
 pub mod sharded;
 
-pub use cluster::{Cluster, ClusterConfig, ClusterQueryReport, ClusterStats, GlobalNeighbor};
 pub use error::{ClusterError, Result};
 pub use sharded::{ShardedIndex, ShardedIndexBuilder, ShardedStats};

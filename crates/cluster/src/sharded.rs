@@ -1,17 +1,14 @@
 //! The shard-per-core streaming cluster: hash-routed ingest, per-shard
 //! [`StreamingEngine`]s, and model-driven query fan-out.
 //!
-//! [`ShardedIndex`] is the successor to the broadcast
-//! [`Cluster`](crate::Cluster) coordinator for the paper's headline
-//! claim — near-linear scaling of
-//! streaming LSH across cores (Figures 9–10). Where `Cluster` serializes
-//! ingest behind external coordination, every `ShardedIndex` shard is a
+//! [`ShardedIndex`] reproduces the paper's headline claim — near-linear
+//! scaling of streaming LSH across cores (Figures 9–10). Every shard is a
 //! full streaming node that overlaps its own ingest, merge, and queries:
 //!
 //! * **Inserts route by a stable hash of the point id.** Every point gets
 //!   a monotonically increasing *global* id; `route(id)` picks its shard,
-//!   and a paced per-shard firehose (a bounded channel drained by one
-//!   ingest thread per shard) carries it there. Routing assigns the
+//!   and a paced per-shard ingest queue (a bounded channel drained by
+//!   one ingest thread per shard) carries it there. Routing assigns the
 //!   shard-local id too, so the global ↔ local maps never wait on the
 //!   ingest threads.
 //! * **Each shard owns a [`StreamingEngine`].** Inserts hash and seal on
@@ -78,11 +75,11 @@ use std::io::{self, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use plsh_core::engine::{EngineConfig, EngineStats, MergeReport, WindowSpec};
 use plsh_core::error::{PlshError, Result as CoreResult};
 use plsh_core::fault;
@@ -91,8 +88,7 @@ use plsh_core::model::{MachineProfile, PerformanceModel};
 use plsh_core::params::estimate_candidates;
 use plsh_core::persist;
 use plsh_core::search::{
-    merge_partial_responses, rank_top_k_global, SearchBackend, SearchHit, SearchRequest,
-    SearchResponse,
+    merge_partial_responses, SearchBackend, SearchHit, SearchRequest, SearchResponse,
 };
 use plsh_core::snapshot::Snapshot;
 use plsh_core::sparse::SparseVector;
@@ -139,7 +135,7 @@ impl ShardedIndexBuilder {
         self
     }
 
-    /// Paces each shard's firehose to at most `points_per_sec` (the
+    /// Paces each shard's ingest queue to at most `points_per_sec` (the
     /// paper's Twitter-rate arrival process). Default: unpaced.
     pub fn ingest_rate(mut self, points_per_sec: f64) -> Self {
         assert!(points_per_sec > 0.0, "ingest rate must be positive");
@@ -221,7 +217,7 @@ impl ShardedIndexBuilder {
             if let Some(core) = pin_core {
                 engine.pin_merge_to(core);
             }
-            let (tx, rx) = bounded::<ShardBatch>(self.queue_batches);
+            let (tx, rx) = sync_channel::<ShardBatch>(self.queue_batches);
             let progress = IngestProgress::new(sync.clone());
             let status = Arc::new(WorkerStatus::new());
             let worker = spawn_ingest_worker(
@@ -277,7 +273,7 @@ struct Shard {
     /// Local id → global id, appended at routing time (so it always covers
     /// every id a pinned epoch can surface).
     globals: RwLock<Vec<u32>>,
-    tx: Option<Sender<ShardBatch>>,
+    tx: Option<SyncSender<ShardBatch>>,
     worker: Option<JoinHandle<()>>,
     /// Drain progress shared with the shard's ingest thread.
     progress: Arc<IngestProgress>,
@@ -572,7 +568,7 @@ impl ShardedIndex {
             .sum()
     }
 
-    /// Routes a batch into the per-shard firehoses; returns the global id
+    /// Routes a batch into the per-shard ingest queues; returns the global id
     /// of every point, in input order.
     ///
     /// The batch is all-or-nothing: dimensionality and per-shard capacity
@@ -736,11 +732,12 @@ impl ShardedIndex {
 
     /// Visibility barrier: blocks until every routed point has been
     /// drained from the shard queues and sealed (so all of them are
-    /// query-visible). Does *not* wait for background merges — answers are
-    /// identical either way.
+    /// query-visible) and, under a window, every shard's retirement
+    /// watermark has reached the router's cut. Does *not* wait for
+    /// background merges — answers are identical either way.
     ///
     /// Waits on each shard's ingest condvar (woken per drained batch, so
-    /// a paced firehose sleeps instead of spinning). Returns
+    /// a paced queue sleeps instead of spinning). Returns
     /// [`ClusterError::IngestWorkerDied`] if a shard's ingest worker died
     /// with routed points undrained — the barrier can never be reached —
     /// instead of blocking forever. A *degraded* shard still flushes
@@ -759,6 +756,22 @@ impl ShardedIndex {
             }
             // Seal anything a seal_min_points > 1 config left buffered.
             shard.engine.seal();
+        }
+        if self.window.is_some() {
+            // A batch carrying only a window cut holds no points, so the
+            // drain above does not wait for it: re-apply the router's cuts
+            // (watermarks are monotone, so this is idempotent) to leave the
+            // window edge consistent across shards when the barrier returns.
+            let cuts = self
+                .router
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .retired_used
+                .clone();
+            for (shard, cut) in self.shards.iter().zip(cuts) {
+                // A degraded shard refuses; `health` reports that.
+                let _ = shard.engine.retire_to(cut as u32);
+            }
         }
         Ok(())
     }
@@ -1027,7 +1040,6 @@ impl ShardedIndex {
                 index: globals[shard_id][h.index as usize],
                 distance: h.distance,
             },
-            rank_top_k_global,
         )
     }
 
@@ -1113,18 +1125,12 @@ impl ShardedIndex {
             .iter()
             .map(|s| s.globals.read().unwrap_or_else(|e| e.into_inner()))
             .collect();
-        let mut resp = merge_partial_responses(
-            nq,
-            req.mode(),
-            start,
-            partials,
-            |shard_id, h| SearchHit {
+        let mut resp =
+            merge_partial_responses(nq, req.mode(), start, partials, |shard_id, h| SearchHit {
                 node: shard_id as u32,
                 index: globals[shard_id][h.index as usize],
                 distance: h.distance,
-            },
-            rank_top_k_global,
-        )?;
+            })?;
         resp.timed_out_shards = timed_out;
         Ok(resp)
     }
@@ -1384,7 +1390,7 @@ impl ShardedIndex {
             if let Some(core) = pin_core {
                 streaming.pin_merge_to(core);
             }
-            let (tx, rx) = bounded::<ShardBatch>(4);
+            let (tx, rx) = sync_channel::<ShardBatch>(4);
             let progress = IngestProgress::new(sync.clone());
             let status = Arc::new(WorkerStatus::new());
             let worker = spawn_ingest_worker(
@@ -1494,14 +1500,14 @@ fn split_budget(budget: usize, shards: usize) -> Vec<usize> {
 }
 
 // ---------------------------------------------------------------------
-// Cluster persistence layout
+// Persistence layout
 // ---------------------------------------------------------------------
 
 /// Top-level cluster manifest file name.
 const CLUSTER_MANIFEST: &str = "MANIFEST";
-/// Cluster manifest magic.
+/// Top-level manifest magic.
 const CLUSTER_MAGIC: &[u8; 4] = b"PLSC";
-/// Cluster manifest format version. Version 2 added the sliding-window
+/// Top-level manifest format version. Version 2 added the sliding-window
 /// spec; version-1 directories decode with no window.
 const CLUSTER_VERSION: u32 = 2;
 /// Window tag bytes in the cluster manifest.
@@ -2282,7 +2288,7 @@ mod tests {
         // fraction of 100 ms (first batch releases immediately).
         assert!(
             t0.elapsed() >= Duration::from_millis(40),
-            "pacing must throttle the per-shard firehose, took {:?}",
+            "pacing must throttle the per-shard ingest queue, took {:?}",
             t0.elapsed()
         );
     }

@@ -470,7 +470,7 @@ struct WriteState {
 }
 
 /// Timing of the most recent merge (streaming observability).
-#[derive(Debug, Clone, Copy, Default, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct MergeReport {
     /// Sealed points folded into the static epoch.
     pub merged_points: usize,
@@ -494,7 +494,7 @@ pub struct MergeReport {
 }
 
 /// Point and memory accounting for one engine.
-#[derive(Debug, Clone, Copy, serde::Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct EngineStats {
     /// Total live + deleted points stored.
     pub total_points: usize,

@@ -29,7 +29,7 @@ use plsh_parallel::ThreadPool;
 use crate::params::{CostWeights, PlshParams};
 
 /// Description of the executing machine.
-#[derive(Debug, Clone, Copy, serde::Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MachineProfile {
     /// Core clock in Hz (used to convert modeled cycles to seconds).
     pub freq_hz: f64,
@@ -134,7 +134,7 @@ fn measure_bandwidth() -> f64 {
 }
 
 /// Modeled creation-time breakdown (the left panel of Figure 6).
-#[derive(Debug, Clone, Copy, serde::Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CreationEstimate {
     /// Hashing all points (Section 5.1.1).
     pub hashing: Duration,
@@ -154,7 +154,7 @@ impl CreationEstimate {
 }
 
 /// Modeled query-time breakdown for a batch (the right panel of Figure 6).
-#[derive(Debug, Clone, Copy, serde::Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct QueryEstimate {
     /// Step Q2: bucket reads + bitvector dedup + scan.
     pub step_q2: Duration,

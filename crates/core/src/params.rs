@@ -46,7 +46,7 @@ use crate::error::{PlshError, Result};
 /// // ~31 GB of tables for the paper's 10M-point node (Eq. 7.4).
 /// assert!(p.table_memory_bytes(10_000_000) > 31_000_000_000);
 /// ```
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlshParams {
     dim: u32,
     k: u32,
@@ -303,7 +303,7 @@ impl Default for CostWeights {
 }
 
 /// One `(k, m)` candidate examined during selection.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct ParamCandidate {
     /// Bits per table index.
     pub k: u32,

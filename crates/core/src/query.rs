@@ -50,7 +50,7 @@ const SKETCH_BATCH: usize = 32;
 const FANOUT_CHUNK: usize = 8;
 
 /// A reported near neighbor.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Neighbor {
     /// Node-local point id.
     pub index: u32,
@@ -600,7 +600,7 @@ fn prefetch_row(ctx: &QueryContext<'_>, id: u32) {
 }
 
 /// Per-phase wall time of a profiled query batch (Figure 6's right panel).
-#[derive(Debug, Clone, Copy, Default, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct QueryPhaseTimings {
     /// Step Q2: bucket reads, bitvector dedup, candidate extraction.
     pub step_q2: std::time::Duration,

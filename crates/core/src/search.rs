@@ -10,7 +10,7 @@
 //! observability the request asked for. Every backend
 //! ([`Engine`](crate::engine::Engine),
 //! [`StreamingEngine`](crate::streaming::StreamingEngine), and the
-//! multi-node `Cluster` in `plsh-cluster`) implements [`SearchBackend`]
+//! sharded `ShardedIndex` in `plsh-cluster`) implements [`SearchBackend`]
 //! and answers the *exact same* request type, so a new scenario is a new
 //! request field — not a new method on three front-ends.
 //!
@@ -241,7 +241,7 @@ impl SearchRequest {
 /// A reported neighbor, qualified by the node that holds it. Single-node
 /// backends always report `node == 0`; the cluster coordinator fills in
 /// the owning node so `(node, index)` is a stable global identity.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchHit {
     /// Node that holds the point (0 on single-node backends).
     pub node: u32,
@@ -360,24 +360,23 @@ pub fn rank_top_k_global(hits: &mut Vec<SearchHit>, k: usize) {
     hits.truncate(k);
 }
 
-/// The coordinator-side merge shared by every multi-node backend
-/// (`Cluster`'s broadcast and `ShardedIndex`'s fan-out): concatenates the
-/// per-node partial responses per query (running each hit through
-/// `translate(node, hit)` — node attribution for a broadcast, global-id
-/// translation for a sharded backend), aggregates the optional
-/// [`BatchStats`] counters and [`QueryPhaseTimings`], applies `rank` per
-/// query in k-NN mode, and stamps the aggregated wall time from `start`.
+/// The coordinator-side merge behind `ShardedIndex`'s fan-out (pooled and
+/// deadline-bounded): concatenates the per-shard partial responses per
+/// query (running each hit through `translate(shard, hit)`, the
+/// shard-local → global id translation), aggregates the optional
+/// [`BatchStats`] counters and [`QueryPhaseTimings`], applies
+/// [`rank_top_k_global`] per query in k-NN mode, and stamps the aggregated
+/// wall time from `start`.
 ///
-/// Centralizing this is what keeps the backends' answers from drifting:
-/// a new response field aggregates here once, for every coordinator.
-/// [`SearchResponse::epoch`] is always `None` (each node pins its own).
+/// Centralizing this is what keeps the fan-out paths' answers from
+/// drifting: a new response field aggregates here once.
+/// [`SearchResponse::epoch`] is always `None` (each shard pins its own).
 pub fn merge_partial_responses(
     num_queries: usize,
     mode: SearchMode,
     start: std::time::Instant,
     partials: Vec<Result<SearchResponse>>,
     mut translate: impl FnMut(usize, SearchHit) -> SearchHit,
-    rank: fn(&mut Vec<SearchHit>, usize),
 ) -> Result<SearchResponse> {
     let mut results: Vec<Vec<SearchHit>> = vec![Vec::new(); num_queries];
     let mut stats: Option<BatchStats> = None;
@@ -402,7 +401,7 @@ pub fn merge_partial_responses(
     }
     if let SearchMode::Knn(k) = mode {
         for hits in &mut results {
-            rank(hits, k);
+            rank_top_k_global(hits, k);
         }
     }
     if let Some(agg) = stats.as_mut() {

@@ -10,7 +10,7 @@
 use std::time::{Duration, Instant};
 
 /// Per-query counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Bucket entries read over all tables (with duplicates) — the
     /// `#collisions` of Eq. 7.1.
@@ -36,7 +36,7 @@ impl QueryStats {
 }
 
 /// Aggregated counters and wall time for a query batch.
-#[derive(Debug, Clone, Copy, Default, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct BatchStats {
     /// Number of queries in the batch.
     pub queries: u64,

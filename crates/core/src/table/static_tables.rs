@@ -20,7 +20,7 @@ use crate::util::SharedSliceMut;
 /// Step labels follow the paper: I1 = first-level partitions, I2 =
 /// second-level key permutation, I3 = second-level partitions. The
 /// one-level strategy reports its single flat partition as I1.
-#[derive(Debug, Clone, Copy, Default, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct BuildTimings {
     /// Step I1 time.
     pub step_i1: Duration,

@@ -1,9 +1,8 @@
 //! Minimal JSON encode/decode for the wire types.
 //!
-//! The container has no crates.io access (the vendored `serde` is a
-//! non-serializing stand-in), so the server carries its own ~300-line
-//! recursive-descent parser and writer. It covers exactly what the wire
-//! needs: the six JSON value kinds, `\uXXXX` escapes, and a depth limit so
+//! The workspace has no external runtime dependencies, so the server
+//! carries its own ~300-line recursive-descent parser and writer. It
+//! covers exactly what the wire needs: the six JSON value kinds, `\uXXXX` escapes, and a depth limit so
 //! a hostile body cannot blow the parser's stack. Numbers are kept as
 //! `f64`, which is lossless for the `u32`/`f32` payloads PLSH exchanges.
 

@@ -215,8 +215,8 @@ pub fn serve(
         stop: AtomicBool::new(false),
     });
 
-    // std's sync_channel is the bounded queue: `try_send` is the shed
-    // decision (the vendored crossbeam stand-in has no try_send).
+    // The bounded connection queue: a failed `try_send` is the shed
+    // decision.
     let (tx, rx) = std::sync::mpsc::sync_channel::<(TcpStream, Instant)>(shared.config.max_pending);
     let rx = Arc::new(Mutex::new(rx));
 

@@ -5,8 +5,10 @@ Usage:
     python3 scripts/check_bench.py [--expect-scale SCALE] FILE [FILE ...]
 
 Each FILE is one of the JSON reports the `repro` binary writes
-(BENCH_query.json, BENCH_streaming.json, BENCH_cluster.json); the
-experiment is inferred from the report's own "experiment" field. The
+(BENCH_query.json, BENCH_streaming.json, BENCH_cluster.json,
+BENCH_recovery.json, BENCH_soak.json, BENCH_server.json,
+BENCH_faults.json); the experiment is inferred from the report's own
+"experiment" field. The
 script asserts the structural invariants each experiment guarantees, plus
 the design bars:
 

@@ -40,9 +40,9 @@
 //! add [`IndexBuilder::shards`] (or
 //! [`auto_shards`](IndexBuilder::auto_shards) for the model-driven count)
 //! and the same calls fan out over a [`ShardedIndex`] — hash-routed
-//! ingest, per-shard background merges, bit-identical answers. The
-//! windowed multi-node simulation `cluster::Cluster` answers the *same*
-//! [`SearchRequest`] through the shared [`SearchBackend`] trait.
+//! ingest, per-shard background merges, bit-identical answers. Every
+//! backend answers the *same* [`SearchRequest`] through the shared
+//! [`SearchBackend`] trait.
 //!
 //! ## Workspace layout
 //!
@@ -58,9 +58,9 @@
 //!   generators used by the evaluation.
 //! * [`baselines`] — exhaustive-scan and inverted-index baselines
 //!   (Table 2 of the paper).
-//! * [`cluster`] — the shard-per-core [`ShardedIndex`] scaling backend,
-//!   plus the multi-node coordinator / rolling-insert-window simulation
-//!   (Figures 1 and 9).
+//! * [`cluster`] — the shard-per-core [`ShardedIndex`] scaling backend
+//!   (Figures 1 and 9); the paper's rolling-window expiration is its
+//!   [`WindowSpec`] / `retired_below` sliding window.
 //! * [`server`] — the HTTP/1.1 wire surface ([`Index::serve`]): search /
 //!   ingest / delete / healthz / metrics endpoints, load shedding, and
 //!   graceful drain.

@@ -1,22 +1,25 @@
-//! Smoke test: `scripts/check_bench.py` must keep validating the five
+//! Smoke test: `scripts/check_bench.py` must keep validating the seven
 //! committed benchmark reports.
 //!
 //! The script is the single source of truth for what CI asserts about
 //! `BENCH_query.json`, `BENCH_streaming.json`, `BENCH_cluster.json`,
-//! `BENCH_recovery.json`, and `BENCH_soak.json` (it used to live inline
-//! in `ci.yml`, where nothing exercised it before a workflow ran). This
-//! test pins the contract down from `cargo test`: the script exists,
-//! parses, and accepts the committed full-scale reports it ships with.
+//! `BENCH_recovery.json`, `BENCH_soak.json`, `BENCH_server.json`, and
+//! `BENCH_faults.json` (it used to live inline in `ci.yml`, where nothing
+//! exercised it before a workflow ran). This test pins the contract down
+//! from `cargo test`: the script exists, parses, and accepts the
+//! committed full-scale reports it ships with.
 
 use std::path::Path;
 use std::process::Command;
 
-const REPORTS: [&str; 5] = [
+const REPORTS: [&str; 7] = [
     "BENCH_query.json",
     "BENCH_streaming.json",
     "BENCH_cluster.json",
     "BENCH_recovery.json",
     "BENCH_soak.json",
+    "BENCH_server.json",
+    "BENCH_faults.json",
 ];
 
 #[test]
@@ -53,7 +56,7 @@ fn check_bench_script_accepts_committed_reports() {
     );
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(
-        stdout.contains("all 5 report(s) OK"),
+        stdout.contains("all 7 report(s) OK"),
         "unexpected script output:\n{stdout}"
     );
 }
