@@ -1,4 +1,4 @@
-//! Figure 11: streaming query performance as the delta tables fill.
+//! Figure 11: streaming query performance as the un-merged delta fills.
 //!
 //! Paper: node capacity C = 10.5 M, delta capacity η·C = 1 M. With the
 //! static structure 50% full, query time matches 100%-static performance;

@@ -50,7 +50,7 @@ pub struct SoakInterval {
     pub docs: usize,
     /// Process RSS in bytes (0 if `/proc/self/statm` is unreadable).
     pub rss_bytes: u64,
-    /// Resident index bytes: static + delta tables + sketches.
+    /// Resident index bytes: static tables + the delta's sketch columns.
     pub table_bytes: usize,
     /// Points answerable right now.
     pub live_points: usize,
@@ -178,7 +178,7 @@ pub fn run(f: &Fixture) -> Soak {
         intervals.push(SoakInterval {
             docs: streamed,
             rss_bytes: rss_bytes(),
-            table_bytes: stats.static_table_bytes + stats.delta_table_bytes + stats.sketch_bytes,
+            table_bytes: stats.static_table_bytes + stats.delta_table_bytes,
             live_points: stats.live_points,
             retired_pending_purge: stats.retired_pending_purge,
             insert_qps: if insert_time.is_zero() {

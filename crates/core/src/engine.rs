@@ -10,10 +10,20 @@
 //!   [`EpochPtr`]. All query entry points take `&self`; a pinned view
 //!   never changes, so a query can never observe a half-merged state.
 //! * **Writers seal generations.** Inserts are hashed once and buffered in
-//!   the *open* generation (serialized by a write mutex). Sealing wraps
-//!   the generation in an `Arc` and publishes it with one epoch swap — a
-//!   pointer move, no copying. By default every `insert_batch` seals, so
-//!   points become visible the moment the call returns.
+//!   the *open* generation (serialized by a write mutex) — rows plus
+//!   packed sketches, no hash tables: the write path is *append and
+//!   hash*. Sealing wraps the generation in an `Arc` and publishes it
+//!   with one epoch swap — a pointer move, no copying. By default every
+//!   `insert_batch` seals, so points become visible the moment the call
+//!   returns.
+//! * **The delta is scanned, not probed.** A point shares a bucket with
+//!   the query in some of the `L` all-pairs tables iff at least two of
+//!   its `m` half-keys equal the query's, so a query answers each sealed
+//!   generation with one pass over its sketch column
+//!   ([`crate::simd::scan_half_keys`]) after the static table loop — same
+//!   candidates, same collision count as `L` per-generation tables, at
+//!   `m` bytes per point. The pass is `O(delta)`; the auto-merge at
+//!   `η·C` is what keeps it cheap.
 //! * **Merges happen off to the side.** [`merge_delta`](Engine::merge_delta)
 //!   consolidates the sealed generations into the next static epoch —
 //!   bucket-merging the previous epoch's entry runs with radix-partitioned
@@ -26,8 +36,9 @@
 //! The paper's cost argument still holds (Section 6.2: any merge is at
 //! most ~2.7× cheaper than a rebuild because both are bound by the memory
 //! traffic of writing the combined tables) — the bucket merge sits on the
-//! cheap side of that window and, unlike the rebuild, no longer needs
-//! sketches for static points, so sketch storage is dropped at merge time.
+//! cheap side of that window and, unlike the rebuild, needs sketches only
+//! for the generations it folds in, so sketch storage is dropped at merge
+//! time.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
@@ -46,7 +57,7 @@ use crate::search::{
     rank_top_k, SearchBackend, SearchHit, SearchMode, SearchRequest, SearchResponse,
 };
 use crate::sparse::{CrsMatrix, SparseVector};
-use crate::table::{DeltaGeneration, DeltaLayout, StaticTables};
+use crate::table::{DeltaGeneration, StaticTables};
 
 /// Configuration of a single PLSH node engine.
 #[derive(Debug, Clone)]
@@ -62,8 +73,6 @@ pub struct EngineConfig {
     pub auto_merge: bool,
     /// Query pipeline switches (Figure 5 ablation).
     pub query_strategy: QueryStrategy,
-    /// Delta bin layout (per sealed generation).
-    pub delta_layout: DeltaLayout,
     /// Hyperplane storage (dense or on-the-fly).
     pub hyperplanes: HyperplanesKind,
     /// Vectorization-friendly hashing kernel (Figure 4 "+vectorization").
@@ -73,8 +82,9 @@ pub struct EngineConfig {
     /// The default of 1 seals after every batch, so freshly inserted
     /// points are query-visible as soon as the insert returns. Raising it
     /// lets several small batches coalesce into one generation (fewer
-    /// probes per query); the coalesced points stay invisible until the
-    /// threshold is reached or [`Engine::seal`] is called.
+    /// partial scan blocks per query); the coalesced points stay
+    /// invisible until the threshold is reached or [`Engine::seal`] is
+    /// called.
     pub seal_min_points: usize,
     /// Chunking and back-off knobs of [`Engine::merge_delta_paced`].
     pub merge_pacing: MergePacing,
@@ -150,7 +160,6 @@ impl EngineConfig {
             eta: 0.1,
             auto_merge: true,
             query_strategy: QueryStrategy::optimized(),
-            delta_layout: DeltaLayout::Adaptive,
             hyperplanes: HyperplanesKind::Dense,
             vectorized_hashing: true,
             seal_min_points: 1,
@@ -180,12 +189,6 @@ impl EngineConfig {
     /// Overrides the query strategy.
     pub fn with_query_strategy(mut self, s: QueryStrategy) -> Self {
         self.query_strategy = s;
-        self
-    }
-
-    /// Overrides the delta layout.
-    pub fn with_delta_layout(mut self, l: DeltaLayout) -> Self {
-        self.delta_layout = l;
         self
     }
 
@@ -516,11 +519,10 @@ pub struct EngineStats {
     pub pending_ingest: u64,
     /// Bytes in static tables.
     pub static_table_bytes: usize,
-    /// Bytes in delta bins.
+    /// Bytes of the packed half-key columns queries scan in place of delta
+    /// tables (sealed + open generations; static sketches are dropped at
+    /// merge time).
     pub delta_table_bytes: usize,
-    /// Bytes of stored sketches (delta generations only; static sketches
-    /// are dropped at merge time).
-    pub sketch_bytes: usize,
     /// Bytes of the dense hyperplane matrix (0 when on-the-fly).
     pub hyperplane_bytes: usize,
     /// Hardware threads the OS reports for this process (the paper's `T`).
@@ -868,14 +870,7 @@ impl Engine {
             }
             let p = &self.config.params;
             if w.open.is_none() {
-                w.open = Some(DeltaGeneration::new(
-                    from,
-                    p.dim(),
-                    p.m(),
-                    p.half_bits(),
-                    self.config.delta_layout,
-                    vs.len(),
-                ));
+                w.open = Some(DeltaGeneration::new(from, p.dim(), p.m(), p.half_bits()));
             }
             let open = w.open.as_mut().expect("installed above");
             open.append(vs, &self.planes, self.config.vectorized_hashing, pool)
@@ -1720,12 +1715,6 @@ impl Engine {
         let delta_table_bytes = view
             .sealed
             .iter()
-            .map(|g| g.delta_bytes())
-            .chain(open.map(DeltaGeneration::delta_bytes))
-            .sum();
-        let sketch_bytes = view
-            .sealed
-            .iter()
             .map(|g| g.sketches().memory_bytes())
             .chain(open.map(|g| g.sketches().memory_bytes()))
             .sum();
@@ -1741,7 +1730,6 @@ impl Engine {
             pending_ingest: 0,
             static_table_bytes: view.statics.as_ref().map_or(0, |s| s.memory_bytes()),
             delta_table_bytes,
-            sketch_bytes,
             hyperplane_bytes: self.planes.memory_bytes(),
             host_threads: plsh_parallel::affinity::host_threads(),
             pinned_workers: plsh_parallel::pinned_worker_count(),
@@ -1768,7 +1756,7 @@ impl SearchBackend for Engine {
 /// within `slowdown` × the static query time (Section 6.3).
 ///
 /// With static time `t_s` (all data static) and streaming time `t_d` (all
-/// data in delta bins), the worst-case mixed time is
+/// data in the un-merged delta), the worst-case mixed time is
 /// `(1−η)·t_s + η·t_d ≤ slowdown·t_s`, hence
 /// `η ≤ (slowdown − 1)·t_s / (t_d − t_s)`. The paper plugs in 1.4 ms and
 /// 6 ms with slowdown 1.5 to get η ≤ 0.15 and chooses 0.1.
@@ -1812,7 +1800,7 @@ mod tests {
         assert_eq!(ids, (0..50).collect::<Vec<u32>>());
         assert_eq!(e.static_len(), 0);
         assert_eq!(e.delta_len(), 50);
-        // Every point must find itself purely through the delta tables.
+        // Every point must find itself purely through the delta scan.
         for (i, v) in vs.iter().enumerate() {
             let hits = e.query(v);
             assert!(
@@ -2018,6 +2006,36 @@ mod tests {
         }
         // Explicit seal on an empty open generation is a no-op.
         assert!(!e.seal());
+    }
+
+    #[test]
+    fn one_document_batches_cost_a_sketch_each() {
+        // The worst case for per-generation structures: every insert seals
+        // its own generation. The delta must still cost one packed sketch
+        // (m = 16 one-byte lanes) per document, not a table set.
+        let pool = ThreadPool::new(1);
+        let p = PlshParams::builder(64)
+            .k(14)
+            .m(16)
+            .radius(0.9)
+            .delta(0.1)
+            .seed(7)
+            .build()
+            .unwrap();
+        let e = Engine::new(EngineConfig::new(p, 1000).manual_merge(), &pool).unwrap();
+        let mut rng = SplitMix64::new(23);
+        for _ in 0..1000 {
+            e.insert_batch(&[random_vec(&mut rng, 64)], &pool).unwrap();
+        }
+        let stats = e.stats();
+        assert_eq!(stats.delta_points, 1000);
+        assert_eq!(stats.sealed_generations, 1000);
+        assert!(
+            stats.delta_table_bytes <= 64 * stats.delta_points,
+            "{} B for {} delta points",
+            stats.delta_table_bytes,
+            stats.delta_points
+        );
     }
 
     #[test]

@@ -75,6 +75,17 @@ pub fn table_keys(sketch: &[u32], half_bits: u32, out: &mut [u32]) {
     }
 }
 
+/// Inverse of [`table_keys`]: recovers the `m` half-keys (`out`) from a
+/// point's `L` table keys — tables `(0, 1) … (0, m−1)` carry every one.
+#[inline]
+pub fn half_keys_of(keys: &[u32], half_bits: u32, out: &mut [u32]) {
+    debug_assert_eq!(keys.len(), out.len() * (out.len() - 1) / 2);
+    out[0] = split_key(keys[0], half_bits).0;
+    for (slot, &key) in out[1..].iter_mut().zip(keys) {
+        *slot = split_key(key, half_bits).1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,6 +160,9 @@ mod tests {
                 compose_key(sketch[a as usize], sketch[b as usize], half_bits)
             );
         }
+        let mut back = vec![0u32; 4];
+        half_keys_of(&out, half_bits, &mut back);
+        assert_eq!(back, sketch);
     }
 
     proptest! {

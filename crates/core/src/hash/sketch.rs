@@ -1,15 +1,20 @@
 //! Packed half-key sketches for every indexed point.
 //!
 //! A point's sketch is its `m` half-keys `u_1(v)…u_m(v)`, each `k/2` sign
-//! bits packed into a `u32`. The [`SketchMatrix`] stores sketches row-major
-//! (`m` consecutive `u32` per point) and supports appending — streaming
-//! inserts hash their points once here, and both delta insertion and every
-//! later static rebuild (merge) reuse the stored sketches instead of
+//! bits. The [`SketchMatrix`] packs them one lane per half-key — a byte
+//! when `k/2 ≤ 8`, two otherwise — in the blocked column layout of
+//! [`HalfKeyColumn`], and supports appending: streaming inserts hash
+//! their points once here, queries against the un-merged delta *scan*
+//! the column ([`simd::scan_half_keys`]), and every later static rebuild
+//! (merge) reads the stored half-keys through [`half_key`] instead of
 //! re-hashing, which is what makes the paper's periodic merges affordable.
+//!
+//! [`half_key`]: SketchMatrix::half_key
 
 use plsh_parallel::ThreadPool;
 
 use crate::hash::hyperplanes::Hyperplanes;
+use crate::simd::{self, HalfKeyColumn, BLOCK_DOCS};
 use crate::sparse::CrsMatrix;
 use crate::util::SharedSliceMut;
 
@@ -18,19 +23,22 @@ use crate::util::SharedSliceMut;
 pub struct SketchMatrix {
     m: u32,
     half_bits: u32,
-    /// Row-major `n × m` half-keys.
-    data: Vec<u32>,
+    n: usize,
+    /// One little-endian lane per `(point, function)` at
+    /// [`simd::lane_index`]; exactly `n · m` lanes, no padding.
+    lanes: Vec<u8>,
 }
 
 impl SketchMatrix {
     /// Creates an empty sketch matrix for `m` functions of `half_bits` bits.
     pub fn new(m: u32, half_bits: u32) -> Self {
-        assert!((1..=16).contains(&half_bits), "half-keys are u32-packed");
+        assert!((1..=16).contains(&half_bits), "half-keys are u16-packed");
         assert!(m >= 2);
         Self {
             m,
             half_bits,
-            data: Vec::new(),
+            n: 0,
+            lanes: Vec::new(),
         }
     }
 
@@ -46,26 +54,82 @@ impl SketchMatrix {
 
     /// Number of sketched points.
     pub fn num_points(&self) -> usize {
-        self.data.len() / self.m as usize
+        self.n
     }
 
     /// Bytes of sketch storage.
     pub fn memory_bytes(&self) -> usize {
-        self.data.len() * 4
+        self.lanes.len()
+    }
+
+    #[inline]
+    fn lane_bytes(&self) -> usize {
+        if self.half_bits <= 8 {
+            1
+        } else {
+            2
+        }
+    }
+
+    /// The packed column, for [`simd::scan_half_keys`].
+    pub fn column(&self) -> HalfKeyColumn<'_> {
+        HalfKeyColumn::new(&self.lanes, self.lane_bytes(), self.m as usize, self.n)
     }
 
     /// Half-key `u_a` of point `i`.
     #[inline]
     pub fn half_key(&self, i: u32, a: u32) -> u32 {
         debug_assert!(a < self.m);
-        self.data[i as usize * self.m as usize + a as usize]
+        let lane = simd::lane_index(i as usize, a as usize, self.m as usize, self.n);
+        if self.lane_bytes() == 1 {
+            u32::from(self.lanes[lane])
+        } else {
+            u32::from(u16::from_le_bytes([
+                self.lanes[2 * lane],
+                self.lanes[2 * lane + 1],
+            ]))
+        }
     }
 
     /// All `m` half-keys of point `i`.
-    #[inline]
-    pub fn row(&self, i: u32) -> &[u32] {
-        let base = i as usize * self.m as usize;
-        &self.data[base..base + self.m as usize]
+    pub fn half_keys(&self, i: u32) -> impl Iterator<Item = u32> + '_ {
+        (0..self.m).map(move |a| self.half_key(i, a))
+    }
+
+    /// Makes room for `extra` more points: grows the lane buffer and
+    /// re-strides the partial tail block (its stride is its point count)
+    /// so the new points' lanes are the only ones left to write.
+    fn grow(&mut self, extra: usize) {
+        let (m, w) = (self.m as usize, self.lane_bytes());
+        let new_n = self.n + extra;
+        self.lanes.resize(new_n * m * w, 0);
+        let first = self.n / BLOCK_DOCS * BLOCK_DOCS;
+        let old_stride = self.n - first;
+        let new_stride = (new_n - first).min(BLOCK_DOCS);
+        if old_stride > 0 && new_stride > old_stride {
+            let block = &mut self.lanes[first * m * w..];
+            // Highest run first: each destination starts at or past the
+            // end of every lower run's source, so nothing unmoved is hit.
+            for a in (1..m).rev() {
+                let src = a * old_stride * w;
+                block.copy_within(src..src + old_stride * w, a * new_stride * w);
+            }
+        }
+        self.n = new_n;
+    }
+
+    /// Appends one point from its already-computed half-keys (the kernel
+    /// proofs build columns this way; the engine hashes through
+    /// [`append_from`](Self::append_from)).
+    pub fn push(&mut self, half_keys: &[u32]) {
+        assert_eq!(half_keys.len(), self.m as usize);
+        assert!(half_keys.iter().all(|&key| key < 1 << self.half_bits));
+        let (i, m, w) = (self.n, self.m as usize, self.lane_bytes());
+        self.grow(1);
+        for (a, &key) in half_keys.iter().enumerate() {
+            let at = simd::lane_index(i, a, m, self.n) * w;
+            self.lanes[at..at + w].copy_from_slice(&key.to_le_bytes()[..w]);
+        }
     }
 
     /// Sketches rows `[from, corpus.num_rows())` of `corpus` and appends
@@ -93,14 +157,12 @@ impl SketchMatrix {
         if new_points == 0 {
             return;
         }
-        let m = self.m as usize;
-        let old_len = self.data.len();
-        self.data.resize(old_len + new_points * m, 0);
-        let out = &mut self.data[old_len..];
+        let (m, w) = (self.m as usize, self.lane_bytes());
+        self.grow(new_points);
         let n_hashes = planes.n_hashes() as usize;
         debug_assert_eq!(n_hashes, m * self.half_bits as usize);
 
-        let shared = SharedSliceMut::new(out);
+        let shared = SharedSliceMut::new(&mut self.lanes[..]);
         let shared = &shared;
         let half_bits = self.half_bits;
         pool.parallel_for(0, new_points, 64, |range| {
@@ -115,9 +177,13 @@ impl SketchMatrix {
                 }
                 for a in 0..m {
                     let key = pack_half_key(&acc[a * half_bits as usize..], half_bits);
-                    // SAFETY: each point's m slots are owned by exactly one
-                    // parallel_for chunk.
-                    unsafe { shared.write(local * m + a, key) };
+                    let at = simd::lane_index(from + local, a, m, n) * w;
+                    for (k, &byte) in key.to_le_bytes()[..w].iter().enumerate() {
+                        // SAFETY: each point's m lanes are owned by exactly
+                        // one parallel_for chunk, and `grow` left no other
+                        // lane unwritten.
+                        unsafe { shared.write(at + k, byte) };
+                    }
                 }
             }
         });
@@ -172,19 +238,6 @@ impl SketchMatrix {
                 *slot = pack_half_key(&qacc[a * half_bits as usize..], half_bits);
             }
         }
-    }
-
-    /// Drops sketches of points `>= keep` (paired with corpus truncation).
-    pub fn truncate(&mut self, keep: usize) {
-        let len = keep * self.m as usize;
-        if len < self.data.len() {
-            self.data.truncate(len);
-        }
-    }
-
-    /// Removes all sketches, retaining storage.
-    pub fn clear(&mut self) {
-        self.data.clear();
     }
 }
 
@@ -241,7 +294,7 @@ mod tests {
         for i in 0..3u32 {
             let (idx, val) = corpus.row(i);
             SketchMatrix::sketch_one(&planes, half_bits, idx, val, &mut acc, &mut out);
-            assert_eq!(sk.row(i), &out[..], "row {i}");
+            assert!(sk.half_keys(i).eq(out.iter().copied()), "row {i}");
         }
     }
 
@@ -289,7 +342,7 @@ mod tests {
         fast.append_from(&corpus, &planes, 0, &pool, true);
         slow.append_from(&corpus, &planes, 0, &pool, false);
         for i in 0..corpus.num_rows() as u32 {
-            assert_eq!(fast.row(i), slow.row(i), "row {i}");
+            assert!(fast.half_keys(i).eq(slow.half_keys(i)), "row {i}");
         }
     }
 
@@ -324,7 +377,7 @@ mod tests {
 
         assert_eq!(bulk.num_points(), inc.num_points());
         for i in 0..10u32 {
-            assert_eq!(bulk.row(i), inc.row(i));
+            assert!(bulk.half_keys(i).eq(inc.half_keys(i)));
         }
     }
 
@@ -347,17 +400,25 @@ mod tests {
     }
 
     #[test]
-    fn truncate_and_clear() {
-        let pool = ThreadPool::new(1);
-        let corpus = tiny_corpus(8, &[&[(0, 1.0)], &[(1, 1.0)], &[(2, 1.0)]]);
-        let planes = Hyperplanes::new_dense(8, 4, 1, &pool);
-        let mut sk = SketchMatrix::new(2, 2);
-        sk.append_from(&corpus, &planes, 0, &pool, true);
-        let row0 = sk.row(0).to_vec();
-        sk.truncate(1);
-        assert_eq!(sk.num_points(), 1);
-        assert_eq!(sk.row(0), &row0[..]);
-        sk.clear();
-        assert_eq!(sk.num_points(), 0);
+    fn pushes_keep_every_half_key_across_blocks_and_lane_widths() {
+        // Growing re-strides the partial tail block; every half-key must
+        // survive each step, in both lane widths, and nothing is padded.
+        let mut rng = crate::rng::SplitMix64::new(5);
+        for (m, half_bits) in [(2u32, 1u32), (5, 8), (3, 9), (16, 16)] {
+            let mut sk = SketchMatrix::new(m, half_bits);
+            let mut rows: Vec<Vec<u32>> = Vec::new();
+            for _ in 0..(2 * BLOCK_DOCS + 7) {
+                let row: Vec<u32> = (0..m)
+                    .map(|_| rng.next_below(1 << half_bits) as u32)
+                    .collect();
+                sk.push(&row);
+                rows.push(row);
+                for (i, expect) in rows.iter().enumerate() {
+                    assert!(sk.half_keys(i as u32).eq(expect.iter().copied()), "row {i}");
+                }
+            }
+            let lane_bytes = if half_bits <= 8 { 1 } else { 2 };
+            assert_eq!(sk.memory_bytes(), rows.len() * m as usize * lane_bytes);
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! Tweets using Parallel Locality-Sensitive Hashing"* (Sundaram et al.,
 //! VLDB 2013): an in-memory LSH index for angular distance over sparse
 //! high-dimensional unit vectors, engineered for multi-core construction
-//! and high-throughput querying, with streaming inserts via delta tables.
+//! and high-throughput querying, with streaming inserts via a scanned delta.
 //!
 //! ## Layout of the crate
 //!
@@ -12,7 +12,7 @@
 //! |---|---|---|
 //! | [`sparse`] | 5.1.1, 5.2.3 | sparse vectors, CRS matrices, angular distance kernels |
 //! | [`hash`] | 3, 5.1.1 | random-hyperplane family, all-pairs sketches |
-//! | [`table`] | 5.1.2, 6.1 | static two-level partitioned tables, streaming delta tables |
+//! | [`table`] | 5.1.2, 6.1 | static two-level partitioned tables, table-free delta generations |
 //! | [`simd`] | 5.1.1, 5.2.3 | runtime-dispatched SIMD kernels for hashing and dot products |
 //! | [`dedup`] | 5.2.1 | bitvector duplicate elimination |
 //! | [`query`] | 5.2 | the Q1–Q4 query pipeline with ablation switches |
@@ -76,7 +76,4 @@ pub use search::{SearchBackend, SearchHit, SearchMode, SearchRequest, SearchResp
 pub use snapshot::Snapshot;
 pub use sparse::{CrsMatrix, SparseVector};
 pub use streaming::{ShutdownReport, StreamingEngine};
-pub use table::{
-    BuildStrategy, BuildTimings, DeltaGeneration, DeltaLayout, DeltaTables, MergeStepper,
-    StaticTables,
-};
+pub use table::{BuildStrategy, BuildTimings, DeltaGeneration, MergeStepper, StaticTables};

@@ -224,6 +224,17 @@ impl PerformanceModel {
         ops::Q2_SCAN_PER_32BITS * (n as f64 / 32.0) / self.machine.threads as f64
     }
 
+    /// Cycles one query spends scanning an un-merged delta of `points`
+    /// points: the scan streams the packed half-key column once (`m` lanes
+    /// per point, one byte each when `half_bits ≤ 8`, else two) and is
+    /// bandwidth-bound, so it costs column bytes ÷ `bytes_per_cycle`.
+    /// Linear in `points` where static tables cost `O(L + collisions)` —
+    /// the crossover between the two is what sizes a folded delta tier.
+    pub fn delta_scan_cycles(&self, points: usize, m: u32, half_bits: u32) -> f64 {
+        let lane_bytes = if half_bits <= 8 { 1.0 } else { 2.0 };
+        points as f64 * m as f64 * lane_bytes / self.machine.bytes_per_cycle
+    }
+
     /// `T_Q3` — cycles per unique candidate: the larger of the bandwidth
     /// cost (~4 cache lines = 256 bytes per candidate, the paper's 21.8
     /// cycles at 12.3 bytes/cycle) and the sparse-dot compute cost for a
@@ -431,6 +442,20 @@ mod tests {
         // — bandwidth-dominated at paper scale, so the compute floor for
         // NNZ = 7.2 must not kick in.
         assert!((model.t_q3_cycles(7.2) - 21.8).abs() < 0.3);
+    }
+
+    #[test]
+    fn delta_scan_is_column_bytes_over_bandwidth() {
+        let model = PerformanceModel::new(MachineProfile::paper());
+        // The paper's delta cap (η·C ≈ 1M points) at k = 16, m = 40: a
+        // 40 MB column per query at 12.3 B/cycle — the scale at which the
+        // scan tier must hand over to a static-layout tier.
+        let cycles = model.delta_scan_cycles(1_000_000, 40, 8);
+        assert!((cycles - 40e6 / 12.3).abs() < 1.0);
+        // Two-byte lanes past k/2 = 8; linear in points and in m.
+        assert_eq!(model.delta_scan_cycles(1_000_000, 40, 9), 2.0 * cycles);
+        assert_eq!(model.delta_scan_cycles(500_000, 20, 8), cycles / 4.0);
+        assert_eq!(model.delta_scan_cycles(0, 40, 8), 0.0);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //!
 //! * **Q1** — hash the query with all `m·k/2` functions and compose the
 //!   `L` bucket keys (cheap).
-//! * **Q2** — read the matching bucket of every table (static and delta)
-//!   and eliminate duplicate point ids.
+//! * **Q2** — read the matching bucket of every static table, scan the
+//!   packed half-keys of every un-merged delta generation for the points
+//!   those buckets would hold, and eliminate duplicate point ids.
 //! * **Q3** — for each unique candidate, load its data row and compute the
 //!   exact angular distance.
 //! * **Q4** — emit candidates within the radius (cheap).
@@ -228,6 +229,8 @@ pub struct QueryScratch {
     keys: Vec<u32>,
     cand: CandidateSet,
     sorted: Vec<u32>,
+    /// Local ids one delta generation's scan reported.
+    delta_hits: Vec<u32>,
     /// Query bitvector over the vocabulary space (Section 5.2.3).
     qmask: Vec<u64>,
     /// Dense query values; only positions flagged in `qmask` are valid.
@@ -248,6 +251,7 @@ impl QueryScratch {
             keys: vec![0; l],
             cand: CandidateSet::new(n),
             sorted: Vec::new(),
+            delta_hits: Vec::new(),
             qmask: vec![0u64; (dim as usize).div_ceil(64)],
             qvals: vec![0.0; dim as usize],
             out: Vec::new(),
@@ -372,8 +376,7 @@ fn candidate_phase(
     out: &mut Vec<Neighbor>,
     stats: &mut QueryStats,
 ) {
-    let l_count = allpairs::num_tables(ctx.m) as usize;
-    debug_assert_eq!(keys.len(), l_count);
+    debug_assert_eq!(keys.len(), allpairs::num_tables(ctx.m) as usize);
     let dot_threshold = dot_radius_threshold(ctx.radius);
 
     // ---- Q2: merge buckets and eliminate duplicates.
@@ -381,36 +384,15 @@ fn candidate_phase(
         // Anchor the (empty) bitvector at this epoch's base so it covers
         // the resident span, not the lifetime id range.
         scratch.cand.rebase(ctx.base);
-        for l in 0..l_count {
-            let key = keys[l];
-            if let Some(st) = ctx.static_tables {
-                // All keys are known after Q1, so upcoming buckets can
-                // stream in while this one is scanned — the Q2 counterpart
-                // of the Q3 row prefetch (Section 5.2.2). Two distances:
-                // the offsets slot two tables ahead (a pure hint), then
-                // the entry run one table ahead (whose offsets read was
-                // hinted on the previous iteration).
-                if ctx.strategy.candidate_array {
-                    if l + 2 < l_count {
-                        st.prefetch_offsets(l + 2, keys[l + 2]);
-                    }
-                    if l + 1 < l_count {
-                        st.prefetch_bucket(l + 1, keys[l + 1]);
-                    }
-                }
-                for &id in st.bucket(l, key) {
-                    stats.collisions += 1;
-                    scratch.cand.insert(id);
-                }
-            }
-            for g in ctx.deltas {
-                let base = g.base();
-                for &local in g.bucket(l, key) {
-                    stats.collisions += 1;
-                    scratch.cand.insert(base + local);
-                }
-            }
-        }
+        let QueryScratch {
+            cand,
+            half_keys,
+            delta_hits,
+            ..
+        } = scratch;
+        gather_candidates(ctx, keys, half_keys, delta_hits, stats, |id| {
+            cand.insert(id);
+        });
         stats.unique_candidates += scratch.cand.len() as u64;
 
         // ---- Q3/Q4 over the deduplicated candidates (capped at the
@@ -453,27 +435,74 @@ fn candidate_phase(
     } else {
         // Ablation baseline: tree set ("STL set") dedup.
         let mut set = BTreeSet::new();
-        for (l, &key) in keys.iter().enumerate() {
-            if let Some(st) = ctx.static_tables {
-                for &id in st.bucket(l, key) {
-                    stats.collisions += 1;
-                    set.insert(id);
-                }
-            }
-            for g in ctx.deltas {
-                let base = g.base();
-                for &local in g.bucket(l, key) {
-                    stats.collisions += 1;
-                    set.insert(base + local);
-                }
-            }
-        }
+        let QueryScratch {
+            half_keys,
+            delta_hits,
+            ..
+        } = scratch;
+        gather_candidates(ctx, keys, half_keys, delta_hits, stats, |id| {
+            set.insert(id);
+        });
         stats.unique_candidates += set.len() as u64;
         with_query_side(ctx, query, scratch, |ctx, query, scratch| {
             for &id in set.iter().take(ctx.max_candidates) {
                 filter_candidate(ctx, query, scratch, id, dot_threshold, out, stats);
             }
         });
+    }
+}
+
+/// Step Q2's gather, the one copy every dedup strategy and the profiler
+/// share: feeds `sink` each entry of the query's bucket in every static
+/// table, then — after all static tables — each point of every sealed
+/// generation that shares a bucket with the query in some table, found
+/// by scanning the generation's packed half-keys. `stats.collisions`
+/// counts every (table, entry) pair either way.
+///
+/// `half_keys` (length `m`) and `hits` are scratch, touched only when the
+/// epoch has un-merged generations.
+#[inline]
+fn gather_candidates(
+    ctx: &QueryContext<'_>,
+    keys: &[u32],
+    half_keys: &mut [u32],
+    hits: &mut Vec<u32>,
+    stats: &mut QueryStats,
+    mut sink: impl FnMut(u32),
+) {
+    if let Some(st) = ctx.static_tables {
+        for (l, &key) in keys.iter().enumerate() {
+            // All keys are known after Q1, so upcoming buckets can stream
+            // in while this one is scanned — the Q2 counterpart of the Q3
+            // row prefetch (Section 5.2.2). Two distances: the offsets
+            // slot two tables ahead (a pure hint), then the entry run one
+            // table ahead (whose offsets read was hinted on the previous
+            // iteration).
+            if ctx.strategy.candidate_array {
+                if let Some(&ahead) = keys.get(l + 2) {
+                    st.prefetch_offsets(l + 2, ahead);
+                }
+                if let Some(&next) = keys.get(l + 1) {
+                    st.prefetch_bucket(l + 1, next);
+                }
+            }
+            for &id in st.bucket(l, key) {
+                stats.collisions += 1;
+                sink(id);
+            }
+        }
+    }
+    if ctx.deltas.is_empty() {
+        return;
+    }
+    allpairs::half_keys_of(keys, ctx.half_bits, half_keys);
+    for g in ctx.deltas {
+        hits.clear();
+        stats.collisions += simd::scan_half_keys(g.sketches().column(), half_keys, hits);
+        let base = g.base();
+        for &local in hits.iter() {
+            sink(base + local);
+        }
     }
 }
 
@@ -651,30 +680,23 @@ pub fn profile_batch(
 
         // Q2: bucket reads + dedup + sorted extraction.
         let t0 = Instant::now();
-        for l in 0..l_count {
-            let key = scratch.keys[l];
-            if let Some(st) = ctx.static_tables {
-                if ctx.strategy.candidate_array {
-                    if l + 2 < l_count {
-                        st.prefetch_offsets(l + 2, scratch.keys[l + 2]);
-                    }
-                    if l + 1 < l_count {
-                        st.prefetch_bucket(l + 1, scratch.keys[l + 1]);
-                    }
-                }
-                for &id in st.bucket(l, key) {
-                    stats.collisions += 1;
-                    scratch.cand.insert(id);
-                }
-            }
-            for g in ctx.deltas {
-                let base = g.base();
-                for &local in g.bucket(l, key) {
-                    stats.collisions += 1;
-                    scratch.cand.insert(base + local);
-                }
-            }
-        }
+        let QueryScratch {
+            cand,
+            keys,
+            half_keys,
+            delta_hits,
+            ..
+        } = &mut *scratch;
+        gather_candidates(
+            ctx,
+            &keys[..l_count],
+            half_keys,
+            delta_hits,
+            &mut stats,
+            |id| {
+                cand.insert(id);
+            },
+        );
         stats.unique_candidates += scratch.cand.len() as u64;
         scratch.cand.extract_sorted(&mut sorted);
         timings.step_q2 += t0.elapsed();
@@ -1079,7 +1101,6 @@ mod tests {
 
     #[test]
     fn sealed_generations_answer_like_static() {
-        use crate::table::DeltaLayout;
         let f = fixture(200, 12);
         let pool = ThreadPool::new(1);
         // Same corpus, different segmentation: 150 static + one sealed
@@ -1089,14 +1110,7 @@ mod tests {
         let statics = StaticTables::build_prefix(&sk, 150, BuildStrategy::TwoLevelShared, &pool);
         let mut static_data = f.data.clone();
         static_data.truncate(150);
-        let mut g = DeltaGeneration::new(
-            150,
-            f.data.dim(),
-            f.m,
-            f.half_bits,
-            DeltaLayout::Adaptive,
-            50,
-        );
+        let mut g = DeltaGeneration::new(150, f.data.dim(), f.m, f.half_bits);
         let vs: Vec<SparseVector> = (150..200).map(|i| f.data.row_vector(i as u32)).collect();
         g.append(&vs, &f.planes, true, &pool).unwrap();
         let gens = [Arc::new(g)];
@@ -1115,13 +1129,23 @@ mod tests {
             max_candidates: usize::MAX,
         };
         assert_eq!(segmented.num_points(), 200);
-        let full = ctx(&f, QueryStrategy::optimized());
         let mut scratch = QueryScratch::new(f.m, f.half_bits, 200, f.data.dim());
-        for qid in [0u32, 149, 150, 199] {
-            let q = f.data.row_vector(qid);
-            let (a, _) = execute_query(&full, &q, &mut scratch);
-            let (b, _) = execute_query(&segmented, &q, &mut scratch);
-            assert_eq!(sorted_hits(a), sorted_hits(b), "query {qid}");
+        // At every ablation level: the same hits, and — the scan standing
+        // in for the generation's L tables — the same collision, candidate
+        // and distance counts.
+        for (label, strategy) in QueryStrategy::ablation_levels() {
+            let full = ctx(&f, strategy);
+            let segmented = QueryContext {
+                strategy,
+                ..segmented
+            };
+            for qid in [0u32, 149, 150, 199] {
+                let q = f.data.row_vector(qid);
+                let (a, a_stats) = execute_query(&full, &q, &mut scratch);
+                let (b, b_stats) = execute_query(&segmented, &q, &mut scratch);
+                assert_eq!(sorted_hits(a), sorted_hits(b), "{label}, query {qid}");
+                assert_eq!(a_stats, b_stats, "{label}, query {qid}");
+            }
         }
     }
 

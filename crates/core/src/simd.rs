@@ -8,6 +8,11 @@
 //! `is_x86_feature_detected!`) and every kernel picks the widest available
 //! implementation.
 //!
+//! The third kernel, [`scan_half_keys`], answers the un-merged delta: one
+//! streaming compare over a generation's packed half-key column decides
+//! which of its points share a bucket with the query in *some* table. It
+//! is integer-only, so every level returns exactly the scalar result.
+//!
 //! All hashing kernels preserve a strict contract: **for every hash lane
 //! `j`, partial products are accumulated in ascending non-zero order with a
 //! separate multiply and add (no FMA)**. IEEE-754 multiplication and
@@ -395,6 +400,275 @@ pub fn dot_via_mask(idx: &[u32], val: &[f32], qmask: &[u64], qvals: &[f32]) -> f
         SimdLevel::Avx2 => unsafe { dot_via_mask_avx2(idx, val, qmask, qvals) },
         _ => dot_via_mask_scalar(idx, val, qmask, qvals),
     }
+}
+
+// ---------------------------------------------------------------------------
+// Half-key scan (query Step Q2 over the un-merged delta).
+// ---------------------------------------------------------------------------
+
+/// Points per block of a packed half-key column.
+pub const BLOCK_DOCS: usize = 32;
+
+/// Lane of half-key `a` of point `i` in a packed column of `n` points ×
+/// `m` half-keys.
+///
+/// Points are grouped in blocks of [`BLOCK_DOCS`]; a block stores `m` runs
+/// of consecutive lanes, run `a` holding half-key `a` of each of its
+/// points, so one vector compare tests a whole run against the query's
+/// `u_a` whatever `m` is. The last block holds `n mod 32` points and its
+/// runs are that long — the column has no padding lanes.
+#[inline]
+pub fn lane_index(i: usize, a: usize, m: usize, n: usize) -> usize {
+    debug_assert!(i < n && a < m);
+    let first = i / BLOCK_DOCS * BLOCK_DOCS;
+    let docs = (n - first).min(BLOCK_DOCS);
+    first * m + a * docs + (i - first)
+}
+
+/// Borrowed packed half-key column: `n · m` little-endian lanes of one or
+/// two bytes at [`lane_index`].
+#[derive(Debug, Clone, Copy)]
+pub struct HalfKeyColumn<'a> {
+    lanes: &'a [u8],
+    lane_bytes: usize,
+    m: usize,
+    n: usize,
+}
+
+impl<'a> HalfKeyColumn<'a> {
+    /// Wraps `lanes` as `n` points × `m` half-keys of `lane_bytes` (1 or
+    /// 2) bytes each. Panics unless `lanes` is exactly that long — the
+    /// vector kernels read whole blocks on the strength of this check.
+    pub fn new(lanes: &'a [u8], lane_bytes: usize, m: usize, n: usize) -> Self {
+        assert!(lane_bytes == 1 || lane_bytes == 2);
+        assert_eq!(lanes.len(), n * m * lane_bytes);
+        Self {
+            lanes,
+            lane_bytes,
+            m,
+            n,
+        }
+    }
+}
+
+/// Appends the in-block positions set in `mask` to `hits` as point ids
+/// and returns `Σ C(counts[j], 2)` over them.
+#[inline]
+fn emit_block<T: Copy + Into<u64>>(
+    mut mask: u32,
+    counts: &[T; BLOCK_DOCS],
+    first: usize,
+    hits: &mut Vec<u32>,
+) -> u64 {
+    let mut collisions = 0u64;
+    while mask != 0 {
+        let j = mask.trailing_zeros() as usize;
+        mask &= mask - 1;
+        let c: u64 = counts[j].into();
+        collisions += c * (c - 1) / 2;
+        hits.push((first + j) as u32);
+    }
+    collisions
+}
+
+/// Scalar scan of the blocks starting at point `first` (a multiple of
+/// [`BLOCK_DOCS`]) — the whole kernel at the scalar level, and the partial
+/// last block at every level.
+fn scan_blocks_scalar(
+    col: HalfKeyColumn<'_>,
+    query: &[u32],
+    mut first: usize,
+    hits: &mut Vec<u32>,
+) -> u64 {
+    let mut collisions = 0u64;
+    while first < col.n {
+        let docs = (col.n - first).min(BLOCK_DOCS);
+        let mut counts = [0u16; BLOCK_DOCS];
+        for (a, &q) in query.iter().enumerate() {
+            let run = first * col.m + a * docs;
+            if col.lane_bytes == 2 {
+                let lanes = col.lanes[2 * run..2 * (run + docs)].chunks_exact(2);
+                for (c, l) in counts.iter_mut().zip(lanes) {
+                    *c += u16::from(u32::from(u16::from_le_bytes([l[0], l[1]])) == q);
+                }
+            } else {
+                for (c, &l) in counts.iter_mut().zip(&col.lanes[run..run + docs]) {
+                    *c += u16::from(u32::from(l) == q);
+                }
+            }
+        }
+        let mut mask = 0u32;
+        for (j, &c) in counts.iter().enumerate() {
+            mask |= u32::from(c >= 2) << j;
+        }
+        collisions += emit_block(mask, &counts, first, hits);
+        first += docs;
+    }
+    collisions
+}
+
+/// Reference kernel for [`scan_half_keys`]: the ground truth the vector
+/// kernels are tested against.
+pub fn scan_half_keys_scalar(col: HalfKeyColumn<'_>, query: &[u32], hits: &mut Vec<u32>) -> u64 {
+    assert_eq!(query.len(), col.m);
+    scan_blocks_scalar(col, query, 0, hits)
+}
+
+/// SSE2 scan of the column's full blocks: per block and half-key, one
+/// compare + subtract per 16 bytes of lanes.
+///
+/// # Safety
+/// Caller must ensure the CPU supports SSE2 (always true on `x86_64`),
+/// `query.len() == col.m`, and `col.m` is at most `i8::MAX` for one-byte
+/// lanes (`i16::MAX` for two) so the per-lane counters compare signed.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
+unsafe fn scan_full_blocks_sse2(col: HalfKeyColumn<'_>, query: &[u32], hits: &mut Vec<u32>) -> u64 {
+    use std::arch::x86_64::*;
+    let block_bytes = BLOCK_DOCS * col.m * col.lane_bytes;
+    let mut collisions = 0u64;
+    for b in 0..col.n / BLOCK_DOCS {
+        // In bounds: `HalfKeyColumn::new` checked the buffer covers every
+        // full block, and run `a < m` ends inside its block.
+        let block = col.lanes.as_ptr().add(b * block_bytes);
+        if col.lane_bytes == 2 {
+            let mut cnt = [_mm_setzero_si128(); 4];
+            for (a, &q) in query.iter().enumerate() {
+                let qv = _mm_set1_epi16(q as u16 as i16);
+                let run = block.add(a * 2 * BLOCK_DOCS) as *const __m128i;
+                for (r, c) in cnt.iter_mut().enumerate() {
+                    *c = _mm_sub_epi16(*c, _mm_cmpeq_epi16(_mm_loadu_si128(run.add(r)), qv));
+                }
+            }
+            let one = _mm_set1_epi16(1);
+            let gt = cnt.map(|c| _mm_cmpgt_epi16(c, one));
+            let mask = _mm_movemask_epi8(_mm_packs_epi16(gt[0], gt[1])) as u32
+                | (_mm_movemask_epi8(_mm_packs_epi16(gt[2], gt[3])) as u32) << 16;
+            if mask != 0 {
+                let mut counts = [0u16; BLOCK_DOCS];
+                for (r, &c) in cnt.iter().enumerate() {
+                    _mm_storeu_si128((counts.as_mut_ptr() as *mut __m128i).add(r), c);
+                }
+                collisions += emit_block(mask, &counts, b * BLOCK_DOCS, hits);
+            }
+        } else {
+            let mut cnt = [_mm_setzero_si128(); 2];
+            for (a, &q) in query.iter().enumerate() {
+                let qv = _mm_set1_epi8(q as u8 as i8);
+                let run = block.add(a * BLOCK_DOCS) as *const __m128i;
+                for (r, c) in cnt.iter_mut().enumerate() {
+                    *c = _mm_sub_epi8(*c, _mm_cmpeq_epi8(_mm_loadu_si128(run.add(r)), qv));
+                }
+            }
+            let one = _mm_set1_epi8(1);
+            let mask = _mm_movemask_epi8(_mm_cmpgt_epi8(cnt[0], one)) as u32
+                | (_mm_movemask_epi8(_mm_cmpgt_epi8(cnt[1], one)) as u32) << 16;
+            if mask != 0 {
+                let mut counts = [0u8; BLOCK_DOCS];
+                for (r, &c) in cnt.iter().enumerate() {
+                    _mm_storeu_si128((counts.as_mut_ptr() as *mut __m128i).add(r), c);
+                }
+                collisions += emit_block(mask, &counts, b * BLOCK_DOCS, hits);
+            }
+        }
+    }
+    collisions
+}
+
+/// AVX2 scan of the column's full blocks: one compare + subtract per
+/// half-key covers a whole block of one-byte lanes (two for two-byte).
+///
+/// # Safety
+/// Caller must ensure the CPU supports AVX2; otherwise as
+/// [`scan_full_blocks_sse2`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn scan_full_blocks_avx2(col: HalfKeyColumn<'_>, query: &[u32], hits: &mut Vec<u32>) -> u64 {
+    use std::arch::x86_64::*;
+    let block_bytes = BLOCK_DOCS * col.m * col.lane_bytes;
+    let mut collisions = 0u64;
+    for b in 0..col.n / BLOCK_DOCS {
+        // In bounds: as in the SSE2 kernel.
+        let block = col.lanes.as_ptr().add(b * block_bytes);
+        if col.lane_bytes == 2 {
+            let (mut lo, mut hi) = (_mm256_setzero_si256(), _mm256_setzero_si256());
+            for (a, &q) in query.iter().enumerate() {
+                let qv = _mm256_set1_epi16(q as u16 as i16);
+                let run = block.add(a * 2 * BLOCK_DOCS) as *const __m256i;
+                lo = _mm256_sub_epi16(lo, _mm256_cmpeq_epi16(_mm256_loadu_si256(run), qv));
+                hi = _mm256_sub_epi16(hi, _mm256_cmpeq_epi16(_mm256_loadu_si256(run.add(1)), qv));
+            }
+            let one = _mm256_set1_epi16(1);
+            // `packs` interleaves the two sources per 128-bit half; the
+            // quad permute restores point order before the movemask.
+            let gt = _mm256_permute4x64_epi64::<0xD8>(_mm256_packs_epi16(
+                _mm256_cmpgt_epi16(lo, one),
+                _mm256_cmpgt_epi16(hi, one),
+            ));
+            let mask = _mm256_movemask_epi8(gt) as u32;
+            if mask != 0 {
+                let mut counts = [0u16; BLOCK_DOCS];
+                _mm256_storeu_si256(counts.as_mut_ptr() as *mut __m256i, lo);
+                _mm256_storeu_si256((counts.as_mut_ptr() as *mut __m256i).add(1), hi);
+                collisions += emit_block(mask, &counts, b * BLOCK_DOCS, hits);
+            }
+        } else {
+            let mut cnt = _mm256_setzero_si256();
+            for (a, &q) in query.iter().enumerate() {
+                let qv = _mm256_set1_epi8(q as u8 as i8);
+                let run = block.add(a * BLOCK_DOCS) as *const __m256i;
+                cnt = _mm256_sub_epi8(cnt, _mm256_cmpeq_epi8(_mm256_loadu_si256(run), qv));
+            }
+            let mask = _mm256_movemask_epi8(_mm256_cmpgt_epi8(cnt, _mm256_set1_epi8(1))) as u32;
+            if mask != 0 {
+                let mut counts = [0u8; BLOCK_DOCS];
+                _mm256_storeu_si256(counts.as_mut_ptr() as *mut __m256i, cnt);
+                collisions += emit_block(mask, &counts, b * BLOCK_DOCS, hits);
+            }
+        }
+    }
+    collisions
+}
+
+/// Runtime-dispatched half-key scan: appends to `hits`, in ascending
+/// order, every point of `col` at least two of whose `m` half-keys equal
+/// the query's, and returns `Σ C(c, 2)` over those points' match counts
+/// `c`.
+///
+/// Under the all-pairs scheme table `(a, b)` keys on `u_a‖u_b`, so a point
+/// with `c` matching half-keys sits in the query's bucket in exactly
+/// `C(c, 2)` of the `L` tables: `hits` is the deduplicated union of those
+/// `L` buckets and the return value their total length — what probing
+/// per-generation hash tables would have gathered, from one pass over
+/// `n · m` lanes instead.
+///
+/// Identical to [`scan_half_keys_scalar`] at every dispatch level.
+pub fn scan_half_keys(col: HalfKeyColumn<'_>, query: &[u32], hits: &mut Vec<u32>) -> u64 {
+    assert_eq!(query.len(), col.m);
+    debug_assert!(query
+        .iter()
+        .all(|&q| q <= if col.lane_bytes == 2 { 0xFFFF } else { 0xFF }));
+    #[cfg(target_arch = "x86_64")]
+    {
+        // Per-lane match counters are as wide as a lane and compare signed.
+        let max_m = if col.lane_bytes == 2 {
+            i16::MAX as usize
+        } else {
+            i8::MAX as usize
+        };
+        let full = col.n / BLOCK_DOCS * BLOCK_DOCS;
+        let collisions = match level() {
+            // SAFETY: `level()` only reports what the CPU supports; the
+            // query length and the counter bound were checked just above.
+            SimdLevel::Avx2 if col.m <= max_m => unsafe { scan_full_blocks_avx2(col, query, hits) },
+            // SAFETY: SSE2 is part of the x86_64 baseline; as above.
+            SimdLevel::Sse2 if col.m <= max_m => unsafe { scan_full_blocks_sse2(col, query, hits) },
+            _ => return scan_blocks_scalar(col, query, 0, hits),
+        };
+        collisions + scan_blocks_scalar(col, query, full, hits)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    scan_blocks_scalar(col, query, 0, hits)
 }
 
 #[cfg(test)]

@@ -1,53 +1,48 @@
-//! Append-only delta generations for the concurrent ingest path.
+//! Append-only delta generations for the concurrent ingest path
+//! (paper Section 6.1).
 //!
 //! The streaming write path buffers inserts in *generations*: each
-//! generation owns its own slice of the corpus (a local [`CrsMatrix`]),
-//! the sketches of those rows, and insert-optimized [`DeltaTables`] over
-//! **local** row ids. While open, a generation accepts `append` calls from
-//! the (single, serialized) writer; *sealing* wraps it in an `Arc` and
-//! publishes it in the engine's epoch — a pointer move, no copying — after
-//! which it is immutable and safely shared with concurrent readers.
+//! generation owns its own slice of the corpus (a local [`CrsMatrix`]) and
+//! the packed sketches of those rows — and no hash tables. A point shares
+//! a bucket with a query in some table iff at least two of its `m`
+//! half-keys equal the query's, so queries answer a generation by
+//! scanning its sketch column ([`crate::simd::scan_half_keys`]) and an
+//! insert is *store the rows and hash them*, nothing else. While open, a
+//! generation accepts `append` calls from the (single, serialized)
+//! writer; *sealing* wraps it in an `Arc` and publishes it in the engine's
+//! epoch — a pointer move, no copying — after which it is immutable and
+//! safely shared with concurrent readers.
 //!
 //! Queries see `global id = generation base + local id`; a background
 //! merge later folds whole sealed generations into the next static epoch
-//! and drops them.
+//! (reading the same sketches, so points are hashed exactly once) and
+//! drops them. The scan costs `O(points)` per query where tables cost
+//! `O(L + collisions)`: it wins while the un-merged tail is small, which
+//! the engine's auto-merge at `η·C` keeps it.
 
 use plsh_parallel::ThreadPool;
 
 use crate::error::Result;
 use crate::hash::{Hyperplanes, SketchMatrix};
 use crate::sparse::{CrsMatrix, SparseVector};
-use crate::table::{DeltaLayout, DeltaTables};
 
 /// One delta generation: a contiguous run of inserted points with their
-/// data, sketches, and bucket bins, addressed by local ids `0..len`.
+/// data and sketches, addressed by local ids `0..len`.
 #[derive(Debug)]
 pub struct DeltaGeneration {
     /// Global id of local point 0.
     base: u32,
     data: CrsMatrix,
     sketches: SketchMatrix,
-    tables: DeltaTables,
 }
 
 impl DeltaGeneration {
     /// Creates an empty generation whose points start at global id `base`.
-    ///
-    /// `expected_points` resolves an adaptive bin layout (see
-    /// [`DeltaLayout::Adaptive`]); pass the size of the first batch.
-    pub fn new(
-        base: u32,
-        dim: u32,
-        m: u32,
-        half_bits: u32,
-        layout: DeltaLayout,
-        expected_points: usize,
-    ) -> Self {
+    pub fn new(base: u32, dim: u32, m: u32, half_bits: u32) -> Self {
         Self {
             base,
             data: CrsMatrix::new(dim),
             sketches: SketchMatrix::new(m, half_bits),
-            tables: DeltaTables::with_expected(m, half_bits, layout, expected_points),
         }
     }
 
@@ -76,23 +71,15 @@ impl DeltaGeneration {
         &self.data
     }
 
-    /// The generation's sketches (local rows), reused by the merge so
-    /// points are hashed exactly once.
+    /// The generation's sketches (local rows): the column queries scan,
+    /// and the half-keys the merge files into the next static tables.
     pub fn sketches(&self) -> &SketchMatrix {
         &self.sketches
     }
 
-    /// The **local** ids buffered in bucket `key` of table `l`; add
-    /// [`base`](Self::base) to obtain global ids.
-    #[inline]
-    pub fn bucket(&self, l: usize, key: u32) -> &[u32] {
-        self.tables.bucket(l, key)
-    }
-
-    /// Appends a batch: stores the rows, hashes them once, and files the
-    /// new local ids into the delta bins. Dimensions must have been
-    /// validated by the caller (the engine checks the whole batch before
-    /// touching any state).
+    /// Appends a batch: stores the rows and hashes them once. Dimensions
+    /// must have been validated by the caller (the engine checks the
+    /// whole batch before touching any state).
     pub fn append(
         &mut self,
         vs: &[SparseVector],
@@ -106,26 +93,13 @@ impl DeltaGeneration {
         }
         self.sketches
             .append_from(&self.data, planes, from, pool, vectorized);
-        let ids: Vec<u32> = (from as u32..self.data.num_rows() as u32).collect();
-        self.tables.insert_batch(&self.sketches, &ids, pool);
         Ok(())
-    }
-
-    /// Approximate bytes held (rows + sketches + bins).
-    pub fn memory_bytes(&self) -> usize {
-        self.data.total_nnz() * 8 + self.sketches.memory_bytes() + self.tables.memory_bytes()
-    }
-
-    /// Bytes held by the delta bins alone.
-    pub fn delta_bytes(&self) -> usize {
-        self.tables.memory_bytes()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hash::allpairs;
     use crate::rng::SplitMix64;
 
     fn random_vec(rng: &mut SplitMix64, dim: u32) -> SparseVector {
@@ -142,31 +116,27 @@ mod tests {
         let mut rng = SplitMix64::new(3);
         let vs: Vec<SparseVector> = (0..30).map(|_| random_vec(&mut rng, dim)).collect();
 
-        let mut g = DeltaGeneration::new(100, dim, m, half_bits, DeltaLayout::Adaptive, 30);
+        let mut g = DeltaGeneration::new(100, dim, m, half_bits);
         g.append(&vs[..10], &planes, true, &pool).unwrap();
         g.append(&vs[10..], &planes, true, &pool).unwrap();
         assert_eq!(g.base(), 100);
         assert_eq!(g.len(), 30);
         assert_eq!(g.end(), 130);
 
-        // Every point sits in exactly the bucket its sketch dictates, once
-        // per table, under its local id.
-        for (l, (a, b)) in allpairs::pairs(m).enumerate() {
-            let mut found = 0;
-            for key in 0..(1u32 << (2 * half_bits)) {
-                for &local in g.bucket(l, key) {
-                    let expect = allpairs::compose_key(
-                        g.sketches().half_key(local, a),
-                        g.sketches().half_key(local, b),
-                        half_bits,
-                    );
-                    assert_eq!(key, expect);
-                    found += 1;
-                }
-            }
-            assert_eq!(found, 30, "table {l}");
+        // Local row i carries the sketch of the i-th appended vector.
+        let mut acc = vec![0.0f32; planes.n_hashes() as usize];
+        let mut expect = vec![0u32; m as usize];
+        for (i, v) in vs.iter().enumerate() {
+            SketchMatrix::sketch_one(
+                &planes,
+                half_bits,
+                v.indices(),
+                v.values(),
+                &mut acc,
+                &mut expect,
+            );
+            assert!(g.sketches().half_keys(i as u32).eq(expect.iter().copied()));
         }
-        assert!(g.memory_bytes() > 0);
     }
 
     #[test]
@@ -174,7 +144,7 @@ mod tests {
         let pool = ThreadPool::new(1);
         let planes = Hyperplanes::new_dense(16, 2 * 2, 1, &pool);
         let v = SparseVector::unit(vec![(1, 1.0), (5, 2.0)]).unwrap();
-        let mut g = DeltaGeneration::new(0, 16, 2, 2, DeltaLayout::Adaptive, 1);
+        let mut g = DeltaGeneration::new(0, 16, 2, 2);
         g.append(std::slice::from_ref(&v), &planes, true, &pool)
             .unwrap();
         assert_eq!(g.data().row_vector(0), v);

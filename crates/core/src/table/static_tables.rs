@@ -926,7 +926,6 @@ mod tests {
 
     #[test]
     fn merge_generations_matches_rebuild() {
-        use crate::table::DeltaLayout;
         let pool = ThreadPool::new(2);
         let c = corpus(300, 64, 21);
         let (m, half_bits) = (4u32, 3u32);
@@ -937,14 +936,7 @@ mod tests {
         // Static prefix of 200 points; two sealed generations over the rest.
         let prev = StaticTables::build_prefix(&sk_all, 200, BuildStrategy::TwoLevelShared, &pool);
         let mk_gen = |base: usize, end: usize| {
-            let mut g = DeltaGeneration::new(
-                base as u32,
-                64,
-                m,
-                half_bits,
-                DeltaLayout::Adaptive,
-                end - base,
-            );
+            let mut g = DeltaGeneration::new(base as u32, 64, m, half_bits);
             let vs: Vec<_> = (base..end).map(|i| c.row_vector(i as u32)).collect();
             g.append(&vs, &planes, true, &pool).unwrap();
             Arc::new(g)

@@ -6,7 +6,7 @@ use plsh_core::hash::{allpairs, Hyperplanes, SketchMatrix};
 use plsh_core::params::{self, PlshParams};
 use plsh_core::query::QueryStrategy;
 use plsh_core::sparse::{CrsMatrix, SparseVector};
-use plsh_core::table::{BuildStrategy, DeltaGeneration, DeltaLayout, MergeStepper, StaticTables};
+use plsh_core::table::{BuildStrategy, DeltaGeneration, MergeStepper, StaticTables};
 use plsh_core::{Engine, EngineConfig, SearchRequest};
 use plsh_parallel::ThreadPool;
 
@@ -65,7 +65,7 @@ proptest! {
         corpus.push(&v).unwrap();
         let mut sk = SketchMatrix::new(4, 3);
         sk.append_from(&corpus, &planes, 0, &pool, true);
-        prop_assert_eq!(sk.row(0), sk.row(1));
+        prop_assert!(sk.half_keys(0).eq(sk.half_keys(1)));
     }
 
     #[test]
@@ -235,14 +235,7 @@ proptest! {
         let prev =
             StaticTables::build_prefix(&sk_all, n_static, BuildStrategy::TwoLevelShared, &pool);
         let mk_gen = |base: usize, end: usize| {
-            let mut g = DeltaGeneration::new(
-                base as u32,
-                DIM,
-                m,
-                half_bits,
-                DeltaLayout::Adaptive,
-                end - base,
-            );
+            let mut g = DeltaGeneration::new(base as u32, DIM, m, half_bits);
             let vs: Vec<SparseVector> =
                 (base..end).map(|i| corpus.row_vector(i as u32)).collect();
             g.append(&vs, &planes, true, &pool).unwrap();
@@ -270,9 +263,7 @@ proptest! {
         // epoch and appends to a *new* (uninvolved) generation.
         let witness_key = (seed % 64) as u32;
         let witness: Vec<u32> = prev.bucket(0, witness_key).to_vec();
-        let mut side = DeltaGeneration::new(
-            total as u32, DIM, m, half_bits, DeltaLayout::Adaptive, 4,
-        );
+        let mut side = DeltaGeneration::new(total as u32, DIM, m, half_bits);
         let mut stepper = MergeStepper::new(prev_opt, m, half_bits, total, &gens, &purge, 0, 0);
         let mut steps = 0usize;
         while stepper.step(max_buckets, max_rows) {

@@ -51,7 +51,7 @@ fn main() -> plsh::Result<()> {
         .vectorizer(vectorizer)
         .build()?;
 
-    // 3. Index every document (inserts land in delta tables and are
+    // 3. Index every document (inserts land in the scanned delta and are
     //    query-visible immediately; merging into the read-optimized
     //    static tables happens behind the scenes).
     for d in &docs {

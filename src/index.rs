@@ -553,7 +553,6 @@ impl Index {
                     pending_ingest: 0,
                     static_table_bytes: 0,
                     delta_table_bytes: 0,
-                    sketch_bytes: 0,
                     hyperplane_bytes: 0,
                     host_threads: plsh_parallel::affinity::host_threads(),
                     pinned_workers: plsh_parallel::pinned_worker_count(),
@@ -573,7 +572,6 @@ impl Index {
                     agg.pending_ingest += e.pending_ingest;
                     agg.static_table_bytes += e.static_table_bytes;
                     agg.delta_table_bytes += e.delta_table_bytes;
-                    agg.sketch_bytes += e.sketch_bytes;
                     agg.hyperplane_bytes += e.hyperplane_bytes;
                 }
                 agg

@@ -50,7 +50,7 @@
 //! depend on a single crate:
 //!
 //! * [`core`] — the PLSH algorithm: all-pairs hashing, cache-conscious
-//!   static tables, streaming delta tables, the unified search API,
+//!   static tables, the scanned streaming delta, the unified search API,
 //!   parameter selection and the analytic performance model.
 //! * [`parallel`] — the work-stealing task pool used by every component.
 //! * [`text`] — tokenization, vocabulary and IDF vectorization of documents.

@@ -1,7 +1,7 @@
 //! Integration: the streaming path (delta tables, merges, deletions,
 //! retirement) must never change query answers relative to a bulk build.
 
-use plsh::core::{DeltaLayout, Engine, EngineConfig, PlshParams, SparseVector};
+use plsh::core::{Engine, EngineConfig, PlshParams, SparseVector};
 use plsh::parallel::ThreadPool;
 use plsh::workload::{CorpusConfig, SyntheticCorpus};
 
@@ -64,7 +64,7 @@ fn bulk_chunked_and_unmerged_builds_agree() {
     }
     assert!(chunked.stats().merges >= 2, "auto-merges must have fired");
 
-    // Never merged: everything answered from the delta tables.
+    // Never merged: everything answered by scanning one delta generation.
     let unmerged = Engine::new(
         EngineConfig::new(params(c.dim()), c.len()).manual_merge(),
         &pool,
@@ -73,20 +73,21 @@ fn bulk_chunked_and_unmerged_builds_agree() {
     unmerged.insert_batch(c.vectors(), &pool).unwrap();
     assert_eq!(unmerged.static_len(), 0);
 
-    // Sparse-layout delta as a fourth configuration.
-    let sparse_delta = Engine::new(
-        EngineConfig::new(params(c.dim()), c.len())
-            .manual_merge()
-            .with_delta_layout(DeltaLayout::Sparse),
+    // Never merged, many generations with partial last scan blocks.
+    let fragmented = Engine::new(
+        EngineConfig::new(params(c.dim()), c.len()).manual_merge(),
         &pool,
     )
     .unwrap();
-    sparse_delta.insert_batch(c.vectors(), &pool).unwrap();
+    for chunk in c.vectors().chunks(37) {
+        fragmented.insert_batch(chunk, &pool).unwrap();
+    }
+    assert_eq!(fragmented.static_len(), 0);
 
     let reference = answers(&bulk, &queries);
     assert_eq!(answers(&chunked, &queries), reference);
     assert_eq!(answers(&unmerged, &queries), reference);
-    assert_eq!(answers(&sparse_delta, &queries), reference);
+    assert_eq!(answers(&fragmented, &queries), reference);
 }
 
 #[test]
