@@ -53,10 +53,7 @@ pub fn run(f: &Fixture) -> Fig9 {
         Scale::Quick => (&[1, 2, 4], 5_000),
         Scale::Full => (&[1, 2, 4, 8], 12_500),
     };
-    // Hash routing is even only statistically (see
-    // `ShardedStats::routing_imbalance`), and `insert_batch` refuses a
-    // batch whole if any shard would overflow: give every shard 1/8 slack.
-    let capacity = docs_per_node + docs_per_node / 8;
+    let capacity = docs_per_node;
     let points = node_counts
         .iter()
         .map(|&nodes| {
@@ -77,7 +74,7 @@ pub fn run(f: &Fixture) -> Fig9 {
                     .expect("valid sharded config");
             index
                 .insert_batch(corpus.vectors())
-                .expect("per-shard capacity has routing slack");
+                .expect("routing fills every shard exactly to capacity");
             index.flush().expect("ingest workers alive");
             let shards = || (0..nodes).map(|i| index.shard(i));
             let init_times: Vec<Duration> = shards()

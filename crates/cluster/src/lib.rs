@@ -9,7 +9,7 @@
 //! communication at well under 1% of query time (Section 8.4), so the
 //! interesting behaviour is per-node. This crate therefore runs the nodes
 //! **in-process** as shards of one [`ShardedIndex`] (see [`sharded`]): it
-//! routes inserts by a stable hash of the point id into per-shard
+//! routes global id `g` to shard `g % S` of the per-shard
 //! [`plsh_core::streaming::StreamingEngine`]s (each with its own bounded,
 //! optionally paced ingest queue and background merge), fans queries out
 //! over the shards through a work-stealing pool, and defaults its shard

@@ -1,16 +1,17 @@
-//! The shard-per-core streaming cluster: hash-routed ingest, per-shard
-//! [`StreamingEngine`]s, and model-driven query fan-out.
+//! The shard-per-core streaming cluster: arithmetically routed ingest,
+//! per-shard [`StreamingEngine`]s, and model-driven query fan-out.
 //!
 //! [`ShardedIndex`] reproduces the paper's headline claim — near-linear
 //! scaling of streaming LSH across cores (Figures 9–10). Every shard is a
 //! full streaming node that overlaps its own ingest, merge, and queries:
 //!
-//! * **Inserts route by a stable hash of the point id.** Every point gets
-//!   a monotonically increasing *global* id; `route(id)` picks its shard,
-//!   and a paced per-shard ingest queue (a bounded channel drained by
-//!   one ingest thread per shard) carries it there. Routing assigns the
-//!   shard-local id too, so the global ↔ local maps never wait on the
-//!   ingest threads.
+//! * **Inserts route by arithmetic on the point id.** Every point gets a
+//!   monotonically increasing *global* id `g`; it lands on shard
+//!   `g % S` at shard-local id `g / S`, so shard `s` holds exactly the
+//!   globals `s, s+S, s+2S, …` in order and a local hit `l` translates
+//!   back as `l·S + s`. No id map is stored, and a paced per-shard
+//!   ingest queue (a bounded channel drained by one ingest thread per
+//!   shard) carries each point to its shard.
 //! * **Each shard owns a [`StreamingEngine`].** Inserts hash and seal on
 //!   the shard's ingest thread; merges run on the shard's own background
 //!   thread at `η·C` — so merges on different shards overlap each other
@@ -45,11 +46,12 @@
 //!   [`ShardedIndex::recover_from`] recovers every shard, then truncates
 //!   to the longest globally contiguous id prefix (a crash can land
 //!   mid-batch with some shards ahead of others) so the recovered index
-//!   is exactly a prefix of the routed stream. The id maps are not
-//!   stored: routing is a pure hash of the global id, so recovery
-//!   replays it deterministically. [`ShardedIndex::snapshot`] flattens
-//!   the whole corpus into a single-engine [`Snapshot`] in global-id
-//!   order.
+//!   is exactly a prefix of the routed stream. Shard `s` holding `n_s`
+//!   ids first misses global `n_s·S + s`, so that prefix is
+//!   `min_s(n_s·S + s)` — closed form, no walk over the id space. The
+//!   manifest (format v3) records the shard count the arithmetic depends
+//!   on. [`ShardedIndex::snapshot`] flattens the whole corpus into a
+//!   single-engine [`Snapshot`] in global-id order.
 //!
 //! ```
 //! use plsh_cluster::ShardedIndex;
@@ -76,7 +78,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -230,7 +232,6 @@ impl ShardedIndexBuilder {
             );
             shard_handles.push(Shard {
                 engine,
-                globals: RwLock::new(Vec::new()),
                 tx: Some(tx),
                 worker: Some(worker),
                 progress,
@@ -245,13 +246,10 @@ impl ShardedIndexBuilder {
             fanout,
             router: Mutex::new(Router {
                 next_global: 0,
-                used: vec![0; shards],
                 retire_cursor: 0,
-                retired_used: vec![0; shards],
                 births: VecDeque::new(),
             }),
             total: AtomicU64::new(0),
-            locals: RwLock::new(Vec::new()),
             ingest_sync: sync,
         })
     }
@@ -267,12 +265,9 @@ struct ShardBatch {
     retire_to: Option<u32>,
 }
 
-/// One shard: a streaming engine plus its ingest queue and id map.
+/// One shard: a streaming engine plus its ingest queue.
 struct Shard {
     engine: StreamingEngine,
-    /// Local id → global id, appended at routing time (so it always covers
-    /// every id a pinned epoch can surface).
-    globals: RwLock<Vec<u32>>,
     tx: Option<SyncSender<ShardBatch>>,
     worker: Option<JoinHandle<()>>,
     /// Drain progress shared with the shard's ingest thread.
@@ -412,9 +407,9 @@ impl IngestProgress {
     }
 }
 
-/// Routing state, serialized by the router mutex: the global id counter,
-/// per-shard occupancy (for all-or-nothing capacity checks), and the
-/// sliding-window cut.
+/// Routing state, serialized by the router mutex: the global id counter
+/// and the sliding-window cut. Per-shard occupancy and retirement are
+/// not stored — both are [`routed`] counts at these two positions.
 ///
 /// The window is cluster-driven: per-shard engines are built *without* a
 /// [`WindowSpec`] and receive explicit [`StreamingEngine::retire_to`]
@@ -422,14 +417,9 @@ impl IngestProgress {
 /// position even though global ids interleave across shards.
 struct Router {
     next_global: u32,
-    used: Vec<usize>,
     /// Global id below which the window has retired everything; ids in
     /// `retire_cursor..next_global` are live. Only moves forward.
     retire_cursor: u32,
-    /// Per-shard count of ids below `retire_cursor` routed to each shard —
-    /// exactly the shard-local watermark the cut maps to, because local
-    /// ids are assigned in routing order.
-    retired_used: Vec<usize>,
     /// Batch birth times for a [`WindowSpec::Duration`] window:
     /// `(inserted_at, end_global)` per routed batch, popped once aged out.
     /// Lost across [`ShardedIndex::recover_from`] — the recovered
@@ -455,8 +445,9 @@ impl ShardedStats {
         self.points_per_shard.iter().sum()
     }
 
-    /// Largest shard ÷ mean shard occupancy (1.0 = perfectly even). The
-    /// stable-hash router keeps this near 1 for any insert order.
+    /// Largest shard ÷ mean shard occupancy (1.0 = perfectly even).
+    /// Arithmetic routing deals ids round-robin, so this is at most
+    /// `⌈n/S⌉ ÷ (n/S)`.
     pub fn routing_imbalance(&self) -> f64 {
         let n = self.total_points();
         if n == 0 {
@@ -486,8 +477,6 @@ pub struct ShardedIndex {
     /// mutex is held across back-pressured queue sends, so readers must
     /// not need it.
     total: AtomicU64,
-    /// Global id → shard-local id (the shard itself is `route(id)`).
-    locals: RwLock<Vec<u32>>,
     /// The condvar every shard's ingest thread notifies per drained batch
     /// — the cluster-wide sleep channel for
     /// [`wait_for_visible`](Self::wait_for_visible).
@@ -509,13 +498,21 @@ impl ShardedIndex {
         }
     }
 
-    /// The stable routing function: which shard owns global id `id`.
-    ///
-    /// SplitMix64-style avalanche of the id, reduced modulo the shard
-    /// count — deterministic across runs and processes, uniform enough
-    /// that shard occupancy stays within a few percent of even.
+    /// The routing function: which shard owns global id `id` — `id % S`.
+    /// Its shard-local id is `id / S`; ids are assigned in order, so
+    /// every shard's occupancy is within one of every other's.
     pub fn route(&self, id: u32) -> usize {
-        route_hash(id) as usize % self.shards.len()
+        id as usize % self.shards.len()
+    }
+
+    /// Shard-local id of global id `id` (on shard [`route`](Self::route)).
+    fn local(&self, id: u32) -> u32 {
+        id / self.shards.len() as u32
+    }
+
+    /// Global id of shard `shard`'s local id `local`.
+    fn global(&self, shard: usize, local: u32) -> u32 {
+        local * self.shards.len() as u32 + shard as u32
     }
 
     /// Number of shards.
@@ -596,23 +593,19 @@ impl ShardedIndex {
                 capacity: u32::MAX as usize,
             }));
         }
-        // Dry-run the routing for the capacity check before applying any
-        // of it.
-        let mut extra = vec![0usize; self.shards.len()];
-        for offset in 0..vs.len() {
-            let gid = router.next_global + offset as u32;
-            extra[self.route(gid)] += 1;
-        }
-        for (shard, add) in extra.iter().enumerate() {
-            if *add == 0 {
+        // Check capacity for the whole batch before applying any of it.
+        let n = self.shards.len();
+        let (from, to) = (router.next_global, router.next_global + vs.len() as u32);
+        for shard in 0..n {
+            if routed(to, shard, n) == routed(from, shard, n) {
                 continue;
             }
             // Occupancy counts live rows only: a window's retired prefix
             // is reclaimed by each shard's merge compaction, so it does
-            // not consume capacity (without a window `retired_used` stays
+            // not consume capacity (without a window the cursor stays at
             // zero and this is the classic check).
-            let live = router.used[shard] - router.retired_used[shard];
-            if live + add > self.per_shard_capacity {
+            let live = routed(to, shard, n) - routed(router.retire_cursor, shard, n);
+            if live > self.per_shard_capacity {
                 return Err(ClusterError::Node(PlshError::CapacityExceeded {
                     capacity: self.per_shard_capacity,
                 }));
@@ -633,38 +626,23 @@ impl ShardedIndex {
                 )));
             }
         }
-        // Apply: assign ids, extend both id maps, then enqueue. The router
-        // lock is held across the channel sends so that concurrent
-        // insert_batch calls cannot interleave their per-shard queue order
-        // with their local-id assignment order.
-        let from = router.next_global;
-        let ids: Vec<u32> = (from..from + vs.len() as u32).collect();
-        let mut per_shard: Vec<Vec<SparseVector>> = vec![Vec::new(); self.shards.len()];
-        {
-            let mut locals = self.locals.write().unwrap_or_else(|e| e.into_inner());
-            for (gid, v) in ids.iter().zip(vs) {
-                let shard = self.route(*gid);
-                let local = (router.used[shard] + per_shard[shard].len()) as u32;
-                locals.push(local);
-                self.shards[shard]
-                    .globals
-                    .write()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push(*gid);
-                per_shard[shard].push(v.clone());
-            }
+        // Apply: assign ids, then enqueue. The router lock is held across
+        // the channel sends so that concurrent insert_batch calls cannot
+        // interleave their per-shard queue order with id order — a shard's
+        // local ids are its engine's arrival order.
+        let ids: Vec<u32> = (from..to).collect();
+        let mut per_shard: Vec<Vec<SparseVector>> = vec![Vec::new(); n];
+        for (&gid, v) in ids.iter().zip(vs) {
+            per_shard[self.route(gid)].push(v.clone());
         }
-        router.next_global += vs.len() as u32;
-        self.total
-            .store(router.next_global as u64, Ordering::Release);
-        // Advance the sliding window to the new stream head and translate
-        // the global cut into per-shard local watermarks. The cursor walk
-        // is O(1) amortized per routed id: every global id is visited
-        // exactly once over the index's lifetime.
-        let mut cuts: Vec<Option<u32>> = vec![None; self.shards.len()];
+        router.next_global = to;
+        self.total.store(to as u64, Ordering::Release);
+        // Advance the sliding window to the new stream head; the global
+        // cut maps to each shard's local watermark in closed form.
+        let mut cuts: Vec<Option<u32>> = vec![None; n];
         if let Some(spec) = self.window {
             let cut = match spec {
-                WindowSpec::Docs(n) => router.next_global.saturating_sub(n),
+                WindowSpec::Docs(size) => router.next_global.saturating_sub(size),
                 WindowSpec::Duration(d) => {
                     let now = Instant::now();
                     if !vs.is_empty() {
@@ -683,14 +661,18 @@ impl ShardedIndex {
                 }
             };
             if cut > router.retire_cursor {
-                for g in router.retire_cursor..cut {
-                    let s = route_hash(g) as usize % self.shards.len();
-                    router.retired_used[s] += 1;
-                    cuts[s] = Some(router.retired_used[s] as u32);
+                for (shard, slot) in cuts.iter_mut().enumerate() {
+                    let retired = routed(cut, shard, n);
+                    if retired > routed(router.retire_cursor, shard, n) {
+                        *slot = Some(retired as u32);
+                    }
                 }
                 router.retire_cursor = cut;
             }
         }
+        // A dead shard's ids are lost, but the others still get theirs:
+        // their local ids must stay `gid / S`.
+        let mut died = None;
         for (shard, docs) in per_shard.into_iter().enumerate() {
             // Shards whose watermark advanced but got no docs still
             // receive an (empty) batch carrying the cut, so the window
@@ -700,7 +682,6 @@ impl ShardedIndex {
                 continue;
             }
             let len = docs.len();
-            router.used[shard] += len;
             self.shards[shard]
                 .progress
                 .pending
@@ -719,10 +700,13 @@ impl ShardedIndex {
                     .progress
                     .pending
                     .fetch_sub(len as u64, Ordering::SeqCst);
-                return Err(ClusterError::IngestWorkerDied { shard });
+                died.get_or_insert(shard);
             }
         }
-        Ok(ids)
+        match died {
+            Some(shard) => Err(ClusterError::IngestWorkerDied { shard }),
+            None => Ok(ids),
+        }
     }
 
     /// Inserts one vector; returns its global id.
@@ -762,15 +746,12 @@ impl ShardedIndex {
             // drain above does not wait for it: re-apply the router's cuts
             // (watermarks are monotone, so this is idempotent) to leave the
             // window edge consistent across shards when the barrier returns.
-            let cuts = self
-                .router
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .retired_used
-                .clone();
-            for (shard, cut) in self.shards.iter().zip(cuts) {
+            let cut = self.retired_below();
+            for (i, shard) in self.shards.iter().enumerate() {
                 // A degraded shard refuses; `health` reports that.
-                let _ = shard.engine.retire_to(cut as u32);
+                let _ = shard
+                    .engine
+                    .retire_to(routed(cut, i, self.shards.len()) as u32);
             }
         }
         Ok(())
@@ -894,13 +875,10 @@ impl ShardedIndex {
     /// died, in which case this returns
     /// [`ClusterError::IngestWorkerDied`] instead of waiting forever.
     pub fn delete(&self, id: u32) -> Result<bool> {
-        let local = {
-            let locals = self.locals.read().unwrap_or_else(|e| e.into_inner());
-            match locals.get(id as usize) {
-                Some(&l) => l,
-                None => return Ok(false),
-            }
-        };
+        if id as usize >= self.len() {
+            return Ok(false);
+        }
+        let local = self.local(id);
         let shard_id = self.route(id);
         let shard = &self.shards[shard_id];
         let landed = shard
@@ -932,12 +910,13 @@ impl ShardedIndex {
     /// The stored vector for global id `id`, or `None` when the id is
     /// unknown, still in flight, or purged by a past merge.
     pub fn vector(&self, id: u32) -> Option<SparseVector> {
-        let local = *self
-            .locals
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(id as usize)?;
-        self.shards[self.route(id)].engine.engine().vector(local)
+        if id as usize >= self.len() {
+            return None;
+        }
+        self.shards[self.route(id)]
+            .engine
+            .engine()
+            .vector(self.local(id))
     }
 
     /// Aggregate accounting. Lock-free with respect to the router (so a
@@ -1023,13 +1002,6 @@ impl ShardedIndex {
                 shard.engine.search(req)
             }),
         };
-        // Read-lock every shard's local→global map once for the whole
-        // translation (queries only ever read these; writers append).
-        let globals: Vec<_> = self
-            .shards
-            .iter()
-            .map(|s| s.globals.read().unwrap_or_else(|e| e.into_inner()))
-            .collect();
         merge_partial_responses(
             req.queries().len(),
             req.mode(),
@@ -1037,7 +1009,7 @@ impl ShardedIndex {
             partials,
             |shard_id, h| SearchHit {
                 node: shard_id as u32,
-                index: globals[shard_id][h.index as usize],
+                index: self.global(shard_id, h.index),
                 distance: h.distance,
             },
         )
@@ -1120,15 +1092,10 @@ impl ShardedIndex {
             })
             .collect();
         drop(filled);
-        let globals: Vec<_> = self
-            .shards
-            .iter()
-            .map(|s| s.globals.read().unwrap_or_else(|e| e.into_inner()))
-            .collect();
         let mut resp =
             merge_partial_responses(nq, req.mode(), start, partials, |shard_id, h| SearchHit {
                 node: shard_id as u32,
-                index: globals[shard_id][h.index as usize],
+                index: self.global(shard_id, h.index),
                 distance: h.distance,
             })?;
         resp.timed_out_shards = timed_out;
@@ -1212,40 +1179,21 @@ impl ShardedIndex {
             .iter()
             .map(|s| Snapshot::capture(s.engine.engine()))
             .collect();
-        let globals: Vec<_> = self
-            .shards
-            .iter()
-            .map(|s| s.globals.read().unwrap_or_else(|e| e.into_inner()))
-            .collect();
         let mut rows: Vec<Option<SparseVector>> = vec![None; total - cut];
         let mut deleted = Vec::new();
         let mut purged = Vec::new();
-        for (cap, map) in caps.iter().zip(&globals) {
+        for (shard, cap) in caps.iter().enumerate() {
             // `cap.vectors` holds resident rows only; `cap.base` is the
             // shard-local id of the first one (nonzero once a windowed
             // shard has compacted).
-            for (local, v) in cap
-                .vectors
-                .iter()
-                .enumerate()
-                .map(|(i, v)| (cap.base as usize + i, v))
-            {
-                if let Some(&g) = map.get(local) {
-                    if (g as usize) >= cut && (g as usize) < total {
-                        rows[g as usize - cut] = Some(v.clone());
-                    }
+            for (local, v) in (cap.base as u32..).zip(&cap.vectors) {
+                let g = self.global(shard, local) as usize;
+                if g >= cut && g < total {
+                    rows[g - cut] = Some(v.clone());
                 }
             }
-            deleted.extend(
-                cap.deleted
-                    .iter()
-                    .filter_map(|&l| map.get(l as usize).copied()),
-            );
-            purged.extend(
-                cap.purged
-                    .iter()
-                    .filter_map(|&l| map.get(l as usize).copied()),
-            );
+            deleted.extend(cap.deleted.iter().map(|&l| self.global(shard, l)));
+            purged.extend(cap.purged.iter().map(|&l| self.global(shard, l)));
         }
         let keep = cut + rows.iter().position(Option::is_none).unwrap_or(total - cut);
         rows.truncate(keep - cut);
@@ -1279,9 +1227,9 @@ impl ShardedIndex {
     /// [`recover_from`](Self::recover_from) cleanly rejects rather than a
     /// torn cluster.
     ///
-    /// The global↔local id maps are *not* stored: routing is a pure hash
-    /// of the global id ([`route`](Self::route)), so recovery replays the
-    /// assignment deterministically.
+    /// No id map is stored: routing is arithmetic on the global id
+    /// ([`route`](Self::route)), so the shard count in the manifest is
+    /// all recovery needs to place every row.
     pub fn persist_to(&self, dir: impl AsRef<Path>) -> Result<()> {
         let dir = dir.as_ref();
         self.flush()?;
@@ -1315,12 +1263,12 @@ impl ShardedIndex {
     /// Every shard first recovers its own durable prefix (segments, then
     /// the WAL tail). A crash can land mid-batch with some shards ahead
     /// of others, so the cluster then truncates to the longest globally
-    /// contiguous id prefix — replaying the deterministic routing hash
-    /// from global id 0 until some shard runs out of recovered rows —
-    /// which also rebuilds the global↔local id maps. Shards holding rows
-    /// beyond the truncation point are rebuilt to the kept prefix and
+    /// contiguous id prefix: shard `s` recovering `n_s` ids first misses
+    /// global `n_s·S + s`, so the prefix is `min_s(n_s·S + s)`. Shards
+    /// holding rows beyond it are rebuilt to the kept prefix and
     /// re-baselined on disk. Answers are identical to a from-scratch
-    /// build over the recovered prefix (property-tested).
+    /// build over the recovered prefix (property-tested). Only cluster
+    /// manifest v3 is read; older directories are refused.
     pub fn recover_from(dir: impl AsRef<Path>) -> Result<ShardedIndex> {
         let dir = dir.as_ref();
         let bytes = fs::read(dir.join(CLUSTER_MANIFEST)).map_err(|e| {
@@ -1344,32 +1292,23 @@ impl ShardedIndex {
                 )));
             }
         }
-        // Longest globally contiguous prefix: replay the routing of every
-        // global id until some shard runs out of recovered rows. This
-        // walk *is* the id-map rebuild.
+        // Longest globally contiguous prefix. A shard's durable coverage
+        // is its whole id *space* — the window-compacted prefix included:
+        // those ids existed and are dead, not missing.
         let s = states.len();
-        let mut keep = vec![0usize; s];
-        let mut globals: Vec<Vec<u32>> = vec![Vec::new(); s];
-        let mut locals: Vec<u32> = Vec::new();
-        let mut total = 0u32;
-        loop {
-            let shard = route_hash(total) as usize % s;
-            // A shard's durable coverage is its whole id *space* — the
-            // window-compacted prefix included: those ids existed and are
-            // dead, not missing, so the global walk strides through them.
-            if keep[shard] == states[shard].static_base() as usize + states[shard].total() {
-                break;
-            }
-            locals.push(keep[shard] as u32);
-            globals[shard].push(total);
-            keep[shard] += 1;
-            total += 1;
-        }
+        let covered = |st: &persist::RecoveredState| st.static_base() as usize + st.total();
+        let total = states
+            .iter()
+            .enumerate()
+            .map(|(i, st)| (covered(st) * s + i).min(u32::MAX as usize))
+            .min()
+            .expect("at least one shard") as u32;
         let sync = ProgressSync::new();
         let mut shard_handles = Vec::with_capacity(s);
         for (i, st) in states.iter().enumerate() {
             let sdir = shard_dir(dir, i);
-            let engine = if keep[i] == st.static_base() as usize + st.total() {
+            let keep = routed(total, i, s);
+            let engine = if keep == covered(st) {
                 persist::recover_engine_from_state(&sdir, st, &fanout)
                     .map_err(ClusterError::Node)?
             } else {
@@ -1378,7 +1317,7 @@ impl ShardedIndex {
                 // id-space positions; the rebuild wants *resident* rows
                 // past the compaction cut (saturating: a truncation point
                 // inside the compacted prefix keeps no rows).
-                let resident = keep[i].saturating_sub(st.static_base() as usize);
+                let resident = keep.saturating_sub(st.static_base() as usize);
                 let engine = persist::rebuild_engine(st, Some(resident), &fanout)
                     .map_err(ClusterError::Node)?;
                 fs::remove_dir_all(&sdir).map_err(io_cluster)?;
@@ -1403,7 +1342,6 @@ impl ShardedIndex {
             );
             shard_handles.push(Shard {
                 engine: streaming,
-                globals: RwLock::new(std::mem::take(&mut globals[i])),
                 tx: Some(tx),
                 worker: Some(worker),
                 progress,
@@ -1413,28 +1351,26 @@ impl ShardedIndex {
         // Re-arm the cluster window cut. Each shard recovered its own
         // local watermark (manifest + retire log); a crash can land with
         // shards at different cuts, so pick the smallest global cursor
-        // whose routing covers every recovered watermark and retire the
-        // lagging shards up to it — the recovered index then sits on one
-        // consistent cross-shard window edge (watermarks are monotone, so
-        // this only ever advances a shard). A `Duration` window's birth
-        // clock restarts here: the preserved watermark keeps the window
-        // from moving backwards, and new inserts age out normally.
-        let mut retire_cursor = 0u32;
-        let mut retired_used = vec![0usize; s];
-        let recovered: Vec<u32> = shard_handles
+        // whose routing covers every recovered watermark — shard `s`'s
+        // `r`-th id is `(r−1)·S + s` — and retire the lagging shards up to
+        // it, so the recovered index sits on one consistent cross-shard
+        // window edge (watermarks are monotone, so this only ever advances
+        // a shard). A `Duration` window's birth clock restarts here: the
+        // preserved watermark keeps the window from moving backwards, and
+        // new inserts age out normally.
+        let retire_cursor = shard_handles
             .iter()
-            .map(|h| h.engine.engine().retired_below())
-            .collect();
-        if recovered.iter().any(|&r| r > 0) {
-            let mut counts = vec![0u32; s];
-            while counts.iter().zip(&recovered).any(|(&c, &r)| c < r) && retire_cursor < total {
-                counts[route_hash(retire_cursor) as usize % s] += 1;
-                retire_cursor += 1;
+            .enumerate()
+            .map(|(i, h)| match h.engine.engine().retired_below() {
+                0 => 0,
+                r => ((r as usize - 1) * s + i + 1).min(total as usize) as u32,
+            })
+            .max()
+            .unwrap_or(0);
+        if retire_cursor > 0 {
+            for (i, h) in shard_handles.iter().enumerate() {
+                let _ = h.engine.retire_to(routed(retire_cursor, i, s) as u32);
             }
-            for (h, &c) in shard_handles.iter().zip(&counts) {
-                let _ = h.engine.retire_to(c);
-            }
-            retired_used = counts.iter().map(|&c| c as usize).collect();
         }
         Ok(ShardedIndex {
             dim,
@@ -1444,13 +1380,10 @@ impl ShardedIndex {
             fanout,
             router: Mutex::new(Router {
                 next_global: total,
-                used: keep,
                 retire_cursor,
-                retired_used,
                 births: VecDeque::new(),
             }),
             total: AtomicU64::new(total as u64),
-            locals: RwLock::new(locals),
             ingest_sync: sync,
         })
     }
@@ -1507,9 +1440,11 @@ fn split_budget(budget: usize, shards: usize) -> Vec<usize> {
 const CLUSTER_MANIFEST: &str = "MANIFEST";
 /// Top-level manifest magic.
 const CLUSTER_MAGIC: &[u8; 4] = b"PLSC";
-/// Top-level manifest format version. Version 2 added the sliding-window
-/// spec; version-1 directories decode with no window.
-const CLUSTER_VERSION: u32 = 2;
+/// Top-level manifest format version. Version 3 lays rows out by
+/// arithmetic routing (global `g` on shard `g % S` at local `g / S`);
+/// directories of earlier versions used a different placement and are
+/// refused.
+const CLUSTER_VERSION: u32 = 3;
 /// Window tag bytes in the cluster manifest.
 const CW_NONE: u8 = 0;
 const CW_DOCS: u8 = 1;
@@ -1563,7 +1498,7 @@ fn decode_cluster_manifest(bytes: &[u8]) -> io::Result<(u32, u32, u64, Option<Wi
             format!("cluster manifest: {msg}"),
         )
     };
-    if bytes.len() < 28 {
+    if bytes.len() < 12 {
         return Err(bad("wrong length"));
     }
     let (body, crc) = bytes.split_at(bytes.len() - 4);
@@ -1575,12 +1510,12 @@ fn decode_cluster_manifest(bytes: &[u8]) -> io::Result<(u32, u32, u64, Option<Wi
     }
     let word = |at: usize| u32::from_le_bytes(body[at..at + 4].try_into().expect("4 bytes"));
     let version = word(4);
-    let expected_len = match version {
-        1 => 24,
-        2 => 33,
-        _ => return Err(bad("unsupported version")),
-    };
-    if body.len() != expected_len {
+    if version != CLUSTER_VERSION {
+        return Err(bad(&format!(
+            "unsupported version {version} (this build reads v{CLUSTER_VERSION})"
+        )));
+    }
+    if body.len() != 33 {
         return Err(bad("wrong length"));
     }
     let shards = word(8);
@@ -1589,18 +1524,14 @@ fn decode_cluster_manifest(bytes: &[u8]) -> io::Result<(u32, u32, u64, Option<Wi
     }
     let dim = word(12);
     let per_shard_capacity = u64::from_le_bytes(body[16..24].try_into().expect("8 bytes"));
-    let window = if version >= 2 {
-        let value = u64::from_le_bytes(body[25..33].try_into().expect("8 bytes"));
-        match body[24] {
-            CW_NONE => None,
-            CW_DOCS => Some(WindowSpec::Docs(
-                u32::try_from(value).map_err(|_| bad("window size overflows u32"))?,
-            )),
-            CW_DURATION => Some(WindowSpec::Duration(Duration::from_nanos(value))),
-            _ => return Err(bad("unknown window tag")),
-        }
-    } else {
-        None
+    let value = u64::from_le_bytes(body[25..33].try_into().expect("8 bytes"));
+    let window = match body[24] {
+        CW_NONE => None,
+        CW_DOCS => Some(WindowSpec::Docs(
+            u32::try_from(value).map_err(|_| bad("window size overflows u32"))?,
+        )),
+        CW_DURATION => Some(WindowSpec::Duration(Duration::from_nanos(value))),
+        _ => return Err(bad("unknown window tag")),
     };
     Ok((shards, dim, per_shard_capacity, window))
 }
@@ -1641,12 +1572,11 @@ fn repin_fanout(fanout: ThreadPool, shards: usize) -> ThreadPool {
     }
 }
 
-/// SplitMix64 finalizer over the id — the stable routing hash.
-fn route_hash(id: u32) -> u64 {
-    let mut z = (id as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// How many of the global ids `0..n` route to `shard` of `shards`:
+/// `⌈(n − shard)/S⌉`, zero when `n ≤ shard`. At the stream head this is
+/// the shard's occupancy; at the window cut, its retirement watermark.
+fn routed(n: u32, shard: usize, shards: usize) -> usize {
+    (n as usize + shards - 1 - shard) / shards
 }
 
 /// The shard's ingest thread: drains the queue into the engine, optionally
@@ -1845,16 +1775,18 @@ mod tests {
     }
 
     #[test]
-    fn routing_is_stable_and_roughly_even() {
+    fn routing_is_arithmetic_and_exactly_even() {
         let index = sharded(4, 10_000);
-        let mut counts = vec![0usize; 4];
-        for id in 0..8_000u32 {
-            let s = index.route(id);
-            assert_eq!(s, index.route(id), "routing must be deterministic");
-            counts[s] += 1;
-        }
-        for &c in &counts {
-            assert!((1_600..=2_400).contains(&c), "skewed routing: {counts:?}");
+        for n in 0..50u32 {
+            let mut counts = [0usize; 4];
+            for id in 0..n {
+                assert_eq!(index.route(id), id as usize % 4);
+                assert_eq!(index.global(index.route(id), index.local(id)), id);
+                counts[index.route(id)] += 1;
+            }
+            for (shard, &c) in counts.iter().enumerate() {
+                assert_eq!(c, routed(n, shard, 4), "routed({n}, {shard})");
+            }
         }
     }
 
@@ -2138,6 +2070,20 @@ mod tests {
         assert!(decode_cluster_manifest(&bad_crc).is_err());
         assert!(decode_cluster_manifest(&good[..20]).is_err());
         assert!(decode_cluster_manifest(&encode_cluster_manifest(0, 64, 10, None)).is_err());
+        // A correctly checksummed manifest of an earlier version (laid out
+        // by the old routing) is refused, not misread.
+        for version in [1u32, 2] {
+            let mut old = good[..good.len() - 4].to_vec();
+            old[4..8].copy_from_slice(&version.to_le_bytes());
+            let crc = fnv1a(&old);
+            old.extend_from_slice(&crc.to_le_bytes());
+            let err = decode_cluster_manifest(&old).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(
+                err.to_string().contains("unsupported version"),
+                "v{version}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Property-based tests of `ShardedIndex` routing, capacity and window
-//! invariants, checked against a small model of the router.
+//! invariants, checked against a small model of the router that states
+//! the routing arithmetic itself: global id `g` lives on shard `g % S` at
+//! local id `g / S`.
 
 use proptest::prelude::*;
 
@@ -65,7 +67,7 @@ proptest! {
         for chunk in vs.chunks(batch) {
             let mut add = vec![0usize; shards];
             for g in next..next + chunk.len() as u32 {
-                add[index.route(g)] += 1;
+                add[g as usize % shards] += 1;
             }
             let fits = (0..shards).all(|s| used[s] - retired[s] + add[s] <= capacity);
             let ids = match index.insert_batch(chunk) {
@@ -88,17 +90,19 @@ proptest! {
             if let Some(n) = window {
                 let new_cut = next.saturating_sub(n);
                 for g in cut..new_cut {
-                    retired[index.route(g)] += 1;
+                    retired[g as usize % shards] += 1;
                 }
                 cut = new_cut;
             }
             prop_assert_eq!(index.retired_below(), cut, "global cut");
 
-            // Each live id is stored on the shard it routes to, at the
-            // next local slot of that shard.
+            // Each live id is stored on shard `id % S` at local id `id / S`,
+            // which is that shard's next slot.
             for (&id, v) in ids.iter().zip(chunk) {
-                let s = index.route(id);
-                let local = used[s] as u32;
+                let s = id as usize % shards;
+                let local = id / shards as u32;
+                prop_assert_eq!(index.route(id), s);
+                prop_assert_eq!(local as usize, used[s], "id {} local slot", id);
                 used[s] += 1;
                 if id >= cut {
                     prop_assert_eq!(index.shard(s).engine().vector(local), Some(v.clone()));
@@ -115,6 +119,9 @@ proptest! {
                 let resident = engine.len() - engine.epoch_info().static_base as usize;
                 prop_assert!(resident <= capacity, "shard {s} resident {resident} > {capacity}");
             }
+            // Routing is exactly even: no shard holds more than ⌈n/S⌉.
+            let most = index.stats().points_per_shard.into_iter().max().unwrap();
+            prop_assert!(most <= (next as usize).div_ceil(shards), "shard holds {most} of {next}");
 
             // The newest point always survives retirement and is findable.
             let newest = next - 1;

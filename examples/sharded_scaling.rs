@@ -1,7 +1,7 @@
 //! Scaling one index across shard-local streaming engines.
 //!
 //! The same `plsh::Index` API, two builds: a single streaming node, and a
-//! sharded build where inserts hash-route into per-shard engines (each
+//! sharded build where inserts route round-robin into per-shard engines (each
 //! with its own ingest queue and background merge) and queries fan out
 //! over all shards and merge globally. The answers are bit-identical —
 //! the demo checks that live — while ingest, merges, and queries overlap
@@ -53,7 +53,7 @@ fn main() -> plsh::Result<()> {
         .eta(0.05)
         .build()?;
     println!(
-        "sharded index: {} shards, routing by stable hash of the point id",
+        "sharded index: {} shards, point id g routed to shard g % S",
         sharded.num_shards()
     );
 

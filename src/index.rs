@@ -12,7 +12,7 @@
 //!
 //! Call [`shards`](IndexBuilder::shards) (or
 //! [`auto_shards`](IndexBuilder::auto_shards) for the model-driven count)
-//! to scale the same API across a [`ShardedIndex`] — hash-routed ingest
+//! to scale the same API across a [`ShardedIndex`] — round-robin ingest
 //! into shard-local streaming engines, overlapping background merges, and
 //! query fan-out — without changing a single call site.
 //!
@@ -150,7 +150,7 @@ impl IndexBuilder {
     }
 
     /// Scales the index across `shards` shard-local streaming engines
-    /// (hash-routed ingest, overlapping background merges, query fan-out)
+    /// (round-robin ingest, overlapping background merges, query fan-out)
     /// behind the same call surface. `capacity` becomes the *per-shard*
     /// capacity, as in the paper's per-node `C`. See
     /// [`ShardedIndex`] for routing and merge semantics; snapshots

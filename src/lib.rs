@@ -39,7 +39,7 @@
 //! [`Index::add_text`] / [`Index::search_text`]. To scale across cores,
 //! add [`IndexBuilder::shards`] (or
 //! [`auto_shards`](IndexBuilder::auto_shards) for the model-driven count)
-//! and the same calls fan out over a [`ShardedIndex`] — hash-routed
+//! and the same calls fan out over a [`ShardedIndex`] — round-robin
 //! ingest, per-shard background merges, bit-identical answers. Every
 //! backend answers the *same* [`SearchRequest`] through the shared
 //! [`SearchBackend`] trait.

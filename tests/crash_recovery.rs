@@ -22,7 +22,7 @@ use plsh::core::persist::{self, fail};
 use plsh::core::rng::SplitMix64;
 use plsh::core::{PlshParams, SparseVector};
 use plsh::parallel::ThreadPool;
-use plsh::{SearchRequest, ShardedIndex};
+use plsh::{Index, SearchRequest, ShardedIndex};
 
 /// Serializes the tests that arm the process-global fail injector.
 static FAIL_GUARD: Mutex<()> = Mutex::new(());
@@ -344,27 +344,28 @@ fn a_trashed_manifest_is_a_clean_error_not_a_panic() {
 }
 
 // ---------------------------------------------------------------------
-// Sharded: the cut hits three engines at once, each at a different point
-// in its own WAL/segment/manifest lifecycle. Recovery truncates to the
-// longest globally contiguous id prefix. Sampled rather than exhaustive —
-// ingest workers interleave persistence ops nondeterministically, so k
-// indexes "some interleaving", and every sampled cut must still satisfy
-// the prefix/tombstone/answer contract.
+// Sharded: the cut hits every shard's engine at once, each at a different
+// point in its own WAL/segment/manifest lifecycle. Recovery truncates to
+// the longest globally contiguous id prefix, `min_s(n_s·S + s)`, whose
+// shape depends on S — so the loop runs at 2, 3 and 5 shards. Sampled
+// rather than exhaustive — ingest workers interleave persistence ops
+// nondeterministically, so k indexes "some interleaving", and every
+// sampled cut must still satisfy the prefix/tombstone/answer contract.
 // ---------------------------------------------------------------------
 
-const SHARDS: usize = 3;
+const SHARD_COUNTS: [usize; 3] = [2, 3, 5];
 const SHARDED_DELETES: [u32; 3] = [5, 40, 77];
 
 /// Builds the sharded index and its durable baseline (cluster manifest +
-/// three empty shard directories) before the injector arms — same crash
+/// one empty directory per shard) before the injector arms — same crash
 /// model as the single-engine loop.
-fn setup_sharded(dir: &Path) -> ShardedIndex {
+fn setup_sharded(dir: &Path, shards: usize) -> ShardedIndex {
     let index = ShardedIndex::builder(
         EngineConfig::new(params(3), CAPACITY)
             .manual_merge()
             .with_seal_min_points(8),
     )
-    .shards(SHARDS)
+    .shards(shards)
     .threads(2)
     .build()
     .unwrap();
@@ -409,57 +410,124 @@ fn sharded_recovery_survives_sampled_power_cuts() {
     let pool = ThreadPool::new(1);
     let vs = vectors(120, 23);
 
-    let dir = tempdir("crash-shard-count");
-    let index = setup_sharded(&dir);
-    fail::arm(i64::MAX);
-    run_sharded_script(&index, &vs);
-    drop(index);
-    fail::disarm();
-    let total = fail::ops_used();
-    let _ = fs::remove_dir_all(&dir);
-    assert!(total > 60, "sharded script too small: {total} ops");
-
-    let step = (total / 12).max(1);
-    for k in (0..=total).step_by(step as usize) {
-        let dir = tempdir("crash-shard-k");
-        let index = setup_sharded(&dir);
-        fail::arm(k as i64);
+    for shards in SHARD_COUNTS {
+        let dir = tempdir("crash-shard-count");
+        let index = setup_sharded(&dir, shards);
+        fail::arm(i64::MAX);
         run_sharded_script(&index, &vs);
         drop(index);
         fail::disarm();
+        let total = fail::ops_used();
+        let _ = fs::remove_dir_all(&dir);
+        assert!(total > 60, "{shards}-shard script too small: {total} ops");
 
-        let back = ShardedIndex::recover_from(&dir)
-            .unwrap_or_else(|e| panic!("sharded cut after op {k}: recovery failed: {e}"));
-        let t = back.len();
-        assert!(t <= vs.len());
+        let step = (total / 12).max(1);
+        for k in (0..=total).step_by(step as usize) {
+            let at = format!("{shards} shards, cut after op {k}");
+            let dir = tempdir("crash-shard-k");
+            let index = setup_sharded(&dir, shards);
+            fail::arm(k as i64);
+            run_sharded_script(&index, &vs);
+            drop(index);
+            fail::disarm();
 
-        // The flattened snapshot exposes exactly what survived: rows must
-        // be the global ingest prefix, tombstones a subset of the issued
-        // deletes.
-        let snap = back.snapshot();
-        assert_eq!(
-            snap.vectors,
-            &vs[..t],
-            "sharded cut after op {k}: recovered rows are not a global prefix"
-        );
-        let mut tombstones: Vec<u32> = snap.deleted.iter().chain(&snap.purged).copied().collect();
-        tombstones.sort_unstable();
-        tombstones.dedup();
-        for id in &tombstones {
-            assert!(
-                SHARDED_DELETES.contains(id),
-                "sharded cut after op {k}: phantom tombstone {id}"
+            let back = ShardedIndex::recover_from(&dir)
+                .unwrap_or_else(|e| panic!("{at}: recovery failed: {e}"));
+            let t = back.len();
+            assert!(t <= vs.len());
+
+            // The flattened snapshot exposes exactly what survived: rows
+            // must be the global ingest prefix, tombstones a subset of the
+            // issued deletes.
+            let snap = back.snapshot();
+            assert_eq!(
+                snap.vectors,
+                &vs[..t],
+                "{at}: recovered rows are not a global prefix"
             );
-        }
+            let mut tombstones: Vec<u32> =
+                snap.deleted.iter().chain(&snap.purged).copied().collect();
+            tombstones.sort_unstable();
+            tombstones.dedup();
+            for id in &tombstones {
+                assert!(SHARDED_DELETES.contains(id), "{at}: phantom tombstone {id}");
+            }
 
-        // Sharded ≡ single engine over the same rows, recovered or not.
-        let scratch = scratch_engine(&vs[..t], &tombstones, &pool);
+            // Sharded ≡ single engine over the same rows, recovered or not.
+            let scratch = scratch_engine(&vs[..t], &tombstones, &pool);
+            assert_eq!(
+                sharded_answers(&back, &vs),
+                engine_answers(&scratch, &vs),
+                "{at}: answers diverge from a from-scratch build"
+            );
+            drop(back);
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Recover-again: recovering a directory, dropping the recovered index and
+// recovering the same directory a second time must give the same
+// answers — for a single-backend and a sharded `Index`.
+// ---------------------------------------------------------------------
+
+fn index_answers(index: &Index, qs: &[SparseVector]) -> Vec<Vec<(u32, u32)>> {
+    qs.iter()
+        .map(|q| {
+            let mut hits: Vec<(u32, u32)> = index
+                .search(&SearchRequest::query(q.clone()))
+                .unwrap()
+                .hits()
+                .iter()
+                .map(|h| (h.index, h.distance.to_bits()))
+                .collect();
+            hits.sort_unstable();
+            hits
+        })
+        .collect()
+}
+
+#[test]
+fn index_recovers_again_after_a_dropped_recovery() {
+    // Not armed, but an armed neighbour would tear this test's writes.
+    let _g = FAIL_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+    let vs = vectors(150, 29);
+    for shards in [1usize, 3] {
+        let dir = tempdir(&format!("recover-again-{shards}"));
+        let mut builder = Index::builder(params(5)).capacity(CAPACITY).threads(2);
+        if shards > 1 {
+            builder = builder.shards(shards);
+        }
+        let want = {
+            let index = builder.build().unwrap();
+            index.add_batch(&vs[..80]).unwrap();
+            index.merge().unwrap();
+            index.persist_to(&dir).unwrap();
+            // Post-baseline traffic lives in the WALs.
+            index.add_batch(&vs[80..]).unwrap();
+            index.delete(7).unwrap();
+            index.flush().unwrap();
+            index_answers(&index, &vs)
+        };
+        let first = Index::recover_from(&dir)
+            .unwrap_or_else(|e| panic!("{shards} shard(s): first recovery failed: {e}"));
+        assert_eq!(first.len(), vs.len());
         assert_eq!(
-            sharded_answers(&back, &vs),
-            engine_answers(&scratch, &vs),
-            "sharded cut after op {k}: answers diverge from a from-scratch build"
+            index_answers(&first, &vs),
+            want,
+            "{shards} shard(s): first recovery"
         );
-        drop(back);
+        drop(first);
+        let again = Index::recover_from(&dir)
+            .unwrap_or_else(|e| panic!("{shards} shard(s): second recovery failed: {e}"));
+        assert_eq!(again.len(), vs.len());
+        assert_eq!(
+            index_answers(&again, &vs),
+            want,
+            "{shards} shard(s): recover-again"
+        );
+        drop(again);
         let _ = fs::remove_dir_all(&dir);
     }
 }
