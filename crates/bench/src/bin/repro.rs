@@ -4,11 +4,14 @@
 //! ```text
 //! cargo run -p plsh-bench --release --bin repro -- all
 //! cargo run -p plsh-bench --release --bin repro -- table2 fig5 recall
-//! PLSH_SCALE=quick cargo run -p plsh-bench --release --bin repro -- all
+//! cargo run -p plsh-bench --release --bin repro -- --quick all
 //! ```
+//!
+//! `scaling`, `soak` and `faults` also write a JSON report
+//! (`BENCH_<name>.json`) to the working directory.
 
 use plsh_bench::experiments::*;
-use plsh_bench::setup::{Fixture, Scale};
+use plsh_bench::setup::{write_json_atomic, Fixture, Scale};
 
 const EXPERIMENTS: &[&str] = &[
     "table2",
@@ -22,24 +25,36 @@ const EXPERIMENTS: &[&str] = &[
     "fig11",
     "streaming",
     "recall",
-    "throughput",
     "scaling",
-    "recovery",
-    "serve",
     "faults",
     "soak",
 ];
 
+fn usage() {
+    eprintln!("usage: repro [--quick] <experiment>... | all");
+    eprintln!("experiments: {}", EXPERIMENTS.join(", "));
+    eprintln!("env: PLSH_THREADS=<n>");
+}
+
+/// Durably writes an experiment's JSON report; a failed write exits 1.
+fn write_report(path: &str, json: &str) {
+    match write_json_atomic(path, json) {
+        Ok(()) => eprintln!("# wrote {path}"),
+        Err(e) => {
+            eprintln!("# FAILED to write {path}: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("usage: repro [--quick] <experiment>... | all");
-        eprintln!("experiments: {}", EXPERIMENTS.join(", "));
-        eprintln!("env: PLSH_SCALE=quick|full (default full), PLSH_THREADS=<n>");
-        std::process::exit(if args.is_empty() { 2 } else { 0 });
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        usage();
+        return;
     }
 
-    let mut scale = Scale::from_env();
+    let mut scale = Scale::Full;
     let mut selected: Vec<String> = Vec::new();
     for a in &args {
         match a.as_str() {
@@ -54,6 +69,10 @@ fn main() {
                 std::process::exit(2);
             }
         }
+    }
+    if selected.is_empty() {
+        usage();
+        std::process::exit(2);
     }
     selected.dedup();
 
@@ -93,91 +112,22 @@ fn main() {
             "fig9" => fig9_nodes::run(&fixture).print(),
             "fig10" => fig10_latency::run(&fixture).print(),
             "fig11" => fig11_streaming::run(&fixture).print(),
-            "streaming" => {
-                streaming_overhead::run(&fixture).print();
-                let live = streaming_live::run(&fixture);
-                live.print();
-                let path = streaming_live::output_path();
-                match live.write_json(&path) {
-                    Ok(()) => eprintln!("# wrote {path}"),
-                    Err(e) => {
-                        eprintln!("# FAILED to write {path}: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
+            "streaming" => streaming_overhead::run(&fixture).print(),
             "recall" => recall::run(&fixture).print(),
-            "serve" => {
-                let r = serve::run(&fixture);
-                r.print();
-                let path = serve::output_path();
-                match r.write_json(&path) {
-                    Ok(()) => eprintln!("# wrote {path}"),
-                    Err(e) => {
-                        eprintln!("# FAILED to write {path}: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
             "scaling" => {
                 let r = scaling::run(&fixture);
                 r.print();
-                let path = scaling::output_path();
-                match r.write_json(&path) {
-                    Ok(()) => eprintln!("# wrote {path}"),
-                    Err(e) => {
-                        eprintln!("# FAILED to write {path}: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
-            "throughput" => {
-                let r = throughput::run(&fixture);
-                r.print();
-                let path = throughput::output_path();
-                match r.write_json(&path) {
-                    Ok(()) => eprintln!("# wrote {path}"),
-                    Err(e) => {
-                        eprintln!("# FAILED to write {path}: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
-            "recovery" => {
-                let r = recovery::run(&fixture);
-                r.print();
-                let path = recovery::output_path();
-                match r.write_json(&path) {
-                    Ok(()) => eprintln!("# wrote {path}"),
-                    Err(e) => {
-                        eprintln!("# FAILED to write {path}: {e}");
-                        std::process::exit(1);
-                    }
-                }
+                write_report(scaling::REPORT, &r.to_json());
             }
             "faults" => {
                 let r = faults::run(&fixture);
                 r.print();
-                let path = faults::output_path();
-                match r.write_json(&path) {
-                    Ok(()) => eprintln!("# wrote {path}"),
-                    Err(e) => {
-                        eprintln!("# FAILED to write {path}: {e}");
-                        std::process::exit(1);
-                    }
-                }
+                write_report(faults::REPORT, &r.to_json());
             }
             "soak" => {
                 let r = soak::run(&fixture);
                 r.print();
-                let path = soak::output_path();
-                match r.write_json(&path) {
-                    Ok(()) => eprintln!("# wrote {path}"),
-                    Err(e) => {
-                        eprintln!("# FAILED to write {path}: {e}");
-                        std::process::exit(1);
-                    }
-                }
+                write_report(soak::REPORT, &r.to_json());
             }
             _ => unreachable!("validated above"),
         }

@@ -1,9 +1,11 @@
-//! One module per table/figure of the paper's evaluation (Section 8).
+//! One module per table/figure of the paper's evaluation (Section 8),
+//! plus the robustness experiments (`scaling`, `soak`, `faults`).
 //!
 //! Each experiment exposes `run(...)` returning a plain result struct and a
 //! `print(...)` that renders it as a markdown table with the paper's
-//! reported values alongside, so `repro all` regenerates the whole of
-//! EXPERIMENTS.md's measured columns.
+//! reported values alongside. The robustness experiments also render a
+//! JSON report (`to_json`, written to their `REPORT` file) that
+//! `scripts/check_bench.py` validates.
 
 pub mod faults;
 pub mod fig10_latency;
@@ -15,11 +17,7 @@ pub mod fig7_params;
 pub mod fig8_threads;
 pub mod fig9_nodes;
 pub mod recall;
-pub mod recovery;
 pub mod scaling;
-pub mod serve;
 pub mod soak;
-pub mod streaming_live;
 pub mod streaming_overhead;
 pub mod table2;
-pub mod throughput;

@@ -475,15 +475,7 @@ impl ScalingReport {
             self.answers_match()
         )
     }
-
-    /// Writes the JSON report to `path` (fsync + atomic rename).
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        crate::setup::write_json_atomic(path, &self.to_json())
-    }
 }
 
-/// Report location: `PLSH_BENCH_CLUSTER_OUT`, defaulting to
-/// `BENCH_cluster.json` in the working directory.
-pub fn output_path() -> String {
-    std::env::var("PLSH_BENCH_CLUSTER_OUT").unwrap_or_else(|_| "BENCH_cluster.json".to_string())
-}
+/// The report file, written to the working directory.
+pub const REPORT: &str = "BENCH_cluster.json";

@@ -338,15 +338,7 @@ impl Soak {
             self.merges
         )
     }
-
-    /// Writes the JSON report to `path` (fsync + atomic rename).
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        crate::setup::write_json_atomic(path, &self.to_json())
-    }
 }
 
-/// Report location: `PLSH_BENCH_SOAK_OUT`, defaulting to
-/// `BENCH_soak.json` in the working directory.
-pub fn output_path() -> String {
-    std::env::var("PLSH_BENCH_SOAK_OUT").unwrap_or_else(|_| "BENCH_soak.json".to_string())
-}
+/// The report file, written to the working directory.
+pub const REPORT: &str = "BENCH_soak.json";

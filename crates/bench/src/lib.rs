@@ -1,9 +1,12 @@
 //! # plsh-bench — the experiment harness
 //!
-//! One module per table/figure of the paper's evaluation (Section 8); the
-//! `repro` binary drives them (`cargo run -p plsh-bench --release --bin
-//! repro -- <experiment>|all`). Regression-grade performance numbers come
-//! from the repo benchmark (`benchmark/run.sh`), not from here.
+//! One module per table/figure of the paper's evaluation (Section 8), plus
+//! three robustness experiments (`scaling`, `soak`, `faults`) whose JSON
+//! reports carry correctness bars; the `repro` binary drives them
+//! (`cargo run -p plsh-bench --release --bin repro -- <experiment>|all`).
+//! Performance numbers — query, ingest, merge interference, recovery and
+//! served latency — come from the repo benchmark (`benchmark/run.sh`), not
+//! from here.
 //!
 //! Every experiment prints the paper's reported numbers next to the
 //! measured ones so EXPERIMENTS.md can be regenerated by redirecting the

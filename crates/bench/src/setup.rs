@@ -18,14 +18,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `PLSH_SCALE=quick|full` from the environment (default full).
-    pub fn from_env() -> Self {
-        match std::env::var("PLSH_SCALE").as_deref() {
-            Ok("quick") => Scale::Quick,
-            _ => Scale::Full,
-        }
-    }
-
     /// Number of documents `N`.
     pub fn num_docs(self) -> usize {
         match self {

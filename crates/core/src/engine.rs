@@ -566,20 +566,6 @@ pub struct EpochInfo {
     pub retired_below: u32,
 }
 
-/// Whether [`Engine::merge_delta_paced`] actually paces, controlled by
-/// the `PLSH_MERGE_PACING` environment variable (cached on first read):
-/// `off` / `0` / `false` falls back to the monolithic build.
-fn merge_pacing_enabled() -> bool {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED.get_or_init(|| match std::env::var("PLSH_MERGE_PACING") {
-        Ok(v) => {
-            let v = v.trim().to_ascii_lowercase();
-            !(v == "off" || v == "0" || v == "false")
-        }
-        Err(_) => true,
-    })
-}
-
 /// RAII increment of the engine's in-flight query gauge — the shared
 /// query-pressure signal a paced merge polls between slices.
 struct PressureGuard<'a>(&'a AtomicUsize);
@@ -998,15 +984,8 @@ impl Engine {
     /// the read path instead of racing it. Output and publish semantics
     /// are identical to the monolithic merge — the same state machine runs
     /// both, just with different slice budgets.
-    ///
-    /// Setting `PLSH_MERGE_PACING=off` (or `0` / `false`) falls back to
-    /// the monolithic build.
     pub fn merge_delta_paced(&self, pool: &ThreadPool) {
-        if merge_pacing_enabled() {
-            self.merge_delta_inner(pool, Some(self.config.merge_pacing));
-        } else {
-            self.merge_delta_inner(pool, None);
-        }
+        self.merge_delta_inner(pool, Some(self.config.merge_pacing));
     }
 
     fn merge_delta_inner(&self, pool: &ThreadPool, pacing: Option<MergePacing>) {
@@ -2200,13 +2179,17 @@ mod tests {
 
         let queries: Vec<SparseVector> = vs.iter().step_by(9).cloned().collect();
         let sorted = |hits: &[SearchHit]| {
-            let mut ids: Vec<u32> = hits.iter().map(|h| h.index).collect();
-            ids.sort_unstable();
-            ids
+            let mut pairs: Vec<(u32, u32)> = hits
+                .iter()
+                .map(|h| (h.index, h.distance.to_bits()))
+                .collect();
+            pairs.sort_unstable();
+            pairs
         };
 
         // Batched pipeline, per-query pipeline, profiled run, and every
-        // ablation strategy answer identically through one request type.
+        // ablation strategy answer identically through one request type —
+        // bit for bit, distances included.
         let base = e
             .search(&SearchRequest::batch(queries.clone()).with_stats(), &pool)
             .unwrap();

@@ -42,7 +42,7 @@ pub enum SimdLevel {
 }
 
 impl SimdLevel {
-    /// Stable lowercase name (reported in `BENCH_query.json`).
+    /// Stable lowercase name (reported in the repo benchmark's host stanza).
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",

@@ -388,9 +388,8 @@ fn join_merge(handle: JoinHandle<()>) {
 ///
 /// The build itself is the *paced* merge: bounded
 /// [`crate::table::MergeStepper`] slices that sleep while queries are in
-/// flight (`PLSH_MERGE_PACING=off` reverts to the monolithic build), and
-/// any pool fan-out it does perform is submitted at background priority so
-/// foreground query batches always dispatch first.
+/// flight, and any pool fan-out it does perform is submitted at background
+/// priority so foreground query batches always dispatch first.
 fn supervised_merge(engine: &Engine, pool: &ThreadPool, status: &WorkerStatus) {
     const MAX_RESTARTS: u32 = 3;
     let mut backoff = Backoff::new(

@@ -5,40 +5,17 @@ Usage:
     python3 scripts/check_bench.py [--expect-scale SCALE] FILE [FILE ...]
 
 Each FILE is one of the JSON reports the `repro` binary writes
-(BENCH_query.json, BENCH_streaming.json, BENCH_cluster.json,
-BENCH_recovery.json, BENCH_soak.json, BENCH_server.json,
-BENCH_faults.json); the experiment is inferred from the report's own
-"experiment" field. The
-script asserts the structural invariants each experiment guarantees, plus
-the design bars:
+(BENCH_cluster.json, BENCH_soak.json, BENCH_faults.json); the experiment
+is inferred from the report's own "experiment" field, and any other
+experiment name is rejected. The script asserts the structural invariants
+each experiment guarantees, plus the design bars:
 
-* throughput — five Figure-5 ablation levels, positive qps/phase times,
-  `answers_match` (the batched pipeline must not change answers), and the
-  "+large pages" level not regressing against "+sw prefetch" (all levels
-  share one best-of-REPS protocol, so a regression is real, not a
-  measurement artifact).
-* streaming — background merges fired, query throughput during ingest
-  at least 0.85x quiesced (the cooperative stepped merge yields to
-  queries, so ingest must no longer halve query throughput; 0.5x on a
-  single-hardware-thread host where the ingest thread itself timeslices
-  against the query thread), per-batch p99 latency recorded for both
-  phases, probes found in every batch, epochs always consistent.
-* recovery — the durability experiment: a generation-segmented layout
-  with a live WAL tail at crash time, positive journaled-ingest and
-  replay rates, recovered answers bit-identical to the in-memory twin,
-  and every pre-crash tombstone surviving.
 * faults — the chaos soak: faults actually injected, every injected
   worker panic matched by a supervisor restart, at least one degraded
   read-only episode with reads still answering, positive recovery time
   and under-fault throughput (zero means a hang), post-heal answers
   bit-identical to the unfaulted twin, and the journal written through
   the faults recovering to those same answers.
-* serve — the HTTP wire surface under concurrent client load: positive
-  served qps and client-observed p50/p99 in both phases (during live
-  `/ingest` traffic and quiesced), shed_rate present in [0, 1] (shedding
-  is legal under overload), error_rate exactly 0 (a failed well-formed
-  request is a server bug at any scale), merges fired while serving, and
-  wire answers bit-identical to in-process search.
 * soak — the long-haul sliding-window run: several window-lengths of
   stream through a windowed engine, RSS flat after warm-up (<= 1.25x —
   a per-doc leak over 8 window turnovers would read 2-3x), live points
@@ -70,20 +47,7 @@ import argparse
 import json
 import sys
 
-SIMD_LEVELS = ("scalar", "sse2", "avx2")
 SCALING_SPEEDUP_BAR = 1.5
-# The cooperative stepped merge yields to in-flight queries, so ingest
-# must cost queries at most ~15% of quiesced throughput (was 0.5 when the
-# merge ran monolithically and could stall a whole rebuild's worth). On a
-# single hardware thread the ingest thread itself timeslices against the
-# query thread — interference the scheduler, not the merge, imposes — so
-# the bar stays at the old monolithic-merge floor there.
-STREAMING_DURING_FLOOR = 0.85
-STREAMING_DURING_FLOOR_1CPU = 0.5
-# "+large pages" vs "+sw prefetch": the level adds an madvise hint that is
-# a no-op below the table-size threshold and a win above it, so it must
-# never lose — beyond a 10% allowance for run-to-run noise on shared hosts.
-ABLATION_REGRESSION_FLOOR = 0.9
 # The soak's flat-memory bar: RSS at the last interval over RSS at the
 # end of warm-up. The run streams ~8 window-lengths, so a genuine
 # per-document leak reads as 2-3x here; 1.25 absorbs allocator high-water
@@ -119,80 +83,6 @@ def check_common(path, d, expect_scale):
     if host < 2 and pinned != 0:
         fail(path, f"pinning is gated on >= 2 hardware threads but a "
                    f"{host}-thread host reports {pinned} pinned worker(s)")
-
-
-def check_throughput(path, d):
-    if d["simd_level"] not in SIMD_LEVELS:
-        fail(path, f"unknown simd_level {d['simd_level']!r}")
-    if len(d["levels"]) != 5:
-        fail(path, f"expected five Figure-5 ablation levels, got {len(d['levels'])}")
-    for lvl in d["levels"] + [d["batched_pipeline"]]:
-        if not (lvl["qps"] > 0 and lvl["batch_ms"] > 0):
-            fail(path, f"non-positive throughput entry: {lvl}")
-    for phase in ("q2", "q3"):
-        if not d["phase_ns_per_query"][phase] > 0:
-            fail(path, f"phase_ns_per_query[{phase!r}] must be positive")
-    if d["answers_match"] is not True:
-        fail(path, "batched pipeline changed answers")
-    prefetch, large = d["levels"][3], d["levels"][4]
-    if large["qps"] < ABLATION_REGRESSION_FLOOR * prefetch["qps"]:
-        fail(path, f"ablation regression: {large['name']!r} at {large['qps']} qps "
-                   f"vs {prefetch['name']!r} at {prefetch['qps']} qps "
-                   f"(floor {ABLATION_REGRESSION_FLOOR})")
-    print(f"{path} OK: batched pipeline {json.dumps(d['batched_pipeline'])}")
-
-
-def check_recovery(path, d):
-    if not (isinstance(d["docs"], int) and d["docs"] > 0):
-        fail(path, f"docs must be positive, got {d['docs']!r}")
-    if d["generation_segments"] < 1:
-        fail(path, "crash layout must include sealed generation segments")
-    if d["wal_points"] < 1:
-        fail(path, "crash layout must include a live WAL tail "
-                   "(recovery must exercise the replay path)")
-    if d["static_points"] + d["wal_points"] > d["docs"]:
-        fail(path, f"layout does not add up: {d['static_points']} static + "
-                   f"{d['wal_points']} WAL > {d['docs']} docs")
-    for key in ("ingest_qps_journaled", "ingest_qps_memory",
-                "recovery_ms", "replay_points_per_sec"):
-        if not d[key] > 0:
-            fail(path, f"{key} must be positive, got {d[key]!r}")
-    if d["tombstones"] < 1:
-        fail(path, "the schedule must issue tombstones before the crash")
-    if d["answers_match"] is not True:
-        fail(path, "recovered answers diverged from the in-memory twin")
-    if d["tombstones_survived"] is not True:
-        fail(path, "a pre-crash tombstone was lost in recovery")
-    print(f"{path} OK: recovered {d['docs']} docs "
-          f"({d['wal_points']} from the WAL) in {d['recovery_ms']} ms")
-
-
-def check_streaming(path, d):
-    if not (d["insert_qps"] > 0 and d["ingest_points"] > 0):
-        fail(path, f"ingest must have run: {d['insert_qps']=} {d['ingest_points']=}")
-    if d["merges"] < 1:
-        fail(path, "background merges must have fired")
-    if not (d["query_qps_during_ingest"] > 0 and d["query_qps_quiesced"] > 0):
-        fail(path, "query throughput must be positive in both phases")
-    floor = (STREAMING_DURING_FLOOR if d["host_threads"] >= 2
-             else STREAMING_DURING_FLOOR_1CPU)
-    if d["during_over_quiesced"] < floor:
-        fail(path, f"during/quiesced {d['during_over_quiesced']} below the "
-                   f"{floor} floor on a {d['host_threads']}-thread host")
-    for key in ("query_p50_ms_during_ingest", "query_p99_ms_during_ingest",
-                "query_p50_ms_quiesced", "query_p99_ms_quiesced"):
-        if not d.get(key, 0) > 0:
-            fail(path, f"{key} must be positive, got {d.get(key)!r}")
-    for phase in ("during_ingest", "quiesced"):
-        if d[f"query_p99_ms_{phase}"] < d[f"query_p50_ms_{phase}"]:
-            fail(path, f"p99 below p50 in the {phase} phase")
-    if d["probe_always_found"] is not True:
-        fail(path, "a query batch missed a sealed point")
-    if d["epoch_always_consistent"] is not True:
-        fail(path, "half-merged epoch observed")
-    print(f"{path} OK: during/quiesced = {d['during_over_quiesced']}, "
-          f"p99 during/quiesced = {d['query_p99_ms_during_ingest']} / "
-          f"{d['query_p99_ms_quiesced']} ms")
 
 
 def check_scaling(path, d):
@@ -264,38 +154,6 @@ def check_faults(path, d):
           f"{d['supervisor_restarts']} restart(s), "
           f"{d['degraded_episodes']} degraded episode(s), "
           f"recovered in {d['time_to_recover_ms']} ms")
-
-
-def check_serve(path, d):
-    if not (isinstance(d["clients"], int) and d["clients"] >= 1):
-        fail(path, f"clients must be a positive integer, got {d['clients']!r}")
-    if not (d["ingest_points"] > 0 and d["requests_during_ingest"] > 0):
-        fail(path, "the served-ingest phase must have carried traffic: "
-                   f"{d['ingest_points']=} {d['requests_during_ingest']=}")
-    if d["merges_during_ingest"] < 1:
-        fail(path, "background merges must have fired while serving")
-    for phase in ("during_ingest", "quiesced"):
-        if not d[f"qps_{phase}"] > 0:
-            fail(path, f"qps_{phase} must be positive")
-        p50, p99 = d[f"p50_ms_{phase}"], d[f"p99_ms_{phase}"]
-        if not (p99 > 0 and p50 > 0):
-            fail(path, f"latency percentiles must be positive in the "
-                       f"{phase} phase, got p50={p50!r} p99={p99!r}")
-        if p99 < p50:
-            fail(path, f"p99 below p50 in the {phase} phase")
-    for key in ("shed_rate", "error_rate"):
-        if key not in d or not (0.0 <= d[key] <= 1.0):
-            fail(path, f"{key} must be present in [0, 1], got {d.get(key)!r}")
-    # Load shedding is legitimate under overload, but a *failed* request
-    # is a server bug at any scale — the wire surface never errors on
-    # well-formed traffic.
-    if d["error_rate"] != 0:
-        fail(path, f"error_rate must be 0, got {d['error_rate']!r}")
-    if d["answers_match"] is not True:
-        fail(path, "wire answers diverged from in-process search")
-    print(f"{path} OK: {d['qps_during_ingest']} qps during ingest / "
-          f"{d['qps_quiesced']} quiesced, p99 {d['p99_ms_during_ingest']} / "
-          f"{d['p99_ms_quiesced']} ms, shed_rate {d['shed_rate']}")
 
 
 def check_soak(path, d):
@@ -378,11 +236,7 @@ def check_soak(path, d):
 
 
 CHECKS = {
-    "throughput": check_throughput,
-    "serve": check_serve,
-    "streaming": check_streaming,
     "scaling": check_scaling,
-    "recovery": check_recovery,
     "faults": check_faults,
     "soak": check_soak,
 }

@@ -1,26 +1,17 @@
-//! Smoke test: `scripts/check_bench.py` must keep validating the seven
+//! Smoke test: `scripts/check_bench.py` must keep validating the three
 //! committed benchmark reports.
 //!
 //! The script is the single source of truth for what CI asserts about
-//! `BENCH_query.json`, `BENCH_streaming.json`, `BENCH_cluster.json`,
-//! `BENCH_recovery.json`, `BENCH_soak.json`, `BENCH_server.json`, and
-//! `BENCH_faults.json` (it used to live inline in `ci.yml`, where nothing
-//! exercised it before a workflow ran). This test pins the contract down
-//! from `cargo test`: the script exists, parses, and accepts the
-//! committed full-scale reports it ships with.
+//! `BENCH_cluster.json`, `BENCH_soak.json` and `BENCH_faults.json` (it
+//! used to live inline in `ci.yml`, where nothing exercised it before a
+//! workflow ran). This test pins the contract down from `cargo test`: the
+//! script exists, parses, accepts the committed full-scale reports it
+//! ships with, and rejects malformed or retired ones.
 
 use std::path::Path;
 use std::process::Command;
 
-const REPORTS: [&str; 7] = [
-    "BENCH_query.json",
-    "BENCH_streaming.json",
-    "BENCH_cluster.json",
-    "BENCH_recovery.json",
-    "BENCH_soak.json",
-    "BENCH_server.json",
-    "BENCH_faults.json",
-];
+const REPORTS: [&str; 3] = ["BENCH_cluster.json", "BENCH_soak.json", "BENCH_faults.json"];
 
 #[test]
 fn check_bench_script_accepts_committed_reports() {
@@ -56,7 +47,7 @@ fn check_bench_script_accepts_committed_reports() {
     );
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(
-        stdout.contains("all 7 report(s) OK"),
+        stdout.contains("all 3 report(s) OK"),
         "unexpected script output:\n{stdout}"
     );
 }
@@ -66,22 +57,39 @@ fn check_bench_script_rejects_malformed_reports() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let dir = std::env::temp_dir().join("plsh_check_bench_smoke");
     std::fs::create_dir_all(&dir).unwrap();
-    let bad = dir.join("BENCH_bad.json");
-    std::fs::write(&bad, "{\"experiment\": \"scaling\", \"scale\": \"quick\"}").unwrap();
-
-    let output = match Command::new("python3")
-        .arg(root.join("scripts/check_bench.py"))
-        .arg(&bad)
-        .output()
-    {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("skipping: python3 not runnable here ({e})");
-            return;
-        }
-    };
-    assert!(
-        !output.status.success(),
-        "a report missing required fields must be rejected"
-    );
+    // A report missing required fields, and a well-formed report from a
+    // retired experiment: neither may pass silently.
+    let cases = [
+        (
+            "BENCH_bad.json",
+            "{\"experiment\": \"scaling\", \"scale\": \"quick\"}",
+            "missing field",
+        ),
+        (
+            "BENCH_retired.json",
+            "{\"experiment\": \"streaming\", \"scale\": \"quick\", \"threads\": 1, \
+             \"host_threads\": 1, \"pinned_workers\": 0}",
+            "unknown experiment 'streaming'",
+        ),
+    ];
+    for (name, body, reason) in cases {
+        let bad = dir.join(name);
+        std::fs::write(&bad, body).unwrap();
+        let output = match Command::new("python3")
+            .arg(root.join("scripts/check_bench.py"))
+            .arg(&bad)
+            .output()
+        {
+            Ok(out) => out,
+            Err(e) => {
+                eprintln!("skipping: python3 not runnable here ({e})");
+                return;
+            }
+        };
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            !output.status.success() && stderr.contains(reason),
+            "{name} must be rejected with {reason:?}; stderr:\n{stderr}"
+        );
+    }
 }

@@ -190,6 +190,11 @@ fn recovery_survives_a_power_cut_after_every_operation() {
             engine_answers(&scratch, &vs),
             "cut after op {k}: recovered answers diverge from a from-scratch build"
         );
+        if k == total {
+            // The uncut run: every issued tombstone survived the restart.
+            assert_eq!(tombstones, SCRIPT_DELETES, "a pre-crash tombstone was lost");
+            assert!(SCRIPT_DELETES.iter().all(|&id| back.is_deleted(id)));
+        }
         drop(back);
         let _ = fs::remove_dir_all(&dir);
     }

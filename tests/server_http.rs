@@ -5,7 +5,8 @@
 //! can't reach:
 //!
 //! 1. Answers over the wire are bit-identical to in-process
-//!    `Index::search` — the JSON codec loses nothing.
+//!    `Index::search` — the JSON codec loses nothing — and no request
+//!    fails while searches race a live `/ingest` stream.
 //! 2. A fault armed at `query.shard` via `PLSH_FAULTS` (the operator
 //!    surface, exercised in a child process so the env var goes through
 //!    the real lazy-init path) maps to a clean HTTP 500, and the server
@@ -144,6 +145,49 @@ fn wire_answers_match_in_process_search() {
             );
         }
     }
+
+    // Concurrent searches while `/ingest` streams rows in: shedding
+    // (429/503) is legal under load, any other non-200 is a server bug.
+    let search = format!(
+        "{{\"queries\": [{}], \"top_k\": 5, \"normalize\": true}}",
+        query_json(&corpus, 42)
+    );
+    let (ingests, searches): (Vec<u16>, Vec<u16>) = std::thread::scope(|s| {
+        let searchers: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    (0..20)
+                        .map(|_| status_of(&post(&server, "/search", &search)))
+                        .collect::<Vec<u16>>()
+                })
+            })
+            .collect();
+        let ingests = (0..200)
+            .step_by(50)
+            .map(|start| {
+                let rows: Vec<String> = (start..start + 50)
+                    .map(|i| query_json(&corpus, i))
+                    .collect();
+                let body = format!("{{\"vectors\": [{}]}}", rows.join(","));
+                status_of(&post(&server, "/ingest", &body))
+            })
+            .collect();
+        let searches = searchers
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect();
+        (ingests, searches)
+    });
+    for statuses in [&ingests, &searches] {
+        assert!(
+            statuses.iter().all(|s| matches!(s, 200 | 429 | 503)),
+            "a request failed under concurrent load: {statuses:?}"
+        );
+        assert!(statuses.contains(&200), "nothing answered: {statuses:?}");
+    }
+    let accepted = ingests.iter().filter(|&&s| s == 200).count();
+    index.flush().unwrap();
+    assert_eq!(index.len(), corpus.len() + 50 * accepted);
     server.shutdown();
 }
 
