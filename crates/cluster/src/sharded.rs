@@ -73,7 +73,7 @@
 
 use std::collections::VecDeque;
 use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -1252,7 +1252,7 @@ impl ShardedIndex {
             self.per_shard_capacity as u64,
             self.window,
         );
-        write_cluster_manifest(dir, &manifest).map_err(io_cluster)?;
+        persist::write_atomic(&dir.join(CLUSTER_MANIFEST), &manifest).map_err(io_cluster)?;
         Ok(())
     }
 
@@ -1445,27 +1445,14 @@ const CLUSTER_MAGIC: &[u8; 4] = b"PLSC";
 /// directories of earlier versions used a different placement and are
 /// refused.
 const CLUSTER_VERSION: u32 = 3;
-/// Window tag bytes in the cluster manifest.
-const CW_NONE: u8 = 0;
-const CW_DOCS: u8 = 1;
-const CW_DURATION: u8 = 2;
 
 /// `dir/shard-<i>`: the per-shard engine directory.
 fn shard_dir(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard-{shard}"))
 }
 
-/// FNV-1a over the manifest bytes (same integrity check the per-engine
-/// manifest uses).
-fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
-}
-
+/// Encodes the cluster manifest with the engine manifest's window tags
+/// and FNV-1a checksum; it is written by the same atomic write.
 fn encode_cluster_manifest(
     shards: u32,
     dim: u32,
@@ -1478,14 +1465,10 @@ fn encode_cluster_manifest(
     out.extend_from_slice(&shards.to_le_bytes());
     out.extend_from_slice(&dim.to_le_bytes());
     out.extend_from_slice(&per_shard_capacity.to_le_bytes());
-    let (tag, value) = match window {
-        None => (CW_NONE, 0u64),
-        Some(WindowSpec::Docs(n)) => (CW_DOCS, n as u64),
-        Some(WindowSpec::Duration(d)) => (CW_DURATION, d.as_nanos().min(u64::MAX as u128) as u64),
-    };
+    let (tag, value) = persist::encode_window(window);
     out.push(tag);
     out.extend_from_slice(&value.to_le_bytes());
-    let crc = fnv1a(&out);
+    let crc = persist::checksum(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     out
 }
@@ -1502,7 +1485,7 @@ fn decode_cluster_manifest(bytes: &[u8]) -> io::Result<(u32, u32, u64, Option<Wi
         return Err(bad("wrong length"));
     }
     let (body, crc) = bytes.split_at(bytes.len() - 4);
-    if u32::from_le_bytes(crc.try_into().expect("4 bytes")) != fnv1a(body) {
+    if u32::from_le_bytes(crc.try_into().expect("4 bytes")) != persist::checksum(body) {
         return Err(bad("checksum mismatch"));
     }
     if &body[..4] != CLUSTER_MAGIC {
@@ -1525,25 +1508,8 @@ fn decode_cluster_manifest(bytes: &[u8]) -> io::Result<(u32, u32, u64, Option<Wi
     let dim = word(12);
     let per_shard_capacity = u64::from_le_bytes(body[16..24].try_into().expect("8 bytes"));
     let value = u64::from_le_bytes(body[25..33].try_into().expect("8 bytes"));
-    let window = match body[24] {
-        CW_NONE => None,
-        CW_DOCS => Some(WindowSpec::Docs(
-            u32::try_from(value).map_err(|_| bad("window size overflows u32"))?,
-        )),
-        CW_DURATION => Some(WindowSpec::Duration(Duration::from_nanos(value))),
-        _ => return Err(bad("unknown window tag")),
-    };
+    let window = persist::decode_window(body[24], value).map_err(|e| bad(&e.to_string()))?;
     Ok((shards, dim, per_shard_capacity, window))
-}
-
-/// Writes the cluster manifest durably: temp file, fsync, rename.
-fn write_cluster_manifest(dir: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = dir.join("MANIFEST.tmp");
-    let mut f = fs::File::create(&tmp)?;
-    f.write_all(bytes)?;
-    f.sync_all()?;
-    drop(f);
-    fs::rename(&tmp, dir.join(CLUSTER_MANIFEST))
 }
 
 /// Maps a cluster-level persistence I/O error into the shared error type.
@@ -2075,13 +2041,40 @@ mod tests {
         for version in [1u32, 2] {
             let mut old = good[..good.len() - 4].to_vec();
             old[4..8].copy_from_slice(&version.to_le_bytes());
-            let crc = fnv1a(&old);
+            let crc = persist::checksum(&old);
             old.extend_from_slice(&crc.to_le_bytes());
             let err = decode_cluster_manifest(&old).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             assert!(
                 err.to_string().contains("unsupported version"),
                 "v{version}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn cluster_manifest_v3_bytes_are_pinned() {
+        // The bytes a v3 cluster manifest has always had: sharing the
+        // engine manifest's checksum and window tags must not move them.
+        let header = [
+            80, 76, 83, 67, 3, 0, 0, 0, 3, 0, 0, 0, 64, 0, 0, 0, 232, 3, 0, 0, 0, 0, 0, 0,
+        ];
+        for (window, tail) in [
+            (None, [0, 0, 0, 0, 0, 0, 0, 0, 0, 254, 192, 41, 70]),
+            (
+                Some(WindowSpec::Docs(500)),
+                [1, 244, 1, 0, 0, 0, 0, 0, 0, 202, 58, 177, 117],
+            ),
+            (
+                Some(WindowSpec::Duration(Duration::from_millis(1500))),
+                [2, 0, 47, 104, 89, 0, 0, 0, 0, 74, 171, 77, 245],
+            ),
+        ] {
+            let golden: Vec<u8> = header.iter().chain(&tail).copied().collect();
+            assert_eq!(
+                encode_cluster_manifest(3, 64, 1_000, window),
+                golden,
+                "{window:?}"
             );
         }
     }

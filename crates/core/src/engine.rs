@@ -1281,37 +1281,31 @@ impl Engine {
             .clone()
     }
 
-    /// Atomically captures everything a snapshot needs — one write-lock
-    /// hold, one epoch pin — as `(static_base, static_len, resident rows
-    /// in id order from `static_base`, pending tombstones, purged ids,
-    /// retired_below)`. Holding the lock keeps a concurrent ingest or
-    /// merge from publishing mid-capture, so the parts are mutually
-    /// consistent.
-    pub(crate) fn capture_state(&self) -> (u32, usize, Vec<SparseVector>, Vec<u32>, Vec<u32>, u32) {
+    /// Runs `f` on one consistent [`Baseline`](crate::persist::Baseline)
+    /// of the engine — one write-lock hold, one epoch pin, so a concurrent
+    /// ingest or merge cannot publish mid-capture. The persistence
+    /// baseline, the heal resync and [`Snapshot::capture`](crate::Snapshot)
+    /// all read it.
+    pub(crate) fn with_baseline<T>(&self, f: impl FnOnce(&crate::persist::Baseline<'_>) -> T) -> T {
         let w = self.write.lock().unwrap_or_else(|e| e.into_inner());
         let view = self.epoch.snapshot();
-        let base = view.static_base;
-        let mut vectors = Vec::with_capacity((w.total - base) as usize);
-        for local in 0..view.static_len() as u32 {
-            vectors.push(view.static_data.row_vector(local));
-        }
-        for g in view.sealed.iter().map(Arc::as_ref).chain(w.open.as_ref()) {
-            for local in 0..g.len() as u32 {
-                vectors.push(g.data().row_vector(local));
-            }
-        }
-        debug_assert_eq!(vectors.len(), (w.total - base) as usize);
-        // Set bits are exactly the pending (unpurged) tombstones: merges
-        // reclaim the bits of everything they purge or compact away.
-        let deleted = view.deleted.set_ids(w.total);
-        (
-            base,
-            view.static_len(),
-            vectors,
-            deleted,
-            w.purged.clone(),
-            w.retired_below,
-        )
+        f(&crate::persist::Baseline {
+            params: &self.config.params,
+            capacity: self.config.capacity as u64,
+            eta: self.config.eta,
+            seal_min_points: self.config.seal_min_points as u64,
+            window: self.config.window,
+            static_base: view.static_base,
+            retired_below: w.retired_below,
+            static_data: &view.static_data,
+            static_len: view.static_len(),
+            sealed: &view.sealed,
+            open: w.open.as_ref(),
+            purged: &w.purged,
+            // Set bits are exactly the pending (unpurged) tombstones:
+            // merges reclaim the bits of everything they purge or compact.
+            pending: view.deleted.set_ids(w.total),
+        })
     }
 
     /// Fast-forwards an **empty** engine's id space to `base`: the next
@@ -1377,29 +1371,13 @@ impl Engine {
 
     /// Baseline capture + attach for [`crate::persist`]: one hold of the
     /// merge and write locks, so the baseline is mutually consistent and
-    /// no merge can publish between capture and attachment.
+    /// no insert or merge can land between capture and attachment.
     pub(crate) fn attach_persister(&self, dir: &std::path::Path) -> Result<()> {
         let _m = self.merge_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let w = self.write.lock().unwrap_or_else(|e| e.into_inner());
-        let view = self.epoch.snapshot();
-        let baseline = crate::persist::Baseline {
-            params: &self.config.params,
-            capacity: self.config.capacity as u64,
-            eta: self.config.eta,
-            seal_min_points: self.config.seal_min_points as u64,
-            window: self.config.window,
-            static_base: view.static_base,
-            retired_below: w.retired_below,
-            static_data: &view.static_data,
-            static_len: view.static_len(),
-            sealed: &view.sealed,
-            open: w.open.as_ref(),
-            purged: &w.purged,
-            pending: view.deleted.set_ids(w.total),
-        };
-        let p = crate::persist::EnginePersister::create(dir, &baseline)?;
-        *self.persister.write().unwrap_or_else(|e| e.into_inner()) = Some(Arc::new(p));
-        Ok(())
+        self.with_baseline(|b| {
+            self.set_persister(crate::persist::EnginePersister::create(dir, b)?);
+            Ok(())
+        })
     }
 
     /// True while the engine is in degraded read-only mode: a persistence
@@ -1453,31 +1431,11 @@ impl Engine {
             return true;
         };
         let _m = self.merge_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let w = self.write.lock().unwrap_or_else(|e| e.into_inner());
-        let view = self.epoch.snapshot();
-        let baseline = crate::persist::Baseline {
-            params: &self.config.params,
-            capacity: self.config.capacity as u64,
-            eta: self.config.eta,
-            seal_min_points: self.config.seal_min_points as u64,
-            window: self.config.window,
-            static_base: view.static_base,
-            retired_below: w.retired_below,
-            static_data: &view.static_data,
-            static_len: view.static_len(),
-            sealed: &view.sealed,
-            open: w.open.as_ref(),
-            purged: &w.purged,
-            pending: view.deleted.set_ids(w.total),
-        };
-        match p.resync(&baseline) {
-            Ok(()) => {
-                drop(w);
-                self.clear_degraded();
-                true
-            }
-            Err(_) => false,
+        if self.with_baseline(|b| p.resync(b)).is_err() {
+            return false;
         }
+        self.clear_degraded();
+        true
     }
 
     fn clear_degraded(&self) {

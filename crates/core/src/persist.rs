@@ -1,8 +1,7 @@
 //! Incremental durability: WAL + segment-per-generation persistence.
 //!
-//! [`Snapshot`](crate::snapshot::Snapshot) gives whole-index save/restore,
-//! but a streaming node that ingests a firehose cannot afford to rewrite
-//! its entire corpus on every batch. This module makes the *in-memory*
+//! A streaming node that ingests a firehose cannot afford to rewrite its
+//! entire corpus on every batch. This module makes the *in-memory*
 //! lifecycle durable piece by piece, mirroring the on-disk format on the
 //! engine's own segmented structure:
 //!
@@ -34,14 +33,18 @@
 //! [`load_state`] reads the manifest, loads the static segment, then walks
 //! generation segments contiguously from `static_len`, falls through to
 //! the live WAL for the open tail, and finally replays the tombstone log.
-//! Rebuilding the [`Engine`] follows the same order as
-//! [`Snapshot::restore`](crate::snapshot::Snapshot::restore): insert the
-//! static prefix, tombstone + merge-purge the purged ids (so the purge
-//! accounting matches), replay each generation as its own sealed
-//! generation, then re-apply the tombstones. Generation boundaries are an
-//! ingest-batching artifact with no effect on answers (property-tested),
-//! so a recovered engine answers bit-identically to a from-scratch build
-//! over the same rows.
+//! [`rebuild_engine`] is the one rebuild routine: insert the static
+//! prefix, tombstone + merge-purge the purged ids (so the purge accounting
+//! matches), replay each generation as its own sealed generation, then
+//! re-apply the tombstones and the retirement watermark. Generation
+//! boundaries are an ingest-batching artifact with no effect on answers
+//! (property-tested), so a recovered engine answers bit-identically to a
+//! from-scratch build over the same rows.
+//!
+//! A [`Snapshot`] stream is this same manifest and two segments (`STATIC`
+//! for the static prefix, `GEN` for the delta suffix) written back to back,
+//! and restoring one goes through [`rebuild_engine`] too: there is one
+//! on-disk codec and one replay order.
 //!
 //! ## Failure model
 //!
@@ -77,6 +80,7 @@ use crate::fault;
 use crate::engine::{Engine, EngineConfig, WindowSpec};
 use crate::error::Result as PlshResult;
 use crate::params::PlshParams;
+use crate::snapshot::Snapshot;
 use crate::sparse::{CrsMatrix, SparseVector};
 use crate::table::DeltaGeneration;
 
@@ -256,8 +260,10 @@ fn fio_remove(path: &Path) -> io::Result<()> {
     }
 }
 
-/// Write `bytes` to `path` atomically: tmp file, fsync, rename.
-fn fio_write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+/// Write `bytes` to `path` atomically: tmp file, fsync, rename (every step
+/// through the power-cut injector). Shared with the cluster manifest.
+#[doc(hidden)]
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let tmp = path.with_extension("tmp");
     let mut f = fio_create(&tmp)?;
     fio_write(&mut f, bytes)?;
@@ -267,10 +273,10 @@ fn fio_write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
 }
 
 // ---------------------------------------------------------------------
-// Binary helpers (little-endian, same idiom as the snapshot format).
+// Binary helpers (little-endian; every file and snapshot block uses them).
 // ---------------------------------------------------------------------
 
-fn bad(msg: impl Into<String>) -> io::Error {
+pub(crate) fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
@@ -315,13 +321,54 @@ fn get_f64<R: Read>(r: &mut R) -> io::Result<f64> {
 }
 
 /// FNV-1a, the record checksum (cheap, endian-free, catches torn tails).
-fn checksum(bytes: &[u8]) -> u32 {
+/// Shared with the cluster manifest.
+#[doc(hidden)]
+pub fn checksum(bytes: &[u8]) -> u32 {
     let mut h: u32 = 0x811c9dc5;
     for &b in bytes {
         h ^= b as u32;
         h = h.wrapping_mul(0x0100_0193);
     }
     h
+}
+
+/// A decoded element count, refused unless that many elements of at least
+/// `width` bytes fit in what is left of `r`. FNV is no MAC, so a forged
+/// count can pass the checksum; it must still never size an allocation.
+fn bounded(r: &[u8], count: u64, width: usize) -> io::Result<usize> {
+    if count > (r.len() / width) as u64 {
+        return Err(bad(format!(
+            "count {count} overruns the {} bytes left",
+            r.len()
+        )));
+    }
+    Ok(count as usize)
+}
+
+/// A window spec as its manifest `(tag, payload)` pair. Shared with the
+/// cluster manifest.
+#[doc(hidden)]
+pub fn encode_window(window: Option<WindowSpec>) -> (u8, u64) {
+    match window {
+        None => (WINDOW_NONE, 0),
+        Some(WindowSpec::Docs(n)) => (WINDOW_DOCS, n as u64),
+        Some(WindowSpec::Duration(d)) => {
+            (WINDOW_DURATION, d.as_nanos().min(u64::MAX as u128) as u64)
+        }
+    }
+}
+
+/// Inverse of [`encode_window`].
+#[doc(hidden)]
+pub fn decode_window(tag: u8, arg: u64) -> io::Result<Option<WindowSpec>> {
+    match tag {
+        WINDOW_NONE => Ok(None),
+        WINDOW_DOCS => u32::try_from(arg)
+            .map(|n| Some(WindowSpec::Docs(n)))
+            .map_err(|_| bad(format!("implausible window size {arg}"))),
+        WINDOW_DURATION => Ok(Some(WindowSpec::Duration(Duration::from_nanos(arg)))),
+        t => Err(bad(format!("unknown window tag {t}"))),
+    }
 }
 
 fn put_rows<'a>(out: &mut Vec<u8>, rows: impl ExactSizeIterator<Item = SparseVector> + 'a) {
@@ -337,14 +384,13 @@ fn put_rows<'a>(out: &mut Vec<u8>, rows: impl ExactSizeIterator<Item = SparseVec
     }
 }
 
-fn get_rows<R: Read>(r: &mut R) -> io::Result<Vec<SparseVector>> {
-    let n = get_u64(r)? as usize;
-    let mut rows = Vec::with_capacity(n.min(1 << 20));
-    for i in 0..n {
-        let nnz = get_u32(r)? as usize;
-        if nnz > MAX_RECORD as usize {
-            return Err(bad(format!("row {i}: implausible nnz {nnz}")));
-        }
+fn get_rows(r: &mut &[u8]) -> io::Result<Vec<SparseVector>> {
+    // A row is at least its 4-byte nnz; an entry is 4 + 4 bytes.
+    let n = get_u64(r)?;
+    let mut rows = Vec::with_capacity(bounded(r, n, 4)?);
+    for _ in 0..n {
+        let nnz = get_u32(r)?;
+        let nnz = bounded(r, nnz as u64, 8)?;
         let mut indices = Vec::with_capacity(nnz);
         for _ in 0..nnz {
             indices.push(get_u32(r)?);
@@ -391,6 +437,42 @@ struct Manifest {
 }
 
 impl Manifest {
+    fn of_baseline(b: &Baseline<'_>, reset: u64, static_seq: Option<u64>) -> Self {
+        Self {
+            params: b.params.clone(),
+            capacity: b.capacity,
+            eta: b.eta,
+            seal_min_points: b.seal_min_points,
+            reset,
+            static_seq,
+            static_len: b.static_len as u64,
+            static_base: b.static_base as u64,
+            retired_below: b.retired_below as u64,
+            window: b.window,
+            purged: b.purged.to_vec(),
+            pending: b.pending.clone(),
+        }
+    }
+
+    /// A snapshot's manifest. A snapshot carries no window and restores
+    /// with the default sealing, so those fields take their defaults.
+    fn of_snapshot(s: &Snapshot) -> Self {
+        Self {
+            params: s.params.clone(),
+            capacity: s.capacity,
+            eta: s.eta,
+            seal_min_points: 1,
+            reset: 0,
+            static_seq: Some(0),
+            static_len: s.static_len,
+            static_base: s.base,
+            retired_below: s.retired_below,
+            window: None,
+            purged: s.purged.clone(),
+            pending: s.deleted.clone(),
+        }
+    }
+
     fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(MANIFEST_MAGIC);
@@ -409,11 +491,7 @@ impl Manifest {
         put_u64(&mut out, self.static_len);
         put_u64(&mut out, self.static_base);
         put_u64(&mut out, self.retired_below);
-        let (wtag, warg) = match self.window {
-            None => (WINDOW_NONE, 0u64),
-            Some(WindowSpec::Docs(n)) => (WINDOW_DOCS, n as u64),
-            Some(WindowSpec::Duration(d)) => (WINDOW_DURATION, d.as_nanos() as u64),
-        };
+        let (wtag, warg) = encode_window(self.window);
         out.push(wtag);
         put_u64(&mut out, warg);
         put_u64(&mut out, self.purged.len() as u64);
@@ -487,22 +565,12 @@ impl Manifest {
             let mut wtag = [0u8; 1];
             r.read_exact(&mut wtag)?;
             let warg = get_u64(&mut r)?;
-            let window = match wtag[0] {
-                WINDOW_NONE => None,
-                WINDOW_DOCS => {
-                    Some(WindowSpec::Docs(u32::try_from(warg).map_err(|_| {
-                        bad(format!("implausible window size {warg}"))
-                    })?))
-                }
-                WINDOW_DURATION => Some(WindowSpec::Duration(Duration::from_nanos(warg))),
-                t => return Err(bad(format!("unknown window tag {t}"))),
-            };
-            (base, retired, window)
+            (base, retired, decode_window(wtag[0], warg)?)
         } else {
             (0, 0, None)
         };
-        let np = get_u64(&mut r)? as usize;
-        let mut purged = Vec::with_capacity(np);
+        let np = get_u64(&mut r)?;
+        let mut purged = Vec::with_capacity(bounded(r, np, 4)?);
         for _ in 0..np {
             let id = get_u32(&mut r)?;
             if (id as u64) < static_base || id as u64 >= static_base + static_len {
@@ -510,8 +578,8 @@ impl Manifest {
             }
             purged.push(id);
         }
-        let nd = get_u64(&mut r)? as usize;
-        let mut pending = Vec::with_capacity(nd);
+        let nd = get_u64(&mut r)?;
+        let mut pending = Vec::with_capacity(bounded(r, nd, 4)?);
         for _ in 0..nd {
             pending.push(get_u32(&mut r)?);
         }
@@ -536,12 +604,16 @@ impl Manifest {
 // Segment + log encoding
 // ---------------------------------------------------------------------
 
-fn encode_segment(magic: &[u8; 4], base: u64, rows: &mut Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(rows.len() + 24);
+fn encode_segment(
+    magic: &[u8; 4],
+    base: u64,
+    rows: impl ExactSizeIterator<Item = SparseVector>,
+) -> Vec<u8> {
+    let mut out = Vec::new();
     out.extend_from_slice(magic);
     put_u32(&mut out, VERSION);
     put_u64(&mut out, base);
-    out.append(rows);
+    put_rows(&mut out, rows);
     let crc = checksum(&out);
     put_u32(&mut out, crc);
     out
@@ -575,6 +647,20 @@ fn decode_segment(
         return Err(bad(format!("segment base {base}, expected {expect_base}")));
     }
     get_rows(&mut r)
+}
+
+/// The static segment `m` names, which must hold exactly its
+/// `static_len` rows.
+fn decode_static(m: &Manifest, bytes: &[u8]) -> io::Result<Vec<SparseVector>> {
+    let rows = decode_segment(STATIC_MAGIC, m.static_base, bytes)?;
+    if rows.len() as u64 != m.static_len {
+        return Err(bad(format!(
+            "static segment holds {} rows, manifest says {}",
+            rows.len(),
+            m.static_len
+        )));
+    }
+    Ok(rows)
 }
 
 /// One checksummed log record: `len | crc | payload`.
@@ -717,19 +803,13 @@ fn jittered(delay: Duration) -> Duration {
 fn write_baseline(data: &Path, b: &Baseline<'_>) -> io::Result<(Option<u64>, Option<WalWriter>)> {
     let static_seq = if b.static_len > 0 { Some(0u64) } else { None };
     if let Some(seq) = static_seq {
-        let mut rows = Vec::new();
-        put_rows(
-            &mut rows,
-            (0..b.static_len as u32).map(|id| b.static_data.row_vector(id)),
-        );
-        let bytes = encode_segment(STATIC_MAGIC, b.static_base as u64, &mut rows);
-        fio_write_atomic(&static_path(data, seq), &bytes)?;
+        let rows = (0..b.static_len as u32).map(|id| b.static_data.row_vector(id));
+        let bytes = encode_segment(STATIC_MAGIC, b.static_base as u64, rows);
+        write_atomic(&static_path(data, seq), &bytes)?;
     }
     for g in b.sealed {
-        let mut rows = Vec::new();
-        put_rows(&mut rows, gen_rows(g));
-        let bytes = encode_segment(GEN_MAGIC, g.base() as u64, &mut rows);
-        fio_write_atomic(&gen_path(data, g.base()), &bytes)?;
+        let bytes = encode_segment(GEN_MAGIC, g.base() as u64, gen_rows(g));
+        write_atomic(&gen_path(data, g.base()), &bytes)?;
     }
     let wal = match b.open {
         Some(g) if !g.is_empty() => {
@@ -774,21 +854,8 @@ impl EnginePersister {
         fs::create_dir_all(&data)?;
 
         let (static_seq, wal) = write_baseline(&data, b)?;
-        let manifest = Manifest {
-            params: b.params.clone(),
-            capacity: b.capacity,
-            eta: b.eta,
-            seal_min_points: b.seal_min_points,
-            reset,
-            static_seq,
-            static_len: b.static_len as u64,
-            static_base: b.static_base as u64,
-            retired_below: b.retired_below as u64,
-            window: b.window,
-            purged: b.purged.to_vec(),
-            pending: b.pending.clone(),
-        };
-        fio_write_atomic(&dir.join(MANIFEST), &manifest.encode())?;
+        let manifest = Manifest::of_baseline(b, reset, static_seq);
+        write_atomic(&dir.join(MANIFEST), &manifest.encode())?;
 
         Ok(Self {
             dir: dir.to_path_buf(),
@@ -818,10 +885,8 @@ impl EnginePersister {
             if !from_wal {
                 continue;
             }
-            let mut buf = Vec::new();
-            put_rows(&mut buf, rows.iter().cloned());
-            let bytes = encode_segment(GEN_MAGIC, *base as u64, &mut buf);
-            fio_write_atomic(&gen_path(&data, *base), &bytes)?;
+            let bytes = encode_segment(GEN_MAGIC, *base as u64, rows.iter().cloned());
+            write_atomic(&gen_path(&data, *base), &bytes)?;
             fio_remove(&wal_path(&data, *base))?;
         }
 
@@ -952,13 +1017,11 @@ impl EnginePersister {
     pub(crate) fn on_seal(&self, g: &DeltaGeneration) -> io::Result<()> {
         let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
         let s = &mut *s;
-        let mut rows = Vec::new();
-        put_rows(&mut rows, gen_rows(g));
-        let bytes = encode_segment(GEN_MAGIC, g.base() as u64, &mut rows);
+        let bytes = encode_segment(GEN_MAGIC, g.base() as u64, gen_rows(g));
         let path = gen_path(&s.data, g.base());
         self.retry(|| {
             fault::io_check(fault::SEAL_SEGMENT)?;
-            fio_write_atomic(&path, &bytes)
+            write_atomic(&path, &bytes)
         })?;
         if s.wal.as_ref().is_some_and(|w| w.base == g.base()) {
             s.wal = None;
@@ -972,26 +1035,7 @@ impl EnginePersister {
     /// Append one tombstone to the delete log (fsync per record; deletes
     /// are rare next to inserts).
     pub(crate) fn log_delete(&self, id: u32) -> io::Result<()> {
-        let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let s = &mut *s;
-        let mut payload = vec![TAG_DELETE];
-        payload.extend_from_slice(&id.to_le_bytes());
-        let record = encode_record(&payload);
-        self.retry(|| {
-            if s.tomb.is_none() {
-                let path = tomb_path(&s.data);
-                let file = fio_append(&path)?;
-                let good = file.len()?;
-                s.tomb = Some(TombWriter { file, good });
-            }
-            let t = s.tomb.as_mut().expect("installed above");
-            t.file.truncate_to(t.good)?;
-            fault::io_check(fault::TOMB_APPEND)?;
-            fio_write(&mut t.file, &record)?;
-            fio_fsync(&mut t.file)?;
-            t.good += record.len() as u64;
-            Ok(())
-        })
+        self.log_tomb(TAG_DELETE, id)
     }
 
     /// Append one retirement-watermark advance to the delete log (fsync
@@ -999,10 +1043,14 @@ impl EnginePersister {
     /// insert batch). Replay takes the max, so repeated advances and the
     /// manifest's own snapshot compose monotonically.
     pub(crate) fn log_retire(&self, watermark: u32) -> io::Result<()> {
+        self.log_tomb(TAG_RETIRE, watermark)
+    }
+
+    fn log_tomb(&self, tag: u8, arg: u32) -> io::Result<()> {
         let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
         let s = &mut *s;
-        let mut payload = vec![TAG_RETIRE];
-        payload.extend_from_slice(&watermark.to_le_bytes());
+        let mut payload = vec![tag];
+        payload.extend_from_slice(&arg.to_le_bytes());
         let record = encode_record(&payload);
         self.retry(|| {
             if s.tomb.is_none() {
@@ -1029,16 +1077,12 @@ impl EnginePersister {
         let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
         let seq = s.next_static_seq;
         s.next_static_seq += 1;
-        let mut rows = Vec::new();
-        put_rows(
-            &mut rows,
-            (0..static_data.num_rows() as u32).map(|id| static_data.row_vector(id)),
-        );
-        let bytes = encode_segment(STATIC_MAGIC, base as u64, &mut rows);
+        let rows = (0..static_data.num_rows() as u32).map(|id| static_data.row_vector(id));
+        let bytes = encode_segment(STATIC_MAGIC, base as u64, rows);
         let path = static_path(&s.data, seq);
         self.retry(|| {
             fault::io_check(fault::STATIC_PREPARE)?;
-            fio_write_atomic(&path, &bytes)
+            write_atomic(&path, &bytes)
         })?;
         Ok(seq)
     }
@@ -1074,7 +1118,7 @@ impl EnginePersister {
         let manifest_path = self.dir.join(MANIFEST);
         self.retry(|| {
             fault::io_check(fault::MANIFEST_SWAP)?;
-            fio_write_atomic(&manifest_path, &bytes)
+            write_atomic(&manifest_path, &bytes)
         })?;
         s.manifest = next;
 
@@ -1122,7 +1166,7 @@ impl EnginePersister {
         let manifest_path = self.dir.join(MANIFEST);
         self.retry(|| {
             fs::create_dir_all(&data)?;
-            fio_write_atomic(&manifest_path, &bytes)
+            write_atomic(&manifest_path, &bytes)
         })?;
         let old_data = std::mem::replace(&mut s.data, data);
         s.manifest = next;
@@ -1148,22 +1192,9 @@ impl EnginePersister {
         let data = data_dir(&self.dir, reset);
         fs::create_dir_all(&data)?;
         let (static_seq, wal) = write_baseline(&data, b)?;
-        let manifest = Manifest {
-            params: b.params.clone(),
-            capacity: b.capacity,
-            eta: b.eta,
-            seal_min_points: b.seal_min_points,
-            reset,
-            static_seq,
-            static_len: b.static_len as u64,
-            static_base: b.static_base as u64,
-            retired_below: b.retired_below as u64,
-            window: b.window,
-            purged: b.purged.to_vec(),
-            pending: b.pending.clone(),
-        };
+        let manifest = Manifest::of_baseline(b, reset, static_seq);
         fault::io_check(fault::MANIFEST_SWAP)?;
-        fio_write_atomic(&self.dir.join(MANIFEST), &manifest.encode())?;
+        write_atomic(&self.dir.join(MANIFEST), &manifest.encode())?;
         let old_data = std::mem::replace(&mut s.data, data);
         s.manifest = manifest;
         s.next_static_seq = static_seq.map_or(0, |q| q + 1);
@@ -1202,6 +1233,9 @@ pub struct RecoveredState {
     tomb_retire: u32,
     /// Rows that came back from WAL replay rather than sealed segments.
     wal_rows: usize,
+    /// Whether the rebuilt engine merges on its own: a recovered
+    /// directory does; a restored snapshot leaves merging to its caller.
+    auto_merge: bool,
 }
 
 impl RecoveredState {
@@ -1309,18 +1343,7 @@ pub fn load_state(dir: impl AsRef<Path>) -> io::Result<RecoveredState> {
     let data = data_dir(dir, manifest.reset);
 
     let static_rows = match manifest.static_seq {
-        Some(seq) => {
-            let bytes = fs::read(static_path(&data, seq))?;
-            let rows = decode_segment(STATIC_MAGIC, manifest.static_base, &bytes)?;
-            if rows.len() as u64 != manifest.static_len {
-                return Err(bad(format!(
-                    "static segment holds {} rows, manifest says {}",
-                    rows.len(),
-                    manifest.static_len
-                )));
-            }
-            rows
-        }
+        Some(seq) => decode_static(&manifest, &fs::read(static_path(&data, seq))?)?,
         None => Vec::new(),
     };
 
@@ -1406,14 +1429,16 @@ pub fn load_state(dir: impl AsRef<Path>) -> io::Result<RecoveredState> {
         tomb,
         tomb_retire,
         wal_rows,
+        auto_merge: true,
     })
 }
 
 /// Rebuilds an [`Engine`] from a recovered state, optionally truncated to
 /// the first `keep` rows (sharded recovery truncates every shard to the
-/// longest globally-contiguous prefix). The rebuild follows the snapshot
-/// restore order so the purge accounting matches; generation boundaries
-/// within the kept rows are reproduced exactly.
+/// longest globally-contiguous prefix). This is the one rebuild routine —
+/// directory recovery and [`Snapshot::restore`] both end here. Purged ids
+/// are replayed through the static merge so the purge accounting matches;
+/// generation boundaries within the kept rows are reproduced exactly.
 pub fn rebuild_engine(
     st: &RecoveredState,
     keep: Option<usize>,
@@ -1428,6 +1453,9 @@ pub fn rebuild_engine(
     if let Some(w) = m.window {
         config = config.with_window(w);
     }
+    if !st.auto_merge {
+        config = config.manual_merge();
+    }
     let engine = Engine::new(config, pool)?;
     if base > 0 {
         // Land the id space where the compacted directory left it: the
@@ -1439,7 +1467,7 @@ pub fn rebuild_engine(
         engine.insert_batch_deferring_merge(&st.static_rows[..split], pool)?;
         engine.seal();
         for &id in &m.purged {
-            if ((id - base) as usize) < split {
+            if (id.saturating_sub(base) as usize) < split {
                 engine.delete(id);
             }
         }
@@ -1506,12 +1534,104 @@ pub fn recover_engine_from_state(
     Ok(engine)
 }
 
+// ---------------------------------------------------------------------
+// Snapshot streams: the manifest and segments above, length-prefixed
+// ---------------------------------------------------------------------
+
+/// A snapshot's rows as its static prefix and its delta suffix.
+fn split_rows(s: &Snapshot) -> (&[SparseVector], &[SparseVector]) {
+    s.vectors
+        .split_at((s.static_len as usize).min(s.vectors.len()))
+}
+
+impl RecoveredState {
+    /// A snapshot as recovered state: its static prefix, its delta suffix
+    /// as one sealed generation, no delete log, and manual merging.
+    pub(crate) fn of_snapshot(s: &Snapshot) -> Self {
+        let (static_rows, delta) = split_rows(s);
+        Self {
+            manifest: Manifest::of_snapshot(s),
+            static_rows: static_rows.to_vec(),
+            gens: vec![((s.base + s.static_len) as u32, delta.to_vec(), false)],
+            tomb: Vec::new(),
+            tomb_retire: 0,
+            wal_rows: 0,
+            auto_merge: false,
+        }
+    }
+}
+
+/// Writes `s` as three length-prefixed blocks: its manifest, a `STATIC`
+/// segment of the static prefix and a `GEN` segment of the delta suffix.
+pub(crate) fn write_snapshot<W: Write>(s: &Snapshot, w: &mut W) -> io::Result<()> {
+    let (static_rows, delta) = split_rows(s);
+    let blocks = [
+        Manifest::of_snapshot(s).encode(),
+        encode_segment(STATIC_MAGIC, s.base, static_rows.iter().cloned()),
+        encode_segment(GEN_MAGIC, s.base + s.static_len, delta.iter().cloned()),
+    ];
+    for block in blocks {
+        w.write_all(&(block.len() as u64).to_le_bytes())?;
+        w.write_all(&block)?;
+    }
+    Ok(())
+}
+
+/// Reads back the blocks [`write_snapshot`] wrote, checksums included,
+/// and checks the invariants a snapshot adds to the manifest's own.
+pub(crate) fn read_snapshot<R: Read>(r: &mut R) -> io::Result<Snapshot> {
+    let m = Manifest::decode(&read_block(r)?)?;
+    let mut vectors = decode_static(&m, &read_block(r)?)?;
+    let delta_base = m.static_base + m.static_len;
+    vectors.extend(decode_segment(GEN_MAGIC, delta_base, &read_block(r)?)?);
+    let (dim, end) = (m.params.dim(), m.static_base + vectors.len() as u64);
+    if vectors.len() as u64 > m.capacity {
+        return Err(bad("snapshot holds more points than its capacity"));
+    }
+    if m.retired_below > end {
+        return Err(bad("retired_below beyond the stored id range"));
+    }
+    if let Some(row) = vectors.iter().position(|v| v.max_index() >= Some(dim)) {
+        return Err(bad(format!("row {row} exceeds dimensionality {dim}")));
+    }
+    // The manifest range-checks purged ids, not pending ones.
+    let stored = m.static_base..end;
+    if let Some(id) = m.pending.iter().find(|&&id| !stored.contains(&(id as u64))) {
+        return Err(bad(format!("tombstone {id} out of range")));
+    }
+    Ok(Snapshot {
+        params: m.params,
+        capacity: m.capacity,
+        eta: m.eta,
+        static_len: m.static_len,
+        base: m.static_base,
+        retired_below: m.retired_below,
+        vectors,
+        deleted: m.pending,
+        purged: m.purged,
+    })
+}
+
+/// One length-prefixed block. The prefix never sizes a buffer: `take` +
+/// `read_to_end` grow it only as bytes actually arrive.
+fn read_block<R: Read>(r: &mut R) -> io::Result<Vec<u8>> {
+    let len = get_u64(r)?;
+    let mut block = Vec::new();
+    r.by_ref().take(len).read_to_end(&mut block)?;
+    if block.len() as u64 != len {
+        return Err(bad("snapshot block truncated"));
+    }
+    Ok(block)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::SplitMix64;
 
-    /// Serializes the tests that arm the process-global fail injector.
+    /// Serializes the tests that write a directory with the one that arms
+    /// the process-global fail injector (an armed injector freezes every
+    /// test's I/O, not just its own).
     static FAIL_GUARD: Mutex<()> = Mutex::new(());
 
     fn params(seed: u64) -> PlshParams {
@@ -1551,6 +1671,7 @@ mod tests {
 
     #[test]
     fn wal_segments_and_merge_round_trip() {
+        let _g = FAIL_GUARD.lock().unwrap_or_else(|e| e.into_inner());
         let tmp = tempdir("persist-roundtrip");
         let pool = ThreadPool::new(1);
         let vs = vectors(120, 9);
@@ -1573,6 +1694,7 @@ mod tests {
 
     #[test]
     fn open_generation_survives_via_wal() {
+        let _g = FAIL_GUARD.lock().unwrap_or_else(|e| e.into_inner());
         let tmp = tempdir("persist-open-gen");
         let pool = ThreadPool::new(1);
         let vs = vectors(40, 11);
@@ -1603,6 +1725,7 @@ mod tests {
 
     #[test]
     fn baseline_of_populated_engine_and_clear() {
+        let _g = FAIL_GUARD.lock().unwrap_or_else(|e| e.into_inner());
         let tmp = tempdir("persist-baseline");
         let pool = ThreadPool::new(1);
         let vs = vectors(80, 21);
@@ -1624,6 +1747,7 @@ mod tests {
 
     #[test]
     fn torn_wal_tail_is_dropped() {
+        let _g = FAIL_GUARD.lock().unwrap_or_else(|e| e.into_inner());
         let tmp = tempdir("persist-torn");
         let pool = ThreadPool::new(1);
         let vs = vectors(30, 31);

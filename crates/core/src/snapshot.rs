@@ -1,53 +1,33 @@
 //! Engine snapshots: save/restore a node's contents to a byte stream.
 //!
-//! An adoption feature beyond the paper: operators of an in-memory system
-//! need warm restarts. A snapshot stores the *inputs* — parameters, corpus
-//! rows, static/delta split, deletion tombstones — in a compact
-//! little-endian binary layout; on load, sketches and tables are rebuilt
-//! deterministically from the stored seed, so the restored engine answers
-//! every query identically to the original (tested).
-//!
-//! ## How sealed generations serialize
-//!
-//! The streaming engine's in-memory state is segmented — a static epoch
-//! plus a list of sealed [`DeltaGeneration`](crate::table::DeltaGeneration)s —
-//! but a snapshot deliberately flattens that: it records only the
-//! `static_len` split point and every row in global-id order (rows are
-//! read out of whichever segment holds them). On restore, the static
-//! prefix is re-inserted and merged, and the entire delta suffix is
-//! re-inserted as **one** sealed generation. The generation *boundaries*
-//! are not preserved — they are an ingest-batching artifact with no effect
-//! on answers (tested: all segmentations of the same rows answer
-//! identically) — which keeps the format independent of batch sizes and
-//! merge timing.
-//!
-//! Tombstones serialize as two id lists: `deleted` (bits still set in the
-//! live bitvector) and `purged` (ids a past merge already evicted from the
-//! static tables, bits reclaimed). Restore replays them in that order —
-//! purged ids are deleted *before* the restore-merge so the merge purges
-//! exactly them, then the still-pending tombstones are applied — so the
-//! restored engine reproduces both the answers and the purge accounting of
-//! the original.
-//!
-//! Format (version 3): magic `PLSH` + version, the parameter block, the
-//! engine layout (capacity, eta, static length, the sliding-window base
-//! and retirement watermark), the CRS corpus as three length-prefixed
-//! arrays, the pending-tombstone id list, and the purged-id list. Rows
-//! are *resident* rows only: everything a sliding-window engine already
-//! compacted away stays gone, and `base` records the global id of the
-//! first stored row so ids survive the round trip.
+//! Warm restarts for an in-memory node, beyond the paper. A snapshot stores
+//! the *inputs* — parameters, resident rows, static/delta split, tombstones
+//! — and tables are rebuilt from the stored seed, so the restored engine
+//! answers every query identically (tested). It is a view of
+//! [`crate::persist`], not a codec of its own. Format (version 4): magic
+//! `PLSH` + version, then three blocks, each a `u64` length and the bytes
+//! an engine directory holds — the checksummed manifest, a `STATIC`
+//! segment (static prefix) and a `GEN` segment (delta suffix). A flipped
+//! byte anywhere is refused; versions 1–3 (a field-by-field layout without
+//! checksums) are refused as `unsupported snapshot version`. `base` is the
+//! global id of the first row, so ids survive a window's compaction; the
+//! delta restores as **one** sealed generation, since segmentation never
+//! changes answers. [`Snapshot::restore`] is [`persist::rebuild_engine`],
+//! the replay that recovers a directory.
 
 use std::io::{self, Read, Write};
+use std::sync::Arc;
 
 use plsh_parallel::ThreadPool;
 
-use crate::engine::{Engine, EngineConfig};
+use crate::engine::Engine;
 use crate::error::Result as PlshResult;
 use crate::params::PlshParams;
+use crate::persist::{self, bad, RecoveredState};
 use crate::sparse::SparseVector;
 
 const MAGIC: &[u8; 4] = b"PLSH";
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
 
 /// Everything needed to reconstruct an [`Engine`].
 #[derive(Debug, Clone, PartialEq)]
@@ -77,196 +57,54 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Captures an engine's state — safe to call while other threads keep
-    /// inserting and merging: the rows, split point, and tombstone lists
-    /// come out of one atomic capture.
+    /// inserting and merging: it reads the same consistent baseline the
+    /// persistence layer writes.
     pub fn capture(engine: &Engine) -> Self {
-        let (base, static_len, vectors, deleted, purged, retired_below) = engine.capture_state();
-        Self {
-            params: engine.params().clone(),
-            capacity: engine.capacity() as u64,
-            eta: engine.config().eta,
-            static_len: static_len as u64,
-            base: base as u64,
-            retired_below: retired_below as u64,
-            vectors,
-            deleted,
-            purged,
-        }
+        engine.with_baseline(|b| {
+            let gens = b.sealed.iter().map(Arc::as_ref).chain(b.open);
+            let vectors = (0..b.static_len as u32)
+                .map(|id| b.static_data.row_vector(id))
+                .chain(gens.flat_map(|g| (0..g.len() as u32).map(|id| g.data().row_vector(id))))
+                .collect();
+            Self {
+                params: b.params.clone(),
+                capacity: b.capacity,
+                eta: b.eta,
+                static_len: b.static_len as u64,
+                base: b.static_base as u64,
+                retired_below: b.retired_below as u64,
+                vectors,
+                deleted: b.pending.clone(),
+                purged: b.purged.to_vec(),
+            }
+        })
     }
 
-    /// Restores an engine that answers identically to the captured one.
-    ///
-    /// The static/delta split is reproduced exactly: the static prefix is
-    /// inserted, the purged ids are tombstoned and a merge purges them
-    /// again, then the delta suffix is inserted unmerged (as one sealed
-    /// generation) and the pending tombstones are re-applied.
+    /// Restores an engine that answers identically to the captured one,
+    /// merging manually, through the directory-recovery rebuild.
     pub fn restore(&self, pool: &ThreadPool) -> PlshResult<Engine> {
-        let config = EngineConfig::new(self.params.clone(), self.capacity as usize)
-            .manual_merge()
-            .with_eta(self.eta);
-        let engine = Engine::new(config, pool)?;
-        if self.base > 0 {
-            engine.fast_forward_empty(self.base as u32);
-        }
-        let split = self.static_len as usize;
-        if split > 0 {
-            engine.insert_batch(&self.vectors[..split], pool)?;
-            for &id in &self.purged {
-                engine.delete(id);
-            }
-            engine.merge_delta(pool);
-        }
-        if split < self.vectors.len() {
-            engine.insert_batch(&self.vectors[split..], pool)?;
-        }
-        for &id in &self.deleted {
-            engine.delete(id);
-        }
-        // Watermark last, with no merge behind it, so the restored
-        // engine's compaction state matches the captured one.
-        let _ = engine.retire_to(self.retired_below as u32);
-        Ok(engine)
+        persist::rebuild_engine(&RecoveredState::of_snapshot(self), None, pool)
     }
 
     /// Serializes the snapshot.
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
         w.write_all(MAGIC)?;
-        put_u32(w, VERSION)?;
-        // Parameter block.
-        put_u32(w, self.params.dim())?;
-        put_u32(w, self.params.k())?;
-        put_u32(w, self.params.m())?;
-        put_f64(w, self.params.radius())?;
-        put_f64(w, self.params.delta())?;
-        put_u64(w, self.params.seed())?;
-        // Layout block.
-        put_u64(w, self.capacity)?;
-        put_f64(w, self.eta)?;
-        put_u64(w, self.static_len)?;
-        put_u64(w, self.base)?;
-        put_u64(w, self.retired_below)?;
-        // Corpus as CRS: row nnz counts, then flattened indices/values.
-        put_u64(w, self.vectors.len() as u64)?;
-        for v in &self.vectors {
-            put_u32(w, v.nnz() as u32)?;
-        }
-        for v in &self.vectors {
-            for &d in v.indices() {
-                put_u32(w, d)?;
-            }
-            for &x in v.values() {
-                put_f32(w, x)?;
-            }
-        }
-        // Tombstones: pending, then purged.
-        put_u64(w, self.deleted.len() as u64)?;
-        for &id in &self.deleted {
-            put_u32(w, id)?;
-        }
-        put_u64(w, self.purged.len() as u64)?;
-        for &id in &self.purged {
-            put_u32(w, id)?;
-        }
-        Ok(())
+        w.write_all(&VERSION.to_le_bytes())?;
+        persist::write_snapshot(self, w)
     }
 
     /// Deserializes a snapshot, validating every invariant it can.
     pub fn read_from<R: Read>(r: &mut R) -> io::Result<Self> {
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
+        let mut header = [0u8; 8];
+        r.read_exact(&mut header)?;
+        if &header[..4] != MAGIC {
             return Err(bad("not a PLSH snapshot (bad magic)"));
         }
-        let version = get_u32(r)?;
+        let version = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
         if version != VERSION {
             return Err(bad(format!("unsupported snapshot version {version}")));
         }
-        let dim = get_u32(r)?;
-        let k = get_u32(r)?;
-        let m = get_u32(r)?;
-        let radius = get_f64(r)?;
-        let delta = get_f64(r)?;
-        let seed = get_u64(r)?;
-        let params = PlshParams::builder(dim)
-            .k(k)
-            .m(m)
-            .radius(radius)
-            .delta(delta)
-            .seed(seed)
-            .build()
-            .map_err(|e| bad(e.to_string()))?;
-
-        let capacity = get_u64(r)?;
-        let eta = get_f64(r)?;
-        let static_len = get_u64(r)?;
-        let base = get_u64(r)?;
-        let retired_below = get_u64(r)?;
-        if retired_below < base {
-            return Err(bad("retired_below below the compaction base"));
-        }
-
-        let n = get_u64(r)? as usize;
-        if n as u64 > capacity {
-            return Err(bad("snapshot holds more points than its capacity"));
-        }
-        if static_len > n as u64 {
-            return Err(bad("static_len exceeds the point count"));
-        }
-        if retired_below > base + n as u64 {
-            return Err(bad("retired_below beyond the stored id range"));
-        }
-        let mut nnz = Vec::with_capacity(n);
-        for _ in 0..n {
-            nnz.push(get_u32(r)? as usize);
-        }
-        let mut vectors = Vec::with_capacity(n);
-        for (row, &count) in nnz.iter().enumerate() {
-            let mut indices = Vec::with_capacity(count);
-            for _ in 0..count {
-                indices.push(get_u32(r)?);
-            }
-            let mut values = Vec::with_capacity(count);
-            for _ in 0..count {
-                values.push(get_f32(r)?);
-            }
-            let v = SparseVector::from_sorted(indices, values)
-                .map_err(|e| bad(format!("row {row}: {e}")))?;
-            if v.max_index().unwrap_or(0) >= dim {
-                return Err(bad(format!("row {row} exceeds dimensionality {dim}")));
-            }
-            vectors.push(v);
-        }
-        let d = get_u64(r)? as usize;
-        let mut deleted = Vec::with_capacity(d);
-        for _ in 0..d {
-            let id = get_u32(r)?;
-            if (id as u64) < base || id as u64 >= base + n as u64 {
-                return Err(bad(format!("tombstone {id} out of range")));
-            }
-            deleted.push(id);
-        }
-        let p = get_u64(r)? as usize;
-        let mut purged = Vec::with_capacity(p);
-        for _ in 0..p {
-            let id = get_u32(r)?;
-            // Purging only ever happens to ids merged into the static
-            // structure.
-            if (id as u64) < base || id as u64 >= base + static_len {
-                return Err(bad(format!("purged id {id} outside the static prefix")));
-            }
-            purged.push(id);
-        }
-        Ok(Self {
-            params,
-            capacity,
-            eta,
-            static_len,
-            base,
-            retired_below,
-            vectors,
-            deleted,
-            purged,
-        })
+        persist::read_snapshot(r)
     }
 }
 
@@ -284,53 +122,10 @@ impl Engine {
     }
 }
 
-fn bad(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-fn put_u32<W: Write>(w: &mut W, x: u32) -> io::Result<()> {
-    w.write_all(&x.to_le_bytes())
-}
-
-fn put_u64<W: Write>(w: &mut W, x: u64) -> io::Result<()> {
-    w.write_all(&x.to_le_bytes())
-}
-
-fn put_f32<W: Write>(w: &mut W, x: f32) -> io::Result<()> {
-    w.write_all(&x.to_le_bytes())
-}
-
-fn put_f64<W: Write>(w: &mut W, x: f64) -> io::Result<()> {
-    w.write_all(&x.to_le_bytes())
-}
-
-fn get_u32<R: Read>(r: &mut R) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn get_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn get_f32<R: Read>(r: &mut R) -> io::Result<f32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(f32::from_le_bytes(b))
-}
-
-fn get_f64<R: Read>(r: &mut R) -> io::Result<f64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(f64::from_le_bytes(b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineConfig;
     use crate::rng::SplitMix64;
 
     fn sample_engine(pool: &ThreadPool) -> Engine {
@@ -467,10 +262,89 @@ mod tests {
         junk[4] = 99;
         assert!(Snapshot::read_from(&mut junk.as_slice()).is_err());
 
+        // The field-by-field v3 layout is refused by name.
+        let mut junk = bytes.clone();
+        junk[4] = 3;
+        let err = Snapshot::read_from(&mut junk.as_slice()).unwrap_err();
+        assert!(
+            err.to_string().contains("unsupported snapshot version 3"),
+            "{err}"
+        );
+
         // Truncation at every prefix must error, never panic.
         for cut in [5usize, 20, 60, bytes.len() - 3] {
             let mut slice = &bytes[..cut];
             assert!(Snapshot::read_from(&mut slice).is_err(), "cut at {cut}");
+        }
+
+        // One flipped byte at any offset — header, block lengths, the
+        // manifest, row indices, row values — is refused, never restored
+        // as a different index.
+        for at in 0..bytes.len() {
+            let mut junk = bytes.clone();
+            junk[at] ^= 0x20;
+            assert!(
+                Snapshot::read_from(&mut junk.as_slice()).is_err(),
+                "flip at {at}"
+            );
+        }
+    }
+
+    /// Splits a snapshot stream into its header and blocks.
+    fn blocks(bytes: &[u8]) -> Vec<Vec<u8>> {
+        let mut at = 8;
+        let mut out = Vec::new();
+        while at < bytes.len() {
+            let len = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+            out.push(bytes[at + 8..at + 8 + len].to_vec());
+            at += 8 + len;
+        }
+        out
+    }
+
+    /// Reassembles a stream with every block's checksum re-sealed: FNV is
+    /// no MAC, so a forged field gets past it and only the decoder's own
+    /// bounds stand between it and the allocator.
+    fn resealed(bytes: &[u8], blocks: &[Vec<u8>]) -> Vec<u8> {
+        let mut out = bytes[..8].to_vec();
+        for block in blocks {
+            let mut block = block.clone();
+            let body = block.len() - 4;
+            let crc = persist::checksum(&block[..body]);
+            block[body..].copy_from_slice(&crc.to_le_bytes());
+            out.extend_from_slice(&(block.len() as u64).to_le_bytes());
+            out.extend_from_slice(&block);
+        }
+        out
+    }
+
+    #[test]
+    fn hostile_counts_are_refused() {
+        let pool = ThreadPool::new(1);
+        let engine = sample_engine(&pool);
+        let pending = Snapshot::capture(&engine).deleted.len();
+        let mut bytes = Vec::new();
+        engine.save_to(&mut bytes).unwrap();
+        assert_eq!(resealed(&bytes, &blocks(&bytes)), bytes);
+
+        // (block, offset, forged count): the delta segment's row count
+        // (after magic, version, base), its first row's nnz, and the
+        // manifest's pending-tombstone count (just before the ids + crc).
+        let manifest_len = blocks(&bytes)[0].len();
+        let tombstones_at = manifest_len - 4 - 4 * pending - 8;
+        for (block, at, forged) in [
+            (2usize, 16usize, 1u64 << 40),
+            (2, 24, 1 << 30),
+            (0, tombstones_at, 1 << 40),
+        ] {
+            let mut parts = blocks(&bytes);
+            let width = if at == 24 { 4 } else { 8 };
+            parts[block][at..at + width].copy_from_slice(&forged.to_le_bytes()[..width]);
+            let hostile = resealed(&bytes, &parts);
+            assert!(
+                Snapshot::read_from(&mut hostile.as_slice()).is_err(),
+                "block {block} offset {at}: count {forged} accepted"
+            );
         }
     }
 

@@ -513,8 +513,8 @@ impl Index {
     }
 
     /// Total capacity `C` (per-shard capacity × shard count on a sharded
-    /// index; hash routing keeps shard occupancy within a few percent of
-    /// even, so the aggregate is effectively reachable).
+    /// index; routing global id `g` to shard `g % S` keeps every shard
+    /// within one point of the others, so the aggregate is reachable).
     pub fn capacity(&self) -> usize {
         match &self.backend {
             Backend::Single(engine) => engine.engine().capacity(),
