@@ -166,6 +166,7 @@ fn run_dataset(
         radius: params.radius() as f32,
         strategy: QueryStrategy::optimized(),
         max_candidates: usize::MAX,
+        top_k: None,
     };
     let mut scratch = QueryScratch::new(params.m(), params.half_bits(), corpus.num_rows(), dim);
     let warm = queries.len().min(32);

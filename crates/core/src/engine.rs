@@ -53,9 +53,7 @@ use crate::params::PlshParams;
 use crate::query::{
     self, BatchStats, Neighbor, QueryContext, QueryScratch, QueryStrategy, ScratchPool,
 };
-use crate::search::{
-    rank_top_k, SearchBackend, SearchHit, SearchMode, SearchRequest, SearchResponse,
-};
+use crate::search::{SearchBackend, SearchHit, SearchMode, SearchRequest, SearchResponse};
 use crate::sparse::{CrsMatrix, SparseVector};
 use crate::table::{DeltaGeneration, StaticTables};
 
@@ -1512,6 +1510,7 @@ impl Engine {
             retired_below: view.retired_below,
             strategy: self.config.query_strategy,
             max_candidates: usize::MAX,
+            top_k: None,
         }
     }
 
@@ -1544,16 +1543,13 @@ impl Engine {
             ctx.radius = r;
         }
         // k-NN ranks everything the tables surface — radius π admits
-        // every candidate and the post-pass keeps the k closest — unless
-        // the request set an explicit radius, which then acts as a
-        // distance cap ("the k nearest within R").
-        let top_k = match req.mode() {
-            SearchMode::Knn(k) => {
-                ctx.radius = req.radius_override().unwrap_or(std::f32::consts::PI);
-                Some(k)
-            }
-            SearchMode::Radius => None,
-        };
+        // every candidate and Q4 keeps the k closest — unless the request
+        // set an explicit radius, which then acts as a distance cap ("the
+        // k nearest within R").
+        if let SearchMode::Knn(k) = req.mode() {
+            ctx.radius = req.radius_override().unwrap_or(std::f32::consts::PI);
+            ctx.top_k = Some(k);
+        }
         if let Some(budget) = req.max_candidates() {
             ctx.max_candidates = budget;
         }
@@ -1589,15 +1585,10 @@ impl Engine {
             (a, s, None)
         };
 
-        let mut results: Vec<Vec<SearchHit>> = answers
+        let results: Vec<Vec<SearchHit>> = answers
             .into_iter()
             .map(|hits| hits.into_iter().map(SearchHit::from).collect())
             .collect();
-        if let Some(k) = top_k {
-            for hits in &mut results {
-                rank_top_k(hits, k);
-            }
-        }
         Ok(SearchResponse {
             results,
             stats: req.collects_stats().then_some(stats),

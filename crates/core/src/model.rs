@@ -192,7 +192,10 @@ mod ops {
     /// Step Q2 bitvector scan, per 32 bits of `N` (paper's count).
     pub const Q2_SCAN_PER_32BITS: f64 = 14.0;
     /// Step Q3, per candidate, beyond the per-non-zero work: offsets
-    /// lookup, `acos`, radius test, loop overhead.
+    /// lookup, deletion test, prefilter compare, loop overhead. The exact
+    /// dot and `acos` run only for the few candidates the prefilter keeps
+    /// (radius hits, or contenders for a k-NN query's running top-k), so
+    /// radius and k-NN queries cost the same per candidate.
     pub const Q3_PER_CANDIDATE: f64 = 30.0;
     /// Step Q3, per non-zero of the candidate row: mask word load, bit
     /// test, multiply-add on a hit.

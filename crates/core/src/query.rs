@@ -8,8 +8,12 @@
 //!   packed half-keys of every un-merged delta generation for the points
 //!   those buckets would hold, and eliminate duplicate point ids.
 //! * **Q3** — for each unique candidate, load its data row and compute the
-//!   exact angular distance.
-//! * **Q4** — emit candidates within the radius (cheap).
+//!   angular distance: a masked dot product first, and the exact distance
+//!   only for candidates that dot cannot already rule out.
+//! * **Q4** — emit candidates within the radius (cheap), or, for a k-NN
+//!   query, keep the `k` closest in a bounded heap. Its root, the running
+//!   k-th neighbour, raises Q3's prefilter floor, so most candidates of a
+//!   k-NN query cost one masked dot and are never ranked.
 //!
 //! The [`QueryStrategy`] switches reproduce the Figure 5 ablation:
 //!
@@ -21,7 +25,7 @@
 //! | 3 | `candidate_array` | "+sw prefetch" (Section 5.2.2) |
 //! | 4 | `huge_pages` | "+large pages" (2 MB pages for the data table) |
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, BinaryHeap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -187,6 +191,10 @@ pub struct QueryContext<'a> {
     /// deadline knob, surfaced as
     /// [`SearchRequest::with_max_candidates`](crate::search::SearchRequest::with_max_candidates)).
     pub max_candidates: usize,
+    /// k-NN mode: report only the `k` closest candidates within `radius`,
+    /// ascending by `(distance, id)`. `None` is radius mode: every
+    /// candidate within `radius`, in visit order.
+    pub top_k: Option<usize>,
 }
 
 impl<'a> QueryContext<'a> {
@@ -238,6 +246,8 @@ pub struct QueryScratch {
     /// Owned output buffer: [`execute_query_into`] appends here, so a
     /// steady-state query performs no allocation at all.
     out: Vec<Neighbor>,
+    /// A k-NN query's running top-k, kept for its capacity.
+    top: BinaryHeap<u64>,
 }
 
 impl QueryScratch {
@@ -255,6 +265,7 @@ impl QueryScratch {
             qmask: vec![0u64; (dim as usize).div_ceil(64)],
             qvals: vec![0.0; dim as usize],
             out: Vec::new(),
+            top: BinaryHeap::new(),
         }
     }
 
@@ -377,7 +388,6 @@ fn candidate_phase(
     stats: &mut QueryStats,
 ) {
     debug_assert_eq!(keys.len(), allpairs::num_tables(ctx.m) as usize);
-    let dot_threshold = dot_radius_threshold(ctx.radius);
 
     // ---- Q2: merge buckets and eliminate duplicates.
     if ctx.strategy.bitvector_dedup {
@@ -404,19 +414,10 @@ fn candidate_phase(
         // (bucket-discovery order would differ between a merged and an
         // unmerged engine).
         if ctx.strategy.candidate_array || ctx.max_candidates != usize::MAX {
-            // Extraction pass: sorted unique ids, then a tight loop with
-            // software prefetch of upcoming rows (Section 5.2.2).
             let mut sorted = std::mem::take(&mut scratch.sorted);
             scratch.cand.extract_sorted(&mut sorted);
             let visited = &sorted[..sorted.len().min(ctx.max_candidates)];
-            with_query_side(ctx, query, scratch, |ctx, query, scratch| {
-                for (i, &id) in visited.iter().enumerate() {
-                    if let Some(&next) = visited.get(i + PREFETCH_DISTANCE) {
-                        prefetch_row(ctx, next);
-                    }
-                    filter_candidate(ctx, query, scratch, id, dot_threshold, out, stats);
-                }
-            });
+            filter_sorted(ctx, query, scratch, visited, out, stats);
             scratch.sorted = sorted;
         } else {
             // Walk the discovery-order candidate list in place by moving
@@ -424,9 +425,9 @@ fn candidate_phase(
             // (`CandidateSet::new(0)` does not allocate), instead of
             // copying the ids through a second buffer.
             let cand = std::mem::replace(&mut scratch.cand, CandidateSet::new(0));
-            with_query_side(ctx, query, scratch, |ctx, query, scratch| {
-                for &id in cand.candidates().iter().take(ctx.max_candidates) {
-                    filter_candidate(ctx, query, scratch, id, dot_threshold, out, stats);
+            with_query_side(ctx, query, scratch, out, stats, |scratch, hits, stats| {
+                for &id in cand.candidates() {
+                    filter_candidate(ctx, query, scratch, id, hits, stats);
                 }
             });
             scratch.cand = cand;
@@ -444,12 +445,33 @@ fn candidate_phase(
             set.insert(id);
         });
         stats.unique_candidates += set.len() as u64;
-        with_query_side(ctx, query, scratch, |ctx, query, scratch| {
+        with_query_side(ctx, query, scratch, out, stats, |scratch, hits, stats| {
             for &id in set.iter().take(ctx.max_candidates) {
-                filter_candidate(ctx, query, scratch, id, dot_threshold, out, stats);
+                filter_candidate(ctx, query, scratch, id, hits, stats);
             }
         });
     }
+}
+
+/// Q3 + Q4 over ascending candidate ids: a tight loop that software-
+/// prefetches the rows `PREFETCH_DISTANCE` candidates ahead (Section
+/// 5.2.2).
+fn filter_sorted(
+    ctx: &QueryContext<'_>,
+    query: &SparseVector,
+    scratch: &mut QueryScratch,
+    visited: &[u32],
+    out: &mut Vec<Neighbor>,
+    stats: &mut QueryStats,
+) {
+    with_query_side(ctx, query, scratch, out, stats, |scratch, hits, stats| {
+        for (i, &id) in visited.iter().enumerate() {
+            if let Some(&next) = visited.get(i + PREFETCH_DISTANCE) {
+                prefetch_row(ctx, next);
+            }
+            filter_candidate(ctx, query, scratch, id, hits, stats);
+        }
+    });
 }
 
 /// Step Q2's gather, the one copy every dedup strategy and the profiler
@@ -506,16 +528,19 @@ fn gather_candidates(
     }
 }
 
-/// Prepares (and afterwards clears) the query-side vocabulary bitvector and
-/// dense value array around the candidate loop `body`, when the optimized
-/// sparse dot product is enabled.
+/// Runs a candidate loop `body` (Q3 + Q4) and collects what it confirms
+/// into `out` through [`Hits`]. Around it, prepares and afterwards clears
+/// the query-side vocabulary bitvector and dense value array, when the
+/// optimized sparse dot product is enabled.
 fn with_query_side<F>(
     ctx: &QueryContext<'_>,
     query: &SparseVector,
     scratch: &mut QueryScratch,
+    out: &mut Vec<Neighbor>,
+    stats: &mut QueryStats,
     body: F,
 ) where
-    F: FnOnce(&QueryContext<'_>, &SparseVector, &mut QueryScratch),
+    F: FnOnce(&QueryScratch, &mut Hits<'_>, &mut QueryStats),
 {
     if ctx.strategy.optimized_sparse_dot {
         for (&d, &v) in query.indices().iter().zip(query.values()) {
@@ -523,7 +548,9 @@ fn with_query_side<F>(
             scratch.qvals[d as usize] = v;
         }
     }
-    body(ctx, query, scratch);
+    let mut hits = Hits::new(ctx, out, std::mem::take(&mut scratch.top));
+    body(scratch, &mut hits, stats);
+    scratch.top = hits.finish(stats);
     if ctx.strategy.optimized_sparse_dot {
         for &d in query.indices() {
             scratch.qmask[(d >> 6) as usize] = 0;
@@ -531,35 +558,129 @@ fn with_query_side<F>(
     }
 }
 
-/// A dot-product lower bound for the radius test: `acos` is monotone
-/// decreasing, so `acos(dot) <= R` implies `dot >= cos(R)`. Candidates
-/// whose *approximate* dot falls below `cos(R)` minus the slack are misses
-/// for certain, and the (much more expensive) exact-dot + `acos`
-/// confirmation runs only for the tiny fraction of near/actual matches —
-/// the angle-space test on the exact dot stays the decider, so reported
-/// answers are unchanged.
+/// A dot-product floor for an angle: `acos` is monotone decreasing, so
+/// `acos(dot) <= angle` implies `dot >= cos(angle)`. Candidates whose
+/// *approximate* dot falls below `cos(angle)` minus the slack lie farther
+/// than `angle` for certain, and the (much more expensive) exact-dot +
+/// `acos` confirmation runs only for the few that might not — the
+/// angle-space test on the exact dot stays the decider, so reported
+/// answers are unchanged. Q3 holds every candidate to the floor of the
+/// query radius and, in k-NN mode, of the running k-th neighbour's
+/// distance ([`Hits`]).
 ///
 /// The slack must dominate the worst divergence between the SIMD masked
 /// dot and the exact merge-join dot. The kernels' property tests tolerate
 /// up to `1e-4` of reassociation drift, so the slack is set an order of
 /// magnitude wider; the only cost of generosity is a few extra exact-dot
-/// confirmations near the boundary.
+/// confirmations near the boundary. It also dwarfs the `f32` rounding of
+/// a reported distance (`~2e-7` rad), so a candidate below the floor can
+/// never tie the k-th neighbour either.
 #[inline]
-fn dot_radius_threshold(radius: f32) -> f32 {
-    ((radius as f64).cos() - 1e-3) as f32
+fn dot_floor(angle: f32) -> f32 {
+    ((angle as f64).cos() - 1e-3) as f32
 }
 
-/// Q3 + Q4 for one candidate: skip deleted, compute the exact distance,
-/// and append a neighbor when within the radius. `dot_threshold` is the
-/// precomputed [`dot_radius_threshold`] of the query radius.
+/// A k-NN candidate's rank key: `(distance, id)` packed into one `u64`.
+/// Distances are angles in `[0, π]`, and non-negative floats order like
+/// their bit patterns, so keys order exactly as `(distance, id)` does —
+/// the order every backend reports neighbours in
+/// ([`crate::search::rank_top_k_global`] merges shards by it). A max-heap
+/// of keys holds the running k-th neighbour at its root.
+#[inline]
+fn rank_key(hit: Neighbor) -> u64 {
+    debug_assert!(hit.distance >= 0.0, "angles are non-negative");
+    (u64::from(hit.distance.to_bits()) << 32) | u64::from(hit.index)
+}
+
+#[inline]
+fn ranked(key: u64) -> Neighbor {
+    Neighbor {
+        index: key as u32,
+        distance: f32::from_bits((key >> 32) as u32),
+    }
+}
+
+/// Step Q4: where the candidates Q3 confirms go.
+///
+/// Radius mode appends every match to `out`, in visit order. k-NN mode
+/// keeps the `k` closest in a max-heap on `(distance, id)` and appends
+/// them to `out` ascending when the loop ends. Once the heap holds `k`,
+/// its root is the running k-th neighbour and a candidate must beat it,
+/// so [`floor`](Self::floor) rises from the radius's [`dot_floor`] to the
+/// root's: most candidates of a k-NN query then cost one masked dot, with
+/// no exact dot, `acos` or ranking. Which candidates are reported does
+/// not depend on the order they are visited in.
+struct Hits<'o> {
+    out: &'o mut Vec<Neighbor>,
+    /// `out.len()` before this query, to count its matches.
+    start: usize,
+    top: BinaryHeap<u64>,
+    top_k: Option<usize>,
+    radius: f32,
+    /// Candidates whose approximate dot falls below this are certain
+    /// misses: outside the radius, or farther than the k-th neighbour.
+    floor: f32,
+}
+
+impl<'o> Hits<'o> {
+    fn new(ctx: &QueryContext<'_>, out: &'o mut Vec<Neighbor>, top: BinaryHeap<u64>) -> Self {
+        debug_assert!(top.is_empty(), "finish hands back an empty heap");
+        Self {
+            start: out.len(),
+            out,
+            top,
+            top_k: ctx.top_k,
+            radius: ctx.radius,
+            floor: dot_floor(ctx.radius),
+        }
+    }
+
+    /// Offers a candidate whose exact distance Q3 computed.
+    #[inline]
+    fn offer(&mut self, hit: Neighbor) {
+        let within = hit.distance <= self.radius; // false for NaN
+        if !within {
+            return;
+        }
+        let Some(k) = self.top_k else {
+            self.out.push(hit);
+            return;
+        };
+        let key = rank_key(hit);
+        if self.top.len() < k {
+            self.top.push(key);
+        } else {
+            match self.top.peek_mut() {
+                Some(mut root) if key < *root => *root = key,
+                _ => return,
+            }
+        }
+        if self.top.len() == k {
+            if let Some(&kth) = self.top.peek() {
+                self.floor = self.floor.max(dot_floor(ranked(kth).distance));
+            }
+        }
+    }
+
+    /// Appends a k-NN query's neighbours to `out` ascending, counts the
+    /// query's matches, and hands back the (empty) heap for reuse.
+    fn finish(self, stats: &mut QueryStats) -> BinaryHeap<u64> {
+        let mut keys = self.top.into_sorted_vec();
+        self.out.extend(keys.drain(..).map(ranked));
+        stats.matches += (self.out.len() - self.start) as u64;
+        BinaryHeap::from(keys)
+    }
+}
+
+/// Q3 + Q4 for one candidate: skip deleted, prefilter on the masked dot,
+/// confirm the exact distance of what survives, and offer it to `hits`.
 #[inline]
 fn filter_candidate(
     ctx: &QueryContext<'_>,
     query: &SparseVector,
-    scratch: &mut QueryScratch,
+    scratch: &QueryScratch,
     id: u32,
-    dot_threshold: f32,
-    out: &mut Vec<Neighbor>,
+    hits: &mut Hits<'_>,
     stats: &mut QueryStats,
 ) {
     if id < ctx.retired_below {
@@ -578,28 +699,24 @@ fn filter_candidate(
         dot_sorted(idx, val, query.indices(), query.values())
     };
     stats.distance_computations += 1;
-    if dot < dot_threshold {
-        return; // certain miss: acos(dot) > R
+    if dot < hits.floor {
+        return; // certain miss
     }
     // The SIMD masked product may reassociate the sum; near `dot = 1` the
     // `acos` derivative amplifies those last bits into visible distance
     // error. The handful of candidates surviving the prefilter get an
     // exact index-ordered merge-join dot, so every strategy level and SIMD
     // mode reports the identical distance and makes the identical radius
-    // decision.
+    // and ranking decisions.
     let exact_dot = if ctx.strategy.optimized_sparse_dot {
         dot_sorted(idx, val, query.indices(), query.values())
     } else {
         dot // already the merge-join sum
     };
-    let distance = angular_from_dot(exact_dot);
-    if distance <= ctx.radius {
-        stats.matches += 1;
-        out.push(Neighbor {
-            index: id,
-            distance,
-        });
-    }
+    hits.offer(Neighbor {
+        index: id,
+        distance: angular_from_dot(exact_dot),
+    });
 }
 
 /// Issues prefetches for every bucket a query will read in Q2, in two
@@ -655,7 +772,6 @@ pub fn profile_batch(
     scratch: &mut QueryScratch,
 ) -> (Vec<Vec<Neighbor>>, QueryPhaseTimings, QueryStats) {
     let l_count = allpairs::num_tables(ctx.m) as usize;
-    let dot_threshold = dot_radius_threshold(ctx.radius);
     let mut timings = QueryPhaseTimings::default();
     let mut stats = QueryStats::default();
     let mut answers: Vec<Vec<Neighbor>> = Vec::with_capacity(queries.len());
@@ -705,14 +821,7 @@ pub fn profile_batch(
         let t1 = Instant::now();
         let mut out = Vec::new();
         let visited = &sorted[..sorted.len().min(ctx.max_candidates)];
-        with_query_side(ctx, query, scratch, |ctx, query, scratch| {
-            for (i, &id) in visited.iter().enumerate() {
-                if let Some(&next) = visited.get(i + PREFETCH_DISTANCE) {
-                    prefetch_row(ctx, next);
-                }
-                filter_candidate(ctx, query, scratch, id, dot_threshold, &mut out, &mut stats);
-            }
-        });
+        filter_sorted(ctx, query, scratch, visited, &mut out, &mut stats);
         std::hint::black_box(&out);
         scratch.cand.clear();
         timings.step_q3 += t1.elapsed();
@@ -863,15 +972,26 @@ mod tests {
     }
 
     fn fixture(n: usize, seed: u64) -> Fixture {
+        fixture_of((0..n).map(|_| None), seed)
+    }
+
+    /// A fixture whose row `i` is a copy of row `j` wherever `rows` yields
+    /// `Some(j)`, and a fresh random vector wherever it yields `None`.
+    fn fixture_of(rows: impl Iterator<Item = Option<u32>>, seed: u64) -> Fixture {
         let pool = ThreadPool::new(1);
         let dim = 64u32;
         let (m, half_bits) = (6u32, 3u32);
         let mut rng = SplitMix64::new(seed);
         let mut data = CrsMatrix::new(dim);
-        for _ in 0..n {
-            let a = rng.next_below(dim as u64) as u32;
-            let b = (a + 1 + rng.next_below(dim as u64 - 1) as u32) % dim;
-            let v = SparseVector::unit(vec![(a, 1.0), (b, rng.next_f64() as f32 + 0.1)]).unwrap();
+        for copy_of in rows {
+            let v = match copy_of {
+                Some(j) => data.row_vector(j),
+                None => {
+                    let a = rng.next_below(dim as u64) as u32;
+                    let b = (a + 1 + rng.next_below(dim as u64 - 1) as u32) % dim;
+                    SparseVector::unit(vec![(a, 1.0), (b, rng.next_f64() as f32 + 0.1)]).unwrap()
+                }
+            };
             data.push(&v).unwrap();
         }
         let planes = Hyperplanes::new_dense(dim, m * half_bits, 7, &pool);
@@ -901,12 +1021,135 @@ mod tests {
             retired_below: 0,
             strategy,
             max_candidates: usize::MAX,
+            top_k: None,
         }
     }
 
     fn sorted_hits(mut hits: Vec<Neighbor>) -> Vec<u32> {
         hits.sort_by_key(|h| h.index);
         hits.iter().map(|h| h.index).collect()
+    }
+
+    /// The k-NN answer the bounded heap must reproduce: every radius hit,
+    /// ranked by `(distance, id)` and cut at `k`.
+    fn rank_all(mut hits: Vec<Neighbor>, k: usize) -> Vec<Neighbor> {
+        hits.sort_by(|a, b| {
+            a.distance
+                .total_cmp(&b.distance)
+                .then(a.index.cmp(&b.index))
+        });
+        hits.truncate(k);
+        hits
+    }
+
+    #[test]
+    fn knn_equals_ranking_every_candidate() {
+        // Every fourth row repeats the row before it, so distances tie
+        // exactly and the id tie-break decides who makes the cut.
+        let n = 300;
+        let f = fixture_of((0..n).map(|i| (i % 4 == 3).then(|| i - 1)), 13);
+        let pool = ThreadPool::new(2);
+        let scratches = ScratchPool::new(f.m, f.half_bits, f.data.dim());
+        let mut scratch = QueryScratch::new(f.m, f.half_bits, n as usize, f.data.dim());
+        let deleted: Vec<AtomicU64> = (0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
+        for id in [5u32, 77, 151] {
+            deleted[(id / 64) as usize].fetch_or(1 << (id % 64), Ordering::Relaxed);
+        }
+        let queries: Vec<SparseVector> = [2u32, 3, 150, 299]
+            .iter()
+            .map(|&i| f.data.row_vector(i))
+            .collect();
+        let mut ties = 0;
+        for (label, strategy) in QueryStrategy::ablation_levels() {
+            for radius in [std::f32::consts::PI, 0.9] {
+                let radius_ctx = QueryContext {
+                    radius,
+                    deleted: Some(&deleted),
+                    ..ctx(&f, strategy)
+                };
+                let all: Vec<Vec<Neighbor>> = queries
+                    .iter()
+                    .map(|q| execute_query(&radius_ctx, q, &mut scratch).0)
+                    .collect();
+                for k in [0, 1, 3, 10, n as usize, usize::MAX] {
+                    let c = QueryContext {
+                        top_k: Some(k),
+                        ..radius_ctx
+                    };
+                    let want: Vec<Vec<Neighbor>> =
+                        all.iter().map(|hits| rank_all(hits.clone(), k)).collect();
+                    ties += want
+                        .iter()
+                        .flat_map(|w| w.windows(2))
+                        .filter(|w| w[0].distance == w[1].distance)
+                        .count();
+                    for (q, want) in queries.iter().zip(&want) {
+                        let (got, stats) = execute_query(&c, q, &mut scratch);
+                        assert_eq!(&got, want, "{label}, R = {radius}, k = {k}");
+                        assert_eq!(stats.matches, got.len() as u64);
+                    }
+                    let at = format!("{label}, R = {radius}, k = {k}");
+                    let (piped, _) = execute_batch_pipelined(&c, &queries, &pool, &scratches);
+                    assert_eq!(piped, want, "pipelined: {at}");
+                    let (per_query, _) = execute_batch(&c, &queries, &pool, &scratches);
+                    assert_eq!(per_query, want, "per-query: {at}");
+                    let (profiled, _, _) = profile_batch(&c, &queries, &mut scratch);
+                    assert_eq!(profiled, want, "profiled: {at}");
+                }
+            }
+        }
+        assert!(ties > 0, "the fixture must produce exact distance ties");
+    }
+
+    #[test]
+    fn knn_floor_tracks_the_kth_neighbour() {
+        let f = fixture(10, 14);
+        let hit = |index, distance| Neighbor { index, distance };
+        let mut out = Vec::new();
+        let mut stats = QueryStats::default();
+
+        // Radius mode: the floor is the radius's, whatever arrives.
+        let radius_ctx = ctx(&f, QueryStrategy::optimized());
+        let mut hits = Hits::new(&radius_ctx, &mut out, BinaryHeap::new());
+        hits.offer(hit(1, 0.1));
+        hits.offer(hit(2, 1.5)); // outside R = 0.9
+        assert_eq!(hits.floor, dot_floor(0.9));
+        hits.finish(&mut stats);
+        assert_eq!(out, vec![hit(1, 0.1)]);
+
+        // k = 2 within R = π: no floor beyond the radius's until two are
+        // held, then the k-th neighbour's, rising as it is displaced.
+        let c = QueryContext {
+            radius: std::f32::consts::PI,
+            top_k: Some(2),
+            ..radius_ctx
+        };
+        out.clear();
+        let mut hits = Hits::new(&c, &mut out, BinaryHeap::new());
+        hits.offer(hit(7, 0.5));
+        assert_eq!(hits.floor, dot_floor(std::f32::consts::PI));
+        hits.offer(hit(3, 0.3));
+        assert_eq!(hits.floor, dot_floor(0.5));
+        hits.offer(hit(9, 0.1));
+        assert_eq!(hits.floor, dot_floor(0.3));
+        hits.offer(hit(4, 0.3)); // ties the k-th on distance, loses on id
+        hits.offer(hit(2, 0.3)); // ties the k-th on distance, wins on id
+        hits.offer(hit(8, 0.4));
+        assert_eq!(hits.floor, dot_floor(0.3));
+        hits.finish(&mut stats);
+        assert_eq!(out, vec![hit(9, 0.1), hit(2, 0.3)]);
+
+        // k = 0 reports nothing.
+        let zero = QueryContext {
+            top_k: Some(0),
+            ..c
+        };
+        out.clear();
+        let mut hits = Hits::new(&zero, &mut out, BinaryHeap::new());
+        hits.offer(hit(1, 0.0));
+        hits.finish(&mut stats);
+        assert!(out.is_empty());
+        assert_eq!(stats.matches, 3);
     }
 
     #[test]
@@ -1030,6 +1273,7 @@ mod tests {
             retired_below: 0,
             strategy: QueryStrategy::optimized(),
             max_candidates: usize::MAX,
+            top_k: None,
         };
         let mut scratch = QueryScratch::new(4, 3, 0, dim);
         let q = SparseVector::unit(vec![(0, 1.0)]).unwrap();
@@ -1127,6 +1371,7 @@ mod tests {
             retired_below: 0,
             strategy: QueryStrategy::optimized(),
             max_candidates: usize::MAX,
+            top_k: None,
         };
         assert_eq!(segmented.num_points(), 200);
         let mut scratch = QueryScratch::new(f.m, f.half_bits, 200, f.data.dim());
@@ -1145,6 +1390,24 @@ mod tests {
                 let (b, b_stats) = execute_query(&segmented, &q, &mut scratch);
                 assert_eq!(sorted_hits(a), sorted_hits(b), "{label}, query {qid}");
                 assert_eq!(a_stats, b_stats, "{label}, query {qid}");
+                // k-NN ranks identically too, distances included.
+                for top_k in [Some(1), Some(5)] {
+                    let radius = std::f32::consts::PI;
+                    let full = QueryContext {
+                        radius,
+                        top_k,
+                        ..full
+                    };
+                    let segmented = QueryContext {
+                        radius,
+                        top_k,
+                        ..segmented
+                    };
+                    let (a, a_stats) = execute_query(&full, &q, &mut scratch);
+                    let (b, b_stats) = execute_query(&segmented, &q, &mut scratch);
+                    assert_eq!(a, b, "{label}, query {qid}, {top_k:?}");
+                    assert_eq!(a_stats, b_stats, "{label}, query {qid}, {top_k:?}");
+                }
             }
         }
     }

@@ -46,9 +46,12 @@ pub enum SearchMode {
     /// the request overrides it) — the paper's query semantics.
     Radius,
     /// The `k` closest points among everything the hash tables surface,
-    /// ascending by distance. Approximate, like every LSH k-NN: only
-    /// candidates sharing at least two half-keys with the query are
-    /// ranked.
+    /// ascending by distance, ties by id. Approximate, like every LSH
+    /// k-NN: only candidates sharing at least two half-keys with the query
+    /// are considered. The query kernel keeps a bounded heap of the `k`
+    /// best so far and skips the exact distance of any candidate that
+    /// cannot beat its k-th, so most candidates cost one masked dot
+    /// product, as in a radius query.
     Knn(usize),
 }
 
@@ -331,25 +334,12 @@ pub trait SearchBackend {
     fn search(&self, req: &SearchRequest, pool: &ThreadPool) -> Result<SearchResponse>;
 }
 
-/// Orders `hits` ascending by `(distance, index)` and keeps the closest
-/// `k` — the k-NN post-pass shared by every backend, so single-node and
-/// merged multi-node rankings tie-break identically.
-pub fn rank_top_k(hits: &mut Vec<SearchHit>, k: usize) {
-    hits.sort_by(|a, b| {
-        a.distance
-            .total_cmp(&b.distance)
-            .then(a.node.cmp(&b.node))
-            .then(a.index.cmp(&b.index))
-    });
-    hits.truncate(k);
-}
-
 /// The k-way top-`k` merge for coordinators whose hits carry *global* ids:
 /// orders ascending by `(distance, index)` — ignoring the node attribution,
 /// which is bookkeeping rather than identity once ids are global — and
-/// keeps the closest `k`. With globally unique ids this tie-breaks exactly
-/// like [`rank_top_k`] does on a single node (where `node` is always 0), so
-/// a sharded backend's k-NN ranking is bit-identical to one big engine's.
+/// keeps the closest `k`. With globally unique ids this is the order a
+/// single engine's query kernel ranks its own k-NN answer in, so a sharded
+/// backend's k-NN ranking is bit-identical to one big engine's.
 pub fn rank_top_k_global(hits: &mut Vec<SearchHit>, k: usize) {
     hits.sort_by(|a, b| {
         a.distance
@@ -464,38 +454,6 @@ mod tests {
         assert!(req.validate(4).is_err());
         let req = SearchRequest::query(v(vec![(0, 1.0)])).with_max_candidates(0);
         assert!(req.validate(4).is_err());
-    }
-
-    #[test]
-    fn rank_top_k_orders_and_truncates() {
-        let mut hits = vec![
-            SearchHit {
-                node: 1,
-                index: 4,
-                distance: 0.5,
-            },
-            SearchHit {
-                node: 0,
-                index: 9,
-                distance: 0.1,
-            },
-            SearchHit {
-                node: 0,
-                index: 2,
-                distance: 0.5,
-            },
-            SearchHit {
-                node: 0,
-                index: 7,
-                distance: 0.3,
-            },
-        ];
-        rank_top_k(&mut hits, 3);
-        assert_eq!(
-            hits.iter().map(|h| (h.node, h.index)).collect::<Vec<_>>(),
-            vec![(0, 9), (0, 7), (0, 2)],
-            "ascending by distance, ties by (node, index)"
-        );
     }
 
     #[test]

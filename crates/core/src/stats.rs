@@ -21,7 +21,8 @@ pub struct QueryStats {
     /// Sparse dot products evaluated (distance computations; equals
     /// `unique_candidates` minus deleted entries skipped).
     pub distance_computations: u64,
-    /// Neighbors within the radius.
+    /// Neighbors reported: every one within the radius, or in k-NN mode
+    /// the (at most `k`) closest of those.
     pub matches: u64,
 }
 
