@@ -75,7 +75,7 @@ pub fn run(f: &Fixture) -> Fig9 {
             index
                 .insert_batch(corpus.vectors())
                 .expect("routing fills every shard exactly to capacity");
-            index.flush().expect("ingest workers alive");
+            index.flush().expect("sealing every shard");
             let shards = || (0..nodes).map(|i| index.shard(i));
             let init_times: Vec<Duration> = shards()
                 .map(|shard| {

@@ -54,7 +54,7 @@ const ETA: f64 = 0.02;
 /// many times over the ingest window).
 const QUERY_SLICE: usize = 64;
 
-/// Target wall time for draining the streamed half, per scale: sets the
+/// Target wall time for streaming the second half, per scale: sets the
 /// firehose pacing so arrival resembles a rate-limited stream.
 fn ingest_target_secs(scale: Scale) -> f64 {
     match scale {
@@ -71,7 +71,8 @@ pub struct ScalingPoint {
     /// Fan-out pool threads used for queries.
     pub threads: usize,
     /// Aggregate ingest throughput: streamed points over the wall time
-    /// from first route to fully drained (includes pacing waits).
+    /// from the first insert to the last one sealed (includes pacing
+    /// waits).
     pub ingest_qps: f64,
     /// Wall time of the streamed half.
     pub ingest_elapsed: Duration,
@@ -291,7 +292,6 @@ fn run_one(
         ShardedIndex::builder(node)
             .shards(shards)
             .threads(threads)
-            .ingest_rate(rate / shards as f64)
             .build()
             .expect("valid sharded config"),
     );
@@ -300,14 +300,15 @@ fn run_one(
     index
         .insert_batch(&f.corpus.vectors()[..preload])
         .expect("preload fits");
-    index.quiesce().expect("ingest workers alive");
+    index.quiesce().expect("quiescing the preload");
     let merges_before = index.stats().merges;
 
     // Warm the query path.
     let _ = index.search(radius_req).expect("valid request");
 
-    // Ingest thread: stream the second half; pacing happens in the
-    // per-shard firehose workers.
+    // Ingest thread: stream the second half, releasing each batch once
+    // its arrival time has passed (the pacing belongs to the arrival
+    // process, not to the index).
     let done = Arc::new(AtomicBool::new(false));
     let ingest = {
         let index = index.clone();
@@ -315,10 +316,15 @@ fn run_one(
         let docs = f.corpus.vectors()[preload..].to_vec();
         std::thread::spawn(move || {
             let t0 = Instant::now();
-            for batch in docs.chunks(chunk) {
+            for (i, batch) in docs.chunks(chunk).enumerate() {
+                let due = Duration::from_secs_f64((i * chunk) as f64 / rate);
+                if let Some(wait) = due.checked_sub(t0.elapsed()) {
+                    std::thread::sleep(wait);
+                }
                 index.insert_batch(batch).expect("stream fits capacity");
             }
-            index.flush().expect("ingest workers alive"); // visibility barrier
+            // Seal the coalesced tail so every streamed point is visible.
+            index.flush().expect("sealing every shard");
             let elapsed = t0.elapsed();
             done.store(true, Ordering::Release);
             elapsed
@@ -342,7 +348,7 @@ fn run_one(
     }
     let ingest_elapsed = ingest.join().expect("ingest thread");
     let merges = index.stats().merges - merges_before;
-    index.quiesce().expect("ingest workers alive");
+    index.quiesce().expect("quiescing the stream");
 
     // Quiesced reference over the same slice, same batch count (min 5).
     let reps = during_batches.max(5);

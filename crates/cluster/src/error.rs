@@ -17,13 +17,6 @@ pub enum ClusterError {
     /// A node engine rejected an operation; the node's error is carried
     /// verbatim.
     Node(PlshError),
-    /// A shard's ingest worker thread died (it panicked) while routed
-    /// points were still in flight, so the operation can never complete.
-    /// The panic itself is re-raised when the index is dropped.
-    IngestWorkerDied {
-        /// Index of the shard whose worker is gone.
-        shard: usize,
-    },
 }
 
 impl fmt::Display for ClusterError {
@@ -31,12 +24,6 @@ impl fmt::Display for ClusterError {
         match self {
             ClusterError::Topology(msg) => write!(f, "invalid cluster topology: {msg}"),
             ClusterError::Node(e) => write!(f, "node engine error: {e}"),
-            ClusterError::IngestWorkerDied { shard } => {
-                write!(
-                    f,
-                    "shard {shard} ingest worker died with routed points still in flight"
-                )
-            }
         }
     }
 }
@@ -56,9 +43,6 @@ impl From<ClusterError> for PlshError {
                 PlshError::InvalidParams(format!("cluster topology: {msg}"))
             }
             ClusterError::Node(e) => e,
-            ClusterError::IngestWorkerDied { shard } => {
-                PlshError::Io(format!("shard {shard} ingest worker died"))
-            }
         }
     }
 }

@@ -10,8 +10,9 @@
 //! interesting behaviour is per-node. This crate therefore runs the nodes
 //! **in-process** as shards of one [`ShardedIndex`] (see [`sharded`]): it
 //! routes global id `g` to shard `g % S` of the per-shard
-//! [`plsh_core::streaming::StreamingEngine`]s (each with its own bounded,
-//! optionally paced ingest queue and background merge), fans queries out
+//! [`plsh_core::streaming::StreamingEngine`]s (each applying its slice of
+//! every batch directly and merging on its own background thread), fans
+//! queries out
 //! over the shards through a work-stealing pool, and defaults its shard
 //! count to a Section-7 performance-model prediction. Every operation
 //! takes `&self` and overlaps freely across threads.

@@ -9,15 +9,17 @@
 //!   monotonically increasing *global* id `g`; it lands on shard
 //!   `g % S` at shard-local id `g / S`, so shard `s` holds exactly the
 //!   globals `s, s+S, s+2S, …` in order and a local hit `l` translates
-//!   back as `l·S + s`. No id map is stored, and a paced per-shard
-//!   ingest queue (a bounded channel drained by one ingest thread per
-//!   shard) carries each point to its shard.
+//!   back as `l·S + s`. No id map is stored. [`ShardedIndex::insert_batch`]
+//!   splits a batch by `g % S` under the router lock and hands every
+//!   shard its slice directly, in parallel over shards; it returns once
+//!   the points are query-visible, or with the first shard's typed error.
 //! * **Each shard owns a [`StreamingEngine`].** Inserts hash and seal on
-//!   the shard's ingest thread; merges run on the shard's own background
-//!   thread at `η·C` — so merges on different shards overlap each other
-//!   *and* every query. A shard's tables are ~`1/S` of the corpus, so its
-//!   merges are ~`S×` cheaper than one shared structure's (the
-//!   shard-local-tables argument of the PIMDAL/Polynesia line of work).
+//!   the inserting thread (or a fan-out worker); merges run on the shard's
+//!   own background thread at `η·C` — so merges on different shards
+//!   overlap each other, every insert *and* every query. A shard's tables
+//!   are ~`1/S` of the corpus, so its merges are ~`S×` cheaper than one
+//!   shared structure's (the shard-local-tables argument of the
+//!   PIMDAL/Polynesia line of work).
 //! * **Queries fan out over shards.** One work-stealing task per shard
 //!   pins that shard's epoch and runs the whole request against it with
 //!   shard-local scratch; the coordinator concatenates radius answers
@@ -65,8 +67,8 @@
 //!     .build()
 //!     .unwrap();
 //! let v = SparseVector::unit(vec![(0, 1.0), (3, 2.0)]).unwrap();
+//! // Applied on return: the point is already query-visible.
 //! let ids = index.insert_batch(std::slice::from_ref(&v)).unwrap();
-//! index.flush().unwrap(); // barrier: every routed point is now query-visible
 //! let resp = index.search(&SearchRequest::query(v)).unwrap();
 //! assert!(resp.hits().iter().any(|h| h.index == ids[0]));
 //! ```
@@ -76,16 +78,14 @@ use std::fs;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use plsh_core::engine::{EngineConfig, EngineStats, MergeReport, WindowSpec};
+use plsh_core::engine::{Engine, EngineConfig, EngineStats, MergeReport, WindowSpec};
 use plsh_core::error::{PlshError, Result as CoreResult};
 use plsh_core::fault;
-use plsh_core::health::{HealthReport, WorkerHealth};
+use plsh_core::health::HealthReport;
 use plsh_core::model::{MachineProfile, PerformanceModel};
 use plsh_core::params::estimate_candidates;
 use plsh_core::persist;
@@ -95,12 +95,12 @@ use plsh_core::search::{
 use plsh_core::snapshot::Snapshot;
 use plsh_core::sparse::SparseVector;
 use plsh_core::streaming::{ShutdownReport, StreamingEngine};
-use plsh_parallel::{affinity, Backoff, ThreadPool, WorkerStatus};
+use plsh_parallel::{affinity, ThreadPool};
 
 use crate::error::{ClusterError, Result};
 
 /// Upper bound on model-picked shard counts (a runaway prediction must not
-/// spawn hundreds of ingest threads).
+/// spawn hundreds of shards, each with its own merge thread).
 const MAX_MODEL_SHARDS: usize = 64;
 
 /// Queries-per-batch assumption used when the model picks the shard count.
@@ -111,8 +111,6 @@ pub struct ShardedIndexBuilder {
     node: EngineConfig,
     shards: Option<usize>,
     threads: Option<usize>,
-    queue_batches: usize,
-    ingest_rate: Option<f64>,
     profile: Option<MachineProfile>,
 }
 
@@ -124,24 +122,10 @@ impl ShardedIndexBuilder {
         self
     }
 
-    /// Worker threads for the query fan-out pool (default: one per core).
+    /// Worker threads for the fan-out pool that runs queries and applies
+    /// inserts across shards (default: one per core).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
-        self
-    }
-
-    /// Capacity of each shard's ingest queue in batches (default 4).
-    /// Inserts apply back-pressure once a shard's queue is full.
-    pub fn queue_batches(mut self, batches: usize) -> Self {
-        self.queue_batches = batches.max(1);
-        self
-    }
-
-    /// Paces each shard's ingest queue to at most `points_per_sec` (the
-    /// paper's Twitter-rate arrival process). Default: unpaced.
-    pub fn ingest_rate(mut self, points_per_sec: f64) -> Self {
-        assert!(points_per_sec > 0.0, "ingest rate must be positive");
-        self.ingest_rate = Some(points_per_sec);
         self
     }
 
@@ -154,8 +138,7 @@ impl ShardedIndexBuilder {
     }
 
     /// Builds the index: resolves the shard count (model prediction unless
-    /// fixed), constructs one [`StreamingEngine`] per shard, and spawns the
-    /// per-shard ingest threads.
+    /// fixed) and constructs one [`StreamingEngine`] per shard.
     pub fn build(self) -> Result<ShardedIndex> {
         let fanout = match self.threads {
             Some(t) => ThreadPool::new(t),
@@ -200,210 +183,21 @@ impl ShardedIndexBuilder {
         }
         let mut node = self.node;
         node.window = None;
-        // Shard-per-core layout: shard i's ingest + merge workers pin to
-        // core i (mod host threads); the query fan-out workers spread over
-        // whatever cores the shards left free. `PLSH_PIN=off` — or a
-        // single-core host, or a kernel that refuses the syscall — turns
-        // all of this into a logged no-op.
-        let fanout = repin_fanout(fanout, shards);
-        let sync = ProgressSync::new();
-        let mut shard_handles = Vec::with_capacity(shards);
-        for i in 0..shards {
-            let pin_core = shard_core(i);
-            // Each shard's engine gets a serial pool: cross-shard
-            // parallelism comes from the fan-out pool and the per-shard
-            // ingest/merge threads, so intra-shard fan-out would only
-            // oversubscribe.
-            let engine = StreamingEngine::new(node.clone(), ThreadPool::new(1))
-                .map_err(ClusterError::Node)?;
-            if let Some(core) = pin_core {
-                engine.pin_merge_to(core);
-            }
-            let (tx, rx) = sync_channel::<ShardBatch>(self.queue_batches);
-            let progress = IngestProgress::new(sync.clone());
-            let status = Arc::new(WorkerStatus::new());
-            let worker = spawn_ingest_worker(
-                engine.clone(),
-                rx,
-                progress.clone(),
-                status.clone(),
-                self.ingest_rate,
-                pin_core,
-            );
-            shard_handles.push(Shard {
-                engine,
-                tx: Some(tx),
-                worker: Some(worker),
-                progress,
-                status,
-            });
-        }
-        Ok(ShardedIndex {
-            dim: node.params.dim(),
-            per_shard_capacity: node.capacity,
-            window,
-            shards: shard_handles,
+        let engines = (0..shards)
+            .map(|i| {
+                Engine::new(node.clone(), &ThreadPool::new(1))
+                    .map(|e| shard_handle(e, i))
+                    .map_err(ClusterError::Node)
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Ok(ShardedIndex::assemble(
+            engines,
             fanout,
-            router: Mutex::new(Router {
-                next_global: 0,
-                retire_cursor: 0,
-                births: VecDeque::new(),
-            }),
-            total: AtomicU64::new(0),
-            ingest_sync: sync,
-        })
-    }
-}
-
-/// One batch travelling down a shard's ingest queue (points already in
-/// shard-local id order), plus the shard-local retirement watermark the
-/// cluster's window cut implies after this batch — applied by the ingest
-/// thread *after* the docs land, so the watermark can cover ids the batch
-/// itself carries.
-struct ShardBatch {
-    docs: Vec<SparseVector>,
-    retire_to: Option<u32>,
-}
-
-/// One shard: a streaming engine plus its ingest queue.
-struct Shard {
-    engine: StreamingEngine,
-    tx: Option<SyncSender<ShardBatch>>,
-    worker: Option<JoinHandle<()>>,
-    /// Drain progress shared with the shard's ingest thread.
-    progress: Arc<IngestProgress>,
-    /// Supervision accounting for the ingest thread (restarts, last
-    /// panic, liveness) — surfaced through [`ShardedIndex::health`].
-    status: Arc<WorkerStatus>,
-}
-
-/// The one lock/condvar pair every shard's [`IngestProgress`] notifies
-/// through. Sharing it across the index lets cluster-wide waiters
-/// ([`ShardedIndex::wait_for_visible`]) sleep on a single condvar that
-/// *any* shard's drain progress wakes — per-shard waiters simply re-check
-/// their predicate on the (harmless) cross-shard wakeups.
-struct ProgressSync {
-    lock: Mutex<()>,
-    advanced: Condvar,
-}
-
-impl ProgressSync {
-    fn new() -> Arc<Self> {
-        Arc::new(Self {
-            lock: Mutex::new(()),
-            advanced: Condvar::new(),
-        })
-    }
-}
-
-/// Sentinel for "not pinned" in the atomic pinned-core slots.
-const NOT_PINNED: usize = usize::MAX;
-
-/// Ingest progress shared between a shard's router-side producers and its
-/// ingest thread: the queued-point count plus a condvar, so waiters
-/// ([`ShardedIndex::delete`], [`ShardedIndex::flush`]) sleep until the
-/// worker actually advances — and wake promptly if it dies instead of
-/// polling a counter that will never move again.
-struct IngestProgress {
-    /// Points routed but not yet inserted by the ingest thread
-    /// (monitoring reads stay lock-free).
-    pending: AtomicU64,
-    /// Cleared when the ingest thread exits — normally at shutdown,
-    /// abnormally on a panic that exhausted the restart budget.
-    alive: AtomicBool,
-    /// Set when the shard's engine entered degraded read-only mode: the
-    /// worker keeps draining the queue (so producers never block on a
-    /// full channel) but discards the batches, and waiters must not wait
-    /// for discarded points to land.
-    degraded: AtomicBool,
-    /// The core the shard's ingest thread actually pinned itself to
-    /// ([`NOT_PINNED`] when pinning is off or the kernel refused).
-    pinned_core: AtomicUsize,
-    /// Index-wide notification channel (shared by every shard).
-    sync: Arc<ProgressSync>,
-}
-
-impl IngestProgress {
-    fn new(sync: Arc<ProgressSync>) -> Arc<Self> {
-        Arc::new(Self {
-            pending: AtomicU64::new(0),
-            alive: AtomicBool::new(true),
-            degraded: AtomicBool::new(false),
-            pinned_core: AtomicUsize::new(NOT_PINNED),
-            sync,
-        })
-    }
-
-    /// The core the ingest worker pinned to, if pinning took effect.
-    fn pinned(&self) -> Option<usize> {
-        match self.pinned_core.load(Ordering::SeqCst) {
-            NOT_PINNED => None,
-            core => Some(core),
-        }
-    }
-
-    /// Worker-side: one batch has landed in (or been rejected by) the
-    /// engine.
-    fn batch_done(&self, points: u64) {
-        self.pending.fetch_sub(points, Ordering::SeqCst);
-        drop(self.sync.lock.lock().unwrap_or_else(|e| e.into_inner()));
-        self.sync.advanced.notify_all();
-    }
-
-    /// Worker-side, on every exit path (panics included): the thread is
-    /// gone, wake everyone still waiting on it.
-    fn mark_dead(&self) {
-        let _g = self.sync.lock.lock().unwrap_or_else(|e| e.into_inner());
-        self.alive.store(false, Ordering::SeqCst);
-        self.sync.advanced.notify_all();
-    }
-
-    /// Worker-side: the shard's engine degraded to read-only; wake
-    /// waiters so they observe the flag instead of sleeping forever on
-    /// points that will never land.
-    fn set_degraded(&self) {
-        let _g = self.sync.lock.lock().unwrap_or_else(|e| e.into_inner());
-        self.degraded.store(true, Ordering::SeqCst);
-        self.sync.advanced.notify_all();
-    }
-
-    fn clear_degraded(&self) {
-        self.degraded.store(false, Ordering::SeqCst);
-    }
-
-    fn is_degraded(&self) -> bool {
-        self.degraded.load(Ordering::SeqCst)
-    }
-
-    /// Blocks until `done()` holds or the worker dies; `true` means the
-    /// condition was reached. `done` must read state the worker updates
-    /// *before* it notifies (the engine length, the pending counter).
-    ///
-    /// `bail_on_degraded` decides what a degraded shard means for this
-    /// waiter: a degraded worker still *drains* (and discards) the queue,
-    /// so drain-progress conditions (`pending == 0`) keep advancing and
-    /// must keep waiting — but visibility conditions (`engine.len() >
-    /// local`) can never come true for a discarded point, so those
-    /// waiters bail and re-check once.
-    fn wait_until(&self, done: impl Fn() -> bool, bail_on_degraded: bool) -> bool {
-        let mut g = self.sync.lock.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if done() {
-                return true;
-            }
-            if !self.alive.load(Ordering::SeqCst)
-                || (bail_on_degraded && self.degraded.load(Ordering::SeqCst))
-            {
-                // The worker may have completed this very work on its way
-                // out; one final check decides.
-                return done();
-            }
-            g = self
-                .sync
-                .advanced
-                .wait(g)
-                .unwrap_or_else(|e| e.into_inner());
-        }
+            node.capacity,
+            window,
+            0,
+            0,
+        ))
     }
 }
 
@@ -428,10 +222,40 @@ struct Router {
     births: VecDeque<(Instant, u32)>,
 }
 
+impl Router {
+    /// Advances the window to the stream head after a batch of
+    /// `batch_len` points: returns the new global cut when it moved.
+    fn advance_window(&mut self, window: Option<WindowSpec>, batch_len: usize) -> Option<u32> {
+        let cut = match window? {
+            WindowSpec::Docs(size) => self.next_global.saturating_sub(size),
+            WindowSpec::Duration(d) => {
+                let now = Instant::now();
+                if batch_len > 0 {
+                    self.births.push_back((now, self.next_global));
+                }
+                let mut cut = self.retire_cursor;
+                while let Some(&(at, end)) = self.births.front() {
+                    if now.duration_since(at) < d {
+                        break;
+                    }
+                    cut = cut.max(end);
+                    self.births.pop_front();
+                }
+                cut
+            }
+        };
+        if cut <= self.retire_cursor {
+            return None;
+        }
+        self.retire_cursor = cut;
+        Some(cut)
+    }
+}
+
 /// Aggregate accounting for a sharded index.
 #[derive(Debug, Clone)]
 pub struct ShardedStats {
-    /// Points per shard (routed, including queued ones).
+    /// Points each shard holds.
     pub points_per_shard: Vec<usize>,
     /// Sum of per-shard merge counts.
     pub merges: u64,
@@ -440,7 +264,7 @@ pub struct ShardedStats {
 }
 
 impl ShardedStats {
-    /// Total routed points.
+    /// Total points across the shards.
     pub fn total_points(&self) -> usize {
         self.points_per_shard.iter().sum()
     }
@@ -462,25 +286,20 @@ impl ShardedStats {
 /// The shard-per-core streaming cluster (see the module docs).
 ///
 /// All operations take `&self`; ingest, merges, and queries overlap freely
-/// across threads. Routing and queueing serialize on an internal mutex;
-/// queries never touch it.
+/// across threads. Inserts serialize on an internal router mutex; queries
+/// never touch it.
 pub struct ShardedIndex {
     dim: u32,
     per_shard_capacity: usize,
     /// The cluster-level sliding window (shard engines are windowless;
     /// the router ships them explicit cuts — see [`Router`]).
     window: Option<WindowSpec>,
-    shards: Vec<Shard>,
+    shards: Vec<StreamingEngine>,
     fanout: ThreadPool,
     router: Mutex<Router>,
-    /// Mirror of `Router::next_global` for lock-free `len()` — the router
-    /// mutex is held across back-pressured queue sends, so readers must
-    /// not need it.
+    /// Mirror of `Router::next_global` for lock-free `len()` — readers
+    /// never wait behind an insert holding the router mutex.
     total: AtomicU64,
-    /// The condvar every shard's ingest thread notifies per drained batch
-    /// — the cluster-wide sleep channel for
-    /// [`wait_for_visible`](Self::wait_for_visible).
-    ingest_sync: Arc<ProgressSync>,
 }
 
 impl ShardedIndex {
@@ -492,9 +311,35 @@ impl ShardedIndex {
             node,
             shards: None,
             threads: None,
-            queue_batches: 4,
-            ingest_rate: None,
             profile: None,
+        }
+    }
+
+    /// The one constructor behind [`ShardedIndexBuilder::build`] and
+    /// [`recover_from`](Self::recover_from): the router starts at stream
+    /// position `next_global` with the window cut at `retire_cursor`. The
+    /// query fan-out workers spread over whatever cores the shards'
+    /// pinned merge workers left free.
+    fn assemble(
+        shards: Vec<StreamingEngine>,
+        fanout: ThreadPool,
+        per_shard_capacity: usize,
+        window: Option<WindowSpec>,
+        next_global: u32,
+        retire_cursor: u32,
+    ) -> ShardedIndex {
+        ShardedIndex {
+            dim: shards[0].engine().params().dim(),
+            per_shard_capacity,
+            window,
+            fanout: repin_fanout(fanout, shards.len()),
+            shards,
+            total: AtomicU64::new(next_global as u64),
+            router: Mutex::new(Router {
+                next_global,
+                retire_cursor,
+                births: VecDeque::new(),
+            }),
         }
     }
 
@@ -536,7 +381,7 @@ impl ShardedIndex {
 
     /// Borrow one shard's streaming engine (tests, experiments).
     pub fn shard(&self, i: usize) -> &StreamingEngine {
-        &self.shards[i].engine
+        &self.shards[i]
     }
 
     /// The query fan-out pool.
@@ -544,9 +389,8 @@ impl ShardedIndex {
         &self.fanout
     }
 
-    /// Total points routed into the index (some may still be in flight in
-    /// shard queues; [`flush`](Self::flush) is the visibility barrier).
-    /// Lock-free: never stalls behind a back-pressured `insert_batch`.
+    /// Global ids assigned so far (a batch still being applied included).
+    /// Lock-free: never stalls behind an insert in progress.
     pub fn len(&self) -> usize {
         self.total.load(Ordering::Acquire) as usize
     }
@@ -559,23 +403,30 @@ impl ShardedIndex {
     /// Points currently visible to queries (static + sealed across all
     /// shards).
     pub fn visible_len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.engine.engine().visible_len())
-            .sum()
+        self.shards.iter().map(|s| s.engine().visible_len()).sum()
     }
 
-    /// Routes a batch into the per-shard ingest queues; returns the global id
-    /// of every point, in input order.
+    /// Routes a batch across the shards and applies it; returns the global
+    /// id of every point, in input order.
     ///
-    /// The batch is all-or-nothing: dimensionality and per-shard capacity
-    /// are validated before anything is enqueued. Points become
-    /// query-visible when their shard's ingest thread has drained them —
-    /// immediately under light load, or after back-pressure delay when a
-    /// shard's queue is full ([`flush`](Self::flush) waits for all of it).
-    /// Back-pressure also serializes concurrent `insert_batch` callers
-    /// (routing order must match queue order); queries, `len`, and
-    /// `stats` never wait on it.
+    /// Under the router lock the batch is validated, every shard is
+    /// checked — it holds exactly its routed ids, and the engine's own
+    /// [`admit`](Engine::admit) rule accepts its slice — ids are assigned,
+    /// and every shard inserts its slice and then advances its window
+    /// watermark, in parallel over shards on the fan-out pool at
+    /// background priority. On `Ok` every point is applied (and
+    /// query-visible, unless `seal_min_points > 1` buffers it until
+    /// [`flush`](Self::flush)).
+    ///
+    /// The checks are exact, so a refusal — a full or degraded shard — is
+    /// whole and typed: nothing else inserts while the lock is held, and a
+    /// concurrent merge can only free room. A failure past them (a disk
+    /// error on one shard mid-apply) returns that shard's typed error; the
+    /// shard is then short of its routed ids, and every later write is
+    /// refused with [`PlshError::Degraded`] until
+    /// [`recover_from`](Self::recover_from) truncates the persisted index
+    /// to its contiguous prefix. Concurrent callers serialize on the
+    /// router lock; queries, `len`, and `stats` never wait on it.
     pub fn insert_batch(&self, vs: &[SparseVector]) -> Result<Vec<u32>> {
         for v in vs {
             if let Some(max) = v.max_index() {
@@ -588,125 +439,44 @@ impl ShardedIndex {
             }
         }
         let mut router = self.router.lock().unwrap_or_else(|e| e.into_inner());
-        if router.next_global as usize + vs.len() > u32::MAX as usize {
+        let from = router.next_global;
+        if from as usize + vs.len() > u32::MAX as usize {
             return Err(ClusterError::Node(PlshError::CapacityExceeded {
                 capacity: u32::MAX as usize,
             }));
         }
-        // Check capacity for the whole batch before applying any of it.
+        let to = from + vs.len() as u32;
         let n = self.shards.len();
-        let (from, to) = (router.next_global, router.next_global + vs.len() as u32);
-        for shard in 0..n {
-            if routed(to, shard, n) == routed(from, shard, n) {
-                continue;
-            }
-            // Occupancy counts live rows only: a window's retired prefix
-            // is reclaimed by each shard's merge compaction, so it does
-            // not consume capacity (without a window the cursor stays at
-            // zero and this is the classic check).
-            let live = routed(to, shard, n) - routed(router.retire_cursor, shard, n);
-            if live > self.per_shard_capacity {
-                return Err(ClusterError::Node(PlshError::CapacityExceeded {
-                    capacity: self.per_shard_capacity,
-                }));
-            }
-            // Fail fast instead of queueing onto a worker that can never
-            // land the points.
-            let target = &self.shards[shard];
-            if !target.progress.alive.load(Ordering::SeqCst) {
-                return Err(ClusterError::IngestWorkerDied { shard });
-            }
-            if target.progress.is_degraded() {
-                return Err(ClusterError::Node(PlshError::Degraded(
-                    target
-                        .engine
-                        .engine()
-                        .degraded_reason()
-                        .unwrap_or_else(|| "shard ingest degraded to read-only".into()),
-                )));
-            }
+        self.check_routing(from)?;
+        for (s, shard) in self.shards.iter().enumerate() {
+            shard
+                .engine()
+                .admit(routed(to, s, n) - routed(from, s, n))?;
         }
-        // Apply: assign ids, then enqueue. The router lock is held across
-        // the channel sends so that concurrent insert_batch calls cannot
-        // interleave their per-shard queue order with id order — a shard's
-        // local ids are its engine's arrival order.
-        let ids: Vec<u32> = (from..to).collect();
         let mut per_shard: Vec<Vec<SparseVector>> = vec![Vec::new(); n];
-        for (&gid, v) in ids.iter().zip(vs) {
-            per_shard[self.route(gid)].push(v.clone());
+        for (g, v) in (from..to).zip(vs) {
+            per_shard[self.route(g)].push(v.clone());
         }
         router.next_global = to;
         self.total.store(to as u64, Ordering::Release);
-        // Advance the sliding window to the new stream head; the global
-        // cut maps to each shard's local watermark in closed form.
-        let mut cuts: Vec<Option<u32>> = vec![None; n];
-        if let Some(spec) = self.window {
-            let cut = match spec {
-                WindowSpec::Docs(size) => router.next_global.saturating_sub(size),
-                WindowSpec::Duration(d) => {
-                    let now = Instant::now();
-                    if !vs.is_empty() {
-                        let end = router.next_global;
-                        router.births.push_back((now, end));
-                    }
-                    let mut cut = router.retire_cursor;
-                    while let Some(&(at, end)) = router.births.front() {
-                        if now.duration_since(at) < d {
-                            break;
-                        }
-                        cut = cut.max(end);
-                        router.births.pop_front();
-                    }
-                    cut
+        let cut = router.advance_window(self.window, vs.len());
+        let applied = self.fanout.background().parallel_map(
+            self.shards.iter().zip(per_shard).enumerate(),
+            |(s, (shard, docs))| -> CoreResult<()> {
+                fault::point(fault::INGEST_BATCH);
+                if !docs.is_empty() {
+                    shard.insert_batch(&docs)?;
                 }
-            };
-            if cut > router.retire_cursor {
-                for (shard, slot) in cuts.iter_mut().enumerate() {
-                    let retired = routed(cut, shard, n);
-                    if retired > routed(router.retire_cursor, shard, n) {
-                        *slot = Some(retired as u32);
-                    }
+                // After the docs: the cut may cover ids this very batch
+                // carried, and `retire_to` clamps to the assigned range.
+                if let Some(cut) = cut {
+                    shard.retire_to(routed(cut, s, n) as u32)?;
                 }
-                router.retire_cursor = cut;
-            }
-        }
-        // A dead shard's ids are lost, but the others still get theirs:
-        // their local ids must stay `gid / S`.
-        let mut died = None;
-        for (shard, docs) in per_shard.into_iter().enumerate() {
-            // Shards whose watermark advanced but got no docs still
-            // receive an (empty) batch carrying the cut, so the window
-            // edge stays consistent across shards.
-            let retire_to = cuts[shard];
-            if docs.is_empty() && retire_to.is_none() {
-                continue;
-            }
-            let len = docs.len();
-            self.shards[shard]
-                .progress
-                .pending
-                .fetch_add(len as u64, Ordering::SeqCst);
-            let sent = self.shards[shard]
-                .tx
-                .as_ref()
-                .expect("ingest queues live as long as the index")
-                .send(ShardBatch { docs, retire_to });
-            if sent.is_err() {
-                // The worker died between the pre-check and the send (the
-                // channel is disconnected, so this returns immediately —
-                // it can never block forever on a dead drain). The ids
-                // routed to the dead shard are lost; surface that.
-                self.shards[shard]
-                    .progress
-                    .pending
-                    .fetch_sub(len as u64, Ordering::SeqCst);
-                died.get_or_insert(shard);
-            }
-        }
-        match died {
-            Some(shard) => Err(ClusterError::IngestWorkerDied { shard }),
-            None => Ok(ids),
-        }
+                Ok(())
+            },
+        );
+        applied.into_iter().collect::<CoreResult<()>>()?;
+        Ok((from..to).collect())
     }
 
     /// Inserts one vector; returns its global id.
@@ -714,97 +484,43 @@ impl ShardedIndex {
         Ok(self.insert_batch(std::slice::from_ref(&v))?[0])
     }
 
-    /// Visibility barrier: blocks until every routed point has been
-    /// drained from the shard queues and sealed (so all of them are
-    /// query-visible) and, under a window, every shard's retirement
-    /// watermark has reached the router's cut. Does *not* wait for
-    /// background merges — answers are identical either way.
-    ///
-    /// Waits on each shard's ingest condvar (woken per drained batch, so
-    /// a paced queue sleeps instead of spinning). Returns
-    /// [`ClusterError::IngestWorkerDied`] if a shard's ingest worker died
-    /// with routed points undrained — the barrier can never be reached —
-    /// instead of blocking forever. A *degraded* shard still flushes
-    /// `Ok`: its worker keeps draining (discarding) the queue, and the
-    /// degradation itself is reported by [`health`](Self::health) and by
-    /// every write.
-    pub fn flush(&self) -> Result<()> {
-        for (i, shard) in self.shards.iter().enumerate() {
-            // A degraded worker keeps draining (discarding), so the
-            // barrier is still reachable: wait through degradation.
-            let drained = shard
-                .progress
-                .wait_until(|| shard.progress.pending.load(Ordering::SeqCst) == 0, false);
-            if !drained {
-                return Err(ClusterError::IngestWorkerDied { shard: i });
-            }
-            // Seal anything a seal_min_points > 1 config left buffered.
-            shard.engine.seal();
-        }
-        if self.window.is_some() {
-            // A batch carrying only a window cut holds no points, so the
-            // drain above does not wait for it: re-apply the router's cuts
-            // (watermarks are monotone, so this is idempotent) to leave the
-            // window edge consistent across shards when the barrier returns.
-            let cut = self.retired_below();
-            for (i, shard) in self.shards.iter().enumerate() {
-                // A degraded shard refuses; `health` reports that.
-                let _ = shard
-                    .engine
-                    .retire_to(routed(cut, i, self.shards.len()) as u32);
+    /// The routing invariant at stream position `next`: shard `s` holds
+    /// exactly `routed(next, s, S)` ids. A shard that failed mid-apply is
+    /// short of them; writing on would misroute every later id, so the
+    /// index reports itself degraded until recovery truncates it.
+    fn check_routing(&self, next: u32) -> CoreResult<()> {
+        let n = self.shards.len();
+        for (s, shard) in self.shards.iter().enumerate() {
+            let want = routed(next, s, n);
+            if shard.len() != want {
+                return Err(PlshError::Degraded(format!(
+                    "shard {s} holds {} ids but routing assigned it {want}; \
+                     recover the persisted index to its contiguous prefix",
+                    shard.len()
+                )));
             }
         }
         Ok(())
     }
 
-    /// Query-visibility back-pressure: blocks until at least `min` points
-    /// are visible to queries across the shards, then returns the visible
-    /// count. Sleeps on the cluster-wide ingest condvar (woken once per
-    /// drained batch by any shard) instead of polling
-    /// [`visible_len`](Self::visible_len) in a spin loop.
-    ///
-    /// This is a *liveness* barrier for readers racing a live writer: it
-    /// gives up — returning the current, possibly smaller, count — only
-    /// when every shard's ingest worker has died, since visibility could
-    /// then never advance. It does not time out; with no writer and no
-    /// routed points it waits indefinitely. A degraded shard's worker
-    /// keeps draining (and notifying), so degradation alone never wedges
-    /// it, but discarded points do not count toward `min` — callers
-    /// asserting exact totals should use [`flush`](Self::flush), which
-    /// reports degradation explicitly.
-    pub fn wait_for_visible(&self, min: usize) -> usize {
-        let mut g = self
-            .ingest_sync
-            .lock
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        loop {
-            let visible = self.visible_len();
-            if visible >= min {
-                return visible;
-            }
-            let all_dead = self
-                .shards
-                .iter()
-                .all(|s| !s.progress.alive.load(Ordering::SeqCst));
-            if all_dead {
-                return visible;
-            }
-            g = self
-                .ingest_sync
-                .advanced
-                .wait(g)
-                .unwrap_or_else(|e| e.into_inner());
+    /// Seals every shard's open generation, so points a
+    /// `seal_min_points > 1` configuration left buffered become
+    /// query-visible. Every acknowledged insert is already applied; this
+    /// does *not* wait for background merges — answers are identical
+    /// either way.
+    pub fn flush(&self) -> Result<()> {
+        for shard in &self.shards {
+            shard.seal();
         }
+        Ok(())
     }
 
     /// Full quiesce: [`flush`](Self::flush), then fold every shard's
     /// sealed generations into its static tables (waiting out in-flight
     /// background merges first).
     pub fn quiesce(&self) -> Result<()> {
-        self.flush()?;
         for shard in &self.shards {
-            shard.engine.flush();
+            shard.flush();
         }
         Ok(())
     }
@@ -816,13 +532,13 @@ impl ShardedIndex {
     pub fn merge_all_in_background(&self) -> usize {
         self.shards
             .iter()
-            .filter(|s| s.engine.merge_in_background())
+            .filter(|s| s.merge_in_background())
             .count()
     }
 
     /// True while any shard has a background merge building.
     pub fn any_merge_in_flight(&self) -> bool {
-        self.shards.iter().any(|s| s.engine.merge_in_flight())
+        self.shards.iter().any(|s| s.merge_in_flight())
     }
 
     /// Blocks until every shard's in-flight background merge (if any) has
@@ -830,118 +546,56 @@ impl ShardedIndex {
     /// [`quiesce`](Self::quiesce) for that.
     pub fn wait_for_merges(&self) {
         for shard in &self.shards {
-            shard.engine.wait_for_merge();
+            shard.wait_for_merge();
         }
     }
 
     /// Deadline-bounded graceful drain, the sharded counterpart of
-    /// [`StreamingEngine::shutdown`]: best-effort wait for the routed
-    /// ingest backlog to drain (a dead worker's backlog can never drain —
-    /// that shard is skipped rather than waited on), then shut each
-    /// shard's engine down within what remains of the deadline. The
-    /// folded report ANDs `drained` and ORs `merge_abandoned`, so
-    /// `drained: false` means at least one shard kept undrained or
-    /// unsealed rows.
+    /// [`StreamingEngine::shutdown`]: shuts each shard's engine down
+    /// within what remains of the deadline. The folded report ANDs
+    /// `drained` and ORs `merge_abandoned`, so `drained: false` means at
+    /// least one shard kept unsealed rows.
     pub fn shutdown(&self, deadline: Duration) -> ShutdownReport {
         let end = Instant::now() + deadline;
-        let mut drained = true;
+        let mut folded = ShutdownReport {
+            drained: true,
+            merge_abandoned: false,
+        };
         for shard in &self.shards {
-            while shard.progress.pending.load(Ordering::SeqCst) > 0
-                && shard.progress.alive.load(Ordering::SeqCst)
-                && Instant::now() < end
-            {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            drained &= shard.progress.pending.load(Ordering::SeqCst) == 0;
+            let report = shard.shutdown(end.saturating_duration_since(Instant::now()));
+            folded.drained &= report.drained;
+            folded.merge_abandoned |= report.merge_abandoned;
         }
-        let mut merge_abandoned = false;
-        for shard in &self.shards {
-            let remaining = end.saturating_duration_since(Instant::now());
-            let report = shard.engine.shutdown(remaining);
-            drained &= report.drained;
-            merge_abandoned |= report.merge_abandoned;
-        }
-        ShutdownReport {
-            drained,
-            merge_abandoned,
-        }
+        folded
     }
 
     /// Tombstones a point by global id; `Ok(false)` if unknown or already
-    /// deleted. If the point is still in flight in its shard's ingest
-    /// queue, this waits on the shard's ingest condvar (woken per drained
-    /// batch — no polling) for it to land first; the id was assigned at
-    /// routing time, so it arrives unless the shard's ingest worker has
-    /// died, in which case this returns
-    /// [`ClusterError::IngestWorkerDied`] instead of waiting forever.
+    /// deleted.
     pub fn delete(&self, id: u32) -> Result<bool> {
         if id as usize >= self.len() {
             return Ok(false);
         }
-        let local = self.local(id);
-        let shard_id = self.route(id);
-        let shard = &self.shards[shard_id];
-        let landed = shard
-            .progress
-            .wait_until(|| shard.engine.len() > local as usize, true);
-        if !landed {
-            if shard.progress.is_degraded() {
-                // The point was discarded by a degraded shard: it will
-                // never land, and the write path is read-only anyway.
-                return Err(ClusterError::Node(PlshError::Degraded(
-                    shard
-                        .engine
-                        .engine()
-                        .degraded_reason()
-                        .unwrap_or_else(|| "shard ingest degraded to read-only".into()),
-                )));
-            }
-            // The ingest worker exited while the point was still in
-            // flight: it will never land.
-            return Err(ClusterError::IngestWorkerDied { shard: shard_id });
-        }
-        shard
-            .engine
+        Ok(self.shards[self.route(id)]
             .engine()
-            .try_delete(local)
-            .map_err(ClusterError::Node)
+            .try_delete(self.local(id))?)
     }
 
     /// The stored vector for global id `id`, or `None` when the id is
-    /// unknown, still in flight, or purged by a past merge.
+    /// unknown, retired, or purged by a past merge.
     pub fn vector(&self, id: u32) -> Option<SparseVector> {
         if id as usize >= self.len() {
             return None;
         }
-        self.shards[self.route(id)]
-            .engine
-            .engine()
-            .vector(self.local(id))
+        self.shards[self.route(id)].engine().vector(self.local(id))
     }
 
-    /// Aggregate accounting. Lock-free with respect to the router (so a
-    /// monitoring thread never stalls behind a back-pressured
-    /// `insert_batch`): per-shard occupancy is read as drained points
-    /// plus queued points, an advisory snapshot that can momentarily lag
-    /// an in-flight routing by a batch.
+    /// Aggregate accounting, read shard by shard without the router lock
+    /// (a monitoring thread never stalls behind an insert), so it can lag
+    /// an insert in progress by a batch.
     pub fn stats(&self) -> ShardedStats {
-        let engines: Vec<EngineStats> = self
-            .shards
-            .iter()
-            .map(|s| {
-                let mut e = s.engine.stats();
-                e.pending_ingest = s.progress.pending.load(Ordering::SeqCst);
-                e
-            })
-            .collect();
-        let points_per_shard = self
-            .shards
-            .iter()
-            .zip(&engines)
-            .map(|(s, e)| e.total_points + s.progress.pending.load(Ordering::SeqCst) as usize)
-            .collect();
+        let engines: Vec<EngineStats> = self.shards.iter().map(|s| s.stats()).collect();
         ShardedStats {
-            points_per_shard,
+            points_per_shard: engines.iter().map(|e| e.total_points).collect(),
             merges: engines.iter().map(|e| e.merges).sum(),
             engines,
         }
@@ -949,7 +603,7 @@ impl ShardedIndex {
 
     /// Most recent merge reports, one per shard.
     pub fn last_merges(&self) -> Vec<MergeReport> {
-        self.shards.iter().map(|s| s.engine.last_merge()).collect()
+        self.shards.iter().map(|s| s.last_merge()).collect()
     }
 
     /// Answers one [`SearchRequest`] with the index's own fan-out pool —
@@ -995,11 +649,11 @@ impl ShardedIndex {
         let partials: Vec<CoreResult<SearchResponse>> = match &shard_reqs {
             Some(reqs) => pool.parallel_map(self.shards.iter().zip(reqs), |(shard, r)| {
                 fault::point(fault::QUERY_SHARD);
-                shard.engine.search(r)
+                shard.search(r)
             }),
             None => pool.parallel_map(self.shards.iter(), |shard| {
                 fault::point(fault::QUERY_SHARD);
-                shard.engine.search(req)
+                shard.search(req)
             }),
         };
         merge_partial_responses(
@@ -1040,7 +694,7 @@ impl ShardedIndex {
         let slots: Arc<Slots> =
             Arc::new((Mutex::new((0..n).map(|_| None).collect()), Condvar::new()));
         for (i, (shard, r)) in self.shards.iter().zip(shard_reqs).enumerate() {
-            let engine = shard.engine.clone();
+            let engine = shard.clone();
             let slots = Arc::clone(&slots);
             std::thread::spawn(move || {
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -1102,44 +756,44 @@ impl ShardedIndex {
         Ok(resp)
     }
 
-    /// Aggregate health: every shard engine's report (names prefixed
-    /// `shard<i>.`) plus one ingest-worker entry per shard. `degraded` is
-    /// the OR across shards; `pending_ingest` sums the routed-not-drained
-    /// backlog.
+    /// Aggregate health: every shard engine's report, worker names
+    /// prefixed `shard<i>.`. `degraded` is the OR across shards, and is
+    /// also set while a shard is short of its routed ids — exactly when
+    /// [`insert_batch`](Self::insert_batch) refuses every write.
     pub fn health(&self) -> HealthReport {
         let mut report = HealthReport::default();
         for (i, shard) in self.shards.iter().enumerate() {
-            let mut child = shard.engine.health();
-            child.pending_ingest = shard.progress.pending.load(Ordering::SeqCst);
-            report.absorb(&format!("shard{i}"), child);
-            report.workers.push(WorkerHealth {
-                name: format!("shard{i}.ingest"),
-                alive: shard.status.alive() && shard.progress.alive.load(Ordering::SeqCst),
-                restarts: shard.status.restarts(),
-                last_panic: shard.status.last_panic(),
-                pinned_core: shard.progress.pinned(),
-            });
+            report.absorb(&format!("shard{i}"), shard.health());
+        }
+        if !report.degraded {
+            if let Err(PlshError::Degraded(reason)) = self.check_routing(self.next_global()) {
+                report.degraded = true;
+                report.degraded_reason = Some(reason);
+            }
         }
         report
+    }
+
+    /// The router's next global id. Waits for an insert in progress, so
+    /// every shard has settled on it.
+    fn next_global(&self) -> u32 {
+        self.router
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .next_global
     }
 
     /// Attempts to lift every degraded shard back to read-write by
     /// re-syncing its persistence from memory (see
     /// [`Engine::heal`](plsh_core::engine::Engine::heal)). Returns `true`
-    /// when no shard remains degraded. Ingest workers that exhausted
-    /// their restart budget stay dead — they exit their thread, so only
-    /// reconstruction ([`recover_from`](Self::recover_from)) revives
-    /// them.
+    /// when the index is writable again: no shard degraded, and none short
+    /// of its routed ids (that takes [`recover_from`](Self::recover_from)).
     pub fn heal(&self) -> bool {
-        let mut ok = true;
+        let mut healed = true;
         for shard in &self.shards {
-            if shard.engine.heal() {
-                shard.progress.clear_degraded();
-            } else {
-                ok = false;
-            }
+            healed &= shard.heal();
         }
-        ok
+        healed && self.check_routing(self.next_global()).is_ok()
     }
 
     /// Captures the whole sharded corpus as one flattened [`Snapshot`] in
@@ -1155,13 +809,10 @@ impl ShardedIndex {
     /// ids; restore replays the purges through its own merge, so the
     /// purge accounting survives the round-trip.
     ///
-    /// Calls [`flush`](Self::flush) first so every routed point is
+    /// Calls [`flush`](Self::flush) first so every applied point is
     /// captured; inserts racing the capture are truncated to the longest
     /// dense global-id prefix.
     pub fn snapshot(&self) -> Snapshot {
-        // Best-effort barrier: a dead or degraded shard cannot drain, so
-        // capture whatever landed (the dense-prefix truncation below
-        // keeps the snapshot consistent regardless).
         let _ = self.flush();
         // The flattened snapshot starts at the cluster's window cut:
         // globals below it are dead by range tombstone, and some of their
@@ -1177,7 +828,7 @@ impl ShardedIndex {
         let caps: Vec<Snapshot> = self
             .shards
             .iter()
-            .map(|s| Snapshot::capture(s.engine.engine()))
+            .map(|s| Snapshot::capture(s.engine()))
             .collect();
         let mut rows: Vec<Option<SparseVector>> = vec![None; total - cut];
         let mut deleted = Vec::new();
@@ -1241,10 +892,7 @@ impl ShardedIndex {
             )));
         }
         for (i, shard) in self.shards.iter().enumerate() {
-            shard
-                .engine
-                .persist_to(shard_dir(dir, i))
-                .map_err(ClusterError::Node)?;
+            shard.persist_to(shard_dir(dir, i))?;
         }
         let manifest = encode_cluster_manifest(
             self.shards.len() as u32,
@@ -1279,7 +927,7 @@ impl ShardedIndex {
         })?;
         let (num_shards, dim, per_shard_capacity, window) =
             decode_cluster_manifest(&bytes).map_err(io_cluster)?;
-        let fanout = repin_fanout(ThreadPool::default(), num_shards as usize);
+        let fanout = ThreadPool::default();
         let states = (0..num_shards as usize)
             .map(|i| persist::load_state(shard_dir(dir, i)))
             .collect::<io::Result<Vec<_>>>()
@@ -1303,14 +951,12 @@ impl ShardedIndex {
             .map(|(i, st)| (covered(st) * s + i).min(u32::MAX as usize))
             .min()
             .expect("at least one shard") as u32;
-        let sync = ProgressSync::new();
-        let mut shard_handles = Vec::with_capacity(s);
+        let mut shards = Vec::with_capacity(s);
         for (i, st) in states.iter().enumerate() {
             let sdir = shard_dir(dir, i);
             let keep = routed(total, i, s);
             let engine = if keep == covered(st) {
-                persist::recover_engine_from_state(&sdir, st, &fanout)
-                    .map_err(ClusterError::Node)?
+                persist::recover_engine_from_state(&sdir, st, &fanout)?
             } else {
                 // This shard ran ahead of the crashed batch: rebuild the
                 // kept prefix and lay down a fresh baseline. `keep` counts
@@ -1318,35 +964,12 @@ impl ShardedIndex {
                 // past the compaction cut (saturating: a truncation point
                 // inside the compacted prefix keeps no rows).
                 let resident = keep.saturating_sub(st.static_base() as usize);
-                let engine = persist::rebuild_engine(st, Some(resident), &fanout)
-                    .map_err(ClusterError::Node)?;
+                let engine = persist::rebuild_engine(st, Some(resident), &fanout)?;
                 fs::remove_dir_all(&sdir).map_err(io_cluster)?;
-                engine.persist_to(&sdir).map_err(ClusterError::Node)?;
+                engine.persist_to(&sdir)?;
                 engine
             };
-            let streaming = StreamingEngine::from_engine(engine, ThreadPool::new(1));
-            let pin_core = shard_core(i);
-            if let Some(core) = pin_core {
-                streaming.pin_merge_to(core);
-            }
-            let (tx, rx) = sync_channel::<ShardBatch>(4);
-            let progress = IngestProgress::new(sync.clone());
-            let status = Arc::new(WorkerStatus::new());
-            let worker = spawn_ingest_worker(
-                streaming.clone(),
-                rx,
-                progress.clone(),
-                status.clone(),
-                None,
-                pin_core,
-            );
-            shard_handles.push(Shard {
-                engine: streaming,
-                tx: Some(tx),
-                worker: Some(worker),
-                progress,
-                status,
-            });
+            shards.push(shard_handle(engine, i));
         }
         // Re-arm the cluster window cut. Each shard recovered its own
         // local watermark (manifest + retire log); a crash can land with
@@ -1358,56 +981,34 @@ impl ShardedIndex {
         // a shard). A `Duration` window's birth clock restarts here: the
         // preserved watermark keeps the window from moving backwards, and
         // new inserts age out normally.
-        let retire_cursor = shard_handles
+        let retire_cursor = shards
             .iter()
             .enumerate()
-            .map(|(i, h)| match h.engine.engine().retired_below() {
+            .map(|(i, shard)| match shard.engine().retired_below() {
                 0 => 0,
                 r => ((r as usize - 1) * s + i + 1).min(total as usize) as u32,
             })
             .max()
             .unwrap_or(0);
         if retire_cursor > 0 {
-            for (i, h) in shard_handles.iter().enumerate() {
-                let _ = h.engine.retire_to(routed(retire_cursor, i, s) as u32);
+            for (i, shard) in shards.iter().enumerate() {
+                let _ = shard.retire_to(routed(retire_cursor, i, s) as u32);
             }
         }
-        Ok(ShardedIndex {
-            dim,
-            per_shard_capacity: per_shard_capacity as usize,
-            window,
-            shards: shard_handles,
+        Ok(ShardedIndex::assemble(
+            shards,
             fanout,
-            router: Mutex::new(Router {
-                next_global: total,
-                retire_cursor,
-                births: VecDeque::new(),
-            }),
-            total: AtomicU64::new(total as u64),
-            ingest_sync: sync,
-        })
+            per_shard_capacity as usize,
+            window,
+            total,
+            retire_cursor,
+        ))
     }
 }
 
 impl SearchBackend for ShardedIndex {
     fn search(&self, req: &SearchRequest, pool: &ThreadPool) -> CoreResult<SearchResponse> {
         ShardedIndex::search_with(self, req, pool)
-    }
-}
-
-impl Drop for ShardedIndex {
-    fn drop(&mut self) {
-        for shard in &mut self.shards {
-            drop(shard.tx.take()); // close the queue: the worker drains and exits
-        }
-        for shard in &mut self.shards {
-            if let Some(handle) = shard.worker.take() {
-                // Workers contain their own panics (supervised restarts)
-                // and mark themselves dead on exhaustion; a join failure
-                // here carries nothing worth re-raising.
-                let _ = handle.join();
-            }
-        }
     }
 }
 
@@ -1517,15 +1118,29 @@ fn io_cluster(e: io::Error) -> ClusterError {
     ClusterError::Node(PlshError::from(e))
 }
 
-/// The core shard `i`'s ingest and merge workers pin to, or `None` when
-/// pinning is disabled (`PLSH_PIN=off`, a single-core host). Shards wrap
+/// Wraps shard `i`'s engine in its streaming handle. The handle's pool is
+/// serial: cross-shard parallelism comes from the fan-out pool and the
+/// per-shard merge threads, so intra-shard fan-out would only
+/// oversubscribe. Shard-per-core layout: the shard's merge worker pins to
+/// [`shard_core`]`(i)`.
+fn shard_handle(engine: Engine, i: usize) -> StreamingEngine {
+    let shard = StreamingEngine::from_engine(engine, ThreadPool::new(1));
+    if let Some(core) = shard_core(i) {
+        shard.pin_merge_to(core);
+    }
+    shard
+}
+
+/// The core shard `i`'s merge worker pins to, or `None` when pinning is
+/// disabled (`PLSH_PIN=off`, a single-core host — or a kernel that refuses
+/// the syscall, which turns the pin into a logged no-op). Shards wrap
 /// modulo the hardware-thread count when there are more shards than cores.
 fn shard_core(i: usize) -> Option<usize> {
     affinity::pinning_enabled().then(|| i % affinity::host_threads())
 }
 
-/// Re-creates the query fan-out pool pinned to the cores the shard layout
-/// leaves free, so query workers never contend with pinned ingest/merge
+/// Re-creates the fan-out pool pinned to the cores the shard layout
+/// leaves free, so fan-out workers never contend with pinned merge
 /// workers for a core. When the shards already cover the machine (or
 /// pinning is off) the pool is returned unchanged: the workers float.
 fn repin_fanout(fanout: ThreadPool, shards: usize) -> ThreadPool {
@@ -1543,112 +1158,6 @@ fn repin_fanout(fanout: ThreadPool, shards: usize) -> ThreadPool {
 /// the shard's occupancy; at the window cut, its retirement watermark.
 fn routed(n: u32, shard: usize, shards: usize) -> usize {
     (n as usize + shards - 1 - shard) / shards
-}
-
-/// The shard's ingest thread: drains the queue into the engine, optionally
-/// pacing arrivals to `points_per_sec`.
-///
-/// Pacing is a deadline that advances by `batch / rate` per batch and
-/// clamps to *now* whenever the stream has been idle — so the rate always
-/// applies to the current burst: there is no catch-up surge after a lull
-/// and no phantom delay carried over from earlier traffic (e.g. an
-/// unpaced-feeling preload would otherwise push every later batch's due
-/// time out by its size).
-fn spawn_ingest_worker(
-    engine: StreamingEngine,
-    rx: Receiver<ShardBatch>,
-    progress: Arc<IngestProgress>,
-    status: Arc<WorkerStatus>,
-    rate: Option<f64>,
-    pin_core: Option<usize>,
-) -> JoinHandle<()> {
-    /// In-place restarts granted per batch before the worker gives up
-    /// and dies (surfacing [`ClusterError::IngestWorkerDied`] to senders).
-    const MAX_RESTARTS: u32 = 3;
-    std::thread::spawn(move || {
-        // Marks the shard dead on every exit path — the normal
-        // queue-closed return *and* an unwinding panic — so waiters
-        // blocked on the condvar fail fast instead of hanging.
-        struct DeathNotice(Arc<IngestProgress>);
-        impl Drop for DeathNotice {
-            fn drop(&mut self) {
-                self.0.mark_dead();
-            }
-        }
-        let _notice = DeathNotice(progress.clone());
-        // Pin before touching the engine; a refused pin degrades to a
-        // floating worker and the health report says so (`pinned_core:
-        // None`).
-        if let Some(core) = pin_core {
-            if affinity::pin_current_thread(core) {
-                progress.pinned_core.store(core, Ordering::SeqCst);
-            }
-        }
-        let mut backoff = Backoff::new(
-            Duration::from_millis(1),
-            Duration::from_millis(50),
-            0x7368_6172_6421,
-        );
-        let mut next_due = Instant::now();
-        while let Ok(batch) = rx.recv() {
-            let len = batch.docs.len() as u64;
-            if let Some(points_per_sec) = rate {
-                let now = Instant::now();
-                if next_due > now {
-                    std::thread::sleep(next_due - now);
-                }
-                next_due = next_due.max(now)
-                    + Duration::from_secs_f64(batch.docs.len() as f64 / points_per_sec);
-            }
-            // A degraded shard keeps draining (and discarding) routed
-            // batches so producers blocked on the bounded channel and
-            // flush barriers never hang; the degradation is surfaced by
-            // health() and by every subsequent write.
-            if progress.is_degraded() {
-                progress.batch_done(len);
-                continue;
-            }
-            let mut attempt = 0u32;
-            loop {
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    fault::point(fault::INGEST_BATCH);
-                    engine.insert_batch(&batch.docs)
-                }));
-                match outcome {
-                    Ok(Ok(_)) => {
-                        if let Some(cut) = batch.retire_to {
-                            // After the docs: the cut may reference ids
-                            // this very batch carried, and `retire_to`
-                            // clamps to the assigned id range. A failure
-                            // here has already degraded the engine; the
-                            // next write surfaces it.
-                            let _ = engine.retire_to(cut);
-                        }
-                        backoff.reset();
-                        break;
-                    }
-                    Ok(Err(_)) => {
-                        // Typed failure — either the engine degraded to
-                        // read-only or routing validation was bypassed.
-                        // Flip the shard degraded and keep draining.
-                        progress.set_degraded();
-                        break;
-                    }
-                    Err(payload) => {
-                        status.record_restart(payload.as_ref());
-                        if attempt >= MAX_RESTARTS {
-                            status.mark_dead();
-                            progress.batch_done(len);
-                            return;
-                        }
-                        attempt += 1;
-                        std::thread::sleep(backoff.next_delay());
-                    }
-                }
-            }
-            progress.batch_done(len);
-        }
-    })
 }
 
 /// Resolves the model-driven shard count for `profile` and the per-shard
@@ -1803,11 +1312,11 @@ mod tests {
     }
 
     #[test]
-    fn delete_by_global_id_waits_for_inflight_points() {
+    fn delete_by_global_id_tombstones_once() {
         let index = sharded(3, 1_000);
         let vs = random_vecs(60, 3);
         let ids = index.insert_batch(&vs).unwrap();
-        // Delete immediately — the point may still be queued.
+        // The batch is applied on return, so the delete lands right away.
         assert!(index.delete(ids[7]).unwrap());
         assert!(
             !index.delete(ids[7]).unwrap(),
@@ -1882,14 +1391,16 @@ mod tests {
     fn concurrent_ingest_and_query_smoke() {
         let index = Arc::new(sharded(3, 10_000));
         let vs = random_vecs(3_000, 7);
+        // The first batch lands before the reader starts, so it always
+        // has something visible to probe.
+        index.insert_batch(&vs[..100]).unwrap();
         let writer = {
             let index = index.clone();
             let vs = vs.clone();
             std::thread::spawn(move || {
-                for chunk in vs.chunks(100) {
+                for chunk in vs[100..].chunks(100) {
                     index.insert_batch(chunk).unwrap();
                 }
-                index.flush().unwrap();
             })
         };
         let reader = {
@@ -1898,9 +1409,7 @@ mod tests {
             std::thread::spawn(move || {
                 let mut checked = 0;
                 while checked < 50 {
-                    // Condvar back-pressure: sleep until the writer has
-                    // landed something instead of spinning on yield_now.
-                    let visible = index.wait_for_visible(1);
+                    let visible = index.visible_len();
                     let probe = (checked * 37) % visible.min(vs.len());
                     let resp = index
                         .search(&SearchRequest::query(vs[probe].clone()))
@@ -1927,34 +1436,33 @@ mod tests {
     }
 
     #[test]
-    fn wait_for_visible_unblocks_and_health_reports_pinning() {
+    fn health_reports_merge_worker_pinning() {
         let index = sharded(2, 1_000);
-        let vs = random_vecs(30, 21);
-        index.insert_batch(&vs).unwrap();
-        // The barrier returns once the routed points are visible — woken
-        // by the drain condvar, not by polling.
-        assert!(index.wait_for_visible(30) >= 30);
-        // Already-satisfied barriers return immediately.
-        assert!(index.wait_for_visible(1) >= 30);
+        index.insert_batch(&random_vecs(30, 21)).unwrap();
+        assert_eq!(index.visible_len(), 30, "an acknowledged batch is visible");
+        assert_eq!(index.merge_all_in_background(), 2);
+        index.wait_for_merges();
         let health = index.health();
-        let ingest: Vec<_> = health
+        assert!(health.healthy());
+        let merges: Vec<_> = health
             .workers
             .iter()
-            .filter(|w| w.name.ends_with(".ingest") && !w.name.contains("merge"))
+            .filter(|w| w.name.ends_with(".merge"))
             .collect();
-        assert_eq!(ingest.len(), 2);
+        assert_eq!(merges.len(), health.workers.len(), "merge workers only");
+        assert_eq!(merges.len(), 2);
         // Pinning degrades to a no-op when disabled (PLSH_PIN=off or a
         // single-core host); the report must agree with the gate either
         // way: pinned cores only when pinning is possible, and always
         // inside the host's thread range.
-        for w in &ingest {
+        for w in &merges {
             if let Some(core) = w.pinned_core {
                 assert!(affinity::pinning_enabled());
                 assert!(core < affinity::host_threads());
             }
         }
         if !affinity::pinning_enabled() {
-            assert!(ingest.iter().all(|w| w.pinned_core.is_none()));
+            assert!(merges.iter().all(|w| w.pinned_core.is_none()));
         }
     }
 
@@ -2164,73 +1672,79 @@ mod tests {
         let vs = random_vecs(40, 13);
         index.insert_batch(&vs).unwrap();
         index.persist_to(&dir).unwrap();
-        // Fail-stop: yank shard 0's data directory out from under it so
-        // every durable write on that shard fails (retries included) and
-        // the shard engine trips into degraded read-only mode.
+        // Fail-stop mid-stream: yank shard 0's data directory out from
+        // under it so every durable write on that shard fails (retries
+        // included). The next batch reaches both shards: shard 0's WAL
+        // append exhausts its retries and refuses its half before touching
+        // memory, while shard 1 applies its own.
         fs::remove_dir_all(dir.join("shard-0").join("data-0")).unwrap();
-        // Route points until two head for shard 0: the first one's WAL
-        // append exhausts its retries and degrades the engine, the
-        // second is discarded by the (still running) worker.
-        let mut shard0 = Vec::new();
-        let mut next = index.len() as u32;
-        let filler = random_vecs(1, 14).pop().unwrap();
-        while shard0.len() < 2 {
-            if index.route(next) == 0 {
-                shard0.push(next);
-            }
-            match index.insert(filler.clone()) {
-                Ok(_) => next += 1,
-                Err(ClusterError::Node(PlshError::Degraded(_))) => break,
-                Err(other) => panic!("unexpected ingest error: {other:?}"),
-            }
-        }
-        // The discarded in-flight point surfaces the degradation, not a
-        // hang and not a dead worker.
-        let err = index.delete(shard0[0]).unwrap_err();
+        let failed = random_vecs(10, 14);
+        let err = index.insert_batch(&failed).unwrap_err();
         assert!(
             matches!(err, ClusterError::Node(PlshError::Degraded(_))),
             "expected a typed degraded error, got {err:?}"
         );
-        // Further writes routed at shard 0 fail fast with the same error.
-        let err = index.insert_batch(&random_vecs(8, 15)).unwrap_err();
-        assert!(matches!(err, ClusterError::Node(PlshError::Degraded(_))));
-        // The flush barrier still completes: the worker drains (and
-        // discards) instead of wedging producers.
-        index.flush().unwrap();
-        // Queries keep answering off the pinned epoch.
+        assert_eq!(
+            index.shard(0).len(),
+            20,
+            "the failing shard applied nothing"
+        );
+        assert_eq!(
+            index.shard(1).len(),
+            25,
+            "the healthy shard applied its half"
+        );
+        // Reads keep answering; every acknowledged id still resolves.
         let resp = index.search(&SearchRequest::query(vs[0].clone())).unwrap();
         assert!(!resp.results[0].is_empty(), "reads must survive degrade");
-        // Health reports the degradation with live workers.
+        for (g, v) in vs.iter().enumerate() {
+            assert_eq!(index.vector(g as u32).as_ref(), Some(v), "acked id {g}");
+        }
+        // Health and writes agree, and a refused batch is refused whole.
+        assert!(index.health().degraded);
+        let err = index.insert_batch(&random_vecs(8, 15)).unwrap_err();
+        assert!(matches!(err, ClusterError::Node(PlshError::Degraded(_))));
+        assert_eq!(index.shard(1).len(), 25);
+
+        // Lift the fault and heal: shard 0 re-syncs into a fresh data
+        // directory, but it is still short of the ids routing assigned it,
+        // so writing on would misroute every later id. The index stays
+        // read-only — typed, and reported by health — until recovery.
+        assert!(
+            !index.heal(),
+            "a shard short of its routed ids stays unwritable"
+        );
+        assert!(
+            !index.shard(0).engine().is_degraded(),
+            "the shard itself healed"
+        );
         let health = index.health();
-        assert!(health.degraded);
-        assert!(health.workers.iter().all(|w| w.alive));
-        // Dropping the index is clean — the worker contained the fault.
+        assert!(health.degraded, "health must agree with refused writes");
+        assert!(health.degraded_reason.unwrap().contains("routing"));
+        let err = index.insert_batch(&random_vecs(8, 16)).unwrap_err();
+        assert!(
+            matches!(err, ClusterError::Node(PlshError::Degraded(_))),
+            "expected a typed error, got {err:?}"
+        );
         drop(index);
+
+        // Recovery lands on the contiguous prefix — the 40 acknowledged
+        // points — and answers exactly like a from-scratch build of it.
+        let recovered = ShardedIndex::recover_from(&dir).unwrap();
+        assert_eq!(recovered.len(), 40);
+        let scratch = sharded(2, 1_000);
+        scratch.insert_batch(&vs).unwrap();
+        for q in vs.iter().chain(&failed) {
+            assert_eq!(answers(&recovered, q), answers(&scratch, q));
+        }
+        assert!(recovered.health().healthy());
+        assert_eq!(
+            recovered.insert_batch(&failed).unwrap(),
+            (40..50).collect::<Vec<u32>>()
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn paced_ingest_throttles_arrivals() {
-        let index = ShardedIndex::builder(EngineConfig::new(params(64), 1_000))
-            .shards(2)
-            .threads(1)
-            .ingest_rate(400.0)
-            .build()
-            .unwrap();
-        let t0 = Instant::now();
-        let vs = random_vecs(80, 8);
-        for chunk in vs.chunks(10) {
-            index.insert_batch(chunk).unwrap();
-        }
-        index.flush().unwrap();
-        // ~40 points per shard at 400/s ⇒ the drain takes a measurable
-        // fraction of 100 ms (first batch releases immediately).
-        assert!(
-            t0.elapsed() >= Duration::from_millis(40),
-            "pacing must throttle the per-shard ingest queue, took {:?}",
-            t0.elapsed()
-        );
-    }
     #[test]
     fn windowed_cluster_retires_a_consistent_cross_shard_cut() {
         let window = 60u32;

@@ -140,3 +140,60 @@ proptest! {
         }
     }
 }
+
+/// Acknowledged writes stay resolvable while merges lag. With manual
+/// merges and no quiesce between batches, a windowed shard's resident span
+/// shrinks only when a merge compacts it, so the shard engine's admission
+/// rule — not the live count under the window — decides what fits. Every
+/// `Ok` id must resolve to its own vector, an over-capacity batch must be
+/// refused whole and typed, and `health()` must agree with what writes
+/// return.
+#[test]
+fn acked_writes_resolve_while_merges_lag() {
+    let capacity = 40;
+    let node = EngineConfig::new(params(), capacity)
+        .manual_merge()
+        .with_window(WindowSpec::Docs(30));
+    let index = ShardedIndex::builder(node)
+        .shards(2)
+        .threads(1)
+        .build()
+        .unwrap();
+    let refused = ClusterError::Node(PlshError::CapacityExceeded { capacity });
+    let mut acked = Vec::new();
+    let mut refusals = 0;
+    for chunk in vectors(200, 7).chunks(10) {
+        let before: Vec<usize> = (0..2).map(|s| index.shard(s).len()).collect();
+        let outcome = index.insert_batch(chunk);
+        index.flush().unwrap();
+        match outcome {
+            Ok(ids) => {
+                for (&id, v) in ids.iter().zip(chunk) {
+                    assert_eq!(index.vector(id).as_ref(), Some(v), "acked id {id} lost");
+                }
+                acked.extend_from_slice(chunk);
+            }
+            Err(e) => {
+                let degraded = matches!(e, ClusterError::Node(PlshError::Degraded(_)));
+                assert_eq!(degraded, index.health().degraded, "health vs writes: {e}");
+                assert_eq!(e, refused);
+                for (s, &len) in before.iter().enumerate() {
+                    assert_eq!(index.shard(s).len(), len, "refused batch moved shard {s}");
+                }
+                refusals += 1;
+            }
+        }
+        assert!(!index.health().degraded, "a full shard is not degraded");
+    }
+    assert!(refusals > 0, "lagging merges must eventually refuse");
+    assert_eq!(index.len(), acked.len());
+    let cut = index.retired_below();
+    for g in cut..index.len() as u32 {
+        assert_eq!(index.vector(g).as_ref(), Some(&acked[g as usize]), "id {g}");
+    }
+    // A merge compacts the retired prefix and frees the room again.
+    index.quiesce().unwrap();
+    let more = vectors(10, 8);
+    let ids = index.insert_batch(&more).unwrap();
+    assert_eq!(index.vector(ids[0]).as_ref(), Some(&more[0]));
+}

@@ -511,10 +511,6 @@ pub struct EngineStats {
     pub sealed_generations: usize,
     /// Merges performed so far.
     pub merges: u64,
-    /// Ingest rows accepted (queued in a firehose channel) but not yet
-    /// applied — nonzero only on sharded backends, whose ingest workers
-    /// apply asynchronously; a bare engine applies inline.
-    pub pending_ingest: u64,
     /// Bytes in static tables.
     pub static_table_bytes: usize,
     /// Bytes of the packed half-key columns queries scan in place of delta
@@ -809,6 +805,25 @@ impl Engine {
         Ok(ids)
     }
 
+    /// The admission rule every insert passes: a batch of `n` points is
+    /// refused while the engine is degraded, or when the resident span
+    /// plus `n` would exceed the capacity. Capacity bounds the *resident
+    /// span* (compacted prefixes cost nothing); without a window the base
+    /// stays 0 and this is the classic total-vs-capacity check. The answer
+    /// holds for as long as the caller keeps other inserts out — a
+    /// concurrent merge only moves the base forward, freeing room.
+    pub fn admit(&self, n: usize) -> Result<()> {
+        if self.is_degraded() {
+            return Err(self.degraded_error());
+        }
+        if n > self.remaining_capacity() {
+            return Err(PlshError::CapacityExceeded {
+                capacity: self.config.capacity,
+            });
+        }
+        Ok(())
+    }
+
     /// The write path proper: insert + seal, returning whether the sealed
     /// delta crossed the auto-merge threshold (the caller decides whether
     /// to merge inline or in the background).
@@ -828,18 +843,7 @@ impl Engine {
             }
         }
         let mut w = self.write.lock().unwrap_or_else(|e| e.into_inner());
-        if self.is_degraded() {
-            return Err(self.degraded_error());
-        }
-        // Capacity bounds the *resident span* (compacted prefixes cost
-        // nothing); without a window the base stays 0 and this is the
-        // classic total-vs-capacity check.
-        let resident = (w.total - self.epoch.snapshot().static_base) as usize;
-        if resident + vs.len() > self.config.capacity {
-            return Err(PlshError::CapacityExceeded {
-                capacity: self.config.capacity,
-            });
-        }
+        self.admit(vs.len())?;
         let from = w.total;
         if !vs.is_empty() {
             // Write-ahead: the batch reaches the WAL (and is fsynced)
@@ -1460,7 +1464,6 @@ impl Engine {
             degraded_reason: self.degraded_reason(),
             wal_lag_rows,
             persist_retries: self.persister().map_or(0, |p| p.io_retries()),
-            pending_ingest: 0,
             merge_backlog: view.sealed.len(),
             live_points,
             retired_pending_purge,
@@ -1655,7 +1658,6 @@ impl Engine {
             purged_points: w.purged.len(),
             sealed_generations: view.sealed.len(),
             merges: self.merges.load(Ordering::Relaxed),
-            pending_ingest: 0,
             static_table_bytes: view.statics.as_ref().map_or(0, |s| s.memory_bytes()),
             delta_table_bytes,
             hyperplane_bytes: self.planes.memory_bytes(),

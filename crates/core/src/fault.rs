@@ -23,7 +23,7 @@
 //! | `tomb.append` | tombstone log append | [`io_check`] |
 //! | `static.prepare` | off-to-the-side static segment write | [`io_check`] |
 //! | `merge.build` | background merge worker, per attempt | [`point`] |
-//! | `ingest.batch` | per-shard ingest worker, per batch | [`point`] |
+//! | `ingest.batch` | sharded insert, per shard slice | [`point`] |
 //! | `query.shard` | per-shard query fan-out task | [`point`] |
 //!
 //! ## Environment syntax
@@ -65,7 +65,7 @@ pub const TOMB_APPEND: &str = "tomb.append";
 pub const STATIC_PREPARE: &str = "static.prepare";
 /// Background merge worker, once per supervised attempt.
 pub const MERGE_BUILD: &str = "merge.build";
-/// Per-shard ingest worker, once per dequeued batch.
+/// Sharded insert, once per shard as it applies its slice of a batch.
 pub const INGEST_BATCH: &str = "ingest.batch";
 /// Per-shard query fan-out task, once per shard visit.
 pub const QUERY_SHARD: &str = "query.shard";

@@ -10,11 +10,11 @@
 //! A server front-end's `/healthz` is a straight serialization of this
 //! struct; the chaos suite asserts on it.
 
-/// One supervised background worker (a merge thread, a shard's ingest
-/// worker), as seen at the instant of the report.
+/// One supervised background worker (a merge thread), as seen at the
+/// instant of the report.
 #[derive(Debug, Clone)]
 pub struct WorkerHealth {
-    /// Stable worker name, e.g. `merge` or `shard3.ingest`.
+    /// Stable worker name, e.g. `merge` or `shard3.merge`.
     pub name: String,
     /// Whether the worker (or its supervisor) is still able to make
     /// progress. `false` means the supervisor exhausted its restart
@@ -49,9 +49,6 @@ pub struct HealthReport {
     /// Transient persistence I/O errors absorbed by retry-with-backoff
     /// since the persister attached.
     pub persist_retries: u64,
-    /// Ingest rows accepted but not yet applied by a worker (sharded
-    /// backends; always 0 on a bare engine).
-    pub pending_ingest: u64,
     /// Sealed delta generations waiting for a background merge — the
     /// merge backlog a `/metrics` scrape wants to watch. Grows while
     /// ingest outruns the merger; a large value means query-side delta
@@ -94,7 +91,6 @@ impl HealthReport {
         }
         self.wal_lag_rows += child.wal_lag_rows;
         self.persist_retries += child.persist_retries;
-        self.pending_ingest += child.pending_ingest;
         self.merge_backlog += child.merge_backlog;
         self.live_points += child.live_points;
         self.retired_pending_purge += child.retired_pending_purge;
@@ -120,7 +116,6 @@ mod tests {
                 degraded_reason: None,
                 wal_lag_rows: 10,
                 persist_retries: 2,
-                pending_ingest: 5,
                 merge_backlog: 1,
                 live_points: 100,
                 retired_pending_purge: 7,
@@ -141,7 +136,6 @@ mod tests {
                 degraded_reason: Some("disk gone".into()),
                 wal_lag_rows: 3,
                 persist_retries: 0,
-                pending_ingest: 0,
                 merge_backlog: 2,
                 live_points: 50,
                 retired_pending_purge: 0,
@@ -159,7 +153,6 @@ mod tests {
         assert_eq!(agg.degraded_reason.as_deref(), Some("shard1: disk gone"));
         assert_eq!(agg.wal_lag_rows, 13);
         assert_eq!(agg.persist_retries, 2);
-        assert_eq!(agg.pending_ingest, 5);
         assert_eq!(agg.merge_backlog, 3);
         assert_eq!(agg.live_points, 150);
         assert_eq!(agg.retired_pending_purge, 7);

@@ -43,7 +43,7 @@ use crate::http::{self, HttpError, Request, Response};
 use crate::json::{self, Json};
 use crate::metrics::Metrics;
 use crate::wire;
-use plsh_core::engine::{EngineStats, EpochInfo};
+use plsh_core::engine::EpochInfo;
 use plsh_core::health::HealthReport;
 use plsh_core::search::{SearchRequest, SearchResponse};
 use plsh_core::sparse::SparseVector;
@@ -67,7 +67,6 @@ pub trait ServeBackend: Send + Sync {
     /// `Ok(false)` when the id is unknown or already deleted.
     fn delete(&self, id: u32) -> CoreResult<bool>;
     fn health(&self) -> HealthReport;
-    fn stats(&self) -> EngineStats;
     fn epoch_info(&self) -> EpochInfo;
     /// Graceful drain; see `StreamingEngine::shutdown`.
     fn shutdown(&self, deadline: Duration) -> ShutdownReport;
@@ -88,10 +87,6 @@ impl ServeBackend for StreamingEngine {
 
     fn health(&self) -> HealthReport {
         StreamingEngine::health(self)
-    }
-
-    fn stats(&self) -> EngineStats {
-        StreamingEngine::stats(self)
     }
 
     fn epoch_info(&self) -> EpochInfo {
@@ -535,7 +530,6 @@ fn healthz(shared: &Shared) -> Response {
 fn metrics_page(shared: &Shared) -> Response {
     let m = &shared.metrics;
     let health = shared.backend.health();
-    let stats = shared.backend.stats();
     let epoch = shared.backend.epoch_info();
     let workers = Json::Arr(
         health
@@ -562,7 +556,6 @@ fn metrics_page(shared: &Shared) -> Response {
         ("epoch_generation", Json::Num(epoch.generation as f64)),
         ("visible_points", Json::Num(epoch.visible_points as f64)),
         ("merge_backlog", Json::Num(health.merge_backlog as f64)),
-        ("pending_ingest", Json::Num(stats.pending_ingest as f64)),
         ("worker_restarts", Json::Num(health.total_restarts() as f64)),
         ("workers", workers),
     ]);

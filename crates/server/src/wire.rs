@@ -225,7 +225,6 @@ pub fn encode_health(report: &HealthReport) -> Json {
         ),
         ("wal_lag_rows", Json::Num(report.wal_lag_rows as f64)),
         ("persist_retries", Json::Num(report.persist_retries as f64)),
-        ("pending_ingest", Json::Num(report.pending_ingest as f64)),
         ("merge_backlog", Json::Num(report.merge_backlog as f64)),
         ("live_points", Json::Num(report.live_points as f64)),
         (
@@ -306,7 +305,6 @@ mod tests {
             degraded_reason: Some("disk".into()),
             wal_lag_rows: 3,
             persist_retries: 1,
-            pending_ingest: 7,
             merge_backlog: 2,
             live_points: 40,
             retired_pending_purge: 5,
@@ -316,7 +314,6 @@ mod tests {
         let j = encode_health(&report);
         assert_eq!(j.get("degraded").and_then(Json::as_bool), Some(true));
         assert_eq!(j.get("merge_backlog").and_then(Json::as_u64), Some(2));
-        assert_eq!(j.get("pending_ingest").and_then(Json::as_u64), Some(7));
         assert_eq!(j.get("live_points").and_then(Json::as_u64), Some(40));
         assert_eq!(
             j.get("retired_pending_purge").and_then(Json::as_u64),

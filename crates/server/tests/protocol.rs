@@ -303,10 +303,6 @@ impl plsh_server::ServeBackend for PanickyBackend {
         self.inner.health()
     }
 
-    fn stats(&self) -> plsh_core::engine::EngineStats {
-        self.inner.stats()
-    }
-
     fn epoch_info(&self) -> plsh_core::engine::EpochInfo {
         self.inner.epoch_info()
     }

@@ -57,8 +57,8 @@ fn main() -> plsh::Result<()> {
         sharded.num_shards()
     );
 
-    // Stream the corpus in chunks: each chunk scatters across all shard
-    // queues, every shard ingests and merges independently in the
+    // Stream the corpus in chunks: each chunk scatters across all shards,
+    // every shard applies its slice and merges independently in the
     // background, and queries keep running against per-shard epochs.
     let t0 = Instant::now();
     let mut merges_seen = 0;
@@ -78,7 +78,7 @@ fn main() -> plsh::Result<()> {
             );
         }
     }
-    sharded.flush()?; // barrier: every routed point is now query-visible
+    sharded.flush()?; // barrier: in-flight background merges have published
     println!(
         "ingested {} points across {} shards in {:.2?} ({} background merges so far)",
         sharded.len(),

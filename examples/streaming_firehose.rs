@@ -7,9 +7,9 @@
 //! never shows a half-merged state — and merge publication is a single
 //! pointer swap.
 //!
-//! Part 2 — the cluster path: the same stream drives a [`ShardedIndex`]
-//! whose per-shard ingest queues are paced to a Twitter-style arrival
-//! rate and whose [`WindowSpec`] keeps only the newest documents — the
+//! Part 2 — the cluster path: the same stream, paced to a Twitter-style
+//! arrival rate, drives a [`ShardedIndex`] whose [`WindowSpec`] keeps
+//! only the newest documents — the
 //! paper's rolling-window expiration: one global watermark trails the
 //! stream head and every shard retires its side of the same cut. The
 //! sharded index answers the *same* `SearchRequest` type as the single
@@ -125,7 +125,7 @@ fn main() -> plsh::Result<()> {
         "newest tweet must be findable"
     );
 
-    // ---- Part 2: shards with paced ingest queues + a sliding window. ----
+    // ---- Part 2: shards with paced ingest + a sliding window. ----
     println!("\n== sharded index: paced ingest + window retirement ==");
     let total_rate = corpus.len() as f64 / 3.0; // drain in ~3 s
     let sharded = ShardedIndex::builder(
@@ -134,13 +134,16 @@ fn main() -> plsh::Result<()> {
             .with_window(WindowSpec::Docs(WINDOW_DOCS)),
     )
     .shards(SHARDS)
-    .ingest_rate(total_rate / SHARDS as f64)
     .build()
     .map_err(plsh::Error::from)?;
 
     let start = Instant::now();
     for (i, batch) in corpus.vectors().chunks(BATCH).enumerate() {
-        // Back-pressure from the paced shard queues throttles this loop.
+        // Same paced arrival as Part 1: release each batch at its time.
+        let due = Duration::from_secs_f64((i * BATCH) as f64 / total_rate);
+        if let Some(wait) = due.checked_sub(start.elapsed()) {
+            std::thread::sleep(wait);
+        }
         sharded.insert_batch(batch).map_err(plsh::Error::from)?;
         // Interleave a query burst every few batches, as a live system
         // would see. The sharded index answers the exact same request

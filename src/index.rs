@@ -281,11 +281,9 @@ impl Index {
 
     // ---- Ingest ----
 
-    /// Inserts one vector; returns its id. On a single-node index the
-    /// point is visible to queries on return; on a sharded index it
-    /// becomes visible once its shard's firehose drains it
-    /// ([`flush`](Index::flush) is the barrier). A background merge
-    /// starts when a sealed delta crosses `η·C`.
+    /// Inserts one vector; returns its id. The point is visible to
+    /// queries on return, on a single-node and a sharded index alike. A
+    /// background merge starts when a sealed delta crosses `η·C`.
     pub fn add(&self, v: SparseVector) -> Result<u32> {
         match &self.backend {
             Backend::Single(engine) => engine.insert(v),
@@ -343,11 +341,6 @@ impl Index {
     /// Tombstones a point; `Ok(false)` if already deleted or out of
     /// range. The point disappears from all future queries immediately
     /// and is purged from the tables at the next merge.
-    ///
-    /// On a sharded index a point still in flight in its shard's ingest
-    /// queue is waited for (condvar, not polling); if that shard's ingest
-    /// worker has died the wait fails fast with an error instead of
-    /// hanging.
     pub fn delete(&self, id: u32) -> Result<bool> {
         match &self.backend {
             Backend::Single(engine) => Ok(engine.delete(id)),
@@ -406,9 +399,7 @@ impl Index {
 
     /// Merges all sealed delta generations into the next static epoch(s)
     /// on this thread (queries keep running; publication is one swap per
-    /// engine). On a sharded index this first drains the shard queues,
-    /// then folds every shard — failing fast (instead of hanging) if a
-    /// shard's ingest worker has died with points undrained.
+    /// engine). On a sharded index every shard folds its own.
     pub fn merge(&self) -> Result<()> {
         match &self.backend {
             Backend::Single(engine) => engine.merge_now(),
@@ -417,12 +408,10 @@ impl Index {
         Ok(())
     }
 
-    /// Ingest barrier: seals any buffered open generation (draining the
-    /// shard queues first on a sharded index, so every prior `add` is
-    /// query-visible on return) and blocks until in-flight background
-    /// merges have published. Fails fast with an error (instead of
-    /// hanging) if a shard's ingest worker has died with points
-    /// undrained.
+    /// Ingest barrier: seals any buffered open generation (on every shard
+    /// of a sharded index), so every prior `add` is query-visible on
+    /// return, and blocks until in-flight background merges have
+    /// published.
     pub fn flush(&self) -> Result<()> {
         match &self.backend {
             Backend::Single(engine) => {
@@ -438,9 +427,9 @@ impl Index {
     }
 
     /// Liveness and degradation report across the whole index: per-worker
-    /// state (merge threads, shard ingest threads), restart counts, WAL
-    /// lag, persistence retries, and whether any engine has degraded to
-    /// read-only. Never blocks on ingest or merges.
+    /// merge-thread state, restart counts, WAL lag, persistence retries,
+    /// and whether any engine has degraded to read-only. Never blocks on
+    /// merges (a sharded index waits out an insert in progress).
     pub fn health(&self) -> plsh_core::HealthReport {
         match &self.backend {
             Backend::Single(engine) => engine.health(),
@@ -450,7 +439,7 @@ impl Index {
 
     /// Attempts to lift a degraded engine (or every degraded shard) back
     /// to read-write by re-syncing persistence from memory. Returns
-    /// `true` when nothing remains degraded. No-op `true` on a healthy
+    /// `true` when the index is writable again. No-op `true` on a healthy
     /// index.
     pub fn heal(&self) -> bool {
         match &self.backend {
@@ -461,8 +450,7 @@ impl Index {
 
     /// Deadline-bounded graceful drain: seal buffered rows, join (or
     /// abandon) background merges, and report what made it. On a sharded
-    /// index the shard queues drain first and the report folds across
-    /// shards. See [`plsh_core::streaming::StreamingEngine::shutdown`].
+    /// index the report folds across shards. See [`plsh_core::streaming::StreamingEngine::shutdown`].
     pub fn shutdown(&self, deadline: std::time::Duration) -> ShutdownReport {
         match &self.backend {
             Backend::Single(engine) => engine.shutdown(deadline),
@@ -490,8 +478,8 @@ impl Index {
         plsh_server::serve(Arc::new(self.clone()), addr, config)
     }
 
-    /// Stored points (live + deleted; on a sharded index this counts
-    /// routed points, including any still in flight in shard queues).
+    /// Stored points (live + deleted; on a sharded index, the global ids
+    /// assigned so far).
     pub fn len(&self) -> usize {
         match &self.backend {
             Backend::Single(engine) => engine.len(),
@@ -550,7 +538,6 @@ impl Index {
                     window_lag: 0,
                     sealed_generations: 0,
                     merges: 0,
-                    pending_ingest: 0,
                     static_table_bytes: 0,
                     delta_table_bytes: 0,
                     hyperplane_bytes: 0,
@@ -569,7 +556,6 @@ impl Index {
                     agg.window_lag += e.window_lag;
                     agg.sealed_generations += e.sealed_generations;
                     agg.merges += e.merges;
-                    agg.pending_ingest += e.pending_ingest;
                     agg.static_table_bytes += e.static_table_bytes;
                     agg.delta_table_bytes += e.delta_table_bytes;
                     agg.hyperplane_bytes += e.hyperplane_bytes;
@@ -673,8 +659,8 @@ impl Index {
     }
 
     /// Captures the index's state as an in-memory [`Snapshot`]. A sharded
-    /// index drains its shard queues first, then captures every shard and
-    /// flattens the corpus into global-id order
+    /// index captures every shard and flattens the corpus into global-id
+    /// order
     /// ([`ShardedIndex::snapshot`]).
     pub fn snapshot(&self) -> Result<Snapshot> {
         match &self.backend {
@@ -749,10 +735,6 @@ impl ServeBackend for Index {
 
     fn health(&self) -> plsh_core::HealthReport {
         Index::health(self)
-    }
-
-    fn stats(&self) -> EngineStats {
-        Index::stats(self)
     }
 
     fn epoch_info(&self) -> EpochInfo {

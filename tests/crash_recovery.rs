@@ -353,9 +353,10 @@ fn a_trashed_manifest_is_a_clean_error_not_a_panic() {
 // point in its own WAL/segment/manifest lifecycle. Recovery truncates to
 // the longest globally contiguous id prefix, `min_s(n_s·S + s)`, whose
 // shape depends on S — so the loop runs at 2, 3 and 5 shards. Sampled
-// rather than exhaustive — ingest workers interleave persistence ops
-// nondeterministically, so k indexes "some interleaving", and every
-// sampled cut must still satisfy the prefix/tombstone/answer contract.
+// rather than exhaustive — shards apply their slices of a batch in
+// parallel, so their persistence ops interleave nondeterministically and
+// k indexes "some interleaving"; every sampled cut must still satisfy the
+// prefix/tombstone/answer contract.
 // ---------------------------------------------------------------------
 
 const SHARD_COUNTS: [usize; 3] = [2, 3, 5];

@@ -359,10 +359,6 @@ fn chaos_smoke_under_env_or_default_mix() {
             fault::MERGE_BUILD,
             FaultSpec::new(FaultKind::Panic).times(1),
         );
-        fault::arm(
-            fault::INGEST_BATCH,
-            FaultSpec::new(FaultKind::Delay(Duration::from_millis(1))).probability(0.2),
-        );
         let dir = tempdir("chaos-smoke");
         let engine =
             StreamingEngine::new(EngineConfig::new(params(29), 8_000), ThreadPool::new(2)).unwrap();
