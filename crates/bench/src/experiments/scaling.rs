@@ -207,7 +207,6 @@ pub fn run(f: &Fixture) -> ScalingReport {
         // unbounded fan-out.
         PerformanceModel::new(profile).pick_shard_count(
             QUERY_SLICE,
-            n,
             f.corpus.avg_nnz(),
             e_coll,
             e_uniq,

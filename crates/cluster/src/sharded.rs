@@ -1166,9 +1166,10 @@ fn routed(n: u32, shard: usize, shards: usize) -> usize {
 /// operating point (most of the corpus far from the query, a thin
 /// near-duplicate band inside the radius).
 ///
-/// `node.capacity` is taken as the *expected total corpus size* (strong
-/// scaling: the prediction divides it across shards, matching
-/// [`PerformanceModel::predict_sharded_query_batch`]'s `n` semantics).
+/// `node.capacity` is taken as the *expected total corpus size*: it sizes
+/// the expected collision and candidate counts, which
+/// [`PerformanceModel::predict_sharded_query_batch`] divides across shards
+/// (strong scaling).
 /// Since every shard is built with that same capacity, each keeps
 /// full-corpus headroom for routing skew; an index deliberately filled
 /// toward the `S·C` aggregate should size the shard count explicitly
@@ -1191,7 +1192,7 @@ fn predict_shard_count(profile: &MachineProfile, node: &EngineConfig) -> usize {
     let (e_coll, e_uniq) = estimate_candidates(&sample, n, params.k(), params.m());
     let model = PerformanceModel::new(*profile);
     let max = profile.threads.clamp(1, MAX_MODEL_SHARDS);
-    model.pick_shard_count(MODEL_BATCH_QUERIES, n, 7.2, e_coll, e_uniq, params, max)
+    model.pick_shard_count(MODEL_BATCH_QUERIES, 7.2, e_coll, e_uniq, params, max)
 }
 
 #[cfg(test)]

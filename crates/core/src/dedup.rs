@@ -11,9 +11,13 @@
 //! [`CandidateSet`] is that bitvector plus the discovered-candidate list
 //! used to (a) clear only the touched words after a query, keeping the
 //! per-query cost proportional to the candidates rather than to `N`, and
-//! (b) optionally extract a **sorted** unique-candidate array by scanning
-//! the bitvector — the array that makes the Step Q3 data accesses
-//! predictable and prefetchable (Section 5.2.2).
+//! (b) hand Step Q3 its unique-candidate array. The paper extracts that
+//! array **sorted** by scanning the bitvector, which makes the Q3 data
+//! accesses predictable and prefetchable (Section 5.2.2). Here Q3 walks
+//! the discovery-order list and prefetches ahead of itself, so no query
+//! scans the `O(N)` bitvector; a request that needs ascending ids (a
+//! candidate budget visits the ascending prefix) sorts the list in
+//! `O(c log c)` for `c` candidates.
 
 /// A reusable bitvector over point ids with candidate tracking.
 ///
@@ -24,16 +28,17 @@
 /// assert!(set.insert(42));
 /// assert!(!set.insert(42), "duplicates are filtered in O(1)");
 /// set.insert(7);
-/// let mut sorted = Vec::new();
-/// set.extract_sorted(&mut sorted);
-/// assert_eq!(sorted, vec![7, 42]);
+/// assert_eq!(set.candidates(), &[42, 7], "discovery order");
+/// set.sort_ascending();
+/// assert_eq!(set.candidates(), &[7, 42]);
 /// set.clear(); // O(candidates), not O(capacity)
 /// assert!(set.is_empty());
 /// ```
 #[derive(Debug, Clone)]
 pub struct CandidateSet {
     words: Vec<u64>,
-    /// Unique ids in discovery order (also the clear list).
+    /// Unique ids in discovery order, or ascending after
+    /// [`sort_ascending`](Self::sort_ascending) (also the clear list).
     candidates: Vec<u32>,
     /// Smallest id the bitvector can represent: bit `i` covers id
     /// `base + i`. A sliding-window engine compacts its retired prefix
@@ -117,30 +122,17 @@ impl CandidateSet {
         self.candidates.is_empty()
     }
 
-    /// Unique ids in discovery order.
+    /// Unique ids in discovery order, or ascending after
+    /// [`sort_ascending`](Self::sort_ascending).
     pub fn candidates(&self) -> &[u32] {
         &self.candidates
     }
 
-    /// Scans the bitvector and writes the unique ids **in sorted order**
-    /// into `out` (cleared first); returns how many were written.
-    ///
-    /// This is the Section 5.2.2 extraction pass: a linear scan of the
-    /// words whose output is inherently sorted and duplicate-free, enabling
-    /// software prefetch of the succeeding data items during Step Q3.
-    pub fn extract_sorted(&self, out: &mut Vec<u32>) -> usize {
-        out.clear();
-        out.reserve(self.candidates.len());
-        for (wi, &w) in self.words.iter().enumerate() {
-            let mut bits = w;
-            while bits != 0 {
-                let b = bits.trailing_zeros();
-                out.push(self.base + (wi * 64) as u32 + b);
-                bits &= bits - 1;
-            }
-        }
-        debug_assert_eq!(out.len(), self.candidates.len());
-        out.len()
+    /// Sorts the candidate list by id: `O(c log c)` in the candidates,
+    /// independent of the capacity. Membership and [`clear`](Self::clear)
+    /// are unaffected.
+    pub fn sort_ascending(&mut self) {
+        self.candidates.sort_unstable();
     }
 
     /// Clears the set in `O(candidates)` by zeroing only touched words.
@@ -176,15 +168,20 @@ mod tests {
     }
 
     #[test]
-    fn extract_sorted_is_sorted_unique() {
+    fn sort_ascending_is_sorted_unique() {
         let mut s = CandidateSet::new(256);
         for id in [200u32, 3, 64, 3, 199, 0, 255] {
             s.insert(id);
         }
-        let mut out = Vec::new();
-        let n = s.extract_sorted(&mut out);
-        assert_eq!(n, 6);
-        assert_eq!(out, vec![0, 3, 64, 199, 200, 255]);
+        assert_eq!(s.candidates(), &[200, 3, 64, 199, 0, 255]);
+        s.sort_ascending();
+        assert_eq!(s.len(), 6);
+        assert_eq!(s.candidates(), &[0, 3, 64, 199, 200, 255]);
+        assert!(!s.insert(64), "sorting keeps membership");
+        s.clear();
+        for id in [0u32, 3, 64, 199, 200, 255] {
+            assert!(!s.contains(id), "id {id} survived clear after sort");
+        }
     }
 
     #[test]
@@ -234,10 +231,9 @@ mod tests {
             let id = (x >> 33) as u32 % 4096;
             assert_eq!(s.insert(id), reference.insert(id));
         }
-        let mut out = Vec::new();
-        s.extract_sorted(&mut out);
+        s.sort_ascending();
         let expect: Vec<u32> = reference.into_iter().collect();
-        assert_eq!(out, expect);
+        assert_eq!(s.candidates(), &expect[..]);
     }
 
     #[test]
@@ -248,10 +244,10 @@ mod tests {
         assert!(s.insert(1_000_127));
         assert!(!s.insert(1_000_000));
         assert!(s.contains(1_000_127));
-        assert_eq!(s.candidates(), &[1_000_000, 1_000_127]);
-        let mut out = Vec::new();
-        s.extract_sorted(&mut out);
-        assert_eq!(out, vec![1_000_000, 1_000_127]);
+        assert!(s.insert(1_000_064));
+        assert_eq!(s.candidates(), &[1_000_000, 1_000_127, 1_000_064]);
+        s.sort_ascending();
+        assert_eq!(s.candidates(), &[1_000_000, 1_000_064, 1_000_127]);
         s.clear();
         assert!(s.is_empty());
         assert!(!s.contains(1_000_000));

@@ -4,8 +4,10 @@
 //! steps in CPU cycles, from first principles:
 //!
 //! * **Q2** (dedup) is compute-bound: ~11 ops per duplicated index
-//!   (word address, load, test, set, loop) spread over `T` threads, plus a
-//!   bitvector scan of ~14 ops per 32 bits of `N`.
+//!   (word address, load, test, set, loop) spread over `T` threads. The
+//!   paper adds a bitvector scan of ~14 ops per 32 bits of `N` to extract
+//!   the sorted candidate array; Q3 here walks the dedup set's candidate
+//!   list instead, so Q2 has no `N` term.
 //! * **Q3** (filtering) is bandwidth-bound: each candidate's CRS row pulls
 //!   ~4 cache lines (two ~30-byte unaligned arrays ⇒ 1.5 lines each, plus
 //!   one offsets line) = 256 bytes of traffic.
@@ -156,7 +158,7 @@ impl CreationEstimate {
 /// Modeled query-time breakdown for a batch (the right panel of Figure 6).
 #[derive(Debug, Clone, Copy)]
 pub struct QueryEstimate {
-    /// Step Q2: bucket reads + bitvector dedup + scan.
+    /// Step Q2: bucket reads + bitvector dedup.
     pub step_q2: Duration,
     /// Step Q3: candidate loads + sparse dot products.
     pub step_q3: Duration,
@@ -189,8 +191,6 @@ mod ops {
     /// bitvector test-and-set (~11 ops, the paper's count) + candidate-list
     /// append (~5 ops).
     pub const Q2_PER_COLLISION: f64 = 20.0;
-    /// Step Q2 bitvector scan, per 32 bits of `N` (paper's count).
-    pub const Q2_SCAN_PER_32BITS: f64 = 14.0;
     /// Step Q3, per candidate, beyond the per-non-zero work: offsets
     /// lookup, deletion test, prefilter compare, loop overhead. The exact
     /// dot and `acos` run only for the few candidates the prefilter keeps
@@ -220,11 +220,6 @@ impl PerformanceModel {
     /// `T_Q2` — cycles per duplicated index (compute-bound, threaded).
     pub fn t_q2_cycles(&self) -> f64 {
         ops::Q2_PER_COLLISION / self.machine.threads as f64
-    }
-
-    /// Cycles for the per-query bitvector scan over `n` points.
-    pub fn q2_scan_cycles(&self, n: usize) -> f64 {
-        ops::Q2_SCAN_PER_32BITS * (n as f64 / 32.0) / self.machine.threads as f64
     }
 
     /// Cycles one query spends scanning an un-merged delta of `points`
@@ -307,19 +302,23 @@ impl PerformanceModel {
         }
     }
 
-    /// Models a batch of `queries` against `n` points of mean sparsity
-    /// `nnz`, given the expected per-query `#collisions` and `#unique`
-    /// (from [`crate::params::estimate_candidates`] or measured counters).
+    /// Models a batch of `queries` over points of mean sparsity `nnz`,
+    /// given the expected per-query `#collisions` and `#unique` (from
+    /// [`crate::params::estimate_candidates`] or measured counters).
+    ///
+    /// The corpus size `_n` is accepted but unused: no step costs anything
+    /// per resident point, so the size acts only through the expected
+    /// counts.
     pub fn predict_query_batch(
         &self,
         queries: usize,
-        n: usize,
+        _n: usize,
         nnz: f64,
         e_collisions: f64,
         e_unique: f64,
     ) -> QueryEstimate {
         let qf = queries as f64;
-        let q2 = (self.t_q2_cycles() * e_collisions + self.q2_scan_cycles(n)) * qf;
+        let q2 = self.t_q2_cycles() * e_collisions * qf;
         let q3 = self.t_q3_cycles(nnz) * e_unique * qf;
         QueryEstimate {
             step_q2: self.machine.cycles_to_duration(q2),
@@ -332,18 +331,17 @@ impl PerformanceModel {
     /// single-threaded, the `shards` tasks are scheduled in waves of
     /// `machine.threads`, and every shard re-hashes the query batch (Q1 is
     /// per node in the paper's broadcast too, Section 4) before probing its
-    /// `n / shards` slice of the corpus.
+    /// slice of the corpus. No step costs anything per resident point, so
+    /// the corpus size enters only through the expected counts.
     ///
     /// Collisions and unique candidates split evenly across shards (hash
     /// routing is uniform), so the Q2/Q3 *work* is constant in `shards` and
     /// the prediction trades Q1 duplication plus per-shard fan-out overhead
     /// against wave parallelism — exactly the tension
     /// [`pick_shard_count`](Self::pick_shard_count) minimizes.
-    #[allow(clippy::too_many_arguments)]
     pub fn predict_sharded_query_batch(
         &self,
         queries: usize,
-        n: usize,
         nnz: f64,
         e_collisions: f64,
         e_unique: f64,
@@ -361,7 +359,7 @@ impl PerformanceModel {
         // Q1 duplicated per shard; hashing_cycles_per_point already divides
         // by SIMD width.
         let q1 = per.hashing_cycles_per_point(nnz, params) * qf;
-        let q2 = (per.t_q2_cycles() * e_collisions / sf + per.q2_scan_cycles(n / shards)) * qf;
+        let q2 = per.t_q2_cycles() * e_collisions / sf * qf;
         let q3 = per.t_q3_cycles(nnz) * e_unique / sf * qf;
         let per_shard = q1 + q2 + q3 + SHARD_FANOUT_OVERHEAD_CYCLES;
         let waves = shards.div_ceil(self.machine.threads.max(1)) as f64;
@@ -373,11 +371,9 @@ impl PerformanceModel {
     /// time is minimal for this machine profile. Ties resolve to the
     /// smallest count (fewer shards means less Q1 duplication and less
     /// merge bookkeeping for the same predicted latency).
-    #[allow(clippy::too_many_arguments)]
     pub fn pick_shard_count(
         &self,
         queries: usize,
-        n: usize,
         nnz: f64,
         e_collisions: f64,
         e_unique: f64,
@@ -386,15 +382,8 @@ impl PerformanceModel {
     ) -> usize {
         let mut best = (1usize, Duration::MAX);
         for s in 1..=max_shards.max(1) {
-            let t = self.predict_sharded_query_batch(
-                queries,
-                n,
-                nnz,
-                e_collisions,
-                e_unique,
-                params,
-                s,
-            );
+            let t =
+                self.predict_sharded_query_batch(queries, nnz, e_collisions, e_unique, params, s);
             if t < best.1 {
                 best = (s, t);
             }
@@ -500,6 +489,10 @@ mod tests {
         let est2 = model.predict_query_batch(1000, 10_000_000, 7.2, 120_000.0, 120_000.0);
         assert_eq!(est.step_q2, est2.step_q2);
         assert!(est2.step_q3 > est.step_q3);
+        // No step scans the resident span: a larger corpus with the same
+        // per-query counts predicts the same batch.
+        let big = model.predict_query_batch(1000, 1_000_000_000, 7.2, 120_000.0, 60_000.0);
+        assert_eq!(big.total(), est.total());
     }
 
     #[test]
@@ -524,12 +517,10 @@ mod tests {
     fn sharded_prediction_prefers_parallel_fanout_on_many_threads() {
         let model = PerformanceModel::new(MachineProfile::paper()); // 16 threads
         let p = paper_params();
-        let one =
-            model.predict_sharded_query_batch(1000, 10_000_000, 7.2, 120_000.0, 60_000.0, &p, 1);
-        let eight =
-            model.predict_sharded_query_batch(1000, 10_000_000, 7.2, 120_000.0, 60_000.0, &p, 8);
+        let one = model.predict_sharded_query_batch(1000, 7.2, 120_000.0, 60_000.0, &p, 1);
+        let eight = model.predict_sharded_query_batch(1000, 7.2, 120_000.0, 60_000.0, &p, 8);
         assert!(eight < one, "8 shards on 16 threads must beat 1 shard");
-        let picked = model.pick_shard_count(1000, 10_000_000, 7.2, 120_000.0, 60_000.0, &p, 16);
+        let picked = model.pick_shard_count(1000, 7.2, 120_000.0, 60_000.0, &p, 16);
         assert!(
             picked > 1,
             "a 16-thread machine wants fan-out, got {picked}"
@@ -545,7 +536,7 @@ mod tests {
         let p = paper_params();
         // One thread: every extra shard re-runs Q1 serially, so the picked
         // count must stay small.
-        let picked = model.pick_shard_count(1000, 1_000_000, 7.2, 12_000.0, 6_000.0, &p, 16);
+        let picked = model.pick_shard_count(1000, 7.2, 12_000.0, 6_000.0, &p, 16);
         assert_eq!(picked, 1, "serial machine must not fan out");
     }
 
@@ -555,8 +546,8 @@ mod tests {
         machine.threads = 4;
         let model = PerformanceModel::new(machine);
         let p = paper_params();
-        let four = model.predict_sharded_query_batch(100, 1_000_000, 7.2, 12_000.0, 6_000.0, &p, 4);
-        let five = model.predict_sharded_query_batch(100, 1_000_000, 7.2, 12_000.0, 6_000.0, &p, 5);
+        let four = model.predict_sharded_query_batch(100, 7.2, 12_000.0, 6_000.0, &p, 4);
+        let five = model.predict_sharded_query_batch(100, 7.2, 12_000.0, 6_000.0, &p, 5);
         // A fifth shard forces a second wave on four threads.
         assert!(five > four);
     }

@@ -6,7 +6,10 @@
 //!   `L` bucket keys (cheap).
 //! * **Q2** — read the matching bucket of every static table, scan the
 //!   packed half-keys of every un-merged delta generation for the points
-//!   those buckets would hold, and eliminate duplicate point ids.
+//!   those buckets would hold, and eliminate duplicate point ids. The
+//!   bitvector's discovery-order candidate list is what Q3 walks; no path
+//!   scans the bitvector itself, so Q2 costs `O(L + collisions)` whatever
+//!   the resident span.
 //! * **Q3** — for each unique candidate, load its data row and compute the
 //!   angular distance: a masked dot product first, and the exact distance
 //!   only for candidates that dot cannot already rule out.
@@ -22,8 +25,13 @@
 //! | 0 | none | "No optimizations" (tree-set dedup, merge-join dot product) |
 //! | 1 | `bitvector_dedup` | "+bitvector" (Section 5.2.1) |
 //! | 2 | `optimized_sparse_dot` | "+optimized sparse DP" (Section 5.2.3) |
-//! | 3 | `candidate_array` | "+sw prefetch" (Section 5.2.2) |
+//! | 3 | `candidate_array` | "+sw prefetch" (Section 5.2.2): prefetch over the candidate list |
 //! | 4 | `huge_pages` | "+large pages" (2 MB pages for the data table) |
+//!
+//! A radius query reports its hits in ascending id order at levels 0, 3
+//! and 4, and under any candidate budget; levels 1 and 2 report them in
+//! bucket-discovery order. A k-NN query reports ascending by
+//! `(distance, id)` at every level.
 
 use std::collections::{BTreeSet, BinaryHeap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,7 +48,8 @@ pub use crate::stats::{BatchStats, QueryStats};
 use crate::table::{DeltaGeneration, StaticTables};
 
 /// How far ahead of the distance computation the candidate loop prefetches
-/// data rows (Section 5.2.2).
+/// data rows (Section 5.2.2). Their row-offsets slots go twice as far
+/// ahead, so a row's prefetch never waits on its offsets.
 const PREFETCH_DISTANCE: usize = 8;
 
 /// Queries hashed together per `SketchMatrix::sketch_batch` call in the
@@ -75,8 +84,13 @@ pub struct QueryStrategy {
     /// Query-side vocabulary bitvector + dense value lookup for the sparse
     /// dot product, instead of a merge join.
     pub optimized_sparse_dot: bool,
-    /// Extract a sorted unique-candidate array from the bitvector and
-    /// software-prefetch upcoming data rows.
+    /// Software prefetch over the candidate list: Q2 hints every table's
+    /// bucket before it reads any, and Q3 hints upcoming candidates' row
+    /// offsets and rows while it filters the current one. (The paper
+    /// extracts a sorted candidate array from the bitvector for this; Q3
+    /// walks the dedup set's discovery-order list instead, and a radius
+    /// query sorts its few hits by id afterwards, so answers are the same
+    /// without an `O(span)` scan per query.)
     pub candidate_array: bool,
     /// Hint the kernel to back the data table with huge pages (applied by
     /// the engine at build time; recorded here so ablations can toggle it).
@@ -236,7 +250,6 @@ pub struct QueryScratch {
     half_keys: Vec<u32>,
     keys: Vec<u32>,
     cand: CandidateSet,
-    sorted: Vec<u32>,
     /// Local ids one delta generation's scan reported.
     delta_hits: Vec<u32>,
     /// Query bitvector over the vocabulary space (Section 5.2.3).
@@ -260,7 +273,6 @@ impl QueryScratch {
             half_keys: vec![0; m as usize],
             keys: vec![0; l],
             cand: CandidateSet::new(n),
-            sorted: Vec::new(),
             delta_hits: Vec::new(),
             qmask: vec![0u64; (dim as usize).div_ceil(64)],
             qvals: vec![0.0; dim as usize],
@@ -350,9 +362,20 @@ pub fn execute_query_into(
     scratch: &mut QueryScratch,
 ) -> QueryStats {
     let mut stats = QueryStats::default();
-    let l_count = allpairs::num_tables(ctx.m) as usize;
+    let l_count = hash_query(ctx, query, scratch);
+    let mut out = std::mem::take(&mut scratch.out);
+    out.clear();
+    let keys = std::mem::take(&mut scratch.keys);
+    candidate_phase(ctx, query, &keys[..l_count], scratch, &mut out, &mut stats);
+    scratch.keys = keys;
+    scratch.out = out;
+    stats
+}
 
-    // ---- Q1: hash the query and compose the L bucket keys.
+/// Step Q1: hashes `query` with all `m·k/2` functions and composes its `L`
+/// bucket keys into `scratch.keys[..L]`; returns `L`.
+fn hash_query(ctx: &QueryContext<'_>, query: &SparseVector, scratch: &mut QueryScratch) -> usize {
+    let l_count = allpairs::num_tables(ctx.m) as usize;
     SketchMatrix::sketch_one(
         ctx.planes,
         ctx.half_bits,
@@ -366,14 +389,7 @@ pub fn execute_query_into(
         ctx.half_bits,
         &mut scratch.keys[..l_count],
     );
-
-    let mut out = std::mem::take(&mut scratch.out);
-    out.clear();
-    let keys = std::mem::take(&mut scratch.keys);
-    candidate_phase(ctx, query, &keys[..l_count], scratch, &mut out, &mut stats);
-    scratch.keys = keys;
-    scratch.out = out;
-    stats
+    l_count
 }
 
 /// Steps Q2–Q4 over the already-composed bucket `keys` (filled either by
@@ -389,50 +405,9 @@ fn candidate_phase(
 ) {
     debug_assert_eq!(keys.len(), allpairs::num_tables(ctx.m) as usize);
 
-    // ---- Q2: merge buckets and eliminate duplicates.
     if ctx.strategy.bitvector_dedup {
-        // Anchor the (empty) bitvector at this epoch's base so it covers
-        // the resident span, not the lifetime id range.
-        scratch.cand.rebase(ctx.base);
-        let QueryScratch {
-            cand,
-            half_keys,
-            delta_hits,
-            ..
-        } = scratch;
-        gather_candidates(ctx, keys, half_keys, delta_hits, stats, |id| {
-            cand.insert(id);
-        });
-        stats.unique_candidates += scratch.cand.len() as u64;
-
-        // ---- Q3/Q4 over the deduplicated candidates (capped at the
-        // request's candidate budget, if it set one). A finite budget
-        // forces the sorted-extraction path even when the strategy level
-        // leaves `candidate_array` off: the ascending-id prefix is the
-        // same whatever the corpus segmentation or strategy, so a
-        // budgeted request keeps the backends' same-answer guarantee
-        // (bucket-discovery order would differ between a merged and an
-        // unmerged engine).
-        if ctx.strategy.candidate_array || ctx.max_candidates != usize::MAX {
-            let mut sorted = std::mem::take(&mut scratch.sorted);
-            scratch.cand.extract_sorted(&mut sorted);
-            let visited = &sorted[..sorted.len().min(ctx.max_candidates)];
-            filter_sorted(ctx, query, scratch, visited, out, stats);
-            scratch.sorted = sorted;
-        } else {
-            // Walk the discovery-order candidate list in place by moving
-            // the set out of the scratch for the duration of the loop
-            // (`CandidateSet::new(0)` does not allocate), instead of
-            // copying the ids through a second buffer.
-            let cand = std::mem::replace(&mut scratch.cand, CandidateSet::new(0));
-            with_query_side(ctx, query, scratch, out, stats, |scratch, hits, stats| {
-                for &id in cand.candidates() {
-                    filter_candidate(ctx, query, scratch, id, hits, stats);
-                }
-            });
-            scratch.cand = cand;
-        }
-        scratch.cand.clear();
+        dedup_candidates(ctx, keys, scratch, stats);
+        filter_candidates(ctx, query, scratch, out, stats);
     } else {
         // Ablation baseline: tree set ("STL set") dedup.
         let mut set = BTreeSet::new();
@@ -453,25 +428,82 @@ fn candidate_phase(
     }
 }
 
-/// Q3 + Q4 over ascending candidate ids: a tight loop that software-
-/// prefetches the rows `PREFETCH_DISTANCE` candidates ahead (Section
-/// 5.2.2).
-fn filter_sorted(
+/// Step Q2 with the bitvector: gathers the query's buckets into the
+/// scratch's [`CandidateSet`] and counts the unique candidates. A finite
+/// candidate budget then sorts the candidate list, because a budgeted
+/// request visits the ascending-id prefix: that prefix is the same
+/// whatever the corpus segmentation or strategy level, so budgeted
+/// answers stay identical across backends (bucket-discovery order differs
+/// between a merged and an unmerged engine). Sorting costs
+/// `O(c log c)` in the candidates `c`, not a scan of the span.
+fn dedup_candidates(
+    ctx: &QueryContext<'_>,
+    keys: &[u32],
+    scratch: &mut QueryScratch,
+    stats: &mut QueryStats,
+) {
+    // Anchor the (empty) bitvector at this epoch's base so it covers the
+    // resident span, not the lifetime id range.
+    scratch.cand.rebase(ctx.base);
+    let QueryScratch {
+        cand,
+        half_keys,
+        delta_hits,
+        ..
+    } = scratch;
+    gather_candidates(ctx, keys, half_keys, delta_hits, stats, |id| {
+        cand.insert(id);
+    });
+    stats.unique_candidates += cand.len() as u64;
+    if ctx.max_candidates != usize::MAX {
+        cand.sort_ascending();
+    }
+}
+
+/// Steps Q3 + Q4 over the candidate list [`dedup_candidates`] left in the
+/// scratch (capped at the request's candidate budget), then clears the
+/// set. With `candidate_array` on, the loop software-prefetches ahead of
+/// itself at two distances (Section 5.2.2): a candidate's row-offsets slot
+/// `2·PREFETCH_DISTANCE` ahead, and its row `PREFETCH_DISTANCE` ahead, by
+/// which time the row's offsets are in cache. A radius query at that
+/// level then sorts its few hits by id, the order the paper's sorted
+/// candidate array would have produced.
+fn filter_candidates(
     ctx: &QueryContext<'_>,
     query: &SparseVector,
     scratch: &mut QueryScratch,
-    visited: &[u32],
     out: &mut Vec<Neighbor>,
     stats: &mut QueryStats,
 ) {
+    // Walk the candidate list in place by moving the set out of the
+    // scratch for the duration of the loop (`CandidateSet::new(0)` does
+    // not allocate), instead of copying the ids through a second buffer.
+    let mut cand = std::mem::replace(&mut scratch.cand, CandidateSet::new(0));
+    let ids = cand.candidates();
+    let visited = &ids[..ids.len().min(ctx.max_candidates)];
+    let start = out.len();
     with_query_side(ctx, query, scratch, out, stats, |scratch, hits, stats| {
-        for (i, &id) in visited.iter().enumerate() {
-            if let Some(&next) = visited.get(i + PREFETCH_DISTANCE) {
-                prefetch_row(ctx, next);
+        if ctx.strategy.candidate_array {
+            for (i, &id) in visited.iter().enumerate() {
+                if let Some(&far) = visited.get(i + 2 * PREFETCH_DISTANCE) {
+                    prefetch_row_offsets(ctx, far);
+                }
+                if let Some(&next) = visited.get(i + PREFETCH_DISTANCE) {
+                    prefetch_row(ctx, next);
+                }
+                filter_candidate(ctx, query, scratch, id, hits, stats);
             }
-            filter_candidate(ctx, query, scratch, id, hits, stats);
+        } else {
+            for &id in visited {
+                filter_candidate(ctx, query, scratch, id, hits, stats);
+            }
         }
     });
+    if ctx.strategy.candidate_array && ctx.top_k.is_none() {
+        out[start..].sort_unstable_by_key(|h| h.index);
+    }
+    cand.clear();
+    scratch.cand = cand;
 }
 
 /// Step Q2's gather, the one copy every dedup strategy and the profiler
@@ -493,21 +525,13 @@ fn gather_candidates(
     mut sink: impl FnMut(u32),
 ) {
     if let Some(st) = ctx.static_tables {
+        // All keys are known after Q1, so every bucket's reads can be in
+        // flight together before the first one is scanned — the Q2
+        // counterpart of the Q3 row prefetch (Section 5.2.2).
+        if ctx.strategy.candidate_array {
+            prefetch_query_buckets(st, keys);
+        }
         for (l, &key) in keys.iter().enumerate() {
-            // All keys are known after Q1, so upcoming buckets can stream
-            // in while this one is scanned — the Q2 counterpart of the Q3
-            // row prefetch (Section 5.2.2). Two distances: the offsets
-            // slot two tables ahead (a pure hint), then the entry run one
-            // table ahead (whose offsets read was hinted on the previous
-            // iteration).
-            if ctx.strategy.candidate_array {
-                if let Some(&ahead) = keys.get(l + 2) {
-                    st.prefetch_offsets(l + 2, ahead);
-                }
-                if let Some(&next) = keys.get(l + 1) {
-                    st.prefetch_bucket(l + 1, next);
-                }
-            }
             for &id in st.bucket(l, key) {
                 stats.collisions += 1;
                 sink(id);
@@ -723,9 +747,10 @@ fn filter_candidate(
 /// sweeps: first the offsets slots (non-blocking hints), then the entry
 /// runs they point at — the offsets reads of the second sweep are
 /// independent, so out-of-order execution overlaps whatever latency
-/// remains. Called for query `i+1` while query `i` computes, turning the
-/// batched pipeline's Q2 from latency-bound pointer chasing into
-/// bandwidth-bound streaming.
+/// remains. Q2 runs it for its own query before reading any bucket, and
+/// the batched pipeline also runs it for query `i+1` while query `i`
+/// computes: either way Q2 becomes bandwidth-bound streaming instead of
+/// latency-bound pointer chasing.
 #[inline]
 fn prefetch_query_buckets(st: &StaticTables, keys: &[u32]) {
     for (l, &key) in keys.iter().enumerate() {
@@ -736,19 +761,37 @@ fn prefetch_query_buckets(st: &StaticTables, keys: &[u32]) {
     }
 }
 
+/// Hints the row-offsets slot of a static candidate, so that the later
+/// [`prefetch_row`] finds its offsets in cache. Delta ids are skipped:
+/// locating their generation is a search, not one load.
+#[inline]
+fn prefetch_row_offsets(ctx: &QueryContext<'_>, id: u32) {
+    if id < ctx.static_end() {
+        ctx.static_data.prefetch_row_offsets(id - ctx.base);
+    }
+}
+
+/// Hints a candidate's row: the first and last cache line of its ids and
+/// of its values. A row of a few dozen bytes often straddles a line
+/// boundary, and its second line would otherwise be a demand miss.
 #[inline]
 fn prefetch_row(ctx: &QueryContext<'_>, id: u32) {
     let (idx, val) = ctx.row(id);
-    if let (Some(i0), Some(v0)) = (idx.first(), val.first()) {
+    if let (Some(i0), Some(v0), Some(i1), Some(v1)) =
+        (idx.first(), val.first(), idx.last(), val.last())
+    {
         crate::util::prefetch_read(i0);
         crate::util::prefetch_read(v0);
+        crate::util::prefetch_read(i1);
+        crate::util::prefetch_read(v1);
     }
 }
 
 /// Per-phase wall time of a profiled query batch (Figure 6's right panel).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QueryPhaseTimings {
-    /// Step Q2: bucket reads, bitvector dedup, candidate extraction.
+    /// Step Q2: bucket reads and bitvector dedup (plus the candidate
+    /// sort of a budgeted request).
     pub step_q2: std::time::Duration,
     /// Step Q3: candidate loads + distance computations (+Q4 appends).
     pub step_q3: std::time::Duration,
@@ -762,68 +805,37 @@ impl QueryPhaseTimings {
 }
 
 /// Runs a query batch **sequentially** with per-phase timers, for model
-/// validation (Figure 6). Uses the fully optimized pipeline.
+/// validation (Figure 6).
 ///
-/// Sequential execution keeps the phase timers meaningful; the aggregate
-/// counters and per-query answers match [`execute_batch`] exactly.
+/// Each query runs the shipped bitvector kernel, `dedup_candidates`
+/// then `filter_candidates`, with the timers at the hand-off between
+/// them; the other switches come from `ctx.strategy`. Sequential
+/// execution keeps the phase timers meaningful; the aggregate counters
+/// and per-query answers match [`execute_batch`] exactly at every level
+/// that dedups with the bitvector.
 pub fn profile_batch(
     ctx: &QueryContext<'_>,
     queries: &[SparseVector],
     scratch: &mut QueryScratch,
 ) -> (Vec<Vec<Neighbor>>, QueryPhaseTimings, QueryStats) {
-    let l_count = allpairs::num_tables(ctx.m) as usize;
     let mut timings = QueryPhaseTimings::default();
     let mut stats = QueryStats::default();
     let mut answers: Vec<Vec<Neighbor>> = Vec::with_capacity(queries.len());
-    let mut sorted: Vec<u32> = Vec::new();
-    scratch.cand.rebase(ctx.base);
     for query in queries {
         // Q1 (not separately reported; the paper notes it "takes very
         // little time").
-        SketchMatrix::sketch_one(
-            ctx.planes,
-            ctx.half_bits,
-            query.indices(),
-            query.values(),
-            &mut scratch.acc,
-            &mut scratch.half_keys,
-        );
-        allpairs::table_keys(
-            &scratch.half_keys,
-            ctx.half_bits,
-            &mut scratch.keys[..l_count],
-        );
+        let l_count = hash_query(ctx, query, scratch);
+        let keys = std::mem::take(&mut scratch.keys);
 
-        // Q2: bucket reads + dedup + sorted extraction.
         let t0 = Instant::now();
-        let QueryScratch {
-            cand,
-            keys,
-            half_keys,
-            delta_hits,
-            ..
-        } = &mut *scratch;
-        gather_candidates(
-            ctx,
-            &keys[..l_count],
-            half_keys,
-            delta_hits,
-            &mut stats,
-            |id| {
-                cand.insert(id);
-            },
-        );
-        stats.unique_candidates += scratch.cand.len() as u64;
-        scratch.cand.extract_sorted(&mut sorted);
+        dedup_candidates(ctx, &keys[..l_count], scratch, &mut stats);
         timings.step_q2 += t0.elapsed();
+        scratch.keys = keys;
 
-        // Q3 + Q4: distance filter over the sorted candidates.
         let t1 = Instant::now();
         let mut out = Vec::new();
-        let visited = &sorted[..sorted.len().min(ctx.max_candidates)];
-        filter_sorted(ctx, query, scratch, visited, &mut out, &mut stats);
+        filter_candidates(ctx, query, scratch, &mut out, &mut stats);
         std::hint::black_box(&out);
-        scratch.cand.clear();
         timings.step_q3 += t1.elapsed();
         answers.push(out);
     }
@@ -1426,5 +1438,200 @@ mod tests {
         execute_query_into(&c, &q, &mut scratch);
         assert_eq!(scratch.neighbors(), &first[..]);
         assert_eq!(scratch.out.capacity(), cap);
+    }
+
+    /// The Q2→Q3 hand-off the candidate-list kernel replaced, kept as the
+    /// reference: mark every gathered id in a bitvector over the span,
+    /// extract the ids by scanning it (ascending), cut at the budget, and
+    /// filter them in that order.
+    fn ascending_extract_reference(
+        ctx: &QueryContext<'_>,
+        query: &SparseVector,
+        scratch: &mut QueryScratch,
+    ) -> (Vec<Neighbor>, QueryStats) {
+        let mut stats = QueryStats::default();
+        let l_count = hash_query(ctx, query, scratch);
+        let keys = scratch.keys[..l_count].to_vec();
+        let mut words = vec![0u64; ctx.num_points().div_ceil(64)];
+        let QueryScratch {
+            half_keys,
+            delta_hits,
+            ..
+        } = &mut *scratch;
+        gather_candidates(ctx, &keys, half_keys, delta_hits, &mut stats, |id| {
+            let off = id - ctx.base;
+            words[(off >> 6) as usize] |= 1u64 << (off & 63);
+        });
+        let mut ascending = Vec::new();
+        for (wi, &w) in words.iter().enumerate() {
+            let mut bits = w;
+            while bits != 0 {
+                ascending.push(ctx.base + (wi * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+        stats.unique_candidates = ascending.len() as u64;
+        let mut out = Vec::new();
+        with_query_side(
+            ctx,
+            query,
+            scratch,
+            &mut out,
+            &mut stats,
+            |scratch, hits, stats| {
+                for &id in ascending.iter().take(ctx.max_candidates) {
+                    filter_candidate(ctx, query, scratch, id, hits, stats);
+                }
+            },
+        );
+        (out, stats)
+    }
+
+    /// Ids and distance bits, in order: what "bit-identical" compares.
+    fn bits(hits: &[Neighbor]) -> Vec<(u32, u32)> {
+        hits.iter()
+            .map(|h| (h.index, h.distance.to_bits()))
+            .collect()
+    }
+
+    /// Rows `0..n` of `f` under global ids `base..base + n`: the first
+    /// `static_rows` merged into static tables, the rest split at `split`
+    /// into two sealed generations.
+    fn rebased(
+        f: &Fixture,
+        base: u32,
+        static_rows: usize,
+        split: usize,
+    ) -> (CrsMatrix, StaticTables, Vec<Arc<DeltaGeneration>>) {
+        let pool = ThreadPool::new(1);
+        let generation = |lo: usize, hi: usize| {
+            let mut g = DeltaGeneration::new(base + lo as u32, f.data.dim(), f.m, f.half_bits);
+            let vs: Vec<SparseVector> = (lo..hi).map(|i| f.data.row_vector(i as u32)).collect();
+            g.append(&vs, &f.planes, true, &pool).unwrap();
+            Arc::new(g)
+        };
+        let head = generation(0, static_rows);
+        let statics = StaticTables::merge_generations(
+            None,
+            f.m,
+            f.half_bits,
+            static_rows,
+            std::slice::from_ref(&head),
+            &[],
+            base,
+            base,
+            &pool,
+        );
+        let tail = vec![
+            generation(static_rows, split),
+            generation(split, f.data.num_rows()),
+        ];
+        (head.data().clone(), statics, tail)
+    }
+
+    #[test]
+    fn candidate_list_kernel_matches_ascending_extract_reference() {
+        // Every fifth row repeats the row before it: exact distance ties.
+        let n = 240u32;
+        let f = fixture_of((0..n).map(|i| (i % 5 == 4).then(|| i - 1)), 15);
+        let base = 1000;
+        let (static_data, statics, gens) = rebased(&f, base, 160, 200);
+        let deleted: Vec<AtomicU64> = (0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
+        for row in [3u32, 77, 170, 233] {
+            deleted[(row / 64) as usize].fetch_or(1 << (row % 64), Ordering::Relaxed);
+        }
+        let flat = ctx(&f, QueryStrategy::optimized());
+        let segmented = QueryContext {
+            static_data: &static_data,
+            static_tables: Some(&statics),
+            deltas: &gens,
+            deleted: Some(&deleted),
+            base,
+            retired_below: base + 20,
+            ..flat
+        };
+        assert_eq!(segmented.num_points(), n as usize);
+        let rows = [0u32, 3, 10, 42, 77, 159, 165, 170, 199, 233, 239];
+        let queries: Vec<SparseVector> = rows.iter().map(|&r| f.data.row_vector(r)).collect();
+
+        // Every row a copy of row 0, queried with its negation: each
+        // half-key of the query is the complement of every row's, so no
+        // bucket matches and the query has zero candidates.
+        let same = fixture_of((0..64).map(|i| (i > 0).then_some(0)), 16);
+        let (idx, val) = same.data.row(0);
+        let antipode =
+            SparseVector::new(idx.iter().zip(val).map(|(&i, &v)| (i, -v)).collect()).unwrap();
+        let empty = ctx(&same, QueryStrategy::optimized());
+        let cases = [
+            (flat, &queries[..]),
+            (segmented, &queries[..]),
+            (empty, std::slice::from_ref(&antipode)),
+        ];
+
+        let pool = ThreadPool::new(2);
+        let scratches = ScratchPool::new(f.m, f.half_bits, f.data.dim());
+        let mut scratch = QueryScratch::new(f.m, f.half_bits, n as usize, f.data.dim());
+        let mut filtered = 0;
+        let mut zero = 0;
+        for (label, strategy) in QueryStrategy::ablation_levels() {
+            for budget in [usize::MAX, 40, 7] {
+                // Unbudgeted levels 1 and 2 report discovery order, which
+                // the reference does not reproduce.
+                if !strategy.candidate_array && budget == usize::MAX {
+                    continue;
+                }
+                for (radius, top_k) in [
+                    (0.9, None),
+                    (std::f32::consts::PI, None),
+                    (std::f32::consts::PI, Some(1)),
+                    (std::f32::consts::PI, Some(5)),
+                    (0.9, Some(n as usize)),
+                ] {
+                    for (ci, &(c, qs)) in cases.iter().enumerate() {
+                        let c = &QueryContext {
+                            strategy,
+                            max_candidates: budget,
+                            radius,
+                            top_k,
+                            ..c
+                        };
+                        let at =
+                            format!("{label}, budget {budget}, R {radius}, k {top_k:?}, ctx {ci}");
+                        let mut want = Vec::new();
+                        let mut total = QueryStats::default();
+                        for q in qs.iter() {
+                            let (hits, stats) = ascending_extract_reference(c, q, &mut scratch);
+                            let (got, got_stats) = execute_query(c, q, &mut scratch);
+                            assert_eq!(bits(&got), bits(&hits), "{at}");
+                            assert_eq!(got_stats, stats, "{at}");
+                            filtered += stats.unique_candidates - stats.distance_computations;
+                            zero += usize::from(stats.unique_candidates == 0);
+                            total.merge(&stats);
+                            want.push(hits);
+                        }
+                        let (piped, piped_stats) =
+                            execute_batch_pipelined(c, qs, &pool, &scratches);
+                        let (per_query, per_query_stats) = execute_batch(c, qs, &pool, &scratches);
+                        let (profiled, _, profiled_stats) = profile_batch(c, qs, &mut scratch);
+                        for (path, got, stats) in [
+                            ("pipelined", piped, piped_stats.totals),
+                            ("per-query", per_query, per_query_stats.totals),
+                            ("profiled", profiled, profiled_stats),
+                        ] {
+                            for (g, w) in got.iter().zip(&want) {
+                                assert_eq!(bits(g), bits(w), "{path}: {at}");
+                            }
+                            assert_eq!(got.len(), want.len(), "{path}: {at}");
+                            assert_eq!(stats, total, "{path}: {at}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            filtered > 0,
+            "deletions and retirement must skip candidates"
+        );
+        assert!(zero > 0, "the antipode must have zero candidates");
     }
 }

@@ -266,6 +266,16 @@ impl CrsMatrix {
         (&self.cols[lo..hi], &self.vals[lo..hi])
     }
 
+    /// Hints the hardware to pull the offsets slot of row `i` into cache
+    /// ahead of [`row`](Self::row) — the first of the two dependent loads
+    /// a row access costs. A no-op for rows past the end.
+    #[inline]
+    pub fn prefetch_row_offsets(&self, i: u32) {
+        if let Some(slot) = self.row_offsets.get(i as usize) {
+            crate::util::prefetch_read(slot);
+        }
+    }
+
     /// Owned copy of row `i`.
     pub fn row_vector(&self, i: u32) -> SparseVector {
         let (idx, val) = self.row(i);

@@ -146,13 +146,15 @@ impl StaticTables {
     /// ahead of [`bucket`](Self::bucket) — the Step Q2 analogue of the
     /// candidate-loop row prefetch (Section 5.2.2): all `L` keys are known
     /// after Q1, so the next table's bucket can stream in while the current
-    /// one is scanned.
+    /// one is scanned. Both the first and the last cache line of the
+    /// bucket are hinted: a run of a few entries often straddles a line
+    /// boundary.
     #[inline]
     pub fn prefetch_bucket(&self, l: usize, key: u32) {
-        let t = &self.tables[l];
-        let lo = t.offsets[key as usize] as usize;
-        if let Some(first) = t.entries.get(lo) {
+        let run = self.bucket(l, key);
+        if let (Some(first), Some(last)) = (run.first(), run.last()) {
             crate::util::prefetch_read(first);
+            crate::util::prefetch_read(last);
         }
     }
 

@@ -475,7 +475,7 @@ fn search(shared: &Shared, body: &Json) -> Response {
         }
     }
     match shared.backend.search(&sreq) {
-        Ok(resp) => Response::json(200, wire::encode_search_response(&resp).to_string()),
+        Ok(resp) => Response::json(200, wire::encode_search_response(&resp)),
         Err(e) => backend_error(&e),
     }
 }

@@ -149,43 +149,59 @@ pub fn parse_delete(body: &Json) -> Result<u32, WireError> {
         .map(|id| id as u32)
 }
 
-/// Encode a [`SearchResponse`]: per-query hit lists, the timed-out shard
-/// set (empty = complete answer), and the pinned epoch's generation.
-pub fn encode_search_response(resp: &SearchResponse) -> Json {
-    let results = Json::Arr(
-        resp.results
-            .iter()
-            .map(|hits| {
-                Json::Arr(
-                    hits.iter()
-                        .map(|h| {
-                            Json::obj(vec![
-                                ("node", Json::Num(h.node as f64)),
-                                ("index", Json::Num(h.index as f64)),
-                                ("distance", Json::Num(h.distance as f64)),
-                            ])
-                        })
-                        .collect(),
-                )
-            })
-            .collect(),
-    );
-    let timed_out = Json::Arr(
-        resp.timed_out_shards
-            .iter()
-            .map(|&s| Json::Num(s as f64))
-            .collect(),
-    );
-    Json::obj(vec![
-        ("results", results),
-        ("timed_out_shards", timed_out),
-        (
-            "epoch_generation",
-            resp.epoch
-                .as_ref()
-                .map_or(Json::Null, |e| Json::Num(e.generation as f64)),
-        ),
-    ])
+/// Encode a [`SearchResponse`] as the `/search` body: per-query hit lists,
+/// the timed-out shard set (empty = complete answer), and the pinned
+/// epoch's generation.
+///
+/// Written straight into one `String`, with no [`Json`] tree: the bytes
+/// are those of the tree encoding, keys in sorted order and every number
+/// printed as the `f64` [`Json::Num`] would hold (a `u32` prints the same
+/// digits either way).
+pub fn encode_search_response(resp: &SearchResponse) -> String {
+    use std::fmt::Write;
+    let hits: usize = resp.results.iter().map(Vec::len).sum();
+    let mut out = String::with_capacity(64 + 56 * hits);
+    out.push_str("{\"epoch_generation\":");
+    match &resp.epoch {
+        Some(e) => push_num(&mut out, e.generation as f64),
+        None => out.push_str("null"),
+    }
+    out.push_str(",\"results\":[");
+    for (i, hits) in resp.results.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('[');
+        for (j, h) in hits.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"distance\":");
+            push_num(&mut out, f64::from(h.distance));
+            let _ = write!(out, ",\"index\":{},\"node\":{}}}", h.index, h.node);
+        }
+        out.push(']');
+    }
+    out.push_str("],\"timed_out_shards\":[");
+    for (i, &s) in resp.timed_out_shards.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{s}");
+    }
+    out.push_str("]}");
+    out
+}
+
+/// Appends `n` exactly as [`Json::Num`] displays it.
+fn push_num(out: &mut String, n: f64) {
+    use std::fmt::Write;
+    if n.is_finite() {
+        // Writing to a `String` cannot fail.
+        let _ = write!(out, "{n}");
+    } else {
+        out.push_str("null");
+    }
 }
 
 /// Encode a [`HealthReport`] — `/healthz`'s body, 200 or 503.
@@ -296,6 +312,125 @@ mod tests {
         assert_eq!(parse_delete(&body).unwrap(), 42);
         let bad = json::parse(r#"{"id": -1}"#).unwrap();
         assert!(parse_delete(&bad).is_err());
+    }
+
+    /// The `Json`-tree encoding `encode_search_response` replaced, kept as
+    /// the byte-for-byte reference.
+    fn tree_encoding(resp: &SearchResponse) -> Json {
+        let results = Json::Arr(
+            resp.results
+                .iter()
+                .map(|hits| {
+                    Json::Arr(
+                        hits.iter()
+                            .map(|h| {
+                                Json::obj(vec![
+                                    ("node", Json::Num(h.node as f64)),
+                                    ("index", Json::Num(h.index as f64)),
+                                    ("distance", Json::Num(h.distance as f64)),
+                                ])
+                            })
+                            .collect(),
+                    )
+                })
+                .collect(),
+        );
+        let timed_out = Json::Arr(
+            resp.timed_out_shards
+                .iter()
+                .map(|&s| Json::Num(s as f64))
+                .collect(),
+        );
+        Json::obj(vec![
+            ("results", results),
+            ("timed_out_shards", timed_out),
+            (
+                "epoch_generation",
+                resp.epoch
+                    .as_ref()
+                    .map_or(Json::Null, |e| Json::Num(e.generation as f64)),
+            ),
+        ])
+    }
+
+    #[test]
+    fn search_encoding_matches_the_tree_encoding_byte_for_byte() {
+        use plsh_core::engine::EpochInfo;
+        use plsh_core::search::SearchHit;
+
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        // A third of the hits take an edge distance: zero, π, the
+        // smallest and largest subnormals, the smallest normal, or 1. The
+        // rest take random bit patterns folded into [0, π), NaN (encoded
+        // as `null`) included.
+        let special = [
+            0.0f32,
+            std::f32::consts::PI,
+            f32::from_bits(1),
+            f32::from_bits(0x007F_FFFF),
+            f32::MIN_POSITIVE,
+            1.0,
+        ];
+        let epoch = |generation| EpochInfo {
+            generation,
+            static_points: 0,
+            sealed_generations: 0,
+            sealed_points: 0,
+            visible_points: 0,
+            static_base: 0,
+            retired_below: 0,
+        };
+        let mut cases = vec![SearchResponse {
+            results: Vec::new(),
+            stats: None,
+            phase_timings: None,
+            epoch: None,
+            timed_out_shards: Vec::new(),
+        }];
+        for case in 0..300u64 {
+            let results = (0..next() % 4)
+                .map(|_| {
+                    (0..next() % 12)
+                        .map(|_| {
+                            let r = next();
+                            let distance = if r % 3 == 0 {
+                                special[(r >> 8) as usize % special.len()]
+                            } else {
+                                f32::from_bits((r >> 8) as u32) % std::f32::consts::PI
+                            };
+                            SearchHit {
+                                node: (r >> 40) as u32 % 5,
+                                index: if r % 7 == 0 {
+                                    u32::MAX
+                                } else {
+                                    (r >> 16) as u32
+                                },
+                                distance: distance.abs(),
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            cases.push(SearchResponse {
+                results,
+                stats: None,
+                phase_timings: None,
+                epoch: (case % 3 != 0).then(|| epoch(next() >> (next() % 64))),
+                timed_out_shards: (0..next() % 3).map(|_| next() as u32 % 8).collect(),
+            });
+        }
+        for resp in &cases {
+            assert_eq!(
+                encode_search_response(resp),
+                tree_encoding(resp).to_string()
+            );
+        }
     }
 
     #[test]
