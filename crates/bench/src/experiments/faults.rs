@@ -195,7 +195,6 @@ pub fn run(f: &Fixture) -> Faults {
         fault::WAL_FSYNC,
         FaultSpec::new(FaultKind::Err).probability(0.1),
     );
-    fault::arm(fault::SEAL_SEGMENT, FaultSpec::new(FaultKind::Err).times(2));
     fault::arm(
         fault::MERGE_BUILD,
         FaultSpec::new(FaultKind::Panic).times(2),

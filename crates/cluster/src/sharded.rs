@@ -908,11 +908,12 @@ impl ShardedIndex {
     /// [`persist_to`](Self::persist_to), re-attaching persistence so the
     /// recovered shards keep journaling.
     ///
-    /// Every shard first recovers its own durable prefix (segments, then
-    /// the WAL tail). A crash can land mid-batch with some shards ahead
-    /// of others, so the cluster then truncates to the longest globally
-    /// contiguous id prefix: shard `s` recovering `n_s` ids first misses
-    /// global `n_s·S + s`, so the prefix is `min_s(n_s·S + s)`. Shards
+    /// Every shard first recovers its own durable prefix (static segment,
+    /// then its generation files). A crash can land mid-batch with some
+    /// shards ahead of others, so the cluster then truncates to the
+    /// longest globally contiguous id prefix: shard `s` recovering `n_s`
+    /// ids first misses global `n_s·S + s`, so the prefix is
+    /// `min_s(n_s·S + s)`. Shards
     /// holding rows beyond it are rebuilt to the kept prefix and
     /// re-baselined on disk. Answers are identical to a from-scratch
     /// build over the recovered prefix (property-tested). Only cluster

@@ -934,24 +934,14 @@ impl Engine {
         if open.is_empty() {
             return false;
         }
-        let gen = Arc::new(open);
-        // Durability before visibility: the immutable segment is on disk
-        // (and the covering WAL retired) before the epoch swap. When the
-        // segment write keeps failing the seal is aborted — the generation
-        // stays open, its rows still covered by the WAL — and the engine
-        // degrades. When already degraded the hook is skipped: heal()
-        // resynchronizes the whole directory from memory anyway.
-        if !self.is_degraded() {
-            if let Some(p) = self.persister() {
-                if let Err(e) = p.on_seal(&gen) {
-                    self.degrade("segment seal", &e);
-                    if let Ok(open) = Arc::try_unwrap(gen) {
-                        w.open = Some(open);
-                    }
-                    return false;
-                }
-            }
+        // Every row is already durable: each batch reached the WAL, fsynced,
+        // before it was applied. Sealing only closes that WAL — it stays on
+        // disk as the generation's durable form — so the seal does no I/O
+        // and cannot fail.
+        if let Some(p) = self.persister() {
+            p.on_seal(open.base());
         }
+        let gen = Arc::new(open);
         self.epoch
             .rcu(|prev| Arc::new(EngineView::with_sealed(prev, gen.clone())));
         true

@@ -18,7 +18,6 @@
 //! |---|---|---|
 //! | `wal.append` | WAL record write | [`io_check`] |
 //! | `wal.fsync` | WAL batch-boundary fsync | [`io_check`] |
-//! | `seal.segment` | generation segment freeze | [`io_check`] |
 //! | `manifest.swap` | merge-publish manifest rename | [`io_check`] |
 //! | `tomb.append` | tombstone log append | [`io_check`] |
 //! | `static.prepare` | off-to-the-side static segment write | [`io_check`] |
@@ -55,8 +54,6 @@ use crate::rng::SplitMix64;
 pub const WAL_APPEND: &str = "wal.append";
 /// WAL batch-boundary fsync.
 pub const WAL_FSYNC: &str = "wal.fsync";
-/// Immutable segment write when a generation seals.
-pub const SEAL_SEGMENT: &str = "seal.segment";
 /// The merge-publish manifest rename-swap (the durability commit point).
 pub const MANIFEST_SWAP: &str = "manifest.swap";
 /// Tombstone log append.
@@ -74,7 +71,6 @@ pub const QUERY_SHARD: &str = "query.shard";
 pub const SITES: &[&str] = &[
     WAL_APPEND,
     WAL_FSYNC,
-    SEAL_SEGMENT,
     MANIFEST_SWAP,
     TOMB_APPEND,
     STATIC_PREPARE,

@@ -6,13 +6,17 @@
 //! [`HalfKeyColumn`], and supports appending: streaming inserts hash
 //! their points once here, queries against the un-merged delta *scan*
 //! the column ([`simd::scan_half_keys`]), and every later static rebuild
-//! (merge) reads the stored half-keys through [`half_key`] instead of
-//! re-hashing, which is what makes the paper's periodic merges affordable.
+//! reads the stored half-keys instead of re-hashing — a bulk build through
+//! [`half_key`], a merge one block of lane runs at a time — which is what
+//! makes the paper's periodic merges affordable.
 //!
 //! [`half_key`]: SketchMatrix::half_key
 
+use std::ops::Range;
+
 use plsh_parallel::ThreadPool;
 
+use crate::hash::allpairs;
 use crate::hash::hyperplanes::Hyperplanes;
 use crate::simd::{self, HalfKeyColumn, BLOCK_DOCS};
 use crate::sparse::CrsMatrix;
@@ -94,6 +98,51 @@ impl SketchMatrix {
     /// All `m` half-keys of point `i`.
     pub fn half_keys(&self, i: u32) -> impl Iterator<Item = u32> + '_ {
         (0..self.m).map(move |a| self.half_key(i, a))
+    }
+
+    /// Appends the table key of pair `(a, b)` —
+    /// [`allpairs::compose_key`] of `u_a` and `u_b` — of every point in
+    /// `points` to `out`, in point order. Each packed block is read as its
+    /// two lane runs, in order, instead of locating every lane through
+    /// [`half_key`](Self::half_key): this is how a merge keys a whole
+    /// generation for one table.
+    pub(crate) fn extend_pair_keys(
+        &self,
+        a: u32,
+        b: u32,
+        points: Range<usize>,
+        out: &mut Vec<u32>,
+    ) {
+        assert!(a < self.m && b < self.m && points.end <= self.n);
+        let (m, w, half_bits) = (self.m as usize, self.lane_bytes(), self.half_bits);
+        out.reserve(points.len());
+        let mut i = points.start;
+        while i < points.end {
+            let first = i / BLOCK_DOCS * BLOCK_DOCS;
+            let docs = (self.n - first).min(BLOCK_DOCS);
+            let stop = points.end.min(first + docs);
+            // Lanes `i..stop` of run `f`, as `lane_index` lays them out.
+            let run = |f: u32| {
+                let at = (first * m + f as usize * docs + (i - first)) * w;
+                &self.lanes[at..at + (stop - i) * w]
+            };
+            let (ra, rb) = (run(a), run(b));
+            if w == 1 {
+                out.extend(
+                    ra.iter()
+                        .zip(rb)
+                        .map(|(&ua, &ub)| allpairs::compose_key(ua.into(), ub.into(), half_bits)),
+                );
+            } else {
+                let lane = |x: &[u8]| u32::from(u16::from_le_bytes([x[0], x[1]]));
+                out.extend(
+                    ra.chunks_exact(2)
+                        .zip(rb.chunks_exact(2))
+                        .map(|(ua, ub)| allpairs::compose_key(lane(ua), lane(ub), half_bits)),
+                );
+            }
+            i = stop;
+        }
     }
 
     /// Makes room for `extra` more points: grows the lane buffer and
@@ -394,6 +443,47 @@ mod tests {
             for i in 0..25u32 {
                 for a in 0..2 {
                     assert!(sk.half_key(i, a) < (1 << half_bits));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pair_keys_match_composed_half_keys_on_any_range() {
+        // Ranges that start and end inside blocks, span several, and end
+        // in the short tail block, in both lane widths.
+        let mut rng = crate::rng::SplitMix64::new(11);
+        for (m, half_bits) in [(4u32, 3u32), (5, 8), (3, 9), (6, 12)] {
+            let mut sk = SketchMatrix::new(m, half_bits);
+            for _ in 0..(3 * BLOCK_DOCS + 5) {
+                let row: Vec<u32> = (0..m)
+                    .map(|_| rng.next_below(1 << half_bits) as u32)
+                    .collect();
+                sk.push(&row);
+            }
+            let n = sk.num_points();
+            for (from, to) in [
+                (0, n),
+                (0, 0),
+                (3, 29),
+                (31, 33),
+                (17, 90),
+                (64, n),
+                (n - 1, n),
+            ] {
+                for (a, b) in allpairs::pairs(m) {
+                    let mut got = vec![7u32]; // appended after what is there
+                    sk.extend_pair_keys(a, b, from..to, &mut got);
+                    let expect: Vec<u32> = std::iter::once(7)
+                        .chain((from..to).map(|i| {
+                            let i = i as u32;
+                            allpairs::compose_key(sk.half_key(i, a), sk.half_key(i, b), half_bits)
+                        }))
+                        .collect();
+                    assert_eq!(
+                        got, expect,
+                        "m={m} half_bits={half_bits} {from}..{to} ({a},{b})"
+                    );
                 }
             }
         }

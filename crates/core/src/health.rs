@@ -43,8 +43,8 @@ pub struct HealthReport {
     pub degraded: bool,
     /// Why the engine degraded (the persistent I/O error), if it did.
     pub degraded_reason: Option<String>,
-    /// Rows durable only in the WAL — not yet sealed into an immutable
-    /// segment. This is the replay lag a restart would pay.
+    /// Rows of the open generation: durable in its WAL, not yet sealed,
+    /// so not yet visible to queries.
     pub wal_lag_rows: usize,
     /// Transient persistence I/O errors absorbed by retry-with-backoff
     /// since the persister attached.

@@ -1,19 +1,22 @@
-//! Incremental durability: WAL + segment-per-generation persistence.
+//! Incremental durability: one WAL file per generation.
 //!
 //! A streaming node that ingests a firehose cannot afford to rewrite its
 //! entire corpus on every batch. This module makes the *in-memory*
 //! lifecycle durable piece by piece, mirroring the on-disk format on the
 //! engine's own segmented structure:
 //!
-//! * **WAL for the open generation.** Every `insert_batch` appends one
+//! * **A WAL per generation.** Every `insert_batch` appends one
 //!   checksummed record to `wal-<base>.log` *before* the rows are applied
 //!   in memory, and fsyncs on the batch boundary. A torn tail (power cut
 //!   mid-record) is detected by the length/checksum framing and dropped at
 //!   recovery — only the un-synced tail op can be lost.
-//! * **A segment per sealed generation.** Sealing writes the generation's
-//!   rows to an immutable `gen-<base>.seg` (tmp + rename), then retires
-//!   the WAL that covered it. Sealed generations never change, so the
-//!   segment is written exactly once.
+//! * **The sealed generation's WAL is its segment.** Sealing writes
+//!   nothing: it closes the generation's WAL, so the next batch opens
+//!   `wal-<next base>.log`. The closed log already holds every row of the
+//!   generation, fsynced, and is never appended to again, so each row
+//!   reaches the disk exactly once. Only a baseline (`persist_to`, heal)
+//!   writes its sealed generations as `gen-<base>.seg` segments, and
+//!   recovery reads both forms.
 //! * **Deletes in a tombstone log.** `delete` appends to `tomb.log`
 //!   (fsync per record — deletes are rare). The log is truncated when a
 //!   merge publishes, because the manifest written at that point snapshots
@@ -31,8 +34,13 @@
 //! ## Recovery
 //!
 //! [`load_state`] reads the manifest, loads the static segment, then walks
-//! generation segments contiguously from `static_len`, falls through to
-//! the live WAL for the open tail, and finally replays the tombstone log.
+//! the generation files contiguously from the static end: at each base a
+//! `gen-<base>.seg` if there is one, else `wal-<base>.log`, whose whole
+//! records up to the first torn or corrupt one are the generation. The
+//! first gap in the id space ends the chain (a damaged file ends it where
+//! its damage starts), and the tombstone log is replayed last. Re-attaching
+//! keeps every file the chain used and garbage-collects the rest, so a
+//! file past the end is never resurrected.
 //! [`rebuild_engine`] is the one rebuild routine: insert the static
 //! prefix, tombstone + merge-purge the purged ids (so the purge accounting
 //! matches), replay each generation as its own sealed generation, then
@@ -59,8 +67,8 @@
 //! [`Engine::heal`](crate::engine::Engine::heal) exits degraded mode by
 //! `EnginePersister::resync`-ing the directory from a fresh baseline.
 //! Every hook is also threaded through the named failpoints of
-//! [`crate::fault`] (`wal.append`, `wal.fsync`, `seal.segment`,
-//! `manifest.swap`, `tomb.append`, `static.prepare`) so the chaos suite
+//! [`crate::fault`] (`wal.append`, `wal.fsync`, `manifest.swap`,
+//! `tomb.append`, `static.prepare`) so the chaos suite
 //! can inject exactly these failures. Simulated power cuts for the
 //! crash-recovery property tests are injected through the separate
 //! [`fail`] facility, which freezes all persistence I/O after a budgeted
@@ -870,26 +878,14 @@ impl EnginePersister {
         })
     }
 
-    /// Re-attaches to a recovered directory: compacts the replayed WAL
-    /// tail into a generation segment (the recovered engine sealed those
-    /// rows) and garbage-collects everything recovery did not use.
+    /// Re-attaches to a recovered directory and garbage-collects every
+    /// file recovery did not use. The recovered generation files stay as
+    /// they are: the rebuilt engine sealed each of them, and a WAL is a
+    /// sealed generation's durable form (the next batch opens a new one
+    /// past them, so none is appended to again).
     pub(crate) fn attach_recovered(dir: &Path, st: &RecoveredState) -> io::Result<Self> {
         let data = data_dir(dir, st.manifest.reset);
         fs::create_dir_all(&data)?;
-
-        // Compact: rows recovered out of a WAL are sealed generations in
-        // the rebuilt engine, so give them their immutable segment and
-        // retire the log (segment first — the WAL stays authoritative
-        // until its replacement is fully on disk).
-        for (base, rows, from_wal) in &st.gens {
-            if !from_wal {
-                continue;
-            }
-            let bytes = encode_segment(GEN_MAGIC, *base as u64, rows.iter().cloned());
-            write_atomic(&gen_path(&data, *base), &bytes)?;
-            fio_remove(&wal_path(&data, *base))?;
-        }
-
         let me = Self {
             dir: dir.to_path_buf(),
             state: Mutex::new(PersistState {
@@ -908,7 +904,8 @@ impl EnginePersister {
     /// Best-effort removal of files recovery did not consume: stale data
     /// directories from pre-`clear` lifetimes, retired static segments,
     /// and generation segments / WALs beyond the recovered contiguous
-    /// prefix (or below the static watermark).
+    /// prefix, below the static watermark, or shadowed by a segment at
+    /// the same base.
     fn gc(&self, st: &RecoveredState) {
         let s = self.state.lock().unwrap_or_else(|e| e.into_inner());
         if let Ok(entries) = fs::read_dir(&self.dir) {
@@ -922,7 +919,13 @@ impl EnginePersister {
                 }
             }
         }
-        let live_gens: Vec<u32> = st.gens.iter().map(|(b, _, _)| *b).collect();
+        // A recovered generation came from exactly one file: its segment,
+        // or its WAL when it had none.
+        let live = |base: u64, from_wal: bool| {
+            st.gens
+                .iter()
+                .any(|&(b, _, w)| b as u64 == base && w == from_wal)
+        };
         if let Ok(entries) = fs::read_dir(&s.data) {
             for e in entries.flatten() {
                 let name = e.file_name();
@@ -930,11 +933,9 @@ impl EnginePersister {
                 let stale = if let Some(seq) = parse_numbered(&name, "static-", ".seg") {
                     Some(seq) != st.manifest.static_seq
                 } else if let Some(b) = parse_numbered(&name, "gen-", ".seg") {
-                    !live_gens.contains(&(b as u32))
-                } else if parse_numbered(&name, "wal-", ".log").is_some() {
-                    // Every recovered WAL was just compacted to a segment;
-                    // any remaining log is an unreachable orphan.
-                    true
+                    !live(b, false)
+                } else if let Some(b) = parse_numbered(&name, "wal-", ".log") {
+                    !live(b, true)
                 } else {
                     name.ends_with(".tmp")
                 };
@@ -1013,23 +1014,14 @@ impl EnginePersister {
         Ok(())
     }
 
-    /// A generation sealed: write its immutable segment, retire its WAL.
-    pub(crate) fn on_seal(&self, g: &DeltaGeneration) -> io::Result<()> {
+    /// A generation sealed: close its WAL, which stays on disk as the
+    /// generation's durable form (every record in it is already fsynced).
+    /// Writes nothing; the next batch opens `wal-<next base>.log`.
+    pub(crate) fn on_seal(&self, base: u32) {
         let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let s = &mut *s;
-        let bytes = encode_segment(GEN_MAGIC, g.base() as u64, gen_rows(g));
-        let path = gen_path(&s.data, g.base());
-        self.retry(|| {
-            fault::io_check(fault::SEAL_SEGMENT)?;
-            write_atomic(&path, &bytes)
-        })?;
-        if s.wal.as_ref().is_some_and(|w| w.base == g.base()) {
+        if s.wal.as_ref().is_some_and(|w| w.base == base) {
             s.wal = None;
-            // Best-effort: a leftover WAL is shadowed by the segment at
-            // recovery and garbage-collected by the next attach.
-            let _ = fio_remove(&wal_path(&s.data, g.base()));
         }
-        Ok(())
     }
 
     /// Append one tombstone to the delete log (fsync per record; deletes
@@ -1073,13 +1065,20 @@ impl EnginePersister {
     /// side, *before* the merge takes the write lock). `base` is the
     /// global id of the corpus's row 0 (the window-compaction cut).
     /// Returns the segment's sequence number for [`Self::publish_static`].
+    ///
+    /// The state lock is held only to take the sequence number and the
+    /// path, so WAL appends never queue behind the encode and fsync. The
+    /// path cannot change underneath: `clear`, heal and attach hold the
+    /// engine's merge lock, as the caller does.
     pub(crate) fn prepare_static(&self, base: u32, static_data: &CrsMatrix) -> io::Result<u64> {
-        let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let seq = s.next_static_seq;
-        s.next_static_seq += 1;
+        let (seq, path) = {
+            let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
+            let seq = s.next_static_seq;
+            s.next_static_seq += 1;
+            (seq, static_path(&s.data, seq))
+        };
         let rows = (0..static_data.num_rows() as u32).map(|id| static_data.row_vector(id));
         let bytes = encode_segment(STATIC_MAGIC, base as u64, rows);
-        let path = static_path(&s.data, seq);
         self.retry(|| {
             fault::io_check(fault::STATIC_PREPARE)?;
             write_atomic(&path, &bytes)
@@ -1222,7 +1221,7 @@ pub struct RecoveredState {
     manifest: Manifest,
     /// Rows of the static prefix (`manifest.static_len` of them).
     static_rows: Vec<SparseVector>,
-    /// Sealed generations beyond the static prefix, in id order:
+    /// Generations beyond the static prefix, in id order:
     /// `(base, rows, recovered-from-WAL)`.
     gens: Vec<(u32, Vec<SparseVector>, bool)>,
     /// Tombstones replayed from the delete log (applied after the
@@ -1289,13 +1288,14 @@ impl RecoveredState {
         self.manifest.static_base + self.total() as u64
     }
 
-    /// Rows recovered from the live WAL (not yet sealed to a segment at
-    /// the time of the crash).
+    /// Rows recovered from WAL files: every generation journaled since the
+    /// last baseline, sealed or still open at the time of the crash.
     pub fn wal_rows(&self) -> usize {
         self.wal_rows
     }
 
-    /// Sealed generation segments recovered (excluding the WAL tail).
+    /// Generations recovered from baseline `gen-*.seg` segments (the rest
+    /// came from their WALs).
     pub fn segments(&self) -> usize {
         self.gens.iter().filter(|(_, _, w)| !w).count()
     }
@@ -1328,9 +1328,10 @@ impl RecoveredState {
 }
 
 /// Reads the durable state out of an engine directory without building an
-/// engine: manifest → static segment → contiguous generation segments →
-/// live WAL → delete log. Stops at the first gap in the id space (the
-/// crash tail); a torn WAL or delete-log record is dropped silently.
+/// engine: manifest → static segment → the contiguous chain of generation
+/// files (a segment, else a WAL, at each base) → delete log. Stops at the
+/// first gap in the id space (the crash tail); a torn WAL or delete-log
+/// record is dropped silently, with everything after it.
 pub fn load_state(dir: impl AsRef<Path>) -> io::Result<RecoveredState> {
     let dir = dir.as_ref();
     let bytes = fs::read(dir.join(MANIFEST)).map_err(|e| {
@@ -1365,7 +1366,8 @@ pub fn load_state(dir: impl AsRef<Path>) -> io::Result<RecoveredState> {
                 _ => break,
             }
         }
-        // Fall through to the live WAL for the open tail.
+        // No segment at this base: the generation's WAL is its durable
+        // form (sealed or still open).
         let wal = wal_path(&data, next);
         if !wal.exists() {
             break;
@@ -1398,8 +1400,9 @@ pub fn load_state(dir: impl AsRef<Path>) -> io::Result<RecoveredState> {
         wal_rows += rows.len();
         next += rows.len() as u32;
         gens.push((base, rows, true));
-        // Keep walking: a crash between "segment renamed" and "WAL
-        // removed" leaves both, and newer files may follow the segment.
+        // Keep walking: the next generation's file starts where this one's
+        // whole records end. A torn or corrupt record ends this file early,
+        // so nothing written after it lines up and the chain stops there.
     }
 
     let mut tomb = Vec::new();
@@ -1717,9 +1720,10 @@ mod tests {
         engine.seal();
         assert_eq!(back.len(), vs.len());
         assert_eq!(answers(&back, &vs), answers(&engine, &vs));
-        // The recovered WAL was compacted into a segment.
-        assert!(gen_path(&data_dir(Path::new(&tmp), 0), 0).exists());
-        assert!(!wal_path(&data_dir(Path::new(&tmp), 0), 0).exists());
+        // The recovered WAL stays as the sealed generation's durable form;
+        // recovery writes no segment for it.
+        assert!(!gen_path(&data_dir(Path::new(&tmp), 0), 0).exists());
+        assert!(wal_path(&data_dir(Path::new(&tmp), 0), 0).exists());
         std::fs::remove_dir_all(&tmp).unwrap();
     }
 
@@ -1769,6 +1773,183 @@ mod tests {
         fs::write(&wal, &bytes[..bytes.len() - 11]).unwrap();
         let back = Engine::recover_from(&tmp, &pool).unwrap();
         assert_eq!(back.len(), 20);
+        std::fs::remove_dir_all(&tmp).unwrap();
+    }
+
+    /// `(gen-*.seg, wal-*.log)` file counts of a directory's live data.
+    fn generation_files(dir: &Path) -> (usize, usize) {
+        let names: Vec<String> = fs::read_dir(data_dir(dir, 0))
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        let count = |prefix: &str, suffix: &str| {
+            names
+                .iter()
+                .filter(|n| parse_numbered(n, prefix, suffix).is_some())
+                .count()
+        };
+        (count("gen-", ".seg"), count("wal-", ".log"))
+    }
+
+    fn data_bytes(dir: &Path) -> u64 {
+        fs::read_dir(data_dir(dir, 0))
+            .unwrap()
+            .flatten()
+            .map(|e| e.metadata().unwrap().len())
+            .sum()
+    }
+
+    #[test]
+    fn sealed_generations_stay_in_their_wals() {
+        let _g = FAIL_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+        let pool = ThreadPool::new(1);
+        let vs = vectors(90, 51);
+        // (seal_min_points, batch, sealed generations): one generation per
+        // batch, then one per three batches.
+        for (seal_min, batch, sealed) in [(1usize, 10usize, 9usize), (25, 10, 3)] {
+            let tmp = tempdir(&format!("persist-wal-gens-{seal_min}"));
+            let engine = Engine::new(
+                EngineConfig::new(params(8), 200)
+                    .manual_merge()
+                    .with_seal_min_points(seal_min),
+                &pool,
+            )
+            .unwrap();
+            engine.persist_to(&tmp).unwrap();
+            for chunk in vs.chunks(batch) {
+                engine.insert_batch(chunk, &pool).unwrap();
+            }
+            assert_eq!(engine.visible_len(), vs.len(), "every batch sealed");
+            assert_eq!(generation_files(&tmp), (0, sealed));
+
+            let st = load_state(&tmp).unwrap();
+            assert_eq!((st.segments(), st.wal_rows()), (0, vs.len()));
+            assert_eq!(st.all_rows(), vs);
+            let back = Engine::recover_from(&tmp, &pool).unwrap();
+            assert_eq!(back.len(), vs.len());
+            assert_eq!(answers(&back, &vs), answers(&engine, &vs));
+            // Recovery keeps the WALs as they are.
+            assert_eq!(generation_files(&tmp), (0, sealed));
+            std::fs::remove_dir_all(&tmp).unwrap();
+        }
+    }
+
+    #[test]
+    fn sealing_writes_nothing() {
+        let _g = FAIL_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+        let tmp = tempdir("persist-seal-no-io");
+        let pool = ThreadPool::new(1);
+        let vs = vectors(40, 53);
+        let engine = Engine::new(
+            EngineConfig::new(params(9), 100)
+                .manual_merge()
+                .with_seal_min_points(1000),
+            &pool,
+        )
+        .unwrap();
+        engine.persist_to(&tmp).unwrap();
+        engine.insert_batch(&vs[..20], &pool).unwrap();
+        let before = (generation_files(&tmp), data_bytes(&tmp));
+        fail::arm(0); // any I/O the seal attempted would be counted
+        assert!(engine.seal());
+        let ops = fail::ops_used();
+        fail::disarm();
+        assert_eq!(ops, 0, "sealing touched the disk");
+        assert_eq!((generation_files(&tmp), data_bytes(&tmp)), before);
+        // The next batch opens the next generation's WAL.
+        engine.insert_batch(&vs[20..], &pool).unwrap();
+        assert!(wal_path(&data_dir(&tmp, 0), 20).exists());
+        let back = Engine::recover_from(&tmp, &pool).unwrap();
+        back.seal();
+        engine.seal();
+        assert_eq!(answers(&back, &vs), answers(&engine, &vs));
+        std::fs::remove_dir_all(&tmp).unwrap();
+    }
+
+    #[test]
+    fn baseline_segments_then_live_wals_recover_in_order() {
+        let _g = FAIL_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+        let tmp = tempdir("persist-seg-then-wal");
+        let pool = ThreadPool::new(1);
+        let vs = vectors(100, 55);
+        let engine = Engine::new(EngineConfig::new(params(10), 200).manual_merge(), &pool).unwrap();
+        engine.insert_batch(&vs[..20], &pool).unwrap();
+        engine.merge_delta(&pool);
+        for chunk in vs[20..50].chunks(10) {
+            engine.insert_batch(chunk, &pool).unwrap();
+        }
+        // The baseline writes the static prefix and three sealed segments;
+        // the live journal adds one WAL per batch after them.
+        engine.persist_to(&tmp).unwrap();
+        for chunk in vs[50..].chunks(10) {
+            engine.insert_batch(chunk, &pool).unwrap();
+        }
+        assert_eq!(generation_files(&tmp), (3, 5));
+
+        let st = load_state(&tmp).unwrap();
+        assert_eq!(st.static_len(), 20);
+        assert_eq!((st.segments(), st.wal_rows()), (3, 50));
+        assert_eq!(st.all_rows(), vs);
+        let back = Engine::recover_from(&tmp, &pool).unwrap();
+        assert_eq!(answers(&back, &vs), answers(&engine, &vs));
+        assert_eq!(generation_files(&tmp), (3, 5));
+        std::fs::remove_dir_all(&tmp).unwrap();
+    }
+
+    #[test]
+    fn a_corrupt_record_in_a_middle_wal_ends_the_prefix_there() {
+        let _g = FAIL_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+        let tmp = tempdir("persist-mid-wal-flip");
+        let pool = ThreadPool::new(1);
+        let vs = vectors(60, 57);
+        let fresh = vectors(30, 58);
+        let config = || {
+            EngineConfig::new(params(11), 200)
+                .manual_merge()
+                .with_seal_min_points(20)
+        };
+        let engine = Engine::new(config(), &pool).unwrap();
+        engine.persist_to(&tmp).unwrap();
+        // Three sealed generations of two 10-row records each.
+        for chunk in vs.chunks(10) {
+            engine.insert_batch(chunk, &pool).unwrap();
+        }
+        drop(engine);
+        let data = data_dir(&tmp, 0);
+        assert_eq!(generation_files(&tmp), (0, 3));
+
+        // Flip a payload byte of the second record of the middle WAL.
+        let wal = wal_path(&data, 20);
+        let mut bytes = fs::read(&wal).unwrap();
+        let first = 8 + u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
+        bytes[first + 8 + 5] ^= 0x40;
+        fs::write(&wal, &bytes).unwrap();
+
+        let st = load_state(&tmp).unwrap();
+        assert_eq!(st.total(), 30, "the prefix ends at the corrupt record");
+        assert_eq!(st.all_rows(), &vs[..30]);
+        let back = Engine::recover_from(&tmp, &pool).unwrap();
+        assert_eq!(back.len(), 30);
+        assert!(
+            !wal_path(&data, 40).exists(),
+            "the file past the gap survived"
+        );
+
+        // New rows take ids 30.. and nothing written before the crash
+        // past the corrupt record comes back.
+        for chunk in fresh.chunks(10) {
+            back.insert_batch(chunk, &pool).unwrap();
+        }
+        back.seal();
+        drop(back);
+        let again = Engine::recover_from(&tmp, &pool).unwrap();
+        let expect: Vec<SparseVector> = vs[..30].iter().chain(&fresh).cloned().collect();
+        assert_eq!(load_state(&tmp).unwrap().all_rows(), expect);
+        let scratch = Engine::new(config(), &pool).unwrap();
+        scratch.insert_batch(&expect, &pool).unwrap();
+        scratch.seal();
+        assert_eq!(answers(&again, &expect), answers(&scratch, &expect));
         std::fs::remove_dir_all(&tmp).unwrap();
     }
 

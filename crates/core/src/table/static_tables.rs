@@ -209,17 +209,22 @@ impl StaticTables {
     /// Per table (one work-stealing task each; the `L` tables are
     /// independent):
     ///
-    /// 1. count surviving entries per bucket — the previous epoch's
-    ///    entries are already grouped by bucket (a linear filtering scan
-    ///    that drops ids whose bit is set in `purge`), and each sealed
-    ///    generation's entries are radix-counted by composing their bucket
-    ///    key from the generation's stored sketches;
+    /// 1. count surviving entries per bucket. The previous epoch's entries
+    ///    are already grouped by bucket, and each bucket run is sorted by
+    ///    id, so the run's survivors of the retire cut are one suffix,
+    ///    found by binary search; only when a purge bit is set is that
+    ///    suffix filtered id by id. Each sealed generation's rows are keyed
+    ///    once for this table — `SketchMatrix::extend_pair_keys` reads
+    ///    the two half-key lane runs of each packed block in order — and
+    ///    radix-counted; the table keeps the keys (4 B per generation row)
+    ///    for step 3;
     /// 2. turn the histogram into bucket offsets with
     ///    [`plsh_parallel::exclusive_prefix_sum`];
-    /// 3. scatter: previous-epoch survivors first, then each generation in
-    ///    sealed order — every bucket stays sorted by global id, exactly
-    ///    as a from-scratch rebuild would order it (generation ids are
-    ///    strictly larger than static ids).
+    /// 3. scatter: previous-epoch survivors first (each kept suffix copied
+    ///    as one block unless a purge bit is set), then each generation in
+    ///    sealed order through the keys step 1 stored — every bucket stays
+    ///    sorted by global id, exactly as a from-scratch rebuild would
+    ///    order it (generation ids are strictly larger than static ids).
     ///
     /// `n` is the row count of the new static corpus (previous static rows
     /// plus every generation's rows — purged ids keep their row slot so
@@ -275,13 +280,20 @@ impl StaticTables {
 struct MergeCtx<'a> {
     prev: Option<&'a StaticTables>,
     gens: &'a [Arc<DeltaGeneration>],
+    /// `gen_starts[g]` is the position of generation `g`'s first row in
+    /// the generations' concatenated row order (one more entry at the end
+    /// holds the total), which is how a table's stored keys are indexed.
+    gen_starts: Vec<usize>,
     purge: &'a [u64],
-    /// Whether anything at all can be dropped — a purge bit is set or the
-    /// retirement cut advanced. When nothing can (the common case between
-    /// deletions), counting collapses to bucket lengths and the previous
-    /// epoch's scatter to per-bucket `memcpy`s — the merge's dominant cost
-    /// drops from `L·N` bitmap tests to `L` block copies.
-    filters: bool,
+    /// Whether the retirement cut advanced past the epoch's base. When it
+    /// did, each previous-epoch bucket run keeps only its suffix at or
+    /// above the cut — one binary search per bucket, not a test per id.
+    retiring: bool,
+    /// Whether any purge bit is set. Only then is an id tested against the
+    /// bitmap; otherwise counting collapses to run lengths and the
+    /// previous epoch's scatter to one block copy per bucket, not a bitmap
+    /// test per entry.
+    purging: bool,
     /// Global id bit 0 of `purge` covers (the epoch's static base).
     purge_base: u32,
     /// Window compaction cut: ids below this are dropped from every bucket.
@@ -300,11 +312,19 @@ impl<'a> MergeCtx<'a> {
         retire_below: u32,
     ) -> Self {
         debug_assert!(retire_below >= purge_base);
+        let gen_starts = std::iter::once(0)
+            .chain(gens.iter().scan(0, |end, g| {
+                *end += g.len();
+                Some(*end)
+            }))
+            .collect();
         Self {
             prev,
             gens,
+            gen_starts,
             purge,
-            filters: retire_below > purge_base || purge.iter().any(|&w| w != 0),
+            retiring: retire_below > purge_base,
+            purging: purge.iter().any(|&w| w != 0),
             purge_base,
             retire_below,
             half_bits,
@@ -312,15 +332,36 @@ impl<'a> MergeCtx<'a> {
         }
     }
 
+    /// Whether any id at all can be dropped.
     #[inline]
-    fn dropped(&self, id: u32) -> bool {
-        if id < self.retire_below {
-            return true; // retired by the window cut
-        }
+    fn filters(&self) -> bool {
+        self.retiring || self.purging
+    }
+
+    /// Whether `id`'s purge bit is set (`id >= purge_base`).
+    #[inline]
+    fn purged(&self, id: u32) -> bool {
         let off = id - self.purge_base;
         self.purge
             .get((off >> 6) as usize)
             .is_some_and(|w| w & (1u64 << (off & 63)) != 0)
+    }
+
+    /// Whether `id` leaves the tables: retired by the window cut, or
+    /// purged.
+    #[inline]
+    fn dropped(&self, id: u32) -> bool {
+        id < self.retire_below || (self.purging && self.purged(id))
+    }
+
+    /// The part of an id-sorted bucket run at or above the retire cut.
+    #[inline]
+    fn kept<'r>(&self, run: &'r [u32]) -> &'r [u32] {
+        if self.retiring {
+            &run[run.partition_point(|&id| id < self.retire_below)..]
+        } else {
+            run
+        }
     }
 }
 
@@ -330,13 +371,14 @@ impl<'a> MergeCtx<'a> {
 enum MergePhase {
     /// Step 1a: filter-count the previous epoch's buckets.
     CountPrev { next_bucket: usize },
-    /// Step 1b: radix-count each generation's rows by composed key.
+    /// Step 1b: key each generation's rows once, and radix-count them.
     CountGens { gen: usize, row: usize },
     /// Step 2: prefix-sum the histogram, allocate entries, seed cursors.
     Offsets,
     /// Step 3a: scatter previous-epoch survivors bucket by bucket.
     ScatterPrev { next_bucket: usize },
-    /// Step 3b: scatter each generation's survivors in sealed order.
+    /// Step 3b: scatter each generation's survivors in sealed order, by
+    /// the keys step 1b stored.
     ScatterGens { gen: usize, row: usize },
     /// All entries written; `into_table` may consume the state.
     Done,
@@ -349,6 +391,10 @@ enum MergePhase {
 struct TableMerge {
     l: usize,
     pair: (u32, u32),
+    /// This table's key of every generation row, in the generations'
+    /// concatenated row order (see `MergeCtx::gen_starts`): written by the
+    /// count pass, read back by the scatter, freed when the table is done.
+    keys: Vec<u32>,
     counts: Vec<u32>,
     offsets: Vec<u32>,
     entries: Vec<u32>,
@@ -361,6 +407,7 @@ impl TableMerge {
         Self {
             l,
             pair,
+            keys: Vec::new(),
             counts: vec![0u32; buckets],
             offsets: Vec::new(),
             entries: Vec::new(),
@@ -381,18 +428,13 @@ impl TableMerge {
                 None => self.phase = MergePhase::CountGens { gen: 0, row: 0 },
                 Some(p) => {
                     let end = next_bucket.saturating_add(max_buckets).min(ctx.buckets);
-                    if ctx.filters {
-                        for key in next_bucket..end {
-                            self.counts[key] = p
-                                .bucket(self.l, key as u32)
-                                .iter()
-                                .filter(|&&id| !ctx.dropped(id))
-                                .count() as u32;
-                        }
-                    } else {
-                        for key in next_bucket..end {
-                            self.counts[key] = p.bucket(self.l, key as u32).len() as u32;
-                        }
+                    for key in next_bucket..end {
+                        let kept = ctx.kept(p.bucket(self.l, key as u32));
+                        self.counts[key] = if ctx.purging {
+                            kept.iter().filter(|&&id| !ctx.purged(id)).count() as u32
+                        } else {
+                            kept.len() as u32
+                        };
                     }
                     self.phase = if end == ctx.buckets {
                         MergePhase::CountGens { gen: 0, row: 0 }
@@ -403,6 +445,9 @@ impl TableMerge {
             },
             MergePhase::CountGens { mut gen, mut row } => {
                 let (a, b) = self.pair;
+                if gen == 0 && row == 0 {
+                    self.keys.reserve_exact(ctx.gen_starts[ctx.gens.len()]);
+                }
                 let mut budget = max_rows;
                 while budget > 0 && gen < ctx.gens.len() {
                     let g = &ctx.gens[gen];
@@ -412,18 +457,21 @@ impl TableMerge {
                         continue;
                     }
                     let end = row.saturating_add(budget).min(g.len());
-                    let sk = g.sketches();
-                    for local in row..end {
-                        let local = local as u32;
-                        if ctx.filters && ctx.dropped(g.base() + local) {
-                            continue;
+                    let from = self.keys.len();
+                    debug_assert_eq!(from, ctx.gen_starts[gen] + row);
+                    g.sketches()
+                        .extend_pair_keys(a, b, row..end, &mut self.keys);
+                    let keys = &self.keys[from..];
+                    if ctx.filters() {
+                        for (id, &key) in (g.base() + row as u32..).zip(keys) {
+                            if !ctx.dropped(id) {
+                                self.counts[key as usize] += 1;
+                            }
                         }
-                        let key = allpairs::compose_key(
-                            sk.half_key(local, a),
-                            sk.half_key(local, b),
-                            ctx.half_bits,
-                        );
-                        self.counts[key as usize] += 1;
+                    } else {
+                        for &key in keys {
+                            self.counts[key as usize] += 1;
+                        }
                     }
                     budget -= end - row;
                     row = end;
@@ -446,23 +494,21 @@ impl TableMerge {
                 None => self.phase = MergePhase::ScatterGens { gen: 0, row: 0 },
                 Some(p) => {
                     let end = next_bucket.saturating_add(max_buckets).min(ctx.buckets);
-                    if ctx.filters {
-                        for key in next_bucket..end {
-                            for &id in p.bucket(self.l, key as u32) {
-                                if !ctx.dropped(id) {
-                                    self.entries[self.cursor[key] as usize] = id;
-                                    self.cursor[key] += 1;
-                                }
+                    for key in next_bucket..end {
+                        let kept = ctx.kept(p.bucket(self.l, key as u32));
+                        let at = self.cursor[key] as usize;
+                        if ctx.purging {
+                            let mut to = at;
+                            for &id in kept.iter().filter(|&&id| !ctx.purged(id)) {
+                                self.entries[to] = id;
+                                to += 1;
                             }
-                        }
-                    } else {
-                        // No deletions: every bucket survives whole, so the
-                        // previous epoch's run copies as one block.
-                        for key in next_bucket..end {
-                            let src = p.bucket(self.l, key as u32);
-                            let at = self.cursor[key] as usize;
-                            self.entries[at..at + src.len()].copy_from_slice(src);
-                            self.cursor[key] += src.len() as u32;
+                            self.cursor[key] = to as u32;
+                        } else {
+                            // Nothing purged: the kept suffix copies as one
+                            // block.
+                            self.entries[at..at + kept.len()].copy_from_slice(kept);
+                            self.cursor[key] += kept.len() as u32;
                         }
                     }
                     self.phase = if end == ctx.buckets {
@@ -473,7 +519,7 @@ impl TableMerge {
                 }
             },
             MergePhase::ScatterGens { mut gen, mut row } => {
-                let (a, b) = self.pair;
+                let filters = ctx.filters();
                 let mut budget = max_rows;
                 while budget > 0 && gen < ctx.gens.len() {
                     let g = &ctx.gens[gen];
@@ -483,20 +529,15 @@ impl TableMerge {
                         continue;
                     }
                     let end = row.saturating_add(budget).min(g.len());
-                    let sk = g.sketches();
-                    for local in row..end {
-                        let local = local as u32;
-                        let id = g.base() + local;
-                        if ctx.filters && ctx.dropped(id) {
+                    let at = ctx.gen_starts[gen] + row;
+                    let keys = &self.keys[at..at + (end - row)];
+                    for (id, &key) in (g.base() + row as u32..).zip(keys) {
+                        if filters && ctx.dropped(id) {
                             continue;
                         }
-                        let key = allpairs::compose_key(
-                            sk.half_key(local, a),
-                            sk.half_key(local, b),
-                            ctx.half_bits,
-                        );
-                        self.entries[self.cursor[key as usize] as usize] = id;
-                        self.cursor[key as usize] += 1;
+                        let slot = &mut self.cursor[key as usize];
+                        self.entries[*slot as usize] = id;
+                        *slot += 1;
                     }
                     budget -= end - row;
                     row = end;
@@ -508,6 +549,7 @@ impl TableMerge {
                         .zip(&self.offsets[1..])
                         .all(|(c, o)| c == o));
                     self.cursor = Vec::new();
+                    self.keys = Vec::new();
                     self.phase = MergePhase::Done;
                 } else {
                     self.phase = MergePhase::ScatterGens { gen, row };
@@ -1014,6 +1056,248 @@ mod tests {
                 assert_eq!(first.bucket(l, key), &expect[..], "l={l} key={key}");
             }
         }
+    }
+
+    /// The merge as a plain per-id filter: every previous-epoch entry and
+    /// every generation row (keyed through `half_key`) is tested on its
+    /// own, and survivors are appended bucket by bucket in id order.
+    fn reference_merge(
+        prev: Option<&StaticTables>,
+        m: u32,
+        half_bits: u32,
+        gens: &[Arc<DeltaGeneration>],
+        purge: &[u64],
+        purge_base: u32,
+        retire_below: u32,
+    ) -> Vec<Vec<Vec<u32>>> {
+        let dropped = |id: u32| {
+            id < retire_below || {
+                let off = id - purge_base;
+                purge
+                    .get((off >> 6) as usize)
+                    .is_some_and(|w| w & (1u64 << (off & 63)) != 0)
+            }
+        };
+        let buckets = 1u32 << (2 * half_bits);
+        allpairs::pairs(m)
+            .enumerate()
+            .map(|(l, (a, b))| {
+                let mut table: Vec<Vec<u32>> = (0..buckets)
+                    .map(|key| match prev {
+                        Some(p) => p
+                            .bucket(l, key)
+                            .iter()
+                            .copied()
+                            .filter(|&id| !dropped(id))
+                            .collect(),
+                        None => Vec::new(),
+                    })
+                    .collect();
+                for g in gens {
+                    let sk = g.sketches();
+                    for local in 0..g.len() as u32 {
+                        let id = g.base() + local;
+                        if !dropped(id) {
+                            let key = allpairs::compose_key(
+                                sk.half_key(local, a),
+                                sk.half_key(local, b),
+                                half_bits,
+                            );
+                            table[key as usize].push(id);
+                        }
+                    }
+                }
+                table
+            })
+            .collect()
+    }
+
+    fn assert_matches_reference(got: &StaticTables, want: &[Vec<Vec<u32>>], what: &str) {
+        assert_eq!(got.num_tables(), want.len());
+        for (l, table) in want.iter().enumerate() {
+            for (key, run) in table.iter().enumerate() {
+                assert_eq!(
+                    got.bucket(l, key as u32),
+                    &run[..],
+                    "{what}: l={l} key={key}"
+                );
+            }
+        }
+    }
+
+    /// A previous epoch over `0..prev_end` and sealed generations cut at
+    /// `cuts`, all sketched with the same planes.
+    struct MergeFixture {
+        m: u32,
+        half_bits: u32,
+        prev: StaticTables,
+        gens: Vec<Arc<DeltaGeneration>>,
+        n: usize,
+    }
+
+    impl MergeFixture {
+        fn new(n: usize, prev_end: usize, cuts: &[usize], pool: &ThreadPool) -> Self {
+            let (m, half_bits, dim) = (4u32, 3u32, 64u32);
+            let c = corpus(n, dim, 29);
+            let planes = Hyperplanes::new_dense(dim, m * half_bits, 13, pool);
+            let mut sk = SketchMatrix::new(m, half_bits);
+            sk.append_from(&c, &planes, 0, pool, true);
+            let prev =
+                StaticTables::build_prefix(&sk, prev_end, BuildStrategy::TwoLevelShared, pool);
+            let bounds: Vec<usize> = std::iter::once(prev_end)
+                .chain(cuts.iter().copied())
+                .chain(std::iter::once(n))
+                .collect();
+            let gens = bounds
+                .windows(2)
+                .map(|w| {
+                    let mut g = DeltaGeneration::new(w[0] as u32, dim, m, half_bits);
+                    let vs: Vec<_> = (w[0]..w[1]).map(|i| c.row_vector(i as u32)).collect();
+                    g.append(&vs, &planes, true, pool).unwrap();
+                    Arc::new(g)
+                })
+                .collect();
+            Self {
+                m,
+                half_bits,
+                prev,
+                gens,
+                n,
+            }
+        }
+
+        fn purge(&self, ids: &[u32]) -> Vec<u64> {
+            let mut bits = vec![0u64; self.n.div_ceil(64)];
+            for &id in ids {
+                bits[(id >> 6) as usize] |= 1 << (id & 63);
+            }
+            bits
+        }
+
+        /// Merged monolithically and checked against the reference.
+        fn check(&self, purge: &[u64], retire_below: u32, pool: &ThreadPool, what: &str) {
+            let want = reference_merge(
+                Some(&self.prev),
+                self.m,
+                self.half_bits,
+                &self.gens,
+                purge,
+                0,
+                retire_below,
+            );
+            let got = StaticTables::merge_generations(
+                Some(&self.prev),
+                self.m,
+                self.half_bits,
+                self.n,
+                &self.gens,
+                purge,
+                0,
+                retire_below,
+                pool,
+            );
+            assert_matches_reference(&got, &want, what);
+        }
+    }
+
+    #[test]
+    fn merge_keeps_the_run_suffix_above_a_retire_cut() {
+        let pool = ThreadPool::new(2);
+        let f = MergeFixture::new(300, 200, &[260], &pool);
+        let cut = 77u32;
+        // The cut must land inside bucket runs, not only between them.
+        let straddled = (0..f.prev.num_tables()).any(|l| {
+            (0..1u32 << (2 * f.half_bits)).any(|key| {
+                let run = f.prev.bucket(l, key);
+                run.first().is_some_and(|&id| id < cut) && run.last().is_some_and(|&id| id >= cut)
+            })
+        });
+        assert!(straddled, "no bucket run straddles the cut");
+        f.check(&f.purge(&[]), cut, &pool, "retire cut inside runs");
+    }
+
+    #[test]
+    fn merge_filters_purged_ids_inside_the_kept_suffix() {
+        let pool = ThreadPool::new(2);
+        let f = MergeFixture::new(300, 200, &[260], &pool);
+        // Purged ids below the cut, inside the kept static suffix, and in
+        // both generations.
+        let purge = f.purge(&[10, 76, 77, 80, 150, 199, 200, 231, 299]);
+        f.check(&purge, 77, &pool, "purge inside the kept suffix");
+        f.check(&purge, 0, &pool, "purge without a cut");
+    }
+
+    #[test]
+    fn merge_drops_the_retired_prefix_of_a_straddling_generation() {
+        let pool = ThreadPool::new(2);
+        let f = MergeFixture::new(300, 200, &[260], &pool);
+        f.check(&f.purge(&[]), 230, &pool, "cut inside a generation");
+        f.check(
+            &f.purge(&[240, 270]),
+            230,
+            &pool,
+            "cut inside a generation, purges after it",
+        );
+        f.check(&f.purge(&[]), 260, &pool, "cut on a generation boundary");
+    }
+
+    #[test]
+    fn stepped_merge_of_a_generation_larger_than_the_row_budget() {
+        let pool = ThreadPool::new(1);
+        // One 5000-row generation: larger than every row budget below, so
+        // each one stops and resumes inside it.
+        let f = MergeFixture::new(5_300, 200, &[5_200], &pool);
+        let purge = f.purge(&[150, 1_000, 4_097, 5_250]);
+        let cut = 120u32;
+        let want = reference_merge(Some(&f.prev), f.m, f.half_bits, &f.gens, &purge, 0, cut);
+        for budget in [1usize, 7, 4096] {
+            let mut stepper = MergeStepper::new(
+                Some(&f.prev),
+                f.m,
+                f.half_bits,
+                f.n,
+                &f.gens,
+                &purge,
+                0,
+                cut,
+            );
+            while stepper.step(budget, budget) {}
+            let got = stepper.finish();
+            assert_matches_reference(&got, &want, &format!("budget {budget}"));
+        }
+        f.check(&purge, cut, &pool, "monolithic");
+
+        // A second merge on top of the compacted one: its purge bitmap is
+        // anchored at the first merge's cut.
+        let first = StaticTables::merge_generations(
+            Some(&f.prev),
+            f.m,
+            f.half_bits,
+            f.n,
+            &f.gens,
+            &purge,
+            0,
+            cut,
+            &pool,
+        );
+        let mut rebased = vec![0u64; (f.n - cut as usize).div_ceil(64)];
+        for id in [3_000u32, 3_001] {
+            let off = id - cut;
+            rebased[(off >> 6) as usize] |= 1 << (off & 63);
+        }
+        let want = reference_merge(Some(&first), f.m, f.half_bits, &[], &rebased, cut, 2_500);
+        let got = StaticTables::merge_generations(
+            Some(&first),
+            f.m,
+            f.half_bits,
+            f.n,
+            &[],
+            &rebased,
+            cut,
+            2_500,
+            &pool,
+        );
+        assert_matches_reference(&got, &want, "second merge");
     }
 
     #[test]

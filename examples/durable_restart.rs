@@ -3,9 +3,10 @@
 //!
 //! Snapshots (`save_restore` example) rewrite the whole index on every
 //! save; `persist_to` instead keeps the directory in sync incrementally —
-//! a WAL record per insert batch, an immutable segment per sealed
-//! generation, a manifest swap per merge — so a firehose node can be
-//! durable without ever pausing to serialize its corpus.
+//! a WAL record per insert batch (a sealed generation's closed WAL is its
+//! durable form), a static segment and a manifest swap per merge — so a
+//! firehose node can be durable without ever pausing to serialize its
+//! corpus.
 //!
 //! ```text
 //! cargo run --release --example durable_restart
@@ -34,7 +35,7 @@ fn main() -> plsh::Result<()> {
     let _ = std::fs::remove_dir_all(&dir);
 
     // A journaled index mid-life: a merged static prefix, sealed
-    // generations, an open WAL tail, and a tombstone.
+    // generations (each in its own WAL), and a tombstone.
     let index = Index::builder(params.clone())
         .capacity(corpus.len())
         .manual_merge()
@@ -52,12 +53,12 @@ fn main() -> plsh::Result<()> {
         dir.display()
     );
 
-    // Crash: the process "dies" with the tail of the stream never sealed
-    // into a segment — only the WAL has it.
+    // Crash: the process "dies" with the tail of the stream never merged
+    // into a static segment — only the generations' WALs have it.
     drop(index);
 
-    // Restart: recovery replays manifest -> static segment -> generation
-    // segments -> WAL tail -> tombstone log, and re-attaches the journal
+    // Restart: recovery replays manifest -> static segment -> the chain
+    // of generation WALs -> tombstone log, and re-attaches the journal
     // so the recovered index keeps persisting.
     let recovered = Index::recover_from(&dir)?;
     assert_eq!(recovered.len(), 6_000);

@@ -684,10 +684,10 @@ impl Index {
 
     /// Recovers an index from a directory written by
     /// [`persist_to`](Index::persist_to) — single-node or sharded, told
-    /// apart by the manifest magic — replaying segments, then the WAL
-    /// tail, then tombstones, and re-attaching persistence so the
-    /// recovered index keeps journaling. The vectorizer is not part of
-    /// the directory; re-attach one with
+    /// apart by the manifest magic — replaying the static segment, then
+    /// each generation's file, then tombstones, and re-attaching
+    /// persistence so the recovered index keeps journaling. The
+    /// vectorizer is not part of the directory; re-attach one with
     /// [`with_vectorizer`](Index::with_vectorizer).
     pub fn recover_from(dir: impl AsRef<std::path::Path>) -> Result<Index> {
         let dir = dir.as_ref();

@@ -1,12 +1,12 @@
 //! Crash-recovery property: cut the power after *any* persistence
-//! operation — mid-WAL-append, between a segment rename and its WAL
-//! retirement, halfway through a manifest swap — and recovery must come
+//! operation — mid-WAL-append, between a static segment's rename and the
+//! manifest swap, halfway through that swap — and recovery must come
 //! back with an exact prefix of the ingested rows, a subset of the issued
 //! tombstones, and answers bit-identical to a from-scratch build over
 //! that prefix. Exercised exhaustively for a single engine (every cut
 //! point `k` in the scripted run) and sampled for a sharded index, plus
 //! hand-made corruption: torn WAL tails at arbitrary byte offsets, a
-//! deleted generation segment, and a trashed manifest.
+//! deleted generation file, and a trashed manifest.
 //!
 //! Power cuts are injected through `plsh::core::persist::fail`, which
 //! tears the k-th low-level persistence op and freezes the directory
@@ -284,10 +284,11 @@ fn a_missing_generation_segment_truncates_to_the_gap() {
     }
     drop(engine);
 
-    // Externally destroy the middle segment: ids 10..20 are gone, so the
-    // recoverable prefix ends at the gap — the intact gen-20 segment
-    // behind it is an orphan and must not resurrect out-of-order rows.
-    fs::remove_file(dir.join("data-0").join("gen-10.seg")).unwrap();
+    // Externally destroy the middle generation's file (a sealed
+    // generation's WAL is its segment): ids 10..20 are gone, so the
+    // recoverable prefix ends at the gap — the intact wal-20 log behind
+    // it is an orphan and must not resurrect out-of-order rows.
+    fs::remove_file(dir.join("data-0").join("wal-10.log")).unwrap();
     let st = persist::load_state(&dir).unwrap();
     assert_eq!(st.total(), 10, "recovery must stop at the id-space gap");
     assert_eq!(st.all_rows(), &vs[..10]);

@@ -437,10 +437,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
     /// Any interleaving of inserts / deletes / seals / merges under a
     /// bounded transient-fault storm (WAL EIOs, fsync EIOs, tombstone
-    /// EIOs, segment EIOs, one merge panic) must, after the storm lifts,
-    /// answer bit-identically to an unfaulted twin fed the same accepted
-    /// operations — and the journal written through all the retries must
-    /// recover to those same answers.
+    /// EIOs, static-segment and manifest EIOs, one merge panic) must,
+    /// after the storm lifts, answer bit-identically to an unfaulted twin
+    /// fed the same accepted operations — and the journal written through
+    /// all the retries must recover to those same answers.
     #[test]
     fn faulted_interleavings_converge_to_the_unfaulted_twin(
         ops in proptest::collection::vec(op_strategy(), 1..40)
@@ -465,7 +465,6 @@ proptest! {
         fault::arm(fault::WAL_APPEND, FaultSpec::new(FaultKind::Err).times(3));
         fault::arm(fault::WAL_FSYNC, FaultSpec::new(FaultKind::Err).after(2).times(2));
         fault::arm(fault::TOMB_APPEND, FaultSpec::new(FaultKind::Err).times(2));
-        fault::arm(fault::SEAL_SEGMENT, FaultSpec::new(FaultKind::Err).times(1));
         fault::arm(fault::STATIC_PREPARE, FaultSpec::new(FaultKind::Err).times(1));
         fault::arm(fault::MANIFEST_SWAP, FaultSpec::new(FaultKind::Err).times(1));
         fault::arm(fault::MERGE_BUILD, FaultSpec::new(FaultKind::Panic).times(1));
