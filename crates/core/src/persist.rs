@@ -296,10 +296,6 @@ fn put_u64(out: &mut Vec<u8>, x: u64) {
     out.extend_from_slice(&x.to_le_bytes());
 }
 
-fn put_f32(out: &mut Vec<u8>, x: f32) {
-    out.extend_from_slice(&x.to_le_bytes());
-}
-
 fn put_f64(out: &mut Vec<u8>, x: f64) {
     out.extend_from_slice(&x.to_le_bytes());
 }
@@ -379,16 +375,43 @@ pub fn decode_window(tag: u8, arg: u64) -> io::Result<Option<WindowSpec>> {
     }
 }
 
-fn put_rows<'a>(out: &mut Vec<u8>, rows: impl ExactSizeIterator<Item = SparseVector> + 'a) {
+/// One row as its encoded parts, `(indices, values)`: borrowed straight
+/// from a [`CrsMatrix`] or a [`SparseVector`], never copied into one.
+type RowRef<'a> = (&'a [u32], &'a [f32]);
+
+/// The rows of `m` in order.
+fn crs_rows(m: &CrsMatrix) -> impl ExactSizeIterator<Item = RowRef<'_>> + Clone {
+    (0..m.num_rows() as u32).map(|i| m.row(i))
+}
+
+/// The rows of `vs` in order.
+fn vector_rows(vs: &[SparseVector]) -> impl ExactSizeIterator<Item = RowRef<'_>> + Clone {
+    vs.iter().map(|v| (v.indices(), v.values()))
+}
+
+/// Bytes [`put_rows`] writes for `rows`: a `u64` count, then per row a
+/// `u32` nnz and 4 + 4 bytes per entry.
+fn rows_len<'a>(rows: impl Iterator<Item = RowRef<'a>>) -> usize {
+    8 + rows
+        .map(|(indices, _)| 4 + 8 * indices.len())
+        .sum::<usize>()
+}
+
+/// Appends 4-byte words with one resize, not one push per word.
+fn put_words(out: &mut Vec<u8>, words: impl ExactSizeIterator<Item = [u8; 4]>) {
+    let at = out.len();
+    out.resize(at + 4 * words.len(), 0);
+    for (dst, w) in out[at..].chunks_exact_mut(4).zip(words) {
+        dst.copy_from_slice(&w);
+    }
+}
+
+fn put_rows<'a>(out: &mut Vec<u8>, rows: impl ExactSizeIterator<Item = RowRef<'a>>) {
     put_u64(out, rows.len() as u64);
-    for v in rows {
-        put_u32(out, v.nnz() as u32);
-        for &d in v.indices() {
-            put_u32(out, d);
-        }
-        for &x in v.values() {
-            put_f32(out, x);
-        }
+    for (indices, values) in rows {
+        put_u32(out, indices.len() as u32);
+        put_words(out, indices.iter().map(|d| d.to_le_bytes()));
+        put_words(out, values.iter().map(|x| x.to_le_bytes()));
     }
 }
 
@@ -410,10 +433,6 @@ fn get_rows(r: &mut &[u8]) -> io::Result<Vec<SparseVector>> {
         rows.push(SparseVector::from_sorted(indices, values).map_err(|e| bad(e.to_string()))?);
     }
     Ok(rows)
-}
-
-fn gen_rows(g: &DeltaGeneration) -> impl ExactSizeIterator<Item = SparseVector> + '_ {
-    (0..g.len() as u32).map(|local| g.data().row_vector(local))
 }
 
 // ---------------------------------------------------------------------
@@ -612,18 +631,22 @@ impl Manifest {
 // Segment + log encoding
 // ---------------------------------------------------------------------
 
-fn encode_segment(
+/// A checksummed segment of `rows`, encoded into one buffer sized up
+/// front.
+fn encode_segment<'a>(
     magic: &[u8; 4],
     base: u64,
-    rows: impl ExactSizeIterator<Item = SparseVector>,
+    rows: impl ExactSizeIterator<Item = RowRef<'a>> + Clone,
 ) -> Vec<u8> {
-    let mut out = Vec::new();
+    let len = 4 + 4 + 8 + rows_len(rows.clone()) + 4;
+    let mut out = Vec::with_capacity(len);
     out.extend_from_slice(magic);
     put_u32(&mut out, VERSION);
     put_u64(&mut out, base);
     put_rows(&mut out, rows);
     let crc = checksum(&out);
     put_u32(&mut out, crc);
+    debug_assert_eq!(out.len(), len);
     out
 }
 
@@ -811,12 +834,12 @@ fn jittered(delay: Duration) -> Duration {
 fn write_baseline(data: &Path, b: &Baseline<'_>) -> io::Result<(Option<u64>, Option<WalWriter>)> {
     let static_seq = if b.static_len > 0 { Some(0u64) } else { None };
     if let Some(seq) = static_seq {
-        let rows = (0..b.static_len as u32).map(|id| b.static_data.row_vector(id));
+        let rows = crs_rows(b.static_data).take(b.static_len);
         let bytes = encode_segment(STATIC_MAGIC, b.static_base as u64, rows);
         write_atomic(&static_path(data, seq), &bytes)?;
     }
     for g in b.sealed {
-        let bytes = encode_segment(GEN_MAGIC, g.base() as u64, gen_rows(g));
+        let bytes = encode_segment(GEN_MAGIC, g.base() as u64, crs_rows(g.data()));
         write_atomic(&gen_path(data, g.base()), &bytes)?;
     }
     let wal = match b.open {
@@ -824,7 +847,7 @@ fn write_baseline(data: &Path, b: &Baseline<'_>) -> io::Result<(Option<u64>, Opt
             let mut payload = Vec::new();
             payload.push(TAG_INSERT);
             put_u32(&mut payload, g.base());
-            put_rows(&mut payload, gen_rows(g));
+            put_rows(&mut payload, crs_rows(g.data()));
             let record = encode_record(&payload);
             let mut f = fio_create(&wal_path(data, g.base()))?;
             fio_write(&mut f, &record)?;
@@ -979,10 +1002,10 @@ impl EnginePersister {
     pub(crate) fn log_insert(&self, from: u32, vs: &[SparseVector]) -> io::Result<()> {
         let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
         let s = &mut *s;
-        let mut payload = Vec::new();
+        let mut payload = Vec::with_capacity(1 + 4 + rows_len(vector_rows(vs)));
         payload.push(TAG_INSERT);
         put_u32(&mut payload, from);
-        put_rows(&mut payload, vs.iter().cloned());
+        put_rows(&mut payload, vector_rows(vs));
         let record = encode_record(&payload);
         self.retry(|| {
             let rotate = match &s.wal {
@@ -1077,8 +1100,7 @@ impl EnginePersister {
             s.next_static_seq += 1;
             (seq, static_path(&s.data, seq))
         };
-        let rows = (0..static_data.num_rows() as u32).map(|id| static_data.row_vector(id));
-        let bytes = encode_segment(STATIC_MAGIC, base as u64, rows);
+        let bytes = encode_segment(STATIC_MAGIC, base as u64, crs_rows(static_data));
         self.retry(|| {
             fault::io_check(fault::STATIC_PREPARE)?;
             write_atomic(&path, &bytes)
@@ -1570,8 +1592,8 @@ pub(crate) fn write_snapshot<W: Write>(s: &Snapshot, w: &mut W) -> io::Result<()
     let (static_rows, delta) = split_rows(s);
     let blocks = [
         Manifest::of_snapshot(s).encode(),
-        encode_segment(STATIC_MAGIC, s.base, static_rows.iter().cloned()),
-        encode_segment(GEN_MAGIC, s.base + s.static_len, delta.iter().cloned()),
+        encode_segment(STATIC_MAGIC, s.base, vector_rows(static_rows)),
+        encode_segment(GEN_MAGIC, s.base + s.static_len, vector_rows(delta)),
     ];
     for block in blocks {
         w.write_all(&(block.len() as u64).to_le_bytes())?;
@@ -1670,6 +1692,47 @@ mod tests {
                 hits
             })
             .collect()
+    }
+
+    /// The segment encoding as it was first written: each row copied out
+    /// as a `SparseVector`, every field pushed on its own.
+    fn reference_segment(magic: &[u8; 4], base: u64, rows: &[SparseVector]) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(magic);
+        put_u32(&mut out, VERSION);
+        put_u64(&mut out, base);
+        put_u64(&mut out, rows.len() as u64);
+        for v in rows {
+            put_u32(&mut out, v.nnz() as u32);
+            for &d in v.indices() {
+                put_u32(&mut out, d);
+            }
+            for &x in v.values() {
+                out.extend_from_slice(&x.to_le_bytes());
+            }
+        }
+        let crc = checksum(&out);
+        put_u32(&mut out, crc);
+        out
+    }
+
+    #[test]
+    fn static_segment_bytes_match_the_row_by_row_encoding() {
+        let mut data = CrsMatrix::new(32);
+        let mut rows = vectors(5, 4);
+        rows.insert(2, SparseVector::zero());
+        for v in &rows {
+            data.push(v).unwrap();
+        }
+        assert_eq!(data.row(2).0.len(), 0, "the fixture holds an empty row");
+        let want = reference_segment(STATIC_MAGIC, 77, &rows);
+        assert_eq!(encode_segment(STATIC_MAGIC, 77, crs_rows(&data)), want);
+        assert_eq!(encode_segment(STATIC_MAGIC, 77, vector_rows(&rows)), want);
+        let empty = CrsMatrix::new(32);
+        assert_eq!(
+            encode_segment(GEN_MAGIC, 0, crs_rows(&empty)),
+            reference_segment(GEN_MAGIC, 0, &[])
+        );
     }
 
     #[test]

@@ -339,6 +339,18 @@ impl CrsMatrix {
 }
 
 #[cfg(test)]
+impl SparseVector {
+    /// The zero vector, which no public constructor builds: lets tests
+    /// cover an empty row.
+    pub(crate) fn zero() -> Self {
+        Self {
+            indices: Vec::new(),
+            values: Vec::new(),
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -5,6 +5,7 @@
 //! owns `entries[offsets[key]..offsets[key+1]]`. No pointers, no chains —
 //! a bucket lookup is two offset reads and one contiguous slice.
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -209,22 +210,28 @@ impl StaticTables {
     /// Per table (one work-stealing task each; the `L` tables are
     /// independent):
     ///
-    /// 1. count surviving entries per bucket. The previous epoch's entries
-    ///    are already grouped by bucket, and each bucket run is sorted by
-    ///    id, so the run's survivors of the retire cut are one suffix,
-    ///    found by binary search; only when a purge bit is set is that
-    ///    suffix filtered id by id. Each sealed generation's rows are keyed
-    ///    once for this table — `SketchMatrix::extend_pair_keys` reads
-    ///    the two half-key lane runs of each packed block in order — and
-    ///    radix-counted; the table keeps the keys (4 B per generation row)
-    ///    for step 3;
+    /// 1. count surviving entries per bucket. A previous epoch whose ids
+    ///    all lie below the retire cut is skipped outright — none of its
+    ///    buckets is read. Otherwise its entries are already grouped by
+    ///    bucket, and each bucket run is sorted by id, so the run's
+    ///    survivors of a cut inside the epoch are one suffix: one
+    ///    sequential, branch-free `id >= cut` count over the runs measures
+    ///    each suffix's length, which the table keeps for step 3. Only
+    ///    when a purge bit is set is that suffix filtered id by id. Each
+    ///    sealed generation's rows from the cut on (a generation straddling
+    ///    it starts at row `cut - base`; rows below are never keyed) are
+    ///    keyed once for this table — `SketchMatrix::extend_pair_keys`
+    ///    reads the two half-key lane runs of each packed block in order —
+    ///    and radix-counted; the table keeps the keys (4 B per kept
+    ///    generation row) for step 3;
     /// 2. turn the histogram into bucket offsets with
     ///    [`plsh_parallel::exclusive_prefix_sum`];
-    /// 3. scatter: previous-epoch survivors first (each kept suffix copied
-    ///    as one block unless a purge bit is set), then each generation in
-    ///    sealed order through the keys step 1 stored — every bucket stays
-    ///    sorted by global id, exactly as a from-scratch rebuild would
-    ///    order it (generation ids are strictly larger than static ids).
+    /// 3. scatter: previous-epoch survivors first (each run's last
+    ///    kept-length entries, copied as one block unless a purge bit is
+    ///    set), then each generation's kept rows in sealed order through
+    ///    the keys step 1 stored — every bucket stays sorted by global id,
+    ///    exactly as a from-scratch rebuild would order it (generation ids
+    ///    are strictly larger than static ids).
     ///
     /// `n` is the row count of the new static corpus (previous static rows
     /// plus every generation's rows — purged ids keep their row slot so
@@ -237,8 +244,8 @@ impl StaticTables {
     /// concurrent `delete` calls keep landing.
     ///
     /// `retire_below` is the sliding-window compaction cut: every id below
-    /// it (however it reached a bucket) is dropped in the same pass — this
-    /// is how window retirement rides the radix-partition filter for free.
+    /// it (however it reached a bucket) is dropped in the same pass, and
+    /// the merge pays only for the rows it keeps.
     /// Pass `retire_below == purge_base` for a merge without compaction.
     #[allow(clippy::too_many_arguments)]
     pub fn merge_generations(
@@ -258,11 +265,12 @@ impl StaticTables {
         let ctx = MergeCtx::new(prev, gens, purge, half_bits, purge_base, retire_below);
         let ctx = &ctx;
         let tables = pool.parallel_map(allpairs::pairs(m).enumerate(), |(l, pair)| {
-            let mut table = TableMerge::new(l, pair, ctx.buckets);
+            let mut table = TableMerge::new(l, pair);
+            let mut scratch = MergeScratch::default();
             // Unbounded budgets: each phase completes in a single advance,
             // so this runs the exact same code as the stepped merge — the
             // two are bit-identical by construction.
-            while table.advance(ctx, usize::MAX, usize::MAX) {}
+            while table.advance(ctx, &mut scratch, usize::MAX, usize::MAX) {}
             table.into_table()
         });
 
@@ -278,16 +286,21 @@ impl StaticTables {
 /// Shared, read-only inputs of one merge: the previous epoch, the sealed
 /// generations, and the purge snapshot.
 struct MergeCtx<'a> {
+    /// The previous epoch, or `None` when there is none or the retire cut
+    /// lies at or past its last id: a wholly retired epoch is never read.
     prev: Option<&'a StaticTables>,
     gens: &'a [Arc<DeltaGeneration>],
-    /// `gen_starts[g]` is the position of generation `g`'s first row in
-    /// the generations' concatenated row order (one more entry at the end
-    /// holds the total), which is how a table's stored keys are indexed.
+    /// `gen_starts[g]` is the position of generation `g`'s first kept row
+    /// (see [`gen_rows`](Self::gen_rows)) in the generations' concatenated
+    /// kept-row order (one more entry at the end holds the total), which
+    /// is how a table's stored keys are indexed.
     gen_starts: Vec<usize>,
     purge: &'a [u64],
-    /// Whether the retirement cut advanced past the epoch's base. When it
-    /// did, each previous-epoch bucket run keeps only its suffix at or
-    /// above the cut — one binary search per bucket, not a test per id.
+    /// Whether the retire cut lies inside the previous epoch's ids. Each
+    /// bucket run, sorted by id, then keeps only its suffix at or above
+    /// the cut: the count pass measures each suffix's length in one
+    /// branch-free pass and the scatter copies exactly that many entries
+    /// from the run's end.
     retiring: bool,
     /// Whether any purge bit is set. Only then is an id tested against the
     /// bitmap; otherwise counting collapses to run lengths and the
@@ -312,30 +325,36 @@ impl<'a> MergeCtx<'a> {
         retire_below: u32,
     ) -> Self {
         debug_assert!(retire_below >= purge_base);
-        let gen_starts = std::iter::once(0)
-            .chain(gens.iter().scan(0, |end, g| {
-                *end += g.len();
-                Some(*end)
-            }))
-            .collect();
-        Self {
+        // The previous epoch holds ids `purge_base..purge_base + n`.
+        let prev =
+            prev.filter(|p| u64::from(retire_below) < u64::from(purge_base) + u64::from(p.n));
+        let mut ctx = Self {
             prev,
             gens,
-            gen_starts,
+            gen_starts: Vec::new(),
             purge,
-            retiring: retire_below > purge_base,
+            retiring: prev.is_some() && retire_below > purge_base,
             purging: purge.iter().any(|&w| w != 0),
             purge_base,
             retire_below,
             half_bits,
             buckets: 1usize << (2 * half_bits),
-        }
+        };
+        ctx.gen_starts = std::iter::once(0)
+            .chain((0..gens.len()).scan(0, |end, g| {
+                *end += ctx.gen_rows(g).len();
+                Some(*end)
+            }))
+            .collect();
+        ctx
     }
 
-    /// Whether any id at all can be dropped.
+    /// The rows of generation `gen` the merge keeps: those at or above the
+    /// retire cut. Rows below it are never keyed, counted or scattered.
     #[inline]
-    fn filters(&self) -> bool {
-        self.retiring || self.purging
+    fn gen_rows(&self, gen: usize) -> Range<usize> {
+        let g = &self.gens[gen];
+        (self.retire_below.saturating_sub(g.base()) as usize).min(g.len())..g.len()
     }
 
     /// Whether `id`'s purge bit is set (`id >= purge_base`).
@@ -346,32 +365,16 @@ impl<'a> MergeCtx<'a> {
             .get((off >> 6) as usize)
             .is_some_and(|w| w & (1u64 << (off & 63)) != 0)
     }
-
-    /// Whether `id` leaves the tables: retired by the window cut, or
-    /// purged.
-    #[inline]
-    fn dropped(&self, id: u32) -> bool {
-        id < self.retire_below || (self.purging && self.purged(id))
-    }
-
-    /// The part of an id-sorted bucket run at or above the retire cut.
-    #[inline]
-    fn kept<'r>(&self, run: &'r [u32]) -> &'r [u32] {
-        if self.retiring {
-            &run[run.partition_point(|&id| id < self.retire_below)..]
-        } else {
-            run
-        }
-    }
 }
 
 /// Where one table's resumable merge currently stands. Phases run in
 /// declaration order; the bucket/row cursors persist across `advance`
 /// calls so work can stop after any bounded slice.
 enum MergePhase {
-    /// Step 1a: filter-count the previous epoch's buckets.
+    /// Step 1a: measure each previous-epoch bucket's kept suffix, and
+    /// count its survivors.
     CountPrev { next_bucket: usize },
-    /// Step 1b: key each generation's rows once, and radix-count them.
+    /// Step 1b: key each generation's kept rows once, and radix-count them.
     CountGens { gen: usize, row: usize },
     /// Step 2: prefix-sum the histogram, allocate entries, seed cursors.
     Offsets,
@@ -391,28 +394,106 @@ enum MergePhase {
 struct TableMerge {
     l: usize,
     pair: (u32, u32),
-    /// This table's key of every generation row, in the generations'
-    /// concatenated row order (see `MergeCtx::gen_starts`): written by the
-    /// count pass, read back by the scatter, freed when the table is done.
-    keys: Vec<u32>,
-    counts: Vec<u32>,
     offsets: Vec<u32>,
     entries: Vec<u32>,
-    cursor: Vec<u32>,
     phase: MergePhase,
 }
 
+/// The working buffers of one table's merge. A merge that runs its tables
+/// one after another hands them on from each table to the next, so only
+/// a table's output, `offsets` and `entries`, is freshly allocated.
+#[derive(Default)]
+struct MergeScratch {
+    /// The table's key of every kept generation row, in the generations'
+    /// concatenated kept-row order (see `MergeCtx::gen_starts`): written
+    /// by the count pass, read back by the scatter.
+    keys: Vec<u32>,
+    /// While the retire cut lies inside the previous epoch: the length of
+    /// each bucket run's suffix at or above the cut, measured by step 1a
+    /// and reused by step 3a.
+    kept: Vec<u32>,
+    /// Step 1a's running count of kept entries at each position of a
+    /// slice.
+    kept_before: Vec<u32>,
+    /// Step 1's per-bucket histogram; from step 2 on, each bucket's next
+    /// write position in `entries`.
+    counts: Vec<u32>,
+}
+
 impl TableMerge {
-    fn new(l: usize, pair: (u32, u32), buckets: usize) -> Self {
+    fn new(l: usize, pair: (u32, u32)) -> Self {
         Self {
             l,
             pair,
-            keys: Vec::new(),
-            counts: vec![0u32; buckets],
             offsets: Vec::new(),
             entries: Vec::new(),
-            cursor: Vec::new(),
             phase: MergePhase::CountPrev { next_bucket: 0 },
+        }
+    }
+
+    /// Where the previous-epoch entries of bucket `key` that the retire
+    /// cut keeps (purged ids still among them) sit in the epoch's
+    /// `entries`: the run's last `kept[key]` entries while retiring, else
+    /// the whole run.
+    #[inline]
+    fn kept_range(
+        &self,
+        ctx: &MergeCtx<'_>,
+        p: &StaticTables,
+        kept: &[u32],
+        key: usize,
+    ) -> Range<usize> {
+        let offsets = &p.tables[self.l].offsets;
+        let hi = offsets[key + 1] as usize;
+        if ctx.retiring {
+            hi - kept[key] as usize..hi
+        } else {
+            offsets[key] as usize..hi
+        }
+    }
+
+    /// Step 1a over the previous-epoch buckets `keys`: while retiring,
+    /// each run's kept length; then each run's survivor count.
+    fn count_prev(
+        &self,
+        ctx: &MergeCtx<'_>,
+        p: &StaticTables,
+        s: &mut MergeScratch,
+        keys: Range<usize>,
+    ) {
+        let t = &p.tables[self.l];
+        let offsets = &t.offsets[keys.start..=keys.end];
+        if ctx.retiring {
+            s.kept.resize(ctx.buckets, 0);
+            // Runs are sorted by id, so the ids at or above the cut are
+            // each run's suffix. One running count over the slice's
+            // entries, in order and branch-free, gives every suffix's
+            // length as the difference of the count at its run's two ends.
+            let lo = offsets[0] as usize;
+            let hi = offsets[offsets.len() - 1] as usize;
+            let cut = ctx.retire_below;
+            let mut acc = 0u32;
+            s.kept_before.clear();
+            s.kept_before.push(0);
+            s.kept_before.extend(t.entries[lo..hi].iter().map(|&id| {
+                acc += u32::from(id >= cut);
+                acc
+            }));
+            for (kept, run) in s.kept[keys.clone()].iter_mut().zip(offsets.windows(2)) {
+                *kept = s.kept_before[run[1] as usize - lo] - s.kept_before[run[0] as usize - lo];
+            }
+        }
+        if ctx.purging {
+            for key in keys {
+                let run = self.kept_range(ctx, p, &s.kept, key);
+                s.counts[key] = t.entries[run].iter().filter(|&&id| !ctx.purged(id)).count() as u32;
+            }
+        } else if ctx.retiring {
+            s.counts[keys.clone()].copy_from_slice(&s.kept[keys]);
+        } else {
+            for (count, run) in s.counts[keys].iter_mut().zip(offsets.windows(2)) {
+                *count = run[1] - run[0];
+            }
         }
     }
 
@@ -420,57 +501,63 @@ impl TableMerge {
     /// bucket-addressed phase or `max_rows` generation rows of a
     /// row-addressed phase (the Offsets phase is a single indivisible
     /// slice). Returns `true` while the table still has work left.
-    fn advance(&mut self, ctx: &MergeCtx<'_>, max_buckets: usize, max_rows: usize) -> bool {
+    fn advance(
+        &mut self,
+        ctx: &MergeCtx<'_>,
+        s: &mut MergeScratch,
+        max_buckets: usize,
+        max_rows: usize,
+    ) -> bool {
         let max_buckets = max_buckets.max(1);
         let max_rows = max_rows.max(1);
         match self.phase {
-            MergePhase::CountPrev { next_bucket } => match ctx.prev {
-                None => self.phase = MergePhase::CountGens { gen: 0, row: 0 },
-                Some(p) => {
-                    let end = next_bucket.saturating_add(max_buckets).min(ctx.buckets);
-                    for key in next_bucket..end {
-                        let kept = ctx.kept(p.bucket(self.l, key as u32));
-                        self.counts[key] = if ctx.purging {
-                            kept.iter().filter(|&&id| !ctx.purged(id)).count() as u32
+            MergePhase::CountPrev { next_bucket } => {
+                if next_bucket == 0 {
+                    s.counts.clear();
+                    s.counts.resize(ctx.buckets, 0);
+                    s.keys.clear();
+                }
+                match ctx.prev {
+                    None => self.phase = MergePhase::CountGens { gen: 0, row: 0 },
+                    Some(p) => {
+                        let end = next_bucket.saturating_add(max_buckets).min(ctx.buckets);
+                        self.count_prev(ctx, p, s, next_bucket..end);
+                        self.phase = if end == ctx.buckets {
+                            MergePhase::CountGens { gen: 0, row: 0 }
                         } else {
-                            kept.len() as u32
+                            MergePhase::CountPrev { next_bucket: end }
                         };
                     }
-                    self.phase = if end == ctx.buckets {
-                        MergePhase::CountGens { gen: 0, row: 0 }
-                    } else {
-                        MergePhase::CountPrev { next_bucket: end }
-                    };
                 }
-            },
+            }
             MergePhase::CountGens { mut gen, mut row } => {
                 let (a, b) = self.pair;
-                if gen == 0 && row == 0 {
-                    self.keys.reserve_exact(ctx.gen_starts[ctx.gens.len()]);
-                }
+                s.keys
+                    .reserve(ctx.gen_starts[ctx.gens.len()] - s.keys.len());
                 let mut budget = max_rows;
                 while budget > 0 && gen < ctx.gens.len() {
                     let g = &ctx.gens[gen];
-                    if row >= g.len() {
+                    let rows = ctx.gen_rows(gen);
+                    row = row.max(rows.start);
+                    if row >= rows.end {
                         gen += 1;
                         row = 0;
                         continue;
                     }
-                    let end = row.saturating_add(budget).min(g.len());
-                    let from = self.keys.len();
-                    debug_assert_eq!(from, ctx.gen_starts[gen] + row);
-                    g.sketches()
-                        .extend_pair_keys(a, b, row..end, &mut self.keys);
-                    let keys = &self.keys[from..];
-                    if ctx.filters() {
+                    let end = row.saturating_add(budget).min(rows.end);
+                    let from = s.keys.len();
+                    debug_assert_eq!(from, ctx.gen_starts[gen] + row - rows.start);
+                    g.sketches().extend_pair_keys(a, b, row..end, &mut s.keys);
+                    let keys = &s.keys[from..];
+                    if ctx.purging {
                         for (id, &key) in (g.base() + row as u32..).zip(keys) {
-                            if !ctx.dropped(id) {
-                                self.counts[key as usize] += 1;
+                            if !ctx.purged(id) {
+                                s.counts[key as usize] += 1;
                             }
                         }
                     } else {
                         for &key in keys {
-                            self.counts[key as usize] += 1;
+                            s.counts[key as usize] += 1;
                         }
                     }
                     budget -= end - row;
@@ -483,32 +570,32 @@ impl TableMerge {
                 };
             }
             MergePhase::Offsets => {
-                self.offsets = plsh_parallel::exclusive_prefix_sum(&self.counts);
-                self.counts = Vec::new();
+                self.offsets = plsh_parallel::exclusive_prefix_sum(&s.counts);
                 let total = *self.offsets.last().expect("offsets has buckets+1 entries") as usize;
                 self.entries = vec![0u32; total];
-                self.cursor = self.offsets[..ctx.buckets].to_vec();
+                s.counts.copy_from_slice(&self.offsets[..ctx.buckets]);
                 self.phase = MergePhase::ScatterPrev { next_bucket: 0 };
             }
             MergePhase::ScatterPrev { next_bucket } => match ctx.prev {
                 None => self.phase = MergePhase::ScatterGens { gen: 0, row: 0 },
                 Some(p) => {
                     let end = next_bucket.saturating_add(max_buckets).min(ctx.buckets);
+                    let src = &p.tables[self.l].entries;
                     for key in next_bucket..end {
-                        let kept = ctx.kept(p.bucket(self.l, key as u32));
-                        let at = self.cursor[key] as usize;
+                        let run = self.kept_range(ctx, p, &s.kept, key);
+                        let at = s.counts[key] as usize;
                         if ctx.purging {
                             let mut to = at;
-                            for &id in kept.iter().filter(|&&id| !ctx.purged(id)) {
+                            for &id in src[run].iter().filter(|&&id| !ctx.purged(id)) {
                                 self.entries[to] = id;
                                 to += 1;
                             }
-                            self.cursor[key] = to as u32;
+                            s.counts[key] = to as u32;
                         } else {
                             // Nothing purged: the kept suffix copies as one
                             // block.
-                            self.entries[at..at + kept.len()].copy_from_slice(kept);
-                            self.cursor[key] += kept.len() as u32;
+                            s.counts[key] += run.len() as u32;
+                            copy_run(&mut self.entries, at, src, run);
                         }
                     }
                     self.phase = if end == ctx.buckets {
@@ -519,23 +606,24 @@ impl TableMerge {
                 }
             },
             MergePhase::ScatterGens { mut gen, mut row } => {
-                let filters = ctx.filters();
                 let mut budget = max_rows;
                 while budget > 0 && gen < ctx.gens.len() {
                     let g = &ctx.gens[gen];
-                    if row >= g.len() {
+                    let rows = ctx.gen_rows(gen);
+                    row = row.max(rows.start);
+                    if row >= rows.end {
                         gen += 1;
                         row = 0;
                         continue;
                     }
-                    let end = row.saturating_add(budget).min(g.len());
-                    let at = ctx.gen_starts[gen] + row;
-                    let keys = &self.keys[at..at + (end - row)];
+                    let end = row.saturating_add(budget).min(rows.end);
+                    let at = ctx.gen_starts[gen] + row - rows.start;
+                    let keys = &s.keys[at..at + (end - row)];
                     for (id, &key) in (g.base() + row as u32..).zip(keys) {
-                        if filters && ctx.dropped(id) {
+                        if ctx.purging && ctx.purged(id) {
                             continue;
                         }
-                        let slot = &mut self.cursor[key as usize];
+                        let slot = &mut s.counts[key as usize];
                         self.entries[*slot as usize] = id;
                         *slot += 1;
                     }
@@ -543,13 +631,7 @@ impl TableMerge {
                     row = end;
                 }
                 if gen == ctx.gens.len() {
-                    debug_assert!(self
-                        .cursor
-                        .iter()
-                        .zip(&self.offsets[1..])
-                        .all(|(c, o)| c == o));
-                    self.cursor = Vec::new();
-                    self.keys = Vec::new();
+                    debug_assert!(s.counts.iter().zip(&self.offsets[1..]).all(|(c, o)| c == o));
                     self.phase = MergePhase::Done;
                 } else {
                     self.phase = MergePhase::ScatterGens { gen, row };
@@ -570,6 +652,25 @@ impl TableMerge {
     }
 }
 
+/// Copies `src[run]` to `dst[at..]`. A run of at most [`RUN_COPY`] ids
+/// (the common case: a bucket run holds `N / 2^k` ids on average) is one
+/// fixed-width copy instead of a `memcpy` call, and may overwrite up to
+/// `RUN_COPY - run.len()` slots past its end. The previous-epoch scatter
+/// fills buckets in ascending order and the generations' scatter runs
+/// after it, so each of those slots is written again, with its final
+/// value, later in the same merge.
+#[inline]
+fn copy_run(dst: &mut [u32], at: usize, src: &[u32], run: Range<usize>) {
+    if run.len() <= RUN_COPY && at + RUN_COPY <= dst.len() && run.start + RUN_COPY <= src.len() {
+        dst[at..at + RUN_COPY].copy_from_slice(&src[run.start..run.start + RUN_COPY]);
+    } else {
+        dst[at..at + run.len()].copy_from_slice(&src[run]);
+    }
+}
+
+/// Width of [`copy_run`]'s fixed copy: 32 bytes.
+const RUN_COPY: usize = 8;
+
 /// A whole-epoch merge broken into resumable, bounded steps — the
 /// cooperative counterpart of [`StaticTables::merge_generations`].
 ///
@@ -586,6 +687,8 @@ pub struct MergeStepper<'a> {
     n: usize,
     tables: Vec<TableMerge>,
     current: usize,
+    /// Handed on from table to table: the tables merge one at a time.
+    scratch: MergeScratch,
 }
 
 impl<'a> MergeStepper<'a> {
@@ -608,7 +711,7 @@ impl<'a> MergeStepper<'a> {
         let ctx = MergeCtx::new(prev, gens, purge, half_bits, purge_base, retire_below);
         let tables = allpairs::pairs(m)
             .enumerate()
-            .map(|(l, pair)| TableMerge::new(l, pair, ctx.buckets))
+            .map(|(l, pair)| TableMerge::new(l, pair))
             .collect();
         Self {
             ctx,
@@ -616,6 +719,7 @@ impl<'a> MergeStepper<'a> {
             n,
             tables,
             current: 0,
+            scratch: MergeScratch::default(),
         }
     }
 
@@ -626,7 +730,7 @@ impl<'a> MergeStepper<'a> {
         if self.current >= self.tables.len() {
             return false;
         }
-        if !self.tables[self.current].advance(&self.ctx, max_buckets, max_rows) {
+        if !self.tables[self.current].advance(&self.ctx, &mut self.scratch, max_buckets, max_rows) {
             self.current += 1;
         }
         self.current < self.tables.len()
@@ -1174,7 +1278,8 @@ mod tests {
             bits
         }
 
-        /// Merged monolithically and checked against the reference.
+        /// Merged monolithically and stepped at several slice budgets,
+        /// each checked against the reference.
         fn check(&self, purge: &[u64], retire_below: u32, pool: &ThreadPool, what: &str) {
             let want = reference_merge(
                 Some(&self.prev),
@@ -1196,7 +1301,44 @@ mod tests {
                 retire_below,
                 pool,
             );
-            assert_matches_reference(&got, &want, what);
+            assert_matches_reference(&got, &want, &format!("{what}, monolithic"));
+            for budget in [1usize, 7, 4096] {
+                let mut stepper = MergeStepper::new(
+                    Some(&self.prev),
+                    self.m,
+                    self.half_bits,
+                    self.n,
+                    &self.gens,
+                    purge,
+                    0,
+                    retire_below,
+                );
+                while stepper.step(budget, budget) {}
+                let got = stepper.finish();
+                assert_matches_reference(&got, &want, &format!("{what}, budget {budget}"));
+            }
+        }
+    }
+
+    #[test]
+    fn merge_matrix_of_cut_classes_matches_the_reference() {
+        let pool = ThreadPool::new(2);
+        // Previous epoch over 0..200; generations 200..260, 260..400 and
+        // 400..600.
+        let f = MergeFixture::new(600, 200, &[260, 400], &pool);
+        let classes = [
+            (0u32, "no cut"),
+            (77, "cut inside previous-epoch runs"),
+            (199, "cut at the previous epoch's last id"),
+            (200, "cut at the previous epoch's end"),
+            (230, "cut inside a generation"),
+            (260, "cut on a generation boundary"),
+            (550, "cut inside the last generation"),
+        ];
+        let purge = f.purge(&[10, 76, 77, 80, 150, 199, 200, 231, 259, 260, 401, 550, 599]);
+        for (cut, what) in classes {
+            f.check(&f.purge(&[]), cut, &pool, what);
+            f.check(&purge, cut, &pool, &format!("{what}, with purges"));
         }
     }
 
