@@ -18,6 +18,11 @@ pub struct Level {
     pub name: &'static str,
     /// Batch time over the fixture's query set.
     pub batch_time: Duration,
+    /// Mean candidates per query whose distance Q3 decided.
+    pub distance_computations: f64,
+    /// Mean candidates per query whose row Q3 loaded (the rest the
+    /// signature bound ruled out).
+    pub rows_loaded: f64,
 }
 
 /// The measured ablation.
@@ -57,6 +62,8 @@ pub fn run(f: &Fixture) -> Fig5 {
             Level {
                 name,
                 batch_time: stats.elapsed,
+                distance_computations: stats.avg_distance_computations(),
+                rows_loaded: stats.avg_rows_loaded(),
             }
         })
         .collect();
@@ -79,16 +86,20 @@ impl Fig5 {
             "## Figure 5 — PLSH query performance breakdown ({} queries)\n",
             self.queries
         );
-        println!("| Configuration | Batch time | Per query | Speedup vs no-opt |");
-        println!("|---|---:|---:|---:|");
+        println!(
+            "| Configuration | Batch time | Per query | Speedup vs no-opt | Distances / query | Rows loaded / query |"
+        );
+        println!("|---|---:|---:|---:|---:|---:|");
         let base = self.levels[0].batch_time.as_secs_f64();
         for l in &self.levels {
             println!(
-                "| {} | {:.0} ms | {:.3} ms | {:.2}x |",
+                "| {} | {:.0} ms | {:.3} ms | {:.2}x | {:.1} | {:.1} |",
                 l.name,
                 ms(l.batch_time),
                 ms(l.batch_time) / self.queries as f64,
                 base / l.batch_time.as_secs_f64().max(1e-12),
+                l.distance_computations,
+                l.rows_loaded,
             );
         }
         println!(

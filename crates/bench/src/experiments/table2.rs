@@ -19,6 +19,9 @@ pub struct Row {
     pub name: &'static str,
     /// Mean distance computations per query.
     pub distance_computations: f64,
+    /// Mean data rows loaded per query: every distance computation for
+    /// the baselines, the candidates the signature bound kept for PLSH.
+    pub rows_loaded: f64,
     /// Mean runtime per query.
     pub per_query: Duration,
 }
@@ -70,16 +73,19 @@ pub fn run(f: &Fixture) -> Table2 {
             Row {
                 name: "Exhaustive search",
                 distance_computations: exh_comp as f64 / q,
+                rows_loaded: exh_comp as f64 / q,
                 per_query: exh_time / queries.len() as u32,
             },
             Row {
                 name: "Inverted index",
                 distance_computations: inv_comp as f64 / q,
+                rows_loaded: inv_comp as f64 / q,
                 per_query: inv_time / queries.len() as u32,
             },
             Row {
                 name: "PLSH",
                 distance_computations: stats.avg_distance_computations(),
+                rows_loaded: stats.avg_rows_loaded(),
                 per_query: stats.avg_latency(),
             },
         ],
@@ -91,13 +97,16 @@ impl Table2 {
     /// Prints the table in the paper's format.
     pub fn print(&self) {
         println!("## Table 2 — PLSH vs deterministic algorithms\n");
-        println!("| Algorithm | # distance computations / query | Runtime / query |");
-        println!("|---|---:|---:|");
+        println!(
+            "| Algorithm | # distance computations / query | Rows loaded / query | Runtime / query |"
+        );
+        println!("|---|---:|---:|---:|");
         for r in &self.rows {
             println!(
-                "| {} | {:.1} | {:.3} ms |",
+                "| {} | {:.1} | {:.1} | {:.3} ms |",
                 r.name,
                 r.distance_computations,
+                r.rows_loaded,
                 ms(r.per_query)
             );
         }

@@ -8,9 +8,12 @@
 //!   paper adds a bitvector scan of ~14 ops per 32 bits of `N` to extract
 //!   the sorted candidate array; Q3 here walks the dedup set's candidate
 //!   list instead, so Q2 has no `N` term.
-//! * **Q3** (filtering) is bandwidth-bound: each candidate's CRS row pulls
-//!   ~4 cache lines (two ~30-byte unaligned arrays ⇒ 1.5 lines each, plus
-//!   one offsets line) = 256 bytes of traffic.
+//! * **Q3** (filtering) is bandwidth-bound: each candidate's signature
+//!   probe is charged two cache lines, and each loaded CRS row ~4 (two
+//!   ~30-byte unaligned arrays ⇒ 1.5 lines each, plus one offsets line)
+//!   = 256 bytes of traffic. A radius query below π/2 loads only the rows
+//!   its signature bound keeps (`query::SignatureBound`); a plain k-NN
+//!   query loads every row, as the paper's kernel does.
 //! * **Hashing** is compute-bound: ~11 ops per (non-zero × hash function),
 //!   over `T` threads and SIMD width `S`.
 //! * **Insertion** (I1–I3) is bandwidth-bound: 24 bytes per point per
@@ -29,6 +32,7 @@ use std::time::{Duration, Instant};
 use plsh_parallel::ThreadPool;
 
 use crate::params::{CostWeights, PlshParams};
+use crate::query;
 
 /// Description of the executing machine.
 #[derive(Debug, Clone, Copy)]
@@ -191,11 +195,27 @@ mod ops {
     /// bitvector test-and-set (~11 ops, the paper's count) + candidate-list
     /// append (~5 ops).
     pub const Q2_PER_COLLISION: f64 = 20.0;
-    /// Step Q3, per candidate, beyond the per-non-zero work: offsets
-    /// lookup, deletion test, prefilter compare, loop overhead. The exact
-    /// dot and `acos` run only for the few candidates the prefilter keeps
-    /// (radius hits, or contenders for a k-NN query's running top-k), so
-    /// radius and k-NN queries cost the same per candidate.
+    /// Step Q3, per candidate, the signature probe: retirement and
+    /// deletion tests (~7 ops), signature load and AND (~3), the weight
+    /// sum over the shared bits (~5 per bit, ~1.5 bits), compare and
+    /// survivor append (~3).
+    pub const Q3_PER_PROBE: f64 = 20.0;
+    /// Step Q3, traffic charged per signature probe: two cache lines. A
+    /// probe is one random 8-byte load, whose line no other candidate
+    /// shares; calibrated, not derived: traced `batch_static` (seeds 5–7,
+    /// 2-vCPU Xeon) puts the probe pass at about half of a 256-byte row
+    /// per candidate.
+    pub const Q3_PROBE_BYTES: f64 = 128.0;
+    /// Step Q3, the share of probed candidates whose row the signature
+    /// bound cannot rule out, when it is on (a positive dot floor).
+    /// Measured on the benchmark's `batch_static` corpus (seeds 5 and 6:
+    /// 61 rows loaded of 768 candidates per query).
+    pub const Q3_SURVIVOR_SHARE: f64 = 0.08;
+    /// Step Q3, per loaded row, beyond the per-non-zero work: offsets
+    /// lookup, prefilter compare, loop overhead. The exact dot and `acos`
+    /// run only for the few candidates the prefilter keeps (radius hits,
+    /// or contenders for a k-NN query's running top-k), so radius and
+    /// k-NN queries cost the same per row.
     pub const Q3_PER_CANDIDATE: f64 = 30.0;
     /// Step Q3, per non-zero of the candidate row: mask word load, bit
     /// test, multiply-add on a hit.
@@ -233,11 +253,33 @@ impl PerformanceModel {
         points as f64 * m as f64 * lane_bytes / self.machine.bytes_per_cycle
     }
 
-    /// `T_Q3` — cycles per unique candidate: the larger of the bandwidth
-    /// cost (~4 cache lines = 256 bytes per candidate, the paper's 21.8
-    /// cycles at 12.3 bytes/cycle) and the sparse-dot compute cost for a
-    /// row of `nnz` non-zeros.
-    pub fn t_q3_cycles(&self, nnz: f64) -> f64 {
+    /// `T_Q3` — cycles per unique candidate of a query of angular radius
+    /// `radius`: one signature probe, plus a loaded row
+    /// ([`t_q3_row_cycles`](Self::t_q3_row_cycles)) for the share of
+    /// candidates the signature bound keeps. The bound needs a positive
+    /// dot floor, so from a radius of about π/2 up, and for a plain k-NN
+    /// query (radius π), every candidate loads its row.
+    pub fn t_q3_cycles(&self, nnz: f64, radius: f64) -> f64 {
+        let share = if query::dot_floor(radius as f32) > 0.0 {
+            ops::Q3_SURVIVOR_SHARE
+        } else {
+            1.0
+        };
+        self.q3_cycles(nnz, share)
+    }
+
+    /// Cycles per unique candidate when a `share` of them load their row.
+    fn q3_cycles(&self, nnz: f64, share: f64) -> f64 {
+        let bandwidth = ops::Q3_PROBE_BYTES / self.machine.bytes_per_cycle;
+        let compute = ops::Q3_PER_PROBE / self.machine.threads as f64;
+        bandwidth.max(compute) + share * self.t_q3_row_cycles(nnz)
+    }
+
+    /// Cycles per loaded row: the larger of the bandwidth cost (~4 cache
+    /// lines = 256 bytes, the paper's 21.8 cycles per unique candidate at
+    /// 12.3 bytes/cycle, its kernel loading every row) and the sparse-dot
+    /// compute cost for a row of `nnz` non-zeros.
+    pub fn t_q3_row_cycles(&self, nnz: f64) -> f64 {
         let bandwidth = 256.0 / self.machine.bytes_per_cycle + 1.0;
         let compute =
             (ops::Q3_PER_CANDIDATE + ops::Q3_PER_NONZERO * nnz) / self.machine.threads as f64;
@@ -245,11 +287,11 @@ impl PerformanceModel {
     }
 
     /// Cost weights for parameter selection (Section 7.3), for data of mean
-    /// sparsity `nnz`.
-    pub fn cost_weights(&self, nnz: f64) -> CostWeights {
+    /// sparsity `nnz` queried at angular `radius`.
+    pub fn cost_weights(&self, nnz: f64, radius: f64) -> CostWeights {
         CostWeights {
             cycles_per_collision: self.t_q2_cycles(),
-            cycles_per_unique: self.t_q3_cycles(nnz),
+            cycles_per_unique: self.t_q3_cycles(nnz, radius),
         }
     }
 
@@ -306,6 +348,11 @@ impl PerformanceModel {
     /// given the expected per-query `#collisions` and `#unique` (from
     /// [`crate::params::estimate_candidates`] or measured counters).
     ///
+    /// The batch is priced as radius queries below π/2, where Q3's
+    /// signature bound is on: the Figure 6 and 7 batches. A k-NN batch
+    /// loads every row; price its candidates with
+    /// [`t_q3_cycles`](Self::t_q3_cycles) at radius π.
+    ///
     /// The corpus size `_n` is accepted but unused: no step costs anything
     /// per resident point, so the size acts only through the expected
     /// counts.
@@ -319,7 +366,7 @@ impl PerformanceModel {
     ) -> QueryEstimate {
         let qf = queries as f64;
         let q2 = self.t_q2_cycles() * e_collisions * qf;
-        let q3 = self.t_q3_cycles(nnz) * e_unique * qf;
+        let q3 = self.q3_cycles(nnz, ops::Q3_SURVIVOR_SHARE) * e_unique * qf;
         QueryEstimate {
             step_q2: self.machine.cycles_to_duration(q2),
             step_q3: self.machine.cycles_to_duration(q3),
@@ -360,7 +407,7 @@ impl PerformanceModel {
         // by SIMD width.
         let q1 = per.hashing_cycles_per_point(nnz, params) * qf;
         let q2 = per.t_q2_cycles() * e_collisions / sf * qf;
-        let q3 = per.t_q3_cycles(nnz) * e_unique / sf * qf;
+        let q3 = per.t_q3_cycles(nnz, params.radius()) * e_unique / sf * qf;
         let per_shard = q1 + q2 + q3 + SHARD_FANOUT_OVERHEAD_CYCLES;
         let waves = shards.div_ceil(self.machine.threads.max(1)) as f64;
         self.machine.cycles_to_duration(per_shard * waves)
@@ -430,10 +477,21 @@ mod tests {
         eight.threads = 8;
         let m8 = PerformanceModel::new(eight);
         assert!((m8.t_q2_cycles() - 20.0 / 8.0).abs() < 0.01);
-        // T_Q3 ≈ 256/12.3 + 1 ≈ 21.8 cycles (paper: "21.8 cycles/unique")
-        // — bandwidth-dominated at paper scale, so the compute floor for
-        // NNZ = 7.2 must not kick in.
-        assert!((model.t_q3_cycles(7.2) - 21.8).abs() < 0.3);
+        // A row costs 256/12.3 + 1 ≈ 21.8 cycles (paper: "21.8
+        // cycles/unique", its kernel loading every row) — bandwidth-
+        // dominated at paper scale, so the compute floor for NNZ = 7.2
+        // must not kick in.
+        let row = model.t_q3_row_cycles(7.2);
+        assert!((row - 21.8).abs() < 0.3);
+        // With the signature bound off (a k-NN query, a radius from π/2
+        // up) a candidate costs its probe and its whole row; at the
+        // paper's radius only the survivors' share of a row.
+        let probe = 128.0 / 12.3;
+        let knn = model.t_q3_cycles(7.2, std::f64::consts::PI);
+        assert!((knn - (probe + row)).abs() < 1e-9);
+        assert_eq!(model.t_q3_cycles(7.2, std::f64::consts::FRAC_PI_2), knn);
+        let bounded = model.t_q3_cycles(7.2, 0.9);
+        assert!(bounded < knn / 2.0 && bounded > probe);
     }
 
     #[test]
@@ -508,9 +566,9 @@ mod tests {
         let mut m4 = MachineProfile::paper();
         m4.threads = 4;
         let four = PerformanceModel::new(m4);
-        assert_eq!(four.t_q3_cycles(7.2), eight.t_q3_cycles(7.2));
+        assert_eq!(four.t_q3_cycles(7.2, 0.9), eight.t_q3_cycles(7.2, 0.9));
         // …but on one thread the compute floor can dominate.
-        assert!(one.t_q3_cycles(7.2) >= eight.t_q3_cycles(7.2));
+        assert!(one.t_q3_cycles(7.2, 0.9) >= eight.t_q3_cycles(7.2, 0.9));
     }
 
     #[test]

@@ -10,9 +10,17 @@
 //!   bitvector's discovery-order candidate list is what Q3 walks; no path
 //!   scans the bitvector itself, so Q2 costs `O(L + collisions)` whatever
 //!   the resident span.
-//! * **Q3** — for each unique candidate, load its data row and compute the
-//!   angular distance: a masked dot product first, and the exact distance
-//!   only for candidates that dot cannot already rule out.
+//! * **Q3** — decide each unique candidate's distance. Every stored row
+//!   carries a 64-bit vocabulary signature, and the query's weight on the
+//!   signature bits it shares with a row bounds their dot product
+//!   ([`SignatureBound`], exact, so answers do not change). With
+//!   `candidate_array` on, a first pass drops retired, deleted and
+//!   bounded-out candidates from one 8-byte load each; a second pass
+//!   loads the survivors' rows, computes a masked dot product, and the
+//!   exact distance only for candidates that dot cannot rule out. Other
+//!   levels apply the same bound inline. `QueryStats::distance_computations`
+//!   counts every candidate decided either way, `QueryStats::rows_loaded`
+//!   those that needed their row.
 //! * **Q4** — emit candidates within the radius (cheap), or, for a k-NN
 //!   query, keep the `k` closest in a bounded heap. Its root, the running
 //!   k-th neighbour, raises Q3's prefilter floor, so most candidates of a
@@ -43,7 +51,9 @@ use plsh_parallel::{current_num_threads_hint, ThreadPool, WorkerLocal};
 use crate::dedup::CandidateSet;
 use crate::hash::{allpairs, Hyperplanes, SketchMatrix};
 use crate::simd;
-use crate::sparse::{angular_from_dot, dot_sorted, CrsMatrix, SparseVector};
+use crate::sparse::{
+    angular_from_dot, dot_sorted, signature_bit, CrsMatrix, SparseVector, FULL_SIGNATURE,
+};
 pub use crate::stats::{BatchStats, QueryStats};
 use crate::table::{DeltaGeneration, StaticTables};
 
@@ -51,6 +61,11 @@ use crate::table::{DeltaGeneration, StaticTables};
 /// data rows (Section 5.2.2). Their row-offsets slots go twice as far
 /// ahead, so a row's prefetch never waits on its offsets.
 const PREFETCH_DISTANCE: usize = 8;
+
+/// How far ahead of the signature bound Q3's first pass prefetches
+/// candidates' signatures. A signature is one 8-byte load and the bound a
+/// few instructions, so the pass runs further ahead than the row loop.
+const SIGNATURE_PREFETCH_DISTANCE: usize = 16;
 
 /// Queries hashed together per `SketchMatrix::sketch_batch` call in the
 /// batched pipeline: large enough to reuse each plane row across many
@@ -229,15 +244,29 @@ impl<'a> QueryContext<'a> {
     /// Resolves a global id to its row, whichever segment holds it.
     #[inline]
     pub fn row(&self, id: u32) -> (&'a [u32], &'a [f32]) {
+        let (data, local) = self.segment(id);
+        data.row(local)
+    }
+
+    /// Resolves a global id to its row's vocabulary signature.
+    #[inline]
+    fn signature(&self, id: u32) -> u64 {
+        let (data, local) = self.segment(id);
+        data.signature(local)
+    }
+
+    /// The matrix holding global id `id`, and its row there.
+    #[inline]
+    fn segment(&self, id: u32) -> (&'a CrsMatrix, u32) {
         if id < self.static_end() {
-            return self.static_data.row(id - self.base);
+            return (self.static_data, id - self.base);
         }
         // Generations are contiguous and ascending; binary-search the one
         // covering `id` (there are few — merges keep the list short).
         let i = self.deltas.partition_point(|g| g.end() <= id);
         let g = &self.deltas[i];
         debug_assert!(id >= g.base() && id < g.end());
-        g.data().row(id - g.base())
+        (g.data(), id - g.base())
     }
 }
 
@@ -256,6 +285,10 @@ pub struct QueryScratch {
     qmask: Vec<u64>,
     /// Dense query values; only positions flagged in `qmask` are valid.
     qvals: Vec<f32>,
+    /// The query's signature bound (off unless `optimized_sparse_dot`).
+    bound: SignatureBound,
+    /// Candidates the bound kept: the rows Q3's second pass loads.
+    survivors: Vec<u32>,
     /// Owned output buffer: [`execute_query_into`] appends here, so a
     /// steady-state query performs no allocation at all.
     out: Vec<Neighbor>,
@@ -276,6 +309,8 @@ impl QueryScratch {
             delta_hits: Vec::new(),
             qmask: vec![0u64; (dim as usize).div_ceil(64)],
             qvals: vec![0.0; dim as usize],
+            bound: SignatureBound::off(),
+            survivors: Vec::new(),
             out: Vec::new(),
             top: BinaryHeap::new(),
         }
@@ -462,9 +497,15 @@ fn dedup_candidates(
 
 /// Steps Q3 + Q4 over the candidate list [`dedup_candidates`] left in the
 /// scratch (capped at the request's candidate budget), then clears the
-/// set. With `candidate_array` on, the loop software-prefetches ahead of
-/// itself at two distances (Section 5.2.2): a candidate's row-offsets slot
-/// `2·PREFETCH_DISTANCE` ahead, and its row `PREFETCH_DISTANCE` ahead, by
+/// set.
+///
+/// With `candidate_array` on, Q3 runs in two passes. The first walks the
+/// list, prefetching signatures `SIGNATURE_PREFETCH_DISTANCE` ahead, and
+/// keeps the candidates that are neither retired, deleted nor ruled out
+/// by the [`SignatureBound`] (with the bound off, every resident
+/// candidate). The second loads only the rows kept, and software-prefetches
+/// ahead of itself at two distances (Section 5.2.2): a row-offsets slot
+/// `2·PREFETCH_DISTANCE` ahead, and a row `PREFETCH_DISTANCE` ahead, by
 /// which time the row's offsets are in cache. A radius query at that
 /// level then sorts its few hits by id, the order the paper's sorted
 /// candidate array would have produced.
@@ -482,16 +523,26 @@ fn filter_candidates(
     let ids = cand.candidates();
     let visited = &ids[..ids.len().min(ctx.max_candidates)];
     let start = out.len();
+    let mut survivors = std::mem::take(&mut scratch.survivors);
     with_query_side(ctx, query, scratch, out, stats, |scratch, hits, stats| {
         if ctx.strategy.candidate_array {
+            survivors.clear();
             for (i, &id) in visited.iter().enumerate() {
-                if let Some(&far) = visited.get(i + 2 * PREFETCH_DISTANCE) {
+                if let Some(&next) = visited.get(i + SIGNATURE_PREFETCH_DISTANCE) {
+                    prefetch_signature(ctx, next);
+                }
+                if needs_row(ctx, &scratch.bound, id, stats) {
+                    survivors.push(id);
+                }
+            }
+            for (i, &id) in survivors.iter().enumerate() {
+                if let Some(&far) = survivors.get(i + 2 * PREFETCH_DISTANCE) {
                     prefetch_row_offsets(ctx, far);
                 }
-                if let Some(&next) = visited.get(i + PREFETCH_DISTANCE) {
+                if let Some(&next) = survivors.get(i + PREFETCH_DISTANCE) {
                     prefetch_row(ctx, next);
                 }
-                filter_candidate(ctx, query, scratch, id, hits, stats);
+                score_candidate(ctx, query, scratch, id, hits, stats);
             }
         } else {
             for &id in visited {
@@ -499,6 +550,7 @@ fn filter_candidates(
             }
         }
     });
+    scratch.survivors = survivors;
     if ctx.strategy.candidate_array && ctx.top_k.is_none() {
         out[start..].sort_unstable_by_key(|h| h.index);
     }
@@ -554,8 +606,11 @@ fn gather_candidates(
 
 /// Runs a candidate loop `body` (Q3 + Q4) and collects what it confirms
 /// into `out` through [`Hits`]. Around it, prepares and afterwards clears
-/// the query-side vocabulary bitvector and dense value array, when the
-/// optimized sparse dot product is enabled.
+/// the query-side vocabulary bitvector, dense value array and
+/// [`SignatureBound`], when the optimized sparse dot product is enabled.
+/// The bound holds candidates to the radius's floor only: a k-NN query's
+/// floor rises with the candidates visited so far, and a bound against it
+/// would make which rows are loaded depend on the visit order.
 fn with_query_side<F>(
     ctx: &QueryContext<'_>,
     query: &SparseVector,
@@ -571,6 +626,7 @@ fn with_query_side<F>(
             scratch.qmask[(d >> 6) as usize] |= 1u64 << (d & 63);
             scratch.qvals[d as usize] = v;
         }
+        scratch.bound.prepare(query, dot_floor(ctx.radius));
     }
     let mut hits = Hits::new(ctx, out, std::mem::take(&mut scratch.top));
     body(scratch, &mut hits, stats);
@@ -579,6 +635,109 @@ fn with_query_side<F>(
         for &d in query.indices() {
             scratch.qmask[(d >> 6) as usize] = 0;
         }
+        scratch.bound.clear();
+    }
+}
+
+/// Q3's exact signature bound: rules out a candidate from its row's
+/// 64-bit vocabulary [signature](crate::sparse::signature) alone, before
+/// its row is loaded. It extends the query-side vocabulary bitvector of
+/// Section 5.2.3 to the row side.
+///
+/// `w[b]` is the sum of `q_i²` over the query terms whose signature bit
+/// is `b`. Every term a candidate `c` shares with the query sets a bit in
+/// both signatures, so `UB² = Σ_{b ∈ sig(c) ∧ sig(q)} w[b]` is at least
+/// `Σ_{i ∈ Q∩C} q_i²`, and Cauchy–Schwarz gives
+/// `dot(q, c) ≤ UB · ‖c‖ ≤ UB` for a unit row. A candidate with
+/// `UB < floor` is a certain miss.
+///
+/// The test is exact for the `f32` merge-join dot that decides every
+/// survivor. Over `n ≤ nnz(q)` shared terms its rounding adds at most
+/// `γ_n = n·u / (1 − n·u)` (`u = 2⁻²⁴`) of `Σ|q_i c_i| ≤ UB · ‖c‖`, and
+/// a row's stored signature promises `‖c‖² ≤ 1 + 1e-4`. The weights are
+/// summed in `f64`, whose rounding the last `1e-8` covers. So a candidate
+/// is ruled out only when `UB² · (1 + γ_n)² · (1 + 1e-4) · (1 + 1e-8)`
+/// is below `floor²`, and then its merge-join dot is below `floor`. A
+/// floor `≤ 0` turns the bound off, as does the all-ones signature of a
+/// row with a larger norm.
+#[derive(Debug)]
+pub struct SignatureBound {
+    /// Query weight per signature bit.
+    w: [f64; 64],
+    /// The query's own signature: the bits where `w` is non-zero.
+    qsig: u64,
+    /// Shared weight below which a candidate is a certain miss; `0` when
+    /// the bound is off.
+    min_ub2: f64,
+}
+
+impl SignatureBound {
+    /// The bound for `query` against a dot-product `floor`.
+    pub fn new(query: &SparseVector, floor: f32) -> Self {
+        let mut bound = Self::off();
+        bound.prepare(query, floor);
+        bound
+    }
+
+    /// A bound that rules out nothing.
+    fn off() -> Self {
+        Self {
+            w: [0.0; 64],
+            qsig: 0,
+            min_ub2: 0.0,
+        }
+    }
+
+    /// Fills the weights of an [`off`](Self::off) bound for `query`.
+    fn prepare(&mut self, query: &SparseVector, floor: f32) {
+        debug_assert!(!self.is_on() && self.qsig == 0, "prepared twice");
+        for (&d, &v) in query.indices().iter().zip(query.values()) {
+            let b = signature_bit(d);
+            self.w[b as usize] += f64::from(v) * f64::from(v);
+            self.qsig |= 1 << b;
+        }
+        // n·u < 1/4 keeps γ_n finite, and the f64 sums' rounding within
+        // the `1e-8` term (queries of up to ~4M terms).
+        let nu = query.nnz() as f64 * (f64::from(f32::EPSILON) / 2.0);
+        if floor > 0.0 && nu < 0.25 {
+            let gamma = nu / (1.0 - nu);
+            let floor = f64::from(floor);
+            self.min_ub2 = floor * floor / ((1.0 + gamma).powi(2) * (1.0 + 1e-4) * (1.0 + 1e-8));
+        }
+    }
+
+    /// Returns the bound to [`off`](Self::off), touching only the
+    /// query's bits.
+    fn clear(&mut self) {
+        let mut bits = self.qsig;
+        while bits != 0 {
+            self.w[bits.trailing_zeros() as usize] = 0.0;
+            bits &= bits - 1;
+        }
+        self.qsig = 0;
+        self.min_ub2 = 0.0;
+    }
+
+    /// Whether the bound can rule anything out.
+    #[inline]
+    fn is_on(&self) -> bool {
+        self.min_ub2 > 0.0
+    }
+
+    /// Whether a row of signature `sig` is a certain miss: its exact
+    /// merge-join dot with the query is below the floor.
+    #[inline]
+    pub fn rules_out(&self, sig: u64) -> bool {
+        if !self.is_on() || sig == FULL_SIGNATURE {
+            return false;
+        }
+        let mut shared = sig & self.qsig;
+        let mut ub2 = 0.0;
+        while shared != 0 {
+            ub2 += self.w[shared.trailing_zeros() as usize];
+            shared &= shared - 1;
+        }
+        ub2 < self.min_ub2
     }
 }
 
@@ -600,7 +759,7 @@ fn with_query_side<F>(
 /// a reported distance (`~2e-7` rad), so a candidate below the floor can
 /// never tie the k-th neighbour either.
 #[inline]
-fn dot_floor(angle: f32) -> f32 {
+pub(crate) fn dot_floor(angle: f32) -> f32 {
     ((angle as f64).cos() - 1e-3) as f32
 }
 
@@ -696,8 +855,8 @@ impl<'o> Hits<'o> {
     }
 }
 
-/// Q3 + Q4 for one candidate: skip deleted, prefilter on the masked dot,
-/// confirm the exact distance of what survives, and offer it to `hits`.
+/// Q3 + Q4 for one candidate: decide what its signature can, and score
+/// the rest.
 #[inline]
 fn filter_candidate(
     ctx: &QueryContext<'_>,
@@ -707,22 +866,55 @@ fn filter_candidate(
     hits: &mut Hits<'_>,
     stats: &mut QueryStats,
 ) {
+    if needs_row(ctx, &scratch.bound, id, stats) {
+        score_candidate(ctx, query, scratch, id, hits, stats);
+    }
+}
+
+/// Q3's row-free half for one candidate: skips a retired or deleted id,
+/// counts the rest as decided, and returns whether the signature `bound`
+/// leaves its row to be loaded.
+#[inline]
+fn needs_row(
+    ctx: &QueryContext<'_>,
+    bound: &SignatureBound,
+    id: u32,
+    stats: &mut QueryStats,
+) -> bool {
     if id < ctx.retired_below {
-        return; // retired by the sliding window (range tombstone)
+        return false; // retired by the sliding window (range tombstone)
     }
     if let Some(words) = ctx.deleted {
         let off = id - ctx.base; // the bitvector is anchored at the base
         if words[(off >> 6) as usize].load(Ordering::Relaxed) & (1u64 << (off & 63)) != 0 {
-            return; // tombstoned (Section 6.2, "Deleting Entries")
+            return false; // tombstoned (Section 6.2, "Deleting Entries")
         }
     }
+    stats.distance_computations += 1;
+    // A certain miss is decided here, without the row; an off bound
+    // (a plain k-NN query) tests no signature.
+    !(bound.is_on() && bound.rules_out(ctx.signature(id)))
+}
+
+/// Q3 + Q4 for a candidate that needs its row: prefilter on the masked
+/// dot, confirm the exact distance of what survives, and offer it to
+/// `hits`.
+#[inline]
+fn score_candidate(
+    ctx: &QueryContext<'_>,
+    query: &SparseVector,
+    scratch: &QueryScratch,
+    id: u32,
+    hits: &mut Hits<'_>,
+    stats: &mut QueryStats,
+) {
     let (idx, val) = ctx.row(id);
+    stats.rows_loaded += 1;
     let dot = if ctx.strategy.optimized_sparse_dot {
         simd::dot_via_mask(idx, val, &scratch.qmask, &scratch.qvals)
     } else {
         dot_sorted(idx, val, query.indices(), query.values())
     };
-    stats.distance_computations += 1;
     if dot < hits.floor {
         return; // certain miss
     }
@@ -768,6 +960,15 @@ fn prefetch_query_buckets(st: &StaticTables, keys: &[u32]) {
 fn prefetch_row_offsets(ctx: &QueryContext<'_>, id: u32) {
     if id < ctx.static_end() {
         ctx.static_data.prefetch_row_offsets(id - ctx.base);
+    }
+}
+
+/// Hints the signature of a static candidate, for Q3's bound pass. Delta
+/// ids are skipped, as in [`prefetch_row_offsets`].
+#[inline]
+fn prefetch_signature(ctx: &QueryContext<'_>, id: u32) {
+    if id < ctx.static_end() {
+        ctx.static_data.prefetch_signature(id - ctx.base);
     }
 }
 
@@ -1443,7 +1644,8 @@ mod tests {
     /// The Q2→Q3 hand-off the candidate-list kernel replaced, kept as the
     /// reference: mark every gathered id in a bitvector over the span,
     /// extract the ids by scanning it (ascending), cut at the budget, and
-    /// filter them in that order.
+    /// filter them in that order, one candidate at a time — the signature
+    /// bound inline, where the kernel runs it as a pass of its own.
     fn ascending_extract_reference(
         ctx: &QueryContext<'_>,
         query: &SparseVector,
@@ -1572,6 +1774,7 @@ mod tests {
         let scratches = ScratchPool::new(f.m, f.half_bits, f.data.dim());
         let mut scratch = QueryScratch::new(f.m, f.half_bits, n as usize, f.data.dim());
         let mut filtered = 0;
+        let mut bounded = 0;
         let mut zero = 0;
         for (label, strategy) in QueryStrategy::ablation_levels() {
             for budget in [usize::MAX, 40, 7] {
@@ -1605,6 +1808,7 @@ mod tests {
                             assert_eq!(bits(&got), bits(&hits), "{at}");
                             assert_eq!(got_stats, stats, "{at}");
                             filtered += stats.unique_candidates - stats.distance_computations;
+                            bounded += stats.distance_computations - stats.rows_loaded;
                             zero += usize::from(stats.unique_candidates == 0);
                             total.merge(&stats);
                             want.push(hits);
@@ -1633,5 +1837,6 @@ mod tests {
             "deletions and retirement must skip candidates"
         );
         assert!(zero > 0, "the antipode must have zero candidates");
+        assert!(bounded > 0, "the signature bound must rule candidates out");
     }
 }

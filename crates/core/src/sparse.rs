@@ -181,19 +181,51 @@ pub fn dot_sorted(ai: &[u32], av: &[f32], bi: &[u32], bv: &[f32]) -> f32 {
     acc
 }
 
+/// The signature bit of vocabulary dimension `d`: a fixed multiplicative
+/// (Fibonacci) hash onto `0..64`.
+#[inline]
+pub(crate) fn signature_bit(d: u32) -> u32 {
+    d.wrapping_mul(0x9E37_79B9) >> 26
+}
+
+/// A row's 64-bit vocabulary signature: bit `h(d)` set for each term `d`,
+/// where `h` is a fixed multiplicative hash onto `0..64`. Two rows whose
+/// signatures share no bit share no term, and the query kernel bounds a
+/// dot product by the query weight on the shared bits
+/// (`query::SignatureBound`).
+///
+/// That bound assumes `‖row‖ ≤ 1`, so a row whose squared norm exceeds
+/// `1 + 1e-4` (room to spare over the `f32` rounding of a normalized
+/// row) gets the all-ones signature, which the bound never rejects.
+pub fn signature(indices: &[u32], values: &[f32]) -> u64 {
+    let norm2: f64 = values.iter().map(|&v| f64::from(v) * f64::from(v)).sum();
+    if norm2 > 1.0 + 1e-4 {
+        return FULL_SIGNATURE;
+    }
+    indices
+        .iter()
+        .fold(0u64, |sig, &d| sig | 1u64 << signature_bit(d))
+}
+
+/// The signature of a row the bound must not assume a unit norm for.
+pub(crate) const FULL_SIGNATURE: u64 = u64::MAX;
+
 /// A growable CRS (a.k.a. CSR) matrix of sparse rows.
 ///
 /// Row data is stored in three flat arrays (`row_offsets`, `cols`, `vals`),
 /// the layout of Duff et al. \[17\] used by the paper for both the corpus
-/// and the hashing matrix product. Rows are immutable once pushed; the
-/// only mutation is appending (streaming inserts) and truncation
-/// (retirement of a node's data).
+/// and the hashing matrix product, plus one vocabulary [`signature`] per
+/// row (`sigs`), derived from the row whenever it is stored, so no file
+/// format carries it. Rows are immutable once pushed; the only mutation
+/// is appending (streaming inserts) and truncation (retirement of a
+/// node's data).
 #[derive(Debug, Clone)]
 pub struct CrsMatrix {
     dim: u32,
     row_offsets: Vec<usize>,
     cols: Vec<u32>,
     vals: Vec<f32>,
+    sigs: Vec<u64>,
 }
 
 impl CrsMatrix {
@@ -204,6 +236,7 @@ impl CrsMatrix {
             row_offsets: vec![0],
             cols: Vec::new(),
             vals: Vec::new(),
+            sigs: Vec::new(),
         }
     }
 
@@ -212,6 +245,7 @@ impl CrsMatrix {
     pub fn with_capacity(dim: u32, rows: usize, nnz_per_row: usize) -> Self {
         let mut m = Self::new(dim);
         m.row_offsets.reserve(rows);
+        m.sigs.reserve(rows);
         m.cols.reserve(rows * nnz_per_row);
         m.vals.reserve(rows * nnz_per_row);
         m
@@ -255,6 +289,7 @@ impl CrsMatrix {
         self.cols.extend_from_slice(row.indices());
         self.vals.extend_from_slice(row.values());
         self.row_offsets.push(self.cols.len());
+        self.sigs.push(signature(row.indices(), row.values()));
         Ok(id)
     }
 
@@ -276,6 +311,21 @@ impl CrsMatrix {
         }
     }
 
+    /// Row `i`'s vocabulary [`signature`].
+    #[inline]
+    pub(crate) fn signature(&self, i: u32) -> u64 {
+        self.sigs[i as usize]
+    }
+
+    /// Hints the hardware to pull row `i`'s signature into cache. A no-op
+    /// for rows past the end.
+    #[inline]
+    pub(crate) fn prefetch_signature(&self, i: u32) {
+        if let Some(sig) = self.sigs.get(i as usize) {
+            crate::util::prefetch_read(sig);
+        }
+    }
+
     /// Owned copy of row `i`.
     pub fn row_vector(&self, i: u32) -> SparseVector {
         let (idx, val) = self.row(i);
@@ -293,6 +343,7 @@ impl CrsMatrix {
         let base = self.cols.len();
         self.cols.extend_from_slice(&other.cols);
         self.vals.extend_from_slice(&other.vals);
+        self.sigs.extend_from_slice(&other.sigs);
         self.row_offsets
             .extend(other.row_offsets[1..].iter().map(|o| o + base));
     }
@@ -308,6 +359,7 @@ impl CrsMatrix {
         let base = self.cols.len();
         self.cols.extend_from_slice(&other.cols[lo..]);
         self.vals.extend_from_slice(&other.vals[lo..]);
+        self.sigs.extend_from_slice(&other.sigs[from_row..]);
         self.row_offsets.extend(
             other.row_offsets[from_row + 1..]
                 .iter()
@@ -323,6 +375,7 @@ impl CrsMatrix {
         let end = self.row_offsets[keep];
         self.cols.truncate(end);
         self.vals.truncate(end);
+        self.sigs.truncate(keep);
         self.row_offsets.truncate(keep + 1);
     }
 
@@ -356,6 +409,30 @@ mod tests {
 
     fn sv(pairs: &[(u32, f32)]) -> SparseVector {
         SparseVector::new(pairs.to_vec()).unwrap()
+    }
+
+    /// Every row's stored signature is the one its data derives.
+    fn assert_signatures_in_step(m: &CrsMatrix) {
+        assert_eq!(m.sigs.len(), m.num_rows());
+        for i in 0..m.num_rows() as u32 {
+            let (idx, val) = m.row(i);
+            assert_eq!(m.signature(i), signature(idx, val), "row {i}");
+        }
+    }
+
+    #[test]
+    fn signature_sets_a_bit_per_term_and_guards_the_norm() {
+        let v = SparseVector::unit(vec![(3, 1.0), (70, 2.0), (9000, 0.5)]).unwrap();
+        let want = [3, 70, 9000]
+            .iter()
+            .fold(0u64, |s, &d| s | 1 << signature_bit(d));
+        assert_eq!(signature(v.indices(), v.values()), want);
+        assert!(want.count_ones() >= 1 && want.count_ones() <= 3);
+        // Short of unit length is fine; past 1 + 1e-4 turns the bound off.
+        let short = sv(&[(3, 0.5), (70, -0.5)]);
+        assert_ne!(signature(short.indices(), short.values()), FULL_SIGNATURE);
+        let long = sv(&[(3, 1.0), (70, 0.1)]);
+        assert_eq!(signature(long.indices(), long.values()), FULL_SIGNATURE);
     }
 
     #[test]
@@ -460,13 +537,16 @@ mod tests {
         assert_eq!(dst.row_vector(0), rows[2]);
         assert_eq!(dst.row_vector(1), rows[1]);
         assert_eq!(dst.row_vector(2), rows[2]);
+        assert_signatures_in_step(&dst);
         // Degenerate ranges: whole matrix and empty suffix.
         let mut all = CrsMatrix::new(8);
         all.extend_from_range(&src, 0);
         assert_eq!(all.num_rows(), 3);
+        assert_signatures_in_step(&all);
         let mut none = CrsMatrix::new(8);
         none.extend_from_range(&src, 3);
         assert_eq!(none.num_rows(), 0);
+        assert_signatures_in_step(&none);
     }
 
     #[test]
@@ -490,14 +570,17 @@ mod tests {
         m.truncate(3);
         assert_eq!(m.num_rows(), 3);
         assert_eq!(m.row_vector(2), sv(&[(2, 1.0)]));
+        assert_signatures_in_step(&m);
         m.truncate(7); // no-op beyond current size
         assert_eq!(m.num_rows(), 3);
         m.clear();
         assert_eq!(m.num_rows(), 0);
         assert_eq!(m.total_nnz(), 0);
+        assert_signatures_in_step(&m);
         // Matrix is reusable after clear.
         m.push(&sv(&[(1, 1.0)])).unwrap();
         assert_eq!(m.num_rows(), 1);
+        assert_signatures_in_step(&m);
     }
 
     #[test]
@@ -513,6 +596,7 @@ mod tests {
         assert_eq!(a.row_vector(1), sv(&[(9, 5.0)]));
         assert_eq!(a.row_vector(2), sv(&[(1, 1.0), (2, 1.0), (4, 1.0)]));
         assert_eq!(a.total_nnz(), 6);
+        assert_signatures_in_step(&a);
         // Appending an empty matrix is a no-op.
         a.extend_from(&CrsMatrix::new(10));
         assert_eq!(a.num_rows(), 3);

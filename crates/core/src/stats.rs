@@ -18,9 +18,13 @@ pub struct QueryStats {
     /// Unique candidates after duplicate elimination — the `#unique` of
     /// Eq. 7.2.
     pub unique_candidates: u64,
-    /// Sparse dot products evaluated (distance computations; equals
-    /// `unique_candidates` minus deleted entries skipped).
+    /// Candidates whose distance Q3 decided, by the signature bound or by
+    /// a dot product: `unique_candidates` minus the deleted and retired
+    /// ids skipped (and minus those past a candidate budget).
     pub distance_computations: u64,
+    /// Candidates whose data row Q3 loaded for a dot product: the
+    /// `distance_computations` the signature bound could not rule out.
+    pub rows_loaded: u64,
     /// Neighbors reported: every one within the radius, or in k-NN mode
     /// the (at most `k`) closest of those.
     pub matches: u64,
@@ -32,6 +36,7 @@ impl QueryStats {
         self.collisions += other.collisions;
         self.unique_candidates += other.unique_candidates;
         self.distance_computations += other.distance_computations;
+        self.rows_loaded += other.rows_loaded;
         self.matches += other.matches;
     }
 }
@@ -61,6 +66,11 @@ impl BatchStats {
     /// Mean distance computations per query (the Table 2 column).
     pub fn avg_distance_computations(&self) -> f64 {
         ratio(self.totals.distance_computations, self.queries)
+    }
+
+    /// Mean rows loaded per query.
+    pub fn avg_rows_loaded(&self) -> f64 {
+        ratio(self.totals.rows_loaded, self.queries)
     }
 
     /// Mean matches per query.
@@ -138,18 +148,21 @@ mod tests {
             collisions: 10,
             unique_candidates: 5,
             distance_computations: 5,
+            rows_loaded: 2,
             matches: 1,
         };
         let b = QueryStats {
             collisions: 3,
             unique_candidates: 2,
             distance_computations: 2,
+            rows_loaded: 1,
             matches: 0,
         };
         a.merge(&b);
         assert_eq!(a.collisions, 13);
         assert_eq!(a.unique_candidates, 7);
         assert_eq!(a.distance_computations, 7);
+        assert_eq!(a.rows_loaded, 3);
         assert_eq!(a.matches, 1);
     }
 
@@ -161,6 +174,7 @@ mod tests {
                 collisions: 40,
                 unique_candidates: 20,
                 distance_computations: 18,
+                rows_loaded: 2,
                 matches: 8,
             },
             elapsed: Duration::from_millis(8),
@@ -168,6 +182,7 @@ mod tests {
         assert_eq!(b.avg_collisions(), 10.0);
         assert_eq!(b.avg_unique(), 5.0);
         assert_eq!(b.avg_distance_computations(), 4.5);
+        assert_eq!(b.avg_rows_loaded(), 0.5);
         assert_eq!(b.avg_matches(), 2.0);
         assert_eq!(b.avg_latency(), Duration::from_millis(2));
         assert!((b.throughput_qps() - 500.0).abs() < 1.0);

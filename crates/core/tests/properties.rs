@@ -4,8 +4,9 @@ use proptest::prelude::*;
 
 use plsh_core::hash::{allpairs, Hyperplanes, SketchMatrix};
 use plsh_core::params::{self, PlshParams};
-use plsh_core::query::QueryStrategy;
-use plsh_core::sparse::{CrsMatrix, SparseVector};
+use plsh_core::query::{QueryStrategy, SignatureBound};
+use plsh_core::rng::SplitMix64;
+use plsh_core::sparse::{angular_from_dot, dot_sorted, signature, CrsMatrix, SparseVector};
 use plsh_core::table::{BuildStrategy, DeltaGeneration, MergeStepper, StaticTables};
 use plsh_core::{Engine, EngineConfig, SearchRequest};
 use plsh_parallel::ThreadPool;
@@ -294,6 +295,189 @@ proptest! {
                     "diverged at table {} key {} (budgets {}/{})",
                     l, key, max_buckets, max_rows
                 );
+            }
+        }
+    }
+}
+
+/// Vocabulary of the signature-bound properties: wide enough for queries
+/// of over 2,000 terms.
+const WIDE_DIM: u32 = 4096;
+
+/// `count` distinct dimensions below `WIDE_DIM`, ascending.
+fn distinct_dims(rng: &mut SplitMix64, count: usize) -> Vec<u32> {
+    let mut dims = std::collections::BTreeSet::new();
+    while dims.len() < count {
+        dims.insert(rng.next_below(u64::from(WIDE_DIM)) as u32);
+    }
+    dims.into_iter().collect()
+}
+
+/// A non-zero value in `±[0.05, 1)`.
+fn signed_value(rng: &mut SplitMix64) -> f32 {
+    let v = 0.05 + 0.95 * rng.next_f64() as f32;
+    if rng.next_below(4) == 0 {
+        -v
+    } else {
+        v
+    }
+}
+
+/// `pairs` scaled to squared norm `norm2`.
+fn with_norm2(pairs: Vec<(u32, f32)>, norm2: f64) -> SparseVector {
+    let unit = SparseVector::unit(pairs).expect("non-zero values");
+    let scale = norm2.sqrt() as f32;
+    let (idx, val) = (unit.indices().to_vec(), unit.values());
+    SparseVector::from_sorted(idx, val.iter().map(|v| v * scale).collect()).expect("finite")
+}
+
+/// Rows for the bound to judge: some drawn at random, some built from a
+/// subset of the query's own terms (aligned with it, the case where the
+/// Cauchy–Schwarz bound is tight), at unit norm, below it, just under the
+/// `1 + 1e-4` guard, and above it, some with flipped signs.
+fn bound_rows(rng: &mut SplitMix64, q: &SparseVector) -> Vec<SparseVector> {
+    let norms = [1.0, 0.3, 0.81, 1.0 + 9e-5, 1.0 + 2e-4, 2.25];
+    let mut rows = Vec::new();
+    for i in 0..120 {
+        let norm2 = norms[i % norms.len()];
+        let pairs: Vec<(u32, f32)> = if i % 2 == 0 {
+            let n = 1 + rng.next_below(12) as usize;
+            let dims = distinct_dims(rng, n);
+            dims.into_iter().map(|d| (d, signed_value(rng))).collect()
+        } else {
+            let take = 1 + rng.next_below(q.nnz().min(40) as u64) as usize;
+            let from = rng.next_below((q.nnz() - take + 1) as u64) as usize;
+            let flip = i % 6 == 1;
+            q.indices()[from..from + take]
+                .iter()
+                .zip(&q.values()[from..from + take])
+                .map(|(&d, &v)| (d, if flip { -v } else { v }))
+                .collect()
+        };
+        rows.push(with_norm2(pairs, norm2));
+    }
+    rows
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The signature bound is exact: every row it rules out has a
+    /// merge-join dot below the floor, so a distance beyond the floor's
+    /// angle. Floors come from radii across `(0, π]` (at `≥ π/2` the floor
+    /// is `≤ 0` and nothing may be ruled out), from the k-th best row's
+    /// distance (a k-NN query's floor), and from rows' own exact dots
+    /// (the tightest a floor can sit).
+    #[test]
+    fn signature_bound_rules_out_only_certain_misses(
+        seed in any::<u64>(),
+        qlen in prop_oneof![1usize..8, 8usize..300, 2000usize..2400],
+        query_norm2 in prop_oneof![Just(1.0f64), 0.2f64..4.0],
+        radius in 0.001f32..std::f32::consts::PI,
+        k in 1usize..12,
+    ) {
+        let mut rng = SplitMix64::new(seed);
+        let dims = distinct_dims(&mut rng, qlen);
+        let pairs = dims.into_iter().map(|d| (d, signed_value(&mut rng))).collect();
+        let q = with_norm2(pairs, query_norm2);
+        // The query's bits: a unit copy's signature, never the all-ones
+        // one a longer vector gets.
+        let q_pairs = q.indices().iter().copied().zip(q.values().to_vec()).collect();
+        let unit_q = with_norm2(q_pairs, 1.0);
+        let qsig = signature(unit_q.indices(), unit_q.values());
+        let rows = bound_rows(&mut rng, &q);
+        let dots: Vec<f32> = rows
+            .iter()
+            .map(|r| dot_sorted(r.indices(), r.values(), q.indices(), q.values()))
+            .collect();
+        let dot_floor = |angle: f32| ((angle as f64).cos() - 1e-3) as f32;
+        let mut ranked = dots.clone();
+        ranked.sort_by(|a, b| b.total_cmp(a));
+        let mut floors = vec![
+            dot_floor(radius),
+            dot_floor(std::f32::consts::FRAC_PI_2),
+            dot_floor(std::f32::consts::PI),
+            dot_floor(angular_from_dot(ranked[k - 1])),
+        ];
+        floors.extend(dots.iter().step_by(3));
+        for &floor in &floors {
+            let bound = SignatureBound::new(&q, floor);
+            for (row, &dot) in rows.iter().zip(&dots) {
+                let sig = signature(row.indices(), row.values());
+                if !bound.rules_out(sig) {
+                    // A unit row sharing no signature bit with the query
+                    // cannot reach a positive floor.
+                    prop_assert!(
+                        floor <= 0.0 || sig & qsig != 0 || sig == u64::MAX,
+                        "floor {} kept a disjoint row", floor
+                    );
+                    continue;
+                }
+                prop_assert!(floor > 0.0, "ruled out at floor {}", floor);
+                prop_assert!(
+                    dot < floor,
+                    "ruled out a row with dot {} >= floor {} (norm {}, query nnz {})",
+                    dot, floor, row.norm(), q.nnz()
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// On unit corpora the signature-bounded kernel answers exactly like
+    /// the bound-free level 0: the same neighbours, distances and order,
+    /// in radius and k-NN mode, over merged, unmerged and deleted points,
+    /// and it decides the same candidates.
+    #[test]
+    fn optimized_answers_equal_the_bound_free_level(
+        merged in proptest::collection::vec(sparse_vec_strategy(), 8..60),
+        fresh in proptest::collection::vec(sparse_vec_strategy(), 0..30),
+        victims in proptest::collection::vec(0usize..90, 0..5),
+        radius in 0.05f32..std::f32::consts::PI,
+        k in 1usize..8,
+    ) {
+        let pool = ThreadPool::new(1);
+        let params = PlshParams::builder(DIM).k(4).m(5).radius(0.9).seed(21).build().unwrap();
+        let e = Engine::new(EngineConfig::new(params, 256).manual_merge(), &pool).unwrap();
+        e.insert_batch(&merged, &pool).unwrap();
+        e.merge_delta(&pool);
+        if !fresh.is_empty() {
+            e.insert_batch(&fresh, &pool).unwrap();
+        }
+        let n = merged.len() + fresh.len();
+        for v in &victims {
+            e.delete((v % n) as u32);
+        }
+        let queries: Vec<SparseVector> = merged.iter().chain(&fresh).step_by(3).cloned().collect();
+        // A plain k-NN request has no positive floor, so no bound: it
+        // loads every row it decides, as the cost model assumes.
+        for (req, plain_knn) in [
+            (SearchRequest::batch(queries.clone()).with_radius(radius), false),
+            (SearchRequest::batch(queries.clone()).top_k(k), true),
+            (SearchRequest::batch(queries).top_k(k).with_radius(radius), false),
+        ] {
+            let run = |strategy| {
+                let resp = e
+                    .search(&req.clone().with_strategy(strategy).with_stats(), &pool)
+                    .unwrap();
+                let answers: Vec<Vec<(u32, u32)>> = resp
+                    .results
+                    .iter()
+                    .map(|hits| hits.iter().map(|h| (h.index, h.distance.to_bits())).collect())
+                    .collect();
+                (answers, resp.stats.unwrap().totals)
+            };
+            let (plain, plain_stats) = run(QueryStrategy::unoptimized());
+            let (fast, fast_stats) = run(QueryStrategy::optimized());
+            prop_assert_eq!(&fast, &plain);
+            prop_assert_eq!(fast_stats.distance_computations, plain_stats.distance_computations);
+            prop_assert_eq!(plain_stats.rows_loaded, plain_stats.distance_computations);
+            prop_assert!(fast_stats.rows_loaded <= fast_stats.distance_computations);
+            if plain_knn {
+                prop_assert_eq!(fast_stats.rows_loaded, fast_stats.distance_computations);
             }
         }
     }

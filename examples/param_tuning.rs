@@ -42,14 +42,15 @@ fn main() -> plsh::Result<()> {
 
     // Cost weights from the calibrated machine model.
     let model = PerformanceModel::new(MachineProfile::calibrate(&pool, 2.6e9));
+    let radius = 0.9;
     let input = SelectionInput {
         dim: corpus.dim(),
         n: corpus.len(),
         memory_bytes: 256 << 20, // 256 MB budget for the static tables
-        radius: 0.9,
+        radius,
         delta: 0.1,
         sample_distances: &dists,
-        cost: model.cost_weights(corpus.avg_nnz()),
+        cost: model.cost_weights(corpus.avg_nnz(), radius),
         k_max: 20,
         seed: 77,
     };
