@@ -42,9 +42,13 @@
 //!   (each shard truncates its own ascending-id candidate prefix), so
 //!   budgeted answer sets are budget-honoring rather than bit-identical;
 //!   unbudgeted requests remain bit-identical.
-//! * **Durability is per shard.** [`ShardedIndex::persist_to`] lays a
-//!   [`plsh_core::persist`] WAL-plus-segments directory per shard under
-//!   `shard-<i>/`, sealed by a checksummed top-level cluster manifest;
+//! * **One shard is one streaming node.** At `S = 1` local ids are global
+//!   ids, so the shard's engine keeps its own window and runs on the
+//!   index's pool (no merge pin), inserts and searches go straight to it,
+//!   and [`ShardedIndex::persist_to`] writes the plain engine directory.
+//! * **Durability is per shard.** At `S > 1` [`ShardedIndex::persist_to`]
+//!   lays a [`plsh_core::persist`] WAL-plus-segments directory per shard
+//!   under `shard-<i>/`, sealed by a checksummed top-level cluster manifest;
 //!   [`ShardedIndex::recover_from`] recovers every shard, then truncates
 //!   to the longest globally contiguous id prefix (a crash can land
 //!   mid-batch with some shards ahead of others) so the recovered index
@@ -82,7 +86,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use plsh_core::engine::{Engine, EngineConfig, EngineStats, MergeReport, WindowSpec};
+use plsh_core::engine::{Engine, EngineConfig, EngineStats, EpochInfo, MergeReport, WindowSpec};
 use plsh_core::error::{PlshError, Result as CoreResult};
 use plsh_core::fault;
 use plsh_core::health::HealthReport;
@@ -156,31 +160,20 @@ impl ShardedIndexBuilder {
                 predict_shard_count(&profile, &self.node)
             }
         };
-        // The window is cluster-driven: the spec lives on the router and
-        // every shard receives explicit `retire_to` cuts, so the shard
-        // engines are built windowless (an engine-local window would
-        // retire by *local* age and tear the cross-shard cut).
-        let window = self.node.window;
-        match window {
-            Some(WindowSpec::Docs(0)) => {
-                return Err(ClusterError::Topology(
-                    "window must keep at least one document".into(),
-                ));
-            }
-            Some(WindowSpec::Docs(n)) if n as usize >= self.node.capacity * shards => {
-                return Err(ClusterError::Topology(format!(
-                    "window of {n} docs must be smaller than the aggregate capacity ({}): \
-                     the resident span also holds the un-merged deltas",
-                    self.node.capacity * shards
-                )));
-            }
-            Some(WindowSpec::Duration(d)) if d.is_zero() => {
-                return Err(ClusterError::Topology(
-                    "window duration must be positive".into(),
-                ));
-            }
-            _ => {}
+        if shards == 1 {
+            return Ok(ShardedIndex::from_engine(StreamingEngine::new(
+                self.node, fanout,
+            )?));
         }
+        // Across shards the window is cluster-driven: the spec lives on the
+        // router and every shard receives explicit `retire_to` cuts, so the
+        // shard engines are built windowless (an engine-local window would
+        // retire by *local* age and tear the cross-shard cut). The window
+        // must fit the aggregate capacity.
+        let mut whole = self.node.clone();
+        whole.capacity *= shards;
+        whole.validate()?;
+        let window = self.node.window;
         let mut node = self.node;
         node.window = None;
         let engines = (0..shards)
@@ -205,10 +198,12 @@ impl ShardedIndexBuilder {
 /// and the sliding-window cut. Per-shard occupancy and retirement are
 /// not stored — both are [`routed`] counts at these two positions.
 ///
-/// The window is cluster-driven: per-shard engines are built *without* a
-/// [`WindowSpec`] and receive explicit [`StreamingEngine::retire_to`]
-/// cuts instead, so every shard retires at the same global stream
-/// position even though global ids interleave across shards.
+/// Across shards the window is cluster-driven: per-shard engines are
+/// built *without* a [`WindowSpec`] and receive explicit
+/// [`StreamingEngine::retire_to`] cuts instead, so every shard retires at
+/// the same global stream position even though global ids interleave
+/// across shards. A one-shard index never advances it: its engine keeps
+/// the window.
 struct Router {
     next_global: u32,
     /// Global id below which the window has retired everything; ids in
@@ -264,6 +259,30 @@ pub struct ShardedStats {
 }
 
 impl ShardedStats {
+    /// The per-shard accounting summed into one [`EngineStats`] (a
+    /// one-shard index's is its engine's, unchanged).
+    pub fn folded(&self) -> EngineStats {
+        let (first, rest) = self.engines.split_first().expect("at least one shard");
+        let mut agg = *first;
+        for e in rest {
+            agg.total_points += e.total_points;
+            agg.static_points += e.static_points;
+            agg.delta_points += e.delta_points;
+            agg.deleted_points += e.deleted_points;
+            agg.purged_points += e.purged_points;
+            agg.live_points += e.live_points;
+            agg.retired_points += e.retired_points;
+            agg.retired_pending_purge += e.retired_pending_purge;
+            agg.window_lag += e.window_lag;
+            agg.sealed_generations += e.sealed_generations;
+            agg.merges += e.merges;
+            agg.static_table_bytes += e.static_table_bytes;
+            agg.delta_table_bytes += e.delta_table_bytes;
+            agg.hyperplane_bytes += e.hyperplane_bytes;
+        }
+        agg
+    }
+
     /// Total points across the shards.
     pub fn total_points(&self) -> usize {
         self.points_per_shard.iter().sum()
@@ -291,8 +310,9 @@ impl ShardedStats {
 pub struct ShardedIndex {
     dim: u32,
     per_shard_capacity: usize,
-    /// The cluster-level sliding window (shard engines are windowless;
-    /// the router ships them explicit cuts — see [`Router`]).
+    /// The sliding window: the router's at `S > 1` (shard engines are
+    /// windowless and get explicit cuts — see [`Router`]), the engine's own
+    /// at `S = 1`.
     window: Option<WindowSpec>,
     shards: Vec<StreamingEngine>,
     fanout: ThreadPool,
@@ -315,11 +335,31 @@ impl ShardedIndex {
         }
     }
 
-    /// The one constructor behind [`ShardedIndexBuilder::build`] and
-    /// [`recover_from`](Self::recover_from): the router starts at stream
-    /// position `next_global` with the window cut at `retire_cursor`. The
-    /// query fan-out workers spread over whatever cores the shards'
-    /// pinned merge workers left free.
+    /// A one-shard index over `engine`: the engine keeps its own window,
+    /// inserts and searches go straight to it, and the index shares its
+    /// pool. [`ShardedIndexBuilder::build`] at one shard, snapshot restore
+    /// and plain-directory recovery all end here.
+    pub fn from_engine(engine: StreamingEngine) -> ShardedIndex {
+        ShardedIndex {
+            dim: engine.engine().params().dim(),
+            per_shard_capacity: engine.engine().capacity(),
+            window: engine.engine().config().window,
+            fanout: engine.pool().clone(),
+            total: AtomicU64::new(0),
+            router: Mutex::new(Router {
+                next_global: 0,
+                retire_cursor: 0,
+                births: VecDeque::new(),
+            }),
+            shards: vec![engine],
+        }
+    }
+
+    /// The multi-shard constructor behind [`ShardedIndexBuilder::build`]
+    /// and [`recover_from`](Self::recover_from): the router starts at
+    /// stream position `next_global` with the window cut at
+    /// `retire_cursor`. The query fan-out workers spread over whatever
+    /// cores the shards' pinned merge workers left free.
     fn assemble(
         shards: Vec<StreamingEngine>,
         fanout: ThreadPool,
@@ -365,7 +405,22 @@ impl ShardedIndex {
         self.shards.len()
     }
 
-    /// The cluster-level sliding window, if one was configured.
+    /// The one shard's engine when the index has exactly one shard (its
+    /// ids, window and directory are the index's own).
+    pub fn single(&self) -> Option<&StreamingEngine> {
+        match self.shards.as_slice() {
+            [engine] => Some(engine),
+            _ => None,
+        }
+    }
+
+    /// Aggregate capacity: per-shard capacity × shard count (routing keeps
+    /// every shard within one point of the others, so it is reachable).
+    pub fn capacity(&self) -> usize {
+        self.per_shard_capacity * self.shards.len()
+    }
+
+    /// The sliding window, if one was configured.
     pub fn window(&self) -> Option<WindowSpec> {
         self.window
     }
@@ -373,10 +428,14 @@ impl ShardedIndex {
     /// Global id below which the sliding window has retired everything
     /// (0 without a window). Monotone.
     pub fn retired_below(&self) -> u32 {
-        self.router
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .retire_cursor
+        match self.single() {
+            Some(engine) => engine.engine().retired_below(),
+            None => self.lock_router().retire_cursor,
+        }
+    }
+
+    fn lock_router(&self) -> std::sync::MutexGuard<'_, Router> {
+        self.router.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Borrow one shard's streaming engine (tests, experiments).
@@ -392,7 +451,10 @@ impl ShardedIndex {
     /// Global ids assigned so far (a batch still being applied included).
     /// Lock-free: never stalls behind an insert in progress.
     pub fn len(&self) -> usize {
-        self.total.load(Ordering::Acquire) as usize
+        match self.single() {
+            Some(engine) => engine.len(),
+            None => self.total.load(Ordering::Acquire) as usize,
+        }
     }
 
     /// True when nothing has been inserted.
@@ -426,8 +488,12 @@ impl ShardedIndex {
     /// refused with [`PlshError::Degraded`] until
     /// [`recover_from`](Self::recover_from) truncates the persisted index
     /// to its contiguous prefix. Concurrent callers serialize on the
-    /// router lock; queries, `len`, and `stats` never wait on it.
+    /// router lock; queries, `len`, and `stats` never wait on it. A
+    /// one-shard index hands the batch straight to its engine.
     pub fn insert_batch(&self, vs: &[SparseVector]) -> Result<Vec<u32>> {
+        if let Some(engine) = self.single() {
+            return Ok(engine.insert_batch(vs)?);
+        }
         for v in vs {
             if let Some(max) = v.max_index() {
                 if max >= self.dim {
@@ -438,7 +504,7 @@ impl ShardedIndex {
                 }
             }
         }
-        let mut router = self.router.lock().unwrap_or_else(|e| e.into_inner());
+        let mut router = self.lock_router();
         let from = router.next_global;
         if from as usize + vs.len() > u32::MAX as usize {
             return Err(ClusterError::Node(PlshError::CapacityExceeded {
@@ -536,11 +602,6 @@ impl ShardedIndex {
             .count()
     }
 
-    /// True while any shard has a background merge building.
-    pub fn any_merge_in_flight(&self) -> bool {
-        self.shards.iter().any(|s| s.merge_in_flight())
-    }
-
     /// Blocks until every shard's in-flight background merge (if any) has
     /// published. Does not force new merges — see
     /// [`quiesce`](Self::quiesce) for that.
@@ -601,9 +662,40 @@ impl ShardedIndex {
         }
     }
 
-    /// Most recent merge reports, one per shard.
-    pub fn last_merges(&self) -> Vec<MergeReport> {
-        self.shards.iter().map(|s| s.last_merge()).collect()
+    /// Shape of the published epochs: point counts sum across shards,
+    /// and `generation` is the largest per-shard epoch counter. Per-shard
+    /// id spaces are disjoint, so `static_base` and `retired_below` sum
+    /// to the rows compacted / retired across the index.
+    pub fn epoch_info(&self) -> EpochInfo {
+        let mut infos = self.shards.iter().map(StreamingEngine::epoch_info);
+        let mut agg = infos.next().expect("at least one shard");
+        for info in infos {
+            agg.generation = agg.generation.max(info.generation);
+            agg.static_points += info.static_points;
+            agg.sealed_generations += info.sealed_generations;
+            agg.sealed_points += info.sealed_points;
+            agg.visible_points += info.visible_points;
+            agg.static_base += info.static_base;
+            agg.retired_below += info.retired_below;
+        }
+        agg
+    }
+
+    /// Every shard's most recent merge, folded: counts sum, and the
+    /// durations take the per-shard maximum (merges overlap, so the max is
+    /// the wall cost).
+    pub fn last_merge(&self) -> MergeReport {
+        let mut reports = self.shards.iter().map(StreamingEngine::last_merge);
+        let mut agg = reports.next().expect("at least one shard");
+        for r in reports {
+            agg.merged_points += r.merged_points;
+            agg.purged_points += r.purged_points;
+            agg.retired_rows_reclaimed += r.retired_rows_reclaimed;
+            agg.build = agg.build.max(r.build);
+            agg.publish = agg.publish.max(r.publish);
+            agg.yielded = agg.yielded.max(r.yielded);
+        }
+        agg
     }
 
     /// Answers one [`SearchRequest`] with the index's own fan-out pool —
@@ -629,44 +721,64 @@ impl ShardedIndex {
     /// than the shard count).
     ///
     /// Counters aggregate across shards; [`SearchResponse::epoch`] is
-    /// `None` (each shard pins its own).
+    /// `None` (each shard pins its own). A one-shard index answers through
+    /// its engine directly, with `pool`: its response is the engine's own,
+    /// epoch included, and it has no shard deadline to honour.
     pub fn search_with(
         &self,
         req: &SearchRequest,
         pool: &ThreadPool,
     ) -> CoreResult<SearchResponse> {
+        if let Some(engine) = self.single() {
+            return engine.engine().search(req, pool);
+        }
         req.validate(self.dim)?;
         let start = Instant::now();
         if let Some(deadline) = req.shard_deadline() {
             return self.search_with_deadline(req, deadline, start);
         }
-        let shard_reqs: Option<Vec<SearchRequest>> = req.max_candidates().map(|budget| {
-            split_budget(budget, self.shards.len())
-                .into_iter()
-                .map(|b| req.clone().with_max_candidates(b))
-                .collect()
+        let budgeted = self.split_request(req);
+        let partials = pool.parallel_map(0..self.shards.len(), |s| {
+            fault::point(fault::QUERY_SHARD);
+            self.shards[s].search(budgeted.as_ref().map_or(req, |reqs| &reqs[s]))
         });
-        let partials: Vec<CoreResult<SearchResponse>> = match &shard_reqs {
-            Some(reqs) => pool.parallel_map(self.shards.iter().zip(reqs), |(shard, r)| {
-                fault::point(fault::QUERY_SHARD);
-                shard.search(r)
-            }),
-            None => pool.parallel_map(self.shards.iter(), |shard| {
-                fault::point(fault::QUERY_SHARD);
-                shard.search(req)
-            }),
-        };
-        merge_partial_responses(
-            req.queries().len(),
-            req.mode(),
-            start,
-            partials,
-            |shard_id, h| SearchHit {
-                node: shard_id as u32,
-                index: self.global(shard_id, h.index),
-                distance: h.distance,
-            },
-        )
+        merge_partial_responses(req.queries().len(), req.mode(), start, partials, |s, h| {
+            self.global_hit(s, h)
+        })
+    }
+
+    /// One request per shard, each with its share of `req`'s candidate
+    /// budget ([`split_budget`]); `None` when `req` sets no budget.
+    fn split_request(&self, req: &SearchRequest) -> Option<Vec<SearchRequest>> {
+        let budget = req.max_candidates()?;
+        let shares = split_budget(budget, self.shards.len()).into_iter();
+        Some(shares.map(|b| req.clone().with_max_candidates(b)).collect())
+    }
+
+    /// Shard `shard`'s hit `h`, translated to its global id and attributed
+    /// to the shard.
+    fn global_hit(&self, shard: usize, h: SearchHit) -> SearchHit {
+        SearchHit {
+            node: shard as u32,
+            index: self.global(shard, h.index),
+            distance: h.distance,
+        }
+    }
+
+    /// Radius search for a single vector (same answers as
+    /// `search(&SearchRequest::query(q))`); a one-shard index answers
+    /// without cloning `q`.
+    pub fn query(&self, q: &SparseVector) -> CoreResult<Vec<SearchHit>> {
+        if let Some(max) = q.max_index().filter(|&max| max >= self.dim) {
+            return Err(PlshError::DimensionOutOfRange {
+                index: max,
+                dim: self.dim,
+            });
+        }
+        match self.single() {
+            Some(engine) => Ok(engine.query(q).into_iter().map(SearchHit::from).collect()),
+            None => Ok(self.search(&SearchRequest::query(q.clone()))?.into_hits()),
+        }
     }
 
     /// Deadline-bounded fan-out: one dedicated thread per shard (the
@@ -683,13 +795,9 @@ impl ShardedIndex {
     ) -> CoreResult<SearchResponse> {
         let n = self.shards.len();
         let nq = req.queries().len();
-        let shard_reqs: Vec<SearchRequest> = match req.max_candidates() {
-            Some(budget) => split_budget(budget, n)
-                .into_iter()
-                .map(|b| req.clone().with_max_candidates(b))
-                .collect(),
-            None => (0..n).map(|_| req.clone()).collect(),
-        };
+        let shard_reqs = self
+            .split_request(req)
+            .unwrap_or_else(|| vec![req.clone(); n]);
         type Slots = (Mutex<Vec<Option<CoreResult<SearchResponse>>>>, Condvar);
         let slots: Arc<Slots> =
             Arc::new((Mutex::new((0..n).map(|_| None).collect()), Condvar::new()));
@@ -746,12 +854,9 @@ impl ShardedIndex {
             })
             .collect();
         drop(filled);
-        let mut resp =
-            merge_partial_responses(nq, req.mode(), start, partials, |shard_id, h| SearchHit {
-                node: shard_id as u32,
-                index: self.global(shard_id, h.index),
-                distance: h.distance,
-            })?;
+        let mut resp = merge_partial_responses(nq, req.mode(), start, partials, |s, h| {
+            self.global_hit(s, h)
+        })?;
         resp.timed_out_shards = timed_out;
         Ok(resp)
     }
@@ -774,13 +879,11 @@ impl ShardedIndex {
         report
     }
 
-    /// The router's next global id. Waits for an insert in progress, so
-    /// every shard has settled on it.
+    /// The next global id. Waits for an insert in progress, so every
+    /// shard has settled on it.
     fn next_global(&self) -> u32 {
-        self.router
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .next_global
+        let _settled = self.lock_router();
+        self.len() as u32
     }
 
     /// Attempts to lift every degraded shard back to read-write by
@@ -811,8 +914,12 @@ impl ShardedIndex {
     ///
     /// Calls [`flush`](Self::flush) first so every applied point is
     /// captured; inserts racing the capture are truncated to the longest
-    /// dense global-id prefix.
+    /// dense global-id prefix. A one-shard index captures its engine as
+    /// is.
     pub fn snapshot(&self) -> Snapshot {
+        if let Some(engine) = self.single() {
+            return Snapshot::capture(engine.engine());
+        }
         let _ = self.flush();
         // The flattened snapshot starts at the cluster's window cut:
         // globals below it are dead by range tombstone, and some of their
@@ -822,7 +929,7 @@ impl ShardedIndex {
         // lags are simply not captured — the restored engine starts past
         // them with no purge backlog.
         let (total, cut) = {
-            let router = self.router.lock().unwrap_or_else(|e| e.into_inner());
+            let router = self.lock_router();
             (router.next_global as usize, router.retire_cursor as usize)
         };
         let caps: Vec<Snapshot> = self
@@ -868,9 +975,11 @@ impl ShardedIndex {
         }
     }
 
-    /// Attaches incremental durability to every shard: writes a baseline
-    /// of the current contents into `dir` — one [`plsh_core::persist`]
-    /// engine directory per shard under `shard-<i>/` — then seals the
+    /// Attaches incremental durability to every shard. A one-shard index
+    /// writes its engine's [`plsh_core::persist`] directory into `dir`
+    /// itself. Across shards it writes a baseline of the current contents
+    /// into `dir` — one engine directory per shard under `shard-<i>/` —
+    /// then seals the
     /// cluster with a checksummed top-level manifest and keeps each shard
     /// directory in sync from every insert, seal, delete, and merge. The
     /// cluster manifest is written last (atomically, via rename), so a
@@ -882,6 +991,9 @@ impl ShardedIndex {
     /// ([`route`](Self::route)), so the shard count in the manifest is
     /// all recovery needs to place every row.
     pub fn persist_to(&self, dir: impl AsRef<Path>) -> Result<()> {
+        if let Some(engine) = self.single() {
+            return Ok(engine.persist_to(dir)?);
+        }
         let dir = dir.as_ref();
         self.flush()?;
         fs::create_dir_all(dir).map_err(io_cluster)?;
@@ -904,9 +1016,12 @@ impl ShardedIndex {
         Ok(())
     }
 
-    /// Recovers a sharded index from a directory written by
+    /// Recovers an index from a directory written by
     /// [`persist_to`](Self::persist_to), re-attaching persistence so the
-    /// recovered shards keep journaling.
+    /// recovered shards keep journaling. The manifest magic tells the two
+    /// layouts apart: a plain engine directory recovers as one shard, and
+    /// so does a one-shard cluster directory (`shard-0/` under a cluster
+    /// manifest), whose window then moves into the engine.
     ///
     /// Every shard first recovers its own durable prefix (static segment,
     /// then its generation files). A crash can land mid-batch with some
@@ -923,16 +1038,28 @@ impl ShardedIndex {
         let bytes = fs::read(dir.join(CLUSTER_MANIFEST)).map_err(|e| {
             io_cluster(io::Error::new(
                 e.kind(),
-                format!("{}: no recoverable sharded index ({e})", dir.display()),
+                format!("{}: no recoverable index ({e})", dir.display()),
             ))
         })?;
+        let fanout = ThreadPool::default();
+        if !bytes.starts_with(CLUSTER_MAGIC) {
+            return Ok(Self::from_engine(StreamingEngine::recover_from(
+                dir, fanout,
+            )?));
+        }
         let (num_shards, dim, per_shard_capacity, window) =
             decode_cluster_manifest(&bytes).map_err(io_cluster)?;
-        let fanout = ThreadPool::default();
-        let states = (0..num_shards as usize)
+        let mut states = (0..num_shards as usize)
             .map(|i| persist::load_state(shard_dir(dir, i)))
             .collect::<io::Result<Vec<_>>>()
             .map_err(io_cluster)?;
+        if let [st] = states.as_mut_slice() {
+            st.set_window(window);
+            let engine = persist::recover_engine_from_state(shard_dir(dir, 0), st, &fanout)?;
+            return Ok(Self::from_engine(StreamingEngine::from_engine(
+                engine, fanout,
+            )));
+        }
         for st in &states {
             if st.params().dim() != dim {
                 return Err(ClusterError::Topology(format!(
@@ -1359,6 +1486,71 @@ mod tests {
                 || (w[0].distance == w[1].distance && w[0].index < w[1].index)
         }));
         assert_eq!(hits[0].index, 0, "self is the nearest neighbor");
+    }
+
+    /// Every `MergeReport` field survives the fold: counts sum, durations
+    /// take the maximum. Queries run throughout, so the finely paced
+    /// background merges yield to them.
+    #[test]
+    fn last_merge_folds_every_field() {
+        use plsh_core::engine::MergePacing;
+        use std::sync::atomic::AtomicBool;
+        let pacing = MergePacing {
+            step_buckets: 1,
+            step_rows: 1,
+            yield_sleep: Duration::from_micros(20),
+        };
+        let node = EngineConfig::new(params(64), 1_000)
+            .manual_merge()
+            .with_window(WindowSpec::Docs(100))
+            .with_merge_pacing(pacing);
+        let index = Arc::new(
+            ShardedIndex::builder(node)
+                .shards(2)
+                .threads(2)
+                .build()
+                .unwrap(),
+        );
+        let vs = random_vecs(600, 41);
+        index.insert_batch(&vs[..400]).unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let reader = {
+            let (index, stop, q) = (index.clone(), stop.clone(), vs[0].clone());
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    index.search(&SearchRequest::query(q.clone())).unwrap();
+                }
+            })
+        };
+        let mut batches = vs[400..].chunks(50);
+        let folded = loop {
+            assert_eq!(index.merge_all_in_background(), 2);
+            index.wait_for_merges();
+            let folded = index.last_merge();
+            match batches.next() {
+                Some(batch) if folded.yielded.is_zero() => index.insert_batch(batch).unwrap(),
+                _ => break folded,
+            };
+        };
+        stop.store(true, Ordering::Relaxed);
+        reader.join().unwrap();
+        let shards: Vec<MergeReport> = (0..2).map(|s| index.shard(s).last_merge()).collect();
+        let sum = |f: fn(&MergeReport) -> usize| shards.iter().map(f).sum::<usize>();
+        let max = |f: fn(&MergeReport) -> Duration| shards.iter().map(f).max().unwrap();
+        assert!(
+            folded.retired_rows_reclaimed > 0,
+            "the window compacted rows"
+        );
+        assert!(!folded.yielded.is_zero(), "the merges yielded to queries");
+        assert_eq!(folded.merged_points, sum(|r| r.merged_points));
+        assert_eq!(folded.purged_points, sum(|r| r.purged_points));
+        assert_eq!(
+            folded.retired_rows_reclaimed,
+            sum(|r| r.retired_rows_reclaimed)
+        );
+        assert_eq!(folded.build, max(|r| r.build));
+        assert_eq!(folded.publish, max(|r| r.publish));
+        assert_eq!(folded.yielded, max(|r| r.yielded));
     }
 
     #[test]

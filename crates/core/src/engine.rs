@@ -214,7 +214,9 @@ impl EngineConfig {
         self
     }
 
-    fn validate(&self) -> Result<()> {
+    /// Checks the capacity, `η` and window settings (the checks
+    /// [`Engine::new`] applies).
+    pub fn validate(&self) -> Result<()> {
         if self.capacity == 0 {
             return Err(PlshError::InvalidParams("capacity must be > 0".into()));
         }

@@ -1293,6 +1293,13 @@ impl RecoveredState {
         self.manifest.window
     }
 
+    /// Sets the window the engine is rebuilt with, for a directory whose
+    /// window lives outside the engine's manifest (a one-shard cluster
+    /// directory keeps it in the cluster manifest).
+    pub fn set_window(&mut self, window: Option<WindowSpec>) {
+        self.manifest.window = window;
+    }
+
     /// Total recovered *resident* rows (static prefix + contiguous
     /// generations); the global id space ends at
     /// `static_base() + total()`.

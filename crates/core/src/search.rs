@@ -153,7 +153,8 @@ impl SearchRequest {
     /// miss the deadline are dropped from the answer and listed in
     /// [`SearchResponse::timed_out_shards`], so one stalled shard yields a
     /// partial, flagged response instead of a hung fan-out. Single-node
-    /// backends ignore the field (there is nothing to detach from).
+    /// backends, a one-shard index included, ignore the field (there is
+    /// nothing to detach from).
     pub fn with_shard_deadline(mut self, deadline: std::time::Duration) -> Self {
         self.shard_deadline = Some(deadline);
         self

@@ -1,7 +1,7 @@
 //! Optional CPU affinity for long-lived workers.
 //!
-//! Shard-per-core deployments pin each shard's ingest and merge workers to
-//! the shard's core so background work never migrates onto the cores
+//! Shard-per-core deployments pin each shard's merge worker to the
+//! shard's core so background work never migrates onto the cores
 //! serving queries (the paper's "one thread per core" discipline from the
 //! Section 5 experimental setup, applied to the streaming stack). Pinning
 //! is strictly an optimization and must never be a correctness dependency:

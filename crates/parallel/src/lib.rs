@@ -25,7 +25,7 @@
 //!   counter and lock-free readers, the publication primitive behind the
 //!   streaming engine's epoch-swapped tables.
 //! * [`Backoff`] / [`WorkerStatus`] — bounded-exponential-backoff
-//!   supervision primitives for the long-lived merge and ingest workers.
+//!   supervision primitives for the long-lived background merge workers.
 //!
 //! The pool is deliberately small and synchronous: every entry point
 //! blocks until all submitted work completes (the submitting thread

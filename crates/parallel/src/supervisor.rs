@@ -1,9 +1,9 @@
 //! Supervision primitives for background workers: bounded exponential
 //! backoff with jitter, and shared worker-status cells.
 //!
-//! The streaming stack runs two kinds of long-lived workers — background
-//! merge threads and per-shard ingest threads. Both run their work under
-//! `catch_unwind` and, on a panic, consult a [`Backoff`] for how long to
+//! The streaming stack's long-lived workers are its background merge
+//! threads, one per engine (so one per shard). Each runs its work under
+//! `catch_unwind` and, on a panic, consults a [`Backoff`] for how long to
 //! wait before restarting and a [`WorkerStatus`] to record what happened
 //! so `health()` callers can see it. The restart budget is bounded: a
 //! worker that keeps panicking is marked dead rather than spun forever.

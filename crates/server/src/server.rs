@@ -118,7 +118,7 @@ pub struct ServerConfig {
     /// the request-level half of load shedding. `None` = unbounded.
     pub default_max_candidates: Option<usize>,
     /// Shard deadline injected into `/search` requests that set none
-    /// (sharded backends only; single-engine backends ignore it).
+    /// (multi-shard indexes only; a one-shard index ignores it).
     pub default_shard_deadline: Option<Duration>,
     /// Budget for the backend drain performed by [`Server::shutdown`].
     pub drain_deadline: Duration,

@@ -1,8 +1,8 @@
 //! The one-stop PLSH client: a streaming similarity index behind a single
 //! typed request/response API.
 //!
-//! [`Index`] bundles everything the paper's front-end needs — a concurrent
-//! [`StreamingEngine`] (lock-free epoch-pinned queries, background merges
+//! [`Index`] bundles everything the paper's front-end needs — concurrent
+//! [`StreamingEngine`]s (lock-free epoch-pinned queries, background merges
 //! at `η·C`), an owned worker [`ThreadPool`], and an optional
 //! [`Vectorizer`] for the tweet scenario — so applications never wire
 //! pools or pick among query methods. Ingest with [`add`](Index::add) /
@@ -10,10 +10,12 @@
 //! [`search`](Index::search) call taking a [`SearchRequest`], and get one
 //! [`plsh::Error`](crate::Error) type end-to-end.
 //!
-//! Call [`shards`](IndexBuilder::shards) (or
+//! Every index is a [`ShardedIndex`], one shard by default: the paper's
+//! single node is the cluster of one node. Call
+//! [`shards`](IndexBuilder::shards) (or
 //! [`auto_shards`](IndexBuilder::auto_shards) for the model-driven count)
-//! to scale the same API across a [`ShardedIndex`] — round-robin ingest
-//! into shard-local streaming engines, overlapping background merges, and
+//! to run identical nodes side by side — round-robin ingest into
+//! shard-local streaming engines, overlapping background merges, and
 //! query fan-out — without changing a single call site.
 //!
 //! ```
@@ -51,21 +53,13 @@ use plsh_text::Vectorizer;
 /// per-node `C` is 10.5 M; this default keeps small deployments cheap).
 const DEFAULT_CAPACITY: usize = 1 << 20;
 
-/// The engine behind an [`Index`]: one streaming node, or a sharded
-/// cluster of them behind the same call surface.
-#[derive(Clone)]
-enum Backend {
-    Single(StreamingEngine),
-    Sharded(Arc<ShardedIndex>),
-}
-
-/// A cheaply cloneable handle to one PLSH node: streaming ingest, epoch
+/// A cheaply cloneable handle to a PLSH index: streaming ingest, epoch
 /// consistency, background merging, text vectorization, and the unified
 /// [`SearchRequest`] query door — all behind one type that owns its
 /// thread pool. Clones share the same underlying index.
 #[derive(Clone)]
 pub struct Index {
-    backend: Backend,
+    inner: Arc<ShardedIndex>,
     vectorizer: Option<Arc<Vectorizer>>,
 }
 
@@ -81,21 +75,16 @@ impl std::fmt::Debug for Index {
 }
 
 /// Builder for [`Index`]: configuration beyond the LSH parameters is
-/// optional and defaults to the paper's operating point (auto-merge at
-/// `η = 0.1`, fully optimized query strategy, one worker per core).
+/// optional and defaults to the paper's operating point (one node,
+/// auto-merge at `η = 0.1`, fully optimized query strategy, one worker per
+/// core).
 pub struct IndexBuilder {
-    params: PlshParams,
-    capacity: usize,
+    /// The per-shard engine template.
+    config: EngineConfig,
     threads: Option<usize>,
-    eta: Option<f64>,
-    auto_merge: bool,
-    strategy: Option<QueryStrategy>,
-    seal_min_points: Option<usize>,
     vectorizer: Option<Vectorizer>,
-    /// `None` = single node; `Some(None)` = model-driven shard count;
-    /// `Some(Some(s))` = fixed shard count.
-    sharding: Option<Option<usize>>,
-    window: Option<WindowSpec>,
+    /// Shard count; `None` lets the performance model pick it.
+    shards: Option<usize>,
 }
 
 impl IndexBuilder {
@@ -103,7 +92,7 @@ impl IndexBuilder {
     /// fail; a multi-node deployment retires old nodes instead (see
     /// `plsh-cluster`).
     pub fn capacity(mut self, capacity: usize) -> Self {
-        self.capacity = capacity;
+        self.config.capacity = capacity;
         self
     }
 
@@ -117,27 +106,27 @@ impl IndexBuilder {
     /// Delta fraction `η` of capacity that triggers a background merge
     /// (default 0.1, the paper's choice).
     pub fn eta(mut self, eta: f64) -> Self {
-        self.eta = Some(eta);
+        self.config = self.config.with_eta(eta);
         self
     }
 
     /// Disables automatic background merges; call [`Index::merge`]
     /// explicitly.
     pub fn manual_merge(mut self) -> Self {
-        self.auto_merge = false;
+        self.config = self.config.manual_merge();
         self
     }
 
     /// Default query strategy for requests that don't override it.
     pub fn query_strategy(mut self, strategy: QueryStrategy) -> Self {
-        self.strategy = Some(strategy);
+        self.config = self.config.with_query_strategy(strategy);
         self
     }
 
     /// Minimum open-generation size before inserts auto-seal (default 1:
     /// every batch becomes query-visible as soon as the call returns).
     pub fn seal_min_points(mut self, points: usize) -> Self {
-        self.seal_min_points = Some(points);
+        self.config = self.config.with_seal_min_points(points);
         self
     }
 
@@ -149,15 +138,15 @@ impl IndexBuilder {
         self
     }
 
-    /// Scales the index across `shards` shard-local streaming engines
-    /// (round-robin ingest, overlapping background merges, query fan-out)
-    /// behind the same call surface. `capacity` becomes the *per-shard*
-    /// capacity, as in the paper's per-node `C`. See
+    /// Runs `shards` shard-local streaming engines side by side (default
+    /// 1: round-robin ingest, overlapping background merges, query
+    /// fan-out) behind the same call surface. `capacity` is the
+    /// *per-shard* capacity, as in the paper's per-node `C`. See
     /// [`ShardedIndex`] for routing and merge semantics; snapshots
-    /// flatten into the single-engine format and durable directories get
-    /// one subdirectory per shard.
+    /// flatten into the single-engine format, and a durable directory of
+    /// more than one shard gets one subdirectory per shard.
     pub fn shards(mut self, shards: usize) -> Self {
-        self.sharding = Some(Some(shards));
+        self.shards = Some(shards);
         self
     }
 
@@ -165,7 +154,7 @@ impl IndexBuilder {
     /// model pick the shard count for this machine
     /// ([`plsh_core::model::PerformanceModel::pick_shard_count`]).
     pub fn auto_shards(mut self) -> Self {
-        self.sharding = Some(None);
+        self.shards = None;
         self
     }
 
@@ -173,63 +162,33 @@ impl IndexBuilder {
     /// [`WindowSpec::Docs`]`(n)` documents — or those younger than
     /// [`WindowSpec::Duration`] — stay live; older points are retired by a
     /// single range-tombstone watermark and physically reclaimed by the
-    /// next merge. On a sharded index the window is a consistent
-    /// cross-shard cut at the global stream position. The window must
-    /// leave capacity headroom for the un-merged delta (a good rule of
-    /// thumb: `capacity ≈ 3 × window`).
+    /// next merge. Across shards the window is a consistent cross-shard
+    /// cut at the global stream position. The window must leave capacity
+    /// headroom for the un-merged delta (a good rule of thumb:
+    /// `capacity ≈ 3 × window`).
     pub fn with_window(mut self, window: WindowSpec) -> Self {
-        self.window = Some(window);
+        self.config = self.config.with_window(window);
         self
     }
 
     /// Builds the index (generates hyperplanes, spins up the pool).
     pub fn build(self) -> Result<Index> {
-        if let Some(v) = &self.vectorizer {
-            if v.dim() != self.params.dim() {
-                return Err(PlshError::InvalidParams(format!(
-                    "vectorizer dimensionality {} does not match params dimensionality {}",
-                    v.dim(),
-                    self.params.dim()
-                )));
-            }
+        let dim = self.config.params.dim();
+        if let Some(v) = self.vectorizer.as_ref().filter(|v| v.dim() != dim) {
+            return Err(PlshError::InvalidParams(format!(
+                "vectorizer dimensionality {} does not match params dimensionality {dim}",
+                v.dim(),
+            )));
         }
-        let mut config = EngineConfig::new(self.params, self.capacity);
-        if let Some(eta) = self.eta {
-            config = config.with_eta(eta);
+        let mut builder = ShardedIndex::builder(self.config);
+        if let Some(s) = self.shards {
+            builder = builder.shards(s);
         }
-        if !self.auto_merge {
-            config = config.manual_merge();
+        if let Some(t) = self.threads {
+            builder = builder.threads(t);
         }
-        if let Some(s) = self.strategy {
-            config = config.with_query_strategy(s);
-        }
-        if let Some(p) = self.seal_min_points {
-            config = config.with_seal_min_points(p);
-        }
-        if let Some(w) = self.window {
-            config = config.with_window(w);
-        }
-        let backend = match self.sharding {
-            None => {
-                let pool = match self.threads {
-                    Some(t) => ThreadPool::new(t),
-                    None => ThreadPool::default(),
-                };
-                Backend::Single(StreamingEngine::new(config, pool)?)
-            }
-            Some(shards) => {
-                let mut builder = ShardedIndex::builder(config);
-                if let Some(s) = shards {
-                    builder = builder.shards(s);
-                }
-                if let Some(t) = self.threads {
-                    builder = builder.threads(t);
-                }
-                Backend::Sharded(Arc::new(builder.build().map_err(PlshError::from)?))
-            }
-        };
         Ok(Index {
-            backend,
+            inner: Arc::new(builder.build()?),
             vectorizer: self.vectorizer.map(Arc::new),
         })
     }
@@ -239,16 +198,17 @@ impl Index {
     /// Starts building an index for the given LSH parameters.
     pub fn builder(params: PlshParams) -> IndexBuilder {
         IndexBuilder {
-            params,
-            capacity: DEFAULT_CAPACITY,
+            config: EngineConfig::new(params, DEFAULT_CAPACITY),
             threads: None,
-            eta: None,
-            auto_merge: true,
-            strategy: None,
-            seal_min_points: None,
             vectorizer: None,
-            sharding: None,
-            window: None,
+            shards: Some(1),
+        }
+    }
+
+    fn wrap(inner: ShardedIndex) -> Index {
+        Index {
+            inner: Arc::new(inner),
+            vectorizer: None,
         }
     }
 
@@ -266,10 +226,9 @@ impl Index {
     /// [`restore_from`](Index::restore_from) with an explicit pool.
     pub fn restore_with<R: Read>(r: &mut R, pool: ThreadPool) -> Result<Index> {
         let engine = Snapshot::read_from(r)?.restore(&pool)?;
-        Ok(Index {
-            backend: Backend::Single(StreamingEngine::from_engine(engine, pool)),
-            vectorizer: None,
-        })
+        Ok(Index::wrap(ShardedIndex::from_engine(
+            StreamingEngine::from_engine(engine, pool),
+        )))
     }
 
     /// Attaches a frozen text pipeline after construction (e.g. after a
@@ -282,22 +241,16 @@ impl Index {
     // ---- Ingest ----
 
     /// Inserts one vector; returns its id. The point is visible to
-    /// queries on return, on a single-node and a sharded index alike. A
-    /// background merge starts when a sealed delta crosses `η·C`.
+    /// queries on return. A background merge starts when a sealed delta
+    /// crosses `η·C`.
     pub fn add(&self, v: SparseVector) -> Result<u32> {
-        match &self.backend {
-            Backend::Single(engine) => engine.insert(v),
-            Backend::Sharded(sharded) => Ok(sharded.insert(v)?),
-        }
+        Ok(self.inner.insert(v)?)
     }
 
     /// Inserts a batch (the paper's firehose arrives in ~100 K-point
     /// chunks); all-or-nothing with respect to capacity.
     pub fn add_batch(&self, vs: &[SparseVector]) -> Result<Vec<u32>> {
-        match &self.backend {
-            Backend::Single(engine) => engine.insert_batch(vs),
-            Backend::Sharded(sharded) => Ok(sharded.insert_batch(vs)?),
-        }
+        Ok(self.inner.insert_batch(vs)?)
     }
 
     /// Vectorizes one document and inserts it. Fails with
@@ -342,45 +295,26 @@ impl Index {
     /// range. The point disappears from all future queries immediately
     /// and is purged from the tables at the next merge.
     pub fn delete(&self, id: u32) -> Result<bool> {
-        match &self.backend {
-            Backend::Single(engine) => Ok(engine.delete(id)),
-            Backend::Sharded(sharded) => sharded.delete(id).map_err(PlshError::from),
-        }
+        Ok(self.inner.delete(id)?)
     }
 
     // ---- Search ----
 
     /// Answers one [`SearchRequest`] — radius or k-NN, single query or
     /// batch, with optional radius/strategy overrides, candidate budget,
-    /// counters, and profiling. On a single node the whole request runs
-    /// against one pinned epoch; on a sharded index each shard pins its
-    /// own and the answers merge globally. Ingest and merges never block
-    /// it either way.
+    /// counters, and profiling. On one shard the whole request runs
+    /// against one pinned epoch; across shards each shard pins its own and
+    /// the answers merge globally. Ingest and merges never block it either
+    /// way.
     pub fn search(&self, req: &SearchRequest) -> Result<SearchResponse> {
-        match &self.backend {
-            Backend::Single(engine) => engine.search(req),
-            Backend::Sharded(sharded) => sharded.search(req),
-        }
+        self.inner.search(req)
     }
 
     /// Radius search for a single vector — the clone-free thin wrapper for
     /// hot per-point loops (same answers as
     /// `search(&SearchRequest::query(q))`).
     pub fn query(&self, q: &SparseVector) -> Result<Vec<SearchHit>> {
-        if let Some(max) = q.max_index() {
-            let dim = self.params().dim();
-            if max >= dim {
-                return Err(PlshError::DimensionOutOfRange { index: max, dim });
-            }
-        }
-        match &self.backend {
-            Backend::Single(engine) => {
-                Ok(engine.query(q).into_iter().map(SearchHit::from).collect())
-            }
-            Backend::Sharded(sharded) => Ok(sharded
-                .search(&SearchRequest::query(q.clone()))?
-                .into_hits()),
-        }
+        self.inner.query(q)
     }
 
     /// Vectorizes free text and runs a radius search for it.
@@ -399,63 +333,41 @@ impl Index {
 
     /// Merges all sealed delta generations into the next static epoch(s)
     /// on this thread (queries keep running; publication is one swap per
-    /// engine). On a sharded index every shard folds its own.
+    /// engine). Every shard folds its own.
     pub fn merge(&self) -> Result<()> {
-        match &self.backend {
-            Backend::Single(engine) => engine.merge_now(),
-            Backend::Sharded(sharded) => sharded.quiesce().map_err(PlshError::from)?,
-        }
-        Ok(())
+        Ok(self.inner.quiesce()?)
     }
 
-    /// Ingest barrier: seals any buffered open generation (on every shard
-    /// of a sharded index), so every prior `add` is query-visible on
-    /// return, and blocks until in-flight background merges have
-    /// published.
+    /// Ingest barrier: seals any buffered open generation on every shard,
+    /// so every prior `add` is query-visible on return, and blocks until
+    /// in-flight background merges have published.
     pub fn flush(&self) -> Result<()> {
-        match &self.backend {
-            Backend::Single(engine) => {
-                engine.seal();
-                engine.wait_for_merge();
-            }
-            Backend::Sharded(sharded) => {
-                sharded.flush().map_err(PlshError::from)?;
-                sharded.wait_for_merges();
-            }
-        }
+        self.inner.flush()?;
+        self.inner.wait_for_merges();
         Ok(())
     }
 
     /// Liveness and degradation report across the whole index: per-worker
-    /// merge-thread state, restart counts, WAL lag, persistence retries,
-    /// and whether any engine has degraded to read-only. Never blocks on
-    /// merges (a sharded index waits out an insert in progress).
+    /// merge-thread state (names prefixed `shard<i>.`), restart counts,
+    /// WAL lag, persistence retries, and whether any engine has degraded
+    /// to read-only. Never blocks on merges (it waits out an insert in
+    /// progress).
     pub fn health(&self) -> plsh_core::HealthReport {
-        match &self.backend {
-            Backend::Single(engine) => engine.health(),
-            Backend::Sharded(sharded) => sharded.health(),
-        }
+        self.inner.health()
     }
 
-    /// Attempts to lift a degraded engine (or every degraded shard) back
-    /// to read-write by re-syncing persistence from memory. Returns
-    /// `true` when the index is writable again. No-op `true` on a healthy
-    /// index.
+    /// Attempts to lift every degraded shard back to read-write by
+    /// re-syncing persistence from memory. Returns `true` when the index
+    /// is writable again. No-op `true` on a healthy index.
     pub fn heal(&self) -> bool {
-        match &self.backend {
-            Backend::Single(engine) => engine.heal(),
-            Backend::Sharded(sharded) => sharded.heal(),
-        }
+        self.inner.heal()
     }
 
     /// Deadline-bounded graceful drain: seal buffered rows, join (or
-    /// abandon) background merges, and report what made it. On a sharded
-    /// index the report folds across shards. See [`plsh_core::streaming::StreamingEngine::shutdown`].
+    /// abandon) background merges, and report what made it, folded across
+    /// shards. See [`plsh_core::streaming::StreamingEngine::shutdown`].
     pub fn shutdown(&self, deadline: std::time::Duration) -> ShutdownReport {
-        match &self.backend {
-            Backend::Single(engine) => engine.shutdown(deadline),
-            Backend::Sharded(sharded) => sharded.shutdown(deadline),
-        }
+        self.inner.shutdown(deadline)
     }
 
     /// Serves this index over HTTP with default [`ServerConfig`] — the
@@ -478,13 +390,9 @@ impl Index {
         plsh_server::serve(Arc::new(self.clone()), addr, config)
     }
 
-    /// Stored points (live + deleted; on a sharded index, the global ids
-    /// assigned so far).
+    /// Stored points: the ids assigned so far (live + deleted).
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Single(engine) => engine.len(),
-            Backend::Sharded(sharded) => sharded.len(),
-        }
+        self.inner.len()
     }
 
     /// True when nothing is stored.
@@ -494,216 +402,90 @@ impl Index {
 
     /// The index's LSH parameters.
     pub fn params(&self) -> &PlshParams {
-        match &self.backend {
-            Backend::Single(engine) => engine.engine().params(),
-            Backend::Sharded(sharded) => sharded.shard(0).engine().params(),
-        }
+        self.inner.shard(0).engine().params()
     }
 
-    /// Total capacity `C` (per-shard capacity × shard count on a sharded
-    /// index; routing global id `g` to shard `g % S` keeps every shard
-    /// within one point of the others, so the aggregate is reachable).
+    /// Total capacity `C`: per-shard capacity × shard count.
     pub fn capacity(&self) -> usize {
-        match &self.backend {
-            Backend::Single(engine) => engine.engine().capacity(),
-            Backend::Sharded(sharded) => {
-                sharded.shard(0).engine().capacity() * sharded.num_shards()
-            }
-        }
+        self.inner.capacity()
     }
 
-    /// Number of shards (1 for a single-node index).
+    /// Number of shards (1 unless built with more).
     pub fn num_shards(&self) -> usize {
-        match &self.backend {
-            Backend::Single(_) => 1,
-            Backend::Sharded(sharded) => sharded.num_shards(),
-        }
+        self.inner.num_shards()
     }
 
-    /// Point and memory accounting (summed across shards when sharded).
+    /// Point and memory accounting, summed across shards.
     pub fn stats(&self) -> EngineStats {
-        match &self.backend {
-            Backend::Single(engine) => engine.stats(),
-            Backend::Sharded(sharded) => {
-                let stats = sharded.stats();
-                let mut agg = EngineStats {
-                    total_points: 0,
-                    static_points: 0,
-                    delta_points: 0,
-                    deleted_points: 0,
-                    purged_points: 0,
-                    live_points: 0,
-                    retired_points: 0,
-                    retired_pending_purge: 0,
-                    window_lag: 0,
-                    sealed_generations: 0,
-                    merges: 0,
-                    static_table_bytes: 0,
-                    delta_table_bytes: 0,
-                    hyperplane_bytes: 0,
-                    host_threads: plsh_parallel::affinity::host_threads(),
-                    pinned_workers: plsh_parallel::pinned_worker_count(),
-                };
-                for e in &stats.engines {
-                    agg.total_points += e.total_points;
-                    agg.static_points += e.static_points;
-                    agg.delta_points += e.delta_points;
-                    agg.deleted_points += e.deleted_points;
-                    agg.purged_points += e.purged_points;
-                    agg.live_points += e.live_points;
-                    agg.retired_points += e.retired_points;
-                    agg.retired_pending_purge += e.retired_pending_purge;
-                    agg.window_lag += e.window_lag;
-                    agg.sealed_generations += e.sealed_generations;
-                    agg.merges += e.merges;
-                    agg.static_table_bytes += e.static_table_bytes;
-                    agg.delta_table_bytes += e.delta_table_bytes;
-                    agg.hyperplane_bytes += e.hyperplane_bytes;
-                }
-                agg
-            }
-        }
+        self.inner.stats().folded()
     }
 
-    /// Shape of the currently published epoch. Sharded indexes aggregate:
-    /// point counts sum across shards and `generation` is the largest
-    /// per-shard epoch counter.
+    /// Shape of the currently published epoch(s); see
+    /// [`ShardedIndex::epoch_info`] for how shards fold.
     pub fn epoch_info(&self) -> EpochInfo {
-        match &self.backend {
-            Backend::Single(engine) => engine.epoch_info(),
-            Backend::Sharded(sharded) => {
-                let mut agg = EpochInfo {
-                    generation: 0,
-                    static_points: 0,
-                    sealed_generations: 0,
-                    sealed_points: 0,
-                    visible_points: 0,
-                    static_base: 0,
-                    retired_below: 0,
-                };
-                for i in 0..sharded.num_shards() {
-                    let info = sharded.shard(i).epoch_info();
-                    agg.generation = agg.generation.max(info.generation);
-                    agg.static_points += info.static_points;
-                    agg.sealed_generations += info.sealed_generations;
-                    agg.sealed_points += info.sealed_points;
-                    agg.visible_points += info.visible_points;
-                    // Per-shard id spaces are disjoint; sum the retired
-                    // spans so the aggregate reads as "rows compacted /
-                    // retired across the cluster".
-                    agg.static_base += info.static_base;
-                    agg.retired_below += info.retired_below;
-                }
-                agg
-            }
-        }
+        self.inner.epoch_info()
     }
 
-    /// Timings of the most recent merge. Sharded indexes aggregate the
-    /// per-shard reports: point counts sum, build/publish windows take
-    /// the per-shard maximum (merges overlap, so the max is the wall
-    /// cost).
+    /// Timings of the most recent merge, folded across shards (see
+    /// [`ShardedIndex::last_merge`]).
     pub fn last_merge(&self) -> MergeReport {
-        match &self.backend {
-            Backend::Single(engine) => engine.last_merge(),
-            Backend::Sharded(sharded) => {
-                let mut agg = MergeReport::default();
-                for report in sharded.last_merges() {
-                    agg.merged_points += report.merged_points;
-                    agg.purged_points += report.purged_points;
-                    agg.build = agg.build.max(report.build);
-                    agg.publish = agg.publish.max(report.publish);
-                }
-                agg
-            }
-        }
+        self.inner.last_merge()
     }
 
     /// The stored vector for `id` (`None` when out of range or purged).
     pub fn vector(&self, id: u32) -> Option<SparseVector> {
-        match &self.backend {
-            Backend::Single(engine) => engine.engine().vector(id),
-            Backend::Sharded(sharded) => sharded.vector(id),
-        }
+        self.inner.vector(id)
     }
 
     /// The underlying streaming handle, for advanced drivers (firehose
     /// pumps, cluster experiments) that need the raw engine or pool.
-    /// `None` when the index is sharded — use
+    /// `None` across several shards — use
     /// [`sharded_backend`](Index::sharded_backend) there.
     pub fn backend(&self) -> Option<&StreamingEngine> {
-        match &self.backend {
-            Backend::Single(engine) => Some(engine),
-            Backend::Sharded(_) => None,
-        }
+        self.inner.single()
     }
 
-    /// The underlying sharded index, when this index was built with
-    /// [`shards`](IndexBuilder::shards) / [`auto_shards`](IndexBuilder::auto_shards).
+    /// The underlying sharded index (one shard unless built with more).
     pub fn sharded_backend(&self) -> Option<&ShardedIndex> {
-        match &self.backend {
-            Backend::Single(_) => None,
-            Backend::Sharded(sharded) => Some(sharded),
-        }
+        Some(&self.inner)
     }
 
     // ---- Persistence ----
 
     /// Writes a snapshot of the index (parameters, rows, static/delta
     /// split, tombstones) to any byte sink. Safe to call while other
-    /// threads keep inserting and merging. Every backend round-trips: a
-    /// sharded index flattens into the same single-engine format
-    /// (restoring it yields a single-node index with identical answers).
+    /// threads keep inserting and merging. A multi-shard index flattens
+    /// into the same single-engine format (restoring it yields a
+    /// one-shard index with identical answers).
     pub fn save_to<W: Write>(&self, w: &mut W) -> Result<()> {
         Ok(self.snapshot()?.write_to(w)?)
     }
 
-    /// Captures the index's state as an in-memory [`Snapshot`]. A sharded
-    /// index captures every shard and flattens the corpus into global-id
-    /// order
-    /// ([`ShardedIndex::snapshot`]).
+    /// Captures the index's state as an in-memory [`Snapshot`] (see
+    /// [`ShardedIndex::snapshot`]).
     pub fn snapshot(&self) -> Result<Snapshot> {
-        match &self.backend {
-            Backend::Single(engine) => Ok(Snapshot::capture(engine.engine())),
-            Backend::Sharded(sharded) => Ok(sharded.snapshot()),
-        }
+        Ok(self.inner.snapshot())
     }
 
     /// Attaches incremental durability: writes a baseline of the current
-    /// contents into `dir` (a WAL-plus-segments directory per engine —
-    /// see [`plsh_core::persist`]; one `shard-<i>/` subdirectory each on
-    /// a sharded index), then keeps the directory in sync from every
+    /// contents into `dir` (a WAL-plus-segments engine directory — see
+    /// [`plsh_core::persist`]; one `shard-<i>/` subdirectory each across
+    /// several shards), then keeps the directory in sync from every
     /// insert, seal, delete, and merge. Recover with
     /// [`recover_from`](Index::recover_from).
     pub fn persist_to(&self, dir: impl AsRef<std::path::Path>) -> Result<()> {
-        match &self.backend {
-            Backend::Single(engine) => engine.persist_to(dir),
-            Backend::Sharded(sharded) => sharded.persist_to(dir).map_err(PlshError::from),
-        }
+        Ok(self.inner.persist_to(dir)?)
     }
 
     /// Recovers an index from a directory written by
-    /// [`persist_to`](Index::persist_to) — single-node or sharded, told
-    /// apart by the manifest magic — replaying the static segment, then
+    /// [`persist_to`](Index::persist_to) (see
+    /// [`ShardedIndex::recover_from`]), replaying the static segment, then
     /// each generation's file, then tombstones, and re-attaching
     /// persistence so the recovered index keeps journaling. The
     /// vectorizer is not part of the directory; re-attach one with
     /// [`with_vectorizer`](Index::with_vectorizer).
     pub fn recover_from(dir: impl AsRef<std::path::Path>) -> Result<Index> {
-        let dir = dir.as_ref();
-        let manifest = std::fs::read(dir.join("MANIFEST"))
-            .map_err(|e| PlshError::Io(format!("{}: no recoverable index ({e})", dir.display())))?;
-        let backend = if manifest.starts_with(b"PLSC") {
-            Backend::Sharded(Arc::new(
-                ShardedIndex::recover_from(dir).map_err(PlshError::from)?,
-            ))
-        } else {
-            Backend::Single(StreamingEngine::recover_from(dir, ThreadPool::default())?)
-        };
-        Ok(Index {
-            backend,
-            vectorizer: None,
-        })
+        Ok(Index::wrap(ShardedIndex::recover_from(dir)?))
     }
 
     fn require_vectorizer(&self) -> Result<&Vectorizer> {
@@ -950,6 +732,211 @@ mod tests {
             b.sort_unstable();
             assert_eq!(a, b);
         }
+    }
+
+    fn random_vecs(n: usize, seed: u64) -> Vec<SparseVector> {
+        let mut rng = plsh_core::rng::SplitMix64::new(seed);
+        (0..n)
+            .map(|_| {
+                let a = rng.next_below(64) as u32;
+                let b = (a + 1 + rng.next_below(63) as u32) % 64;
+                SparseVector::unit(vec![(a, 1.0), (b, rng.next_f64() as f32 + 0.1)]).unwrap()
+            })
+            .collect()
+    }
+
+    /// Sorted `(id, distance bits)` radius answers per query, through any
+    /// search door.
+    fn answers_of(
+        search: impl Fn(&SearchRequest) -> Result<SearchResponse>,
+        qs: &[SparseVector],
+    ) -> Vec<Vec<(u32, u32)>> {
+        qs.iter()
+            .map(|q| {
+                let resp = search(&SearchRequest::query(q.clone())).unwrap();
+                let mut hits: Vec<(u32, u32)> = resp
+                    .hits()
+                    .iter()
+                    .map(|h| (h.index, h.distance.to_bits()))
+                    .collect();
+                hits.sort_unstable();
+                hits
+            })
+            .collect()
+    }
+
+    fn answers(index: &Index, qs: &[SparseVector]) -> Vec<Vec<(u32, u32)>> {
+        answers_of(|r| index.search(r), qs)
+    }
+
+    fn tempdir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("plsh-index-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn default_index_is_one_shard_over_its_engine() {
+        let index = Index::builder(params(64))
+            .capacity(500)
+            .threads(2)
+            .build()
+            .unwrap();
+        assert_eq!(index.num_shards(), 1);
+        let engine = index.backend().expect("one shard exposes its engine");
+        let vs = random_vecs(100, 1);
+        assert_eq!(
+            index.add_batch(&vs).unwrap(),
+            (0..100).collect::<Vec<u32>>()
+        );
+        assert_eq!(engine.len(), 100, "the index's ids are the engine's");
+        let req = SearchRequest::query(vs[3].clone());
+        let resp = index.search(&req).unwrap();
+        assert!(resp.epoch.is_some(), "answered against the engine's epoch");
+        assert_eq!(resp.hits(), engine.search(&req).unwrap().hits());
+        assert_eq!(index.query(&vs[3]).unwrap(), resp.hits());
+        let health = index.health();
+        assert!(health.healthy());
+        assert!(health.workers.iter().all(|w| w.name.starts_with("shard0.")));
+    }
+
+    #[test]
+    fn one_shard_persists_the_plain_engine_layout() {
+        let dir = tempdir("plain");
+        let vs = random_vecs(120, 2);
+        let want = {
+            let index = Index::builder(params(64))
+                .capacity(500)
+                .threads(2)
+                .build()
+                .unwrap();
+            index.add_batch(&vs[..80]).unwrap();
+            index.merge().unwrap();
+            index.persist_to(&dir).unwrap();
+            index.add_batch(&vs[80..]).unwrap();
+            index.delete(5).unwrap();
+            index.flush().unwrap();
+            answers(&index, &vs)
+        };
+        assert!(!dir.join("shard-0").exists(), "no per-shard subdirectory");
+        let state = plsh_core::persist::load_state(&dir).expect("an engine directory");
+        assert_eq!(state.static_base() as usize + state.total(), 120);
+        let back = Index::recover_from(&dir).unwrap();
+        assert_eq!(back.len(), 120);
+        assert_eq!(answers(&back, &vs), want);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn engine_directory_recovers_with_its_window() {
+        let dir = tempdir("engine");
+        let window = WindowSpec::Docs(60);
+        let vs = random_vecs(200, 3);
+        let want = {
+            let config = EngineConfig::new(params(64), 500).with_window(window);
+            let engine = StreamingEngine::new(config, ThreadPool::new(2)).unwrap();
+            engine.persist_to(&dir).unwrap();
+            for chunk in vs.chunks(25) {
+                engine.insert_batch(chunk).unwrap();
+            }
+            engine.flush();
+            answers_of(|r| engine.search(r), &vs)
+        };
+        let index = Index::recover_from(&dir).unwrap();
+        assert_eq!(answers(&index, &vs), want);
+        let sharded = index.sharded_backend().unwrap();
+        assert_eq!(sharded.window(), Some(window));
+        assert_eq!(sharded.retired_below(), 140);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A one-shard directory in the cluster layout: the windowless engine
+    /// under `shard-0/`, retired by explicit cuts, and the window in a v3
+    /// cluster manifest.
+    #[test]
+    fn one_shard_cluster_directory_recovers_with_its_window() {
+        use plsh_core::persist;
+        let dir = tempdir("cluster-one");
+        let window = WindowSpec::Docs(60);
+        let vs = random_vecs(240, 4);
+        let want = {
+            let engine =
+                StreamingEngine::new(EngineConfig::new(params(64), 500), ThreadPool::new(2))
+                    .unwrap();
+            engine.persist_to(dir.join("shard-0")).unwrap();
+            let mut manifest = b"PLSC".to_vec();
+            for word in [3u32, 1, 64] {
+                manifest.extend_from_slice(&word.to_le_bytes());
+            }
+            manifest.extend_from_slice(&500u64.to_le_bytes());
+            let (tag, value) = persist::encode_window(Some(window));
+            manifest.push(tag);
+            manifest.extend_from_slice(&value.to_le_bytes());
+            let crc = persist::checksum(&manifest);
+            manifest.extend_from_slice(&crc.to_le_bytes());
+            persist::write_atomic(&dir.join("MANIFEST"), &manifest).unwrap();
+            for chunk in vs[..200].chunks(25) {
+                engine.insert_batch(chunk).unwrap();
+                engine
+                    .retire_to((engine.len() as u32).saturating_sub(60))
+                    .unwrap();
+            }
+            engine.flush();
+            answers_of(|r| engine.search(r), &vs)
+        };
+        let index = Index::recover_from(&dir).unwrap();
+        assert_eq!(index.num_shards(), 1);
+        assert_eq!(answers(&index, &vs), want);
+        let sharded = index.sharded_backend().unwrap();
+        assert_eq!(sharded.window(), Some(window));
+        assert_eq!(sharded.retired_below(), 140);
+        // The window now slides inside the engine, and the directory keeps
+        // journaling in its own layout.
+        index.add_batch(&vs[200..]).unwrap();
+        assert_eq!(index.sharded_backend().unwrap().retired_below(), 180);
+        index.flush().unwrap();
+        let want = answers(&index, &vs);
+        drop(index);
+        let again = Index::recover_from(&dir).unwrap();
+        assert_eq!(again.len(), 240);
+        assert_eq!(answers(&again, &vs), want);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Once the window has compacted a prefix away, both round trips
+    /// answer as before: the snapshot, the cut and the window are the
+    /// engine's, not a router's.
+    #[test]
+    fn windowed_index_round_trips_after_compaction() {
+        let index = Index::builder(params(64))
+            .capacity(1_000)
+            .threads(2)
+            .with_window(WindowSpec::Docs(80))
+            .build()
+            .unwrap();
+        let vs = random_vecs(400, 5);
+        for chunk in vs.chunks(40) {
+            index.add_batch(chunk).unwrap();
+        }
+        index.merge().unwrap();
+        assert!(index.epoch_info().static_base > 0, "a prefix was compacted");
+        assert_eq!(index.sharded_backend().unwrap().retired_below(), 320);
+        let want = answers(&index, &vs);
+
+        let mut bytes = Vec::new();
+        index.save_to(&mut bytes).unwrap();
+        let restored = Index::restore_from(&mut bytes.as_slice()).unwrap();
+        assert_eq!(answers(&restored, &vs), want, "snapshot round trip");
+
+        let dir = tempdir("window-roundtrip");
+        index.persist_to(&dir).unwrap();
+        drop(index);
+        let recovered = Index::recover_from(&dir).unwrap();
+        assert_eq!(answers(&recovered, &vs), want, "directory round trip");
+        let sharded = recovered.sharded_backend().unwrap();
+        assert_eq!(sharded.window(), Some(WindowSpec::Docs(80)));
+        assert_eq!(sharded.retired_below(), 320);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -36,12 +36,13 @@
 //! ```
 //!
 //! For the tweet scenario, attach a [`text`] pipeline and use
-//! [`Index::add_text`] / [`Index::search_text`]. To scale across cores,
-//! add [`IndexBuilder::shards`] (or
+//! [`Index::add_text`] / [`Index::search_text`]. Every index is a
+//! [`ShardedIndex`] of one shard by default; to scale across cores, add
+//! [`IndexBuilder::shards`] (or
 //! [`auto_shards`](IndexBuilder::auto_shards) for the model-driven count)
-//! and the same calls fan out over a [`ShardedIndex`] — round-robin
-//! ingest, per-shard background merges, bit-identical answers. Every
-//! backend answers the *same* [`SearchRequest`] through the shared
+//! and the same calls fan out over more shards — round-robin ingest,
+//! per-shard background merges, bit-identical answers. Every backend
+//! answers the *same* [`SearchRequest`] through the shared
 //! [`SearchBackend`] trait.
 //!
 //! ## Workspace layout
@@ -69,7 +70,8 @@ mod index;
 
 pub use index::{Index, IndexBuilder};
 
-// The scaling backend behind `IndexBuilder::shards`.
+// The index behind every `Index`, one shard unless `IndexBuilder::shards`
+// asks for more.
 pub use plsh_cluster::{ShardedIndex, ShardedIndexBuilder, ShardedStats};
 
 // The wire surface behind `Index::serve`.

@@ -7,11 +7,12 @@
 //! in-flight background merges.
 //!
 //! Budgeted requests ([`SearchRequest::with_max_candidates`]) compare
-//! bit-identically across the single-node backends; a sharded backend
-//! divides the budget across its shards, so its answers are checked to be
-//! budget-*honoring* instead — every hit a true hit and the aggregate
-//! candidates examined within the global budget — since each shard
-//! truncates its own ascending-id candidate prefix.
+//! bit-identically across the single-node backends, a one-shard
+//! [`ShardedIndex`] included (its one shard gets the whole budget); a
+//! multi-shard backend divides the budget across its shards, so its
+//! answers are checked to be budget-*honoring* instead — every hit a true
+//! hit and the aggregate candidates examined within the global budget —
+//! since each shard truncates its own ascending-id candidate prefix.
 
 use plsh::core::engine::{Engine, EngineConfig};
 use plsh::core::streaming::StreamingEngine;
@@ -130,6 +131,23 @@ fn all_backends_answer_identically() {
     }
     streaming.merge_in_background();
 
+    // A one-shard ShardedIndex — what every default `plsh::Index` is —
+    // built and driven like the multi-shard ones below.
+    let one_shard = ShardedIndex::builder(
+        EngineConfig::new(params.clone(), N)
+            .with_eta(0.95)
+            .manual_merge(),
+    )
+    .shards(1)
+    .threads(2)
+    .build()
+    .unwrap();
+    for chunk in corpus.vectors().chunks(64) {
+        one_shard.insert_batch(chunk).unwrap();
+    }
+    one_shard.flush().unwrap();
+    assert_eq!(one_shard.merge_all_in_background(), 1);
+
     // ShardedIndexes at several shard counts, *mid-ingest*: everything
     // routed and visible, then background merges kicked off on every
     // shard and *not* awaited — requests run while merges are anywhere
@@ -214,6 +232,11 @@ fn all_backends_answer_identically() {
                 a, b,
                 "{label}: Engine vs StreamingEngine diverged on request {ri}"
             );
+            assert_eq!(
+                a,
+                answers(&one_shard, req, &pool),
+                "{label}: Engine vs 1-shard ShardedIndex diverged on request {ri}"
+            );
             if *budgeted {
                 // The budget is divided across shards (floored at one per
                 // shard), so a sharded backend's *selection* differs from
@@ -265,6 +288,8 @@ fn all_backends_answer_identically() {
     streaming.wait_for_merge();
     streaming.merge_now();
     engine.merge_delta(&pool);
+    one_shard.quiesce().unwrap();
+    assert_eq!(one_shard.shard(0).engine().delta_len(), 0);
     for s in &sharded {
         s.quiesce().unwrap();
         assert_eq!(s.shard(0).engine().delta_len(), 0);
@@ -285,8 +310,12 @@ fn malformed_requests_error_on_every_backend() {
     let engine = Engine::new(EngineConfig::new(params.clone(), N), &pool).unwrap();
     let streaming =
         StreamingEngine::new(EngineConfig::new(params.clone(), N), ThreadPool::new(1)).unwrap();
-    let sharded = ShardedIndex::builder(EngineConfig::new(params, N))
+    let sharded = ShardedIndex::builder(EngineConfig::new(params.clone(), N))
         .shards(2)
+        .build()
+        .unwrap();
+    let one_shard = ShardedIndex::builder(EngineConfig::new(params, N))
+        .shards(1)
         .build()
         .unwrap();
 
@@ -295,4 +324,5 @@ fn malformed_requests_error_on_every_backend() {
     assert!(SearchBackend::search(&engine, &req, &pool).is_err());
     assert!(SearchBackend::search(&streaming, &req, &pool).is_err());
     assert!(SearchBackend::search(&sharded, &req, &pool).is_err());
+    assert!(SearchBackend::search(&one_shard, &req, &pool).is_err());
 }
