@@ -1023,8 +1023,8 @@ impl ShardedIndex {
     /// so does a one-shard cluster directory (`shard-0/` under a cluster
     /// manifest), whose window then moves into the engine.
     ///
-    /// Every shard first recovers its own durable prefix (static segment,
-    /// then its generation files). A crash can land mid-batch with some
+    /// Every shard first recovers its own durable prefix (its static's
+    /// files, then its generation files). A crash can land mid-batch with some
     /// shards ahead of others, so the cluster then truncates to the
     /// longest globally contiguous id prefix: shard `s` recovering `n_s`
     /// ids first misses global `n_s·S + s`, so the prefix is

@@ -874,11 +874,14 @@ impl Engine {
         }
         let ids: Vec<u32> = (from..from + vs.len() as u32).collect();
         // Advance the window watermark over whatever the batch aged out.
-        // Retirement is one fsynced log record plus a pointer-move epoch
-        // publish; the rows themselves wait for the next merge.
+        // Retirement is a pointer-move epoch publish; the rows themselves
+        // wait for the next merge. A doc-count window's watermark is a
+        // function of the row count, which recovery replays through this
+        // same path, so it writes no log record; a duration window's
+        // follows the clock and is journaled (one fsynced record).
         if let Some(spec) = self.config.window {
-            let target = match spec {
-                WindowSpec::Docs(n) => w.total.saturating_sub(n),
+            let (target, journal) = match spec {
+                WindowSpec::Docs(n) => (w.total.saturating_sub(n), false),
                 WindowSpec::Duration(d) => {
                     let now = Instant::now();
                     if !vs.is_empty() {
@@ -893,14 +896,14 @@ impl Engine {
                         target = target.max(end);
                         w.births.pop_front();
                     }
-                    target
+                    (target, true)
                 }
             };
             if target > w.retired_below {
                 // The batch itself already landed (and is durable); a
                 // failing retirement degrades the engine like a failing
                 // delete would, surfaced on the *next* write.
-                let _ = self.retire_locked(&mut w, target);
+                let _ = self.retire_locked(&mut w, target, journal);
             }
         }
         let view = self.epoch.snapshot();
@@ -1074,27 +1077,18 @@ impl Engine {
         if self.config.query_strategy.huge_pages {
             statics.advise_huge_pages();
         }
-        // The next static segment goes to disk off to the side, like the
-        // tables themselves; the manifest swap at publish time is what
-        // commits it. `persist_to` holds the merge lock, so the persister
-        // cannot attach or detach between here and publish.
-        let persister = self.persister();
-        let prepared_seq = match persister
-            .as_ref()
-            .map(|p| p.prepare_static(new_base, &static_data))
-        {
-            Some(Ok(seq)) => Some(seq),
-            Some(Err(e)) => {
-                // Nothing published yet: abort the merge with memory and
-                // disk both at the pre-merge state.
-                self.degrade("static segment prepare", &e);
-                return;
-            }
-            None => None,
-        };
         // Build time is working time: pacing sleeps are reported
         // separately so merge cost stays comparable across both paths.
         let build = t0.elapsed().saturating_sub(yielded);
+        // `persist_to` holds the merge lock, so the persister cannot
+        // attach or detach while this merge runs.
+        let persister = self.persister();
+        if let Some(Err(e)) = persister.as_ref().map(|p| p.sync_generations()) {
+            // Nothing published yet: abort the merge with memory and disk
+            // both at the pre-merge state.
+            self.degrade("data directory fsync", &e);
+            return;
+        }
 
         // Publish: one swap under the write lock. Everything sealed after
         // our pin survives verbatim; the purged ids' bits are reclaimed in
@@ -1123,24 +1117,28 @@ impl Engine {
         // Retired ids need no per-id record: the watermark accounts for
         // everything below the new base.
         purged.retain(|&id| id >= new_base);
+        let mut superseded = Vec::new();
         if let Some(p) = &persister {
             // Commit the merge durably *before* it becomes visible: the
             // manifest swap is the atomic commit point (with every pending
-            // tombstone snapshotted); the consumed generation files are
-            // retired behind it. A persistent failure aborts the merge —
-            // no epoch swap, no bookkeeping mutation — so memory and disk
-            // both still hold the pre-merge state.
-            let seq = prepared_seq.expect("prepared with the same persister");
-            if let Err(e) = p.publish_static(
-                seq,
-                new_base as u64,
-                static_data.num_rows() as u64,
+            // tombstone snapshotted). It names the folded generations'
+            // files as static rows, so the merge writes no segment. A
+            // persistent failure aborts the merge — no epoch swap, no
+            // bookkeeping mutation — so memory and disk both still hold
+            // the pre-merge state.
+            match p.publish_static(
+                new_base,
+                static_data.num_rows() as u32,
+                gens.iter().map(|g| g.base()),
                 &purged,
                 deleted.set_ids(w.total),
                 w.retired_below,
             ) {
-                self.degrade("manifest swap", &e);
-                return;
+                Ok(files) => superseded = files,
+                Err(e) => {
+                    self.degrade("manifest swap", &e);
+                    return;
+                }
             }
         }
         let view = EngineView {
@@ -1156,6 +1154,15 @@ impl Engine {
         self.epoch.store(Arc::new(view));
         drop(w);
         let publish = t1.elapsed();
+        if let Some(p) = persister {
+            // Off the write lock: inserts and deletes journal on while the
+            // superseded files go and a due checkpoint encodes the static
+            // rows. The merge is already committed, so a failure loses
+            // nothing; it degrades like any persistent I/O failure.
+            if let Err(e) = p.after_publish(superseded, &static_data) {
+                self.degrade("checkpoint", &e);
+            }
+        }
 
         self.merges.fetch_add(1, Ordering::Relaxed);
         *self.last_merge.lock().unwrap_or_else(|e| e.into_inner()) = MergeReport {
@@ -1190,15 +1197,22 @@ impl Engine {
             return Err(self.degraded_error());
         }
         let target = watermark.min(w.total);
-        self.retire_locked(&mut w, target)
+        self.retire_locked(&mut w, target, true)
     }
 
-    fn retire_locked(&self, w: &mut MutexGuard<'_, WriteState>, target: u32) -> Result<bool> {
+    /// Moves the watermark to `target`, logging it first when `journal`
+    /// is set (a watermark recovery cannot recompute from the rows).
+    fn retire_locked(
+        &self,
+        w: &mut MutexGuard<'_, WriteState>,
+        target: u32,
+        journal: bool,
+    ) -> Result<bool> {
         debug_assert!(target <= w.total);
         if target <= w.retired_below {
             return Ok(false);
         }
-        if let Some(p) = self.persister() {
+        if let Some(p) = self.persister().filter(|_| journal) {
             if let Err(e) = p.log_retire(target) {
                 self.degrade("retire watermark append", &e);
                 return Err(self.degraded_error());

@@ -18,9 +18,9 @@
 //! |---|---|---|
 //! | `wal.append` | WAL record write | [`io_check`] |
 //! | `wal.fsync` | WAL batch-boundary fsync | [`io_check`] |
-//! | `manifest.swap` | merge-publish manifest rename | [`io_check`] |
+//! | `manifest.swap` | merge-publish and checkpoint manifest rename | [`io_check`] |
 //! | `tomb.append` | tombstone log append | [`io_check`] |
-//! | `static.prepare` | off-to-the-side static segment write | [`io_check`] |
+//! | `static.prepare` | checkpoint segment write | [`io_check`] |
 //! | `merge.build` | background merge worker, per attempt | [`point`] |
 //! | `ingest.batch` | sharded insert, per shard slice | [`point`] |
 //! | `query.shard` | per-shard query fan-out task | [`point`] |
@@ -54,11 +54,12 @@ use crate::rng::SplitMix64;
 pub const WAL_APPEND: &str = "wal.append";
 /// WAL batch-boundary fsync.
 pub const WAL_FSYNC: &str = "wal.fsync";
-/// The merge-publish manifest rename-swap (the durability commit point).
+/// A merge-publish or checkpoint manifest rename-swap (the durability
+/// commit point).
 pub const MANIFEST_SWAP: &str = "manifest.swap";
 /// Tombstone log append.
 pub const TOMB_APPEND: &str = "tomb.append";
-/// Off-to-the-side static segment write before a merge publishes.
+/// A checkpoint's static segment write, before the swap that names it.
 pub const STATIC_PREPARE: &str = "static.prepare";
 /// Background merge worker, once per supervised attempt.
 pub const MERGE_BUILD: &str = "merge.build";

@@ -18,29 +18,49 @@
 //!   writes its sealed generations as `gen-<base>.seg` segments, and
 //!   recovery reads both forms.
 //! * **Deletes in a tombstone log.** `delete` appends to `tomb.log`
-//!   (fsync per record — deletes are rare). The log is truncated when a
+//!   (fsync per record — deletes are rare), and so does a retirement
+//!   watermark that is not a function of the row count (a duration
+//!   window's, or an explicit `retire_to`). The log is truncated when a
 //!   merge publishes, because the manifest written at that point snapshots
-//!   every pending and purged tombstone.
-//! * **Merge publishes a static segment + manifest swap.** The merged
-//!   corpus is written off to the side as `static-<seq>.seg` while queries
-//!   keep running; at publish time the `MANIFEST` (parameters, static
-//!   segment, purged + pending tombstones) is swapped via an atomic
-//!   rename, and the generation segments and WALs the merge consumed are
-//!   retired. The rename is the commit point: a crash on either side of
-//!   it recovers to a consistent state (before: the old manifest plus the
-//!   still-present generation files; after: the new static segment, with
-//!   leftovers garbage-collected on attach).
+//!   every pending and purged tombstone and the watermark.
+//! * **A merge writes no segment: the manifest swap is its commit.** The
+//!   generation files a merge folds already hold its rows, fsynced, so
+//!   they become the static's durable form. At publish time the `MANIFEST`
+//!   (parameters, the last checkpoint segment if any, the contiguous
+//!   *folded range* of generation files merged into the static since it,
+//!   the retire cut, purged + pending tombstones) is swapped via an atomic
+//!   rename and a directory fsync, and only then are the files wholly
+//!   below the cut unlinked (a checkpoint segment included). The rename
+//!   is the commit point: a crash on either side of it recovers to a
+//!   consistent state (before: the old manifest, whose files are all
+//!   still present; after: the new one, with leftovers garbage-collected
+//!   on attach).
+//! * **A checkpoint runs only when what it drops pays for it.** It encodes
+//!   the static rows as `static-<seq>.seg`, swaps the manifest to name it
+//!   with an empty folded range, and drops the folded files and the
+//!   previous checkpoint. It follows a publish only when the held rows
+//!   below the cut, plus all held files but one at `FILE_ROWS` rows
+//!   each, are at least the live rows it would write. Purged rows do not
+//!   count: a checkpoint keeps their contents (ids stay stable and
+//!   recovery returns every row). A windowed engine whose WALs retire
+//!   whole therefore never checkpoints, nor does an append-only one whose
+//!   batches hold `FILE_ROWS` rows or more; one fed a row at a time
+//!   checkpoints often enough to hold at most one file per `FILE_ROWS`
+//!   live rows. `persist_to` and heal baselines are checkpoints.
 //!
 //! ## Recovery
 //!
-//! [`load_state`] reads the manifest, loads the static segment, then walks
-//! the generation files contiguously from the static end: at each base a
+//! [`load_state`] reads the manifest, loads the checkpoint segment's rows
+//! from the cut on, then the folded range's generation files as static
+//! rows (their rows below the cut skipped), then walks the unfolded
+//! generation files contiguously from the static end: at each base a
 //! `gen-<base>.seg` if there is one, else `wal-<base>.log`, whose whole
-//! records up to the first torn or corrupt one are the generation. The
-//! first gap in the id space ends the chain (a damaged file ends it where
-//! its damage starts), and the tombstone log is replayed last. Re-attaching
-//! keeps every file the chain used and garbage-collects the rest, so a
-//! file past the end is never resurrected.
+//! records up to the first torn or corrupt one are the generation. A gap
+//! in the folded range is an error (the manifest promised those rows);
+//! the first gap in the unfolded chain ends it (a damaged file ends it
+//! where its damage starts), and the tombstone log is replayed last.
+//! Re-attaching keeps every file recovery used and garbage-collects the
+//! rest, so a file past the end is never resurrected.
 //! [`rebuild_engine`] is the one rebuild routine: insert the static
 //! prefix, tombstone + merge-purge the purged ids (so the purge accounting
 //! matches), replay each generation as its own sealed generation, then
@@ -49,10 +69,11 @@
 //! (property-tested), so a recovered engine answers bit-identically to a
 //! from-scratch build over the same rows.
 //!
-//! A [`Snapshot`] stream is this same manifest and two segments (`STATIC`
-//! for the static prefix, `GEN` for the delta suffix) written back to back,
-//! and restoring one goes through [`rebuild_engine`] too: there is one
-//! on-disk codec and one replay order.
+//! A [`Snapshot`] stream is this same manifest (its checkpoint the whole
+//! static, its folded range empty) and two segments (`STATIC` for the
+//! static prefix, `GEN` for the delta suffix) written back to back, and
+//! restoring one goes through [`rebuild_engine`] too: there is one on-disk
+//! codec and one replay order.
 //!
 //! ## Failure model
 //!
@@ -67,15 +88,16 @@
 //! [`Engine::heal`](crate::engine::Engine::heal) exits degraded mode by
 //! `EnginePersister::resync`-ing the directory from a fresh baseline.
 //! Every hook is also threaded through the named failpoints of
-//! [`crate::fault`] (`wal.append`, `wal.fsync`, `manifest.swap`,
-//! `tomb.append`, `static.prepare`) so the chaos suite
+//! [`crate::fault`] (`wal.append`, `wal.fsync`, `manifest.swap` at every
+//! manifest swap, `tomb.append`, and `static.prepare` at a checkpoint's
+//! segment write) so the chaos suite
 //! can inject exactly these failures. Simulated power cuts for the
 //! crash-recovery property tests are injected through the separate
 //! [`fail`] facility, which freezes all persistence I/O after a budgeted
 //! number of low-level operations (the op at the boundary tears).
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -99,9 +121,13 @@ const GEN_MAGIC: &[u8; 4] = b"PLSG";
 const VERSION: u32 = 1;
 /// Manifest format version. v2 added the sliding-window fields
 /// (`static_base`, `retired_below`, window spec); v1 manifests are read
-/// back with all three at their no-window defaults.
-const MANIFEST_VERSION: u32 = 2;
-/// No static segment yet (empty engine or everything still in the delta).
+/// back with all three at their no-window defaults. v3 added the folded
+/// range: the static segment became a checkpoint that may end before the
+/// static does (`held_from`, `checkpoint_len`); a v1–v2 static segment
+/// reads back as a checkpoint holding the whole static, with nothing
+/// folded since.
+const MANIFEST_VERSION: u32 = 3;
+/// No checkpoint segment (empty engine, or every static row is folded).
 const NO_STATIC: u64 = u64::MAX;
 /// Upper bound on one WAL record's payload — anything larger is framing
 /// corruption, not data.
@@ -184,10 +210,15 @@ struct PFile {
 impl PFile {
     /// Truncate back to `len` — drops a half-appended record left behind
     /// by a failed earlier attempt, so a retry never appends after a torn
-    /// record (replay stops at the first one).
+    /// record (replay stops at the first one). The cursor moves back too:
+    /// a WAL is not opened in append mode, and writing at the old offset
+    /// would leave a zero-filled hole where the dropped record was.
     fn truncate_to(&mut self, len: u64) -> io::Result<()> {
         match self.file.as_mut() {
-            Some(f) => f.set_len(len),
+            Some(f) => {
+                f.set_len(len)?;
+                f.seek(SeekFrom::Start(len)).map(drop)
+            }
             None => Ok(()),
         }
     }
@@ -268,8 +299,19 @@ fn fio_remove(path: &Path) -> io::Result<()> {
     }
 }
 
-/// Write `bytes` to `path` atomically: tmp file, fsync, rename (every step
-/// through the power-cut injector). Shared with the cluster manifest.
+/// Fsyncs a directory, making the names created, renamed or removed in it
+/// durable (one op for the power-cut injector).
+fn fio_sync_dir(dir: &Path) -> io::Result<()> {
+    match fail::gate() {
+        fail::Gate::Live => File::open(dir)?.sync_all(),
+        _ => Ok(()),
+    }
+}
+
+/// Write `bytes` to `path` atomically: tmp file, fsync, rename, then an
+/// fsync of the parent directory, so the rename is durable before the
+/// caller unlinks anything it supersedes (every step through the
+/// power-cut injector). Shared with the cluster manifest.
 #[doc(hidden)]
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let tmp = path.with_extension("tmp");
@@ -277,7 +319,9 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     fio_write(&mut f, bytes)?;
     fio_fsync(&mut f)?;
     drop(f);
-    fio_rename(&tmp, path)
+    fio_rename(&tmp, path)?;
+    let parent = path.parent().filter(|d| !d.as_os_str().is_empty());
+    fio_sync_dir(parent.unwrap_or(Path::new(".")))
 }
 
 // ---------------------------------------------------------------------
@@ -439,6 +483,22 @@ fn get_rows(r: &mut &[u8]) -> io::Result<Vec<SparseVector>> {
 // Manifest
 // ---------------------------------------------------------------------
 
+/// A checkpoint segment, `static-<seq>.seg`: the `len` static rows from
+/// the manifest's `held_from` on, as they were when it was written. The
+/// cut may have passed some of them since.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Checkpoint {
+    seq: u64,
+    len: u64,
+}
+
+/// Recovery opens and reads a file at about the cost of reading this many
+/// more rows (measured 18–25 for one-row WALs against 12-term rows in one
+/// segment, 2 vCPU, warm page cache), so a checkpoint that collapses `n`
+/// held files into one saves as much as dropping `(n - 1) ×` this many
+/// dead rows.
+const FILE_ROWS: u64 = 20;
+
 #[derive(Debug, Clone)]
 struct Manifest {
     params: PlshParams,
@@ -448,7 +508,14 @@ struct Manifest {
     /// Data-directory generation, bumped by `clear` so leftovers of a
     /// previous lifetime can never be replayed as data.
     reset: u64,
-    static_seq: Option<u64>,
+    /// First id of the files that hold the static: the checkpoint's, or
+    /// without one the first folded file's. At most `static_base`: the
+    /// first file may straddle the cut.
+    held_from: u64,
+    /// The last checkpoint segment, if any. The folded range — the
+    /// generation files merged into the static since it — runs from its
+    /// end (see [`Self::fold_from`]) up to the static end.
+    checkpoint: Option<Checkpoint>,
     static_len: u64,
     /// Global id of static row 0 — everything below it was retired by the
     /// sliding window and compacted away (0 without a window).
@@ -464,16 +531,20 @@ struct Manifest {
 }
 
 impl Manifest {
-    fn of_baseline(b: &Baseline<'_>, reset: u64, static_seq: Option<u64>) -> Self {
+    /// A baseline's manifest: its static rows are one checkpoint (sequence
+    /// `seq`, written when there are any), with nothing folded since.
+    fn of_baseline(b: &Baseline<'_>, reset: u64, seq: Option<u64>) -> Self {
+        let (base, len) = (b.static_base as u64, b.static_len as u64);
         Self {
             params: b.params.clone(),
             capacity: b.capacity,
             eta: b.eta,
             seal_min_points: b.seal_min_points,
             reset,
-            static_seq,
-            static_len: b.static_len as u64,
-            static_base: b.static_base as u64,
+            held_from: base,
+            checkpoint: seq.map(|seq| Checkpoint { seq, len }),
+            static_len: len,
+            static_base: base,
             retired_below: b.retired_below as u64,
             window: b.window,
             purged: b.purged.to_vec(),
@@ -481,7 +552,8 @@ impl Manifest {
         }
     }
 
-    /// A snapshot's manifest. A snapshot carries no window and restores
+    /// A snapshot's manifest: its static prefix is the checkpoint, and the
+    /// folded range is empty. A snapshot carries no window and restores
     /// with the default sealing, so those fields take their defaults.
     fn of_snapshot(s: &Snapshot) -> Self {
         Self {
@@ -490,7 +562,11 @@ impl Manifest {
             eta: s.eta,
             seal_min_points: 1,
             reset: 0,
-            static_seq: Some(0),
+            held_from: s.base,
+            checkpoint: Some(Checkpoint {
+                seq: 0,
+                len: s.static_len,
+            }),
             static_len: s.static_len,
             static_base: s.base,
             retired_below: s.retired_below,
@@ -498,6 +574,16 @@ impl Manifest {
             purged: s.purged.clone(),
             pending: s.deleted.clone(),
         }
+    }
+
+    fn static_end(&self) -> u64 {
+        self.static_base + self.static_len
+    }
+
+    /// First id of the folded range: the checkpoint's end, or without one
+    /// the first held id.
+    fn fold_from(&self) -> u64 {
+        self.held_from + self.checkpoint.map_or(0, |c| c.len)
     }
 
     fn encode(&self) -> Vec<u8> {
@@ -514,13 +600,15 @@ impl Manifest {
         put_f64(&mut out, self.eta);
         put_u64(&mut out, self.seal_min_points);
         put_u64(&mut out, self.reset);
-        put_u64(&mut out, self.static_seq.unwrap_or(NO_STATIC));
+        put_u64(&mut out, self.checkpoint.map_or(NO_STATIC, |c| c.seq));
         put_u64(&mut out, self.static_len);
         put_u64(&mut out, self.static_base);
         put_u64(&mut out, self.retired_below);
         let (wtag, warg) = encode_window(self.window);
         out.push(wtag);
         put_u64(&mut out, warg);
+        put_u64(&mut out, self.held_from);
+        put_u64(&mut out, self.checkpoint.map_or(0, |c| c.len));
         put_u64(&mut out, self.purged.len() as u64);
         for &id in &self.purged {
             put_u32(&mut out, id);
@@ -573,14 +661,11 @@ impl Manifest {
         let eta = get_f64(&mut r)?;
         let seal_min_points = get_u64(&mut r)?;
         let reset = get_u64(&mut r)?;
-        let static_seq = match get_u64(&mut r)? {
+        let seq = match get_u64(&mut r)? {
             NO_STATIC => None,
             s => Some(s),
         };
         let static_len = get_u64(&mut r)?;
-        if static_seq.is_none() && static_len != 0 {
-            return Err(bad("static_len without a static segment"));
-        }
         let (static_base, retired_below, window) = if version >= 2 {
             let base = get_u64(&mut r)?;
             let retired = get_u64(&mut r)?;
@@ -596,11 +681,47 @@ impl Manifest {
         } else {
             (0, 0, None)
         };
+        let end = static_base
+            .checked_add(static_len)
+            .filter(|&e| e <= u32::MAX as u64)
+            .ok_or_else(|| bad("static range beyond the id space"))?;
+        let (held_from, checkpoint) = if version >= 3 {
+            let held_from = get_u64(&mut r)?;
+            let len = get_u64(&mut r)?;
+            if seq.is_none() && len != 0 {
+                return Err(bad("checkpoint length without a checkpoint"));
+            }
+            (held_from, seq.map(|seq| Checkpoint { seq, len }))
+        } else {
+            if seq.is_none() && static_len != 0 {
+                return Err(bad("static_len without a static segment"));
+            }
+            let checkpoint = seq.map(|seq| Checkpoint {
+                seq,
+                len: static_len,
+            });
+            (static_base, checkpoint)
+        };
+        // The held files start at or below the cut, and the folded range
+        // runs from the checkpoint's end (at or past the cut) or, without
+        // one, from the first held id to the static end.
+        let fold_from = held_from
+            .checked_add(checkpoint.map_or(0, |c| c.len))
+            .ok_or_else(|| bad("checkpoint beyond the id space"))?;
+        if held_from > static_base
+            || fold_from > end
+            || (checkpoint.is_some() && fold_from < static_base)
+        {
+            return Err(bad(format!(
+                "checkpoint {checkpoint:?} from {held_from} and the folded range do not cover \
+                 static ids {static_base}..{end}"
+            )));
+        }
         let np = get_u64(&mut r)?;
         let mut purged = Vec::with_capacity(bounded(r, np, 4)?);
         for _ in 0..np {
             let id = get_u32(&mut r)?;
-            if (id as u64) < static_base || id as u64 >= static_base + static_len {
+            if (id as u64) < static_base || id as u64 >= end {
                 return Err(bad(format!("purged id {id} outside the static prefix")));
             }
             purged.push(id);
@@ -616,7 +737,8 @@ impl Manifest {
             eta,
             seal_min_points,
             reset,
-            static_seq,
+            held_from,
+            checkpoint,
             static_len,
             static_base,
             retired_below,
@@ -680,15 +802,15 @@ fn decode_segment(
     get_rows(&mut r)
 }
 
-/// The static segment `m` names, which must hold exactly its
-/// `static_len` rows.
-fn decode_static(m: &Manifest, bytes: &[u8]) -> io::Result<Vec<SparseVector>> {
-    let rows = decode_segment(STATIC_MAGIC, m.static_base, bytes)?;
-    if rows.len() as u64 != m.static_len {
+/// The checkpoint segment `c` names, which must hold exactly its rows
+/// from `base` on.
+fn decode_checkpoint(base: u64, c: &Checkpoint, bytes: &[u8]) -> io::Result<Vec<SparseVector>> {
+    let rows = decode_segment(STATIC_MAGIC, base, bytes)?;
+    if rows.len() as u64 != c.len {
         return Err(bad(format!(
             "static segment holds {} rows, manifest says {}",
             rows.len(),
-            m.static_len
+            c.len
         )));
     }
     Ok(rows)
@@ -754,6 +876,16 @@ fn tomb_path(data: &Path) -> PathBuf {
     data.join("tomb.log")
 }
 
+/// The files a manifest swap superseded: a checkpoint segment, and the
+/// generation files at `bases`, in whichever form each has.
+fn superseded_files(data: &Path, checkpoint: Option<Checkpoint>, bases: &[u32]) -> Vec<PathBuf> {
+    let segment = checkpoint.map(|c| static_path(data, c.seq));
+    let generations = bases
+        .iter()
+        .flat_map(|&b| [gen_path(data, b), wal_path(data, b)]);
+    segment.into_iter().chain(generations).collect()
+}
+
 /// Parse `<prefix><number><suffix>` file names (`gen-17.seg` → 17).
 fn parse_numbered(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
     name.strip_prefix(prefix)?
@@ -806,6 +938,24 @@ struct PersistState {
     next_static_seq: u64,
     wal: Option<WalWriter>,
     tomb: Option<TombWriter>,
+    /// Bases of the folded range's files, ascending: file `i` holds ids
+    /// `folded[i]..folded[i + 1]`, the last one up to the static end.
+    folded: Vec<u32>,
+}
+
+impl PersistState {
+    /// Whether a checkpoint now pays for itself: what it would drop — the
+    /// held rows below the cut, and all held files but one, at
+    /// [`FILE_ROWS`] rows each — is at least the live rows it writes. A
+    /// purged row is no saving: its contents stay in a checkpoint (ids
+    /// stay stable and recovery returns every row).
+    fn checkpoint_due(&self) -> bool {
+        let m = &self.manifest;
+        let dead = m.static_base - m.held_from;
+        let files = self.folded.len() as u64 + u64::from(m.checkpoint.is_some());
+        let saved = dead + FILE_ROWS * files.saturating_sub(1);
+        saved > 0 && saved >= m.static_len
+    }
 }
 
 /// The durable side of one [`Engine`], attached by
@@ -896,6 +1046,7 @@ impl EnginePersister {
                 next_static_seq: static_seq.map_or(0, |s| s + 1),
                 wal,
                 tomb: None,
+                folded: Vec::new(),
             }),
             retries: AtomicU64::new(0),
         })
@@ -903,9 +1054,10 @@ impl EnginePersister {
 
     /// Re-attaches to a recovered directory and garbage-collects every
     /// file recovery did not use. The recovered generation files stay as
-    /// they are: the rebuilt engine sealed each of them, and a WAL is a
-    /// sealed generation's durable form (the next batch opens a new one
-    /// past them, so none is appended to again).
+    /// they are: the folded ones are the static's durable form, the rebuilt
+    /// engine sealed each of the others, and a WAL is a sealed
+    /// generation's durable form (the next batch opens a new one past
+    /// them, so none is appended to again).
     pub(crate) fn attach_recovered(dir: &Path, st: &RecoveredState) -> io::Result<Self> {
         let data = data_dir(dir, st.manifest.reset);
         fs::create_dir_all(&data)?;
@@ -914,9 +1066,10 @@ impl EnginePersister {
             state: Mutex::new(PersistState {
                 data,
                 manifest: st.manifest.clone(),
-                next_static_seq: st.manifest.static_seq.map_or(0, |s| s + 1),
+                next_static_seq: st.manifest.checkpoint.map_or(0, |c| c.seq + 1),
                 wal: None,
                 tomb: None,
+                folded: st.folded.iter().map(|&(b, _)| b).collect(),
             }),
             retries: AtomicU64::new(0),
         };
@@ -925,10 +1078,10 @@ impl EnginePersister {
     }
 
     /// Best-effort removal of files recovery did not consume: stale data
-    /// directories from pre-`clear` lifetimes, retired static segments,
-    /// and generation segments / WALs beyond the recovered contiguous
-    /// prefix, below the static watermark, or shadowed by a segment at
-    /// the same base.
+    /// directories from pre-`clear` lifetimes, static segments other than
+    /// the checkpoint, and generation segments / WALs beyond the recovered
+    /// contiguous prefix, below the folded range, or shadowed by a segment
+    /// at the same base.
     fn gc(&self, st: &RecoveredState) {
         let s = self.state.lock().unwrap_or_else(|e| e.into_inner());
         if let Ok(entries) = fs::read_dir(&self.dir) {
@@ -942,19 +1095,23 @@ impl EnginePersister {
                 }
             }
         }
-        // A recovered generation came from exactly one file: its segment,
-        // or its WAL when it had none.
+        // A recovered generation, folded or not, came from exactly one
+        // file: its segment, or its WAL when it had none.
         let live = |base: u64, from_wal: bool| {
-            st.gens
+            st.folded
                 .iter()
-                .any(|&(b, _, w)| b as u64 == base && w == from_wal)
+                .any(|&(b, w)| b as u64 == base && w == from_wal)
+                || st
+                    .gens
+                    .iter()
+                    .any(|&(b, _, w)| b as u64 == base && w == from_wal)
         };
         if let Ok(entries) = fs::read_dir(&s.data) {
             for e in entries.flatten() {
                 let name = e.file_name();
                 let name = name.to_string_lossy().into_owned();
                 let stale = if let Some(seq) = parse_numbered(&name, "static-", ".seg") {
-                    Some(seq) != st.manifest.static_seq
+                    Some(seq) != st.manifest.checkpoint.map(|c| c.seq)
                 } else if let Some(b) = parse_numbered(&name, "gen-", ".seg") {
                     !live(b, false)
                 } else if let Some(b) = parse_numbered(&name, "wal-", ".log") {
@@ -1084,55 +1241,60 @@ impl EnginePersister {
         })
     }
 
-    /// Write the merged corpus as the next static segment (off to the
-    /// side, *before* the merge takes the write lock). `base` is the
-    /// global id of the corpus's row 0 (the window-compaction cut).
-    /// Returns the segment's sequence number for [`Self::publish_static`].
-    ///
-    /// The state lock is held only to take the sequence number and the
-    /// path, so WAL appends never queue behind the encode and fsync. The
-    /// path cannot change underneath: `clear`, heal and attach hold the
-    /// engine's merge lock, as the caller does.
-    pub(crate) fn prepare_static(&self, base: u32, static_data: &CrsMatrix) -> io::Result<u64> {
-        let (seq, path) = {
-            let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            let seq = s.next_static_seq;
-            s.next_static_seq += 1;
-            (seq, static_path(&s.data, seq))
-        };
-        let bytes = encode_segment(STATIC_MAGIC, base as u64, crs_rows(static_data));
-        self.retry(|| {
-            fault::io_check(fault::STATIC_PREPARE)?;
-            write_atomic(&path, &bytes)
-        })?;
-        Ok(seq)
+    /// Makes the names of the generation files a merge is about to fold
+    /// durable (one data-directory fsync) before its publish names them in
+    /// a manifest. Runs before the merge takes the engine's write lock;
+    /// `clear`, heal and attach hold the merge lock, as the caller does,
+    /// so the directory cannot change underneath.
+    pub(crate) fn sync_generations(&self) -> io::Result<()> {
+        let data = self
+            .state
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .data
+            .clone();
+        self.retry(|| fio_sync_dir(&data))
     }
 
     /// Commit a merge publish (under the engine's write lock): swap the
-    /// manifest — the atomic commit point — then truncate the tombstone
-    /// log (its entries are all snapshotted in the manifest now) and
-    /// retire the generation segments and WALs the merge consumed, plus
-    /// the previous static segment. In-memory manifest state only moves
-    /// forward if the swap lands, so a failed publish leaves disk *and*
-    /// bookkeeping at the pre-merge state.
-    #[allow(clippy::too_many_arguments)]
+    /// manifest — the atomic commit point — to name the static the merge
+    /// built, whose rows from `static_base` on are the previous static's
+    /// files plus the generation files at `folded_bases` (the generations
+    /// the merge folded, in id order), then truncate the tombstone log
+    /// (its entries are all snapshotted in the manifest now). Returns the
+    /// files the swap superseded — those wholly below the cut, a
+    /// checkpoint included — for [`Self::after_publish`]. In-memory
+    /// manifest state only moves forward if the swap lands, so a failed
+    /// publish leaves disk *and* bookkeeping at the pre-merge state.
     pub(crate) fn publish_static(
         &self,
-        seq: u64,
-        static_base: u64,
-        static_len: u64,
+        static_base: u32,
+        static_len: u32,
+        folded_bases: impl Iterator<Item = u32>,
         purged: &[u32],
         pending: Vec<u32>,
         retired_below: u32,
-    ) -> io::Result<()> {
+    ) -> io::Result<Vec<PathBuf>> {
         let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
         let s = &mut *s;
-        let old_seq = s.manifest.static_seq;
+        let end = static_base + static_len;
+        let mut folded = s.folded.clone();
+        folded.extend(folded_bases);
+        debug_assert!(folded.windows(2).all(|w| w[0] < w[1]) && folded.last() < Some(&end));
+        // Files wholly below the cut: each ends where the next begins.
+        let ends = folded.iter().skip(1).copied().chain([end]);
+        let gone = ends.take_while(|&e| e <= static_base).count();
         let mut next = s.manifest.clone();
-        next.static_seq = Some(seq);
-        next.static_len = static_len;
-        next.static_base = static_base;
-        next.retired_below = (retired_below as u64).max(static_base);
+        let held_from = next.held_from;
+        let retired_checkpoint = next
+            .checkpoint
+            .take_if(|c| held_from + c.len <= static_base as u64);
+        if next.checkpoint.is_none() {
+            next.held_from = folded.get(gone).map_or(end, |&b| b) as u64;
+        }
+        next.static_base = static_base as u64;
+        next.static_len = static_len as u64;
+        next.retired_below = (retired_below as u64).max(static_base as u64);
         next.purged = purged.to_vec();
         next.pending = pending;
         let bytes = next.encode();
@@ -1142,27 +1304,77 @@ impl EnginePersister {
             write_atomic(&manifest_path, &bytes)
         })?;
         s.manifest = next;
+        s.folded = folded.split_off(gone);
 
-        // Post-commit cleanup is best-effort: leftovers are shadowed by
-        // the manifest at recovery and garbage-collected on re-attach.
+        // Best-effort: a leftover log is shadowed by the manifest at
+        // recovery and garbage-collected on re-attach.
         s.tomb = None;
         let _ = fio_remove(&tomb_path(&s.data));
-        if let Some(old) = old_seq {
-            if Some(old) != s.manifest.static_seq {
-                let _ = fio_remove(&static_path(&s.data, old));
-            }
+        Ok(superseded_files(&s.data, retired_checkpoint, &folded))
+    }
+
+    /// Finishes a merge publish off the engine's write lock (under its
+    /// merge lock): unlinks `superseded`, the files the publish's swap
+    /// superseded, then runs a [checkpoint](Self::checkpoint) of
+    /// `static_data`, the static that publish committed, if one now pays
+    /// for itself. Unlinking is best-effort: a leftover is shadowed by the
+    /// manifest at recovery and garbage-collected on re-attach.
+    pub(crate) fn after_publish(
+        &self,
+        superseded: Vec<PathBuf>,
+        static_data: &CrsMatrix,
+    ) -> io::Result<()> {
+        for path in superseded {
+            let _ = fio_remove(&path);
         }
-        if let Ok(entries) = fs::read_dir(&s.data) {
-            for e in entries.flatten() {
-                let name = e.file_name();
-                let name = name.to_string_lossy().into_owned();
-                let retired = parse_numbered(&name, "gen-", ".seg")
-                    .or_else(|| parse_numbered(&name, "wal-", ".log"))
-                    .is_some_and(|b| b < static_base + static_len);
-                if retired {
-                    let _ = fio_remove(&e.path());
-                }
-            }
+        let due = self
+            .state
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .checkpoint_due();
+        if due {
+            self.checkpoint(static_data)?;
+        }
+        Ok(())
+    }
+
+    /// Writes the static rows as a checkpoint segment, swaps the manifest
+    /// to name it with an empty folded range, then drops the folded files
+    /// and the previous checkpoint. The state lock is held only to take
+    /// the sequence number and for the swap, so WAL appends never queue
+    /// behind the encode, the segment's fsync or the unlinks. The
+    /// tombstone log stays: deletes since the publish live only there.
+    fn checkpoint(&self, static_data: &CrsMatrix) -> io::Result<()> {
+        let (seq, path, base) = {
+            let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
+            debug_assert_eq!(static_data.num_rows() as u64, s.manifest.static_len);
+            let seq = s.next_static_seq;
+            s.next_static_seq += 1;
+            (seq, static_path(&s.data, seq), s.manifest.static_base)
+        };
+        let bytes = encode_segment(STATIC_MAGIC, base, crs_rows(static_data));
+        self.retry(|| {
+            fault::io_check(fault::STATIC_PREPARE)?;
+            write_atomic(&path, &bytes)
+        })?;
+        let gone = {
+            let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
+            let s = &mut *s;
+            let mut next = s.manifest.clone();
+            let len = static_data.num_rows() as u64;
+            let old = next.checkpoint.replace(Checkpoint { seq, len });
+            next.held_from = base;
+            let bytes = next.encode();
+            let manifest_path = self.dir.join(MANIFEST);
+            self.retry(|| {
+                fault::io_check(fault::MANIFEST_SWAP)?;
+                write_atomic(&manifest_path, &bytes)
+            })?;
+            s.manifest = next;
+            superseded_files(&s.data, old, &std::mem::take(&mut s.folded))
+        };
+        for path in gone {
+            let _ = fio_remove(&path);
         }
         Ok(())
     }
@@ -1177,7 +1389,8 @@ impl EnginePersister {
         let data = data_dir(&self.dir, reset);
         let mut next = s.manifest.clone();
         next.reset = reset;
-        next.static_seq = None;
+        next.checkpoint = None;
+        next.held_from = 0;
         next.static_len = 0;
         next.static_base = 0;
         next.retired_below = 0;
@@ -1194,6 +1407,7 @@ impl EnginePersister {
         s.next_static_seq = 0;
         s.wal = None;
         s.tomb = None;
+        s.folded.clear();
         if fail::gate() == fail::Gate::Live {
             let _ = fs::remove_dir_all(&old_data);
         }
@@ -1221,6 +1435,7 @@ impl EnginePersister {
         s.next_static_seq = static_seq.map_or(0, |q| q + 1);
         s.wal = wal;
         s.tomb = None;
+        s.folded.clear();
         let _ = fs::remove_dir_all(&old_data);
         Ok(())
     }
@@ -1243,6 +1458,8 @@ pub struct RecoveredState {
     manifest: Manifest,
     /// Rows of the static prefix (`manifest.static_len` of them).
     static_rows: Vec<SparseVector>,
+    /// The folded range's files, in id order: `(base, read-from-WAL)`.
+    folded: Vec<(u32, bool)>,
     /// Generations beyond the static prefix, in id order:
     /// `(base, rows, recovered-from-WAL)`.
     gens: Vec<(u32, Vec<SparseVector>, bool)>,
@@ -1252,7 +1469,8 @@ pub struct RecoveredState {
     /// Highest retirement watermark replayed from the delete log (0 when
     /// the log held none; composed with the manifest's via max).
     tomb_retire: u32,
-    /// Rows that came back from WAL replay rather than sealed segments.
+    /// Rows of the unfolded chain that came back from WAL replay rather
+    /// than sealed segments.
     wal_rows: usize,
     /// Whether the rebuilt engine merges on its own: a recovered
     /// directory does; a restored snapshot leaves merging to its caller.
@@ -1317,8 +1535,9 @@ impl RecoveredState {
         self.manifest.static_base + self.total() as u64
     }
 
-    /// Rows recovered from WAL files: every generation journaled since the
-    /// last baseline, sealed or still open at the time of the crash.
+    /// Rows recovered from the WAL files past the static end: every
+    /// generation journaled since the last merge, sealed or still open at
+    /// the time of the crash, unless a baseline wrote it as a segment.
     pub fn wal_rows(&self) -> usize {
         self.wal_rows
     }
@@ -1356,11 +1575,57 @@ impl RecoveredState {
     }
 }
 
+/// The generation file at `base`: its `gen-<base>.seg` segment if there
+/// is one, else the whole records of `wal-<base>.log` up to the first torn
+/// or corrupt one. Returns the rows and whether they came from the WAL;
+/// `None` when neither form holds a row. A corrupt segment (it was written
+/// via rename, so only external damage produces one) gives `None` too
+/// rather than an error.
+fn read_generation(data: &Path, base: u32) -> io::Result<Option<(Vec<SparseVector>, bool)>> {
+    let seg = gen_path(data, base);
+    if seg.exists() {
+        return Ok(
+            match fs::read(&seg).and_then(|b| decode_segment(GEN_MAGIC, base as u64, &b)) {
+                Ok(rows) if !rows.is_empty() => Some((rows, false)),
+                _ => None,
+            },
+        );
+    }
+    let wal = wal_path(data, base);
+    if !wal.exists() {
+        return Ok(None);
+    }
+    let mut rows: Vec<SparseVector> = Vec::new();
+    replay_log(&wal, |payload| {
+        let mut r = payload;
+        let mut tag = [0u8; 1];
+        if r.read_exact(&mut tag).is_err() || tag[0] != TAG_INSERT {
+            return false;
+        }
+        let Ok(from) = get_u32(&mut r) else {
+            return false;
+        };
+        if from != base + rows.len() as u32 {
+            return false;
+        }
+        match get_rows(&mut r) {
+            Ok(batch) => {
+                rows.extend(batch);
+                true
+            }
+            Err(_) => false,
+        }
+    })?;
+    Ok((!rows.is_empty()).then_some((rows, true)))
+}
+
 /// Reads the durable state out of an engine directory without building an
-/// engine: manifest → static segment → the contiguous chain of generation
-/// files (a segment, else a WAL, at each base) → delete log. Stops at the
-/// first gap in the id space (the crash tail); a torn WAL or delete-log
-/// record is dropped silently, with everything after it.
+/// engine: manifest → checkpoint segment → the folded range's generation
+/// files → the contiguous chain of unfolded generation files (a segment,
+/// else a WAL, at each base) → delete log. The chain stops at the first
+/// gap in the id space (the crash tail); a torn WAL or delete-log record
+/// is dropped silently, with everything after it. A folded range that
+/// does not reach the static end is an error: the manifest committed it.
 pub fn load_state(dir: impl AsRef<Path>) -> io::Result<RecoveredState> {
     let dir = dir.as_ref();
     let bytes = fs::read(dir.join(MANIFEST)).map_err(|e| {
@@ -1372,66 +1637,48 @@ pub fn load_state(dir: impl AsRef<Path>) -> io::Result<RecoveredState> {
     let manifest = Manifest::decode(&bytes)?;
     let data = data_dir(dir, manifest.reset);
 
-    let static_rows = match manifest.static_seq {
-        Some(seq) => decode_static(&manifest, &fs::read(static_path(&data, seq))?)?,
+    // Static rows from the cut on: the checkpoint's, then the folded
+    // files' (the first may straddle the cut).
+    let cut = manifest.static_base;
+    let mut static_rows = match &manifest.checkpoint {
+        Some(c) => {
+            let bytes = fs::read(static_path(&data, c.seq))?;
+            let mut rows = decode_checkpoint(manifest.held_from, c, &bytes)?;
+            rows.drain(..(cut - manifest.held_from) as usize);
+            rows
+        }
         None => Vec::new(),
     };
+    let mut folded = Vec::new();
+    let mut at = manifest.fold_from();
+    while at < manifest.static_end() {
+        let Some((rows, from_wal)) = read_generation(&data, at as u32)? else {
+            return Err(bad(format!("folded range broken at id {at}")));
+        };
+        let skip = cut.saturating_sub(at) as usize;
+        folded.push((at as u32, from_wal));
+        at += rows.len() as u64;
+        static_rows.extend(rows.into_iter().skip(skip));
+    }
+    if at != manifest.static_end() {
+        return Err(bad(format!(
+            "folded range ends at id {at}, the static at {}",
+            manifest.static_end()
+        )));
+    }
 
     let mut gens: Vec<(u32, Vec<SparseVector>, bool)> = Vec::new();
     let mut wal_rows = 0usize;
-    let mut next = (manifest.static_base + manifest.static_len) as u32;
-    loop {
-        let seg = gen_path(&data, next);
-        if seg.exists() {
-            // A corrupt sealed segment (it was written via rename, so
-            // only external damage produces one) ends the recoverable
-            // prefix rather than failing the whole recovery.
-            match fs::read(&seg).and_then(|b| decode_segment(GEN_MAGIC, next as u64, &b)) {
-                Ok(rows) if !rows.is_empty() => {
-                    next += rows.len() as u32;
-                    gens.push((next - rows.len() as u32, rows, false));
-                    continue;
-                }
-                _ => break,
-            }
+    let mut next = manifest.static_end() as u32;
+    // Each file starts where the previous one's whole records end, so a
+    // torn or corrupt record ends the chain: nothing written after it
+    // lines up.
+    while let Some((rows, from_wal)) = read_generation(&data, next)? {
+        if from_wal {
+            wal_rows += rows.len();
         }
-        // No segment at this base: the generation's WAL is its durable
-        // form (sealed or still open).
-        let wal = wal_path(&data, next);
-        if !wal.exists() {
-            break;
-        }
-        let mut rows: Vec<SparseVector> = Vec::new();
-        let base = next;
-        replay_log(&wal, |payload| {
-            let mut r = payload;
-            let mut tag = [0u8; 1];
-            if r.read_exact(&mut tag).is_err() || tag[0] != TAG_INSERT {
-                return false;
-            }
-            let Ok(from) = get_u32(&mut r) else {
-                return false;
-            };
-            if from != base + rows.len() as u32 {
-                return false;
-            }
-            match get_rows(&mut r) {
-                Ok(batch) => {
-                    rows.extend(batch);
-                    true
-                }
-                Err(_) => false,
-            }
-        })?;
-        if rows.is_empty() {
-            break;
-        }
-        wal_rows += rows.len();
         next += rows.len() as u32;
-        gens.push((base, rows, true));
-        // Keep walking: the next generation's file starts where this one's
-        // whole records end. A torn or corrupt record ends this file early,
-        // so nothing written after it lines up and the chain stops there.
+        gens.push((next - rows.len() as u32, rows, from_wal));
     }
 
     let mut tomb = Vec::new();
@@ -1457,6 +1704,7 @@ pub fn load_state(dir: impl AsRef<Path>) -> io::Result<RecoveredState> {
     Ok(RecoveredState {
         manifest,
         static_rows,
+        folded,
         gens,
         tomb,
         tomb_retire,
@@ -1584,6 +1832,7 @@ impl RecoveredState {
         Self {
             manifest: Manifest::of_snapshot(s),
             static_rows: static_rows.to_vec(),
+            folded: Vec::new(),
             gens: vec![((s.base + s.static_len) as u32, delta.to_vec(), false)],
             tomb: Vec::new(),
             tomb_retire: 0,
@@ -1613,7 +1862,12 @@ pub(crate) fn write_snapshot<W: Write>(s: &Snapshot, w: &mut W) -> io::Result<()
 /// and checks the invariants a snapshot adds to the manifest's own.
 pub(crate) fn read_snapshot<R: Read>(r: &mut R) -> io::Result<Snapshot> {
     let m = Manifest::decode(&read_block(r)?)?;
-    let mut vectors = decode_static(&m, &read_block(r)?)?;
+    // A snapshot's checkpoint is its whole static prefix.
+    let whole = match m.checkpoint {
+        Some(c) if m.held_from == m.static_base && c.len == m.static_len => c,
+        _ => return Err(bad("snapshot static prefix is not one checkpoint")),
+    };
+    let mut vectors = decode_checkpoint(m.static_base, &whole, &read_block(r)?)?;
     let delta_base = m.static_base + m.static_len;
     vectors.extend(decode_segment(GEN_MAGIC, delta_base, &read_block(r)?)?);
     let (dim, end) = (m.params.dim(), m.static_base + vectors.len() as u64);
@@ -2020,6 +2274,286 @@ mod tests {
         scratch.insert_batch(&expect, &pool).unwrap();
         scratch.seal();
         assert_eq!(answers(&again, &expect), answers(&scratch, &expect));
+        std::fs::remove_dir_all(&tmp).unwrap();
+    }
+
+    /// Names of the files in a directory's live data.
+    fn data_files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(data_dir(dir, 0))
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    fn segment_files(dir: &Path) -> usize {
+        data_files(dir)
+            .iter()
+            .filter(|n| n.ends_with(".seg"))
+            .count()
+    }
+
+    /// Checkpoint segments plus generation files in a directory's live
+    /// data: the files recovery opens.
+    fn held_files(dir: &Path) -> usize {
+        segment_files(dir) + generation_files(dir).1
+    }
+
+    #[test]
+    fn a_windowed_merge_writes_no_segment_and_unlinks_below_the_cut() {
+        let _g = FAIL_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+        let tmp = tempdir("persist-window-fold");
+        let pool = ThreadPool::new(1);
+        const WINDOW: usize = 200;
+        const BATCH: usize = 50;
+        let vs = vectors(WINDOW * 21, 61);
+        let engine = Engine::new(
+            EngineConfig::new(params(12), 3 * WINDOW)
+                .manual_merge()
+                .with_window(WindowSpec::Docs(WINDOW as u32)),
+            &pool,
+        )
+        .unwrap();
+        // A populated baseline: its static is a checkpoint, which the cut
+        // passes whole one window later.
+        engine.insert_batch(&vs[..WINDOW], &pool).unwrap();
+        engine.merge_delta(&pool);
+        engine.persist_to(&tmp).unwrap();
+        assert_eq!(segment_files(&tmp), 1);
+        for window in vs[WINDOW..].chunks(WINDOW) {
+            for batch in window.chunks(BATCH) {
+                engine.insert_batch(batch, &pool).unwrap();
+            }
+            engine.merge_delta(&pool);
+        }
+        assert_eq!(engine.static_len(), WINDOW);
+
+        assert_eq!(segment_files(&tmp), 0, "{:?}", data_files(&tmp));
+        let st = load_state(&tmp).unwrap();
+        let m = &st.manifest;
+        assert_eq!(m.checkpoint, None);
+        assert_eq!(
+            (m.static_base, m.static_len),
+            ((20 * WINDOW) as u64, WINDOW as u64)
+        );
+        // The folded range covers the window and nothing below the cut.
+        assert_eq!(m.fold_from(), m.static_base);
+        let bases: Vec<u32> = st.folded.iter().map(|&(b, _)| b).collect();
+        let want: Vec<u32> = (m.static_base as u32..m.static_end() as u32)
+            .step_by(BATCH)
+            .collect();
+        assert_eq!(bases, want);
+        let wals = data_files(&tmp)
+            .iter()
+            .filter_map(|n| parse_numbered(n, "wal-", ".log"))
+            .count();
+        assert_eq!(wals, WINDOW / BATCH, "{:?}", data_files(&tmp));
+        assert_eq!(st.all_rows(), &vs[20 * WINDOW..]);
+
+        let back = Engine::recover_from(&tmp, &pool).unwrap();
+        assert_eq!(back.len(), engine.len());
+        assert_eq!(back.static_len(), engine.static_len());
+        assert_eq!(back.retired_below(), engine.retired_below());
+        assert_eq!(answers(&back, &vs), answers(&engine, &vs));
+        std::fs::remove_dir_all(&tmp).unwrap();
+    }
+
+    #[test]
+    fn dead_rows_below_the_cut_past_live_ones_buy_a_checkpoint() {
+        let _g = FAIL_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+        let tmp = tempdir("persist-checkpoint");
+        let pool = ThreadPool::new(1);
+        let vs = vectors(300, 63);
+        let engine = Engine::new(EngineConfig::new(params(13), 500).manual_merge(), &pool).unwrap();
+        engine.persist_to(&tmp).unwrap();
+        engine.insert_batch(&vs[..200], &pool).unwrap();
+        engine.merge_delta(&pool);
+        // The merge folds the WAL and writes no segment.
+        assert_eq!((generation_files(&tmp), segment_files(&tmp)), ((0, 1), 0));
+
+        // Purged rows keep their contents in a checkpoint, so purging
+        // half of the static buys none.
+        for id in 100..200 {
+            assert!(engine.delete(id));
+        }
+        engine.merge_delta(&pool);
+        assert_eq!((generation_files(&tmp), segment_files(&tmp)), ((0, 1), 0));
+
+        // 90 of the WAL's 200 rows below the cut: still fewer than live.
+        assert!(engine.retire_to(90).unwrap());
+        engine.merge_delta(&pool);
+        assert_eq!((generation_files(&tmp), segment_files(&tmp)), ((0, 1), 0));
+
+        // 110 below the cut, 90 live: the checkpoint replaces the WAL.
+        assert!(engine.retire_to(110).unwrap());
+        engine.merge_delta(&pool);
+        assert_eq!((generation_files(&tmp), segment_files(&tmp)), ((0, 0), 1));
+        let st = load_state(&tmp).unwrap();
+        let c = st.manifest.checkpoint.expect("a checkpoint");
+        assert_eq!((st.manifest.held_from, c.len), (110, 90));
+        assert_eq!(st.manifest.fold_from(), 200);
+        assert_eq!(st.all_rows(), &vs[110..200]);
+        let back = Engine::recover_from(&tmp, &pool).unwrap();
+        assert_eq!(back.purged_ids(), engine.purged_ids());
+        assert_eq!(answers(&back, &vs), answers(&engine, &vs));
+        drop(back);
+
+        // The checkpoint paid for those rows: the next merge folds again.
+        engine.insert_batch(&vs[200..], &pool).unwrap();
+        engine.merge_delta(&pool);
+        assert_eq!((generation_files(&tmp), segment_files(&tmp)), ((0, 1), 1));
+        let back = Engine::recover_from(&tmp, &pool).unwrap();
+        assert_eq!(back.len(), engine.len());
+        assert_eq!(answers(&back, &vs), answers(&engine, &vs));
+        std::fs::remove_dir_all(&tmp).unwrap();
+    }
+
+    #[test]
+    fn small_append_only_batches_keep_the_held_files_bounded() {
+        let _g = FAIL_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+        let tmp = tempdir("persist-small-batches");
+        let pool = ThreadPool::new(1);
+        let vs = vectors(600, 69);
+        let engine =
+            Engine::new(EngineConfig::new(params(16), 1_000).manual_merge(), &pool).unwrap();
+        engine.persist_to(&tmp).unwrap();
+        // One document per call: a WAL each, and a merge every 20.
+        let mut checkpoints = 0;
+        for (i, v) in vs.iter().enumerate() {
+            engine.insert_batch(std::slice::from_ref(v), &pool).unwrap();
+            if (i + 1) % 20 == 0 {
+                let before = load_state(&tmp).unwrap().manifest.checkpoint;
+                engine.merge_delta(&pool);
+                let after = load_state(&tmp).unwrap().manifest.checkpoint;
+                checkpoints += usize::from(after != before);
+                let (files, live) = (held_files(&tmp) as u64, engine.static_len() as u64);
+                assert!(
+                    files <= 1 + live / FILE_ROWS,
+                    "{files} held files for {live} rows: {:?}",
+                    data_files(&tmp)
+                );
+            }
+        }
+        // A merge's 20 files pay for a checkpoint only while the static
+        // holds at most 20 × FILE_ROWS rows; past that, some merges fold.
+        assert!((1..30).contains(&checkpoints), "{checkpoints} checkpoints");
+        assert_eq!(load_state(&tmp).unwrap().all_rows(), vs);
+        let back = Engine::recover_from(&tmp, &pool).unwrap();
+        assert_eq!(back.len(), vs.len());
+        assert_eq!(answers(&back, &vs), answers(&engine, &vs));
+        std::fs::remove_dir_all(&tmp).unwrap();
+    }
+
+    #[test]
+    fn a_doc_count_window_journals_no_watermark() {
+        let _g = FAIL_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+        let tmp = tempdir("persist-docs-window");
+        let pool = ThreadPool::new(1);
+        let vs = vectors(200, 65);
+        let engine = Engine::new(
+            EngineConfig::new(params(14), 300)
+                .manual_merge()
+                .with_window(WindowSpec::Docs(25)),
+            &pool,
+        )
+        .unwrap();
+        engine.persist_to(&tmp).unwrap();
+        for batch in vs.chunks(10) {
+            engine.insert_batch(batch, &pool).unwrap();
+        }
+        assert_eq!(engine.retired_below(), 175);
+        let tomb = tomb_path(&data_dir(&tmp, 0));
+        assert_eq!(fs::metadata(&tomb).map_or(0, |m| m.len()), 0);
+        // Recovery recomputes the watermark from the row count.
+        let back = Engine::recover_from(&tmp, &pool).unwrap();
+        assert_eq!(back.retired_below(), engine.retired_below());
+        assert_eq!(answers(&back, &vs), answers(&engine, &vs));
+        drop(back);
+        // An explicit cut is not a function of the rows: it is journaled.
+        assert!(engine.retire_to(190).unwrap());
+        assert!(fs::metadata(&tomb).unwrap().len() > 0);
+        let back = Engine::recover_from(&tmp, &pool).unwrap();
+        assert_eq!(back.retired_below(), 190);
+        assert_eq!(answers(&back, &vs), answers(&engine, &vs));
+        std::fs::remove_dir_all(&tmp).unwrap();
+    }
+
+    /// The manifest layout an older build wrote: v2, whose static segment
+    /// held the whole static.
+    fn encode_v2(m: &Manifest) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(MANIFEST_MAGIC);
+        put_u32(&mut out, 2);
+        put_u32(&mut out, m.params.dim());
+        put_u32(&mut out, m.params.k());
+        put_u32(&mut out, m.params.m());
+        put_f64(&mut out, m.params.radius());
+        put_f64(&mut out, m.params.delta());
+        put_u64(&mut out, m.params.seed());
+        put_u64(&mut out, m.capacity);
+        put_f64(&mut out, m.eta);
+        put_u64(&mut out, m.seal_min_points);
+        put_u64(&mut out, m.reset);
+        put_u64(&mut out, m.checkpoint.map_or(NO_STATIC, |c| c.seq));
+        put_u64(&mut out, m.static_len);
+        put_u64(&mut out, m.static_base);
+        put_u64(&mut out, m.retired_below);
+        let (wtag, warg) = encode_window(m.window);
+        out.push(wtag);
+        put_u64(&mut out, warg);
+        put_u64(&mut out, m.purged.len() as u64);
+        for &id in &m.purged {
+            put_u32(&mut out, id);
+        }
+        put_u64(&mut out, m.pending.len() as u64);
+        for &id in &m.pending {
+            put_u32(&mut out, id);
+        }
+        let crc = checksum(&out);
+        put_u32(&mut out, crc);
+        out
+    }
+
+    #[test]
+    fn a_v2_manifest_from_an_older_build_still_recovers() {
+        let _g = FAIL_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+        let tmp = tempdir("persist-v2");
+        let pool = ThreadPool::new(1);
+        let vs = vectors(90, 67);
+        let engine = Engine::new(EngineConfig::new(params(15), 300).manual_merge(), &pool).unwrap();
+        engine.insert_batch(&vs[..50], &pool).unwrap();
+        engine.delete(7);
+        engine.merge_delta(&pool);
+        // An older build's layout: one static segment holding the whole
+        // static, the WALs after it, a tombstone log.
+        engine.persist_to(&tmp).unwrap();
+        for batch in vs[50..].chunks(10) {
+            engine.insert_batch(batch, &pool).unwrap();
+        }
+        engine.delete(60);
+        let st = load_state(&tmp).unwrap();
+        let c = st.manifest.checkpoint.expect("a static segment");
+        assert_eq!(
+            (st.manifest.held_from, c.len),
+            (st.manifest.static_base, st.manifest.static_len)
+        );
+        fs::write(tmp.join(MANIFEST), encode_v2(&st.manifest)).unwrap();
+
+        let old = load_state(&tmp).unwrap();
+        assert_eq!(old.manifest.checkpoint, Some(c));
+        assert_eq!(old.manifest.fold_from(), 50);
+        assert_eq!(old.all_rows(), vs);
+        let back = Engine::recover_from(&tmp, &pool).unwrap();
+        assert_eq!(back.purged_ids(), vec![7]);
+        assert!(back.is_deleted(60));
+        assert_eq!(answers(&back, &vs), answers(&engine, &vs));
+        // The recovered engine journals on in v3: its next merge folds.
+        back.merge_delta(&pool);
+        drop(back);
+        let again = Engine::recover_from(&tmp, &pool).unwrap();
+        assert_eq!(answers(&again, &vs), answers(&engine, &vs));
         std::fs::remove_dir_all(&tmp).unwrap();
     }
 

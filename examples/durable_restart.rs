@@ -4,9 +4,9 @@
 //! Snapshots (`save_restore` example) rewrite the whole index on every
 //! save; `persist_to` instead keeps the directory in sync incrementally —
 //! a WAL record per insert batch (a sealed generation's closed WAL is its
-//! durable form), a static segment and a manifest swap per merge — so a
-//! firehose node can be durable without ever pausing to serialize its
-//! corpus.
+//! durable form) and a manifest swap per merge, which folds those WALs
+//! into the static without rewriting it — so a firehose node can be
+//! durable without ever pausing to serialize its corpus.
 //!
 //! ```text
 //! cargo run --release --example durable_restart
@@ -54,12 +54,13 @@ fn main() -> plsh::Result<()> {
     );
 
     // Crash: the process "dies" with the tail of the stream never merged
-    // into a static segment — only the generations' WALs have it.
+    // into the static — only the generations' WALs have it.
     drop(index);
 
-    // Restart: recovery replays manifest -> static segment -> the chain
-    // of generation WALs -> tombstone log, and re-attaches the journal
-    // so the recovered index keeps persisting.
+    // Restart: recovery replays manifest -> the static's files (the WALs
+    // the merge folded) -> the chain of later generation WALs ->
+    // tombstone log, and re-attaches the journal so the recovered index
+    // keeps persisting.
     let recovered = Index::recover_from(&dir)?;
     assert_eq!(recovered.len(), 6_000);
     let hits = recovered.query(corpus.vector(57))?;

@@ -479,8 +479,9 @@ impl Index {
 
     /// Recovers an index from a directory written by
     /// [`persist_to`](Index::persist_to) (see
-    /// [`ShardedIndex::recover_from`]), replaying the static segment, then
-    /// each generation's file, then tombstones, and re-attaching
+    /// [`ShardedIndex::recover_from`]), replaying the static (its
+    /// checkpoint segment and folded files), then each later generation's
+    /// file, then tombstones, and re-attaching
     /// persistence so the recovered index keeps journaling. The
     /// vectorizer is not part of the directory; re-attach one with
     /// [`with_vectorizer`](Index::with_vectorizer).

@@ -1,6 +1,7 @@
 //! Crash-recovery property: cut the power after *any* persistence
-//! operation — mid-WAL-append, between a static segment's rename and the
-//! manifest swap, halfway through that swap — and recovery must come
+//! operation — mid-WAL-append, halfway through a merge's manifest swap,
+//! between a checkpoint segment's rename and the swap that names it, while
+//! the files a swap superseded are unlinked — and recovery must come
 //! back with an exact prefix of the ingested rows, a subset of the issued
 //! tombstones, and answers bit-identical to a from-scratch build over
 //! that prefix. Exercised exhaustively for a single engine (every cut
@@ -89,8 +90,8 @@ fn scratch_engine(rows: &[SparseVector], tombstones: &[u32], pool: &ThreadPool) 
 }
 
 /// Scripted engine life: a baseline, open-generation WAL traffic, seals,
-/// deletes, and two merges (static segment + manifest swap + generation
-/// retirement). Every persistence-op boundary inside this script is a
+/// deletes, folding merges (a manifest swap naming the folded WALs) and a
+/// checkpoint. Every persistence-op boundary inside this script is a
 /// crash point the k-loop below must survive.
 const SCRIPT_DELETES: [u32; 3] = [3, 30, 55];
 
@@ -112,11 +113,13 @@ fn setup_engine(dir: &Path, pool: &ThreadPool) -> Engine {
 }
 
 /// Scripted mutations, every persistence-op boundary of which is a crash
-/// point: open-generation WAL traffic, seals, deletes, and two merges
-/// (static segment + manifest swap + generation retirement).
+/// point: open-generation WAL traffic, seals, deletes, merges that fold
+/// their WALs, one whose many small files buy a checkpoint, and one that
+/// folds on top of it.
 fn run_script(engine: &Engine, vs: &[SparseVector], pool: &ThreadPool) {
-    engine.insert_batch(&vs[..10], pool).unwrap();
-    engine.insert_batch(&vs[10..25], pool).unwrap();
+    // Both batches land in one generation: a two-record WAL.
+    engine.insert_batch(&vs[..5], pool).unwrap();
+    engine.insert_batch(&vs[5..25], pool).unwrap();
     engine.delete(SCRIPT_DELETES[0]);
     engine.seal();
     engine.insert_batch(&vs[25..40], pool).unwrap();
@@ -130,14 +133,23 @@ fn run_script(engine: &Engine, vs: &[SparseVector], pool: &ThreadPool) {
     }
     engine.delete(SCRIPT_DELETES[2]);
     engine.merge_delta(pool);
-    engine.insert_batch(&vs[74..80], pool).unwrap();
+    // Three two-row generations: seven held files outweigh 80 rows.
+    for chunk in vs[74..80].chunks(2) {
+        engine.insert_batch(chunk, pool).unwrap();
+        engine.seal();
+    }
+    engine.merge_delta(pool);
+    // Folded on top of the checkpoint.
+    engine.insert_batch(&vs[80..90], pool).unwrap();
+    engine.merge_delta(pool);
+    engine.insert_batch(&vs[90..95], pool).unwrap();
 }
 
 #[test]
 fn recovery_survives_a_power_cut_after_every_operation() {
     let _g = FAIL_GUARD.lock().unwrap_or_else(|e| e.into_inner());
     let pool = ThreadPool::new(1);
-    let vs = vectors(80, 17);
+    let vs = vectors(95, 17);
 
     // Dry run with an unlimited budget counts the script's op total.
     let dir = tempdir("crash-count");
@@ -147,6 +159,11 @@ fn recovery_survives_a_power_cut_after_every_operation() {
     drop(engine);
     fail::disarm();
     let total = fail::ops_used();
+    assert_eq!(
+        (checkpoint_files(&dir), folded_wals(&dir)),
+        (1, 1),
+        "the script must end on a checkpoint with a WAL folded on top"
+    );
     let _ = fs::remove_dir_all(&dir);
     assert!(
         total > 40,
@@ -198,6 +215,34 @@ fn recovery_survives_a_power_cut_after_every_operation() {
         drop(back);
         let _ = fs::remove_dir_all(&dir);
     }
+}
+
+/// Names of the files in an engine directory's live data.
+fn data_files(dir: &Path) -> Vec<String> {
+    fs::read_dir(dir.join("data-0"))
+        .unwrap()
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect()
+}
+
+/// Checkpoint segments (`static-<seq>.seg`) in an engine directory.
+fn checkpoint_files(dir: &Path) -> usize {
+    data_files(dir)
+        .iter()
+        .filter(|n| n.starts_with("static-"))
+        .count()
+}
+
+/// WALs in an engine directory whose rows are static: folded by a merge.
+fn folded_wals(dir: &Path) -> usize {
+    let st = persist::load_state(dir).unwrap();
+    let static_end = st.static_base() as usize + st.static_len();
+    data_files(dir)
+        .iter()
+        .filter_map(|n| n.strip_prefix("wal-")?.strip_suffix(".log")?.parse().ok())
+        .filter(|&base: &usize| base < static_end)
+        .count()
 }
 
 /// Locates the single file under `dir/data-0` matching `prefix`/`suffix`.
@@ -381,18 +426,30 @@ fn setup_sharded(dir: &Path, shards: usize) -> ShardedIndex {
 }
 
 fn run_sharded_script(index: &ShardedIndex, vs: &[SparseVector]) {
-    for chunk in vs[..60].chunks(16) {
-        index.insert_batch(chunk).unwrap();
-    }
+    let merge = || {
+        index.flush().unwrap();
+        index.merge_all_in_background();
+        index.quiesce().unwrap();
+    };
+    // One batch: each shard's first merge folds a single WAL.
+    index.insert_batch(&vs[..60]).unwrap();
     let _ = index.delete(SHARDED_DELETES[0]);
-    index.flush().unwrap();
-    index.merge_all_in_background();
-    index.quiesce().unwrap();
+    merge();
     let _ = index.delete(SHARDED_DELETES[1]);
-    for chunk in vs[60..120].chunks(9) {
+    // A generation per chunk on every shard: the next merge's many small
+    // files outweigh the live rows, so it checkpoints.
+    for chunk in vs[60..96].chunks(9) {
         index.insert_batch(chunk).unwrap();
+        index.flush().unwrap();
     }
     let _ = index.delete(SHARDED_DELETES[2]);
+    merge();
+    // Folded on top of the checkpoints.
+    index.insert_batch(&vs[96..136]).unwrap();
+    merge();
+    for chunk in vs[136..].chunks(7) {
+        index.insert_batch(chunk).unwrap();
+    }
     index.flush().unwrap();
 }
 
@@ -415,7 +472,7 @@ fn sharded_answers(index: &ShardedIndex, qs: &[SparseVector]) -> Vec<Vec<(u32, u
 fn sharded_recovery_survives_sampled_power_cuts() {
     let _g = FAIL_GUARD.lock().unwrap_or_else(|e| e.into_inner());
     let pool = ThreadPool::new(1);
-    let vs = vectors(120, 23);
+    let vs = vectors(150, 23);
 
     for shards in SHARD_COUNTS {
         let dir = tempdir("crash-shard-count");
@@ -425,6 +482,14 @@ fn sharded_recovery_survives_sampled_power_cuts() {
         drop(index);
         fail::disarm();
         let total = fail::ops_used();
+        for s in 0..shards {
+            let shard = dir.join(format!("shard-{s}"));
+            assert_eq!(
+                (checkpoint_files(&shard), folded_wals(&shard)),
+                (1, 1),
+                "shard {s} must end on a checkpoint with a WAL folded on top"
+            );
+        }
         let _ = fs::remove_dir_all(&dir);
         assert!(total > 60, "{shards}-shard script too small: {total} ops");
 
