@@ -42,17 +42,14 @@ pub fn run(f: &Fixture) -> Fig5 {
         .into_iter()
         .map(|(name, strategy)| {
             // Warm-up pass, then the measured pass. The ablation level is a
-            // request field; Figure 5's protocol uses the per-query
-            // pipeline.
+            // request field; the batch runs the shipped pipeline.
             let warm = SearchRequest::batch(queries[..queries.len().min(32)].to_vec())
-                .with_strategy(strategy)
-                .per_query_pipeline();
+                .with_strategy(strategy);
             let _ = engine
                 .search(&warm, &f.pool)
                 .expect("valid warm-up request");
             let req = SearchRequest::batch(queries.to_vec())
                 .with_strategy(strategy)
-                .per_query_pipeline()
                 .with_stats();
             let stats = engine
                 .search(&req, &f.pool)

@@ -13,7 +13,7 @@ use std::time::Duration;
 use plsh_core::hash::{Hyperplanes, SketchMatrix};
 use plsh_core::model::{relative_error, MachineProfile, PerformanceModel};
 use plsh_core::params::PlshParams;
-use plsh_core::query::{self, QueryContext, QueryScratch, QueryStrategy};
+use plsh_core::query::{self, Exec, QueryContext, QueryPhaseTimings, QueryScratch, QueryStrategy};
 use plsh_core::sparse::CrsMatrix;
 use plsh_core::table::{BuildStrategy, StaticTables};
 use plsh_workload::{CorpusConfig, QuerySet, SyntheticCorpus};
@@ -152,7 +152,7 @@ fn run_dataset(
     // ---- Creation: modeled.
     let est = model.predict_creation(corpus.num_rows(), corpus.avg_nnz(), params);
 
-    // ---- Query: measured (sequential profile).
+    // ---- Query: measured (sequential, timers on).
     let ctx = QueryContext {
         static_data: &corpus,
         planes: &planes,
@@ -170,15 +170,17 @@ fn run_dataset(
     };
     let mut scratch = QueryScratch::new(params.m(), params.half_bits(), corpus.num_rows(), dim);
     let warm = queries.len().min(32);
-    let _ = query::profile_batch(&ctx, &queries[..warm], &mut scratch);
-    let (_, qt, qstats) = query::profile_batch(&ctx, queries, &mut scratch);
+    let _ = query::run_batch(&ctx, &queries[..warm], Exec::Inline(&mut scratch), None);
+    let mut qt = QueryPhaseTimings::default();
+    let exec = Exec::Inline(&mut scratch);
+    let (_, qstats) = query::run_batch(&ctx, queries, exec, Some(&mut qt));
 
     // ---- Query: modeled, using the measured collision statistics (the
     // sampling path is exercised by Figure 7; here the per-operation costs
     // are under test). The sequential profile runs on one thread.
     let nq = queries.len();
-    let e_coll = qstats.collisions as f64 / nq as f64;
-    let e_uniq = qstats.unique_candidates as f64 / nq as f64;
+    let e_coll = qstats.avg_collisions();
+    let e_uniq = qstats.avg_unique();
     let mut seq_machine = machine;
     seq_machine.threads = 1;
     let seq_model = PerformanceModel::new(seq_machine);

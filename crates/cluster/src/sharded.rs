@@ -26,7 +26,7 @@
 //!   (exact — hits are translated to global ids) and k-way re-ranks k-NN
 //!   answers with the same `(distance, global id)` tie-break a single
 //!   engine uses, so answer sets are bit-identical to one big
-//!   [`Engine`](plsh_core::engine::Engine) over the same data.
+//!   [`Engine`] over the same data.
 //! * **The shard count is model-driven by default.** The builder
 //!   calibrates a [`MachineProfile`] and picks the shard count whose
 //!   Section-7 predicted per-batch query time is minimal
@@ -902,7 +902,7 @@ impl ShardedIndex {
     /// Captures the whole sharded corpus as one flattened [`Snapshot`] in
     /// global-id order — the same format a single engine writes, so
     /// [`Snapshot::restore`] yields a single
-    /// [`Engine`](plsh_core::engine::Engine) answering identically to
+    /// [`Engine`] answering identically to
     /// this index over the captured rows.
     ///
     /// Everything lands in the snapshot's static prefix (`static_len` =

@@ -51,7 +51,7 @@ use crate::hash::{Hyperplanes, HyperplanesKind};
 use crate::health::HealthReport;
 use crate::params::PlshParams;
 use crate::query::{
-    self, BatchStats, Neighbor, QueryContext, QueryScratch, QueryStrategy, ScratchPool,
+    self, BatchStats, Exec, Neighbor, QueryContext, QueryPhaseTimings, QueryStrategy, ScratchPool,
 };
 use crate::search::{SearchBackend, SearchHit, SearchMode, SearchRequest, SearchResponse};
 use crate::sparse::{CrsMatrix, SparseVector};
@@ -1530,7 +1530,8 @@ impl Engine {
     /// request runs against one pinned epoch
     /// ([`SearchResponse::epoch`]).
     ///
-    /// `pool` drives batch fan-out (single-query requests never touch it).
+    /// `pool` drives batch fan-out (single-query and profiled requests
+    /// never touch it).
     pub fn search(&self, req: &SearchRequest, pool: &ThreadPool) -> Result<SearchResponse> {
         req.validate(self.config.params.dim())?;
         let _pressure = PressureGuard::enter(&self.active_queries);
@@ -1563,36 +1564,9 @@ impl Engine {
             ctx.max_candidates = budget;
         }
 
-        let qs = req.queries();
-        let (answers, stats, timings) = if req.profiles() {
-            let mut scratch = self.scratches.take(view.visible_span());
-            let (answers, timings, totals) = query::profile_batch(&ctx, qs, &mut scratch);
-            self.scratches.put(scratch);
-            let stats = BatchStats {
-                queries: qs.len() as u64,
-                totals,
-                elapsed: timings.total(),
-            };
-            (answers, stats, Some(timings))
-        } else if qs.len() == 1 && !req.uses_per_query_pipeline() {
-            // Single-query fast path: no pool round-trip, no batch setup.
-            let t0 = Instant::now();
-            let mut scratch = self.scratches.take(view.visible_span());
-            let (hits, totals) = query::execute_query(&ctx, &qs[0], &mut scratch);
-            self.scratches.put(scratch);
-            let stats = BatchStats {
-                queries: 1,
-                totals,
-                elapsed: t0.elapsed(),
-            };
-            (vec![hits], stats, None)
-        } else if req.uses_per_query_pipeline() {
-            let (a, s) = query::execute_batch(&ctx, qs, pool, &self.scratches);
-            (a, s, None)
-        } else {
-            let (a, s) = query::execute_batch_pipelined(&ctx, qs, pool, &self.scratches);
-            (a, s, None)
-        };
+        let mut timings = req.profiles().then(QueryPhaseTimings::default);
+        let exec = Exec::Pool(pool, &self.scratches);
+        let (answers, stats) = query::run_batch(&ctx, req.queries(), exec, timings.as_mut());
 
         let results: Vec<Vec<SearchHit>> = answers
             .into_iter()
@@ -1614,15 +1588,16 @@ impl Engine {
         let _pressure = PressureGuard::enter(&self.active_queries);
         let view = self.epoch.snapshot();
         let mut scratch = self.scratches.take(view.visible_span());
-        let (hits, _) = query::execute_query(&self.view_ctx(&view), q, &mut scratch);
+        let qs = std::slice::from_ref(q);
+        let exec = Exec::Inline(&mut scratch);
+        let (mut answers, _) = query::run_batch(&self.view_ctx(&view), qs, exec, None);
         self.scratches.put(scratch);
-        hits
+        answers.pop().unwrap_or_default()
     }
 
-    /// Answers a batch of radius queries through the batched SIMD
-    /// pipeline — a thin convenience over [`search`](Self::search): Q1 is
-    /// hashed for the whole batch first ([`crate::hash::SketchMatrix::sketch_batch`]),
-    /// then Q2–Q4 fan out one work-stealing task per query. The whole
+    /// Answers a batch of radius queries through [`query::run_batch`] — a
+    /// thin convenience over [`search`](Self::search): Q1 is hashed for
+    /// the whole batch first, then Q2–Q4 fan out on `pool`. The whole
     /// batch runs against one pinned epoch.
     pub fn query_batch(
         &self,
@@ -1631,7 +1606,8 @@ impl Engine {
     ) -> (Vec<Vec<Neighbor>>, BatchStats) {
         let _pressure = PressureGuard::enter(&self.active_queries);
         let view = self.epoch.snapshot();
-        query::execute_batch_pipelined(&self.view_ctx(&view), qs, pool, &self.scratches)
+        let exec = Exec::Pool(pool, &self.scratches);
+        query::run_batch(&self.view_ctx(&view), qs, exec, None)
     }
 
     /// Queries currently executing — the signal a paced merge backs off
@@ -1674,11 +1650,6 @@ impl Engine {
             retired_pending_purge,
             window_lag,
         }
-    }
-
-    /// A scratch suitable for external query drivers (tests, benches).
-    pub fn make_scratch(&self) -> QueryScratch {
-        self.scratches.take(self.epoch.snapshot().visible_span())
     }
 }
 
@@ -2144,9 +2115,9 @@ mod tests {
             pairs
         };
 
-        // Batched pipeline, per-query pipeline, profiled run, and every
-        // ablation strategy answer identically through one request type —
-        // bit for bit, distances included.
+        // The plain, profiled, weakest-strategy and budgeted requests
+        // answer identically through one request type — bit for bit,
+        // distances included.
         let base = e
             .search(&SearchRequest::batch(queries.clone()).with_stats(), &pool)
             .unwrap();
@@ -2154,7 +2125,6 @@ mod tests {
         let epoch = base.epoch.expect("single-node responses pin an epoch");
         assert_eq!(epoch.visible_points, 200);
         for req in [
-            SearchRequest::batch(queries.clone()).per_query_pipeline(),
             SearchRequest::batch(queries.clone()).with_profiling(),
             SearchRequest::batch(queries.clone()).with_strategy(QueryStrategy::unoptimized()),
             SearchRequest::batch(queries.clone()).with_max_candidates(usize::MAX - 1),
@@ -2165,6 +2135,29 @@ mod tests {
                 assert_eq!(sorted(a), sorted(b));
             }
             assert_eq!(resp.phase_timings.is_some(), req.profiles());
+        }
+
+        // At every ablation level, profiling only adds timers: the same
+        // answers in the same order, the same counters, and phase times
+        // within the batch's wall time.
+        let bits = |hits: &[SearchHit]| -> Vec<(u32, u32)> {
+            hits.iter()
+                .map(|h| (h.index, h.distance.to_bits()))
+                .collect()
+        };
+        for (label, strategy) in QueryStrategy::ablation_levels() {
+            let req = SearchRequest::batch(queries.clone()).with_strategy(strategy);
+            let plain = e.search(&req.clone().with_stats(), &pool).unwrap();
+            let profiled = e.search(&req.with_profiling(), &pool).unwrap();
+            for (a, b) in profiled.results.iter().zip(&plain.results) {
+                assert_eq!(bits(a), bits(b), "{label}");
+            }
+            assert_eq!(profiled.results.len(), plain.results.len(), "{label}");
+            let (stats, plain_stats) = (profiled.stats.unwrap(), plain.stats.unwrap());
+            assert_eq!(stats.queries, plain_stats.queries, "{label}");
+            assert_eq!(stats.totals, plain_stats.totals, "{label}");
+            let timings = profiled.phase_timings.expect("profiled");
+            assert!(timings.total() <= stats.elapsed, "{label}");
         }
 
         // Radius override: π reports every candidate, tiny radius only

@@ -1,9 +1,13 @@
 //! The PLSH query pipeline (paper Section 5.2).
 //!
-//! Every query runs four steps:
+//! [`run_batch`] is its one driver: it runs Q1 for a whole batch, then
+//! Q2–Q4 per query — in parallel chunks on a pool, or sequentially on
+//! the caller's thread — optionally timing Q2 and Q3. Every query runs
+//! four steps:
 //!
 //! * **Q1** — hash the query with all `m·k/2` functions and compose the
-//!   `L` bucket keys (cheap).
+//!   `L` bucket keys (cheap). A batch is hashed `SKETCH_BATCH` queries at
+//!   a time, reusing each plane row while it is in cache.
 //! * **Q2** — read the matching bucket of every static table, scan the
 //!   packed half-keys of every un-merged delta generation for the points
 //!   those buckets would hold, and eliminate duplicate point ids. The
@@ -67,13 +71,13 @@ const PREFETCH_DISTANCE: usize = 8;
 /// few instructions, so the pass runs further ahead than the row loop.
 const SIGNATURE_PREFETCH_DISTANCE: usize = 16;
 
-/// Queries hashed together per `SketchMatrix::sketch_batch` call in the
-/// batched pipeline: large enough to reuse each plane row across many
-/// queries while the per-chunk accumulator block (`B · m·k/2` floats) stays
-/// comfortably inside L2.
+/// Queries hashed together per `SketchMatrix::sketch_batch` call in Q1:
+/// large enough to reuse each plane row across many queries while the
+/// per-chunk accumulator block (`B · m·k/2` floats) stays comfortably
+/// inside L2.
 const SKETCH_BATCH: usize = 32;
 
-/// Queries per work-stealing task in the batched pipeline's Q2–Q4 fan-out:
+/// Queries per work-stealing task in the Q2–Q4 fan-out of [`run_batch`]:
 /// small enough that stealing still balances candidate-count skew, large
 /// enough to amortize scratch checkout across queries.
 const FANOUT_CHUNK: usize = 8;
@@ -270,14 +274,19 @@ impl<'a> QueryContext<'a> {
     }
 }
 
-/// Reusable per-thread scratch space: hash accumulators, the candidate
-/// bitvector over point ids, the query-side vocabulary bitvector, and the
-/// output neighbor buffer.
+/// Reusable per-thread scratch space: Q1's hash accumulators and key
+/// buffers, the candidate bitvector over point ids, and the query-side
+/// vocabulary bitvector.
 #[derive(Debug)]
 pub struct QueryScratch {
+    /// Q1's hash accumulators for one `SKETCH_BATCH` chunk.
     acc: Vec<f32>,
-    half_keys: Vec<u32>,
+    /// Q1's half-keys for one `SKETCH_BATCH` chunk, `m` per query.
+    sketches: Vec<u32>,
+    /// The batch's bucket keys, `L` per query.
     keys: Vec<u32>,
+    /// One query's `m` half-keys, for Q2's scan of sealed generations.
+    half_keys: Vec<u32>,
     cand: CandidateSet,
     /// Local ids one delta generation's scan reported.
     delta_hits: Vec<u32>,
@@ -289,9 +298,6 @@ pub struct QueryScratch {
     bound: SignatureBound,
     /// Candidates the bound kept: the rows Q3's second pass loads.
     survivors: Vec<u32>,
-    /// Owned output buffer: [`execute_query_into`] appends here, so a
-    /// steady-state query performs no allocation at all.
-    out: Vec<Neighbor>,
     /// A k-NN query's running top-k, kept for its capacity.
     top: BinaryHeap<u64>,
 }
@@ -303,22 +309,17 @@ impl QueryScratch {
         let l = allpairs::num_tables(m) as usize;
         Self {
             acc: vec![0.0; (m * half_bits) as usize],
-            half_keys: vec![0; m as usize],
+            sketches: vec![0; m as usize],
             keys: vec![0; l],
+            half_keys: vec![0; m as usize],
             cand: CandidateSet::new(n),
             delta_hits: Vec::new(),
             qmask: vec![0u64; (dim as usize).div_ceil(64)],
             qvals: vec![0.0; dim as usize],
             bound: SignatureBound::off(),
             survivors: Vec::new(),
-            out: Vec::new(),
             top: BinaryHeap::new(),
         }
-    }
-
-    /// The neighbors produced by the most recent [`execute_query_into`].
-    pub fn neighbors(&self) -> &[Neighbor] {
-        &self.out
     }
 
     fn ensure_points(&mut self, n: usize) {
@@ -374,62 +375,161 @@ impl ScratchPool {
     }
 }
 
-/// Runs one query through Q1–Q4; returns neighbors and counters.
-///
-/// Convenience wrapper over [`execute_query_into`] that copies the result
-/// out of the scratch; callers that want the allocation-free path should
-/// use `execute_query_into` and read [`QueryScratch::neighbors`].
-pub fn execute_query(
-    ctx: &QueryContext<'_>,
-    query: &SparseVector,
-    scratch: &mut QueryScratch,
-) -> (Vec<Neighbor>, QueryStats) {
-    let stats = execute_query_into(ctx, query, scratch);
-    (scratch.out.clone(), stats)
+/// Where a batch's Q2–Q4 run.
+pub enum Exec<'a> {
+    /// On the pool, in `FANOUT_CHUNK`-query work-stealing tasks (Section
+    /// 5.2, "Parallelism"), each on a scratch borrowed from the
+    /// [`ScratchPool`].
+    Pool(&'a ThreadPool, &'a ScratchPool),
+    /// Sequentially on the caller's thread, on one caller-owned scratch.
+    Inline(&'a mut QueryScratch),
 }
 
-/// Runs one query through Q1–Q4, leaving the neighbors in the scratch's
-/// owned output buffer ([`QueryScratch::neighbors`]). Steady-state queries
-/// through this entry point perform no allocation.
-pub fn execute_query_into(
+/// Runs a batch of queries through Q1–Q4 and aggregates their counters
+/// and wall time: the one query driver.
+///
+/// Step Q1 runs first for the whole batch (`hash_batch`). Q2–Q4 then
+/// run per query over the composed keys, and while one query runs, the
+/// next query's buckets are prefetched — possible only because its keys
+/// already exist. On a pool, a batch of more than one chunk fans out;
+/// one chunk (a point query among them) runs on the caller's thread with
+/// no pool hop, and a steady-state point query allocates nothing beyond
+/// its answer.
+///
+/// `timers`, when given, accumulate each query's Q2 and Q3 time, split
+/// at its Q2→Q3 hand-off. A timed batch runs on the caller's thread
+/// whatever `exec` says, so the timers sum one thread's time and Q2 + Q3
+/// stays within the batch's wall time (Figure 6's model is checked
+/// against that split).
+///
+/// Answers and counters do not depend on `exec` or `timers`.
+pub fn run_batch(
     ctx: &QueryContext<'_>,
-    query: &SparseVector,
+    queries: &[SparseVector],
+    exec: Exec<'_>,
+    timers: Option<&mut QueryPhaseTimings>,
+) -> (Vec<Vec<Neighbor>>, BatchStats) {
+    let start = Instant::now();
+    let n = ctx.num_points();
+    let l_count = allpairs::num_tables(ctx.m) as usize;
+    let mut answers = vec![Vec::new(); queries.len()];
+    let totals = match exec {
+        Exec::Pool(pool, scratches) if timers.is_none() && queries.len() > FANOUT_CHUNK => {
+            let mut scratch = scratches.take(n);
+            let keys = hash_batch(ctx, queries, &mut scratch);
+            scratches.put(scratch);
+            let chunk_totals =
+                pool.parallel_map(answers.chunks_mut(FANOUT_CHUNK).enumerate(), |(c, out)| {
+                    let first = c * FANOUT_CHUNK;
+                    let keys = &keys[first * l_count..][..out.len() * l_count];
+                    let mut scratch = scratches.take(n);
+                    let stats = run_queries(ctx, &queries[first..], keys, out, &mut scratch, None);
+                    scratches.put(scratch);
+                    stats
+                });
+            let mut totals = QueryStats::default();
+            chunk_totals.iter().for_each(|s| totals.merge(s));
+            totals
+        }
+        Exec::Pool(_, scratches) => {
+            let mut scratch = scratches.take(n);
+            let totals = run_inline(ctx, queries, &mut answers, &mut scratch, timers);
+            scratches.put(scratch);
+            totals
+        }
+        Exec::Inline(scratch) => run_inline(ctx, queries, &mut answers, scratch, timers),
+    };
+    let stats = BatchStats {
+        queries: queries.len() as u64,
+        totals,
+        elapsed: start.elapsed(),
+    };
+    (answers, stats)
+}
+
+/// The whole batch on one thread and one scratch, which keeps the batch's
+/// keys for the next call.
+fn run_inline(
+    ctx: &QueryContext<'_>,
+    queries: &[SparseVector],
+    out: &mut [Vec<Neighbor>],
     scratch: &mut QueryScratch,
+    timers: Option<&mut QueryPhaseTimings>,
 ) -> QueryStats {
-    let mut stats = QueryStats::default();
-    let l_count = hash_query(ctx, query, scratch);
-    let mut out = std::mem::take(&mut scratch.out);
-    out.clear();
-    let keys = std::mem::take(&mut scratch.keys);
-    candidate_phase(ctx, query, &keys[..l_count], scratch, &mut out, &mut stats);
+    scratch.ensure_points(ctx.num_points());
+    let keys = hash_batch(ctx, queries, scratch);
+    let stats = run_queries(ctx, queries, &keys, out, scratch, timers);
     scratch.keys = keys;
-    scratch.out = out;
     stats
 }
 
-/// Step Q1: hashes `query` with all `m·k/2` functions and composes its `L`
-/// bucket keys into `scratch.keys[..L]`; returns `L`.
-fn hash_query(ctx: &QueryContext<'_>, query: &SparseVector, scratch: &mut QueryScratch) -> usize {
+/// Step Q1 for a batch: hashes the queries `SKETCH_BATCH` at a time
+/// through [`SketchMatrix::sketch_batch`], so each dimension-major plane
+/// row is reused across queries while hot in cache, and composes every
+/// query's `L` bucket keys. Returns the keys, query-major, in the
+/// scratch's key buffer (moved out: callers hand it back).
+fn hash_batch(
+    ctx: &QueryContext<'_>,
+    queries: &[SparseVector],
+    scratch: &mut QueryScratch,
+) -> Vec<u32> {
+    let m = ctx.m as usize;
     let l_count = allpairs::num_tables(ctx.m) as usize;
-    SketchMatrix::sketch_one(
-        ctx.planes,
-        ctx.half_bits,
-        query.indices(),
-        query.values(),
-        &mut scratch.acc,
-        &mut scratch.half_keys,
-    );
-    allpairs::table_keys(
-        &scratch.half_keys,
-        ctx.half_bits,
-        &mut scratch.keys[..l_count],
-    );
-    l_count
+    let mut keys = std::mem::take(&mut scratch.keys);
+    keys.resize(queries.len() * l_count, 0);
+    scratch
+        .sketches
+        .resize(SKETCH_BATCH.min(queries.len()) * m, 0);
+    let mut views: [(&[u32], &[f32]); SKETCH_BATCH] = [(&[], &[]); SKETCH_BATCH];
+    for (chunk, keys) in queries
+        .chunks(SKETCH_BATCH)
+        .zip(keys.chunks_mut(SKETCH_BATCH * l_count))
+    {
+        for (view, q) in views.iter_mut().zip(chunk) {
+            *view = (q.indices(), q.values());
+        }
+        let sketches = &mut scratch.sketches[..chunk.len() * m];
+        let views = &views[..chunk.len()];
+        SketchMatrix::sketch_batch(ctx.planes, ctx.half_bits, views, &mut scratch.acc, sketches);
+        for (sketch, keys) in sketches.chunks(m).zip(keys.chunks_mut(l_count)) {
+            allpairs::table_keys(sketch, ctx.half_bits, keys);
+        }
+    }
+    keys
 }
 
-/// Steps Q2–Q4 over the already-composed bucket `keys` (filled either by
-/// [`execute_query_into`]'s Q1 or by the batched pipeline's pre-hashing
-/// pass — the latter passes a slice of its batch-wide key matrix directly).
+/// Steps Q2–Q4 for consecutive queries whose bucket `keys` (`L` each)
+/// Q1 composed, appending query `i`'s neighbors to `out[i]`; returns
+/// their summed counters.
+fn run_queries(
+    ctx: &QueryContext<'_>,
+    queries: &[SparseVector],
+    keys: &[u32],
+    out: &mut [Vec<Neighbor>],
+    scratch: &mut QueryScratch,
+    mut timers: Option<&mut QueryPhaseTimings>,
+) -> QueryStats {
+    let l_count = allpairs::num_tables(ctx.m) as usize;
+    let mut stats = QueryStats::default();
+    for (i, (hits, query)) in out.iter_mut().zip(queries).enumerate() {
+        // Cross-query software pipelining: stream the next query's
+        // buckets in while this query's Q2–Q4 run.
+        if ctx.strategy.candidate_array {
+            let next = keys.get((i + 1) * l_count..(i + 2) * l_count);
+            if let (Some(st), Some(next)) = (ctx.static_tables, next) {
+                prefetch_query_buckets(st, next);
+            }
+        }
+        let keys = &keys[i * l_count..][..l_count];
+        let timers = timers.as_deref_mut();
+        candidate_phase(ctx, query, keys, scratch, hits, &mut stats, timers);
+    }
+    stats
+}
+
+/// Steps Q2–Q4 for one query over its composed bucket `keys`, appending
+/// its neighbors to `out`. `timers`, when given, take Q2's time and Q3's
+/// (with Q4's) at the hand-off between them, whichever the dedup.
 fn candidate_phase(
     ctx: &QueryContext<'_>,
     query: &SparseVector,
@@ -437,29 +537,38 @@ fn candidate_phase(
     scratch: &mut QueryScratch,
     out: &mut Vec<Neighbor>,
     stats: &mut QueryStats,
+    timers: Option<&mut QueryPhaseTimings>,
 ) {
     debug_assert_eq!(keys.len(), allpairs::num_tables(ctx.m) as usize);
-
+    let q2_start = timers.is_some().then(Instant::now);
+    // Ablation baseline: tree set ("STL set") dedup.
+    let mut tree = BTreeSet::new();
     if ctx.strategy.bitvector_dedup {
         dedup_candidates(ctx, keys, scratch, stats);
-        filter_candidates(ctx, query, scratch, out, stats);
     } else {
-        // Ablation baseline: tree set ("STL set") dedup.
-        let mut set = BTreeSet::new();
         let QueryScratch {
             half_keys,
             delta_hits,
             ..
         } = scratch;
         gather_candidates(ctx, keys, half_keys, delta_hits, stats, |id| {
-            set.insert(id);
+            tree.insert(id);
         });
-        stats.unique_candidates += set.len() as u64;
+        stats.unique_candidates += tree.len() as u64;
+    }
+    let q3_start = q2_start.map(|t| (t.elapsed(), Instant::now()));
+    if ctx.strategy.bitvector_dedup {
+        filter_candidates(ctx, query, scratch, out, stats);
+    } else {
         with_query_side(ctx, query, scratch, out, stats, |scratch, hits, stats| {
-            for &id in set.iter().take(ctx.max_candidates) {
+            for &id in tree.iter().take(ctx.max_candidates) {
                 filter_candidate(ctx, query, scratch, id, hits, stats);
             }
         });
+    }
+    if let (Some(t), Some((q2, q3_start))) = (timers, q3_start) {
+        t.step_q2 += q2;
+        t.step_q3 += q3_start.elapsed();
     }
 }
 
@@ -558,8 +667,7 @@ fn filter_candidates(
     scratch.cand = cand;
 }
 
-/// Step Q2's gather, the one copy every dedup strategy and the profiler
-/// share: feeds `sink` each entry of the query's bucket in every static
+/// Step Q2's gather, the one copy every dedup strategy shares: feeds `sink` each entry of the query's bucket in every static
 /// table, then — after all static tables — each point of every sealed
 /// generation that shares a bucket with the query in some table, found
 /// by scanning the generation's packed half-keys. `stats.collisions`
@@ -940,8 +1048,7 @@ fn score_candidate(
 /// runs they point at — the offsets reads of the second sweep are
 /// independent, so out-of-order execution overlaps whatever latency
 /// remains. Q2 runs it for its own query before reading any bucket, and
-/// the batched pipeline also runs it for query `i+1` while query `i`
-/// computes: either way Q2 becomes bandwidth-bound streaming instead of
+/// [`run_batch`] also runs it for query `i+1` while query `i` computes: either way Q2 becomes bandwidth-bound streaming instead of
 /// latency-bound pointer chasing.
 #[inline]
 fn prefetch_query_buckets(st: &StaticTables, keys: &[u32]) {
@@ -988,186 +1095,23 @@ fn prefetch_row(ctx: &QueryContext<'_>, id: u32) {
     }
 }
 
-/// Per-phase wall time of a profiled query batch (Figure 6's right panel).
+/// Per-phase wall time of a timed query batch (Figure 6's right panel),
+/// summed over its queries by [`run_batch`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QueryPhaseTimings {
-    /// Step Q2: bucket reads and bitvector dedup (plus the candidate
-    /// sort of a budgeted request).
+    /// Step Q2: bucket reads and dedup, by bitvector or tree set (plus
+    /// the candidate sort of a budgeted request).
     pub step_q2: std::time::Duration,
     /// Step Q3: candidate loads + distance computations (+Q4 appends).
     pub step_q3: std::time::Duration,
 }
 
 impl QueryPhaseTimings {
-    /// Total profiled time (Q1/Q4 are negligible and folded into Q2/Q3).
+    /// Total timed time. Q1 is not timed (the paper notes it "takes very
+    /// little time"); Q4 is folded into Q3.
     pub fn total(&self) -> std::time::Duration {
         self.step_q2 + self.step_q3
     }
-}
-
-/// Runs a query batch **sequentially** with per-phase timers, for model
-/// validation (Figure 6).
-///
-/// Each query runs the shipped bitvector kernel, `dedup_candidates`
-/// then `filter_candidates`, with the timers at the hand-off between
-/// them; the other switches come from `ctx.strategy`. Sequential
-/// execution keeps the phase timers meaningful; the aggregate counters
-/// and per-query answers match [`execute_batch`] exactly at every level
-/// that dedups with the bitvector.
-pub fn profile_batch(
-    ctx: &QueryContext<'_>,
-    queries: &[SparseVector],
-    scratch: &mut QueryScratch,
-) -> (Vec<Vec<Neighbor>>, QueryPhaseTimings, QueryStats) {
-    let mut timings = QueryPhaseTimings::default();
-    let mut stats = QueryStats::default();
-    let mut answers: Vec<Vec<Neighbor>> = Vec::with_capacity(queries.len());
-    for query in queries {
-        // Q1 (not separately reported; the paper notes it "takes very
-        // little time").
-        let l_count = hash_query(ctx, query, scratch);
-        let keys = std::mem::take(&mut scratch.keys);
-
-        let t0 = Instant::now();
-        dedup_candidates(ctx, &keys[..l_count], scratch, &mut stats);
-        timings.step_q2 += t0.elapsed();
-        scratch.keys = keys;
-
-        let t1 = Instant::now();
-        let mut out = Vec::new();
-        filter_candidates(ctx, query, scratch, &mut out, &mut stats);
-        std::hint::black_box(&out);
-        timings.step_q3 += t1.elapsed();
-        answers.push(out);
-    }
-    (answers, timings, stats)
-}
-
-/// Runs a batch of queries, one work-stealing task per query (Section 5.2,
-/// "Parallelism"), and aggregates counters and wall time.
-///
-/// Each task runs the full Q1–Q4 pipeline independently; this is the
-/// reference batch executor the batched pipeline
-/// ([`execute_batch_pipelined`]) is measured against.
-pub fn execute_batch(
-    ctx: &QueryContext<'_>,
-    queries: &[SparseVector],
-    pool: &ThreadPool,
-    scratches: &ScratchPool,
-) -> (Vec<Vec<Neighbor>>, BatchStats) {
-    let n = ctx.num_points();
-    let start = Instant::now();
-    let results: Vec<(Vec<Neighbor>, QueryStats)> = pool.parallel_map(queries.iter(), |q| {
-        let mut scratch = scratches.take(n);
-        let r = execute_query(ctx, q, &mut scratch);
-        scratches.put(scratch);
-        r
-    });
-    let elapsed = start.elapsed();
-    collect_batch(results, queries.len(), elapsed)
-}
-
-/// The batched SIMD query pipeline: Step Q1 for the **whole batch** runs
-/// first through [`SketchMatrix::sketch_batch`] (in `SKETCH_BATCH`-query
-/// chunks, so each dimension-major plane row is reused across queries while
-/// hot in cache), then Q2–Q4 fan out one work-stealing task per query with
-/// the bucket keys already composed.
-///
-/// Answers are bit-identical to [`execute_batch`]: batched hashing
-/// preserves every lane's accumulation order, and the candidate phase is
-/// the same code.
-pub fn execute_batch_pipelined(
-    ctx: &QueryContext<'_>,
-    queries: &[SparseVector],
-    pool: &ThreadPool,
-    scratches: &ScratchPool,
-) -> (Vec<Vec<Neighbor>>, BatchStats) {
-    if queries.is_empty() {
-        return (Vec::new(), BatchStats::default());
-    }
-    let n = ctx.num_points();
-    let m = ctx.m as usize;
-    let l_count = allpairs::num_tables(ctx.m) as usize;
-    let start = Instant::now();
-
-    // ---- Q1 for the whole batch: hash in chunks, compose all bucket keys.
-    let mut all_keys = vec![0u32; queries.len() * l_count];
-    {
-        let mut acc: Vec<f32> = Vec::new();
-        let mut half_keys = vec![0u32; SKETCH_BATCH.min(queries.len()) * m];
-        let mut views: Vec<(&[u32], &[f32])> = Vec::with_capacity(SKETCH_BATCH);
-        for (c, chunk) in queries.chunks(SKETCH_BATCH).enumerate() {
-            views.clear();
-            views.extend(chunk.iter().map(|q| (q.indices(), q.values())));
-            let hk = &mut half_keys[..chunk.len() * m];
-            SketchMatrix::sketch_batch(ctx.planes, ctx.half_bits, &views, &mut acc, hk);
-            for (qi, sketch) in hk.chunks(m).enumerate() {
-                let g = c * SKETCH_BATCH + qi;
-                allpairs::table_keys(
-                    sketch,
-                    ctx.half_bits,
-                    &mut all_keys[g * l_count..][..l_count],
-                );
-            }
-        }
-    }
-
-    // ---- Q2–Q4: fan out with pre-composed keys. Tasks cover small query
-    // chunks (still plenty for stealing to balance skew) so each claims a
-    // per-worker scratch once, not once per query.
-    let all_keys = &all_keys;
-    let chunk_results: Vec<Vec<(Vec<Neighbor>, QueryStats)>> =
-        pool.parallel_map(queries.chunks(FANOUT_CHUNK).enumerate(), |(c, chunk)| {
-            let mut scratch = scratches.take(n);
-            let mut out = std::mem::take(&mut scratch.out);
-            let results: Vec<(Vec<Neighbor>, QueryStats)> = chunk
-                .iter()
-                .enumerate()
-                .map(|(qi, q)| {
-                    let g = c * FANOUT_CHUNK + qi;
-                    let keys = &all_keys[g * l_count..][..l_count];
-                    // Cross-query software pipelining — only possible here,
-                    // where the *next* query's bucket keys already exist:
-                    // stream its buckets in while this query's Q2–Q4 run.
-                    if ctx.strategy.candidate_array && qi + 1 < chunk.len() {
-                        if let Some(st) = ctx.static_tables {
-                            prefetch_query_buckets(st, &all_keys[(g + 1) * l_count..][..l_count]);
-                        }
-                    }
-                    let mut stats = QueryStats::default();
-                    out.clear();
-                    candidate_phase(ctx, q, keys, &mut scratch, &mut out, &mut stats);
-                    (out.clone(), stats)
-                })
-                .collect();
-            scratch.out = out;
-            scratches.put(scratch);
-            results
-        });
-    let elapsed = start.elapsed();
-    let results: Vec<(Vec<Neighbor>, QueryStats)> = chunk_results.into_iter().flatten().collect();
-    collect_batch(results, queries.len(), elapsed)
-}
-
-fn collect_batch(
-    results: Vec<(Vec<Neighbor>, QueryStats)>,
-    queries: usize,
-    elapsed: std::time::Duration,
-) -> (Vec<Vec<Neighbor>>, BatchStats) {
-    let mut totals = QueryStats::default();
-    let mut neighbors = Vec::with_capacity(results.len());
-    for (nbrs, st) in results {
-        totals.merge(&st);
-        neighbors.push(nbrs);
-    }
-    (
-        neighbors,
-        BatchStats {
-            queries: queries as u64,
-            totals,
-            elapsed,
-        },
-    )
 }
 
 #[cfg(test)]
@@ -1238,6 +1182,39 @@ mod tests {
         }
     }
 
+    /// One query through the driver, on the caller's thread.
+    fn run_one(
+        ctx: &QueryContext<'_>,
+        q: &SparseVector,
+        scratch: &mut QueryScratch,
+    ) -> (Vec<Neighbor>, QueryStats) {
+        let qs = std::slice::from_ref(q);
+        let (mut answers, stats) = run_batch(ctx, qs, Exec::Inline(scratch), None);
+        (answers.pop().expect("one answer per query"), stats.totals)
+    }
+
+    /// `queries` through the driver three ways: fanned out on `pool`, on
+    /// the caller's thread, and timed. Each path's answers and stats.
+    fn every_exec(
+        ctx: &QueryContext<'_>,
+        queries: &[SparseVector],
+        pool: &ThreadPool,
+        scratches: &ScratchPool,
+        scratch: &mut QueryScratch,
+    ) -> [(&'static str, Vec<Vec<Neighbor>>, BatchStats); 3] {
+        let (pooled, pooled_stats) = run_batch(ctx, queries, Exec::Pool(pool, scratches), None);
+        let (inline, inline_stats) = run_batch(ctx, queries, Exec::Inline(scratch), None);
+        let mut timings = QueryPhaseTimings::default();
+        let exec = Exec::Pool(pool, scratches);
+        let (timed, timed_stats) = run_batch(ctx, queries, exec, Some(&mut timings));
+        assert!(timings.total() <= timed_stats.elapsed);
+        [
+            ("pooled", pooled, pooled_stats),
+            ("inline", inline, inline_stats),
+            ("timed", timed, timed_stats),
+        ]
+    }
+
     fn sorted_hits(mut hits: Vec<Neighbor>) -> Vec<u32> {
         hits.sort_by_key(|h| h.index);
         hits.iter().map(|h| h.index).collect()
@@ -1282,7 +1259,7 @@ mod tests {
                 };
                 let all: Vec<Vec<Neighbor>> = queries
                     .iter()
-                    .map(|q| execute_query(&radius_ctx, q, &mut scratch).0)
+                    .map(|q| run_one(&radius_ctx, q, &mut scratch).0)
                     .collect();
                 for k in [0, 1, 3, 10, n as usize, usize::MAX] {
                     let c = QueryContext {
@@ -1297,17 +1274,15 @@ mod tests {
                         .filter(|w| w[0].distance == w[1].distance)
                         .count();
                     for (q, want) in queries.iter().zip(&want) {
-                        let (got, stats) = execute_query(&c, q, &mut scratch);
+                        let (got, stats) = run_one(&c, q, &mut scratch);
                         assert_eq!(&got, want, "{label}, R = {radius}, k = {k}");
                         assert_eq!(stats.matches, got.len() as u64);
                     }
                     let at = format!("{label}, R = {radius}, k = {k}");
-                    let (piped, _) = execute_batch_pipelined(&c, &queries, &pool, &scratches);
-                    assert_eq!(piped, want, "pipelined: {at}");
-                    let (per_query, _) = execute_batch(&c, &queries, &pool, &scratches);
-                    assert_eq!(per_query, want, "per-query: {at}");
-                    let (profiled, _, _) = profile_batch(&c, &queries, &mut scratch);
-                    assert_eq!(profiled, want, "profiled: {at}");
+                    for (path, got, _) in every_exec(&c, &queries, &pool, &scratches, &mut scratch)
+                    {
+                        assert_eq!(got, want, "{path}: {at}");
+                    }
                 }
             }
         }
@@ -1370,7 +1345,7 @@ mod tests {
         let f = fixture(200, 1);
         let mut scratch = QueryScratch::new(f.m, f.half_bits, 200, f.data.dim());
         let q = f.data.row_vector(17);
-        let (hits, stats) = execute_query(&ctx(&f, QueryStrategy::optimized()), &q, &mut scratch);
+        let (hits, stats) = run_one(&ctx(&f, QueryStrategy::optimized()), &q, &mut scratch);
         assert!(hits.iter().any(|h| h.index == 17 && h.distance < 1e-3));
         assert!(stats.matches as usize == hits.len());
         assert!(stats.unique_candidates <= stats.collisions);
@@ -1387,14 +1362,14 @@ mod tests {
             let q = f.data.row_vector(qid);
             let mut answers = Vec::new();
             for (_, strategy) in QueryStrategy::ablation_levels() {
-                let (hits, _) = execute_query(&ctx(&f, strategy), &q, &mut scratch);
+                let (hits, _) = run_one(&ctx(&f, strategy), &q, &mut scratch);
                 answers.push(sorted_hits(hits));
-                // The batched SIMD pipeline is part of the invariant too.
-                let (batched, _) = execute_batch_pipelined(
+                // The pooled driver is part of the invariant too.
+                let (batched, _) = run_batch(
                     &ctx(&f, strategy),
                     std::slice::from_ref(&q),
-                    &pool,
-                    &scratches,
+                    Exec::Pool(&pool, &scratches),
+                    None,
                 );
                 answers.push(sorted_hits(batched.into_iter().next().unwrap()));
             }
@@ -1410,11 +1385,11 @@ mod tests {
         let mut scratch = QueryScratch::new(f.m, f.half_bits, 150, f.data.dim());
         let c = ctx(&f, QueryStrategy::optimized());
         let q0 = f.data.row_vector(0);
-        let (first, _) = execute_query(&c, &q0, &mut scratch);
+        let (first, _) = run_one(&c, &q0, &mut scratch);
         // Run a different query in between.
         let q1 = f.data.row_vector(75);
-        let _ = execute_query(&c, &q1, &mut scratch);
-        let (again, _) = execute_query(&c, &q0, &mut scratch);
+        let _ = run_one(&c, &q1, &mut scratch);
+        let (again, _) = run_one(&c, &q0, &mut scratch);
         assert_eq!(sorted_hits(first), sorted_hits(again));
     }
 
@@ -1429,7 +1404,7 @@ mod tests {
         deleted[42 / 64].fetch_or(1 << 42, Ordering::Relaxed);
         let mut c = ctx(&f, QueryStrategy::optimized());
         c.deleted = Some(&deleted);
-        let (hits, stats) = execute_query(&c, &q, &mut scratch);
+        let (hits, stats) = run_one(&c, &q, &mut scratch);
         assert!(!hits.iter().any(|h| h.index == 42));
         // Deleted candidate skipped before the distance computation.
         assert!(stats.distance_computations < stats.unique_candidates);
@@ -1442,14 +1417,17 @@ mod tests {
         let scratches = ScratchPool::new(f.m, f.half_bits, f.data.dim());
         let queries: Vec<SparseVector> = (0..20u32).map(|i| f.data.row_vector(i * 10)).collect();
         let c = ctx(&f, QueryStrategy::optimized());
-        let (batch, stats) = execute_batch(&c, &queries, &pool, &scratches);
+        let (batch, stats) = run_batch(&c, &queries, Exec::Pool(&pool, &scratches), None);
         assert_eq!(batch.len(), 20);
         assert_eq!(stats.queries, 20);
         let mut scratch = QueryScratch::new(f.m, f.half_bits, 250, f.data.dim());
+        let mut totals = QueryStats::default();
         for (q, got) in queries.iter().zip(&batch) {
-            let (expect, _) = execute_query(&c, q, &mut scratch);
-            assert_eq!(sorted_hits(got.clone()), sorted_hits(expect));
+            let (expect, expect_stats) = run_one(&c, q, &mut scratch);
+            assert_eq!(got, &expect);
+            totals.merge(&expect_stats);
         }
+        assert_eq!(stats.totals, totals);
     }
 
     #[test]
@@ -1459,7 +1437,7 @@ mod tests {
         let mut c = ctx(&f, QueryStrategy::optimized());
         c.radius = 1e-4;
         let q = f.data.row_vector(10);
-        let (hits, _) = execute_query(&c, &q, &mut scratch);
+        let (hits, _) = run_one(&c, &q, &mut scratch);
         for h in hits {
             assert!(h.distance <= 1e-4);
         }
@@ -1490,7 +1468,7 @@ mod tests {
         };
         let mut scratch = QueryScratch::new(4, 3, 0, dim);
         let q = SparseVector::unit(vec![(0, 1.0)]).unwrap();
-        let (hits, stats) = execute_query(&c, &q, &mut scratch);
+        let (hits, stats) = run_one(&c, &q, &mut scratch);
         assert!(hits.is_empty());
         assert_eq!(stats.collisions, 0);
     }
@@ -1529,16 +1507,26 @@ mod tests {
         let pool = ThreadPool::new(2);
         let scratches = ScratchPool::new(f.m, f.half_bits, f.data.dim());
         let queries: Vec<SparseVector> = (0..40u32).map(|i| f.data.row_vector(i * 6)).collect();
-        for (_, strategy) in QueryStrategy::ablation_levels() {
+        let mut scratch = QueryScratch::new(f.m, f.half_bits, 250, f.data.dim());
+        for (label, strategy) in QueryStrategy::ablation_levels() {
             let c = ctx(&f, strategy);
-            let (plain, plain_stats) = execute_batch(&c, &queries, &pool, &scratches);
-            let (piped, piped_stats) = execute_batch_pipelined(&c, &queries, &pool, &scratches);
-            assert_eq!(plain.len(), piped.len());
-            for (a, b) in plain.iter().zip(&piped) {
-                // Bit-identical: same ids AND same distances.
-                assert_eq!(a, b, "batched Q1 must not change any answer");
+            let mut plain = Vec::new();
+            let mut plain_stats = QueryStats::default();
+            for q in &queries {
+                let (hits, stats) = run_one(&c, q, &mut scratch);
+                plain.push(hits);
+                plain_stats.merge(&stats);
             }
-            assert_eq!(plain_stats.totals, piped_stats.totals);
+            for (path, piped, piped_stats) in
+                every_exec(&c, &queries, &pool, &scratches, &mut scratch)
+            {
+                // Bit-identical: same ids AND same distances.
+                assert_eq!(
+                    piped, plain,
+                    "batched Q1 must not change any answer: {path}, {label}"
+                );
+                assert_eq!(piped_stats.totals, plain_stats, "{path}, {label}");
+            }
         }
     }
 
@@ -1548,12 +1536,16 @@ mod tests {
         let pool = ThreadPool::new(1);
         let scratches = ScratchPool::new(f.m, f.half_bits, f.data.dim());
         let c = ctx(&f, QueryStrategy::optimized());
-        let (none, stats) = execute_batch_pipelined(&c, &[], &pool, &scratches);
-        assert!(none.is_empty());
-        assert_eq!(stats.queries, 0);
+        let mut scratch = QueryScratch::new(f.m, f.half_bits, 50, f.data.dim());
         let q = vec![f.data.row_vector(7)];
-        let (one, _) = execute_batch_pipelined(&c, &q, &pool, &scratches);
-        assert!(one[0].iter().any(|h| h.index == 7));
+        for (path, none, stats) in every_exec(&c, &[], &pool, &scratches, &mut scratch) {
+            assert!(none.is_empty(), "{path}");
+            assert_eq!(stats.queries, 0, "{path}");
+            assert_eq!(stats.totals, QueryStats::default(), "{path}");
+        }
+        for (path, one, _) in every_exec(&c, &q, &pool, &scratches, &mut scratch) {
+            assert!(one[0].iter().any(|h| h.index == 7), "{path}");
+        }
     }
 
     #[test]
@@ -1599,8 +1591,8 @@ mod tests {
             };
             for qid in [0u32, 149, 150, 199] {
                 let q = f.data.row_vector(qid);
-                let (a, a_stats) = execute_query(&full, &q, &mut scratch);
-                let (b, b_stats) = execute_query(&segmented, &q, &mut scratch);
+                let (a, a_stats) = run_one(&full, &q, &mut scratch);
+                let (b, b_stats) = run_one(&segmented, &q, &mut scratch);
                 assert_eq!(sorted_hits(a), sorted_hits(b), "{label}, query {qid}");
                 assert_eq!(a_stats, b_stats, "{label}, query {qid}");
                 // k-NN ranks identically too, distances included.
@@ -1616,8 +1608,8 @@ mod tests {
                         top_k,
                         ..segmented
                     };
-                    let (a, a_stats) = execute_query(&full, &q, &mut scratch);
-                    let (b, b_stats) = execute_query(&segmented, &q, &mut scratch);
+                    let (a, a_stats) = run_one(&full, &q, &mut scratch);
+                    let (b, b_stats) = run_one(&segmented, &q, &mut scratch);
                     assert_eq!(a, b, "{label}, query {qid}, {top_k:?}");
                     assert_eq!(a_stats, b_stats, "{label}, query {qid}, {top_k:?}");
                 }
@@ -1626,19 +1618,19 @@ mod tests {
     }
 
     #[test]
-    fn execute_query_into_reuses_owned_output() {
+    fn steady_state_queries_reuse_scratch_buffers() {
         let f = fixture(120, 11);
         let mut scratch = QueryScratch::new(f.m, f.half_bits, 120, f.data.dim());
         let c = ctx(&f, QueryStrategy::optimized());
         let q = f.data.row_vector(3);
-        let stats = execute_query_into(&c, &q, &mut scratch);
-        assert_eq!(stats.matches as usize, scratch.neighbors().len());
-        let first: Vec<Neighbor> = scratch.neighbors().to_vec();
-        let cap = scratch.out.capacity();
-        // Re-running the same query reuses the buffer without growing it.
-        execute_query_into(&c, &q, &mut scratch);
-        assert_eq!(scratch.neighbors(), &first[..]);
-        assert_eq!(scratch.out.capacity(), cap);
+        let (first, stats) = run_one(&c, &q, &mut scratch);
+        assert_eq!(stats.matches as usize, first.len());
+        let caps = |s: &QueryScratch| (s.acc.capacity(), s.sketches.capacity(), s.keys.capacity());
+        let before = caps(&scratch);
+        // Re-running the same query reuses Q1's buffers without growing them.
+        let (again, _) = run_one(&c, &q, &mut scratch);
+        assert_eq!(again, first);
+        assert_eq!(caps(&scratch), before);
     }
 
     /// The Q2→Q3 hand-off the candidate-list kernel replaced, kept as the
@@ -1652,8 +1644,12 @@ mod tests {
         scratch: &mut QueryScratch,
     ) -> (Vec<Neighbor>, QueryStats) {
         let mut stats = QueryStats::default();
-        let l_count = hash_query(ctx, query, scratch);
-        let keys = scratch.keys[..l_count].to_vec();
+        let mut acc = vec![0.0; ctx.planes.n_hashes() as usize];
+        let mut sketch = vec![0; ctx.m as usize];
+        let (idx, val) = (query.indices(), query.values());
+        SketchMatrix::sketch_one(ctx.planes, ctx.half_bits, idx, val, &mut acc, &mut sketch);
+        let mut keys = vec![0; allpairs::num_tables(ctx.m) as usize];
+        allpairs::table_keys(&sketch, ctx.half_bits, &mut keys);
         let mut words = vec![0u64; ctx.num_points().div_ceil(64)];
         let QueryScratch {
             half_keys,
@@ -1804,7 +1800,7 @@ mod tests {
                         let mut total = QueryStats::default();
                         for q in qs.iter() {
                             let (hits, stats) = ascending_extract_reference(c, q, &mut scratch);
-                            let (got, got_stats) = execute_query(c, q, &mut scratch);
+                            let (got, got_stats) = run_one(c, q, &mut scratch);
                             assert_eq!(bits(&got), bits(&hits), "{at}");
                             assert_eq!(got_stats, stats, "{at}");
                             filtered += stats.unique_candidates - stats.distance_computations;
@@ -1813,20 +1809,13 @@ mod tests {
                             total.merge(&stats);
                             want.push(hits);
                         }
-                        let (piped, piped_stats) =
-                            execute_batch_pipelined(c, qs, &pool, &scratches);
-                        let (per_query, per_query_stats) = execute_batch(c, qs, &pool, &scratches);
-                        let (profiled, _, profiled_stats) = profile_batch(c, qs, &mut scratch);
-                        for (path, got, stats) in [
-                            ("pipelined", piped, piped_stats.totals),
-                            ("per-query", per_query, per_query_stats.totals),
-                            ("profiled", profiled, profiled_stats),
-                        ] {
+                        for (path, got, stats) in every_exec(c, qs, &pool, &scratches, &mut scratch)
+                        {
                             for (g, w) in got.iter().zip(&want) {
                                 assert_eq!(bits(g), bits(w), "{path}: {at}");
                             }
                             assert_eq!(got.len(), want.len(), "{path}: {at}");
-                            assert_eq!(stats, total, "{path}: {at}");
+                            assert_eq!(stats.totals, total, "{path}: {at}");
                         }
                     }
                 }

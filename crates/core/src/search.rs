@@ -69,7 +69,6 @@ pub struct SearchRequest {
     collect_stats: bool,
     profile: bool,
     max_candidates: Option<usize>,
-    per_query_pipeline: bool,
     shard_deadline: Option<std::time::Duration>,
 }
 
@@ -79,8 +78,7 @@ impl SearchRequest {
         Self::batch(vec![q])
     }
 
-    /// A radius search for a batch of query vectors (answered through the
-    /// batched SIMD pipeline by default).
+    /// A radius search for a batch of query vectors.
     pub fn batch(queries: Vec<SparseVector>) -> Self {
         Self {
             queries,
@@ -90,7 +88,6 @@ impl SearchRequest {
             collect_stats: false,
             profile: false,
             max_candidates: None,
-            per_query_pipeline: false,
             shard_deadline: None,
         }
     }
@@ -128,9 +125,10 @@ impl SearchRequest {
     }
 
     /// Asks for per-phase (Q2/Q3) wall times in
-    /// [`SearchResponse::phase_timings`]. Profiled requests run the batch
-    /// *sequentially* so the phase timers stay meaningful (Figure 6);
-    /// answers are unchanged.
+    /// [`SearchResponse::phase_timings`]. A profiled request runs the same
+    /// query kernel with its stage timers on, on the calling thread, so
+    /// the phase times sum to no more than the batch's wall time (Figure
+    /// 6); answers and counters are unchanged.
     pub fn with_profiling(mut self) -> Self {
         self.profile = true;
         self.collect_stats = true;
@@ -157,15 +155,6 @@ impl SearchRequest {
     /// nothing to detach from).
     pub fn with_shard_deadline(mut self, deadline: std::time::Duration) -> Self {
         self.shard_deadline = Some(deadline);
-        self
-    }
-
-    /// Routes a batch through the per-query pipeline (one independent
-    /// Q1–Q4 task per query) instead of the batched SIMD pipeline —
-    /// the paper's Figure 5 measurement protocol. Answers are identical;
-    /// only speed differs.
-    pub fn per_query_pipeline(mut self) -> Self {
-        self.per_query_pipeline = true;
         self
     }
 
@@ -202,11 +191,6 @@ impl SearchRequest {
     /// The per-query candidate budget, if any.
     pub fn max_candidates(&self) -> Option<usize> {
         self.max_candidates
-    }
-
-    /// Whether the batch bypasses the batched SIMD pipeline.
-    pub fn uses_per_query_pipeline(&self) -> bool {
-        self.per_query_pipeline
     }
 
     /// The per-shard fan-out deadline, if any.
@@ -422,8 +406,7 @@ mod tests {
             .with_radius(1.2)
             .with_strategy(QueryStrategy::unoptimized())
             .with_stats()
-            .with_max_candidates(100)
-            .per_query_pipeline();
+            .with_max_candidates(100);
         assert_eq!(req.queries().len(), 2);
         assert_eq!(req.mode(), SearchMode::Knn(5));
         assert_eq!(req.radius_override(), Some(1.2));
@@ -431,7 +414,6 @@ mod tests {
         assert!(req.collects_stats());
         assert!(!req.profiles());
         assert_eq!(req.max_candidates(), Some(100));
-        assert!(req.uses_per_query_pipeline());
         assert!(req.validate(4).is_ok());
     }
 

@@ -216,7 +216,7 @@ impl StreamingEngine {
         self.engine.query(q)
     }
 
-    /// Answers a batch through the batched SIMD pipeline, all against one
+    /// Answers a batch through the query driver, all against one
     /// pinned epoch (thin convenience over [`search`](Self::search)).
     pub fn query_batch(&self, qs: &[SparseVector]) -> (Vec<Vec<Neighbor>>, BatchStats) {
         self.engine.query_batch(qs, &self.pool)

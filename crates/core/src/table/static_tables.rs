@@ -161,7 +161,7 @@ impl StaticTables {
 
     /// Hints the hardware to pull the **offsets slot** of bucket `key` of
     /// table `l` into cache. Paired with [`prefetch_bucket`](Self::prefetch_bucket)
-    /// in the batched pipeline's cross-query sweep: the offsets lines are
+    /// in the query driver's cross-query sweep: the offsets lines are
     /// requested first (non-blocking), then the second sweep reads them —
     /// by then largely in flight, with independent iterations overlapping
     /// the remaining latency — and prefetches the entry lines they point

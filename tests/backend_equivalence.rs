@@ -183,13 +183,11 @@ fn all_backends_answer_identically() {
     // across shards, so sharded backends are held to budget-honoring
     // assertions instead of bit-identity.
     let requests = [
-        // The batched SIMD pipeline (the default door).
+        // The default request.
         (SearchRequest::batch(qs.clone()), false),
-        // Per-query pipeline with the weakest strategy level.
+        // The weakest strategy level.
         (
-            SearchRequest::batch(qs.clone())
-                .per_query_pipeline()
-                .with_strategy(QueryStrategy::unoptimized()),
+            SearchRequest::batch(qs.clone()).with_strategy(QueryStrategy::unoptimized()),
             false,
         ),
         // Approximate k-NN with a global tie-break.
