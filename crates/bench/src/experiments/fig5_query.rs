@@ -3,105 +3,296 @@
 //! Paper ablation: "No optimizations" (STL-set dedup + naive sparse dot
 //! product) → "+bitvector" → "+optimized sparse DP" → "+sw prefetch" →
 //! "+large pages", for a cumulative 8.3× speedup.
+//!
+//! The engine ships only the last level, so the others are rebuilt here
+//! over one flat static index: [`query::reference`], `bitvector_query`
+//! twice, then the shipped kernel before and after the tables' huge-page
+//! advice. Each answers every query as the reference does, bit for bit.
 
-use std::time::Duration;
+use std::time::Instant;
 
-use plsh_core::query::QueryStrategy;
-use plsh_core::SearchRequest;
+use plsh_core::dedup::CandidateSet;
+use plsh_core::hash::{allpairs, SketchMatrix};
+use plsh_core::query::{self, Exec, Neighbor, QueryContext, ScratchPool, SignatureBound};
+use plsh_core::simd;
+use plsh_core::sparse::{angular_from_dot, dot_sorted, SparseVector};
+use plsh_core::stats::{BatchStats, QueryStats};
+use plsh_parallel::ThreadPool;
 
-use crate::setup::{ms, Fixture};
-
-/// One ablation level of Figure 5.
-#[derive(Debug, Clone)]
-pub struct Level {
-    /// Paper label.
-    pub name: &'static str,
-    /// Batch time over the fixture's query set.
-    pub batch_time: Duration,
-    /// Mean candidates per query whose distance Q3 decided.
-    pub distance_computations: f64,
-    /// Mean candidates per query whose row Q3 loaded (the rest the
-    /// signature bound ruled out).
-    pub rows_loaded: f64,
-}
+use crate::setup::{ms, Fixture, StaticIndex};
 
 /// The measured ablation.
 #[derive(Debug, Clone)]
 pub struct Fig5 {
-    /// Levels in cumulative order.
-    pub levels: Vec<Level>,
-    /// Queries per batch.
-    pub queries: usize,
+    /// Each level's paper label and measured batch, in cumulative order.
+    pub levels: Vec<(&'static str, BatchStats)>,
+    /// Huge-page hints issued before "+large pages".
+    pub huge_page_hints: usize,
 }
 
-/// Runs the five query configurations against a fully static engine.
+/// How a level runs Q1–Q4: [`query::reference`], `bitvector_query` or
+/// the shipped [`query::run_batch`].
+#[derive(Debug, Clone, Copy)]
+enum Kernel {
+    Reference,
+    Bitvector { masked_dot: bool },
+    Shipped,
+}
+
+/// The levels before "+large pages", which reruns `Kernel::Shipped`.
+const LEVELS: [(&str, Kernel); 4] = [
+    ("No optimizations", Kernel::Reference),
+    ("+bitvector", Kernel::Bitvector { masked_dot: false }),
+    (
+        "+optimized sparse DP",
+        Kernel::Bitvector { masked_dot: true },
+    ),
+    ("+sw prefetch", Kernel::Shipped),
+];
+
+/// Runs the five query configurations against a flat static index.
 pub fn run(f: &Fixture) -> Fig5 {
-    let engine = f.static_engine();
+    let index = StaticIndex::build(f.corpus.vectors(), &f.params, &f.pool);
     let queries = f.query_vecs();
-    let levels = QueryStrategy::ablation_levels()
-        .into_iter()
-        .map(|(name, strategy)| {
-            // Warm-up pass, then the measured pass. The ablation level is a
-            // request field; the batch runs the shipped pipeline.
-            let warm = SearchRequest::batch(queries[..queries.len().min(32)].to_vec())
-                .with_strategy(strategy);
-            let _ = engine
-                .search(&warm, &f.pool)
-                .expect("valid warm-up request");
-            let req = SearchRequest::batch(queries.to_vec())
-                .with_strategy(strategy)
-                .with_stats();
-            let stats = engine
-                .search(&req, &f.pool)
-                .expect("valid ablation request")
-                .stats
-                .expect("stats requested");
-            Level {
-                name,
-                batch_time: stats.elapsed,
-                distance_computations: stats.avg_distance_computations(),
-                rows_loaded: stats.avg_rows_loaded(),
-            }
-        })
-        .collect();
+    let measure = |name, kernel| {
+        // Warm-up pass, then the measured pass.
+        let warm = &queries[..queries.len().min(32)];
+        let _ = run_kernel(kernel, &index.context(), warm, &f.pool);
+        (
+            name,
+            run_kernel(kernel, &index.context(), queries, &f.pool).1,
+        )
+    };
+    let mut levels: Vec<_> = LEVELS.iter().map(|&(n, k)| measure(n, k)).collect();
+    let huge_page_hints = index.tables.advise_huge_pages();
+    levels.push(measure("+large pages", Kernel::Shipped));
     Fig5 {
         levels,
-        queries: queries.len(),
+        huge_page_hints,
     }
+}
+
+/// Runs `queries` through `kernel` on `pool`, 8 queries per task: each
+/// query's answer, and the batch's counters and wall time.
+fn run_kernel(
+    kernel: Kernel,
+    ctx: &QueryContext<'_>,
+    queries: &[SparseVector],
+    pool: &ThreadPool,
+) -> (Vec<Vec<Neighbor>>, BatchStats) {
+    let start = Instant::now();
+    if let Kernel::Shipped = kernel {
+        let scratches = ScratchPool::new(ctx.m, ctx.half_bits, ctx.static_data.dim());
+        return query::run_batch(ctx, queries, Exec::Pool(pool, &scratches), None);
+    }
+    let chunks = pool.parallel_map(queries.chunks(8), |chunk| {
+        let mut scratch = None;
+        let run = |q| match kernel {
+            Kernel::Bitvector { masked_dot } => {
+                let s = scratch.get_or_insert_with(|| BitvectorScratch::new(ctx));
+                bitvector_query(ctx, q, masked_dot, s)
+            }
+            _ => query::reference(ctx, q),
+        };
+        chunk.iter().map(run).collect::<Vec<_>>()
+    });
+    let (answers, per_query): (_, Vec<_>) = chunks.into_iter().flatten().unzip();
+    let mut stats = BatchStats {
+        queries: queries.len() as u64,
+        ..BatchStats::default()
+    };
+    per_query.iter().for_each(|q| stats.totals.merge(q));
+    stats.elapsed = start.elapsed();
+    (answers, stats)
+}
+
+/// One worker's buffers for [`bitvector_query`].
+struct BitvectorScratch {
+    cand: CandidateSet,
+    /// Query bitvector over the vocabulary (Section 5.2.3), and the
+    /// query's values at the positions it flags.
+    qmask: Vec<u64>,
+    qvals: Vec<f32>,
+}
+
+impl BitvectorScratch {
+    fn new(ctx: &QueryContext<'_>) -> Self {
+        let dim = ctx.static_data.dim() as usize;
+        Self {
+            cand: CandidateSet::new(ctx.num_points()),
+            qmask: vec![0; dim.div_ceil(64)],
+            qvals: vec![0.0; dim],
+        }
+    }
+}
+
+/// One radius query at "+bitvector" (a [`CandidateSet`] for the tree
+/// set) or, with `masked_dot`, "+optimized sparse DP" (each candidate
+/// held to the radius's dot floor by its [`SignatureBound`], then its
+/// masked dot, before the exact dot), over an all-static `ctx` with
+/// nothing deleted or retired. No prefetch; hits sorted by id.
+fn bitvector_query(
+    ctx: &QueryContext<'_>,
+    q: &SparseVector,
+    masked_dot: bool,
+    s: &mut BitvectorScratch,
+) -> (Vec<Neighbor>, QueryStats) {
+    debug_assert!(ctx.deltas.is_empty() && ctx.deleted.is_none() && ctx.retired_below == 0);
+    let (idx, val) = (q.indices(), q.values());
+    let mut acc = vec![0.0; ctx.planes.n_hashes() as usize];
+    let mut sketch = vec![0; ctx.m as usize];
+    SketchMatrix::sketch_one(ctx.planes, ctx.half_bits, idx, val, &mut acc, &mut sketch);
+    let mut keys = vec![0; allpairs::num_tables(ctx.m) as usize];
+    allpairs::table_keys(&sketch, ctx.half_bits, &mut keys);
+    let tables = ctx.static_tables.expect("a static index");
+    let mut stats = QueryStats::default();
+    for (l, &key) in keys.iter().enumerate() {
+        let bucket = tables.bucket(l, key);
+        stats.collisions += bucket.len() as u64;
+        for &id in bucket {
+            s.cand.insert(id);
+        }
+    }
+    stats.unique_candidates = s.cand.len() as u64;
+    stats.distance_computations = stats.unique_candidates;
+
+    let floor = query::dot_floor(ctx.radius);
+    let bound = SignatureBound::new(q, floor);
+    if masked_dot {
+        for (&d, &v) in idx.iter().zip(val) {
+            s.qmask[(d >> 6) as usize] |= 1 << (d & 63);
+            s.qvals[d as usize] = v;
+        }
+    }
+    let mut hits = Vec::new();
+    for &id in s.cand.candidates() {
+        if masked_dot && bound.rules_out(ctx.signature(id)) {
+            continue;
+        }
+        stats.rows_loaded += 1;
+        let (row_idx, row_val) = ctx.row(id);
+        if masked_dot && simd::dot_via_mask(row_idx, row_val, &s.qmask, &s.qvals) < floor {
+            continue;
+        }
+        let distance = angular_from_dot(dot_sorted(row_idx, row_val, idx, val));
+        if distance <= ctx.radius {
+            hits.push(Neighbor {
+                index: id,
+                distance,
+            });
+        }
+    }
+    idx.iter().for_each(|&d| s.qmask[(d >> 6) as usize] = 0);
+    s.cand.clear();
+    hits.sort_unstable_by_key(|h| h.index);
+    stats.matches = hits.len() as u64;
+    (hits, stats)
 }
 
 impl Fig5 {
     /// Cumulative speedup of the last level over the first.
     pub fn total_speedup(&self) -> f64 {
-        self.levels[0].batch_time.as_secs_f64()
-            / self.levels.last().unwrap().batch_time.as_secs_f64()
+        self.levels[0].1.elapsed.as_secs_f64() / self.levels[4].1.elapsed.as_secs_f64()
     }
 
     /// Prints the figure as a table.
     pub fn print(&self) {
         println!(
             "## Figure 5 — PLSH query performance breakdown ({} queries)\n",
-            self.queries
+            self.levels[0].1.queries
         );
         println!(
             "| Configuration | Batch time | Per query | Speedup vs no-opt | Distances / query | Rows loaded / query |"
         );
         println!("|---|---:|---:|---:|---:|---:|");
-        let base = self.levels[0].batch_time.as_secs_f64();
-        for l in &self.levels {
+        let base = self.levels[0].1.elapsed.as_secs_f64();
+        for (name, l) in &self.levels {
             println!(
                 "| {} | {:.0} ms | {:.3} ms | {:.2}x | {:.1} | {:.1} |",
-                l.name,
-                ms(l.batch_time),
-                ms(l.batch_time) / self.queries as f64,
-                base / l.batch_time.as_secs_f64().max(1e-12),
-                l.distance_computations,
-                l.rows_loaded,
+                name,
+                ms(l.elapsed),
+                ms(l.avg_latency()),
+                base / l.elapsed.as_secs_f64().max(1e-12),
+                l.avg_distance_computations(),
+                l.avg_rows_loaded(),
             );
         }
+        let zero = " (no table array spans a 2 MB page, so the last row reruns the one before)";
+        println!(
+            "\nHuge-page hints issued before \"+large pages\": {}{}",
+            self.huge_page_hints,
+            if self.huge_page_hints == 0 { zero } else { "" }
+        );
         println!(
             "\nCumulative speedup: {:.2}x (paper: 8.3x)\n",
             self.total_speedup()
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::setup::Scale;
+    use plsh_core::params::PlshParams;
+    use plsh_workload::{CorpusConfig, QuerySet, SyntheticCorpus};
+
+    #[test]
+    fn every_level_answers_like_the_reference() {
+        let corpus = SyntheticCorpus::generate(CorpusConfig::tiny(600, 4));
+        let f = Fixture {
+            queries: QuerySet::sample_from_corpus(&corpus, 40, 5),
+            params: PlshParams::builder(corpus.dim())
+                .k(8)
+                .m(8)
+                .radius(0.9)
+                .seed(6)
+                .build()
+                .unwrap(),
+            pool: ThreadPool::new(2),
+            scale: Scale::Quick,
+            corpus,
+        };
+        let index = StaticIndex::build(f.corpus.vectors(), &f.params, &f.pool);
+        let queries = f.query_vecs();
+        let ctx = index.context();
+        let bits = |answers: &[Vec<Neighbor>]| -> Vec<Vec<(u32, u32)>> {
+            answers
+                .iter()
+                .map(|hits| {
+                    hits.iter()
+                        .map(|h| (h.index, h.distance.to_bits()))
+                        .collect()
+                })
+                .collect()
+        };
+        let (want, want_stats) = run_kernel(Kernel::Reference, &ctx, queries, &f.pool);
+        assert!(
+            want_stats.totals.matches >= queries.len() as u64,
+            "each query finds itself"
+        );
+        let mut runs: Vec<(&str, Vec<Vec<Neighbor>>, BatchStats)> = LEVELS
+            .iter()
+            .map(|&(name, kernel)| {
+                let (answers, stats) = run_kernel(kernel, &ctx, queries, &f.pool);
+                (name, answers, stats)
+            })
+            .collect();
+        index.tables.advise_huge_pages();
+        let (answers, stats) = run_kernel(Kernel::Shipped, &ctx, queries, &f.pool);
+        runs.push(("+large pages", answers, stats));
+        for (name, answers, stats) in runs {
+            assert_eq!(bits(&answers), bits(&want), "{name}");
+            let (got, expect) = (stats.totals, want_stats.totals);
+            assert_eq!(stats.queries, want_stats.queries, "{name}");
+            assert_eq!(got.collisions, expect.collisions, "{name}");
+            assert_eq!(got.unique_candidates, expect.unique_candidates, "{name}");
+            assert_eq!(
+                got.distance_computations, expect.distance_computations,
+                "{name}"
+            );
+            assert_eq!(got.matches, expect.matches, "{name}");
+            assert!(got.rows_loaded <= expect.rows_loaded, "{name}");
+        }
     }
 }

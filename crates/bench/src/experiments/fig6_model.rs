@@ -10,15 +10,13 @@
 
 use std::time::Duration;
 
-use plsh_core::hash::{Hyperplanes, SketchMatrix};
 use plsh_core::model::{relative_error, MachineProfile, PerformanceModel};
 use plsh_core::params::PlshParams;
-use plsh_core::query::{self, Exec, QueryContext, QueryPhaseTimings, QueryScratch, QueryStrategy};
-use plsh_core::sparse::CrsMatrix;
-use plsh_core::table::{BuildStrategy, StaticTables};
+use plsh_core::query::{self, Exec, QueryPhaseTimings, QueryScratch};
+use plsh_core::sparse::SparseVector;
 use plsh_workload::{CorpusConfig, QuerySet, SyntheticCorpus};
 
-use crate::setup::{ms, Fixture, Scale};
+use crate::setup::{ms, Fixture, Scale, StaticIndex};
 
 /// A (label, estimated, actual) comparison row.
 #[derive(Debug, Clone)]
@@ -79,14 +77,12 @@ pub struct Fig6 {
 pub fn run(f: &Fixture) -> Fig6 {
     let machine = MachineProfile::calibrate(&f.pool, 2.6e9);
 
+    // Each index is dropped before the next dataset is built.
     let twitter = run_dataset(
         "Twitter-like",
-        f.corpus.vectors(),
-        f.corpus.dim(),
+        &StaticIndex::build(f.corpus.vectors(), &f.params, &f.pool),
         f.query_vecs(),
-        &f.params,
         machine,
-        f,
     );
 
     // Wikipedia-like corpus: longer docs, own queries, same (k, m).
@@ -107,12 +103,9 @@ pub fn run(f: &Fixture) -> Fig6 {
         .expect("valid parameters");
     let wikipedia = run_dataset(
         "Wikipedia-like",
-        wiki.vectors(),
-        wiki.dim(),
+        &StaticIndex::build(wiki.vectors(), &wiki_params, &f.pool),
         wiki_queries.queries(),
-        &wiki_params,
         machine,
-        f,
     );
 
     Fig6 {
@@ -121,54 +114,24 @@ pub fn run(f: &Fixture) -> Fig6 {
     }
 }
 
+/// Compares the model with `index`'s measured creation and with `queries`
+/// run over it.
 fn run_dataset(
     dataset: &'static str,
-    docs: &[plsh_core::sparse::SparseVector],
-    dim: u32,
-    queries: &[plsh_core::sparse::SparseVector],
-    params: &PlshParams,
+    index: &StaticIndex,
+    queries: &[SparseVector],
     machine: MachineProfile,
-    f: &Fixture,
 ) -> DatasetComparison {
     let model = PerformanceModel::new(machine);
-
-    // ---- Creation: measured.
-    let mut corpus = CrsMatrix::with_capacity(dim, docs.len(), 8);
-    for v in docs {
-        corpus.push(v).expect("corpus fits its dim");
-    }
-    let planes = Hyperplanes::new_dense(dim, params.num_hashes(), params.seed(), &f.pool);
-    let t0 = std::time::Instant::now();
-    let mut sk = SketchMatrix::new(params.m(), params.half_bits());
-    sk.append_from(&corpus, &planes, 0, &f.pool, true);
-    let hashing_actual = t0.elapsed();
-    let (tables, timings) = StaticTables::build_instrumented(
-        &sk,
-        sk.num_points(),
-        BuildStrategy::TwoLevelShared,
-        &f.pool,
-    );
+    let (corpus, params) = (&index.corpus, &index.params);
 
     // ---- Creation: modeled.
     let est = model.predict_creation(corpus.num_rows(), corpus.avg_nnz(), params);
 
     // ---- Query: measured (sequential, timers on).
-    let ctx = QueryContext {
-        static_data: &corpus,
-        planes: &planes,
-        static_tables: Some(&tables),
-        deltas: &[],
-        deleted: None,
-        base: 0,
-        retired_below: 0,
-        m: params.m(),
-        half_bits: params.half_bits(),
-        radius: params.radius() as f32,
-        strategy: QueryStrategy::optimized(),
-        max_candidates: usize::MAX,
-        top_k: None,
-    };
-    let mut scratch = QueryScratch::new(params.m(), params.half_bits(), corpus.num_rows(), dim);
+    let ctx = index.context();
+    let (m, half_bits) = (params.m(), params.half_bits());
+    let mut scratch = QueryScratch::new(m, half_bits, corpus.num_rows(), corpus.dim());
     let warm = queries.len().min(32);
     let _ = query::run_batch(&ctx, &queries[..warm], Exec::Inline(&mut scratch), None);
     let mut qt = QueryPhaseTimings::default();
@@ -187,42 +150,26 @@ fn run_dataset(
     let qest =
         seq_model.predict_query_batch(nq, corpus.num_rows(), corpus.avg_nnz(), e_coll, e_uniq);
 
+    let rows = |rows: &[(&'static str, Duration, Duration)]| -> Vec<Comparison> {
+        let row = |&(name, estimated, actual)| Comparison {
+            name,
+            estimated,
+            actual,
+        };
+        rows.iter().map(row).collect()
+    };
     DatasetComparison {
         dataset,
-        creation: vec![
-            Comparison {
-                name: "Hashing",
-                estimated: est.hashing,
-                actual: hashing_actual,
-            },
-            Comparison {
-                name: "Step I1",
-                estimated: est.step_i1,
-                actual: timings.step_i1,
-            },
-            Comparison {
-                name: "Step I2",
-                estimated: est.step_i2,
-                actual: timings.step_i2,
-            },
-            Comparison {
-                name: "Step I3",
-                estimated: est.step_i3,
-                actual: timings.step_i3,
-            },
-        ],
-        query: vec![
-            Comparison {
-                name: "Bitvector (Step Q2)",
-                estimated: qest.step_q2,
-                actual: qt.step_q2,
-            },
-            Comparison {
-                name: "Search (Step Q3)",
-                estimated: qest.step_q3,
-                actual: qt.step_q3,
-            },
-        ],
+        creation: rows(&[
+            ("Hashing", est.hashing, index.hashing),
+            ("Step I1", est.step_i1, index.build.step_i1),
+            ("Step I2", est.step_i2, index.build.step_i2),
+            ("Step I3", est.step_i3, index.build.step_i3),
+        ]),
+        query: rows(&[
+            ("Bitvector (Step Q2)", qest.step_q2, qt.step_q2),
+            ("Search (Step Q3)", qest.step_q3, qt.step_q3),
+        ]),
     }
 }
 

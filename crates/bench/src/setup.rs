@@ -1,8 +1,13 @@
 //! Shared experiment fixtures: corpus, queries, engines, and scale presets.
 
+use std::time::{Duration, Instant};
+
 use plsh_core::engine::{Engine, EngineConfig};
+use plsh_core::hash::{Hyperplanes, SketchMatrix};
 use plsh_core::params::PlshParams;
-use plsh_core::sparse::SparseVector;
+use plsh_core::query::QueryContext;
+use plsh_core::sparse::{CrsMatrix, SparseVector};
+use plsh_core::table::{BuildStrategy, BuildTimings, StaticTables};
 use plsh_parallel::ThreadPool;
 use plsh_workload::{CorpusConfig, QuerySet, SyntheticCorpus};
 
@@ -114,6 +119,72 @@ impl Fixture {
             .expect("corpus fits engine capacity");
         e.merge_delta(&self.pool);
         e
+    }
+}
+
+/// A flat all-static index built with no engine, its tables given no
+/// huge-page advice; Figures 5 and 6 query it through
+/// [`context`](Self::context).
+pub struct StaticIndex {
+    /// The documents, one row each.
+    pub corpus: CrsMatrix,
+    /// The hash family.
+    pub planes: Hyperplanes,
+    /// The tables over every row.
+    pub tables: StaticTables,
+    /// Wall time of hashing the corpus.
+    pub hashing: Duration,
+    /// Wall time of each table-construction step.
+    pub build: BuildTimings,
+    /// The parameters it was built under.
+    pub params: PlshParams,
+}
+
+impl StaticIndex {
+    /// Hashes `docs` under `params` and builds their tables on `pool`.
+    pub fn build(docs: &[SparseVector], params: &PlshParams, pool: &ThreadPool) -> Self {
+        let dim = params.dim();
+        let mut corpus = CrsMatrix::with_capacity(dim, docs.len(), 8);
+        for v in docs {
+            corpus.push(v).expect("corpus fits its dim");
+        }
+        let planes = Hyperplanes::new_dense(dim, params.num_hashes(), params.seed(), pool);
+        let t0 = Instant::now();
+        let mut sk = SketchMatrix::new(params.m(), params.half_bits());
+        sk.append_from(&corpus, &planes, 0, pool, true);
+        let hashing = t0.elapsed();
+        let (tables, build) = StaticTables::build_instrumented(
+            &sk,
+            sk.num_points(),
+            BuildStrategy::TwoLevelShared,
+            pool,
+        );
+        Self {
+            corpus,
+            planes,
+            tables,
+            hashing,
+            build,
+            params: params.clone(),
+        }
+    }
+
+    /// One epoch of every row: radius `R`, nothing deleted, no budget.
+    pub fn context(&self) -> QueryContext<'_> {
+        QueryContext {
+            static_data: &self.corpus,
+            planes: &self.planes,
+            static_tables: Some(&self.tables),
+            deltas: &[],
+            deleted: None,
+            m: self.params.m(),
+            half_bits: self.params.half_bits(),
+            radius: self.params.radius() as f32,
+            base: 0,
+            retired_below: 0,
+            max_candidates: usize::MAX,
+            top_k: None,
+        }
     }
 }
 

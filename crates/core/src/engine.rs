@@ -51,7 +51,7 @@ use crate::hash::{Hyperplanes, HyperplanesKind};
 use crate::health::HealthReport;
 use crate::params::PlshParams;
 use crate::query::{
-    self, BatchStats, Exec, Neighbor, QueryContext, QueryPhaseTimings, QueryStrategy, ScratchPool,
+    self, BatchStats, Exec, Neighbor, QueryContext, QueryPhaseTimings, ScratchPool,
 };
 use crate::search::{SearchBackend, SearchHit, SearchMode, SearchRequest, SearchResponse};
 use crate::sparse::{CrsMatrix, SparseVector};
@@ -69,8 +69,6 @@ pub struct EngineConfig {
     pub eta: f64,
     /// Whether inserts trigger merges automatically at `η·C`.
     pub auto_merge: bool,
-    /// Query pipeline switches (Figure 5 ablation).
-    pub query_strategy: QueryStrategy,
     /// Hyperplane storage (dense or on-the-fly).
     pub hyperplanes: HyperplanesKind,
     /// Vectorization-friendly hashing kernel (Figure 4 "+vectorization").
@@ -157,7 +155,6 @@ impl EngineConfig {
             capacity,
             eta: 0.1,
             auto_merge: true,
-            query_strategy: QueryStrategy::optimized(),
             hyperplanes: HyperplanesKind::Dense,
             vectorized_hashing: true,
             seal_min_points: 1,
@@ -181,12 +178,6 @@ impl EngineConfig {
     /// Disables automatic merging (callers merge explicitly).
     pub fn manual_merge(mut self) -> Self {
         self.auto_merge = false;
-        self
-    }
-
-    /// Overrides the query strategy.
-    pub fn with_query_strategy(mut self, s: QueryStrategy) -> Self {
-        self.query_strategy = s;
         self
     }
 
@@ -1074,9 +1065,9 @@ impl Engine {
                 stepper.finish()
             }
         };
-        if self.config.query_strategy.huge_pages {
-            statics.advise_huge_pages();
-        }
+        // Figure 5's "+large pages" (Section 5.2.2), behind the tables'
+        // own size gate.
+        statics.advise_huge_pages();
         // Build time is working time: pacing sleeps are reported
         // separately so merge cost stays comparable across both paths.
         let build = t0.elapsed().saturating_sub(yielded);
@@ -1517,15 +1508,14 @@ impl Engine {
             radius: self.config.params.radius() as f32,
             base: view.static_base,
             retired_below: view.retired_below,
-            strategy: self.config.query_strategy,
             max_candidates: usize::MAX,
             top_k: None,
         }
     }
 
     /// Answers one [`SearchRequest`] — radius or k-NN, one query or a
-    /// batch, with optional per-request radius/strategy overrides,
-    /// candidate budget, counters, and phase profiling. This is the typed
+    /// batch, with an optional per-request radius override, candidate
+    /// budget, counters, and phase profiling. This is the typed
     /// entry point every other query convenience delegates to; the whole
     /// request runs against one pinned epoch
     /// ([`SearchResponse::epoch`]).
@@ -1546,9 +1536,6 @@ impl Engine {
             retired_below: view.retired_below,
         };
         let mut ctx = self.view_ctx(&view);
-        if let Some(s) = req.strategy_override() {
-            ctx.strategy = s;
-        }
         if let Some(r) = req.radius_override() {
             ctx.radius = r;
         }
@@ -2115,9 +2102,8 @@ mod tests {
             pairs
         };
 
-        // The plain, profiled, weakest-strategy and budgeted requests
-        // answer identically through one request type — bit for bit,
-        // distances included.
+        // The plain, profiled and budgeted requests answer identically
+        // through one request type — bit for bit, distances included.
         let base = e
             .search(&SearchRequest::batch(queries.clone()).with_stats(), &pool)
             .unwrap();
@@ -2126,7 +2112,6 @@ mod tests {
         assert_eq!(epoch.visible_points, 200);
         for req in [
             SearchRequest::batch(queries.clone()).with_profiling(),
-            SearchRequest::batch(queries.clone()).with_strategy(QueryStrategy::unoptimized()),
             SearchRequest::batch(queries.clone()).with_max_candidates(usize::MAX - 1),
         ] {
             let resp = e.search(&req, &pool).unwrap();
@@ -2137,16 +2122,24 @@ mod tests {
             assert_eq!(resp.phase_timings.is_some(), req.profiles());
         }
 
-        // At every ablation level, profiling only adds timers: the same
-        // answers in the same order, the same counters, and phase times
-        // within the batch's wall time.
+        // Profiling only adds timers: the same answers in the same order,
+        // the same counters, and phase times within the batch's wall time.
+        // Each answer, radius or k-NN, is the reference kernel's over the
+        // same epoch, bit for bit.
         let bits = |hits: &[SearchHit]| -> Vec<(u32, u32)> {
             hits.iter()
                 .map(|h| (h.index, h.distance.to_bits()))
                 .collect()
         };
-        for (label, strategy) in QueryStrategy::ablation_levels() {
-            let req = SearchRequest::batch(queries.clone()).with_strategy(strategy);
+        let (view, _) = e.epoch.load();
+        for (label, req, top_k) in [
+            ("radius", SearchRequest::batch(queries.clone()), None),
+            (
+                "k-NN",
+                SearchRequest::batch(queries.clone()).top_k(4),
+                Some(4),
+            ),
+        ] {
             let plain = e.search(&req.clone().with_stats(), &pool).unwrap();
             let profiled = e.search(&req.with_profiling(), &pool).unwrap();
             for (a, b) in profiled.results.iter().zip(&plain.results) {
@@ -2158,6 +2151,19 @@ mod tests {
             assert_eq!(stats.totals, plain_stats.totals, "{label}");
             let timings = profiled.phase_timings.expect("profiled");
             assert!(timings.total() <= stats.elapsed, "{label}");
+            let mut ctx = e.view_ctx(&view);
+            if top_k.is_some() {
+                ctx.radius = std::f32::consts::PI;
+                ctx.top_k = top_k;
+            }
+            for (q, got) in queries.iter().zip(&plain.results) {
+                let want: Vec<(u32, u32)> = query::reference(&ctx, q)
+                    .0
+                    .iter()
+                    .map(|h| (h.index, h.distance.to_bits()))
+                    .collect();
+                assert_eq!(bits(got), want, "{label}");
+            }
         }
 
         // Radius override: π reports every candidate, tiny radius only

@@ -15,7 +15,7 @@
 //! | [`table`] | 5.1.2, 6.1 | static two-level partitioned tables, table-free delta generations |
 //! | [`simd`] | 5.1.1, 5.2.3 | runtime-dispatched SIMD kernels for hashing and dot products |
 //! | [`dedup`] | 5.2.1 | bitvector duplicate elimination |
-//! | [`query`] | 5.2 | the Q1–Q4 query pipeline with ablation switches |
+//! | [`query`] | 5.2 | the Q1–Q4 query pipeline, and its unoptimized reference |
 //! | [`engine`] | 4, 6 | single-node engine: epoch-swapped static tables + sealed delta generations + deletions + merge |
 //! | [`streaming`] | 4, 6 | shared-read streaming handle: concurrent ingest ‖ query ‖ background merge |
 //! | [`persist`] | — | durable WAL + segment-per-generation persistence and startup recovery |
@@ -71,7 +71,7 @@ pub use hash::{Hyperplanes, HyperplanesKind, SketchMatrix};
 pub use health::{HealthReport, WorkerHealth};
 pub use params::{ParamCandidate, ParamSelection, PlshParams, PlshParamsBuilder};
 pub use persist::RecoveredState;
-pub use query::{BatchStats, Neighbor, QueryPhaseTimings, QueryStats, QueryStrategy};
+pub use query::{BatchStats, Neighbor, QueryPhaseTimings, QueryStats};
 pub use search::{SearchBackend, SearchHit, SearchMode, SearchRequest, SearchResponse};
 pub use snapshot::Snapshot;
 pub use sparse::{CrsMatrix, SparseVector};

@@ -14,36 +14,36 @@
 //!   bitvector's discovery-order candidate list is what Q3 walks; no path
 //!   scans the bitvector itself, so Q2 costs `O(L + collisions)` whatever
 //!   the resident span.
-//! * **Q3** — decide each unique candidate's distance. Every stored row
-//!   carries a 64-bit vocabulary signature, and the query's weight on the
-//!   signature bits it shares with a row bounds their dot product
-//!   ([`SignatureBound`], exact, so answers do not change). With
-//!   `candidate_array` on, a first pass drops retired, deleted and
-//!   bounded-out candidates from one 8-byte load each; a second pass
-//!   loads the survivors' rows, computes a masked dot product, and the
-//!   exact distance only for candidates that dot cannot rule out. Other
-//!   levels apply the same bound inline. `QueryStats::distance_computations`
-//!   counts every candidate decided either way, `QueryStats::rows_loaded`
-//!   those that needed their row.
+//! * **Q3** — decide each unique candidate's distance, in two passes.
+//!   Every stored row carries a 64-bit vocabulary signature, and the
+//!   query's weight on the signature bits it shares with a row bounds
+//!   their dot product ([`SignatureBound`], exact, so answers do not
+//!   change). The first pass drops retired, deleted and bounded-out
+//!   candidates from one 8-byte load each; the second loads the
+//!   survivors' rows, computes a masked dot product, and the exact
+//!   distance only for candidates that dot cannot rule out.
+//!   `QueryStats::distance_computations` counts every candidate decided
+//!   either way, `QueryStats::rows_loaded` those that needed their row.
 //! * **Q4** — emit candidates within the radius (cheap), or, for a k-NN
 //!   query, keep the `k` closest in a bounded heap. Its root, the running
 //!   k-th neighbour, raises Q3's prefilter floor, so most candidates of a
 //!   k-NN query cost one masked dot and are never ranked.
 //!
-//! The [`QueryStrategy`] switches reproduce the Figure 5 ablation:
+//! A radius query reports its hits in ascending id order, a k-NN query
+//! ascending by `(distance, id)`.
 //!
-//! | level | switch | paper optimization |
-//! |---|---|---|
-//! | 0 | none | "No optimizations" (tree-set dedup, merge-join dot product) |
-//! | 1 | `bitvector_dedup` | "+bitvector" (Section 5.2.1) |
-//! | 2 | `optimized_sparse_dot` | "+optimized sparse DP" (Section 5.2.3) |
-//! | 3 | `candidate_array` | "+sw prefetch" (Section 5.2.2): prefetch over the candidate list |
-//! | 4 | `huge_pages` | "+large pages" (2 MB pages for the data table) |
+//! The shipped kernel has all four of the paper's query optimizations on,
+//! with no switch to turn one off:
 //!
-//! A radius query reports its hits in ascending id order at levels 0, 3
-//! and 4, and under any candidate budget; levels 1 and 2 report them in
-//! bucket-discovery order. A k-NN query reports ascending by
-//! `(distance, id)` at every level.
+//! | paper optimization | here |
+//! |---|---|
+//! | "+bitvector" (Section 5.2.1) | [`CandidateSet`] dedup in Q2 |
+//! | "+optimized sparse DP" (Section 5.2.3) | query-side bitvector, masked dot, signature bound |
+//! | "+sw prefetch" (Section 5.2.2) | bucket prefetch (this query's and the next's), signature and row prefetch in Q3 |
+//! | "+large pages" (Section 5.2.2) | the engine's merge publish calls `StaticTables::advise_huge_pages` |
+//!
+//! [`reference()`] is Figure 5's "No optimizations" level and the oracle
+//! the kernel is tested against; `repro fig5` rebuilds the levels between.
 
 use std::collections::{BTreeSet, BinaryHeap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -91,94 +91,6 @@ pub struct Neighbor {
     pub distance: f32,
 }
 
-/// Ablation switches for the query pipeline; see the module docs.
-///
-/// The default is fully optimized. Switches are cumulative in the paper's
-/// ablation but independent here — any combination works and returns the
-/// same answers (tested), only speed differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueryStrategy {
-    /// Bitvector duplicate elimination instead of a tree set.
-    pub bitvector_dedup: bool,
-    /// Query-side vocabulary bitvector + dense value lookup for the sparse
-    /// dot product, instead of a merge join.
-    pub optimized_sparse_dot: bool,
-    /// Software prefetch over the candidate list: Q2 hints every table's
-    /// bucket before it reads any, and Q3 hints upcoming candidates' row
-    /// offsets and rows while it filters the current one. (The paper
-    /// extracts a sorted candidate array from the bitvector for this; Q3
-    /// walks the dedup set's discovery-order list instead, and a radius
-    /// query sorts its few hits by id afterwards, so answers are the same
-    /// without an `O(span)` scan per query.)
-    pub candidate_array: bool,
-    /// Hint the kernel to back the data table with huge pages (applied by
-    /// the engine at build time; recorded here so ablations can toggle it).
-    pub huge_pages: bool,
-}
-
-impl Default for QueryStrategy {
-    fn default() -> Self {
-        Self::optimized()
-    }
-}
-
-impl QueryStrategy {
-    /// Level 0: tree-set dedup and merge-join dot products.
-    pub fn unoptimized() -> Self {
-        Self {
-            bitvector_dedup: false,
-            optimized_sparse_dot: false,
-            candidate_array: false,
-            huge_pages: false,
-        }
-    }
-
-    /// Level 1: "+bitvector".
-    pub fn with_bitvector() -> Self {
-        Self {
-            bitvector_dedup: true,
-            ..Self::unoptimized()
-        }
-    }
-
-    /// Level 2: "+optimized sparse DP".
-    pub fn with_sparse_dot() -> Self {
-        Self {
-            optimized_sparse_dot: true,
-            ..Self::with_bitvector()
-        }
-    }
-
-    /// Level 3: "+sw prefetch".
-    pub fn with_prefetch() -> Self {
-        Self {
-            candidate_array: true,
-            ..Self::with_sparse_dot()
-        }
-    }
-
-    /// Level 4: "+large pages" — everything on.
-    pub fn optimized() -> Self {
-        Self {
-            bitvector_dedup: true,
-            optimized_sparse_dot: true,
-            candidate_array: true,
-            huge_pages: true,
-        }
-    }
-
-    /// The five cumulative levels of Figure 5, with their paper labels.
-    pub fn ablation_levels() -> [(&'static str, QueryStrategy); 5] {
-        [
-            ("No optimizations", Self::unoptimized()),
-            ("+bitvector", Self::with_bitvector()),
-            ("+optimized sparse DP", Self::with_sparse_dot()),
-            ("+sw prefetch", Self::with_prefetch()),
-            ("+large pages", Self::optimized()),
-        ]
-    }
-}
-
 /// Borrowed view of everything a query needs — one pinned epoch.
 ///
 /// The corpus a query sees is *segmented*: rows `0..static_len` live in the
@@ -215,8 +127,6 @@ pub struct QueryContext<'a> {
     /// Range tombstone: candidates below this watermark are retired
     /// (filtered like deletions, but by one comparison instead of a bit).
     pub retired_below: u32,
-    /// Ablation switches.
-    pub strategy: QueryStrategy,
     /// Per-query candidate budget: at most this many unique candidates get
     /// an exact distance computation (Q3), in candidate order. `usize::MAX`
     /// means unbounded; a finite budget bounds worst-case latency at the
@@ -254,7 +164,7 @@ impl<'a> QueryContext<'a> {
 
     /// Resolves a global id to its row's vocabulary signature.
     #[inline]
-    fn signature(&self, id: u32) -> u64 {
+    pub fn signature(&self, id: u32) -> u64 {
         let (data, local) = self.segment(id);
         data.signature(local)
     }
@@ -294,7 +204,7 @@ pub struct QueryScratch {
     qmask: Vec<u64>,
     /// Dense query values; only positions flagged in `qmask` are valid.
     qvals: Vec<f32>,
-    /// The query's signature bound (off unless `optimized_sparse_dot`).
+    /// The query's signature bound (off between queries).
     bound: SignatureBound,
     /// Candidates the bound kept: the rows Q3's second pass loads.
     survivors: Vec<u32>,
@@ -320,10 +230,6 @@ impl QueryScratch {
             survivors: Vec::new(),
             top: BinaryHeap::new(),
         }
-    }
-
-    fn ensure_points(&mut self, n: usize) {
-        self.cand.ensure_capacity(n);
     }
 }
 
@@ -365,7 +271,7 @@ impl ScratchPool {
             .slots
             .take()
             .unwrap_or_else(|| QueryScratch::new(self.m, self.half_bits, n, self.dim));
-        s.ensure_points(n);
+        s.cand.ensure_capacity(n);
         s
     }
 
@@ -456,7 +362,7 @@ fn run_inline(
     scratch: &mut QueryScratch,
     timers: Option<&mut QueryPhaseTimings>,
 ) -> QueryStats {
-    scratch.ensure_points(ctx.num_points());
+    scratch.cand.ensure_capacity(ctx.num_points());
     let keys = hash_batch(ctx, queries, scratch);
     let stats = run_queries(ctx, queries, &keys, out, scratch, timers);
     scratch.keys = keys;
@@ -514,11 +420,9 @@ fn run_queries(
     for (i, (hits, query)) in out.iter_mut().zip(queries).enumerate() {
         // Cross-query software pipelining: stream the next query's
         // buckets in while this query's Q2–Q4 run.
-        if ctx.strategy.candidate_array {
-            let next = keys.get((i + 1) * l_count..(i + 2) * l_count);
-            if let (Some(st), Some(next)) = (ctx.static_tables, next) {
-                prefetch_query_buckets(st, next);
-            }
+        let next = keys.get((i + 1) * l_count..(i + 2) * l_count);
+        if let (Some(st), Some(next)) = (ctx.static_tables, next) {
+            prefetch_query_buckets(st, next);
         }
         let keys = &keys[i * l_count..][..l_count];
         let timers = timers.as_deref_mut();
@@ -529,7 +433,7 @@ fn run_queries(
 
 /// Steps Q2–Q4 for one query over its composed bucket `keys`, appending
 /// its neighbors to `out`. `timers`, when given, take Q2's time and Q3's
-/// (with Q4's) at the hand-off between them, whichever the dedup.
+/// (with Q4's) at the hand-off between them.
 fn candidate_phase(
     ctx: &QueryContext<'_>,
     query: &SparseVector,
@@ -541,31 +445,9 @@ fn candidate_phase(
 ) {
     debug_assert_eq!(keys.len(), allpairs::num_tables(ctx.m) as usize);
     let q2_start = timers.is_some().then(Instant::now);
-    // Ablation baseline: tree set ("STL set") dedup.
-    let mut tree = BTreeSet::new();
-    if ctx.strategy.bitvector_dedup {
-        dedup_candidates(ctx, keys, scratch, stats);
-    } else {
-        let QueryScratch {
-            half_keys,
-            delta_hits,
-            ..
-        } = scratch;
-        gather_candidates(ctx, keys, half_keys, delta_hits, stats, |id| {
-            tree.insert(id);
-        });
-        stats.unique_candidates += tree.len() as u64;
-    }
+    dedup_candidates(ctx, keys, scratch, stats);
     let q3_start = q2_start.map(|t| (t.elapsed(), Instant::now()));
-    if ctx.strategy.bitvector_dedup {
-        filter_candidates(ctx, query, scratch, out, stats);
-    } else {
-        with_query_side(ctx, query, scratch, out, stats, |scratch, hits, stats| {
-            for &id in tree.iter().take(ctx.max_candidates) {
-                filter_candidate(ctx, query, scratch, id, hits, stats);
-            }
-        });
-    }
+    filter_candidates(ctx, query, scratch, out, stats);
     if let (Some(t), Some((q2, q3_start))) = (timers, q3_start) {
         t.step_q2 += q2;
         t.step_q3 += q3_start.elapsed();
@@ -576,16 +458,22 @@ fn candidate_phase(
 /// scratch's [`CandidateSet`] and counts the unique candidates. A finite
 /// candidate budget then sorts the candidate list, because a budgeted
 /// request visits the ascending-id prefix: that prefix is the same
-/// whatever the corpus segmentation or strategy level, so budgeted
-/// answers stay identical across backends (bucket-discovery order differs
-/// between a merged and an unmerged engine). Sorting costs
-/// `O(c log c)` in the candidates `c`, not a scan of the span.
+/// whatever the corpus segmentation, so budgeted answers stay identical
+/// across backends (bucket-discovery order differs between a merged and
+/// an unmerged engine). Sorting costs `O(c log c)` in the candidates `c`,
+/// not a scan of the span.
 fn dedup_candidates(
     ctx: &QueryContext<'_>,
     keys: &[u32],
     scratch: &mut QueryScratch,
     stats: &mut QueryStats,
 ) {
+    // All keys are known after Q1, so every bucket's reads can be in
+    // flight together before the first one is scanned — the Q2
+    // counterpart of the Q3 row prefetch (Section 5.2.2).
+    if let Some(st) = ctx.static_tables {
+        prefetch_query_buckets(st, keys);
+    }
     // Anchor the (empty) bitvector at this epoch's base so it covers the
     // resident span, not the lifetime id range.
     scratch.cand.rebase(ctx.base);
@@ -608,16 +496,21 @@ fn dedup_candidates(
 /// scratch (capped at the request's candidate budget), then clears the
 /// set.
 ///
-/// With `candidate_array` on, Q3 runs in two passes. The first walks the
-/// list, prefetching signatures `SIGNATURE_PREFETCH_DISTANCE` ahead, and
-/// keeps the candidates that are neither retired, deleted nor ruled out
-/// by the [`SignatureBound`] (with the bound off, every resident
-/// candidate). The second loads only the rows kept, and software-prefetches
-/// ahead of itself at two distances (Section 5.2.2): a row-offsets slot
-/// `2·PREFETCH_DISTANCE` ahead, and a row `PREFETCH_DISTANCE` ahead, by
-/// which time the row's offsets are in cache. A radius query at that
-/// level then sorts its few hits by id, the order the paper's sorted
-/// candidate array would have produced.
+/// Around the candidate loop it prepares, and afterwards clears, the
+/// query-side vocabulary bitvector, dense value array and
+/// [`SignatureBound`]. The bound holds candidates to the radius's floor
+/// only: a k-NN query's floor rises with the candidates visited so far,
+/// and a bound against it would make which rows are loaded depend on the
+/// visit order.
+///
+/// Q3 runs in two passes. The first walks the list, prefetching
+/// signatures `SIGNATURE_PREFETCH_DISTANCE` ahead, and keeps the
+/// candidates that are neither retired, deleted nor ruled out by the
+/// bound (with the bound off, every resident candidate). The second loads
+/// only the rows kept, and software-prefetches ahead of itself at two
+/// distances (Section 5.2.2): a row-offsets slot `2·PREFETCH_DISTANCE`
+/// ahead, and a row `PREFETCH_DISTANCE` ahead, by which time the row's
+/// offsets are in cache.
 fn filter_candidates(
     ctx: &QueryContext<'_>,
     query: &SparseVector,
@@ -631,47 +524,49 @@ fn filter_candidates(
     let mut cand = std::mem::replace(&mut scratch.cand, CandidateSet::new(0));
     let ids = cand.candidates();
     let visited = &ids[..ids.len().min(ctx.max_candidates)];
-    let start = out.len();
-    let mut survivors = std::mem::take(&mut scratch.survivors);
-    with_query_side(ctx, query, scratch, out, stats, |scratch, hits, stats| {
-        if ctx.strategy.candidate_array {
-            survivors.clear();
-            for (i, &id) in visited.iter().enumerate() {
-                if let Some(&next) = visited.get(i + SIGNATURE_PREFETCH_DISTANCE) {
-                    prefetch_signature(ctx, next);
-                }
-                if needs_row(ctx, &scratch.bound, id, stats) {
-                    survivors.push(id);
-                }
-            }
-            for (i, &id) in survivors.iter().enumerate() {
-                if let Some(&far) = survivors.get(i + 2 * PREFETCH_DISTANCE) {
-                    prefetch_row_offsets(ctx, far);
-                }
-                if let Some(&next) = survivors.get(i + PREFETCH_DISTANCE) {
-                    prefetch_row(ctx, next);
-                }
-                score_candidate(ctx, query, scratch, id, hits, stats);
-            }
-        } else {
-            for &id in visited {
-                filter_candidate(ctx, query, scratch, id, hits, stats);
-            }
-        }
-    });
-    scratch.survivors = survivors;
-    if ctx.strategy.candidate_array && ctx.top_k.is_none() {
-        out[start..].sort_unstable_by_key(|h| h.index);
+    for (&d, &v) in query.indices().iter().zip(query.values()) {
+        scratch.qmask[(d >> 6) as usize] |= 1u64 << (d & 63);
+        scratch.qvals[d as usize] = v;
     }
+    scratch.bound.prepare(query, dot_floor(ctx.radius));
+
+    let mut survivors = std::mem::take(&mut scratch.survivors);
+    survivors.clear();
+    for (i, &id) in visited.iter().enumerate() {
+        if let Some(&next) = visited.get(i + SIGNATURE_PREFETCH_DISTANCE) {
+            prefetch_signature(ctx, next);
+        }
+        if needs_row(ctx, &scratch.bound, id, stats) {
+            survivors.push(id);
+        }
+    }
+    let mut hits = Hits::new(ctx, out, std::mem::take(&mut scratch.top));
+    for (i, &id) in survivors.iter().enumerate() {
+        if let Some(&far) = survivors.get(i + 2 * PREFETCH_DISTANCE) {
+            prefetch_row_offsets(ctx, far);
+        }
+        if let Some(&next) = survivors.get(i + PREFETCH_DISTANCE) {
+            prefetch_row(ctx, next);
+        }
+        score_candidate(ctx, query, scratch, id, &mut hits, stats);
+    }
+    scratch.top = hits.finish(stats);
+    scratch.survivors = survivors;
+
+    for &d in query.indices() {
+        scratch.qmask[(d >> 6) as usize] = 0;
+    }
+    scratch.bound.clear();
     cand.clear();
     scratch.cand = cand;
 }
 
-/// Step Q2's gather, the one copy every dedup strategy shares: feeds `sink` each entry of the query's bucket in every static
-/// table, then — after all static tables — each point of every sealed
-/// generation that shares a bucket with the query in some table, found
-/// by scanning the generation's packed half-keys. `stats.collisions`
-/// counts every (table, entry) pair either way.
+/// Step Q2's gather, shared by the kernel and [`reference()`]: feeds `sink`
+/// each entry of the query's bucket in every static table, then — after
+/// all static tables — each point of every sealed generation that shares
+/// a bucket with the query in some table, found by scanning the
+/// generation's packed half-keys. `stats.collisions` counts every
+/// (table, entry) pair either way.
 ///
 /// `half_keys` (length `m`) and `hits` are scratch, touched only when the
 /// epoch has un-merged generations.
@@ -685,12 +580,6 @@ fn gather_candidates(
     mut sink: impl FnMut(u32),
 ) {
     if let Some(st) = ctx.static_tables {
-        // All keys are known after Q1, so every bucket's reads can be in
-        // flight together before the first one is scanned — the Q2
-        // counterpart of the Q3 row prefetch (Section 5.2.2).
-        if ctx.strategy.candidate_array {
-            prefetch_query_buckets(st, keys);
-        }
         for (l, &key) in keys.iter().enumerate() {
             for &id in st.bucket(l, key) {
                 stats.collisions += 1;
@@ -712,39 +601,59 @@ fn gather_candidates(
     }
 }
 
-/// Runs a candidate loop `body` (Q3 + Q4) and collects what it confirms
-/// into `out` through [`Hits`]. Around it, prepares and afterwards clears
-/// the query-side vocabulary bitvector, dense value array and
-/// [`SignatureBound`], when the optimized sparse dot product is enabled.
-/// The bound holds candidates to the radius's floor only: a k-NN query's
-/// floor rises with the candidates visited so far, and a bound against it
-/// would make which rows are loaded depend on the visit order.
-fn with_query_side<F>(
-    ctx: &QueryContext<'_>,
-    query: &SparseVector,
-    scratch: &mut QueryScratch,
-    out: &mut Vec<Neighbor>,
-    stats: &mut QueryStats,
-    body: F,
-) where
-    F: FnOnce(&QueryScratch, &mut Hits<'_>, &mut QueryStats),
-{
-    if ctx.strategy.optimized_sparse_dot {
-        for (&d, &v) in query.indices().iter().zip(query.values()) {
-            scratch.qmask[(d >> 6) as usize] |= 1u64 << (d & 63);
-            scratch.qvals[d as usize] = v;
+/// One query through Q1–Q4 with none of Section 5.2's optimizations:
+/// Figure 5's "No optimizations" level, and the oracle for the kernel.
+/// Q2 gathers into a tree set ("STL set") and visits at most
+/// `max_candidates` ids, ascending. Q3 skips retired and deleted ids and
+/// computes every other candidate's merge-join dot and exact distance,
+/// with no bound and no prefilter. A k-NN query sorts the hits within
+/// the radius by `(distance, id)` and keeps the first `k`.
+///
+/// [`run_batch`] answers bit for bit the same, with the same
+/// [`QueryStats`] but for `rows_loaded`, which here equals
+/// `distance_computations`.
+pub fn reference(ctx: &QueryContext<'_>, query: &SparseVector) -> (Vec<Neighbor>, QueryStats) {
+    let (idx, val) = (query.indices(), query.values());
+    let mut acc = vec![0.0; ctx.planes.n_hashes() as usize];
+    let mut sketch = vec![0; ctx.m as usize];
+    SketchMatrix::sketch_one(ctx.planes, ctx.half_bits, idx, val, &mut acc, &mut sketch);
+    let mut keys = vec![0; allpairs::num_tables(ctx.m) as usize];
+    allpairs::table_keys(&sketch, ctx.half_bits, &mut keys);
+
+    let mut stats = QueryStats::default();
+    let mut tree = BTreeSet::new();
+    let (half_keys, delta_hits) = (&mut vec![0; ctx.m as usize], &mut Vec::new());
+    gather_candidates(ctx, &keys, half_keys, delta_hits, &mut stats, |id| {
+        tree.insert(id);
+    });
+    stats.unique_candidates = tree.len() as u64;
+
+    let mut hits = Vec::new();
+    for &id in tree.iter().take(ctx.max_candidates) {
+        if is_dropped(ctx, id) {
+            continue;
         }
-        scratch.bound.prepare(query, dot_floor(ctx.radius));
-    }
-    let mut hits = Hits::new(ctx, out, std::mem::take(&mut scratch.top));
-    body(scratch, &mut hits, stats);
-    scratch.top = hits.finish(stats);
-    if ctx.strategy.optimized_sparse_dot {
-        for &d in query.indices() {
-            scratch.qmask[(d >> 6) as usize] = 0;
+        stats.distance_computations += 1;
+        stats.rows_loaded += 1;
+        let (row_idx, row_val) = ctx.row(id);
+        let distance = angular_from_dot(dot_sorted(row_idx, row_val, idx, val));
+        if distance <= ctx.radius {
+            hits.push(Neighbor {
+                index: id,
+                distance,
+            });
         }
-        scratch.bound.clear();
     }
+    if let Some(k) = ctx.top_k {
+        hits.sort_by(|a, b| {
+            a.distance
+                .total_cmp(&b.distance)
+                .then(a.index.cmp(&b.index))
+        });
+        hits.truncate(k);
+    }
+    stats.matches = hits.len() as u64;
+    (hits, stats)
 }
 
 /// Q3's exact signature bound: rules out a candidate from its row's
@@ -857,7 +766,7 @@ impl SignatureBound {
 /// angle-space test on the exact dot stays the decider, so reported
 /// answers are unchanged. Q3 holds every candidate to the floor of the
 /// query radius and, in k-NN mode, of the running k-th neighbour's
-/// distance ([`Hits`]).
+/// distance, which Q4 tracks.
 ///
 /// The slack must dominate the worst divergence between the SIMD masked
 /// dot and the exact merge-join dot. The kernels' property tests tolerate
@@ -867,7 +776,7 @@ impl SignatureBound {
 /// a reported distance (`~2e-7` rad), so a candidate below the floor can
 /// never tie the k-th neighbour either.
 #[inline]
-pub(crate) fn dot_floor(angle: f32) -> f32 {
+pub fn dot_floor(angle: f32) -> f32 {
     ((angle as f64).cos() - 1e-3) as f32
 }
 
@@ -893,8 +802,9 @@ fn ranked(key: u64) -> Neighbor {
 
 /// Step Q4: where the candidates Q3 confirms go.
 ///
-/// Radius mode appends every match to `out`, in visit order. k-NN mode
-/// keeps the `k` closest in a max-heap on `(distance, id)` and appends
+/// Radius mode appends every match to `out` and sorts them by id when the
+/// loop ends, the order the paper's sorted candidate array would have
+/// produced. k-NN mode keeps the `k` closest in a max-heap on `(distance, id)` and appends
 /// them to `out` ascending when the loop ends. Once the heap holds `k`,
 /// its root is the running k-th neighbour and a candidate must beat it,
 /// so [`floor`](Self::floor) rises from the radius's [`dot_floor`] to the
@@ -953,29 +863,17 @@ impl<'o> Hits<'o> {
         }
     }
 
-    /// Appends a k-NN query's neighbours to `out` ascending, counts the
-    /// query's matches, and hands back the (empty) heap for reuse.
+    /// Sorts a radius query's hits by id, or appends a k-NN query's
+    /// neighbours to `out` ascending; counts the query's matches, and
+    /// hands back the (empty) heap for reuse.
     fn finish(self, stats: &mut QueryStats) -> BinaryHeap<u64> {
+        if self.top_k.is_none() {
+            self.out[self.start..].sort_unstable_by_key(|h| h.index);
+        }
         let mut keys = self.top.into_sorted_vec();
         self.out.extend(keys.drain(..).map(ranked));
         stats.matches += (self.out.len() - self.start) as u64;
         BinaryHeap::from(keys)
-    }
-}
-
-/// Q3 + Q4 for one candidate: decide what its signature can, and score
-/// the rest.
-#[inline]
-fn filter_candidate(
-    ctx: &QueryContext<'_>,
-    query: &SparseVector,
-    scratch: &QueryScratch,
-    id: u32,
-    hits: &mut Hits<'_>,
-    stats: &mut QueryStats,
-) {
-    if needs_row(ctx, &scratch.bound, id, stats) {
-        score_candidate(ctx, query, scratch, id, hits, stats);
     }
 }
 
@@ -989,19 +887,27 @@ fn needs_row(
     id: u32,
     stats: &mut QueryStats,
 ) -> bool {
-    if id < ctx.retired_below {
-        return false; // retired by the sliding window (range tombstone)
-    }
-    if let Some(words) = ctx.deleted {
-        let off = id - ctx.base; // the bitvector is anchored at the base
-        if words[(off >> 6) as usize].load(Ordering::Relaxed) & (1u64 << (off & 63)) != 0 {
-            return false; // tombstoned (Section 6.2, "Deleting Entries")
-        }
+    if is_dropped(ctx, id) {
+        return false;
     }
     stats.distance_computations += 1;
     // A certain miss is decided here, without the row; an off bound
     // (a plain k-NN query) tests no signature.
     !(bound.is_on() && bound.rules_out(ctx.signature(id)))
+}
+
+/// Whether a candidate is retired or deleted, and so never reported.
+#[inline]
+fn is_dropped(ctx: &QueryContext<'_>, id: u32) -> bool {
+    if id < ctx.retired_below {
+        return true; // retired by the sliding window (range tombstone)
+    }
+    // Tombstoned (Section 6.2, "Deleting Entries"); the bitvector is
+    // anchored at the base.
+    ctx.deleted.is_some_and(|words| {
+        let off = id - ctx.base;
+        words[(off >> 6) as usize].load(Ordering::Relaxed) & (1u64 << (off & 63)) != 0
+    })
 }
 
 /// Q3 + Q4 for a candidate that needs its row: prefilter on the masked
@@ -1018,25 +924,17 @@ fn score_candidate(
 ) {
     let (idx, val) = ctx.row(id);
     stats.rows_loaded += 1;
-    let dot = if ctx.strategy.optimized_sparse_dot {
-        simd::dot_via_mask(idx, val, &scratch.qmask, &scratch.qvals)
-    } else {
-        dot_sorted(idx, val, query.indices(), query.values())
-    };
+    let dot = simd::dot_via_mask(idx, val, &scratch.qmask, &scratch.qvals);
     if dot < hits.floor {
         return; // certain miss
     }
     // The SIMD masked product may reassociate the sum; near `dot = 1` the
     // `acos` derivative amplifies those last bits into visible distance
     // error. The handful of candidates surviving the prefilter get an
-    // exact index-ordered merge-join dot, so every strategy level and SIMD
-    // mode reports the identical distance and makes the identical radius
-    // and ranking decisions.
-    let exact_dot = if ctx.strategy.optimized_sparse_dot {
-        dot_sorted(idx, val, query.indices(), query.values())
-    } else {
-        dot // already the merge-join sum
-    };
+    // exact index-ordered merge-join dot, so every SIMD mode reports the
+    // distance `reference` does and makes the identical radius and
+    // ranking decisions.
+    let exact_dot = dot_sorted(idx, val, query.indices(), query.values());
     hits.offer(Neighbor {
         index: id,
         distance: angular_from_dot(exact_dot),
@@ -1048,7 +946,8 @@ fn score_candidate(
 /// runs they point at — the offsets reads of the second sweep are
 /// independent, so out-of-order execution overlaps whatever latency
 /// remains. Q2 runs it for its own query before reading any bucket, and
-/// [`run_batch`] also runs it for query `i+1` while query `i` computes: either way Q2 becomes bandwidth-bound streaming instead of
+/// [`run_batch`] also runs it for query `i+1` while query `i` computes:
+/// either way Q2 becomes bandwidth-bound streaming instead of
 /// latency-bound pointer chasing.
 #[inline]
 fn prefetch_query_buckets(st: &StaticTables, keys: &[u32]) {
@@ -1099,8 +998,8 @@ fn prefetch_row(ctx: &QueryContext<'_>, id: u32) {
 /// summed over its queries by [`run_batch`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QueryPhaseTimings {
-    /// Step Q2: bucket reads and dedup, by bitvector or tree set (plus
-    /// the candidate sort of a budgeted request).
+    /// Step Q2: bucket reads and bitvector dedup (plus the candidate sort
+    /// of a budgeted request).
     pub step_q2: std::time::Duration,
     /// Step Q3: candidate loads + distance computations (+Q4 appends).
     pub step_q3: std::time::Duration,
@@ -1164,7 +1063,7 @@ mod tests {
         }
     }
 
-    fn ctx<'a>(f: &'a Fixture, strategy: QueryStrategy) -> QueryContext<'a> {
+    fn ctx(f: &Fixture) -> QueryContext<'_> {
         QueryContext {
             static_data: &f.data,
             planes: &f.planes,
@@ -1176,7 +1075,6 @@ mod tests {
             radius: 0.9,
             base: 0,
             retired_below: 0,
-            strategy,
             max_candidates: usize::MAX,
             top_k: None,
         }
@@ -1215,21 +1113,37 @@ mod tests {
         ]
     }
 
-    fn sorted_hits(mut hits: Vec<Neighbor>) -> Vec<u32> {
-        hits.sort_by_key(|h| h.index);
-        hits.iter().map(|h| h.index).collect()
+    /// Ids and distance bits, in order: what "bit-identical" compares.
+    fn bits(hits: &[Neighbor]) -> Vec<(u32, u32)> {
+        hits.iter()
+            .map(|h| (h.index, h.distance.to_bits()))
+            .collect()
     }
 
-    /// The k-NN answer the bounded heap must reproduce: every radius hit,
-    /// ranked by `(distance, id)` and cut at `k`.
-    fn rank_all(mut hits: Vec<Neighbor>, k: usize) -> Vec<Neighbor> {
-        hits.sort_by(|a, b| {
-            a.distance
-                .total_cmp(&b.distance)
-                .then(a.index.cmp(&b.index))
-        });
-        hits.truncate(k);
-        hits
+    /// Asserts that the kernel's answer to `q` and its counters are the
+    /// [`reference()`]'s: bit for bit, but for `rows_loaded`, which the
+    /// signature bound may lower. Returns the reference's counters.
+    fn assert_like_reference(
+        ctx: &QueryContext<'_>,
+        q: &SparseVector,
+        got: &[Neighbor],
+        got_stats: &QueryStats,
+        at: &str,
+    ) -> QueryStats {
+        let (want, want_stats) = reference(ctx, q);
+        assert_eq!(bits(got), bits(&want), "{at}");
+        let rows_loaded = want_stats.rows_loaded;
+        assert_eq!(
+            QueryStats {
+                rows_loaded,
+                ..*got_stats
+            },
+            want_stats,
+            "{at}"
+        );
+        assert!(got_stats.rows_loaded <= rows_loaded, "{at}");
+        assert_eq!(want_stats.rows_loaded, want_stats.distance_computations);
+        want_stats
     }
 
     #[test]
@@ -1250,39 +1164,30 @@ mod tests {
             .map(|&i| f.data.row_vector(i))
             .collect();
         let mut ties = 0;
-        for (label, strategy) in QueryStrategy::ablation_levels() {
-            for radius in [std::f32::consts::PI, 0.9] {
-                let radius_ctx = QueryContext {
+        for radius in [std::f32::consts::PI, 0.9] {
+            for k in [0, 1, 3, 10, n as usize, usize::MAX] {
+                // The reference ranks every candidate within the radius by
+                // `(distance, id)` and cuts at `k`.
+                let c = QueryContext {
                     radius,
                     deleted: Some(&deleted),
-                    ..ctx(&f, strategy)
+                    top_k: Some(k),
+                    ..ctx(&f)
                 };
-                let all: Vec<Vec<Neighbor>> = queries
+                let at = format!("R = {radius}, k = {k}");
+                let want: Vec<Vec<Neighbor>> = queries.iter().map(|q| reference(&c, q).0).collect();
+                ties += want
                     .iter()
-                    .map(|q| run_one(&radius_ctx, q, &mut scratch).0)
-                    .collect();
-                for k in [0, 1, 3, 10, n as usize, usize::MAX] {
-                    let c = QueryContext {
-                        top_k: Some(k),
-                        ..radius_ctx
-                    };
-                    let want: Vec<Vec<Neighbor>> =
-                        all.iter().map(|hits| rank_all(hits.clone(), k)).collect();
-                    ties += want
-                        .iter()
-                        .flat_map(|w| w.windows(2))
-                        .filter(|w| w[0].distance == w[1].distance)
-                        .count();
-                    for (q, want) in queries.iter().zip(&want) {
-                        let (got, stats) = run_one(&c, q, &mut scratch);
-                        assert_eq!(&got, want, "{label}, R = {radius}, k = {k}");
-                        assert_eq!(stats.matches, got.len() as u64);
-                    }
-                    let at = format!("{label}, R = {radius}, k = {k}");
-                    for (path, got, _) in every_exec(&c, &queries, &pool, &scratches, &mut scratch)
-                    {
-                        assert_eq!(got, want, "{path}: {at}");
-                    }
+                    .flat_map(|w| w.windows(2))
+                    .filter(|w| w[0].distance == w[1].distance)
+                    .count();
+                for (q, want) in queries.iter().zip(&want) {
+                    let (got, stats) = run_one(&c, q, &mut scratch);
+                    assert_eq!(bits(&got), bits(want), "{at}");
+                    assert_eq!(stats.matches, got.len() as u64);
+                }
+                for (path, got, _) in every_exec(&c, &queries, &pool, &scratches, &mut scratch) {
+                    assert_eq!(got, want, "{path}: {at}");
                 }
             }
         }
@@ -1297,7 +1202,7 @@ mod tests {
         let mut stats = QueryStats::default();
 
         // Radius mode: the floor is the radius's, whatever arrives.
-        let radius_ctx = ctx(&f, QueryStrategy::optimized());
+        let radius_ctx = ctx(&f);
         let mut hits = Hits::new(&radius_ctx, &mut out, BinaryHeap::new());
         hits.offer(hit(1, 0.1));
         hits.offer(hit(2, 1.5)); // outside R = 0.9
@@ -1345,7 +1250,7 @@ mod tests {
         let f = fixture(200, 1);
         let mut scratch = QueryScratch::new(f.m, f.half_bits, 200, f.data.dim());
         let q = f.data.row_vector(17);
-        let (hits, stats) = run_one(&ctx(&f, QueryStrategy::optimized()), &q, &mut scratch);
+        let (hits, stats) = run_one(&ctx(&f), &q, &mut scratch);
         assert!(hits.iter().any(|h| h.index == 17 && h.distance < 1e-3));
         assert!(stats.matches as usize == hits.len());
         assert!(stats.unique_candidates <= stats.collisions);
@@ -1353,29 +1258,21 @@ mod tests {
     }
 
     #[test]
-    fn all_strategies_return_identical_answers() {
+    fn shipped_kernel_answers_like_the_reference() {
         let f = fixture(300, 2);
         let mut scratch = QueryScratch::new(f.m, f.half_bits, 300, f.data.dim());
         let pool = ThreadPool::new(1);
         let scratches = ScratchPool::new(f.m, f.half_bits, f.data.dim());
+        let c = ctx(&f);
         for qid in [0u32, 5, 123, 299] {
             let q = f.data.row_vector(qid);
-            let mut answers = Vec::new();
-            for (_, strategy) in QueryStrategy::ablation_levels() {
-                let (hits, _) = run_one(&ctx(&f, strategy), &q, &mut scratch);
-                answers.push(sorted_hits(hits));
-                // The pooled driver is part of the invariant too.
-                let (batched, _) = run_batch(
-                    &ctx(&f, strategy),
-                    std::slice::from_ref(&q),
-                    Exec::Pool(&pool, &scratches),
-                    None,
-                );
-                answers.push(sorted_hits(batched.into_iter().next().unwrap()));
-            }
-            for w in answers.windows(2) {
-                assert_eq!(w[0], w[1], "strategies disagree for query {qid}");
-            }
+            let at = format!("query {qid}");
+            let (hits, stats) = run_one(&c, &q, &mut scratch);
+            assert_like_reference(&c, &q, &hits, &stats, &at);
+            // The pooled driver is part of the invariant too.
+            let qs = std::slice::from_ref(&q);
+            let (batched, stats) = run_batch(&c, qs, Exec::Pool(&pool, &scratches), None);
+            assert_like_reference(&c, &q, &batched[0], &stats.totals, &at);
         }
     }
 
@@ -1383,14 +1280,14 @@ mod tests {
     fn scratch_reuse_across_queries_is_clean() {
         let f = fixture(150, 3);
         let mut scratch = QueryScratch::new(f.m, f.half_bits, 150, f.data.dim());
-        let c = ctx(&f, QueryStrategy::optimized());
+        let c = ctx(&f);
         let q0 = f.data.row_vector(0);
         let (first, _) = run_one(&c, &q0, &mut scratch);
         // Run a different query in between.
         let q1 = f.data.row_vector(75);
         let _ = run_one(&c, &q1, &mut scratch);
         let (again, _) = run_one(&c, &q0, &mut scratch);
-        assert_eq!(sorted_hits(first), sorted_hits(again));
+        assert_eq!(first, again);
     }
 
     #[test]
@@ -1402,7 +1299,7 @@ mod tests {
             .map(|_| AtomicU64::new(0))
             .collect();
         deleted[42 / 64].fetch_or(1 << 42, Ordering::Relaxed);
-        let mut c = ctx(&f, QueryStrategy::optimized());
+        let mut c = ctx(&f);
         c.deleted = Some(&deleted);
         let (hits, stats) = run_one(&c, &q, &mut scratch);
         assert!(!hits.iter().any(|h| h.index == 42));
@@ -1416,7 +1313,7 @@ mod tests {
         let pool = ThreadPool::new(2);
         let scratches = ScratchPool::new(f.m, f.half_bits, f.data.dim());
         let queries: Vec<SparseVector> = (0..20u32).map(|i| f.data.row_vector(i * 10)).collect();
-        let c = ctx(&f, QueryStrategy::optimized());
+        let c = ctx(&f);
         let (batch, stats) = run_batch(&c, &queries, Exec::Pool(&pool, &scratches), None);
         assert_eq!(batch.len(), 20);
         assert_eq!(stats.queries, 20);
@@ -1434,7 +1331,7 @@ mod tests {
     fn radius_zero_like_returns_only_near_exact() {
         let f = fixture(100, 6);
         let mut scratch = QueryScratch::new(f.m, f.half_bits, 100, f.data.dim());
-        let mut c = ctx(&f, QueryStrategy::optimized());
+        let mut c = ctx(&f);
         c.radius = 1e-4;
         let q = f.data.row_vector(10);
         let (hits, _) = run_one(&c, &q, &mut scratch);
@@ -1462,7 +1359,6 @@ mod tests {
             radius: 0.9,
             base: 0,
             retired_below: 0,
-            strategy: QueryStrategy::optimized(),
             max_candidates: usize::MAX,
             top_k: None,
         };
@@ -1508,25 +1404,22 @@ mod tests {
         let scratches = ScratchPool::new(f.m, f.half_bits, f.data.dim());
         let queries: Vec<SparseVector> = (0..40u32).map(|i| f.data.row_vector(i * 6)).collect();
         let mut scratch = QueryScratch::new(f.m, f.half_bits, 250, f.data.dim());
-        for (label, strategy) in QueryStrategy::ablation_levels() {
-            let c = ctx(&f, strategy);
-            let mut plain = Vec::new();
-            let mut plain_stats = QueryStats::default();
-            for q in &queries {
-                let (hits, stats) = run_one(&c, q, &mut scratch);
-                plain.push(hits);
-                plain_stats.merge(&stats);
-            }
-            for (path, piped, piped_stats) in
-                every_exec(&c, &queries, &pool, &scratches, &mut scratch)
-            {
-                // Bit-identical: same ids AND same distances.
-                assert_eq!(
-                    piped, plain,
-                    "batched Q1 must not change any answer: {path}, {label}"
-                );
-                assert_eq!(piped_stats.totals, plain_stats, "{path}, {label}");
-            }
+        let c = ctx(&f);
+        let mut plain = Vec::new();
+        let mut plain_stats = QueryStats::default();
+        for q in &queries {
+            let (hits, stats) = run_one(&c, q, &mut scratch);
+            plain.push(hits);
+            plain_stats.merge(&stats);
+        }
+        for (path, piped, piped_stats) in every_exec(&c, &queries, &pool, &scratches, &mut scratch)
+        {
+            // Bit-identical: same ids AND same distances.
+            assert_eq!(
+                piped, plain,
+                "batched Q1 must not change any answer: {path}"
+            );
+            assert_eq!(piped_stats.totals, plain_stats, "{path}");
         }
     }
 
@@ -1535,7 +1428,7 @@ mod tests {
         let f = fixture(50, 10);
         let pool = ThreadPool::new(1);
         let scratches = ScratchPool::new(f.m, f.half_bits, f.data.dim());
-        let c = ctx(&f, QueryStrategy::optimized());
+        let c = ctx(&f);
         let mut scratch = QueryScratch::new(f.m, f.half_bits, 50, f.data.dim());
         let q = vec![f.data.row_vector(7)];
         for (path, none, stats) in every_exec(&c, &[], &pool, &scratches, &mut scratch) {
@@ -1574,45 +1467,40 @@ mod tests {
             radius: 0.9,
             base: 0,
             retired_below: 0,
-            strategy: QueryStrategy::optimized(),
             max_candidates: usize::MAX,
             top_k: None,
         };
         assert_eq!(segmented.num_points(), 200);
         let mut scratch = QueryScratch::new(f.m, f.half_bits, 200, f.data.dim());
-        // At every ablation level: the same hits, and — the scan standing
-        // in for the generation's L tables — the same collision, candidate
-        // and distance counts.
-        for (label, strategy) in QueryStrategy::ablation_levels() {
-            let full = ctx(&f, strategy);
-            let segmented = QueryContext {
-                strategy,
-                ..segmented
-            };
-            for qid in [0u32, 149, 150, 199] {
-                let q = f.data.row_vector(qid);
+        // The same hits, and — the scan standing in for the generation's
+        // L tables — the same collision, candidate and distance counts,
+        // in radius and k-NN mode; and the segmented answer is the
+        // reference's.
+        let full = ctx(&f);
+        for qid in [0u32, 149, 150, 199] {
+            let q = f.data.row_vector(qid);
+            for top_k in [None, Some(1), Some(5)] {
+                let radius = if top_k.is_some() {
+                    std::f32::consts::PI
+                } else {
+                    0.9
+                };
+                let full = QueryContext {
+                    radius,
+                    top_k,
+                    ..full
+                };
+                let segmented = QueryContext {
+                    radius,
+                    top_k,
+                    ..segmented
+                };
+                let at = format!("query {qid}, {top_k:?}");
                 let (a, a_stats) = run_one(&full, &q, &mut scratch);
                 let (b, b_stats) = run_one(&segmented, &q, &mut scratch);
-                assert_eq!(sorted_hits(a), sorted_hits(b), "{label}, query {qid}");
-                assert_eq!(a_stats, b_stats, "{label}, query {qid}");
-                // k-NN ranks identically too, distances included.
-                for top_k in [Some(1), Some(5)] {
-                    let radius = std::f32::consts::PI;
-                    let full = QueryContext {
-                        radius,
-                        top_k,
-                        ..full
-                    };
-                    let segmented = QueryContext {
-                        radius,
-                        top_k,
-                        ..segmented
-                    };
-                    let (a, a_stats) = run_one(&full, &q, &mut scratch);
-                    let (b, b_stats) = run_one(&segmented, &q, &mut scratch);
-                    assert_eq!(a, b, "{label}, query {qid}, {top_k:?}");
-                    assert_eq!(a_stats, b_stats, "{label}, query {qid}, {top_k:?}");
-                }
+                assert_eq!(a, b, "{at}");
+                assert_eq!(a_stats, b_stats, "{at}");
+                assert_like_reference(&segmented, &q, &b, &b_stats, &at);
             }
         }
     }
@@ -1621,7 +1509,7 @@ mod tests {
     fn steady_state_queries_reuse_scratch_buffers() {
         let f = fixture(120, 11);
         let mut scratch = QueryScratch::new(f.m, f.half_bits, 120, f.data.dim());
-        let c = ctx(&f, QueryStrategy::optimized());
+        let c = ctx(&f);
         let q = f.data.row_vector(3);
         let (first, stats) = run_one(&c, &q, &mut scratch);
         assert_eq!(stats.matches as usize, first.len());
@@ -1631,65 +1519,6 @@ mod tests {
         let (again, _) = run_one(&c, &q, &mut scratch);
         assert_eq!(again, first);
         assert_eq!(caps(&scratch), before);
-    }
-
-    /// The Q2→Q3 hand-off the candidate-list kernel replaced, kept as the
-    /// reference: mark every gathered id in a bitvector over the span,
-    /// extract the ids by scanning it (ascending), cut at the budget, and
-    /// filter them in that order, one candidate at a time — the signature
-    /// bound inline, where the kernel runs it as a pass of its own.
-    fn ascending_extract_reference(
-        ctx: &QueryContext<'_>,
-        query: &SparseVector,
-        scratch: &mut QueryScratch,
-    ) -> (Vec<Neighbor>, QueryStats) {
-        let mut stats = QueryStats::default();
-        let mut acc = vec![0.0; ctx.planes.n_hashes() as usize];
-        let mut sketch = vec![0; ctx.m as usize];
-        let (idx, val) = (query.indices(), query.values());
-        SketchMatrix::sketch_one(ctx.planes, ctx.half_bits, idx, val, &mut acc, &mut sketch);
-        let mut keys = vec![0; allpairs::num_tables(ctx.m) as usize];
-        allpairs::table_keys(&sketch, ctx.half_bits, &mut keys);
-        let mut words = vec![0u64; ctx.num_points().div_ceil(64)];
-        let QueryScratch {
-            half_keys,
-            delta_hits,
-            ..
-        } = &mut *scratch;
-        gather_candidates(ctx, &keys, half_keys, delta_hits, &mut stats, |id| {
-            let off = id - ctx.base;
-            words[(off >> 6) as usize] |= 1u64 << (off & 63);
-        });
-        let mut ascending = Vec::new();
-        for (wi, &w) in words.iter().enumerate() {
-            let mut bits = w;
-            while bits != 0 {
-                ascending.push(ctx.base + (wi * 64) as u32 + bits.trailing_zeros());
-                bits &= bits - 1;
-            }
-        }
-        stats.unique_candidates = ascending.len() as u64;
-        let mut out = Vec::new();
-        with_query_side(
-            ctx,
-            query,
-            scratch,
-            &mut out,
-            &mut stats,
-            |scratch, hits, stats| {
-                for &id in ascending.iter().take(ctx.max_candidates) {
-                    filter_candidate(ctx, query, scratch, id, hits, stats);
-                }
-            },
-        );
-        (out, stats)
-    }
-
-    /// Ids and distance bits, in order: what "bit-identical" compares.
-    fn bits(hits: &[Neighbor]) -> Vec<(u32, u32)> {
-        hits.iter()
-            .map(|h| (h.index, h.distance.to_bits()))
-            .collect()
     }
 
     /// Rows `0..n` of `f` under global ids `base..base + n`: the first
@@ -1738,7 +1567,7 @@ mod tests {
         for row in [3u32, 77, 170, 233] {
             deleted[(row / 64) as usize].fetch_or(1 << (row % 64), Ordering::Relaxed);
         }
-        let flat = ctx(&f, QueryStrategy::optimized());
+        let flat = ctx(&f);
         let segmented = QueryContext {
             static_data: &static_data,
             static_tables: Some(&statics),
@@ -1759,7 +1588,7 @@ mod tests {
         let (idx, val) = same.data.row(0);
         let antipode =
             SparseVector::new(idx.iter().zip(val).map(|(&i, &v)| (i, -v)).collect()).unwrap();
-        let empty = ctx(&same, QueryStrategy::optimized());
+        let empty = ctx(&same);
         let cases = [
             (flat, &queries[..]),
             (segmented, &queries[..]),
@@ -1772,51 +1601,36 @@ mod tests {
         let mut filtered = 0;
         let mut bounded = 0;
         let mut zero = 0;
-        for (label, strategy) in QueryStrategy::ablation_levels() {
-            for budget in [usize::MAX, 40, 7] {
-                // Unbudgeted levels 1 and 2 report discovery order, which
-                // the reference does not reproduce.
-                if !strategy.candidate_array && budget == usize::MAX {
-                    continue;
-                }
-                for (radius, top_k) in [
-                    (0.9, None),
-                    (std::f32::consts::PI, None),
-                    (std::f32::consts::PI, Some(1)),
-                    (std::f32::consts::PI, Some(5)),
-                    (0.9, Some(n as usize)),
-                ] {
-                    for (ci, &(c, qs)) in cases.iter().enumerate() {
-                        let c = &QueryContext {
-                            strategy,
-                            max_candidates: budget,
-                            radius,
-                            top_k,
-                            ..c
-                        };
-                        let at =
-                            format!("{label}, budget {budget}, R {radius}, k {top_k:?}, ctx {ci}");
-                        let mut want = Vec::new();
-                        let mut total = QueryStats::default();
-                        for q in qs.iter() {
-                            let (hits, stats) = ascending_extract_reference(c, q, &mut scratch);
-                            let (got, got_stats) = run_one(c, q, &mut scratch);
-                            assert_eq!(bits(&got), bits(&hits), "{at}");
-                            assert_eq!(got_stats, stats, "{at}");
-                            filtered += stats.unique_candidates - stats.distance_computations;
-                            bounded += stats.distance_computations - stats.rows_loaded;
-                            zero += usize::from(stats.unique_candidates == 0);
-                            total.merge(&stats);
-                            want.push(hits);
-                        }
-                        for (path, got, stats) in every_exec(c, qs, &pool, &scratches, &mut scratch)
-                        {
-                            for (g, w) in got.iter().zip(&want) {
-                                assert_eq!(bits(g), bits(w), "{path}: {at}");
-                            }
-                            assert_eq!(got.len(), want.len(), "{path}: {at}");
-                            assert_eq!(stats.totals, total, "{path}: {at}");
-                        }
+        for budget in [usize::MAX, 40, 7] {
+            for (radius, top_k) in [
+                (0.9, None),
+                (std::f32::consts::PI, None),
+                (std::f32::consts::PI, Some(1)),
+                (std::f32::consts::PI, Some(5)),
+                (0.9, Some(n as usize)),
+            ] {
+                for (ci, &(c, qs)) in cases.iter().enumerate() {
+                    let c = &QueryContext {
+                        max_candidates: budget,
+                        radius,
+                        top_k,
+                        ..c
+                    };
+                    let at = format!("budget {budget}, R {radius}, k {top_k:?}, ctx {ci}");
+                    let mut want = Vec::new();
+                    let mut total = QueryStats::default();
+                    for q in qs.iter() {
+                        let (got, stats) = run_one(c, q, &mut scratch);
+                        let ref_stats = assert_like_reference(c, q, &got, &stats, &at);
+                        filtered += ref_stats.unique_candidates - ref_stats.distance_computations;
+                        bounded += stats.distance_computations - stats.rows_loaded;
+                        zero += usize::from(stats.unique_candidates == 0);
+                        total.merge(&stats);
+                        want.push(got);
+                    }
+                    for (path, got, stats) in every_exec(c, qs, &pool, &scratches, &mut scratch) {
+                        assert_eq!(got, want, "{path}: {at}");
+                        assert_eq!(stats.totals, total, "{path}: {at}");
                     }
                 }
             }

@@ -5,7 +5,7 @@
 //! merged static table, or a remote node. This module is that front-end's
 //! contract. A [`SearchRequest`] describes *what* to answer — one or many
 //! query vectors, radius or k-NN mode, per-request radius override,
-//! pipeline strategy, candidate budget, stats/profiling switches — and a
+//! candidate budget, stats/profiling switches — and a
 //! [`SearchResponse`] carries the per-query hits plus whatever
 //! observability the request asked for. Every backend
 //! ([`Engine`](crate::engine::Engine),
@@ -35,7 +35,7 @@
 
 use crate::engine::EpochInfo;
 use crate::error::{PlshError, Result};
-use crate::query::{BatchStats, Neighbor, QueryPhaseTimings, QueryStrategy};
+use crate::query::{BatchStats, Neighbor, QueryPhaseTimings};
 use crate::sparse::SparseVector;
 use plsh_parallel::ThreadPool;
 
@@ -65,7 +65,6 @@ pub struct SearchRequest {
     queries: Vec<SparseVector>,
     mode: SearchMode,
     radius: Option<f32>,
-    strategy: Option<QueryStrategy>,
     collect_stats: bool,
     profile: bool,
     max_candidates: Option<usize>,
@@ -84,7 +83,6 @@ impl SearchRequest {
             queries,
             mode: SearchMode::Radius,
             radius: None,
-            strategy: None,
             collect_stats: false,
             profile: false,
             max_candidates: None,
@@ -107,13 +105,6 @@ impl SearchRequest {
     /// plays no role) this caps the reported neighbors' distance instead.
     pub fn with_radius(mut self, radius: f32) -> Self {
         self.radius = Some(radius);
-        self
-    }
-
-    /// Overrides the backend's query strategy (the Figure 5 ablation
-    /// switches) for this request only.
-    pub fn with_strategy(mut self, strategy: QueryStrategy) -> Self {
-        self.strategy = Some(strategy);
         self
     }
 
@@ -140,8 +131,8 @@ impl SearchRequest {
     /// candidates than this stop early, so answers beyond the budget may
     /// be missed (recall trades for a bounded worst case). The visited
     /// prefix is always the ascending-id candidate order, so a budgeted
-    /// request returns the same answers on every backend and strategy
-    /// level regardless of how the corpus is segmented.
+    /// request returns the same answers on every backend regardless of
+    /// how the corpus is segmented.
     pub fn with_max_candidates(mut self, budget: usize) -> Self {
         self.max_candidates = Some(budget);
         self
@@ -171,11 +162,6 @@ impl SearchRequest {
     /// The per-request radius override, if any.
     pub fn radius_override(&self) -> Option<f32> {
         self.radius
-    }
-
-    /// The per-request strategy override, if any.
-    pub fn strategy_override(&self) -> Option<QueryStrategy> {
-        self.strategy
     }
 
     /// Whether the response should carry [`BatchStats`].
@@ -404,13 +390,11 @@ mod tests {
         let req = SearchRequest::batch(vec![v(vec![(0, 1.0)]), v(vec![(1, 1.0)])])
             .top_k(5)
             .with_radius(1.2)
-            .with_strategy(QueryStrategy::unoptimized())
             .with_stats()
             .with_max_candidates(100);
         assert_eq!(req.queries().len(), 2);
         assert_eq!(req.mode(), SearchMode::Knn(5));
         assert_eq!(req.radius_override(), Some(1.2));
-        assert_eq!(req.strategy_override(), Some(QueryStrategy::unoptimized()));
         assert!(req.collects_stats());
         assert!(!req.profiles());
         assert_eq!(req.max_candidates(), Some(100));

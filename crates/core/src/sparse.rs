@@ -142,8 +142,8 @@ impl SparseVector {
     /// Merge-join dot product with another sparse vector.
     ///
     /// This is the "naive" sparse dot product of Section 5.2.3 — iterate one
-    /// index array while searching the other — used as the unoptimized
-    /// baseline in the Figure 5 ablation.
+    /// index array while searching the other — which decides every
+    /// reported distance, and Figure 5's unoptimized baseline.
     pub fn dot(&self, other: &SparseVector) -> f32 {
         dot_sorted(&self.indices, &self.values, &other.indices, &other.values)
     }

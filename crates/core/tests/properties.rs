@@ -1,14 +1,19 @@
 //! Property-based tests on plsh-core invariants that span modules.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use plsh_core::hash::{allpairs, Hyperplanes, SketchMatrix};
 use plsh_core::params::{self, PlshParams};
-use plsh_core::query::{QueryStrategy, SignatureBound};
+use plsh_core::query::{
+    self, dot_floor, Exec, Neighbor, QueryContext, QueryScratch, ScratchPool, SignatureBound,
+};
 use plsh_core::rng::SplitMix64;
 use plsh_core::sparse::{angular_from_dot, dot_sorted, signature, CrsMatrix, SparseVector};
 use plsh_core::table::{BuildStrategy, DeltaGeneration, MergeStepper, StaticTables};
-use plsh_core::{Engine, EngineConfig, SearchRequest};
+use plsh_core::{Engine, EngineConfig, SearchRequest, SearchResponse};
 use plsh_parallel::ThreadPool;
 
 const DIM: u32 = 48;
@@ -131,44 +136,51 @@ proptest! {
         }
     }
 
+    /// Every way left to run a search — as single-query requests or one
+    /// batch, with or without counters, with or without stage timers, on
+    /// one worker or two — answers alike: one driver serves them all.
     #[test]
     fn every_strategy_combination_agrees(
         vs in proptest::collection::vec(sparse_vec_strategy(), 8..40),
-        bitvector in any::<bool>(),
-        sparse_dot in any::<bool>(),
-        cand_array in any::<bool>(),
+        one_by_one in any::<bool>(),
+        stats in any::<bool>(),
+        profiling in any::<bool>(),
+        two_workers in any::<bool>(),
     ) {
         let pool = ThreadPool::new(1);
         let params = PlshParams::builder(DIM).k(4).m(5).radius(0.9).seed(9).build().unwrap();
         let e = Engine::new(EngineConfig::new(params, 256).manual_merge(), &pool).unwrap();
         e.insert_batch(&vs, &pool).unwrap();
         e.merge_delta(&pool);
-        let strategy = QueryStrategy {
-            bitvector_dedup: bitvector,
-            optimized_sparse_dot: sparse_dot,
-            candidate_array: cand_array,
-            huge_pages: false,
+        let queries: Vec<SparseVector> = vs.iter().step_by(4).cloned().collect();
+        let answers = |resp: SearchResponse| -> Vec<Vec<(u32, u32)>> {
+            resp.results
+                .iter()
+                .map(|hits| hits.iter().map(|h| (h.index, h.distance.to_bits())).collect())
+                .collect()
         };
-        let q = vs[0].clone();
-        let mut expect: Vec<u32> = e
-            .search(
-                &SearchRequest::query(q.clone()).with_strategy(QueryStrategy::optimized()),
-                &pool,
-            )
-            .unwrap()
-            .hits()
-            .iter()
-            .map(|h| h.index)
-            .collect();
-        expect.sort_unstable();
-        let mut got: Vec<u32> = e
-            .search(&SearchRequest::query(q).with_strategy(strategy), &pool)
-            .unwrap()
-            .hits()
-            .iter()
-            .map(|h| h.index)
-            .collect();
-        got.sort_unstable();
+        let expect = answers(e.search(&SearchRequest::batch(queries.clone()), &pool).unwrap());
+        let run_pool = ThreadPool::new(if two_workers { 2 } else { 1 });
+        let options = |mut req: SearchRequest| {
+            if stats {
+                req = req.with_stats();
+            }
+            if profiling {
+                req = req.with_profiling();
+            }
+            req
+        };
+        let got: Vec<Vec<(u32, u32)>> = if one_by_one {
+            queries
+                .iter()
+                .flat_map(|q| {
+                    let req = options(SearchRequest::query(q.clone()));
+                    answers(e.search(&req, &run_pool).unwrap())
+                })
+                .collect()
+        } else {
+            answers(e.search(&options(SearchRequest::batch(queries)), &run_pool).unwrap())
+        };
         prop_assert_eq!(got, expect);
     }
 
@@ -390,7 +402,6 @@ proptest! {
             .iter()
             .map(|r| dot_sorted(r.indices(), r.values(), q.indices(), q.values()))
             .collect();
-        let dot_floor = |angle: f32| ((angle as f64).cos() - 1e-3) as f32;
         let mut ranked = dots.clone();
         ranked.sort_by(|a, b| b.total_cmp(a));
         let mut floors = vec![
@@ -424,61 +435,130 @@ proptest! {
     }
 }
 
+/// `vs` as one epoch's segments under global ids `base..`: the first
+/// `merged` rows in static tables, the rest in sealed generations cut at
+/// each of `cuts` (clamped and sorted).
+fn segments(
+    vs: &[SparseVector],
+    base: u32,
+    merged: usize,
+    cuts: &[usize],
+    planes: &Hyperplanes,
+    (m, half_bits): (u32, u32),
+    pool: &ThreadPool,
+) -> (CrsMatrix, Option<StaticTables>, Vec<Arc<DeltaGeneration>>) {
+    let generation = |lo: usize, hi: usize| {
+        let mut g = DeltaGeneration::new(base + lo as u32, DIM, m, half_bits);
+        g.append(&vs[lo..hi], planes, true, pool).unwrap();
+        Arc::new(g)
+    };
+    let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.clamp(merged, vs.len())).collect();
+    bounds.extend([merged, vs.len()]);
+    bounds.sort_unstable();
+    bounds.dedup();
+    let gens = bounds.windows(2).map(|w| generation(w[0], w[1])).collect();
+    if merged == 0 {
+        return (CrsMatrix::new(DIM), None, gens);
+    }
+    let head = generation(0, merged);
+    let tables = StaticTables::merge_generations(
+        None,
+        m,
+        half_bits,
+        merged,
+        std::slice::from_ref(&head),
+        &[],
+        base,
+        base,
+        pool,
+    );
+    (head.data().clone(), Some(tables), gens)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// On unit corpora the signature-bounded kernel answers exactly like
-    /// the bound-free level 0: the same neighbours, distances and order,
-    /// in radius and k-NN mode, over merged, unmerged and deleted points,
-    /// and it decides the same candidates.
+    /// The shipped kernel answers every query exactly like
+    /// `query::reference` — ids, distance bits and k-NN tie order — over a
+    /// merged prefix, sealed generations, deletes and a retire cut, in
+    /// radius, k-NN and k-NN-within-R mode, with and without a candidate
+    /// budget, and it decides the same candidates. The reference loads
+    /// the row of every candidate it decides; the kernel's signature bound
+    /// may skip some, except in a plain k-NN query, which has no positive
+    /// floor and so no bound, as the cost model assumes.
     #[test]
     fn optimized_answers_equal_the_bound_free_level(
-        merged in proptest::collection::vec(sparse_vec_strategy(), 8..60),
-        fresh in proptest::collection::vec(sparse_vec_strategy(), 0..30),
-        victims in proptest::collection::vec(0usize..90, 0..5),
+        vs in proptest::collection::vec(sparse_vec_strategy(), 8..70),
+        merged_pct in 0usize..101,
+        cuts in proptest::collection::vec(0usize..70, 0..4),
+        victims in proptest::collection::vec(0usize..70, 0..6),
+        retired in 0usize..12,
+        base in prop_oneof![Just(0u32), 1u32..5000],
         radius in 0.05f32..std::f32::consts::PI,
         k in 1usize..8,
+        budget in 1usize..40,
     ) {
-        let pool = ThreadPool::new(1);
-        let params = PlshParams::builder(DIM).k(4).m(5).radius(0.9).seed(21).build().unwrap();
-        let e = Engine::new(EngineConfig::new(params, 256).manual_merge(), &pool).unwrap();
-        e.insert_batch(&merged, &pool).unwrap();
-        e.merge_delta(&pool);
-        if !fresh.is_empty() {
-            e.insert_batch(&fresh, &pool).unwrap();
-        }
-        let n = merged.len() + fresh.len();
+        let pool = ThreadPool::new(2);
+        let (m, half_bits) = (5u32, 2u32);
+        let planes = Hyperplanes::new_dense(DIM, m * half_bits, 21, &pool);
+        let n = vs.len();
+        let merged = n * merged_pct / 100;
+        let (static_data, tables, gens) =
+            segments(&vs, base, merged, &cuts, &planes, (m, half_bits), &pool);
+        let deleted: Vec<AtomicU64> = (0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
         for v in &victims {
-            e.delete((v % n) as u32);
+            let off = v % n;
+            deleted[off / 64].fetch_or(1 << (off % 64), Ordering::Relaxed);
         }
-        let queries: Vec<SparseVector> = merged.iter().chain(&fresh).step_by(3).cloned().collect();
-        // A plain k-NN request has no positive floor, so no bound: it
-        // loads every row it decides, as the cost model assumes.
-        for (req, plain_knn) in [
-            (SearchRequest::batch(queries.clone()).with_radius(radius), false),
-            (SearchRequest::batch(queries.clone()).top_k(k), true),
-            (SearchRequest::batch(queries).top_k(k).with_radius(radius), false),
-        ] {
-            let run = |strategy| {
-                let resp = e
-                    .search(&req.clone().with_strategy(strategy).with_stats(), &pool)
-                    .unwrap();
-                let answers: Vec<Vec<(u32, u32)>> = resp
-                    .results
-                    .iter()
-                    .map(|hits| hits.iter().map(|h| (h.index, h.distance.to_bits())).collect())
-                    .collect();
-                (answers, resp.stats.unwrap().totals)
-            };
-            let (plain, plain_stats) = run(QueryStrategy::unoptimized());
-            let (fast, fast_stats) = run(QueryStrategy::optimized());
-            prop_assert_eq!(&fast, &plain);
-            prop_assert_eq!(fast_stats.distance_computations, plain_stats.distance_computations);
-            prop_assert_eq!(plain_stats.rows_loaded, plain_stats.distance_computations);
-            prop_assert!(fast_stats.rows_loaded <= fast_stats.distance_computations);
-            if plain_knn {
-                prop_assert_eq!(fast_stats.rows_loaded, fast_stats.distance_computations);
+        let epoch = QueryContext {
+            static_data: &static_data,
+            planes: &planes,
+            static_tables: tables.as_ref(),
+            deltas: &gens,
+            deleted: Some(&deleted),
+            m,
+            half_bits,
+            radius,
+            base,
+            retired_below: base + retired.min(n) as u32,
+            max_candidates: usize::MAX,
+            top_k: None,
+        };
+        prop_assert_eq!(epoch.num_points(), n);
+        let queries: Vec<SparseVector> = vs.iter().step_by(3).cloned().collect();
+        let pi = std::f32::consts::PI;
+        let scratches = ScratchPool::new(m, half_bits, DIM);
+        let mut scratch = QueryScratch::new(m, half_bits, n, DIM);
+        for (radius, top_k) in [(radius, None), (pi, Some(k)), (radius, Some(k))] {
+            for max_candidates in [usize::MAX, budget] {
+                let ctx = QueryContext { radius, top_k, max_candidates, ..epoch };
+                let exec = Exec::Pool(&pool, &scratches);
+                let (batch, _) = query::run_batch(&ctx, &queries, exec, None);
+                for (q, pooled) in queries.iter().zip(&batch) {
+                    let (want, want_stats) = query::reference(&ctx, q);
+                    let qs = std::slice::from_ref(q);
+                    let (got, stats) = query::run_batch(&ctx, qs, Exec::Inline(&mut scratch), None);
+                    let stats = stats.totals;
+                    prop_assert_eq!(bits(&got[0]), bits(&want));
+                    prop_assert_eq!(bits(pooled), bits(&want));
+                    prop_assert_eq!(stats.collisions, want_stats.collisions);
+                    prop_assert_eq!(stats.unique_candidates, want_stats.unique_candidates);
+                    prop_assert_eq!(stats.distance_computations, want_stats.distance_computations);
+                    prop_assert_eq!(stats.matches, want_stats.matches);
+                    prop_assert_eq!(want_stats.rows_loaded, want_stats.distance_computations);
+                    prop_assert!(stats.rows_loaded <= stats.distance_computations);
+                    if radius == pi {
+                        prop_assert_eq!(stats.rows_loaded, stats.distance_computations);
+                    }
+                }
             }
         }
     }
+}
+
+/// Ids and distance bits, in order: what "bit-identical" compares.
+fn bits(hits: &[Neighbor]) -> Vec<(u32, u32)> {
+    hits.iter()
+        .map(|h| (h.index, h.distance.to_bits()))
+        .collect()
 }

@@ -60,7 +60,7 @@ use std::time::{Duration, Instant};
 
 /// Everything a PLSH backend must answer to sit behind the wire surface.
 /// Implemented here for [`StreamingEngine`]; the root `plsh::Index`
-/// implements it over both its backends.
+/// implements it over its `ShardedIndex`, one shard included.
 pub trait ServeBackend: Send + Sync {
     fn search(&self, req: &SearchRequest) -> CoreResult<SearchResponse>;
     fn insert_batch(&self, vs: &[SparseVector]) -> CoreResult<Vec<u32>>;

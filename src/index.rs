@@ -40,7 +40,6 @@ use plsh_cluster::ShardedIndex;
 use plsh_core::engine::{EngineConfig, EngineStats, EpochInfo, MergeReport, WindowSpec};
 use plsh_core::error::{PlshError, Result};
 use plsh_core::params::PlshParams;
-use plsh_core::query::QueryStrategy;
 use plsh_core::search::{SearchHit, SearchRequest, SearchResponse};
 use plsh_core::snapshot::Snapshot;
 use plsh_core::sparse::SparseVector;
@@ -76,8 +75,7 @@ impl std::fmt::Debug for Index {
 
 /// Builder for [`Index`]: configuration beyond the LSH parameters is
 /// optional and defaults to the paper's operating point (one node,
-/// auto-merge at `η = 0.1`, fully optimized query strategy, one worker per
-/// core).
+/// auto-merge at `η = 0.1`, one worker per core).
 pub struct IndexBuilder {
     /// The per-shard engine template.
     config: EngineConfig,
@@ -114,12 +112,6 @@ impl IndexBuilder {
     /// explicitly.
     pub fn manual_merge(mut self) -> Self {
         self.config = self.config.manual_merge();
-        self
-    }
-
-    /// Default query strategy for requests that don't override it.
-    pub fn query_strategy(mut self, strategy: QueryStrategy) -> Self {
-        self.config = self.config.with_query_strategy(strategy);
         self
     }
 
@@ -301,7 +293,7 @@ impl Index {
     // ---- Search ----
 
     /// Answers one [`SearchRequest`] — radius or k-NN, single query or
-    /// batch, with optional radius/strategy overrides, candidate budget,
+    /// batch, with an optional radius override, candidate budget,
     /// counters, and profiling. On one shard the whole request runs
     /// against one pinned epoch; across shards each shard pins its own and
     /// the answers merge globally. Ingest and merges never block it either

@@ -13,12 +13,20 @@
 //! answers are checked to be budget-*honoring* instead — every hit a true
 //! hit and the aggregate candidates examined within the global budget —
 //! since each shard truncates its own ascending-id candidate prefix.
+//!
+//! Every answer a single-node backend gives is also checked against
+//! `query::reference`, the unoptimized kernel, run over one flat static
+//! epoch of the whole corpus.
 
 use plsh::core::engine::{Engine, EngineConfig};
+use plsh::core::hash::{Hyperplanes, SketchMatrix};
+use plsh::core::query::{self, QueryContext};
+use plsh::core::sparse::CrsMatrix;
 use plsh::core::streaming::StreamingEngine;
+use plsh::core::table::{BuildStrategy, StaticTables};
 use plsh::parallel::ThreadPool;
 use plsh::workload::{CorpusConfig, QuerySet, SyntheticCorpus};
-use plsh::{PlshParams, QueryStrategy, SearchBackend, SearchRequest, ShardedIndex};
+use plsh::{PlshParams, SearchBackend, SearchMode, SearchRequest, ShardedIndex};
 
 const N: usize = 600;
 
@@ -93,6 +101,52 @@ fn sharded_answers(
                     );
                     (h.index, h.distance.to_bits())
                 })
+                .collect();
+            set.sort_unstable();
+            set
+        })
+        .collect()
+}
+
+/// The whole corpus as one static epoch, built without an engine: the
+/// rows, the engine's hyperplanes (same dimension, count and seed) and
+/// tables over every row.
+fn flat_epoch(
+    corpus: &SyntheticCorpus,
+    params: &PlshParams,
+    pool: &ThreadPool,
+) -> (CrsMatrix, Hyperplanes, StaticTables) {
+    let mut rows = CrsMatrix::new(corpus.dim());
+    for v in corpus.vectors() {
+        rows.push(v).unwrap();
+    }
+    let planes = Hyperplanes::new_dense(corpus.dim(), params.num_hashes(), params.seed(), pool);
+    let mut sketches = SketchMatrix::new(params.m(), params.half_bits());
+    sketches.append_from(&rows, &planes, 0, pool, true);
+    let tables = StaticTables::build(&sketches, BuildStrategy::TwoLevelShared, pool);
+    (rows, planes, tables)
+}
+
+/// `query::reference`'s answers to `req` over `epoch` (a context at the
+/// configured radius), in the canonical form of [`answers`]: the request
+/// fields set the context as a backend sets its own.
+fn reference_answers(epoch: &QueryContext<'_>, req: &SearchRequest) -> Vec<Vec<(u32, u32)>> {
+    let mut ctx = QueryContext {
+        radius: req.radius_override().unwrap_or(epoch.radius),
+        max_candidates: req.max_candidates().unwrap_or(usize::MAX),
+        ..*epoch
+    };
+    if let SearchMode::Knn(k) = req.mode() {
+        ctx.radius = req.radius_override().unwrap_or(std::f32::consts::PI);
+        ctx.top_k = Some(k);
+    }
+    req.queries()
+        .iter()
+        .map(|q| {
+            let (hits, _) = query::reference(&ctx, q);
+            let mut set: Vec<(u32, u32)> = hits
+                .iter()
+                .map(|h| (h.index, h.distance.to_bits()))
                 .collect();
             set.sort_unstable();
             set
@@ -177,6 +231,22 @@ fn all_backends_answer_identically() {
         })
         .collect();
 
+    let (rows, planes, tables) = flat_epoch(&corpus, &params, &pool);
+    let epoch = QueryContext {
+        static_data: &rows,
+        planes: &planes,
+        static_tables: Some(&tables),
+        deltas: &[],
+        deleted: None,
+        m: params.m(),
+        half_bits: params.half_bits(),
+        radius: params.radius() as f32,
+        base: 0,
+        retired_below: 0,
+        max_candidates: usize::MAX,
+        top_k: None,
+    };
+
     let queries = QuerySet::sample_from_corpus(&corpus, 60, 9);
     let qs = queries.queries().to_vec();
     // (request, budgeted): budgeted requests divide the candidate budget
@@ -185,33 +255,16 @@ fn all_backends_answer_identically() {
     let requests = [
         // The default request.
         (SearchRequest::batch(qs.clone()), false),
-        // The weakest strategy level.
-        (
-            SearchRequest::batch(qs.clone()).with_strategy(QueryStrategy::unoptimized()),
-            false,
-        ),
         // Approximate k-NN with a global tie-break.
         (SearchRequest::batch(qs.clone()).top_k(7), false),
         // Per-request radius override.
         (SearchRequest::batch(qs.clone()).with_radius(1.2), false),
         // Bounded candidate budget: the visited prefix is the ascending-id
-        // candidate order at *every* strategy level, so it is
-        // segmentation-independent across single-node backends (and
-        // per-shard on sharded ones — hence the flag).
+        // candidate order, so it is segmentation-independent across
+        // single-node backends (and per-shard on sharded ones — hence the
+        // flag).
         (
             SearchRequest::batch(qs.clone()).with_max_candidates(50),
-            true,
-        ),
-        (
-            SearchRequest::batch(qs.clone())
-                .with_max_candidates(50)
-                .with_strategy(QueryStrategy::with_sparse_dot()),
-            true,
-        ),
-        (
-            SearchRequest::batch(qs.clone())
-                .with_max_candidates(50)
-                .with_strategy(QueryStrategy::unoptimized()),
             true,
         ),
         // Stats + profiling switches must not change answers.
@@ -225,6 +278,11 @@ fn all_backends_answer_identically() {
         let full = answers(&engine, &requests[0].0, &pool);
         for (ri, (req, budgeted)) in requests.iter().enumerate() {
             let a = answers(&engine, req, &pool);
+            assert_eq!(
+                a,
+                reference_answers(&epoch, req),
+                "{label}: Engine vs the reference kernel diverged on request {ri}"
+            );
             let b = answers(&streaming, req, &pool);
             assert_eq!(
                 a, b,
