@@ -122,8 +122,9 @@ impl Fixture {
     }
 }
 
-/// A flat all-static index built with no engine, its tables given no
-/// huge-page advice; Figures 5 and 6 query it through
+/// A flat all-static index built with no engine, stored as the engine
+/// stores an epoch (arrays of 2 MB or more on huge pages where the host
+/// allows them); Figures 5 and 6 query it through
 /// [`context`](Self::context).
 pub struct StaticIndex {
     /// The documents, one row each.

@@ -1020,16 +1020,14 @@ impl Engine {
         // Build the next epoch off to the side: the static suffix
         // surviving the window, then every sealed row at or beyond the
         // new base (a straddled generation contributes its suffix).
-        let mut static_data = if new_base == old_base {
-            (*v0.static_data).clone()
-        } else {
-            let mut compacted = CrsMatrix::new(p.dim());
-            compacted.extend_from_range(&v0.static_data, (new_base - old_base) as usize);
-            compacted
-        };
-        for g in &gens {
-            static_data.extend_from_range(g.data(), new_base.saturating_sub(g.base()) as usize);
-        }
+        let parts: Vec<(&CrsMatrix, usize)> =
+            std::iter::once((&*v0.static_data, (new_base - old_base) as usize))
+                .chain(
+                    gens.iter()
+                        .map(|g| (g.data(), new_base.saturating_sub(g.base()) as usize)),
+                )
+                .collect();
+        let static_data = CrsMatrix::from_suffixes(p.dim(), &parts);
         let mut yielded = Duration::ZERO;
         let statics = match pacing {
             None => StaticTables::merge_generations(
@@ -1065,9 +1063,6 @@ impl Engine {
                 stepper.finish()
             }
         };
-        // Figure 5's "+large pages" (Section 5.2.2), behind the tables'
-        // own size gate.
-        statics.advise_huge_pages();
         // Build time is working time: pacing sleeps are reported
         // separately so merge cost stays comparable across both paths.
         let build = t0.elapsed().saturating_sub(yielded);

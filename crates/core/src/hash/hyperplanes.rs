@@ -18,6 +18,7 @@ use plsh_parallel::ThreadPool;
 
 use crate::rng::gaussian_at;
 use crate::simd;
+use crate::util::HugeVec;
 
 /// How hyperplane components are stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,14 +37,16 @@ pub struct Hyperplanes {
     dim: u32,
     n_hashes: u32,
     seed: u64,
-    /// Dimension-major dense storage, `None` for on-the-fly.
-    dense: Option<Vec<f32>>,
+    /// Dimension-major dense storage, `None` for on-the-fly: on huge
+    /// pages once 2 MB or more, as Q1 and every insert read one plane row
+    /// per non-zero at random.
+    dense: Option<HugeVec<f32>>,
 }
 
 impl Hyperplanes {
     /// Materializes the dense hyperplane matrix in parallel.
     pub fn new_dense(dim: u32, n_hashes: u32, seed: u64, pool: &ThreadPool) -> Self {
-        let mut data = vec![0.0f32; dim as usize * n_hashes as usize];
+        let mut data = HugeVec::zeroed(dim as usize * n_hashes as usize);
         {
             let shared = crate::util::SharedSliceMut::new(&mut data);
             let shared = &shared;

@@ -40,7 +40,7 @@
 //! | "+bitvector" (Section 5.2.1) | [`CandidateSet`] dedup in Q2 |
 //! | "+optimized sparse DP" (Section 5.2.3) | query-side bitvector, masked dot, signature bound |
 //! | "+sw prefetch" (Section 5.2.2) | bucket prefetch (this query's and the next's), signature and row prefetch in Q3 |
-//! | "+large pages" (Section 5.2.2) | the engine's merge publish calls `StaticTables::advise_huge_pages` |
+//! | "+large pages" (Section 5.2.2) | tables, rows and planes in 2 MB-aligned buffers advised for huge pages before first touch (`util::HugeVec`) |
 //!
 //! [`reference()`] is Figure 5's "No optimizations" level and the oracle
 //! the kernel is tested against; `repro fig5` rebuilds the levels between.

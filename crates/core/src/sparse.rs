@@ -10,6 +10,7 @@
 //! `p(t) = 1 − t/π` (Section 3).
 
 use crate::error::{PlshError, Result};
+use crate::util::HugeVec;
 
 /// A sparse vector with strictly increasing dimension indices.
 ///
@@ -218,14 +219,16 @@ pub(crate) const FULL_SIGNATURE: u64 = u64::MAX;
 /// row (`sigs`), derived from the row whenever it is stored, so no file
 /// format carries it. Rows are immutable once pushed; the only mutation
 /// is appending (streaming inserts) and truncation (retirement of a
-/// node's data).
+/// node's data). Each array is a `util::HugeVec`, so a corpus's rows sit
+/// on huge pages once an array reaches 2 MB: Q3 loads candidate rows at
+/// random.
 #[derive(Debug, Clone)]
 pub struct CrsMatrix {
     dim: u32,
-    row_offsets: Vec<usize>,
-    cols: Vec<u32>,
-    vals: Vec<f32>,
-    sigs: Vec<u64>,
+    row_offsets: HugeVec<usize>,
+    cols: HugeVec<u32>,
+    vals: HugeVec<f32>,
+    sigs: HugeVec<u64>,
 }
 
 impl CrsMatrix {
@@ -233,10 +236,10 @@ impl CrsMatrix {
     pub fn new(dim: u32) -> Self {
         Self {
             dim,
-            row_offsets: vec![0],
-            cols: Vec::new(),
-            vals: Vec::new(),
-            sigs: Vec::new(),
+            row_offsets: HugeVec::from_slice(&[0]),
+            cols: HugeVec::new(),
+            vals: HugeVec::new(),
+            sigs: HugeVec::new(),
         }
     }
 
@@ -365,6 +368,27 @@ impl CrsMatrix {
                 .iter()
                 .map(|o| o - lo + base),
         );
+    }
+
+    /// The rows of each `(matrix, from_row)` part from `from_row` on, in
+    /// order, in storage sized once: a merge's new static corpus, built
+    /// without regrowing a buffer of the whole corpus.
+    pub(crate) fn from_suffixes(dim: u32, parts: &[(&CrsMatrix, usize)]) -> Self {
+        let (mut rows, mut nnz) = (0, 0);
+        for &(m, from) in parts {
+            let from = from.min(m.num_rows());
+            rows += m.num_rows() - from;
+            nnz += m.total_nnz() - m.row_offsets[from];
+        }
+        let mut out = Self::new(dim);
+        out.row_offsets.reserve(rows);
+        out.sigs.reserve(rows);
+        out.cols.reserve(nnz);
+        out.vals.reserve(nnz);
+        for &(m, from) in parts {
+            out.extend_from_range(m, from);
+        }
+        out
     }
 
     /// Drops every row with index `>= keep`, retaining storage.

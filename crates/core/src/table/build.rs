@@ -66,7 +66,25 @@ pub fn partition_identity<F>(
 where
     F: Fn(usize) -> u32 + Sync,
 {
-    partition_impl(n, num_buckets, &key_of, None, pool)
+    let (mut perm, mut offsets) = (vec![0; n], vec![0; num_buckets + 1]);
+    partition_impl(n, num_buckets, &key_of, None, pool, &mut perm, &mut offsets);
+    Partition { perm, offsets }
+}
+
+/// Like [`partition_identity`], writing the permuted items into `perm`
+/// (length `n`) and the offsets into `offsets` (length `num_buckets + 1`)
+/// in place.
+pub(crate) fn partition_identity_into<F>(
+    n: usize,
+    num_buckets: usize,
+    key_of: F,
+    pool: &ThreadPool,
+    perm: &mut [u32],
+    offsets: &mut [u32],
+) where
+    F: Fn(usize) -> u32 + Sync,
+{
+    partition_impl(n, num_buckets, &key_of, None, pool, perm, offsets);
 }
 
 /// Like [`partition_identity`] but permutes the caller's `items` array:
@@ -80,7 +98,18 @@ pub fn partition_items<F>(
 where
     F: Fn(usize) -> u32 + Sync,
 {
-    partition_impl(items.len(), num_buckets, &key_of, Some(items), pool)
+    let n = items.len();
+    let (mut perm, mut offsets) = (vec![0; n], vec![0; num_buckets + 1]);
+    partition_impl(
+        n,
+        num_buckets,
+        &key_of,
+        Some(items),
+        pool,
+        &mut perm,
+        &mut offsets,
+    );
+    Partition { perm, offsets }
 }
 
 fn partition_impl<F>(
@@ -89,14 +118,16 @@ fn partition_impl<F>(
     key_of: &F,
     items: Option<&[u32]>,
     pool: &ThreadPool,
-) -> Partition
-where
+    perm: &mut [u32],
+    offsets: &mut [u32],
+) where
     F: Fn(usize) -> u32 + Sync,
 {
     assert!(num_buckets >= 1);
+    assert_eq!((perm.len(), offsets.len()), (n, num_buckets + 1));
     let t = pool.num_threads();
     if t == 1 || n < 4096 {
-        return partition_serial(n, num_buckets, key_of, items);
+        return partition_serial(n, num_buckets, key_of, items, perm, offsets);
     }
 
     let ranges = pool.even_ranges(n);
@@ -122,10 +153,9 @@ where
     // Cross-thread exclusive prefix in bucket-major order: the final slot
     // of (bucket b, thread t) starts after all earlier buckets and after
     // the same bucket's items from earlier threads (Step 2 of [21]).
-    let mut offsets = Vec::with_capacity(num_buckets + 1);
     let mut running = 0u32;
-    for b in 0..num_buckets {
-        offsets.push(running);
+    for (b, slot) in offsets[..num_buckets].iter_mut().enumerate() {
+        *slot = running;
         for tid in 0..t {
             let idx = tid * num_buckets + b;
             let c = hist[idx];
@@ -133,12 +163,11 @@ where
             running += c;
         }
     }
-    offsets.push(running);
+    offsets[num_buckets] = running;
     debug_assert_eq!(running as usize, n);
 
-    let mut perm = vec![0u32; n];
     {
-        let shared_perm = SharedSliceMut::new(&mut perm);
+        let shared_perm = SharedSliceMut::new(perm);
         let shared_perm = &shared_perm;
         let hist_ref = &hist;
         let ranges_ref = &ranges;
@@ -157,27 +186,30 @@ where
             }
         });
     }
-
-    Partition { perm, offsets }
 }
 
-fn partition_serial<F>(n: usize, num_buckets: usize, key_of: &F, items: Option<&[u32]>) -> Partition
-where
+fn partition_serial<F>(
+    n: usize,
+    num_buckets: usize,
+    key_of: &F,
+    items: Option<&[u32]>,
+    perm: &mut [u32],
+    offsets: &mut [u32],
+) where
     F: Fn(usize) -> u32 + Sync,
 {
-    let mut counts = vec![0u32; num_buckets];
+    let (counts, total) = offsets.split_at_mut(num_buckets);
+    counts.fill(0);
     for pos in 0..n {
         counts[key_of(pos) as usize] += 1;
     }
-    let offsets = plsh_parallel::exclusive_prefix_sum(&counts);
-    let mut cursors = offsets[..num_buckets].to_vec();
-    let mut perm = vec![0u32; n];
+    total[0] = plsh_parallel::exclusive_prefix_sum_in_place(counts);
+    let mut cursors = counts.to_vec();
     for pos in 0..n {
         let b = key_of(pos) as usize;
         perm[cursors[b] as usize] = items.map_or(pos as u32, |it| it[pos]);
         cursors[b] += 1;
     }
-    Partition { perm, offsets }
 }
 
 /// Stable counting sort of one first-level bucket by its second-level keys

@@ -4,6 +4,15 @@
 //! ids partitioned by bucket, plus a `2^k + 1` offsets array: bucket `key`
 //! owns `entries[offsets[key]..offsets[key+1]]`. No pointers, no chains —
 //! a bucket lookup is two offset reads and one contiguous slice.
+//!
+//! An epoch keeps its `L` tables in two arenas, one of all offsets arrays
+//! and one of all entries arrays, table `l` a fixed slice of each. Every
+//! build and merge path writes the slices in place, so an epoch is two
+//! allocations, and an epoch of 2 MB or more sits on transparent huge
+//! pages advised before its first byte is written (the paper's "large
+//! 2 MB pages", Section 5.2.2; see `util::HugeVec`). Q2's bucket reads are
+//! random over the whole epoch, so on 4 KB pages most of them also miss
+//! the TLB.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -14,7 +23,7 @@ use plsh_parallel::ThreadPool;
 use crate::hash::{allpairs, SketchMatrix};
 use crate::table::build::{self, BuildStrategy, Partition};
 use crate::table::generation::DeltaGeneration;
-use crate::util::SharedSliceMut;
+use crate::util::{HugeVec, SharedSliceMut};
 
 /// Wall time spent in each construction step (Figure 6 instrumentation).
 ///
@@ -39,25 +48,31 @@ impl BuildTimings {
     }
 }
 
-/// One static table: the pair of half-key functions it indexes plus its
-/// partitioned storage.
-#[derive(Debug, Clone)]
-struct StaticTable {
-    /// `(a, b)` half-key function pair, `a < b`.
-    pair: (u32, u32),
-    /// `2^k + 1` bucket offsets.
-    offsets: Vec<u32>,
-    /// All `N` point ids, grouped by bucket.
-    entries: Vec<u32>,
-}
-
 /// The full set of `L` static tables over points `0..n`.
 #[derive(Debug, Clone)]
 pub struct StaticTables {
     m: u32,
     half_bits: u32,
     n: u32,
-    tables: Vec<StaticTable>,
+    /// Entries per table: every id the epoch keeps, once. Purged and
+    /// retired ids keep their row slot in `0..n` but appear in no table.
+    live: u32,
+    /// Table `l`'s `(a, b)` half-key function pair, `a < b`.
+    pairs: Vec<(u32, u32)>,
+    /// Table `l`'s `2^k + 1` bucket offsets are `offsets[l·(2^k+1)..]`,
+    /// counted from the table's first entry.
+    offsets: HugeVec<u32>,
+    /// Table `l`'s ids, grouped by bucket, are `entries[l·live..]`.
+    entries: HugeVec<u32>,
+}
+
+/// One table's storage inside the arenas, writable: what a build or merge
+/// path fills in place.
+struct TableMut<'a> {
+    l: usize,
+    pair: (u32, u32),
+    offsets: &'a mut [u32],
+    entries: &'a mut [u32],
 }
 
 impl StaticTables {
@@ -91,27 +106,83 @@ impl StaticTables {
         pool: &ThreadPool,
     ) -> (Self, BuildTimings) {
         assert!(n <= sketches.num_points());
-        let m = sketches.m();
-        let half_bits = sketches.half_bits();
-        let (tables, timings) = match strategy {
-            BuildStrategy::OneLevel => build_one_level(sketches, n, pool),
-            BuildStrategy::TwoLevel => build_two_level(sketches, n, false, pool),
-            BuildStrategy::TwoLevelShared => build_two_level(sketches, n, true, pool),
+        let mut t = Self::with_arenas(sketches.m(), sketches.half_bits(), n, n);
+        let tables = t.tables_mut();
+        let timings = match strategy {
+            BuildStrategy::OneLevel => build_one_level(sketches, n, tables, pool),
+            BuildStrategy::TwoLevel => build_two_level(sketches, n, false, tables, pool),
+            BuildStrategy::TwoLevelShared => build_two_level(sketches, n, true, tables, pool),
         };
+        (t, timings)
+    }
+
+    /// Zero-filled arenas for the `L` tables over `n` rows, `live` entries
+    /// each.
+    fn with_arenas(m: u32, half_bits: u32, n: usize, live: usize) -> Self {
+        let pairs: Vec<(u32, u32)> = allpairs::pairs(m).collect();
+        let stride = (1usize << (2 * half_bits)) + 1;
+        Self {
+            m,
+            half_bits,
+            n: n as u32,
+            live: live as u32,
+            offsets: HugeVec::zeroed(pairs.len() * stride),
+            entries: HugeVec::zeroed(pairs.len() * live),
+            pairs,
+        }
+    }
+
+    /// Length of one table's offsets array, `2^k + 1`.
+    #[inline]
+    fn stride(&self) -> usize {
+        (1usize << (2 * self.half_bits)) + 1
+    }
+
+    /// Table `l`'s offsets and entries.
+    #[inline]
+    fn table(&self, l: usize) -> (&[u32], &[u32]) {
+        let (stride, live) = (self.stride(), self.live as usize);
         (
-            Self {
-                m,
-                half_bits,
-                n: n as u32,
-                tables,
-            },
-            timings,
+            &self.offsets[l * stride..(l + 1) * stride],
+            &self.entries[l * live..(l + 1) * live],
         )
+    }
+
+    /// Table `l`'s storage, writable.
+    fn table_mut(&mut self, l: usize) -> TableMut<'_> {
+        let (stride, live) = (self.stride(), self.live as usize);
+        TableMut {
+            l,
+            pair: self.pairs[l],
+            offsets: &mut self.offsets[l * stride..(l + 1) * stride],
+            entries: &mut self.entries[l * live..(l + 1) * live],
+        }
+    }
+
+    /// Every table's storage, writable, in table order.
+    fn tables_mut(&mut self) -> Vec<TableMut<'_>> {
+        let (stride, live) = (self.stride(), self.live as usize);
+        let mut offsets: &mut [u32] = &mut self.offsets;
+        let mut entries: &mut [u32] = &mut self.entries;
+        let mut tables = Vec::with_capacity(self.pairs.len());
+        for (l, &pair) in self.pairs.iter().enumerate() {
+            let (o, rest) = std::mem::take(&mut offsets).split_at_mut(stride);
+            offsets = rest;
+            let (e, rest) = std::mem::take(&mut entries).split_at_mut(live);
+            entries = rest;
+            tables.push(TableMut {
+                l,
+                pair,
+                offsets: o,
+                entries: e,
+            });
+        }
+        tables
     }
 
     /// Number of tables `L`.
     pub fn num_tables(&self) -> usize {
-        self.tables.len()
+        self.pairs.len()
     }
 
     /// Number of indexed points `N`.
@@ -131,16 +202,17 @@ impl StaticTables {
 
     /// The half-key function pair of table `l`.
     pub fn pair(&self, l: usize) -> (u32, u32) {
-        self.tables[l].pair
+        self.pairs[l]
     }
 
     /// The point ids in bucket `key` of table `l`.
     #[inline]
     pub fn bucket(&self, l: usize, key: u32) -> &[u32] {
-        let t = &self.tables[l];
-        let lo = t.offsets[key as usize] as usize;
-        let hi = t.offsets[key as usize + 1] as usize;
-        &t.entries[lo..hi]
+        let slot = l * self.stride() + key as usize;
+        let base = l * self.live as usize;
+        let lo = self.offsets[slot] as usize;
+        let hi = self.offsets[slot + 1] as usize;
+        &self.entries[base + lo..base + hi]
     }
 
     /// Hints the hardware to pull bucket `key` of table `l` into cache
@@ -168,39 +240,23 @@ impl StaticTables {
     /// at.
     #[inline]
     pub fn prefetch_offsets(&self, l: usize, key: u32) {
-        crate::util::prefetch_read(&self.tables[l].offsets[key as usize]);
+        crate::util::prefetch_read(&self.offsets[l * self.stride() + key as usize]);
     }
 
     /// Total bytes held by offsets and entries: `(L·N + (2^k+1)·L)·4`,
     /// matching Eq. 7.4 up to the `+1` sentinel per table.
     pub fn memory_bytes(&self) -> usize {
-        self.tables
-            .iter()
-            .map(|t| (t.offsets.len() + t.entries.len()) * 4)
-            .sum()
+        (self.offsets.len() + self.entries.len()) * 4
     }
 
-    /// Tables below this total footprint skip huge-page advice entirely:
-    /// each per-table array would fall under the kernel's 2 MB huge-page
-    /// granularity anyway (the per-array no-op check in
-    /// `util::advise_huge_pages`), so issuing the hints would only add
-    /// `2·L` wasted `madvise` syscalls to every merge publish path.
-    pub const HUGE_PAGE_MIN_TABLE_BYTES: usize = 8 << 20;
-
-    /// Issues transparent-huge-page hints for every table's storage
-    /// (the "+large pages" lever of Figure 5 applied to table arrays).
-    /// Gated behind [`Self::HUGE_PAGE_MIN_TABLE_BYTES`]; returns the
-    /// number of hints actually issued.
-    pub fn advise_huge_pages(&self) -> usize {
-        if self.memory_bytes() < Self::HUGE_PAGE_MIN_TABLE_BYTES {
-            return 0;
-        }
-        let mut issued = 0;
-        for t in &self.tables {
-            issued += usize::from(crate::util::advise_huge_pages(&t.offsets));
-            issued += usize::from(crate::util::advise_huge_pages(&t.entries));
-        }
-        issued
+    /// Bytes of the tables' two arenas the kernel backs with transparent
+    /// huge pages right now, as `/proc/self/smaps` reports them (see
+    /// `util::anon_huge_bytes`); 0 where that file cannot be read.
+    pub fn anon_huge_bytes(&self) -> u64 {
+        [self.offsets.as_ptr_range(), self.entries.as_ptr_range()]
+            .into_iter()
+            .map(|r| crate::util::anon_huge_bytes(r.start as usize..r.end as usize).unwrap_or(0))
+            .sum()
     }
 
     /// Builds the next static epoch by **merging** a previous epoch's
@@ -264,22 +320,16 @@ impl StaticTables {
         }
         let ctx = MergeCtx::new(prev, gens, purge, half_bits, purge_base, retire_below);
         let ctx = &ctx;
-        let tables = pool.parallel_map(allpairs::pairs(m).enumerate(), |(l, pair)| {
-            let mut table = TableMerge::new(l, pair);
+        let mut merged = Self::with_arenas(m, half_bits, n, ctx.live);
+        pool.parallel_map(merged.tables_mut(), |mut out| {
+            let mut table = TableMerge::new(out.l, out.pair);
             let mut scratch = MergeScratch::default();
             // Unbounded budgets: each phase completes in a single advance,
             // so this runs the exact same code as the stepped merge — the
             // two are bit-identical by construction.
-            while table.advance(ctx, &mut scratch, usize::MAX, usize::MAX) {}
-            table.into_table()
+            while table.advance(ctx, &mut scratch, &mut out, usize::MAX, usize::MAX) {}
         });
-
-        Self {
-            m,
-            half_bits,
-            n: n as u32,
-            tables,
-        }
+        merged
     }
 }
 
@@ -311,8 +361,11 @@ struct MergeCtx<'a> {
     purge_base: u32,
     /// Window compaction cut: ids below this are dropped from every bucket.
     retire_below: u32,
-    half_bits: u32,
     buckets: usize,
+    /// Entries each merged table holds: the previous epoch's ids and the
+    /// generations' rows that neither the cut nor the purge drops. Known
+    /// before any table is merged, so the arenas are allocated once.
+    live: usize,
 }
 
 impl<'a> MergeCtx<'a> {
@@ -337,8 +390,8 @@ impl<'a> MergeCtx<'a> {
             purging: purge.iter().any(|&w| w != 0),
             purge_base,
             retire_below,
-            half_bits,
             buckets: 1usize << (2 * half_bits),
+            live: 0,
         };
         ctx.gen_starts = std::iter::once(0)
             .chain((0..gens.len()).scan(0, |end, g| {
@@ -346,6 +399,31 @@ impl<'a> MergeCtx<'a> {
                 Some(*end)
             }))
             .collect();
+        // Every table holds the same ids, so the previous epoch's table 0
+        // counts its survivors; a scan is needed only when the cut or a
+        // purge drops some.
+        let kept_prev = match ctx.prev {
+            Some(p) if (ctx.retiring || ctx.purging) && p.num_tables() > 0 => p
+                .table(0)
+                .1
+                .iter()
+                .filter(|&&id| id >= retire_below && !ctx.purged(id))
+                .count(),
+            Some(p) => p.live as usize,
+            None => 0,
+        };
+        let kept_gens: usize = (0..gens.len())
+            .map(|g| {
+                let base = gens[g].base();
+                let rows = ctx.gen_rows(g);
+                if ctx.purging {
+                    rows.filter(|&row| !ctx.purged(base + row as u32)).count()
+                } else {
+                    rows.len()
+                }
+            })
+            .sum();
+        ctx.live = kept_prev + kept_gens;
         ctx
     }
 
@@ -376,7 +454,8 @@ enum MergePhase {
     CountPrev { next_bucket: usize },
     /// Step 1b: key each generation's kept rows once, and radix-count them.
     CountGens { gen: usize, row: usize },
-    /// Step 2: prefix-sum the histogram, allocate entries, seed cursors.
+    /// Step 2: prefix-sum the histogram into the table's offsets, seed
+    /// cursors.
     Offsets,
     /// Step 3a: scatter previous-epoch survivors bucket by bucket.
     ScatterPrev { next_bucket: usize },
@@ -390,18 +469,17 @@ enum MergePhase {
 /// The resumable merge of a single static table — the `MergeStep` state
 /// machine behind both [`StaticTables::merge_generations`] (unbounded
 /// budgets inside a parallel map) and [`MergeStepper`] (bounded budgets
-/// interleaved with pacing checks).
+/// interleaved with pacing checks). Each `advance` writes the table's
+/// slices of the new epoch's arenas in place.
 struct TableMerge {
     l: usize,
     pair: (u32, u32),
-    offsets: Vec<u32>,
-    entries: Vec<u32>,
     phase: MergePhase,
 }
 
 /// The working buffers of one table's merge. A merge that runs its tables
-/// one after another hands them on from each table to the next, so only
-/// a table's output, `offsets` and `entries`, is freshly allocated.
+/// one after another hands them on from each table to the next; the
+/// output is the epoch's two arenas, allocated once per merge.
 #[derive(Default)]
 struct MergeScratch {
     /// The table's key of every kept generation row, in the generations'
@@ -425,8 +503,6 @@ impl TableMerge {
         Self {
             l,
             pair,
-            offsets: Vec::new(),
-            entries: Vec::new(),
             phase: MergePhase::CountPrev { next_bucket: 0 },
         }
     }
@@ -443,7 +519,7 @@ impl TableMerge {
         kept: &[u32],
         key: usize,
     ) -> Range<usize> {
-        let offsets = &p.tables[self.l].offsets;
+        let offsets = p.table(self.l).0;
         let hi = offsets[key + 1] as usize;
         if ctx.retiring {
             hi - kept[key] as usize..hi
@@ -461,8 +537,8 @@ impl TableMerge {
         s: &mut MergeScratch,
         keys: Range<usize>,
     ) {
-        let t = &p.tables[self.l];
-        let offsets = &t.offsets[keys.start..=keys.end];
+        let (offsets, entries) = p.table(self.l);
+        let offsets = &offsets[keys.start..=keys.end];
         if ctx.retiring {
             s.kept.resize(ctx.buckets, 0);
             // Runs are sorted by id, so the ids at or above the cut are
@@ -475,7 +551,7 @@ impl TableMerge {
             let mut acc = 0u32;
             s.kept_before.clear();
             s.kept_before.push(0);
-            s.kept_before.extend(t.entries[lo..hi].iter().map(|&id| {
+            s.kept_before.extend(entries[lo..hi].iter().map(|&id| {
                 acc += u32::from(id >= cut);
                 acc
             }));
@@ -486,7 +562,7 @@ impl TableMerge {
         if ctx.purging {
             for key in keys {
                 let run = self.kept_range(ctx, p, &s.kept, key);
-                s.counts[key] = t.entries[run].iter().filter(|&&id| !ctx.purged(id)).count() as u32;
+                s.counts[key] = entries[run].iter().filter(|&&id| !ctx.purged(id)).count() as u32;
             }
         } else if ctx.retiring {
             s.counts[keys.clone()].copy_from_slice(&s.kept[keys]);
@@ -497,17 +573,20 @@ impl TableMerge {
         }
     }
 
-    /// Runs one bounded slice of work: at most `max_buckets` buckets of a
-    /// bucket-addressed phase or `max_rows` generation rows of a
-    /// row-addressed phase (the Offsets phase is a single indivisible
-    /// slice). Returns `true` while the table still has work left.
+    /// Runs one bounded slice of work into `out`, this table's storage:
+    /// at most `max_buckets` buckets of a bucket-addressed phase or
+    /// `max_rows` generation rows of a row-addressed phase (the Offsets
+    /// phase is a single indivisible slice). Returns `true` while the
+    /// table still has work left.
     fn advance(
         &mut self,
         ctx: &MergeCtx<'_>,
         s: &mut MergeScratch,
+        out: &mut TableMut<'_>,
         max_buckets: usize,
         max_rows: usize,
     ) -> bool {
+        debug_assert_eq!(out.l, self.l);
         let max_buckets = max_buckets.max(1);
         let max_rows = max_rows.max(1);
         match self.phase {
@@ -570,24 +649,25 @@ impl TableMerge {
                 };
             }
             MergePhase::Offsets => {
-                self.offsets = plsh_parallel::exclusive_prefix_sum(&s.counts);
-                let total = *self.offsets.last().expect("offsets has buckets+1 entries") as usize;
-                self.entries = vec![0u32; total];
-                s.counts.copy_from_slice(&self.offsets[..ctx.buckets]);
+                let (counts, total) = out.offsets.split_at_mut(ctx.buckets);
+                counts.copy_from_slice(&s.counts);
+                total[0] = plsh_parallel::exclusive_prefix_sum_in_place(counts);
+                assert_eq!(total[0] as usize, out.entries.len(), "table {}", self.l);
+                s.counts.copy_from_slice(counts);
                 self.phase = MergePhase::ScatterPrev { next_bucket: 0 };
             }
             MergePhase::ScatterPrev { next_bucket } => match ctx.prev {
                 None => self.phase = MergePhase::ScatterGens { gen: 0, row: 0 },
                 Some(p) => {
                     let end = next_bucket.saturating_add(max_buckets).min(ctx.buckets);
-                    let src = &p.tables[self.l].entries;
+                    let src = p.table(self.l).1;
                     for key in next_bucket..end {
                         let run = self.kept_range(ctx, p, &s.kept, key);
                         let at = s.counts[key] as usize;
                         if ctx.purging {
                             let mut to = at;
                             for &id in src[run].iter().filter(|&&id| !ctx.purged(id)) {
-                                self.entries[to] = id;
+                                out.entries[to] = id;
                                 to += 1;
                             }
                             s.counts[key] = to as u32;
@@ -595,7 +675,7 @@ impl TableMerge {
                             // Nothing purged: the kept suffix copies as one
                             // block.
                             s.counts[key] += run.len() as u32;
-                            copy_run(&mut self.entries, at, src, run);
+                            copy_run(out.entries, at, src, run);
                         }
                     }
                     self.phase = if end == ctx.buckets {
@@ -624,14 +704,14 @@ impl TableMerge {
                             continue;
                         }
                         let slot = &mut s.counts[key as usize];
-                        self.entries[*slot as usize] = id;
+                        out.entries[*slot as usize] = id;
                         *slot += 1;
                     }
                     budget -= end - row;
                     row = end;
                 }
                 if gen == ctx.gens.len() {
-                    debug_assert!(s.counts.iter().zip(&self.offsets[1..]).all(|(c, o)| c == o));
+                    debug_assert!(s.counts.iter().zip(&out.offsets[1..]).all(|(c, o)| c == o));
                     self.phase = MergePhase::Done;
                 } else {
                     self.phase = MergePhase::ScatterGens { gen, row };
@@ -640,15 +720,6 @@ impl TableMerge {
             MergePhase::Done => {}
         }
         !matches!(self.phase, MergePhase::Done)
-    }
-
-    fn into_table(self) -> StaticTable {
-        debug_assert!(matches!(self.phase, MergePhase::Done));
-        StaticTable {
-            pair: self.pair,
-            offsets: self.offsets,
-            entries: self.entries,
-        }
     }
 }
 
@@ -683,8 +754,8 @@ const RUN_COPY: usize = 8;
 /// down.
 pub struct MergeStepper<'a> {
     ctx: MergeCtx<'a>,
-    m: u32,
-    n: usize,
+    /// The new epoch, its arenas filled one table at a time.
+    out: StaticTables,
     tables: Vec<TableMerge>,
     current: usize,
     /// Handed on from table to table: the tables merge one at a time.
@@ -709,14 +780,14 @@ impl<'a> MergeStepper<'a> {
             debug_assert_eq!((p.m, p.half_bits), (m, half_bits));
         }
         let ctx = MergeCtx::new(prev, gens, purge, half_bits, purge_base, retire_below);
+        let out = StaticTables::with_arenas(m, half_bits, n, ctx.live);
         let tables = allpairs::pairs(m)
             .enumerate()
             .map(|(l, pair)| TableMerge::new(l, pair))
             .collect();
         Self {
             ctx,
-            m,
-            n,
+            out,
             tables,
             current: 0,
             scratch: MergeScratch::default(),
@@ -730,7 +801,15 @@ impl<'a> MergeStepper<'a> {
         if self.current >= self.tables.len() {
             return false;
         }
-        if !self.tables[self.current].advance(&self.ctx, &mut self.scratch, max_buckets, max_rows) {
+        let l = self.current;
+        let mut out = self.out.table_mut(l);
+        if !self.tables[l].advance(
+            &self.ctx,
+            &mut self.scratch,
+            &mut out,
+            max_buckets,
+            max_rows,
+        ) {
             self.current += 1;
         }
         self.current < self.tables.len()
@@ -748,16 +827,7 @@ impl<'a> MergeStepper<'a> {
     /// [`step`](Self::step) first.
     pub fn finish(self) -> StaticTables {
         assert!(self.is_done(), "MergeStepper finished with work remaining");
-        StaticTables {
-            m: self.m,
-            half_bits: self.ctx.half_bits,
-            n: self.n as u32,
-            tables: self
-                .tables
-                .into_iter()
-                .map(TableMerge::into_table)
-                .collect(),
-        }
+        self.out
     }
 }
 
@@ -765,38 +835,33 @@ impl<'a> MergeStepper<'a> {
 fn build_one_level(
     sketches: &SketchMatrix,
     n: usize,
+    tables: Vec<TableMut<'_>>,
     pool: &ThreadPool,
-) -> (Vec<StaticTable>, BuildTimings) {
-    let m = sketches.m();
+) -> BuildTimings {
     let half_bits = sketches.half_bits();
     let buckets = 1usize << (2 * half_bits);
     let start = Instant::now();
-    let tables = allpairs::pairs(m)
-        .map(|(a, b)| {
-            let part = build::partition_identity(
-                n,
-                buckets,
-                |pos| {
-                    allpairs::compose_key(
-                        sketches.half_key(pos as u32, a),
-                        sketches.half_key(pos as u32, b),
-                        half_bits,
-                    )
-                },
-                pool,
-            );
-            StaticTable {
-                pair: (a, b),
-                offsets: part.offsets,
-                entries: part.perm,
-            }
-        })
-        .collect();
-    let timings = BuildTimings {
+    for t in tables {
+        let (a, b) = t.pair;
+        build::partition_identity_into(
+            n,
+            buckets,
+            |pos| {
+                allpairs::compose_key(
+                    sketches.half_key(pos as u32, a),
+                    sketches.half_key(pos as u32, b),
+                    half_bits,
+                )
+            },
+            pool,
+            t.entries,
+            t.offsets,
+        );
+    }
+    BuildTimings {
         step_i1: start.elapsed(),
         ..BuildTimings::default()
-    };
-    (tables, timings)
+    }
 }
 
 /// Two-level construction, optionally sharing first-level partitions.
@@ -804,8 +869,9 @@ fn build_two_level(
     sketches: &SketchMatrix,
     n: usize,
     shared: bool,
+    tables: Vec<TableMut<'_>>,
     pool: &ThreadPool,
-) -> (Vec<StaticTable>, BuildTimings) {
+) -> BuildTimings {
     let m = sketches.m();
     let half_bits = sketches.half_bits();
     let b1 = 1usize << half_bits;
@@ -834,40 +900,37 @@ fn build_two_level(
         Vec::new()
     };
 
-    let tables = allpairs::pairs(m)
-        .map(|(a, b)| {
-            let fresh;
-            let part: &Partition = if shared {
-                first_level[a as usize]
-                    .as_ref()
-                    .expect("a < m-1 by pair order")
-            } else {
-                let start = Instant::now();
-                fresh =
-                    build::partition_identity(n, b1, |pos| sketches.half_key(pos as u32, a), pool);
-                timings.step_i1 += start.elapsed();
-                &fresh
-            };
-            let (table, i2, i3) = second_level(sketches, part, b, half_bits, pool, (a, b));
-            timings.step_i2 += i2;
-            timings.step_i3 += i3;
-            table
-        })
-        .collect();
-    (tables, timings)
+    for t in tables {
+        let (a, b) = t.pair;
+        let fresh;
+        let part: &Partition = if shared {
+            first_level[a as usize]
+                .as_ref()
+                .expect("a < m-1 by pair order")
+        } else {
+            let start = Instant::now();
+            fresh = build::partition_identity(n, b1, |pos| sketches.half_key(pos as u32, a), pool);
+            timings.step_i1 += start.elapsed();
+            &fresh
+        };
+        let (i2, i3) = second_level(sketches, part, b, half_bits, pool, t);
+        timings.step_i2 += i2;
+        timings.step_i3 += i3;
+    }
+    timings
 }
 
-/// Steps I2 + I3 for one table: gather the second-level keys in first-level
-/// order, then counting-sort every first-level bucket independently (with
-/// work stealing across buckets).
+/// Steps I2 + I3 for one table, into `out`: gather the second-level keys
+/// in first-level order, then counting-sort every first-level bucket
+/// independently (with work stealing across buckets).
 fn second_level(
     sketches: &SketchMatrix,
     first: &Partition,
     b: u32,
     half_bits: u32,
     pool: &ThreadPool,
-    pair: (u32, u32),
-) -> (StaticTable, Duration, Duration) {
+    out: TableMut<'_>,
+) -> (Duration, Duration) {
     let n = first.perm.len();
     let b1 = 1usize << half_bits;
     let b2 = b1;
@@ -890,13 +953,12 @@ fn second_level(
     let i2 = i2_start.elapsed();
 
     // Step I3: per first-level bucket, counting-sort by the second key and
-    // record second-level counts for the final offsets array.
+    // record second-level counts, which become the table's offsets.
     let i3_start = Instant::now();
-    let mut entries = vec![0u32; n];
-    let mut counts = vec![0u32; b1 * b2];
+    let (counts, total) = out.offsets.split_at_mut(b1 * b2);
     {
-        let shared_entries = SharedSliceMut::new(&mut entries);
-        let shared_counts = SharedSliceMut::new(&mut counts);
+        let shared_entries = SharedSliceMut::new(out.entries);
+        let shared_counts = SharedSliceMut::new(counts);
         let shared_entries = &shared_entries;
         let shared_counts = &shared_counts;
         let perm = &first.perm;
@@ -925,18 +987,10 @@ fn second_level(
         });
     }
 
-    let offsets = plsh_parallel::exclusive_prefix_sum(&counts);
-    debug_assert_eq!(*offsets.last().unwrap() as usize, n);
+    total[0] = plsh_parallel::exclusive_prefix_sum_in_place(counts);
+    debug_assert_eq!(total[0] as usize, n);
     let i3 = i3_start.elapsed();
-    (
-        StaticTable {
-            pair,
-            offsets,
-            entries,
-        },
-        i2,
-        i3,
-    )
+    (i2, i3)
 }
 
 #[cfg(test)]
@@ -1440,6 +1494,79 @@ mod tests {
             &pool,
         );
         assert_matches_reference(&got, &want, "second merge");
+    }
+
+    /// Every build and merge path writes, into its two arenas, the buckets
+    /// a plain scan over the ids gives — the `bucket(l, key)` slices of
+    /// one array pair per table — on both sides of the 2 MB huge-page
+    /// threshold.
+    #[test]
+    fn every_build_path_gives_the_scanned_buckets() {
+        let pool = ThreadPool::new(2);
+        let (m, half_bits, dim) = (4u32, 3u32, 64u32);
+        for (n, budgets) in [
+            (600usize, &[1usize, 7, 4096][..]),
+            (90_000, &[4096, 1 << 20]),
+        ] {
+            let c = corpus(n, dim, 31);
+            let planes = Hyperplanes::new_dense(dim, m * half_bits, 13, &pool);
+            let mut sk = SketchMatrix::new(m, half_bits);
+            sk.append_from(&c, &planes, 0, &pool, true);
+            let want: Vec<Vec<Vec<u32>>> = allpairs::pairs(m)
+                .map(|(a, b)| {
+                    let mut table = vec![Vec::new(); 1 << (2 * half_bits)];
+                    for id in 0..n as u32 {
+                        let key = allpairs::compose_key(
+                            sk.half_key(id, a),
+                            sk.half_key(id, b),
+                            half_bits,
+                        );
+                        table[key as usize].push(id);
+                    }
+                    table
+                })
+                .collect();
+            for strategy in [
+                BuildStrategy::OneLevel,
+                BuildStrategy::TwoLevel,
+                BuildStrategy::TwoLevelShared,
+            ] {
+                let got = StaticTables::build(&sk, strategy, &pool);
+                assert_matches_reference(&got, &want, &format!("{strategy:?}, n={n}"));
+            }
+            // A prefix epoch and two sealed generations over the rest.
+            let prev_end = n / 3;
+            let prev =
+                StaticTables::build_prefix(&sk, prev_end, BuildStrategy::TwoLevelShared, &pool);
+            let gens: Vec<_> = [prev_end, n / 2, n]
+                .windows(2)
+                .map(|w| {
+                    let mut g = DeltaGeneration::new(w[0] as u32, dim, m, half_bits);
+                    let vs: Vec<_> = (w[0]..w[1]).map(|i| c.row_vector(i as u32)).collect();
+                    g.append(&vs, &planes, true, &pool).unwrap();
+                    Arc::new(g)
+                })
+                .collect();
+            let merged = StaticTables::merge_generations(
+                Some(&prev),
+                m,
+                half_bits,
+                n,
+                &gens,
+                &[],
+                0,
+                0,
+                &pool,
+            );
+            assert_matches_reference(&merged, &want, &format!("merge_generations, n={n}"));
+            for &budget in budgets {
+                let mut stepper = MergeStepper::new(Some(&prev), m, half_bits, n, &gens, &[], 0, 0);
+                while stepper.step(budget, budget) {}
+                let got = stepper.finish();
+                assert_matches_reference(&got, &want, &format!("budget {budget}, n={n}"));
+            }
+            assert_eq!(merged.memory_bytes() >= 2 << 20, n > 50_000, "n={n}");
+        }
     }
 
     #[test]

@@ -556,6 +556,175 @@ proptest! {
     }
 }
 
+/// What a brute-force pass decides for one query: its answer as ids and
+/// distance bits, and the counters the kernel reports.
+#[derive(Debug, PartialEq)]
+struct OracleAnswer {
+    hits: Vec<(u32, u32)>,
+    collisions: u64,
+    unique_candidates: u64,
+    distance_computations: u64,
+    matches: u64,
+}
+
+/// A brute-force oracle over the rows themselves, sharing no code with the
+/// query kernel's gather, dedup or drop test. Row `i` of `rows` is global
+/// id `base + i`; `row_keys[i]` are its `L` table keys, from hashing the
+/// row again with the index's planes; `dropped[i]` says whether the op
+/// sequence retired or deleted it. A row is a candidate when it shares a
+/// key with the query in some table. Candidates are visited in ascending
+/// id order, the first `max_candidates` of them, and every one not dropped
+/// gets an exact merge-join distance.
+#[allow(clippy::too_many_arguments)]
+fn oracle(
+    rows: &[SparseVector],
+    row_keys: &[Vec<u32>],
+    dropped: &[bool],
+    base: u32,
+    query_keys: &[u32],
+    query: &SparseVector,
+    (radius, top_k, max_candidates): (f32, Option<usize>, usize),
+) -> OracleAnswer {
+    let shared = |keys: &Vec<u32>| keys.iter().zip(query_keys).filter(|(a, b)| a == b).count();
+    let collisions = row_keys.iter().map(|k| shared(k) as u64).sum();
+    let candidates: Vec<usize> = (0..rows.len())
+        .filter(|&i| shared(&row_keys[i]) > 0)
+        .collect();
+    let mut decided = 0;
+    let mut hits = Vec::new();
+    for &i in candidates.iter().take(max_candidates) {
+        if dropped[i] {
+            continue;
+        }
+        decided += 1;
+        let (a, b) = (rows[i].indices(), query.indices());
+        let (av, bv) = (rows[i].values(), query.values());
+        let (mut x, mut y, mut dot) = (0, 0, 0.0f32);
+        while x < a.len() && y < b.len() {
+            match a[x].cmp(&b[y]) {
+                std::cmp::Ordering::Less => x += 1,
+                std::cmp::Ordering::Greater => y += 1,
+                std::cmp::Ordering::Equal => {
+                    dot += av[x] * bv[y];
+                    x += 1;
+                    y += 1;
+                }
+            }
+        }
+        let distance = dot.clamp(-1.0, 1.0).acos();
+        if distance <= radius {
+            hits.push((base + i as u32, distance));
+        }
+    }
+    if let Some(k) = top_k {
+        hits.sort_by(|p, q| p.1.total_cmp(&q.1).then(p.0.cmp(&q.0)));
+        hits.truncate(k);
+    }
+    OracleAnswer {
+        matches: hits.len() as u64,
+        hits: hits.into_iter().map(|(id, d)| (id, d.to_bits())).collect(),
+        collisions,
+        unique_candidates: candidates.len() as u64,
+        distance_computations: decided,
+    }
+}
+
+/// Row or query `v`'s `L` table keys under `planes`.
+fn table_keys_of(v: &SparseVector, planes: &Hyperplanes, (m, half_bits): (u32, u32)) -> Vec<u32> {
+    let mut acc = vec![0.0; planes.n_hashes() as usize];
+    let mut sketch = vec![0; m as usize];
+    SketchMatrix::sketch_one(
+        planes,
+        half_bits,
+        v.indices(),
+        v.values(),
+        &mut acc,
+        &mut sketch,
+    );
+    let mut keys = vec![0; allpairs::num_tables(m) as usize];
+    allpairs::table_keys(&sketch, half_bits, &mut keys);
+    keys
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The shipped kernel answers every query exactly like the
+    /// brute-force [`oracle`] — ids, distance bits, k-NN tie order and
+    /// every counter but `rows_loaded` — over a merged prefix, sealed
+    /// generations, deletes and a retire cut, in radius, k-NN and
+    /// k-NN-within-R mode, with and without a candidate budget. Unlike
+    /// `query::reference`, the oracle takes which ids are retired or
+    /// deleted from the generated ops, not from the engine's filter.
+    #[test]
+    fn kernel_equals_a_brute_force_oracle(
+        vs in proptest::collection::vec(sparse_vec_strategy(), 8..70),
+        merged_pct in 0usize..101,
+        cuts in proptest::collection::vec(0usize..70, 0..4),
+        victims in proptest::collection::vec(0usize..70, 0..6),
+        retired in 0usize..12,
+        base in prop_oneof![Just(0u32), 1u32..5000],
+        radius in 0.05f32..std::f32::consts::PI,
+        k in 1usize..8,
+        budget in 1usize..40,
+    ) {
+        let pool = ThreadPool::new(2);
+        let shape = (5u32, 2u32);
+        let planes = Hyperplanes::new_dense(DIM, shape.0 * shape.1, 21, &pool);
+        let n = vs.len();
+        let (static_data, tables, gens) =
+            segments(&vs, base, n * merged_pct / 100, &cuts, &planes, shape, &pool);
+        let mut dropped: Vec<bool> = (0..n).map(|i| i < retired).collect();
+        let deleted: Vec<AtomicU64> = (0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
+        for v in &victims {
+            dropped[v % n] = true;
+            deleted[v % n / 64].fetch_or(1 << (v % n % 64), Ordering::Relaxed);
+        }
+        let row_keys: Vec<Vec<u32>> = vs.iter().map(|v| table_keys_of(v, &planes, shape)).collect();
+        let epoch = QueryContext {
+            static_data: &static_data,
+            planes: &planes,
+            static_tables: tables.as_ref(),
+            deltas: &gens,
+            deleted: Some(&deleted),
+            m: shape.0,
+            half_bits: shape.1,
+            radius,
+            base,
+            retired_below: base + retired.min(n) as u32,
+            max_candidates: usize::MAX,
+            top_k: None,
+        };
+        let queries: Vec<SparseVector> = vs.iter().step_by(3).cloned().collect();
+        let pi = std::f32::consts::PI;
+        let scratches = ScratchPool::new(shape.0, shape.1, DIM);
+        let mut scratch = QueryScratch::new(shape.0, shape.1, n, DIM);
+        for (radius, top_k) in [(radius, None), (pi, Some(k)), (radius, Some(k))] {
+            for max_candidates in [usize::MAX, budget] {
+                let ctx = QueryContext { radius, top_k, max_candidates, ..epoch };
+                let exec = Exec::Pool(&pool, &scratches);
+                let (batch, _) = query::run_batch(&ctx, &queries, exec, None);
+                for (q, pooled) in queries.iter().zip(&batch) {
+                    let qkeys = table_keys_of(q, &planes, shape);
+                    let mode = (radius, top_k, max_candidates);
+                    let want = oracle(&vs, &row_keys, &dropped, base, &qkeys, q, mode);
+                    let qs = std::slice::from_ref(q);
+                    let (got, stats) = query::run_batch(&ctx, qs, Exec::Inline(&mut scratch), None);
+                    let got = OracleAnswer {
+                        hits: bits(&got[0]),
+                        collisions: stats.totals.collisions,
+                        unique_candidates: stats.totals.unique_candidates,
+                        distance_computations: stats.totals.distance_computations,
+                        matches: stats.totals.matches,
+                    };
+                    prop_assert_eq!(&got, &want);
+                    prop_assert_eq!(bits(pooled), want.hits);
+                }
+            }
+        }
+    }
+}
+
 /// Ids and distance bits, in order: what "bit-identical" compares.
 fn bits(hits: &[Neighbor]) -> Vec<(u32, u32)> {
     hits.iter()
