@@ -168,10 +168,11 @@ impl BitvectorScratch {
 }
 
 /// One radius query at "+bitvector" (a [`CandidateSet`] for the tree
-/// set) or, with `masked_dot`, "+optimized sparse DP" (each candidate
-/// held to the radius's dot floor by its [`SignatureBound`], then its
-/// masked dot, before the exact dot), over an all-static `ctx` with
-/// nothing deleted or retired. No prefetch; hits sorted by id.
+/// set, fed a bucket run at a time as the kernel feeds it) or, with
+/// `masked_dot`, "+optimized sparse DP" (each candidate held to the
+/// radius's dot floor by its [`SignatureBound`], then its masked dot,
+/// before the exact dot), over an all-static `ctx` with nothing deleted
+/// or retired. No prefetch; hits sorted by id.
 fn bitvector_query(
     ctx: &QueryContext<'_>,
     q: &SparseVector,
@@ -190,15 +191,20 @@ fn bitvector_query(
     for (l, &key) in keys.iter().enumerate() {
         let bucket = tables.bucket(l, key);
         stats.collisions += bucket.len() as u64;
-        for &id in bucket {
-            s.cand.insert(id);
-        }
+        s.cand.insert_run(bucket);
     }
     stats.unique_candidates = s.cand.len() as u64;
     stats.distance_computations = stats.unique_candidates;
 
     let floor = query::dot_floor(ctx.radius);
-    let bound = SignatureBound::new(q, floor);
+    // The bound the shipped kernel would use, with its survival table
+    // where the rule and the CPU allow; the loop decides otherwise.
+    let bound = SignatureBound::new(q, floor, s.cand.len());
+    let rules_out = |sig| {
+        bound
+            .table_rules_out(sig)
+            .unwrap_or_else(|| bound.rules_out(sig))
+    };
     if masked_dot {
         for (&d, &v) in idx.iter().zip(val) {
             s.qmask[(d >> 6) as usize] |= 1 << (d & 63);
@@ -207,7 +213,7 @@ fn bitvector_query(
     }
     let mut hits = Vec::new();
     for &id in s.cand.candidates() {
-        if masked_dot && bound.rules_out(ctx.signature(id)) {
+        if masked_dot && rules_out(ctx.signature(id)) {
             continue;
         }
         stats.rows_loaded += 1;

@@ -3,13 +3,14 @@
 //! The model prices the two dominant query steps and the four construction
 //! steps in CPU cycles, from first principles:
 //!
-//! * **Q2** (dedup) is compute-bound: ~11 ops per duplicated index
-//!   (word address, load, test, set, loop) spread over `T` threads. The
-//!   paper adds a bitvector scan of ~14 ops per 32 bits of `N` to extract
-//!   the sorted candidate array; Q3 here walks the dedup set's candidate
-//!   list instead, so Q2 has no `N` term.
+//! * **Q2** (dedup) is compute-bound: ~14 ops per duplicated index
+//!   (the paper's 11 — word address, load, test, set, loop — plus an
+//!   unconditional append and a conditional length bump, with no branch)
+//!   spread over `T` threads. The paper adds a bitvector scan of ~14 ops
+//!   per 32 bits of `N` to extract the sorted candidate array; Q3 here
+//!   walks the dedup set's candidate list instead, so Q2 has no `N` term.
 //! * **Q3** (filtering) is bandwidth-bound: each candidate's signature
-//!   probe is charged two cache lines, and each loaded CRS row ~4 (two
+//!   probe is charged one cache line, and each loaded CRS row ~4 (two
 //!   ~30-byte unaligned arrays ⇒ 1.5 lines each, plus one offsets line)
 //!   = 256 bytes of traffic. A radius query below π/2 loads only the rows
 //!   its signature bound keeps (`query::SignatureBound`); a plain k-NN
@@ -191,21 +192,27 @@ pub struct PerformanceModel {
 /// the tests); at the scaled-down sizes used in this repo the structures
 /// are cache-resident and the op-count terms take over.
 mod ops {
-    /// Step Q2, per duplicated index: bucket-slice iteration (~4 ops) +
-    /// bitvector test-and-set (~11 ops, the paper's count) + candidate-list
-    /// append (~5 ops).
-    pub const Q2_PER_COLLISION: f64 = 20.0;
-    /// Step Q3, per candidate, the signature probe: retirement and
-    /// deletion tests (~7 ops), signature load and AND (~3), the weight
-    /// sum over the shared bits (~5 per bit, ~1.5 bits), compare and
-    /// survivor append (~3).
-    pub const Q3_PER_PROBE: f64 = 20.0;
-    /// Step Q3, traffic charged per signature probe: two cache lines. A
+    /// Step Q2, per duplicated index, in `CandidateSet::insert_run`'s
+    /// branch-free loop: id load and loop step (~3 ops), word address and
+    /// bit (~4), word load, OR and store (~3), unconditional list store
+    /// (~1), and the length bump by the old bit's test (~3). It takes no
+    /// data-dependent branch, so no mispredict is priced; traced
+    /// `batch_static` (seeds 41–43, 2-vCPU Xeon) measures ~15 cycles per
+    /// collision on one thread.
+    pub const Q2_PER_COLLISION: f64 = 14.0;
+    /// Step Q3, per candidate, the signature probe in the first pass's
+    /// survival-table loop: id load, loop step and signature prefetch
+    /// (~6 ops), retirement and deletion tests (~7), segment compare and
+    /// signature load (~3), `pext`, table-word load and bit test (~5),
+    /// the all-ones guard (~2), and the unconditional survivor store with
+    /// its two counter bumps (~3). No branch depends on the candidate.
+    pub const Q3_PER_PROBE: f64 = 26.0;
+    /// Step Q3, traffic charged per signature probe: one cache line. A
     /// probe is one random 8-byte load, whose line no other candidate
-    /// shares; calibrated, not derived: traced `batch_static` (seeds 5–7,
-    /// 2-vCPU Xeon) puts the probe pass at about half of a 256-byte row
-    /// per candidate.
-    pub const Q3_PROBE_BYTES: f64 = 128.0;
+    /// shares. (The per-bit loop's mispredicts once made the pass cost
+    /// about two lines' worth, and this was calibrated to that; the
+    /// survival table took them out.)
+    pub const Q3_PROBE_BYTES: f64 = 64.0;
     /// Step Q3, the share of probed candidates whose row the signature
     /// bound cannot rule out, when it is on (a positive dot floor).
     /// Measured on the benchmark's `batch_static` corpus (seeds 5 and 6:
@@ -472,11 +479,11 @@ mod tests {
         let model = PerformanceModel::new(MachineProfile::paper());
         // The paper audits its C++ kernel at 11 ops per duplicated index
         // (1.4 cycles on 8 cores); our Rust kernel also appends to the
-        // candidate list and pays slice iteration, auditing at ~20 ops.
+        // candidate list, branch-free, auditing at ~14 ops.
         let mut eight = MachineProfile::paper();
         eight.threads = 8;
         let m8 = PerformanceModel::new(eight);
-        assert!((m8.t_q2_cycles() - 20.0 / 8.0).abs() < 0.01);
+        assert!((m8.t_q2_cycles() - 14.0 / 8.0).abs() < 0.01);
         // A row costs 256/12.3 + 1 ≈ 21.8 cycles (paper: "21.8
         // cycles/unique", its kernel loading every row) — bandwidth-
         // dominated at paper scale, so the compute floor for NNZ = 7.2
@@ -486,7 +493,7 @@ mod tests {
         // With the signature bound off (a k-NN query, a radius from π/2
         // up) a candidate costs its probe and its whole row; at the
         // paper's radius only the survivors' share of a row.
-        let probe = 128.0 / 12.3;
+        let probe = 64.0 / 12.3;
         let knn = model.t_q3_cycles(7.2, std::f64::consts::PI);
         assert!((knn - (probe + row)).abs() < 1e-9);
         assert_eq!(model.t_q3_cycles(7.2, std::f64::consts::FRAC_PI_2), knn);
@@ -562,12 +569,12 @@ mod tests {
         let one = PerformanceModel::new(m1);
         let eight = PerformanceModel::new(m8);
         assert!(one.t_q2_cycles() > eight.t_q2_cycles());
-        // With several threads Q3 is bandwidth-bound and thread-invariant…
-        let mut m4 = MachineProfile::paper();
-        m4.threads = 4;
-        let four = PerformanceModel::new(m4);
-        assert_eq!(four.t_q3_cycles(7.2, 0.9), eight.t_q3_cycles(7.2, 0.9));
-        // …but on one thread the compute floor can dominate.
+        // With many threads Q3 is bandwidth-bound and thread-invariant
+        // (a probe's 26 ops over 8 threads stay under its 64-byte line
+        // at 12.3 B/cycle)…
+        let sixteen = PerformanceModel::new(MachineProfile::paper());
+        assert_eq!(sixteen.t_q3_cycles(7.2, 0.9), eight.t_q3_cycles(7.2, 0.9));
+        // …but on fewer threads the compute floor can dominate.
         assert!(one.t_q3_cycles(7.2, 0.9) >= eight.t_q3_cycles(7.2, 0.9));
     }
 

@@ -10,18 +10,24 @@
 //!   a time, reusing each plane row while it is in cache.
 //! * **Q2** — read the matching bucket of every static table, scan the
 //!   packed half-keys of every un-merged delta generation for the points
-//!   those buckets would hold, and eliminate duplicate point ids. The
-//!   bitvector's discovery-order candidate list is what Q3 walks; no path
-//!   scans the bitvector itself, so Q2 costs `O(L + collisions)` whatever
-//!   the resident span.
+//!   those buckets would hold, and eliminate duplicate point ids. Each
+//!   bucket run goes through the bitvector with no branch per id
+//!   ([`CandidateSet::insert_run`]); a generation's scan hits are new by
+//!   construction and skip the test. The bitvector's discovery-order
+//!   candidate list is what Q3 walks; no path scans the bitvector itself,
+//!   so Q2 costs `O(L + collisions)` whatever the resident span.
 //! * **Q3** — decide each unique candidate's distance, in two passes.
 //!   Every stored row carries a 64-bit vocabulary signature, and the
 //!   query's weight on the signature bits it shares with a row bounds
 //!   their dot product ([`SignatureBound`], exact, so answers do not
 //!   change). The first pass drops retired, deleted and bounded-out
-//!   candidates from one 8-byte load each; the second loads the
-//!   survivors' rows, computes a masked dot product, and the exact
-//!   distance only for candidates that dot cannot rule out.
+//!   candidates from one 8-byte load each. For a query on `q` signature
+//!   bits it reads a `2^q`-bit survival table with `pext`, one bit test
+//!   and no branch per candidate, where the CPU allows and the table is
+//!   no larger than the candidate list; otherwise it sums the shared
+//!   bits' weights per candidate. The second pass loads the survivors'
+//!   rows, computes a masked dot product, and the exact distance only
+//!   for candidates that dot cannot rule out.
 //!   `QueryStats::distance_computations` counts every candidate decided
 //!   either way, `QueryStats::rows_loaded` those that needed their row.
 //! * **Q4** — emit candidates within the radius (cheap), or, for a k-NN
@@ -455,7 +461,10 @@ fn candidate_phase(
 }
 
 /// Step Q2 with the bitvector: gathers the query's buckets into the
-/// scratch's [`CandidateSet`] and counts the unique candidates. A finite
+/// scratch's [`CandidateSet`] and counts the unique candidates. Each
+/// static bucket run goes through [`CandidateSet::insert_run`], with no
+/// branch per collision; a sealed generation's scan hits are new ids by
+/// construction, appended with no bitvector test. A finite
 /// candidate budget then sorts the candidate list, because a budgeted
 /// request visits the ascending-id prefix: that prefix is the same
 /// whatever the corpus segmentation, so budgeted answers stay identical
@@ -483,9 +492,25 @@ fn dedup_candidates(
         delta_hits,
         ..
     } = scratch;
-    gather_candidates(ctx, keys, half_keys, delta_hits, stats, |id| {
-        cand.insert(id);
-    });
+    if let Some(st) = ctx.static_tables {
+        for (l, &key) in keys.iter().enumerate() {
+            let run = st.bucket(l, key);
+            stats.collisions += run.len() as u64;
+            cand.insert_run(run);
+        }
+    }
+    if !ctx.deltas.is_empty() {
+        allpairs::half_keys_of(keys, ctx.half_bits, half_keys);
+        for g in ctx.deltas {
+            delta_hits.clear();
+            stats.collisions += simd::scan_half_keys(g.sketches().column(), half_keys, delta_hits);
+            // A generation's ids lie above the static rows and every
+            // earlier generation, and a scan reports each point once.
+            for &local in delta_hits.iter() {
+                cand.insert_absent(g.base() + local);
+            }
+        }
+    }
     stats.unique_candidates += cand.len() as u64;
     if ctx.max_candidates != usize::MAX {
         cand.sort_ascending();
@@ -506,7 +531,9 @@ fn dedup_candidates(
 /// Q3 runs in two passes. The first walks the list, prefetching
 /// signatures `SIGNATURE_PREFETCH_DISTANCE` ahead, and keeps the
 /// candidates that are neither retired, deleted nor ruled out by the
-/// bound (with the bound off, every resident candidate). The second loads
+/// bound (with the bound off, every resident candidate): by the bound's
+/// survival table and without a branch (`keep_by_table`) when it has
+/// one, else by [`needs_row`] per candidate. The second loads
 /// only the rows kept, and software-prefetches ahead of itself at two
 /// distances (Section 5.2.2): a row-offsets slot `2·PREFETCH_DISTANCE`
 /// ahead, and a row `PREFETCH_DISTANCE` ahead, by which time the row's
@@ -528,16 +555,27 @@ fn filter_candidates(
         scratch.qmask[(d >> 6) as usize] |= 1u64 << (d & 63);
         scratch.qvals[d as usize] = v;
     }
-    scratch.bound.prepare(query, dot_floor(ctx.radius));
+    scratch
+        .bound
+        .prepare(query, dot_floor(ctx.radius), visited.len());
 
     let mut survivors = std::mem::take(&mut scratch.survivors);
     survivors.clear();
-    for (i, &id) in visited.iter().enumerate() {
-        if let Some(&next) = visited.get(i + SIGNATURE_PREFETCH_DISTANCE) {
-            prefetch_signature(ctx, next);
-        }
-        if needs_row(ctx, &scratch.bound, id, stats) {
-            survivors.push(id);
+    if scratch.bound.has_table() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: a bound builds its table only where `simd::has_fast_pext`
+        // found BMI2.
+        unsafe {
+            keep_by_table(ctx, &scratch.bound, visited, &mut survivors, stats)
+        };
+    } else {
+        for (i, &id) in visited.iter().enumerate() {
+            if let Some(&next) = visited.get(i + SIGNATURE_PREFETCH_DISTANCE) {
+                prefetch_signature(ctx, next);
+            }
+            if needs_row(ctx, &scratch.bound, id, stats) {
+                survivors.push(id);
+            }
         }
     }
     let mut hits = Hits::new(ctx, out, std::mem::take(&mut scratch.top));
@@ -561,7 +599,7 @@ fn filter_candidates(
     scratch.cand = cand;
 }
 
-/// Step Q2's gather, shared by the kernel and [`reference()`]: feeds `sink`
+/// Step Q2's gather for [`reference()`], one id at a time: feeds `sink`
 /// each entry of the query's bucket in every static table, then — after
 /// all static tables — each point of every sealed generation that shares
 /// a bucket with the query in some table, found by scanning the
@@ -569,7 +607,9 @@ fn filter_candidates(
 /// (table, entry) pair either way.
 ///
 /// `half_keys` (length `m`) and `hits` are scratch, touched only when the
-/// epoch has un-merged generations.
+/// epoch has un-merged generations. The kernel's [`dedup_candidates`]
+/// walks the same buckets and scans with its own run-at-a-time code, so
+/// the oracle shares none of its dedup.
 #[inline]
 fn gather_candidates(
     ctx: &QueryContext<'_>,
@@ -677,6 +717,19 @@ pub fn reference(ctx: &QueryContext<'_>, query: &SparseVector) -> (Vec<Neighbor>
 /// is below `floor²`, and then its merge-join dot is below `floor`. A
 /// floor `≤ 0` turns the bound off, as does the all-ones signature of a
 /// row with a larger norm.
+///
+/// `UB²` depends only on which of the query's `q` signature bits a row
+/// shares, so a bound can also decide a row from a **survival table**:
+/// one bit per subset of the query's bits, set when that subset's shared
+/// weight, summed in ascending bit order as [`rules_out`](Self::rules_out)
+/// sums it, is not below the threshold. Building it costs one `f64` add
+/// per subset (each subset's highest bit added to the sum of its lower
+/// bits), and a row is then decided by `pext(sig, sig(q))` and one bit
+/// test, with no loop over its bits and no branch. Q3 builds the table
+/// when its `2^q` subsets are no more than the candidates it will visit
+/// (and `q ≤ 16`), at the AVX2 level on a CPU with fast `pext`
+/// ([`simd::has_fast_pext`]); otherwise, and as the oracle, the per-bit
+/// loop decides.
 #[derive(Debug)]
 pub struct SignatureBound {
     /// Query weight per signature bit.
@@ -686,13 +739,25 @@ pub struct SignatureBound {
     /// Shared weight below which a candidate is a certain miss; `0` when
     /// the bound is off.
     min_ub2: f64,
+    /// The survival table: bit `s` is set when the query bits that
+    /// `pext(sig, qsig)` packs into `s` keep a row. Empty when not built.
+    table: Vec<u64>,
+    /// Every subset's shared weight, the table's build scratch.
+    sums: Vec<f64>,
 }
 
+/// Query signature bits beyond which no survival table is built: `2^16`
+/// subsets are an 8 KB table over 512 KB of sums.
+const MAX_TABLE_BITS: u32 = 16;
+
 impl SignatureBound {
-    /// The bound for `query` against a dot-product `floor`.
-    pub fn new(query: &SparseVector, floor: f32) -> Self {
+    /// The bound for `query` against a dot-product `floor`, as Q3's first
+    /// pass builds it for a walk over `candidates` candidates: with a
+    /// survival table if the bound is on, the table pays for itself over
+    /// that many candidates, and the CPU has fast `pext`.
+    pub fn new(query: &SparseVector, floor: f32, candidates: usize) -> Self {
         let mut bound = Self::off();
-        bound.prepare(query, floor);
+        bound.prepare(query, floor, candidates);
         bound
     }
 
@@ -702,11 +767,14 @@ impl SignatureBound {
             w: [0.0; 64],
             qsig: 0,
             min_ub2: 0.0,
+            table: Vec::new(),
+            sums: Vec::new(),
         }
     }
 
-    /// Fills the weights of an [`off`](Self::off) bound for `query`.
-    fn prepare(&mut self, query: &SparseVector, floor: f32) {
+    /// Fills the weights of an [`off`](Self::off) bound for `query`, and
+    /// its survival table for a pass over `candidates` candidates.
+    fn prepare(&mut self, query: &SparseVector, floor: f32, candidates: usize) {
         debug_assert!(!self.is_on() && self.qsig == 0, "prepared twice");
         for (&d, &v) in query.indices().iter().zip(query.values()) {
             let b = signature_bit(d);
@@ -721,6 +789,43 @@ impl SignatureBound {
             let floor = f64::from(floor);
             self.min_ub2 = floor * floor / ((1.0 + gamma).powi(2) * (1.0 + 1e-4) * (1.0 + 1e-8));
         }
+        let q = self.qsig.count_ones();
+        if self.is_on() && q <= MAX_TABLE_BITS && 1usize << q <= candidates && simd::has_fast_pext()
+        {
+            self.build_table();
+        }
+    }
+
+    /// Builds the survival table: subset `s` of the query's bits (bit `j`
+    /// of `s` standing for the `j`-th lowest bit of `qsig`) sums as
+    /// subset `s` without its highest bit, plus that bit's weight — the
+    /// ascending left fold [`rules_out`](Self::rules_out) computes, so
+    /// the table decides every row as the loop does.
+    fn build_table(&mut self) {
+        let sums = &mut self.sums;
+        sums.clear();
+        sums.resize(1 << self.qsig.count_ones(), 0.0);
+        let (mut bits, mut lower) = (self.qsig, 1);
+        while bits != 0 {
+            let w = self.w[bits.trailing_zeros() as usize];
+            bits &= bits - 1;
+            // The subsets whose highest bit is this one follow the
+            // `lower` subsets of the bits below it, in the same order.
+            let (below, with) = sums[..2 * lower].split_at_mut(lower);
+            for (sum, &rest) in with.iter_mut().zip(below.iter()) {
+                *sum = rest + w;
+            }
+            lower *= 2;
+        }
+        let min_ub2 = self.min_ub2;
+        self.table.clear();
+        self.table.extend(sums.chunks(64).map(|chunk| {
+            chunk.iter().enumerate().fold(0u64, |word, (i, &ub2)| {
+                // Sums of finite weights are never NaN, so this is the
+                // loop's keep, `!(ub2 < min_ub2)`.
+                word | u64::from(ub2 >= min_ub2) << i
+            })
+        }));
     }
 
     /// Returns the bound to [`off`](Self::off), touching only the
@@ -733,6 +838,7 @@ impl SignatureBound {
         }
         self.qsig = 0;
         self.min_ub2 = 0.0;
+        self.table.clear();
     }
 
     /// Whether the bound can rule anything out.
@@ -741,8 +847,14 @@ impl SignatureBound {
         self.min_ub2 > 0.0
     }
 
+    /// Whether the bound decides rows from its survival table.
+    pub fn has_table(&self) -> bool {
+        !self.table.is_empty()
+    }
+
     /// Whether a row of signature `sig` is a certain miss: its exact
-    /// merge-join dot with the query is below the floor.
+    /// merge-join dot with the query is below the floor. This is the
+    /// per-bit loop, whether or not a table was built.
     #[inline]
     pub fn rules_out(&self, sig: u64) -> bool {
         if !self.is_on() || sig == FULL_SIGNATURE {
@@ -755,6 +867,33 @@ impl SignatureBound {
             shared &= shared - 1;
         }
         ub2 < self.min_ub2
+    }
+
+    /// What the survival table decides for a row of signature `sig`, or
+    /// `None` when the bound has no table.
+    pub fn table_rules_out(&self, sig: u64) -> Option<bool> {
+        #[cfg(target_arch = "x86_64")]
+        if self.has_table() {
+            // SAFETY: a table is built only where `simd::has_fast_pext`
+            // found BMI2.
+            return Some(!unsafe { self.keeps(sig) });
+        }
+        let _ = sig;
+        None
+    }
+
+    /// The survival table's decision: `pext` packs the query bits `sig`
+    /// shares into a subset index, whose table bit says whether the row
+    /// survives; a row of the all-ones signature always does.
+    ///
+    /// # Safety
+    /// The CPU must support BMI2, and the table must be built.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "bmi2")]
+    #[inline]
+    unsafe fn keeps(&self, sig: u64) -> bool {
+        let s = std::arch::x86_64::_pext_u64(sig, self.qsig) as usize;
+        ((self.table[s >> 6] >> (s & 63)) & 1 != 0) | (sig == FULL_SIGNATURE)
     }
 }
 
@@ -896,18 +1035,51 @@ fn needs_row(
     !(bound.is_on() && bound.rules_out(ctx.signature(id)))
 }
 
+/// Q3's first pass with the bound's survival table, without a branch per
+/// candidate: every candidate's signature is loaded and its id written at
+/// the end of `survivors`, which grows by one only if the candidate is
+/// neither retired, deleted nor ruled out. Keeps and counts what the
+/// [`needs_row`] loop does, in the same order.
+///
+/// # Safety
+/// The CPU must support BMI2, and `bound` must have its table.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "bmi2")]
+unsafe fn keep_by_table(
+    ctx: &QueryContext<'_>,
+    bound: &SignatureBound,
+    visited: &[u32],
+    survivors: &mut Vec<u32>,
+    stats: &mut QueryStats,
+) {
+    debug_assert!(bound.has_table() && survivors.is_empty());
+    survivors.resize(visited.len(), 0);
+    let (mut kept, mut live) = (0, 0);
+    for (i, &id) in visited.iter().enumerate() {
+        if let Some(&next) = visited.get(i + SIGNATURE_PREFETCH_DISTANCE) {
+            prefetch_signature(ctx, next);
+        }
+        let resident = !is_dropped(ctx, id);
+        let keep = resident & bound.keeps(ctx.signature(id));
+        survivors[kept] = id;
+        kept += usize::from(keep);
+        live += u64::from(resident);
+    }
+    survivors.truncate(kept);
+    stats.distance_computations += live;
+}
+
 /// Whether a candidate is retired or deleted, and so never reported.
 #[inline]
 fn is_dropped(ctx: &QueryContext<'_>, id: u32) -> bool {
-    if id < ctx.retired_below {
-        return true; // retired by the sliding window (range tombstone)
-    }
-    // Tombstoned (Section 6.2, "Deleting Entries"); the bitvector is
-    // anchored at the base.
-    ctx.deleted.is_some_and(|words| {
-        let off = id - ctx.base;
-        words[(off >> 6) as usize].load(Ordering::Relaxed) & (1u64 << (off & 63)) != 0
-    })
+    // Retired by the sliding window (range tombstone), or tombstoned
+    // (Section 6.2, "Deleting Entries"; the bitvector is anchored at the
+    // base). Both tests run, so the answer costs no branch.
+    (id < ctx.retired_below)
+        | ctx.deleted.is_some_and(|words| {
+            let off = id - ctx.base;
+            words[(off >> 6) as usize].load(Ordering::Relaxed) & (1u64 << (off & 63)) != 0
+        })
 }
 
 /// Q3 + Q4 for a candidate that needs its row: prefilter on the masked

@@ -27,6 +27,11 @@
 //! Dispatch can be forced with `PLSH_SIMD=scalar|sse2|avx2` (useful for the
 //! kernel ablation and for exercising the portable path on x86 hardware);
 //! requesting a level the CPU cannot run falls back to the widest safe one.
+//!
+//! The AVX2 level also gates BMI2's `pext` ([`has_fast_pext`]): Q3's
+//! first pass reads a query's signature survival table with it
+//! (`query::SignatureBound`). Below AVX2, or on a CPU whose `pext` is slow
+//! or missing, that pass runs its per-bit loop, which decides the same.
 
 use std::sync::OnceLock;
 
@@ -89,6 +94,50 @@ fn hardware_level() -> SimdLevel {
     #[cfg(not(target_arch = "x86_64"))]
     {
         SimdLevel::Scalar
+    }
+}
+
+/// Whether Q3's first pass reads the signature survival table with BMI2's
+/// `pext`: only at the AVX2 level, on a CPU with BMI2 whose `pext` is not
+/// microcoded (see [`pext_is_microcoded`]). Probed once.
+pub fn has_fast_pext() -> bool {
+    static FAST: OnceLock<bool> = OnceLock::new();
+    *FAST.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        {
+            level() == SimdLevel::Avx2 && is_x86_feature_detected!("bmi2") && !pext_is_microcoded()
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
+        }
+    })
+}
+
+/// Whether this CPU runs `pext` in microcode: AMD family 17h (Zen 1 and
+/// Zen 2) does, taking tens to hundreds of cycles per instruction,
+/// growing with the mask's set bits, where Intel since Haswell and AMD
+/// since Zen 3 take three. Such a CPU counts as having no BMI2 for
+/// [`has_fast_pext`].
+pub fn pext_is_microcoded() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::__cpuid;
+        let vendor = __cpuid(0);
+        // "AuthenticAMD", as EBX, EDX, ECX.
+        let amd = (vendor.ebx, vendor.edx, vendor.ecx) == (0x6874_7541, 0x6974_6e65, 0x444d_4163);
+        let eax = __cpuid(1).eax;
+        let base = (eax >> 8) & 0xF;
+        let family = if base == 0xF {
+            base + ((eax >> 20) & 0xFF)
+        } else {
+            base
+        };
+        amd && family == 0x17
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
     }
 }
 

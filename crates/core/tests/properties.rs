@@ -11,6 +11,7 @@ use plsh_core::query::{
     self, dot_floor, Exec, Neighbor, QueryContext, QueryScratch, ScratchPool, SignatureBound,
 };
 use plsh_core::rng::SplitMix64;
+use plsh_core::simd::{self, SimdLevel};
 use plsh_core::sparse::{angular_from_dot, dot_sorted, signature, CrsMatrix, SparseVector};
 use plsh_core::table::{BuildStrategy, DeltaGeneration, MergeStepper, StaticTables};
 use plsh_core::{Engine, EngineConfig, SearchRequest, SearchResponse};
@@ -412,7 +413,7 @@ proptest! {
         ];
         floors.extend(dots.iter().step_by(3));
         for &floor in &floors {
-            let bound = SignatureBound::new(&q, floor);
+            let bound = SignatureBound::new(&q, floor, 0);
             for (row, &dot) in rows.iter().zip(&dots) {
                 let sig = signature(row.indices(), row.values());
                 if !bound.rules_out(sig) {
@@ -433,6 +434,309 @@ proptest! {
             }
         }
     }
+}
+
+/// Dimensions below `WIDE_DIM` grouped by the signature bit they set, so
+/// a query can be built on chosen bits.
+fn dims_by_bit() -> Vec<Vec<u32>> {
+    let mut by_bit = vec![Vec::new(); 64];
+    for d in 0..WIDE_DIM {
+        by_bit[signature(&[d], &[1.0]).trailing_zeros() as usize].push(d);
+    }
+    by_bit
+}
+
+/// A query on `q` distinct signature bits: one to three terms per bit,
+/// with magnitudes spread over three decades.
+fn query_on_bits(rng: &mut SplitMix64, by_bit: &[Vec<u32>], q: usize) -> SparseVector {
+    let mut bits: Vec<usize> = (0..64).filter(|&b| !by_bit[b].is_empty()).collect();
+    for i in 0..q {
+        let j = i + rng.next_below((bits.len() - i) as u64) as usize;
+        bits.swap(i, j);
+    }
+    let mut pairs = Vec::new();
+    for &b in &bits[..q] {
+        let terms = 1 + rng.next_below(by_bit[b].len().min(3) as u64) as usize;
+        let first = rng.next_below((by_bit[b].len() - terms + 1) as u64) as usize;
+        for &d in &by_bit[b][first..first + terms] {
+            let scale = [1.0, 0.1, 0.01][rng.next_below(3) as usize];
+            pairs.push((d, signed_value(rng) * scale));
+        }
+    }
+    SparseVector::new(pairs).expect("distinct non-zero terms")
+}
+
+/// The subset of `qsig`'s bits that bit `s` of a survival-table index
+/// stands for, as a row signature.
+fn subset_signature(qsig: u64, s: u64) -> u64 {
+    let (mut bits, mut sig) = (qsig, 0);
+    for j in 0..qsig.count_ones() {
+        let low = bits & bits.wrapping_neg();
+        bits &= bits - 1;
+        sig |= if s >> j & 1 != 0 { low } else { 0 };
+    }
+    sig
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Q3's survival table decides every row as the per-bit loop does.
+    /// Queries sit on 1 to 16 signature bits (a query has at least one
+    /// term; the empty subset is every row sharing no bit with it), up to
+    /// and past the rule that builds a table, with floors at `≤ 0` (bound
+    /// off), at random, and a hair either side of a subset's shared
+    /// weight; rows share random subsets of the query's bits, random
+    /// bits, none (`0`), or carry the all-ones signature. Where the CPU has
+    /// fast `pext`, a table is built exactly when the rule says so.
+    #[test]
+    fn survival_table_decides_like_the_loop(
+        seed in any::<u64>(),
+        q in 1usize..17,
+        candidates in prop_oneof![Just(0usize), 1usize..1000, Just(usize::MAX)],
+    ) {
+        let by_bit = dims_by_bit();
+        let mut rng = SplitMix64::new(seed);
+        let query = query_on_bits(&mut rng, &by_bit, q);
+        let qsig = query.indices().iter().fold(0u64, |sig, &d| sig | signature(&[d], &[1.0]));
+        prop_assert_eq!(qsig.count_ones() as usize, q);
+        let weight = |b: u64| -> f64 {
+            query
+                .indices()
+                .iter()
+                .zip(query.values())
+                .filter(|(&d, _)| signature(&[d], &[1.0]) == b)
+                .map(|(_, &v)| f64::from(v) * f64::from(v))
+                .sum()
+        };
+        let mut rows = vec![0, u64::MAX, qsig, !qsig];
+        for _ in 0..200 {
+            let subset = subset_signature(qsig, rng.next_u64());
+            rows.push(match rng.next_below(3) {
+                0 => subset,
+                1 => subset | (rng.next_u64() & !qsig),
+                _ => rng.next_u64(),
+            });
+        }
+        // The floor whose threshold `min_ub2` (floor² over the bound's
+        // rounding margins) lands on a subset's shared weight.
+        let nu = query.nnz() as f64 * (f64::from(f32::EPSILON) / 2.0);
+        let margins = (1.0 + nu / (1.0 - nu)).powi(2) * (1.0 + 1e-4) * (1.0 + 1e-8);
+        let mut floors = vec![0.0, -0.3, 0.05 + 0.9 * rng.next_f64() as f32];
+        for _ in 0..6 {
+            let sig = subset_signature(qsig, rng.next_u64());
+            let shared: f64 = (0..64).filter(|b| sig >> b & 1 != 0).map(|b| weight(1 << b)).sum();
+            let floor = (shared * margins).sqrt() as f32;
+            floors.extend([floor, floor * (1.0 - 1e-6), floor * (1.0 + 1e-6)]);
+        }
+        for &floor in &floors {
+            let bound = SignatureBound::new(&query, floor, candidates);
+            let rule = floor > 0.0 && q <= 16 && 1usize << q <= candidates;
+            prop_assert_eq!(bound.has_table(), rule && simd::has_fast_pext(), "floor {}", floor);
+            for &sig in &rows {
+                let table = bound.table_rules_out(sig);
+                prop_assert_eq!(table.is_some(), bound.has_table());
+                if let Some(table) = table {
+                    prop_assert_eq!(
+                        table, bound.rules_out(sig),
+                        "floor {}, row {:#x}, query bits {:#x}", floor, sig, qsig
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The shipped kernel reads a tweet-sized query's bound from its survival
+/// table wherever the CPU can, so it cannot fall back to the per-bit loop
+/// unnoticed. Skips, saying why, below the AVX2 level or on a CPU without
+/// fast `pext`.
+#[test]
+fn seven_term_query_takes_the_table_path() {
+    if simd::level() != SimdLevel::Avx2 {
+        eprintln!(
+            "skipped: kernels dispatch to {}; the table path rides avx2",
+            simd::level().name()
+        );
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if !is_x86_feature_detected!("bmi2") {
+        eprintln!("skipped: this CPU has no BMI2, so no pext");
+        return;
+    }
+    if simd::pext_is_microcoded() {
+        eprintln!("skipped: pext is microcoded on this CPU (AMD family 17h)");
+        return;
+    }
+    let by_bit = dims_by_bit();
+    let mut rng = SplitMix64::new(7);
+    let query = query_on_bits(&mut rng, &by_bit, 7);
+    let query = SparseVector::unit(
+        query
+            .indices()
+            .iter()
+            .copied()
+            .zip(query.values().to_vec())
+            .collect(),
+    )
+    .expect("non-zero");
+    // `batch_static`'s radius, and its ~770 candidates per query.
+    let bound = SignatureBound::new(&query, dot_floor(0.9), 770);
+    assert!(bound.has_table(), "a 7-term query must take the table path");
+    let qsig = query
+        .indices()
+        .iter()
+        .fold(0u64, |sig, &d| sig | signature(&[d], &[1.0]));
+    for s in 0..128 {
+        let sig = subset_signature(qsig, s);
+        assert_eq!(
+            bound.table_rules_out(sig),
+            Some(bound.rules_out(sig)),
+            "subset {s}"
+        );
+    }
+}
+
+/// One fixed random epoch — a merged prefix, two sealed generations,
+/// deletes and a retire cut — queried in radius mode at two radii (the
+/// bound on, deciding with a table where the CPU allows) and as a top-5
+/// k-NN query (the bound off). One line per query: its answer's ids and
+/// distance bits, and every counter, `rows_loaded` included. The last
+/// line counts the radius queries whose bound had a table.
+fn kernel_probe_lines() -> Vec<String> {
+    let pool = ThreadPool::new(1);
+    let shape = (6u32, 2u32);
+    let planes = Hyperplanes::new_dense(DIM, shape.0 * shape.1, 5, &pool);
+    let mut rng = SplitMix64::new(44);
+    let vs: Vec<SparseVector> = (0..3000)
+        .map(|_| {
+            let terms = 2 + rng.next_below(7) as usize;
+            let pairs = (0..terms)
+                .map(|_| {
+                    (
+                        rng.next_below(u64::from(DIM)) as u32,
+                        signed_value(&mut rng),
+                    )
+                })
+                .collect();
+            SparseVector::unit(pairs).expect("non-zero")
+        })
+        .collect();
+    let (n, base) = (vs.len(), 7u32);
+    let (static_data, tables, gens) = segments(&vs, base, 2000, &[2600], &planes, shape, &pool);
+    let deleted: Vec<AtomicU64> = (0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
+    for off in (0..n).step_by(37) {
+        deleted[off / 64].fetch_or(1 << (off % 64), Ordering::Relaxed);
+    }
+    let epoch = QueryContext {
+        static_data: &static_data,
+        planes: &planes,
+        static_tables: tables.as_ref(),
+        deltas: &gens,
+        deleted: Some(&deleted),
+        m: shape.0,
+        half_bits: shape.1,
+        radius: 0.9,
+        base,
+        retired_below: base + 40,
+        max_candidates: usize::MAX,
+        top_k: None,
+    };
+    let queries: Vec<SparseVector> = vs.iter().step_by(50).cloned().collect();
+    let mut scratch = QueryScratch::new(shape.0, shape.1, n, DIM);
+    let mut lines = Vec::new();
+    let mut tables_built = 0;
+    for (radius, top_k) in [(0.9, None), (1.2, None), (std::f32::consts::PI, Some(5))] {
+        let ctx = QueryContext {
+            radius,
+            top_k,
+            ..epoch
+        };
+        for q in &queries {
+            let qs = std::slice::from_ref(q);
+            let (got, stats) = query::run_batch(&ctx, qs, Exec::Inline(&mut scratch), None);
+            let visits = stats.totals.unique_candidates as usize;
+            tables_built += usize::from(
+                top_k.is_none() && SignatureBound::new(q, dot_floor(radius), visits).has_table(),
+            );
+            lines.push(format!("{:?} {:?}", bits(&got[0]), stats.totals));
+        }
+    }
+    lines.push(format!("tables {tables_built}"));
+    lines
+}
+
+/// What [`kernel_counters_do_not_depend_on_the_simd_level`] runs in a
+/// child process at a forced `PLSH_SIMD` level.
+#[test]
+#[ignore = "run in child processes by kernel_counters_do_not_depend_on_the_simd_level"]
+fn kernel_probe_at_this_simd_level() {
+    // On a line of its own: the harness ends the test's name line with
+    // no newline under `--nocapture`.
+    println!(
+        "\nsimd {} pext {}",
+        simd::level().name(),
+        simd::has_fast_pext()
+    );
+    for line in kernel_probe_lines() {
+        println!("probe {line}");
+    }
+}
+
+/// The kernel answers and counts alike at the scalar level (signature
+/// bound by its per-bit loop) and at the dispatched one (by its survival
+/// table where the CPU has fast `pext`): answers, distance bits and every
+/// `QueryStats` counter, `rows_loaded` included. The level is read once
+/// per process, so each side runs this test binary again with
+/// `PLSH_SIMD` set for it.
+#[test]
+fn kernel_counters_do_not_depend_on_the_simd_level() {
+    let exe = std::env::current_exe().expect("test binary path");
+    let run = |level: Option<&str>| -> (String, Vec<String>) {
+        let mut cmd = std::process::Command::new(&exe);
+        cmd.args([
+            "--ignored",
+            "--exact",
+            "kernel_probe_at_this_simd_level",
+            "--nocapture",
+            "--test-threads=1",
+        ]);
+        match level {
+            Some(level) => cmd.env("PLSH_SIMD", level),
+            None => cmd.env_remove("PLSH_SIMD"),
+        };
+        let out = cmd.output().expect("run the probe");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(out.status.success(), "probe at {level:?} failed:\n{stdout}");
+        let header = stdout
+            .lines()
+            .find(|l| l.starts_with("simd "))
+            .expect("level line");
+        let probe = stdout
+            .lines()
+            .filter_map(|l| l.strip_prefix("probe "))
+            .map(str::to_owned)
+            .collect();
+        (header.to_owned(), probe)
+    };
+    let (scalar_level, scalar) = run(Some("scalar"));
+    let (level, dispatched) = run(None);
+    assert_eq!(scalar_level, "simd scalar pext false");
+    assert!(scalar.len() > 1, "the probe printed no queries");
+    assert_eq!(scalar.last().map(String::as_str), Some("tables 0"));
+    if level.ends_with("pext true") {
+        let last = dispatched.last().expect("tables line");
+        assert_ne!(
+            last, "tables 0",
+            "the dispatched probe never took the table path"
+        );
+    }
+    let (scalar, dispatched) = (
+        &scalar[..scalar.len() - 1],
+        &dispatched[..dispatched.len() - 1],
+    );
+    assert_eq!(scalar, dispatched, "scalar vs {level}");
 }
 
 /// `vs` as one epoch's segments under global ids `base..`: the first
