@@ -7,16 +7,23 @@
 //! is evaluated with a machine profile calibrated on this host (effective
 //! clock from a dependent-add chain, bandwidth from a streaming scan) and
 //! compared against instrumented step timings (hashing, I1–I3, Q2, Q3).
+//!
+//! The engine builds its tables by merge, which has no I1–I3; the creation
+//! rows time the paper's two-level shared builder
+//! ([`build::Level::TwoLevelShared`]) over the index's rows instead.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use plsh_core::hash::SketchMatrix;
 use plsh_core::model::{relative_error, MachineProfile, PerformanceModel};
 use plsh_core::params::PlshParams;
 use plsh_core::query::{self, Exec, QueryPhaseTimings, QueryScratch};
 use plsh_core::sparse::SparseVector;
+use plsh_parallel::ThreadPool;
 use plsh_workload::{CorpusConfig, QuerySet, SyntheticCorpus};
 
 use crate::setup::{ms, Fixture, Scale, StaticIndex};
+use crate::table::build;
 
 /// A (label, estimated, actual) comparison row.
 #[derive(Debug, Clone)]
@@ -83,6 +90,7 @@ pub fn run(f: &Fixture) -> Fig6 {
         &StaticIndex::build(f.corpus.vectors(), &f.params, &f.pool),
         f.query_vecs(),
         machine,
+        &f.pool,
     );
 
     // Wikipedia-like corpus: longer docs, own queries, same (k, m).
@@ -106,6 +114,7 @@ pub fn run(f: &Fixture) -> Fig6 {
         &StaticIndex::build(wiki.vectors(), &wiki_params, &f.pool),
         wiki_queries.queries(),
         machine,
+        &f.pool,
     );
 
     Fig6 {
@@ -114,23 +123,29 @@ pub fn run(f: &Fixture) -> Fig6 {
     }
 }
 
-/// Compares the model with `index`'s measured creation and with `queries`
-/// run over it.
+/// Compares the model with a measured creation over `index`'s rows and
+/// with `queries` run over it.
 fn run_dataset(
     dataset: &'static str,
     index: &StaticIndex,
     queries: &[SparseVector],
     machine: MachineProfile,
+    pool: &ThreadPool,
 ) -> DatasetComparison {
     let model = PerformanceModel::new(machine);
-    let (corpus, params) = (&index.corpus, &index.params);
+    let (corpus, params) = (index.corpus(), &index.params);
+    let (m, half_bits) = (params.m(), params.half_bits());
 
-    // ---- Creation: modeled.
+    // ---- Creation: modeled, and measured by the paper's builder.
     let est = model.predict_creation(corpus.num_rows(), corpus.avg_nnz(), params);
+    let t0 = Instant::now();
+    let mut sketches = SketchMatrix::new(m, half_bits);
+    sketches.append_from(corpus, &index.planes, 0, pool);
+    let hashing = t0.elapsed();
+    let (_, steps) = build::build(&sketches, build::Level::TwoLevelShared, pool);
 
     // ---- Query: measured (sequential, timers on).
     let ctx = index.context();
-    let (m, half_bits) = (params.m(), params.half_bits());
     let mut scratch = QueryScratch::new(m, half_bits, corpus.num_rows(), corpus.dim());
     let warm = queries.len().min(32);
     let _ = query::run_batch(&ctx, &queries[..warm], Exec::Inline(&mut scratch), None);
@@ -161,10 +176,10 @@ fn run_dataset(
     DatasetComparison {
         dataset,
         creation: rows(&[
-            ("Hashing", est.hashing, index.hashing),
-            ("Step I1", est.step_i1, index.build.step_i1),
-            ("Step I2", est.step_i2, index.build.step_i2),
-            ("Step I3", est.step_i3, index.build.step_i3),
+            ("Hashing", est.hashing, hashing),
+            ("Step I1", est.step_i1, steps.i1),
+            ("Step I2", est.step_i2, steps.i2),
+            ("Step I3", est.step_i3, steps.i3),
         ]),
         query: rows(&[
             ("Bitvector (Step Q2)", qest.step_q2, qt.step_q2),

@@ -14,3 +14,9 @@
 
 pub mod experiments;
 pub mod setup;
+
+/// Table construction the engine does not run: the paper's partition
+/// builders and unvectorized hashing, the levels of Figure 4.
+pub mod table {
+    pub mod build;
+}

@@ -1,13 +1,14 @@
 //! Shared experiment fixtures: corpus, queries, engines, and scale presets.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use plsh_core::engine::{Engine, EngineConfig};
-use plsh_core::hash::{Hyperplanes, SketchMatrix};
+use plsh_core::hash::Hyperplanes;
 use plsh_core::params::PlshParams;
 use plsh_core::query::QueryContext;
 use plsh_core::sparse::{CrsMatrix, SparseVector};
-use plsh_core::table::{BuildStrategy, BuildTimings, StaticTables};
+use plsh_core::table::{DeltaGeneration, StaticTables};
 use plsh_parallel::ThreadPool;
 use plsh_workload::{CorpusConfig, QuerySet, SyntheticCorpus};
 
@@ -122,58 +123,68 @@ impl Fixture {
     }
 }
 
-/// A flat all-static index built with no engine, stored as the engine
-/// stores an epoch (arrays of 2 MB or more on huge pages where the host
-/// allows them); Figures 5 and 6 query it through
+/// A flat all-static index built with no engine, but as the engine
+/// builds an epoch — one generation over every row, merged from nothing —
+/// and stored as the engine stores one (arrays of 2 MB or more on huge
+/// pages where the host allows them); Figures 5 and 6 query it through
 /// [`context`](Self::context).
 pub struct StaticIndex {
-    /// The documents, one row each.
-    pub corpus: CrsMatrix,
+    /// The documents, one row each, and their sketches.
+    pub rows: Arc<DeltaGeneration>,
     /// The hash family.
     pub planes: Hyperplanes,
     /// The tables over every row.
     pub tables: StaticTables,
-    /// Wall time of hashing the corpus.
+    /// Wall time of storing and hashing the rows, as an insert does.
     pub hashing: Duration,
-    /// Wall time of each table-construction step.
-    pub build: BuildTimings,
+    /// Wall time of merging the tables.
+    pub merge: Duration,
     /// The parameters it was built under.
     pub params: PlshParams,
 }
 
 impl StaticIndex {
-    /// Hashes `docs` under `params` and builds their tables on `pool`.
+    /// Hashes `docs` under `params` and merges their tables on `pool`.
     pub fn build(docs: &[SparseVector], params: &PlshParams, pool: &ThreadPool) -> Self {
-        let dim = params.dim();
-        let mut corpus = CrsMatrix::with_capacity(dim, docs.len(), 8);
-        for v in docs {
-            corpus.push(v).expect("corpus fits its dim");
-        }
-        let planes = Hyperplanes::new_dense(dim, params.num_hashes(), params.seed(), pool);
+        let (m, half_bits) = (params.m(), params.half_bits());
+        let planes = Hyperplanes::new_dense(params.dim(), params.num_hashes(), params.seed(), pool);
         let t0 = Instant::now();
-        let mut sk = SketchMatrix::new(params.m(), params.half_bits());
-        sk.append_from(&corpus, &planes, 0, pool, true);
+        let mut rows = DeltaGeneration::new(0, params.dim(), m, half_bits);
+        rows.append(docs, &planes, pool)
+            .expect("corpus fits its dim");
+        let rows = Arc::new(rows);
         let hashing = t0.elapsed();
-        let (tables, build) = StaticTables::build_instrumented(
-            &sk,
-            sk.num_points(),
-            BuildStrategy::TwoLevelShared,
+        let t1 = Instant::now();
+        let tables = StaticTables::merge_generations(
+            None,
+            m,
+            half_bits,
+            docs.len(),
+            std::slice::from_ref(&rows),
+            &[],
+            0,
+            0,
             pool,
         );
         Self {
-            corpus,
+            rows,
             planes,
             tables,
             hashing,
-            build,
+            merge: t1.elapsed(),
             params: params.clone(),
         }
+    }
+
+    /// The documents, one row each.
+    pub fn corpus(&self) -> &CrsMatrix {
+        self.rows.data()
     }
 
     /// One epoch of every row: radius `R`, nothing deleted, no budget.
     pub fn context(&self) -> QueryContext<'_> {
         QueryContext {
-            static_data: &self.corpus,
+            static_data: self.corpus(),
             planes: &self.planes,
             static_tables: Some(&self.tables),
             deltas: &[],
@@ -190,7 +201,7 @@ impl StaticIndex {
 }
 
 /// Formats a `Duration` as fractional milliseconds.
-pub fn ms(d: std::time::Duration) -> f64 {
+pub fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
@@ -225,7 +236,7 @@ pub fn write_json_atomic(path: &str, json: &str) -> std::io::Result<()> {
 
 /// Nearest-rank percentile of a set of batch latencies, in fractional
 /// milliseconds (0.0 for an empty sample). Sorts in place.
-pub fn percentile_ms(latencies: &mut [std::time::Duration], pct: u32) -> f64 {
+pub fn percentile_ms(latencies: &mut [Duration], pct: u32) -> f64 {
     if latencies.is_empty() {
         return 0.0;
     }

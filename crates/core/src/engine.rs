@@ -47,7 +47,7 @@ use std::time::{Duration, Instant};
 use plsh_parallel::{EpochPtr, ThreadPool};
 
 use crate::error::{PlshError, Result};
-use crate::hash::{Hyperplanes, HyperplanesKind};
+use crate::hash::Hyperplanes;
 use crate::health::HealthReport;
 use crate::params::PlshParams;
 use crate::query::{
@@ -69,10 +69,6 @@ pub struct EngineConfig {
     pub eta: f64,
     /// Whether inserts trigger merges automatically at `η·C`.
     pub auto_merge: bool,
-    /// Hyperplane storage (dense or on-the-fly).
-    pub hyperplanes: HyperplanesKind,
-    /// Vectorization-friendly hashing kernel (Figure 4 "+vectorization").
-    pub vectorized_hashing: bool,
     /// Minimum open-generation size before `insert_batch` auto-seals.
     ///
     /// The default of 1 seals after every batch, so freshly inserted
@@ -147,16 +143,13 @@ impl Default for MergePacing {
 }
 
 impl EngineConfig {
-    /// Default configuration: all optimizations on, `η = 0.1`, auto-merge,
-    /// seal every batch.
+    /// Default configuration: `η = 0.1`, auto-merge, seal every batch.
     pub fn new(params: PlshParams, capacity: usize) -> Self {
         Self {
             params,
             capacity,
             eta: 0.1,
             auto_merge: true,
-            hyperplanes: HyperplanesKind::Dense,
-            vectorized_hashing: true,
             seal_min_points: 1,
             merge_pacing: MergePacing::default(),
             window: None,
@@ -190,18 +183,6 @@ impl EngineConfig {
     /// Overrides the cooperative-merge pacing knobs.
     pub fn with_merge_pacing(mut self, pacing: MergePacing) -> Self {
         self.merge_pacing = pacing;
-        self
-    }
-
-    /// Uses on-the-fly hyperplanes (no dense matrix).
-    pub fn with_on_the_fly_hyperplanes(mut self) -> Self {
-        self.hyperplanes = HyperplanesKind::OnTheFly;
-        self
-    }
-
-    /// Selects the naive hashing kernel (ablation).
-    pub fn with_naive_hashing(mut self) -> Self {
-        self.vectorized_hashing = false;
         self
     }
 
@@ -510,7 +491,7 @@ pub struct EngineStats {
     /// tables (sealed + open generations; static sketches are dropped at
     /// merge time).
     pub delta_table_bytes: usize,
-    /// Bytes of the dense hyperplane matrix (0 when on-the-fly).
+    /// Bytes of the dense hyperplane matrix.
     pub hyperplane_bytes: usize,
     /// Hardware threads the OS reports for this process (the paper's `T`).
     pub host_threads: usize,
@@ -608,14 +589,7 @@ impl Engine {
     pub fn new(config: EngineConfig, pool: &ThreadPool) -> Result<Self> {
         config.validate()?;
         let p = &config.params;
-        let planes = match config.hyperplanes {
-            HyperplanesKind::Dense => {
-                Hyperplanes::new_dense(p.dim(), p.num_hashes(), p.seed(), pool)
-            }
-            HyperplanesKind::OnTheFly => {
-                Hyperplanes::new_on_the_fly(p.dim(), p.num_hashes(), p.seed())
-            }
-        };
+        let planes = Hyperplanes::new_dense(p.dim(), p.num_hashes(), p.seed(), pool);
         let scratches = ScratchPool::new(p.m(), p.half_bits(), p.dim());
         Ok(Self {
             epoch: EpochPtr::new(Arc::new(EngineView::empty(p.dim(), config.capacity, 0))),
@@ -854,7 +828,7 @@ impl Engine {
                 w.open = Some(DeltaGeneration::new(from, p.dim(), p.m(), p.half_bits()));
             }
             let open = w.open.as_mut().expect("installed above");
-            open.append(vs, &self.planes, self.config.vectorized_hashing, pool)
+            open.append(vs, &self.planes, pool)
                 .expect("dimensions validated above");
             let seal_due = open.len() >= self.config.seal_min_points;
             w.total += vs.len() as u32;
@@ -1963,32 +1937,6 @@ mod tests {
             let mut single: Vec<u32> = e.query(q).iter().map(|h| h.index).collect();
             single.sort_unstable();
             assert_eq!(got, single);
-        }
-    }
-
-    #[test]
-    fn on_the_fly_hyperplanes_match_dense() {
-        let pool = ThreadPool::new(1);
-        let mut rng = SplitMix64::new(8);
-        let vs: Vec<SparseVector> = (0..60).map(|_| random_vec(&mut rng, 64)).collect();
-        let dense = Engine::new(EngineConfig::new(params(64), 100).manual_merge(), &pool).unwrap();
-        let lazy = Engine::new(
-            EngineConfig::new(params(64), 100)
-                .manual_merge()
-                .with_on_the_fly_hyperplanes(),
-            &pool,
-        )
-        .unwrap();
-        dense.insert_batch(&vs, &pool).unwrap();
-        lazy.insert_batch(&vs, &pool).unwrap();
-        dense.merge_delta(&pool);
-        lazy.merge_delta(&pool);
-        for v in &vs {
-            let mut a: Vec<u32> = dense.query(v).iter().map(|h| h.index).collect();
-            let mut b: Vec<u32> = lazy.query(v).iter().map(|h| h.index).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
         }
     }
 

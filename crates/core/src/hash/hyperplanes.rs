@@ -9,38 +9,24 @@
 //! least one row of the dense matrix is read consecutively", which LLVM
 //! auto-vectorizes.
 //!
-//! For very large vocabularies the dense matrix may not be worth its
-//! memory (`D · m·k/2 · 4` bytes); [`HyperplanesKind::OnTheFly`] recomputes
-//! components from the counter-based generator instead. Both stores yield
-//! bit-identical sketches for the same seed.
+//! The matrix is materialized once per engine from the counter-based
+//! generator ([`gaussian_at`]), so the same seed gives the same planes on
+//! every pool size.
 
-use plsh_parallel::ThreadPool;
+use plsh_parallel::{SharedSliceMut, ThreadPool};
 
 use crate::rng::gaussian_at;
 use crate::simd;
 use crate::util::HugeVec;
-
-/// How hyperplane components are stored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HyperplanesKind {
-    /// Materialized dense `D × n_hashes` matrix (fast, memory-hungry).
-    Dense,
-    /// Recompute every component from the seed on demand (slow, zero
-    /// memory) — an extension for vocabularies where the dense matrix
-    /// would not fit.
-    OnTheFly,
-}
 
 /// The `m·k/2` random Gaussian hyperplanes of the hash family.
 #[derive(Debug, Clone)]
 pub struct Hyperplanes {
     dim: u32,
     n_hashes: u32,
-    seed: u64,
-    /// Dimension-major dense storage, `None` for on-the-fly: on huge
-    /// pages once 2 MB or more, as Q1 and every insert read one plane row
-    /// per non-zero at random.
-    dense: Option<HugeVec<f32>>,
+    /// Dimension-major dense storage: on huge pages once 2 MB or more, as
+    /// Q1 and every insert read one plane row per non-zero at random.
+    dense: HugeVec<f32>,
 }
 
 impl Hyperplanes {
@@ -48,7 +34,7 @@ impl Hyperplanes {
     pub fn new_dense(dim: u32, n_hashes: u32, seed: u64, pool: &ThreadPool) -> Self {
         let mut data = HugeVec::zeroed(dim as usize * n_hashes as usize);
         {
-            let shared = crate::util::SharedSliceMut::new(&mut data);
+            let shared = SharedSliceMut::new(&mut data);
             let shared = &shared;
             pool.parallel_for(0, dim as usize, 256, |range| {
                 for d in range {
@@ -66,27 +52,7 @@ impl Hyperplanes {
         Self {
             dim,
             n_hashes,
-            seed,
-            dense: Some(data),
-        }
-    }
-
-    /// Creates a memory-free store that recomputes components on demand.
-    pub fn new_on_the_fly(dim: u32, n_hashes: u32, seed: u64) -> Self {
-        Self {
-            dim,
-            n_hashes,
-            seed,
-            dense: None,
-        }
-    }
-
-    /// Which storage strategy this instance uses.
-    pub fn kind(&self) -> HyperplanesKind {
-        if self.dense.is_some() {
-            HyperplanesKind::Dense
-        } else {
-            HyperplanesKind::OnTheFly
+            dense: data,
         }
     }
 
@@ -100,56 +66,36 @@ impl Hyperplanes {
         self.n_hashes
     }
 
-    /// Bytes held by the dense matrix (0 for on-the-fly).
+    /// Bytes held by the dense matrix.
     pub fn memory_bytes(&self) -> usize {
-        self.dense.as_ref().map_or(0, |d| d.len() * 4)
+        self.dense.len() * 4
     }
 
     /// Component of hyperplane `j` along dimension `d`.
     #[inline]
     pub fn component(&self, d: u32, j: u32) -> f32 {
         debug_assert!(d < self.dim && j < self.n_hashes);
-        match &self.dense {
-            Some(data) => data[d as usize * self.n_hashes as usize + j as usize],
-            None => gaussian_at(self.seed, d, j),
-        }
+        self.dense[d as usize * self.n_hashes as usize + j as usize]
     }
 
     /// Accumulates `acc[j] += value · plane_j[d]` for all `j`, for each
     /// non-zero `(d, value)` of a sparse vector.
     ///
-    /// The dense store dispatches to the explicit SIMD kernel selected at
-    /// runtime ([`crate::simd::accumulate_rows`]); every dispatch level
-    /// accumulates each lane in ascending non-zero order without FMA, so
-    /// the result is bit-identical to [`accumulate_scalar`](Self::accumulate_scalar).
+    /// Dispatches to the explicit SIMD kernel selected at runtime
+    /// ([`crate::simd::accumulate_rows`]); every dispatch level accumulates
+    /// each lane in ascending non-zero order without FMA, so the result is
+    /// bit-identical to [`accumulate_scalar`](Self::accumulate_scalar).
     #[inline]
     pub fn accumulate(&self, indices: &[u32], values: &[f32], acc: &mut [f32]) {
         debug_assert_eq!(acc.len(), self.n_hashes as usize);
-        match &self.dense {
-            Some(data) => {
-                simd::accumulate_rows(data, self.n_hashes as usize, indices, values, acc);
-            }
-            // One shared copy of the on-the-fly loop.
-            None => self.accumulate_scalar(indices, values, acc),
-        }
+        simd::accumulate_rows(&self.dense, self.n_hashes as usize, indices, values, acc);
     }
 
     /// The reference contiguous-row kernel without explicit SIMD — what the
     /// explicit kernels are validated against (they must match bit for bit).
     pub fn accumulate_scalar(&self, indices: &[u32], values: &[f32], acc: &mut [f32]) {
         debug_assert_eq!(acc.len(), self.n_hashes as usize);
-        match &self.dense {
-            Some(data) => {
-                simd::accumulate_rows_scalar(data, self.n_hashes as usize, indices, values, acc);
-            }
-            None => {
-                for (&d, &v) in indices.iter().zip(values) {
-                    for (j, a) in acc.iter_mut().enumerate() {
-                        *a += v * gaussian_at(self.seed, d, j as u32);
-                    }
-                }
-            }
-        }
+        simd::accumulate_rows_scalar(&self.dense, self.n_hashes as usize, indices, values, acc);
     }
 
     /// Accumulates a whole **batch** of sparse vectors at once:
@@ -176,24 +122,6 @@ impl Hyperplanes {
             self.accumulate(idx, val, &mut accs[q * nh..(q + 1) * nh]);
         }
     }
-
-    /// The deliberately unvectorized variant of [`accumulate`](Self::accumulate): hash
-    /// functions on the outer loop, sparse vector re-walked per function.
-    ///
-    /// This is the "before vectorization" baseline of Figure 4 — it
-    /// produces identical results but strides through the dense matrix
-    /// column-wise (stride `n_hashes`), defeating both SIMD and the
-    /// hardware prefetcher.
-    pub fn accumulate_naive(&self, indices: &[u32], values: &[f32], acc: &mut [f32]) {
-        debug_assert_eq!(acc.len(), self.n_hashes as usize);
-        for (j, a) in acc.iter_mut().enumerate() {
-            let mut sum = 0.0f32;
-            for (&d, &v) in indices.iter().zip(values) {
-                sum += v * self.component(d, j as u32);
-            }
-            *a += sum;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -205,24 +133,9 @@ mod tests {
     }
 
     #[test]
-    fn dense_and_on_the_fly_agree() {
-        let dense = Hyperplanes::new_dense(50, 12, 99, &pool());
-        let lazy = Hyperplanes::new_on_the_fly(50, 12, 99);
-        for d in 0..50 {
-            for j in 0..12 {
-                assert_eq!(dense.component(d, j), lazy.component(d, j));
-            }
-        }
-    }
-
-    #[test]
-    fn kinds_and_memory() {
+    fn memory_is_the_dense_matrix() {
         let dense = Hyperplanes::new_dense(10, 4, 1, &pool());
-        assert_eq!(dense.kind(), HyperplanesKind::Dense);
         assert_eq!(dense.memory_bytes(), 10 * 4 * 4);
-        let lazy = Hyperplanes::new_on_the_fly(10, 4, 1);
-        assert_eq!(lazy.kind(), HyperplanesKind::OnTheFly);
-        assert_eq!(lazy.memory_bytes(), 0);
     }
 
     #[test]
@@ -239,20 +152,6 @@ mod tests {
                 .map(|(&d, &v)| v * planes.component(d, j))
                 .sum();
             assert!((acc[j as usize] - expect).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn naive_and_vectorized_kernels_agree() {
-        let planes = Hyperplanes::new_dense(40, 16, 3, &pool());
-        let indices = vec![0u32, 7, 13, 39];
-        let values = vec![1.0f32, 0.25, -0.75, 0.125];
-        let mut fast = vec![0.0f32; 16];
-        let mut slow = vec![0.0f32; 16];
-        planes.accumulate(&indices, &values, &mut fast);
-        planes.accumulate_naive(&indices, &values, &mut slow);
-        for (f, s) in fast.iter().zip(&slow) {
-            assert!((f - s).abs() < 1e-4, "{f} vs {s}");
         }
     }
 
@@ -300,22 +199,6 @@ mod tests {
                 &single[..],
                 "batched hashing must be bit-identical for query {q}"
             );
-        }
-    }
-
-    #[test]
-    fn batch_accumulate_on_the_fly_matches_dense() {
-        let dense = Hyperplanes::new_dense(30, 8, 5, &pool());
-        let lazy = Hyperplanes::new_on_the_fly(30, 8, 5);
-        let idx = vec![2u32, 9, 29];
-        let val = vec![0.5f32, -1.0, 2.0];
-        let views: Vec<(&[u32], &[f32])> = vec![(&idx, &val)];
-        let mut a = vec![0.0f32; 8];
-        let mut b = vec![0.0f32; 8];
-        dense.accumulate_batch(&views, &mut a);
-        lazy.accumulate_batch(&views, &mut b);
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() < 1e-5, "{x} vs {y}");
         }
     }
 

@@ -6,12 +6,11 @@
 //! (`u_1(v), …, u_m(v)`), and the `L = m(m−1)/2` table keys are all ordered
 //! pairs `g_{a,b}(v) = (u_a(v), u_b(v))`.
 //!
-//! * [`Hyperplanes`] stores (or lazily recomputes) the `m·k/2` random
-//!   hyperplanes and exposes the sparse-times-dense accumulation kernel of
-//!   Section 5.1.1 in both a vectorizable and a deliberately-naive variant
-//!   (the "+vectorization" ablation of Figure 4).
+//! * [`Hyperplanes`] stores the `m·k/2` random hyperplanes as a dense
+//!   dimension-major matrix and exposes the sparse-times-dense
+//!   accumulation kernel of Section 5.1.1, SIMD-dispatched at runtime.
 //! * [`SketchMatrix`] holds the packed half-keys of every indexed point and
-//!   is the sole input the table builders need.
+//!   is the sole input the merge needs to build tables.
 //! * [`allpairs`] maps between pair `(a, b)` and table index `l`, and
 //!   composes half-keys into `k`-bit bucket keys.
 
@@ -19,5 +18,5 @@ pub mod allpairs;
 mod hyperplanes;
 mod sketch;
 
-pub use hyperplanes::{Hyperplanes, HyperplanesKind};
+pub use hyperplanes::Hyperplanes;
 pub use sketch::SketchMatrix;

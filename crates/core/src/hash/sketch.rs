@@ -5,22 +5,19 @@
 //! when `k/2 ≤ 8`, two otherwise — in the blocked column layout of
 //! [`HalfKeyColumn`], and supports appending: streaming inserts hash
 //! their points once here, queries against the un-merged delta *scan*
-//! the column ([`simd::scan_half_keys`]), and every later static rebuild
-//! reads the stored half-keys instead of re-hashing — a bulk build through
-//! [`half_key`], a merge one block of lane runs at a time — which is what
-//! makes the paper's periodic merges affordable.
-//!
-//! [`half_key`]: SketchMatrix::half_key
+//! the column ([`simd::scan_half_keys`]), and every later merge reads the
+//! stored half-keys, one block of lane runs at a time, instead of
+//! re-hashing — which is what makes the paper's periodic merges
+//! affordable.
 
 use std::ops::Range;
 
-use plsh_parallel::ThreadPool;
+use plsh_parallel::{SharedSliceMut, ThreadPool};
 
 use crate::hash::allpairs;
 use crate::hash::hyperplanes::Hyperplanes;
 use crate::simd::{self, HalfKeyColumn, BLOCK_DOCS};
 use crate::sparse::CrsMatrix;
-use crate::util::SharedSliceMut;
 
 /// Packed `k/2`-bit half-keys for `n` points × `m` functions.
 #[derive(Debug, Clone)]
@@ -168,8 +165,8 @@ impl SketchMatrix {
     }
 
     /// Appends one point from its already-computed half-keys (the kernel
-    /// proofs build columns this way; the engine hashes through
-    /// [`append_from`](Self::append_from)).
+    /// proofs and Figure 4's unvectorized hashing build columns this way;
+    /// the engine hashes through [`append_from`](Self::append_from)).
     pub fn push(&mut self, half_keys: &[u32]) {
         assert_eq!(half_keys.len(), self.m as usize);
         assert!(half_keys.iter().all(|&key| key < 1 << self.half_bits));
@@ -183,17 +180,12 @@ impl SketchMatrix {
 
     /// Sketches rows `[from, corpus.num_rows())` of `corpus` and appends
     /// them, parallelized over points (Section 5.1.1).
-    ///
-    /// `vectorized` selects between the contiguous-row kernel and the naive
-    /// per-function kernel (the Figure 4 "+vectorization" ablation); both
-    /// produce identical sketches.
     pub fn append_from(
         &mut self,
         corpus: &CrsMatrix,
         planes: &Hyperplanes,
         from: usize,
         pool: &ThreadPool,
-        vectorized: bool,
     ) {
         let n = corpus.num_rows();
         assert!(from <= n);
@@ -219,11 +211,7 @@ impl SketchMatrix {
             for local in range {
                 let (idx, val) = corpus.row((from + local) as u32);
                 acc.iter_mut().for_each(|a| *a = 0.0);
-                if vectorized {
-                    planes.accumulate(idx, val, &mut acc);
-                } else {
-                    planes.accumulate_naive(idx, val, &mut acc);
-                }
+                planes.accumulate(idx, val, &mut acc);
                 for a in 0..m {
                     let key = pack_half_key(&acc[a * half_bits as usize..], half_bits);
                     let at = simd::lane_index(from + local, a, m, n) * w;
@@ -334,7 +322,7 @@ mod tests {
         let half_bits = 3u32;
         let planes = Hyperplanes::new_dense(32, m * half_bits, 21, &pool);
         let mut sk = SketchMatrix::new(m, half_bits);
-        sk.append_from(&corpus, &planes, 0, &pool, true);
+        sk.append_from(&corpus, &planes, 0, &pool);
         assert_eq!(sk.num_points(), 3);
 
         // sketch_one must reproduce the stored sketch for each row.
@@ -378,24 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn vectorized_and_naive_sketches_identical() {
-        let pool = ThreadPool::new(2);
-        let rows: Vec<Vec<(u32, f32)>> = (0..40)
-            .map(|i| vec![(i % 16, 1.0 + i as f32 * 0.1), ((i * 7 + 1) % 16, -0.5)])
-            .collect();
-        let row_refs: Vec<&[(u32, f32)]> = rows.iter().map(|r| r.as_slice()).collect();
-        let corpus = tiny_corpus(16, &row_refs);
-        let planes = Hyperplanes::new_dense(16, 4 * 4, 5, &pool);
-        let mut fast = SketchMatrix::new(4, 4);
-        let mut slow = SketchMatrix::new(4, 4);
-        fast.append_from(&corpus, &planes, 0, &pool, true);
-        slow.append_from(&corpus, &planes, 0, &pool, false);
-        for i in 0..corpus.num_rows() as u32 {
-            assert!(fast.half_keys(i).eq(slow.half_keys(i)), "row {i}");
-        }
-    }
-
-    #[test]
     fn incremental_append_matches_bulk() {
         let pool = ThreadPool::new(1);
         let rows: Vec<Vec<(u32, f32)>> = (0..10)
@@ -406,7 +376,7 @@ mod tests {
         let planes = Hyperplanes::new_dense(20, 3 * 2, 8, &pool);
 
         let mut bulk = SketchMatrix::new(3, 2);
-        bulk.append_from(&corpus, &planes, 0, &pool, true);
+        bulk.append_from(&corpus, &planes, 0, &pool);
 
         // Rebuild the same corpus in two increments.
         let mut inc = SketchMatrix::new(3, 2);
@@ -416,13 +386,13 @@ mod tests {
                 .push(&SparseVector::unit(r.clone()).unwrap())
                 .unwrap();
         }
-        inc.append_from(&partial, &planes, 0, &pool, true);
+        inc.append_from(&partial, &planes, 0, &pool);
         for r in &rows[4..] {
             partial
                 .push(&SparseVector::unit(r.clone()).unwrap())
                 .unwrap();
         }
-        inc.append_from(&partial, &planes, 4, &pool, true);
+        inc.append_from(&partial, &planes, 4, &pool);
 
         assert_eq!(bulk.num_points(), inc.num_points());
         for i in 0..10u32 {
@@ -439,7 +409,7 @@ mod tests {
         for half_bits in [1u32, 2, 5, 8] {
             let planes = Hyperplanes::new_dense(25, 2 * half_bits, 77, &pool);
             let mut sk = SketchMatrix::new(2, half_bits);
-            sk.append_from(&corpus, &planes, 0, &pool, true);
+            sk.append_from(&corpus, &planes, 0, &pool);
             for i in 0..25u32 {
                 for a in 0..2 {
                     assert!(sk.half_key(i, a) < (1 << half_bits));

@@ -12,7 +12,7 @@
 //! |---|---|---|
 //! | [`sparse`] | 5.1.1, 5.2.3 | sparse vectors, CRS matrices, angular distance kernels |
 //! | [`hash`] | 3, 5.1.1 | random-hyperplane family, all-pairs sketches |
-//! | [`table`] | 5.1.2, 6.1 | static two-level partitioned tables, table-free delta generations |
+//! | [`table`] | 5.1.2, 6.1 | static bucket-partitioned tables built by merge, table-free delta generations |
 //! | [`simd`] | 5.1.1, 5.2.3 | runtime-dispatched SIMD kernels for hashing and dot products |
 //! | [`dedup`] | 5.2.1 | bitvector duplicate elimination |
 //! | [`query`] | 5.2 | the Q1–Q4 query pipeline, and its unoptimized reference |
@@ -67,7 +67,7 @@ pub use engine::{
     Engine, EngineConfig, EngineStats, EpochInfo, MergePacing, MergeReport, WindowSpec,
 };
 pub use error::{PlshError, Result};
-pub use hash::{Hyperplanes, HyperplanesKind, SketchMatrix};
+pub use hash::{Hyperplanes, SketchMatrix};
 pub use health::{HealthReport, WorkerHealth};
 pub use params::{ParamCandidate, ParamSelection, PlshParams, PlshParamsBuilder};
 pub use persist::RecoveredState;
@@ -76,4 +76,4 @@ pub use search::{SearchBackend, SearchHit, SearchMode, SearchRequest, SearchResp
 pub use snapshot::Snapshot;
 pub use sparse::{CrsMatrix, SparseVector};
 pub use streaming::{ShutdownReport, StreamingEngine};
-pub use table::{BuildStrategy, BuildTimings, DeltaGeneration, MergeStepper, StaticTables};
+pub use table::{DeltaGeneration, MergeStepper, StaticTables};

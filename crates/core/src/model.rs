@@ -339,7 +339,10 @@ impl PerformanceModel {
     }
 
     /// Models full static construction over `n` points of mean sparsity
-    /// `nnz`.
+    /// `nnz`, as the paper builds it: hashing, then the shared two-level
+    /// partition's Steps I1–I3. The engine builds its tables by merge
+    /// instead; the partition builder runs only in the experiment harness
+    /// (Figure 6 compares this estimate with it).
     pub fn predict_creation(&self, n: usize, nnz: f64, params: &PlshParams) -> CreationEstimate {
         let nf = n as f64;
         let c = &self.machine;

@@ -1189,7 +1189,6 @@ impl QueryPhaseTimings {
 mod tests {
     use super::*;
     use crate::rng::SplitMix64;
-    use crate::table::BuildStrategy;
 
     struct Fixture {
         data: CrsMatrix,
@@ -1224,8 +1223,8 @@ mod tests {
         }
         let planes = Hyperplanes::new_dense(dim, m * half_bits, 7, &pool);
         let mut sk = SketchMatrix::new(m, half_bits);
-        sk.append_from(&data, &planes, 0, &pool, true);
-        let statics = StaticTables::build(&sk, BuildStrategy::TwoLevelShared, &pool);
+        sk.append_from(&data, &planes, 0, &pool);
+        let statics = StaticTables::reference(&sk);
         Fixture {
             data,
             planes,
@@ -1519,7 +1518,7 @@ mod tests {
         let data = CrsMatrix::new(dim);
         let planes = Hyperplanes::new_dense(dim, 12, 1, &pool);
         let sk = SketchMatrix::new(4, 3);
-        let statics = StaticTables::build(&sk, BuildStrategy::TwoLevelShared, &pool);
+        let statics = StaticTables::reference(&sk);
         let c = QueryContext {
             static_data: &data,
             planes: &planes,
@@ -1619,14 +1618,14 @@ mod tests {
         let pool = ThreadPool::new(1);
         // Same corpus, different segmentation: 150 static + one sealed
         // generation of 50. Answers must match the all-static fixture.
-        let mut sk = SketchMatrix::new(f.m, f.half_bits);
-        sk.append_from(&f.data, &f.planes, 0, &pool, true);
-        let statics = StaticTables::build_prefix(&sk, 150, BuildStrategy::TwoLevelShared, &pool);
         let mut static_data = f.data.clone();
         static_data.truncate(150);
+        let mut sk = SketchMatrix::new(f.m, f.half_bits);
+        sk.append_from(&static_data, &f.planes, 0, &pool);
+        let statics = StaticTables::reference(&sk);
         let mut g = DeltaGeneration::new(150, f.data.dim(), f.m, f.half_bits);
         let vs: Vec<SparseVector> = (150..200).map(|i| f.data.row_vector(i as u32)).collect();
-        g.append(&vs, &f.planes, true, &pool).unwrap();
+        g.append(&vs, &f.planes, &pool).unwrap();
         let gens = [Arc::new(g)];
         let segmented = QueryContext {
             static_data: &static_data,
@@ -1706,7 +1705,7 @@ mod tests {
         let generation = |lo: usize, hi: usize| {
             let mut g = DeltaGeneration::new(base + lo as u32, f.data.dim(), f.m, f.half_bits);
             let vs: Vec<SparseVector> = (lo..hi).map(|i| f.data.row_vector(i as u32)).collect();
-            g.append(&vs, &f.planes, true, &pool).unwrap();
+            g.append(&vs, &f.planes, &pool).unwrap();
             Arc::new(g)
         };
         let head = generation(0, static_rows);

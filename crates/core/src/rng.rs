@@ -1,17 +1,13 @@
 //! Deterministic random number generation for hyperplane construction.
 //!
 //! The LSH hash family needs Gaussian-distributed hyperplane components
-//! `a ~ N(0, 1)^D` (Charikar's sign-random-projection family). Two access
-//! patterns matter:
-//!
-//! * **Materialized** generation fills the dense hyperplane matrix once, in
-//!   dimension-major order, and is fed by a sequential [`SplitMix64`]
-//!   stream.
-//! * **On-the-fly** generation (the memory-free alternative for very large
-//!   `D`, see `Hyperplanes::OnTheFly`) must produce the *same* component
-//!   value for `(dimension, hash-function)` every time it is asked, with no
-//!   state. [`gaussian_at`] provides that counter-based access: it seeds a
-//!   tiny SplitMix64 from `(seed, d, j)` and applies one Box–Muller step.
+//! `a ~ N(0, 1)^D` (Charikar's sign-random-projection family).
+//! `Hyperplanes::new_dense` fills its matrix in parallel chunks, so each
+//! component must come out the same whichever worker computes it, with
+//! no shared state: [`gaussian_at`] provides that counter-based access —
+//! it seeds a tiny SplitMix64 from `(seed, d, j)` and applies one
+//! Box–Muller step. The sequential [`SplitMix64`] stream serves every
+//! other draw.
 //!
 //! Everything here is deterministic given the seed, which makes every index
 //! build and every experiment in the repository reproducible bit-for-bit.

@@ -84,15 +84,13 @@ impl DeltaGeneration {
         &mut self,
         vs: &[SparseVector],
         planes: &Hyperplanes,
-        vectorized: bool,
         pool: &ThreadPool,
     ) -> Result<()> {
         let from = self.data.num_rows();
         for v in vs {
             self.data.push(v)?;
         }
-        self.sketches
-            .append_from(&self.data, planes, from, pool, vectorized);
+        self.sketches.append_from(&self.data, planes, from, pool);
         Ok(())
     }
 }
@@ -117,8 +115,8 @@ mod tests {
         let vs: Vec<SparseVector> = (0..30).map(|_| random_vec(&mut rng, dim)).collect();
 
         let mut g = DeltaGeneration::new(100, dim, m, half_bits);
-        g.append(&vs[..10], &planes, true, &pool).unwrap();
-        g.append(&vs[10..], &planes, true, &pool).unwrap();
+        g.append(&vs[..10], &planes, &pool).unwrap();
+        g.append(&vs[10..], &planes, &pool).unwrap();
         assert_eq!(g.base(), 100);
         assert_eq!(g.len(), 30);
         assert_eq!(g.end(), 130);
@@ -145,8 +143,7 @@ mod tests {
         let planes = Hyperplanes::new_dense(16, 2 * 2, 1, &pool);
         let v = SparseVector::unit(vec![(1, 1.0), (5, 2.0)]).unwrap();
         let mut g = DeltaGeneration::new(0, 16, 2, 2);
-        g.append(std::slice::from_ref(&v), &planes, true, &pool)
-            .unwrap();
+        g.append(std::slice::from_ref(&v), &planes, &pool).unwrap();
         assert_eq!(g.data().row_vector(0), v);
     }
 }

@@ -6,47 +6,28 @@
 //! a bucket lookup is two offset reads and one contiguous slice.
 //!
 //! An epoch keeps its `L` tables in two arenas, one of all offsets arrays
-//! and one of all entries arrays, table `l` a fixed slice of each. Every
-//! build and merge path writes the slices in place, so an epoch is two
-//! allocations, and an epoch of 2 MB or more sits on transparent huge
-//! pages advised before its first byte is written (the paper's "large
-//! 2 MB pages", Section 5.2.2; see `util::HugeVec`). Q2's bucket reads are
-//! random over the whole epoch, so on 4 KB pages most of them also miss
-//! the TLB.
+//! and one of all entries arrays, table `l` a fixed slice of each. The
+//! merge — the one builder the engine runs, a bulk load included — writes
+//! the slices in place, so an epoch is two allocations, and an epoch of
+//! 2 MB or more sits on transparent huge pages advised before its first
+//! byte is written (the paper's "large 2 MB pages", Section 5.2.2; see
+//! `util::HugeVec`). Q2's bucket reads are random over the whole epoch,
+//! so on 4 KB pages most of them also miss the TLB.
+//!
+//! The paper builds its tables with a two-level radix partition that
+//! shares each first-level pass among tables (Section 5.1.2, Steps
+//! I1–I3). The merge's single count/scatter per table over packed keys
+//! builds the same buckets; Figure 4's partition builders live in the
+//! experiment harness.
 
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use plsh_parallel::ThreadPool;
 
 use crate::hash::{allpairs, SketchMatrix};
-use crate::table::build::{self, BuildStrategy, Partition};
 use crate::table::generation::DeltaGeneration;
-use crate::util::{HugeVec, SharedSliceMut};
-
-/// Wall time spent in each construction step (Figure 6 instrumentation).
-///
-/// Step labels follow the paper: I1 = first-level partitions, I2 =
-/// second-level key permutation, I3 = second-level partitions. The
-/// one-level strategy reports its single flat partition as I1.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BuildTimings {
-    /// Step I1 time.
-    pub step_i1: Duration,
-    /// Step I2 time.
-    pub step_i2: Duration,
-    /// Step I3 time.
-    pub step_i3: Duration,
-}
-
-impl BuildTimings {
-    /// Total insertion time (excluding hashing, which the engine times
-    /// separately).
-    pub fn total(&self) -> Duration {
-        self.step_i1 + self.step_i2 + self.step_i3
-    }
-}
+use crate::util::HugeVec;
 
 /// The full set of `L` static tables over points `0..n`.
 #[derive(Debug, Clone)]
@@ -76,44 +57,32 @@ struct TableMut<'a> {
 }
 
 impl StaticTables {
-    /// Builds all `L = m(m−1)/2` tables from the points' sketches.
-    ///
-    /// The produced tables are identical for every [`BuildStrategy`]; the
-    /// strategy only selects the construction algorithm (Figure 4).
-    pub fn build(sketches: &SketchMatrix, strategy: BuildStrategy, pool: &ThreadPool) -> Self {
-        Self::build_prefix(sketches, sketches.num_points(), strategy, pool)
-    }
-
-    /// Builds tables over only the first `n` sketched points.
-    ///
-    /// The engine uses this to keep points that are still in the delta
-    /// table out of the static structure.
-    pub fn build_prefix(
-        sketches: &SketchMatrix,
-        n: usize,
-        strategy: BuildStrategy,
-        pool: &ThreadPool,
-    ) -> Self {
-        Self::build_instrumented(sketches, n, strategy, pool).0
-    }
-
-    /// Like [`build_prefix`](Self::build_prefix) but also reports the wall
-    /// time spent in each construction step (Figure 6).
-    pub fn build_instrumented(
-        sketches: &SketchMatrix,
-        n: usize,
-        strategy: BuildStrategy,
-        pool: &ThreadPool,
-    ) -> (Self, BuildTimings) {
-        assert!(n <= sketches.num_points());
-        let mut t = Self::with_arenas(sketches.m(), sketches.half_bits(), n, n);
-        let tables = t.tables_mut();
-        let timings = match strategy {
-            BuildStrategy::OneLevel => build_one_level(sketches, n, tables, pool),
-            BuildStrategy::TwoLevel => build_two_level(sketches, n, false, tables, pool),
-            BuildStrategy::TwoLevelShared => build_two_level(sketches, n, true, tables, pool),
-        };
-        (t, timings)
+    /// Tables over every point of `sketches`, built serially: per table,
+    /// one stable counting sort of `0..n` by composed key. This is the
+    /// oracle the merge is tested against, as `query::reference` is for
+    /// Q2–Q4; the engine never runs it.
+    pub fn reference(sketches: &SketchMatrix) -> Self {
+        let n = sketches.num_points();
+        let half_bits = sketches.half_bits();
+        let mut t = Self::with_arenas(sketches.m(), half_bits, n, n);
+        for out in t.tables_mut() {
+            let (a, b) = out.pair;
+            let key = |i: usize| {
+                let i = i as u32;
+                allpairs::compose_key(sketches.half_key(i, a), sketches.half_key(i, b), half_bits)
+                    as usize
+            };
+            let (counts, total) = out.offsets.split_at_mut(out.offsets.len() - 1);
+            (0..n).for_each(|i| counts[key(i)] += 1);
+            total[0] = plsh_parallel::exclusive_prefix_sum_in_place(counts);
+            let mut next = counts.to_vec();
+            for i in 0..n {
+                let slot = &mut next[key(i)];
+                out.entries[*slot as usize] = i as u32;
+                *slot += 1;
+            }
+        }
+        t
     }
 
     /// Zero-filled arenas for the `L` tables over `n` rows, `live` entries
@@ -831,168 +800,6 @@ impl<'a> MergeStepper<'a> {
     }
 }
 
-/// Baseline: one flat `2^k`-bucket partition per table.
-fn build_one_level(
-    sketches: &SketchMatrix,
-    n: usize,
-    tables: Vec<TableMut<'_>>,
-    pool: &ThreadPool,
-) -> BuildTimings {
-    let half_bits = sketches.half_bits();
-    let buckets = 1usize << (2 * half_bits);
-    let start = Instant::now();
-    for t in tables {
-        let (a, b) = t.pair;
-        build::partition_identity_into(
-            n,
-            buckets,
-            |pos| {
-                allpairs::compose_key(
-                    sketches.half_key(pos as u32, a),
-                    sketches.half_key(pos as u32, b),
-                    half_bits,
-                )
-            },
-            pool,
-            t.entries,
-            t.offsets,
-        );
-    }
-    BuildTimings {
-        step_i1: start.elapsed(),
-        ..BuildTimings::default()
-    }
-}
-
-/// Two-level construction, optionally sharing first-level partitions.
-fn build_two_level(
-    sketches: &SketchMatrix,
-    n: usize,
-    shared: bool,
-    tables: Vec<TableMut<'_>>,
-    pool: &ThreadPool,
-) -> BuildTimings {
-    let m = sketches.m();
-    let half_bits = sketches.half_bits();
-    let b1 = 1usize << half_bits;
-    let mut timings = BuildTimings::default();
-
-    // Step I1 (shared): partition 0..n once per first-level function.
-    // Unshared variant recomputes this inside the per-table loop below.
-    let first_level: Vec<Option<Partition>> = if shared {
-        let start = Instant::now();
-        let parts = (0..m)
-            .map(|a| {
-                if a + 1 == m {
-                    return None; // function m-1 is never a first level
-                }
-                Some(build::partition_identity(
-                    n,
-                    b1,
-                    |pos| sketches.half_key(pos as u32, a),
-                    pool,
-                ))
-            })
-            .collect();
-        timings.step_i1 = start.elapsed();
-        parts
-    } else {
-        Vec::new()
-    };
-
-    for t in tables {
-        let (a, b) = t.pair;
-        let fresh;
-        let part: &Partition = if shared {
-            first_level[a as usize]
-                .as_ref()
-                .expect("a < m-1 by pair order")
-        } else {
-            let start = Instant::now();
-            fresh = build::partition_identity(n, b1, |pos| sketches.half_key(pos as u32, a), pool);
-            timings.step_i1 += start.elapsed();
-            &fresh
-        };
-        let (i2, i3) = second_level(sketches, part, b, half_bits, pool, t);
-        timings.step_i2 += i2;
-        timings.step_i3 += i3;
-    }
-    timings
-}
-
-/// Steps I2 + I3 for one table, into `out`: gather the second-level keys
-/// in first-level order, then counting-sort every first-level bucket
-/// independently (with work stealing across buckets).
-fn second_level(
-    sketches: &SketchMatrix,
-    first: &Partition,
-    b: u32,
-    half_bits: u32,
-    pool: &ThreadPool,
-    out: TableMut<'_>,
-) -> (Duration, Duration) {
-    let n = first.perm.len();
-    let b1 = 1usize << half_bits;
-    let b2 = b1;
-
-    // Step I2: keys[pos] = u_b(point at first-level position pos).
-    let i2_start = Instant::now();
-    let mut keys = vec![0u32; n];
-    {
-        let shared_keys = SharedSliceMut::new(&mut keys);
-        let shared_keys = &shared_keys;
-        let perm = &first.perm;
-        pool.parallel_for(0, n, 4096, |range| {
-            for pos in range {
-                // SAFETY: each position written by exactly one chunk.
-                unsafe { shared_keys.write(pos, sketches.half_key(perm[pos], b)) };
-            }
-        });
-    }
-
-    let i2 = i2_start.elapsed();
-
-    // Step I3: per first-level bucket, counting-sort by the second key and
-    // record second-level counts, which become the table's offsets.
-    let i3_start = Instant::now();
-    let (counts, total) = out.offsets.split_at_mut(b1 * b2);
-    {
-        let shared_entries = SharedSliceMut::new(out.entries);
-        let shared_counts = SharedSliceMut::new(counts);
-        let shared_entries = &shared_entries;
-        let shared_counts = &shared_counts;
-        let perm = &first.perm;
-        let offsets = &first.offsets;
-        let keys = &keys;
-        pool.parallel_tasks(0..b1, |ha| {
-            let lo = offsets[ha] as usize;
-            let hi = offsets[ha + 1] as usize;
-            let mut local_counts = vec![0u32; b2];
-            let mut dst = vec![0u32; hi - lo];
-            build::counting_sort_into(
-                &perm[lo..hi],
-                &keys[lo..hi],
-                b2,
-                &mut dst,
-                &mut local_counts,
-            );
-            for (i, &item) in dst.iter().enumerate() {
-                // SAFETY: bucket ranges are disjoint across tasks.
-                unsafe { shared_entries.write(lo + i, item) };
-            }
-            for (hb, &c) in local_counts.iter().enumerate() {
-                // SAFETY: counts stripe [ha*b2, (ha+1)*b2) owned by this task.
-                unsafe { shared_counts.write(ha * b2 + hb, c) };
-            }
-        });
-    }
-
-    total[0] = plsh_parallel::exclusive_prefix_sum_in_place(counts);
-    debug_assert_eq!(total[0] as usize, n);
-    let i3 = i3_start.elapsed();
-    (i2, i3)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1021,107 +828,38 @@ mod tests {
     fn sketches(c: &CrsMatrix, m: u32, half_bits: u32, pool: &ThreadPool) -> SketchMatrix {
         let planes = Hyperplanes::new_dense(c.dim(), m * half_bits, 13, pool);
         let mut sk = SketchMatrix::new(m, half_bits);
-        sk.append_from(c, &planes, 0, pool, true);
+        sk.append_from(c, &planes, 0, pool);
         sk
     }
 
-    fn assert_tables_valid(t: &StaticTables, sk: &SketchMatrix) {
-        let n = t.num_points();
-        let buckets = 1u32 << (2 * t.half_bits());
-        for l in 0..t.num_tables() {
-            let (a, b) = t.pair(l);
-            let mut seen = vec![false; n];
-            for key in 0..buckets {
-                for &id in t.bucket(l, key) {
-                    // Every entry is in the bucket its sketch dictates.
-                    let expect = allpairs::compose_key(
-                        sk.half_key(id, a),
-                        sk.half_key(id, b),
-                        t.half_bits(),
-                    );
-                    assert_eq!(key, expect, "table {l} point {id}");
-                    assert!(!seen[id as usize], "duplicate point {id} in table {l}");
-                    seen[id as usize] = true;
-                }
-            }
-            assert!(
-                seen.iter().all(|&s| s),
-                "table {l} must contain every point"
-            );
-        }
-    }
-
-    #[test]
-    fn all_strategies_produce_identical_tables() {
-        let pool = ThreadPool::new(2);
-        let c = corpus(500, 64, 3);
-        let sk = sketches(&c, 5, 3, &pool);
-        let one = StaticTables::build(&sk, BuildStrategy::OneLevel, &pool);
-        let two = StaticTables::build(&sk, BuildStrategy::TwoLevel, &pool);
-        let shared = StaticTables::build(&sk, BuildStrategy::TwoLevelShared, &pool);
-
-        assert_tables_valid(&one, &sk);
-        assert_tables_valid(&two, &sk);
-        assert_tables_valid(&shared, &sk);
-
-        let buckets = 1u32 << (2 * sk.half_bits());
-        for l in 0..one.num_tables() {
-            for key in 0..buckets {
-                // Bucket membership must agree across strategies. Order
-                // within a bucket is also identical because every pass is
-                // stable on point id.
-                assert_eq!(one.bucket(l, key), two.bucket(l, key), "l={l} key={key}");
-                assert_eq!(one.bucket(l, key), shared.bucket(l, key), "l={l} key={key}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_and_serial_builds_agree() {
-        let c = corpus(5000, 128, 17);
-        let pool1 = ThreadPool::new(1);
-        let pool4 = ThreadPool::new(4);
-        let sk = sketches(&c, 4, 4, &pool1);
-        let serial = StaticTables::build(&sk, BuildStrategy::TwoLevelShared, &pool1);
-        let parallel = StaticTables::build(&sk, BuildStrategy::TwoLevelShared, &pool4);
-        let buckets = 1u32 << 8;
-        for l in 0..serial.num_tables() {
-            for key in 0..buckets {
-                assert_eq!(serial.bucket(l, key), parallel.bucket(l, key));
-            }
-        }
-    }
-
-    #[test]
-    fn build_prefix_excludes_tail_points() {
-        let pool = ThreadPool::new(1);
-        let c = corpus(100, 32, 5);
-        let sk = sketches(&c, 3, 2, &pool);
-        let t = StaticTables::build_prefix(&sk, 60, BuildStrategy::TwoLevelShared, &pool);
-        assert_eq!(t.num_points(), 60);
-        let buckets = 1u32 << 4;
-        for l in 0..t.num_tables() {
-            let mut count = 0;
-            for key in 0..buckets {
-                for &id in t.bucket(l, key) {
-                    assert!(id < 60);
-                    count += 1;
-                }
-            }
-            assert_eq!(count, 60);
-        }
+    /// The reference tables over rows `0..n` of `c`.
+    fn reference_prefix(
+        c: &CrsMatrix,
+        n: usize,
+        planes: &Hyperplanes,
+        (m, half_bits): (u32, u32),
+        pool: &ThreadPool,
+    ) -> StaticTables {
+        let mut head = c.clone();
+        head.truncate(n);
+        let mut sk = SketchMatrix::new(m, half_bits);
+        sk.append_from(&head, planes, 0, pool);
+        StaticTables::reference(&sk)
     }
 
     #[test]
     fn empty_build_is_fine() {
         let pool = ThreadPool::new(2);
         let sk = SketchMatrix::new(3, 2);
-        let t = StaticTables::build(&sk, BuildStrategy::TwoLevelShared, &pool);
-        assert_eq!(t.num_points(), 0);
-        assert_eq!(t.num_tables(), 3);
-        for l in 0..3 {
-            for key in 0..16 {
-                assert!(t.bucket(l, key).is_empty());
+        let reference = StaticTables::reference(&sk);
+        let merged = StaticTables::merge_generations(None, 3, 2, 0, &[], &[], 0, 0, &pool);
+        for t in [reference, merged] {
+            assert_eq!(t.num_points(), 0);
+            assert_eq!(t.num_tables(), 3);
+            for l in 0..3 {
+                for key in 0..16 {
+                    assert!(t.bucket(l, key).is_empty());
+                }
             }
         }
     }
@@ -1133,85 +871,56 @@ mod tests {
         let (m, half_bits) = (4u32, 3u32);
         let planes = Hyperplanes::new_dense(64, m * half_bits, 13, &pool);
         let mut sk_all = SketchMatrix::new(m, half_bits);
-        sk_all.append_from(&c, &planes, 0, &pool, true);
+        sk_all.append_from(&c, &planes, 0, &pool);
 
         // Static prefix of 200 points; two sealed generations over the rest.
-        let prev = StaticTables::build_prefix(&sk_all, 200, BuildStrategy::TwoLevelShared, &pool);
+        let prev = reference_prefix(&c, 200, &planes, (m, half_bits), &pool);
         let mk_gen = |base: usize, end: usize| {
             let mut g = DeltaGeneration::new(base as u32, 64, m, half_bits);
             let vs: Vec<_> = (base..end).map(|i| c.row_vector(i as u32)).collect();
-            g.append(&vs, &planes, true, &pool).unwrap();
+            g.append(&vs, &planes, &pool).unwrap();
             Arc::new(g)
         };
         let gens = vec![mk_gen(200, 260), mk_gen(260, 300)];
-        let rebuilt = StaticTables::build(&sk_all, BuildStrategy::TwoLevelShared, &pool);
+        let rebuilt = StaticTables::reference(&sk_all);
         let buckets = 1u32 << (2 * half_bits);
-
-        // No purges: the merge must reproduce the rebuild bucket for bucket.
-        let no_purge = vec![0u64; 300usize.div_ceil(64)];
-        let merged = StaticTables::merge_generations(
-            Some(&prev),
-            m,
-            half_bits,
-            300,
-            &gens,
-            &no_purge,
-            0,
-            0,
-            &pool,
-        );
-        assert_eq!(merged.num_points(), 300);
-        for l in 0..rebuilt.num_tables() {
-            for key in 0..buckets {
-                assert_eq!(
-                    merged.bucket(l, key),
-                    rebuilt.bucket(l, key),
-                    "l={l} key={key}"
-                );
-            }
-        }
-
-        // With purges: identical minus exactly the dropped ids.
         let victims = [5u32, 210, 299];
-        let mut purge = no_purge;
+        let mut purge = vec![0u64; 300usize.div_ceil(64)];
         for id in victims {
             purge[(id >> 6) as usize] |= 1 << (id & 63);
         }
-        let purged = StaticTables::merge_generations(
-            Some(&prev),
-            m,
-            half_bits,
-            300,
-            &gens,
-            &purge,
-            0,
-            0,
-            &pool,
-        );
-        for l in 0..rebuilt.num_tables() {
-            for key in 0..buckets {
-                let expect: Vec<u32> = rebuilt
-                    .bucket(l, key)
-                    .iter()
-                    .copied()
-                    .filter(|id| !victims.contains(id))
-                    .collect();
-                assert_eq!(purged.bucket(l, key), &expect[..], "l={l} key={key}");
-            }
-        }
 
-        // First merge (no previous epoch): generations only.
-        let first =
-            StaticTables::merge_generations(None, m, half_bits, 300, &gens, &purge, 0, 0, &pool);
-        for l in 0..first.num_tables() {
-            for key in 0..buckets {
-                let expect: Vec<u32> = rebuilt
-                    .bucket(l, key)
-                    .iter()
-                    .copied()
-                    .filter(|id| *id >= 200 && !victims.contains(id))
-                    .collect();
-                assert_eq!(first.bucket(l, key), &expect[..], "l={l} key={key}");
+        // Each merge must reproduce the reference bucket for bucket, less
+        // exactly the ids its purge snapshot or retire cut drops (and, with
+        // no previous epoch, the previous epoch's ids).
+        for (prev, purged, cut) in [
+            (Some(&prev), false, 0u32),
+            (Some(&prev), true, 0),
+            (Some(&prev), true, 50),
+            (Some(&prev), false, 230),
+            (None, true, 0),
+        ] {
+            let bits = if purged { &purge[..] } else { &[] };
+            let merged = StaticTables::merge_generations(
+                prev, m, half_bits, 300, &gens, bits, 0, cut, &pool,
+            );
+            assert_eq!(merged.num_points(), 300);
+            let first = if prev.is_some() { cut } else { 200 };
+            for l in 0..rebuilt.num_tables() {
+                for key in 0..buckets {
+                    let expect: Vec<u32> = rebuilt
+                        .bucket(l, key)
+                        .iter()
+                        .copied()
+                        .filter(|id| *id >= first && !(purged && victims.contains(id)))
+                        .collect();
+                    assert_eq!(
+                        merged.bucket(l, key),
+                        &expect[..],
+                        "purged={purged} cut={cut} prev={} l={l} key={key}",
+                        prev.is_some()
+                    );
+                }
             }
         }
     }
@@ -1298,10 +1007,7 @@ mod tests {
             let (m, half_bits, dim) = (4u32, 3u32, 64u32);
             let c = corpus(n, dim, 29);
             let planes = Hyperplanes::new_dense(dim, m * half_bits, 13, pool);
-            let mut sk = SketchMatrix::new(m, half_bits);
-            sk.append_from(&c, &planes, 0, pool, true);
-            let prev =
-                StaticTables::build_prefix(&sk, prev_end, BuildStrategy::TwoLevelShared, pool);
+            let prev = reference_prefix(&c, prev_end, &planes, (m, half_bits), pool);
             let bounds: Vec<usize> = std::iter::once(prev_end)
                 .chain(cuts.iter().copied())
                 .chain(std::iter::once(n))
@@ -1311,7 +1017,7 @@ mod tests {
                 .map(|w| {
                     let mut g = DeltaGeneration::new(w[0] as u32, dim, m, half_bits);
                     let vs: Vec<_> = (w[0]..w[1]).map(|i| c.row_vector(i as u32)).collect();
-                    g.append(&vs, &planes, true, pool).unwrap();
+                    g.append(&vs, &planes, pool).unwrap();
                     Arc::new(g)
                 })
                 .collect();
@@ -1496,10 +1202,11 @@ mod tests {
         assert_matches_reference(&got, &want, "second merge");
     }
 
-    /// Every build and merge path writes, into its two arenas, the buckets
-    /// a plain scan over the ids gives — the `bucket(l, key)` slices of
-    /// one array pair per table — on both sides of the 2 MB huge-page
-    /// threshold.
+    /// The reference and every merge path — a bulk load from nothing, a
+    /// merge onto a previous epoch, stepped or not — write, into their two
+    /// arenas, the buckets a plain scan over the ids gives (the
+    /// `bucket(l, key)` slices of one array pair per table), on both sides
+    /// of the 2 MB huge-page threshold.
     #[test]
     fn every_build_path_gives_the_scanned_buckets() {
         let pool = ThreadPool::new(2);
@@ -1511,7 +1218,7 @@ mod tests {
             let c = corpus(n, dim, 31);
             let planes = Hyperplanes::new_dense(dim, m * half_bits, 13, &pool);
             let mut sk = SketchMatrix::new(m, half_bits);
-            sk.append_from(&c, &planes, 0, &pool, true);
+            sk.append_from(&c, &planes, 0, &pool);
             let want: Vec<Vec<Vec<u32>>> = allpairs::pairs(m)
                 .map(|(a, b)| {
                     let mut table = vec![Vec::new(); 1 << (2 * half_bits)];
@@ -1526,27 +1233,30 @@ mod tests {
                     table
                 })
                 .collect();
-            for strategy in [
-                BuildStrategy::OneLevel,
-                BuildStrategy::TwoLevel,
-                BuildStrategy::TwoLevelShared,
-            ] {
-                let got = StaticTables::build(&sk, strategy, &pool);
-                assert_matches_reference(&got, &want, &format!("{strategy:?}, n={n}"));
-            }
+            let got = StaticTables::reference(&sk);
+            assert_matches_reference(&got, &want, &format!("reference, n={n}"));
+            let generation = |lo: usize, hi: usize| {
+                let mut g = DeltaGeneration::new(lo as u32, dim, m, half_bits);
+                let vs: Vec<_> = (lo..hi).map(|i| c.row_vector(i as u32)).collect();
+                g.append(&vs, &planes, &pool).unwrap();
+                Arc::new(g)
+            };
+            let loaded = StaticTables::merge_generations(
+                None,
+                m,
+                half_bits,
+                n,
+                &[generation(0, n)],
+                &[],
+                0,
+                0,
+                &pool,
+            );
+            assert_matches_reference(&loaded, &want, &format!("bulk load, n={n}"));
             // A prefix epoch and two sealed generations over the rest.
             let prev_end = n / 3;
-            let prev =
-                StaticTables::build_prefix(&sk, prev_end, BuildStrategy::TwoLevelShared, &pool);
-            let gens: Vec<_> = [prev_end, n / 2, n]
-                .windows(2)
-                .map(|w| {
-                    let mut g = DeltaGeneration::new(w[0] as u32, dim, m, half_bits);
-                    let vs: Vec<_> = (w[0]..w[1]).map(|i| c.row_vector(i as u32)).collect();
-                    g.append(&vs, &planes, true, &pool).unwrap();
-                    Arc::new(g)
-                })
-                .collect();
+            let prev = reference_prefix(&c, prev_end, &planes, (m, half_bits), &pool);
+            let gens = [generation(prev_end, n / 2), generation(n / 2, n)];
             let merged = StaticTables::merge_generations(
                 Some(&prev),
                 m,
@@ -1574,7 +1284,7 @@ mod tests {
         let pool = ThreadPool::new(1);
         let c = corpus(200, 32, 9);
         let sk = sketches(&c, 4, 3, &pool);
-        let t = StaticTables::build(&sk, BuildStrategy::TwoLevelShared, &pool);
+        let t = StaticTables::reference(&sk);
         let l = t.num_tables();
         let expect = l * (200 + (1 << 6) + 1) * 4;
         assert_eq!(t.memory_bytes(), expect);

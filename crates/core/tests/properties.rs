@@ -13,7 +13,7 @@ use plsh_core::query::{
 use plsh_core::rng::SplitMix64;
 use plsh_core::simd::{self, SimdLevel};
 use plsh_core::sparse::{angular_from_dot, dot_sorted, signature, CrsMatrix, SparseVector};
-use plsh_core::table::{BuildStrategy, DeltaGeneration, MergeStepper, StaticTables};
+use plsh_core::table::{DeltaGeneration, MergeStepper, StaticTables};
 use plsh_core::{Engine, EngineConfig, SearchRequest, SearchResponse};
 use plsh_parallel::ThreadPool;
 
@@ -71,7 +71,7 @@ proptest! {
         corpus.push(&v).unwrap();
         corpus.push(&v).unwrap();
         let mut sk = SketchMatrix::new(4, 3);
-        sk.append_from(&corpus, &planes, 0, &pool, true);
+        sk.append_from(&corpus, &planes, 0, &pool);
         prop_assert!(sk.half_keys(0).eq(sk.half_keys(1)));
     }
 
@@ -91,7 +91,7 @@ proptest! {
         corpus.push(&near).unwrap();
         corpus.push(&far).unwrap();
         let mut sk = SketchMatrix::new(64, 1);
-        sk.append_from(&corpus, &planes, 0, &pool, true);
+        sk.append_from(&corpus, &planes, 0, &pool);
         let agree = |x: u32, y: u32| {
             (0..64u32).filter(|&a| sk.half_key(x, a) == sk.half_key(y, a)).count()
         };
@@ -184,27 +184,6 @@ proptest! {
         };
         prop_assert_eq!(got, expect);
     }
-
-    #[test]
-    fn build_strategies_agree_on_random_corpora(
-        vs in proptest::collection::vec(sparse_vec_strategy(), 1..60),
-    ) {
-        let pool = ThreadPool::new(2);
-        let planes = Hyperplanes::new_dense(DIM, 4 * 2, 7, &pool);
-        let mut corpus = CrsMatrix::new(DIM);
-        for v in &vs {
-            corpus.push(v).unwrap();
-        }
-        let mut sk = SketchMatrix::new(4, 2);
-        sk.append_from(&corpus, &planes, 0, &pool, true);
-        let one = StaticTables::build(&sk, BuildStrategy::OneLevel, &pool);
-        let shared = StaticTables::build(&sk, BuildStrategy::TwoLevelShared, &pool);
-        for l in 0..allpairs::num_tables(4) as usize {
-            for key in 0..16u32 {
-                prop_assert_eq!(one.bucket(l, key), shared.bucket(l, key));
-            }
-        }
-    }
 }
 
 proptest! {
@@ -242,19 +221,19 @@ proptest! {
             corpus.push(&v).unwrap();
         }
         let planes = Hyperplanes::new_dense(DIM, m * half_bits, seed ^ 0x5eed, &pool);
-        let mut sk_all = SketchMatrix::new(m, half_bits);
-        sk_all.append_from(&corpus, &planes, 0, &pool, true);
-
-        // Static prefix + one or two sealed generations over the rest.
-        let prev =
-            StaticTables::build_prefix(&sk_all, n_static, BuildStrategy::TwoLevelShared, &pool);
         let mk_gen = |base: usize, end: usize| {
             let mut g = DeltaGeneration::new(base as u32, DIM, m, half_bits);
             let vs: Vec<SparseVector> =
                 (base..end).map(|i| corpus.row_vector(i as u32)).collect();
-            g.append(&vs, &planes, true, &pool).unwrap();
+            g.append(&vs, &planes, &pool).unwrap();
             std::sync::Arc::new(g)
         };
+
+        // Static prefix, merged from its own generation as the engine
+        // loads one, + one or two sealed generations over the rest.
+        let prev = StaticTables::merge_generations(
+            None, m, half_bits, n_static, &[mk_gen(0, n_static)], &[], 0, 0, &pool,
+        );
         let mut gens = vec![mk_gen(n_static, n_static + n_gen1)];
         if n_gen2 > 0 {
             gens.push(mk_gen(n_static + n_gen1, total));
@@ -290,9 +269,7 @@ proptest! {
             if steps == 5 {
                 // An "insert" between slices: live ingest keeps filing
                 // into a fresh generation while the merge is mid-flight.
-                side.append(
-                    &[corpus.row_vector(0)], &planes, true, &pool,
-                ).unwrap();
+                side.append(&[corpus.row_vector(0)], &planes, &pool).unwrap();
             }
         }
         prop_assert!(stepper.is_done());
@@ -753,7 +730,7 @@ fn segments(
 ) -> (CrsMatrix, Option<StaticTables>, Vec<Arc<DeltaGeneration>>) {
     let generation = |lo: usize, hi: usize| {
         let mut g = DeltaGeneration::new(base + lo as u32, DIM, m, half_bits);
-        g.append(&vs[lo..hi], planes, true, pool).unwrap();
+        g.append(&vs[lo..hi], planes, pool).unwrap();
         Arc::new(g)
     };
     let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.clamp(merged, vs.len())).collect();

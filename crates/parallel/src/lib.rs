@@ -19,6 +19,8 @@
 //!   shard-per-core layouts, gated by `PLSH_PIN` and degrading to a logged
 //!   no-op when the host or cgroup refuses.
 //! * [`exclusive_prefix_sum`] and friends — the cumulative-sum step of the radix partition.
+//! * [`SharedSliceMut`] — the slice a parallel scatter writes into at
+//!   disjoint slots.
 //! * [`WorkerLocal`] — lock-free cache-padded per-worker state slots, the
 //!   zero-contention substrate for reusable query scratch.
 //! * [`EpochPtr`] — an atomically swappable `Arc` with a generation
@@ -38,12 +40,14 @@ pub mod affinity;
 mod epoch;
 mod pool;
 mod prefix;
+mod scatter;
 mod supervisor;
 mod worker_local;
 
 pub use epoch::EpochPtr;
 pub use pool::{current_num_threads_hint, pinned_worker_count, Priority, ThreadPool};
 pub use prefix::{exclusive_prefix_sum, exclusive_prefix_sum_in_place, inclusive_prefix_sum};
+pub use scatter::SharedSliceMut;
 pub use supervisor::{panic_message, Backoff, WorkerStatus};
 pub use worker_local::WorkerLocal;
 

@@ -23,7 +23,7 @@ use plsh::core::hash::{Hyperplanes, SketchMatrix};
 use plsh::core::query::{self, QueryContext};
 use plsh::core::sparse::CrsMatrix;
 use plsh::core::streaming::StreamingEngine;
-use plsh::core::table::{BuildStrategy, StaticTables};
+use plsh::core::table::StaticTables;
 use plsh::parallel::ThreadPool;
 use plsh::workload::{CorpusConfig, QuerySet, SyntheticCorpus};
 use plsh::{PlshParams, SearchBackend, SearchMode, SearchRequest, ShardedIndex};
@@ -110,7 +110,8 @@ fn sharded_answers(
 
 /// The whole corpus as one static epoch, built without an engine: the
 /// rows, the engine's hyperplanes (same dimension, count and seed) and
-/// tables over every row.
+/// [`StaticTables::reference`]'s tables over every row, which share no
+/// code with the merge the engine builds its tables by.
 fn flat_epoch(
     corpus: &SyntheticCorpus,
     params: &PlshParams,
@@ -122,8 +123,8 @@ fn flat_epoch(
     }
     let planes = Hyperplanes::new_dense(corpus.dim(), params.num_hashes(), params.seed(), pool);
     let mut sketches = SketchMatrix::new(params.m(), params.half_bits());
-    sketches.append_from(&rows, &planes, 0, pool, true);
-    let tables = StaticTables::build(&sketches, BuildStrategy::TwoLevelShared, pool);
+    sketches.append_from(&rows, &planes, 0, pool);
+    let tables = StaticTables::reference(&sketches);
     (rows, planes, tables)
 }
 
