@@ -18,7 +18,8 @@
 //! * [`affinity`] — best-effort `sched_setaffinity` core pinning for
 //!   shard-per-core layouts, gated by `PLSH_PIN` and degrading to a logged
 //!   no-op when the host or cgroup refuses.
-//! * [`exclusive_prefix_sum`] and friends — the cumulative-sum step of the radix partition.
+//! * [`exclusive_prefix_sum`] and its in-place twin — the cumulative-sum
+//!   step of the tables' counting sort.
 //! * [`SharedSliceMut`] — the slice a parallel scatter writes into at
 //!   disjoint slots.
 //! * [`WorkerLocal`] — lock-free cache-padded per-worker state slots, the
@@ -46,7 +47,7 @@ mod worker_local;
 
 pub use epoch::EpochPtr;
 pub use pool::{current_num_threads_hint, pinned_worker_count, Priority, ThreadPool};
-pub use prefix::{exclusive_prefix_sum, exclusive_prefix_sum_in_place, inclusive_prefix_sum};
+pub use prefix::{exclusive_prefix_sum, exclusive_prefix_sum_in_place};
 pub use scatter::SharedSliceMut;
 pub use supervisor::{panic_message, Backoff, WorkerStatus};
 pub use worker_local::WorkerLocal;

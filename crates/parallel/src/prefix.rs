@@ -1,11 +1,13 @@
-//! Prefix-sum helpers for the radix-partition table builder.
+//! Prefix-sum helpers for the counting-sort passes that build LSH tables.
 //!
-//! The three-step partitioning algorithm of Kim et al. \[21\] that PLSH uses
-//! for hash-table construction needs an exclusive cumulative sum over the
-//! (per-thread) bucket histograms to turn counts into scatter offsets. These
-//! helpers are deliberately simple sequential kernels: histograms have at
-//! most `T * 2^(k/2)` entries (a few thousand), so a parallel scan would be
-//! pure overhead.
+//! The engine's one table builder, the merge's count/scatter
+//! (`StaticTables::merge_generations` in `plsh-core`), turns per-bucket
+//! counts into scatter offsets with an exclusive cumulative sum, as the
+//! partitioning algorithm of Kim et al. \[21\] does (paper Section 5.1.2).
+//! The inverted-index baseline and the bench crate's paper builders take
+//! the same step. These are deliberately simple sequential kernels:
+//! histograms have at most `T * 2^(k/2)` entries (a few thousand), so a
+//! parallel scan would be pure overhead.
 
 /// Replaces `counts` with its exclusive prefix sum and returns the total.
 ///
@@ -49,16 +51,6 @@ pub fn exclusive_prefix_sum(counts: &[u32]) -> Vec<u32> {
     out
 }
 
-/// Replaces `values` with its inclusive prefix sum and returns the total.
-pub fn inclusive_prefix_sum(values: &mut [u64]) -> u64 {
-    let mut running = 0u64;
-    for v in values.iter_mut() {
-        running += *v;
-        *v = running;
-    }
-    running
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,13 +76,6 @@ mod tests {
         // Bucket 1 is empty and bucket 2 owns slots 2..5.
         assert_eq!(offs[1]..offs[2], 2..2);
         assert_eq!(offs[2]..offs[3], 2..5);
-    }
-
-    #[test]
-    fn inclusive_basic() {
-        let mut v = vec![5u64, 1, 0, 4];
-        assert_eq!(inclusive_prefix_sum(&mut v), 10);
-        assert_eq!(v, vec![5, 6, 6, 10]);
     }
 
     proptest! {

@@ -55,33 +55,66 @@ impl Tokenizer {
             .is_ok()
     }
 
+    /// True iff the tokenizer keeps the scanned `token`: long enough and
+    /// not a stop word.
+    pub(crate) fn keeps(&self, token: &str) -> bool {
+        token.len() >= self.min_len && !self.is_stop_word(token)
+    }
+
     /// Tokenizes a document: split on non-alphabetic characters, lowercase,
     /// drop stop words and short tokens, deduplicate preserving first
     /// occurrence.
     pub fn tokenize(&self, text: &str) -> Vec<String> {
         let mut out: Vec<String> = Vec::new();
-        let mut current = String::new();
-        let flush = |current: &mut String, out: &mut Vec<String>| {
-            if current.len() >= self.min_len
-                && !self.is_stop_word(current)
-                && !out.iter().any(|t| t == current)
-            {
-                out.push(std::mem::take(current));
-            } else {
-                current.clear();
+        let mut token = String::new();
+        scan(text, &mut token, |token, _| {
+            if self.keeps(token) && !out.iter().any(|t| t == token) {
+                out.push(token.clone());
             }
-        };
-        for ch in text.chars() {
-            if ch.is_alphabetic() {
-                current.extend(ch.to_lowercase());
-            } else if !current.is_empty() {
-                flush(&mut current, &mut out);
-            }
-        }
-        if !current.is_empty() {
-            flush(&mut current, &mut out);
-        }
+            token.clear();
+        });
         out
+    }
+}
+
+/// The one scanner behind [`Tokenizer::tokenize`], the corpus builder and
+/// the vectorizer: appends each lowercase token of `text` to `out` and
+/// calls `token_end(out, start)` where it ends, the token being
+/// `out[start..]`. The callback may truncate `out` to reuse the space.
+///
+/// An ASCII letter is lowercased inline and any other ASCII byte ends a
+/// token. Only a byte ≥ 0x80 decodes a char: an `is_alphabetic()` char
+/// appends its `to_lowercase()`, anything else ends the token — the same
+/// rule as splitting the text's chars on `!is_alphabetic()`.
+pub(crate) fn scan(text: &str, out: &mut String, mut token_end: impl FnMut(&mut String, usize)) {
+    let bytes = text.as_bytes();
+    let mut start = out.len();
+    let mut i = 0;
+    while i < bytes.len() {
+        let b = bytes[i];
+        let letter = if b < 0x80 {
+            i += 1;
+            let letter = b.is_ascii_alphabetic();
+            if letter {
+                out.push(b.to_ascii_lowercase() as char);
+            }
+            letter
+        } else {
+            let ch = text[i..].chars().next().expect("i is a char boundary");
+            i += ch.len_utf8();
+            let letter = ch.is_alphabetic();
+            if letter {
+                out.extend(ch.to_lowercase());
+            }
+            letter
+        };
+        if !letter && out.len() > start {
+            token_end(out, start);
+            start = out.len();
+        }
+    }
+    if out.len() > start {
+        token_end(out, start);
     }
 }
 

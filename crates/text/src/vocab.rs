@@ -1,6 +1,53 @@
 //! Vocabulary: stable term → dimension-id mapping with document frequencies.
+//!
+//! Every term's bytes sit back to back in one arena (`ends[id]` marks
+//! where term `id` stops), indexed by an open-addressing table: a
+//! power-of-two array of `(tag, id)` slots, probed linearly from the
+//! term's [`term_hash`] and kept at most half full. A lookup reads its
+//! home slot and then the arena bytes of only the terms whose 32-bit tag
+//! matches, with no `String` per term.
 
-use std::collections::HashMap;
+/// Hash of a term's bytes, shared by this table and the
+/// [`Vectorizer`](crate::Vectorizer)'s frozen one.
+///
+/// Each 8-byte word is folded in by a multiply, and murmur3's 64-bit
+/// finalizer then spreads every input bit over every output bit, so the
+/// bucket (the low bits) depends on every byte. Without the finalizer the
+/// low bits of a product see only the low bytes of the words, and terms
+/// that share a prefix (the benchmark's all start with `zq`) would pile
+/// into one probe chain.
+pub(crate) fn term_hash(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut h = bytes.len() as u64;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        h = (h ^ prefix_key(w)).wrapping_mul(K).rotate_left(31);
+    }
+    h = (h ^ prefix_key(words.remainder())).wrapping_mul(K);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// The first 8 bytes of `bytes`, little-endian, zero-padded.
+pub(crate) fn prefix_key(bytes: &[u8]) -> u64 {
+    let mut w = [0u8; 8];
+    let n = bytes.len().min(8);
+    w[..n].copy_from_slice(&bytes[..n]);
+    u64::from_le_bytes(w)
+}
+
+/// An index slot: the high half of the term's hash and its id.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    tag: u32,
+    id: u32,
+}
+
+/// The id of an empty slot.
+const EMPTY: u32 = u32::MAX;
 
 /// A growable vocabulary over cleaned terms.
 ///
@@ -9,8 +56,9 @@ use std::collections::HashMap;
 /// reproducibility anchor for every text experiment.
 #[derive(Debug, Clone, Default)]
 pub struct Vocabulary {
-    ids: HashMap<String, u32>,
-    terms: Vec<String>,
+    arena: String,
+    ends: Vec<usize>,
+    slots: Vec<Slot>,
     doc_freq: Vec<u32>,
     num_docs: u32,
 }
@@ -23,12 +71,12 @@ impl Vocabulary {
 
     /// Number of distinct terms (`D`, the vector dimensionality).
     pub fn len(&self) -> usize {
-        self.terms.len()
+        self.ends.len()
     }
 
     /// True when no terms have been added.
     pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
+        self.ends.is_empty()
     }
 
     /// Number of documents observed.
@@ -38,12 +86,15 @@ impl Vocabulary {
 
     /// The id of `term`, if present.
     pub fn id(&self, term: &str) -> Option<u32> {
-        self.ids.get(term).copied()
+        self.find(term, term_hash(term.as_bytes()))
     }
 
     /// The term with dimension id `id`.
     pub fn term(&self, id: u32) -> Option<&str> {
-        self.terms.get(id as usize).map(String::as_str)
+        let id = id as usize;
+        let end = *self.ends.get(id)?;
+        let start = id.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        Some(&self.arena[start..end])
     }
 
     /// Document frequency of the term with id `id`.
@@ -57,25 +108,86 @@ impl Vocabulary {
         self.num_docs += 1;
         for tok in tokens {
             let tok = tok.as_ref();
-            match self.ids.get(tok) {
-                Some(&id) => self.doc_freq[id as usize] += 1,
-                None => {
-                    let id = self.terms.len() as u32;
-                    self.ids.insert(tok.to_string(), id);
-                    self.terms.push(tok.to_string());
-                    self.doc_freq.push(1);
-                }
+            let hash = term_hash(tok.as_bytes());
+            match self.find(tok, hash) {
+                Some(id) => self.doc_freq[id as usize] += 1,
+                None => self.push(tok, hash),
             }
         }
     }
 
     /// Iterates `(term, id, doc_freq)` in id order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, u32, u32)> {
-        self.terms
-            .iter()
-            .enumerate()
-            .map(|(id, t)| (t.as_str(), id as u32, self.doc_freq[id]))
+        (0..self.len() as u32).map(|id| {
+            let term = self.term(id).expect("ids below len have terms");
+            (term, id, self.doc_freq[id as usize])
+        })
     }
+
+    fn find(&self, term: &str, hash: u64) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let tag = (hash >> 32) as u32;
+        let mut i = hash as usize & mask;
+        loop {
+            let slot = self.slots[i];
+            if slot.id == EMPTY {
+                return None;
+            }
+            if slot.tag == tag && self.term(slot.id) == Some(term) {
+                return Some(slot.id);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Appends an unseen term with document frequency 1.
+    fn push(&mut self, term: &str, hash: u64) {
+        let id = u32::try_from(self.len())
+            .ok()
+            .filter(|&id| id != EMPTY)
+            .expect("a vocabulary holds fewer than 2^32 - 1 terms");
+        if 2 * (self.len() + 1) > self.slots.len() {
+            let mut slots = vec![Slot { tag: 0, id: EMPTY }; (2 * self.slots.len()).max(16)];
+            for (term, id, _) in self.iter() {
+                place(&mut slots, term_hash(term.as_bytes()), id);
+            }
+            self.slots = slots;
+        }
+        self.arena.push_str(term);
+        self.ends.push(self.arena.len());
+        self.doc_freq.push(1);
+        place(&mut self.slots, hash, id);
+    }
+
+    /// The longest distance any term sits from its home slot.
+    #[cfg(test)]
+    pub(crate) fn longest_probe(&self) -> usize {
+        let mask = self.slots.len().saturating_sub(1);
+        (0..self.slots.len())
+            .filter(|&i| self.slots[i].id != EMPTY)
+            .map(|i| {
+                let term = self.term(self.slots[i].id).unwrap();
+                i.wrapping_sub(term_hash(term.as_bytes()) as usize) & mask
+            })
+            .max()
+            .unwrap_or(0)
+    }
+}
+
+/// Puts `id` into the first empty slot of its probe chain.
+fn place(slots: &mut [Slot], hash: u64, id: u32) {
+    let mask = slots.len() - 1;
+    let mut i = hash as usize & mask;
+    while slots[i].id != EMPTY {
+        i = (i + 1) & mask;
+    }
+    slots[i] = Slot {
+        tag: (hash >> 32) as u32,
+        id,
+    };
 }
 
 #[cfg(test)]
