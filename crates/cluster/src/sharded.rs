@@ -473,7 +473,8 @@ impl ShardedIndex {
     ///
     /// Under the router lock the batch is validated, every shard is
     /// checked — it holds exactly its routed ids, and the engine's own
-    /// [`admit`](Engine::admit) rule accepts its slice — ids are assigned,
+    /// [`admit`](Engine::admit) rule accepts its slice, merging first when
+    /// only the shard's retired rows stand in the way — ids are assigned,
     /// and every shard inserts its slice and then advances its window
     /// watermark, in parallel over shards on the fan-out pool at
     /// background priority. On `Ok` every point is applied (and
@@ -517,7 +518,7 @@ impl ShardedIndex {
         for (s, shard) in self.shards.iter().enumerate() {
             shard
                 .engine()
-                .admit(routed(to, s, n) - routed(from, s, n))?;
+                .admit(routed(to, s, n) - routed(from, s, n), shard.pool())?;
         }
         let mut per_shard: Vec<Vec<SparseVector>> = vec![Vec::new(); n];
         for (g, v) in (from..to).zip(vs) {
@@ -1489,21 +1490,14 @@ mod tests {
     }
 
     /// Every `MergeReport` field survives the fold: counts sum, durations
-    /// take the maximum. Queries run throughout, so the finely paced
-    /// background merges yield to them.
+    /// take the maximum. Queries run throughout, so the paced background
+    /// merges yield to them between slices (one table per slice at most).
     #[test]
     fn last_merge_folds_every_field() {
-        use plsh_core::engine::MergePacing;
         use std::sync::atomic::AtomicBool;
-        let pacing = MergePacing {
-            step_buckets: 1,
-            step_rows: 1,
-            yield_sleep: Duration::from_micros(20),
-        };
         let node = EngineConfig::new(params(64), 1_000)
             .manual_merge()
-            .with_window(WindowSpec::Docs(100))
-            .with_merge_pacing(pacing);
+            .with_window(WindowSpec::Docs(100));
         let index = Arc::new(
             ShardedIndex::builder(node)
                 .shards(2)
@@ -1630,33 +1624,25 @@ mod tests {
     }
 
     #[test]
-    fn health_reports_merge_worker_pinning() {
+    fn pinned_shard_merges_publish_and_stay_healthy() {
         let index = sharded(2, 1_000);
         index.insert_batch(&random_vecs(30, 21)).unwrap();
         assert_eq!(index.visible_len(), 30, "an acknowledged batch is visible");
         assert_eq!(index.merge_all_in_background(), 2);
         index.wait_for_merges();
+        let folded: usize = (0..2).map(|s| index.shard(s).engine().static_len()).sum();
+        assert_eq!(folded, 30, "both shards' merges published");
         let health = index.health();
         assert!(health.healthy());
-        let merges: Vec<_> = health
-            .workers
-            .iter()
-            .filter(|w| w.name.ends_with(".merge"))
-            .collect();
-        assert_eq!(merges.len(), health.workers.len(), "merge workers only");
-        assert_eq!(merges.len(), 2);
+        assert_eq!(health.merge_failures, 0);
         // Pinning degrades to a no-op when disabled (PLSH_PIN=off or a
-        // single-core host); the report must agree with the gate either
-        // way: pinned cores only when pinning is possible, and always
-        // inside the host's thread range.
-        for w in &merges {
-            if let Some(core) = w.pinned_core {
-                assert!(affinity::pinning_enabled());
-                assert!(core < affinity::host_threads());
+        // single-core host); a requested core is always inside the
+        // host's thread range.
+        for i in 0..2 {
+            match shard_core(i) {
+                Some(core) => assert!(core < affinity::host_threads()),
+                None => assert!(!affinity::pinning_enabled()),
             }
-        }
-        if !affinity::pinning_enabled() {
-            assert!(merges.iter().all(|w| w.pinned_core.is_none()));
         }
     }
 

@@ -78,8 +78,6 @@ pub struct EngineConfig {
     /// invisible until the threshold is reached or [`Engine::seal`] is
     /// called.
     pub seal_min_points: usize,
-    /// Chunking and back-off knobs of [`Engine::merge_delta_paced`].
-    pub merge_pacing: MergePacing,
     /// Sliding-window retirement: when set, every insert advances a
     /// retire-by-age watermark so only the newest window stays live (see
     /// [`WindowSpec`]). `None` (the default) keeps every point until it is
@@ -106,42 +104,6 @@ pub enum WindowSpec {
     Duration(Duration),
 }
 
-/// Pacing knobs of the cooperative (stepped) merge: how much work one
-/// uninterruptible slice performs, and how long the merge backs off when
-/// queries are in flight.
-///
-/// The stepped build runs the same state machine as the monolithic
-/// [`StaticTables::merge_generations`] — identical output — but between
-/// slices it reads the engine's query-pressure gauge and sleeps while
-/// queries are active, so a merge never monopolizes memory bandwidth
-/// against the latency-sensitive read path.
-#[derive(Debug, Clone, Copy)]
-pub struct MergePacing {
-    /// Max buckets one slice of a bucket-addressed phase (previous-epoch
-    /// count/scatter) touches before re-checking query pressure.
-    pub step_buckets: usize,
-    /// Max generation rows one slice of a row-addressed phase (radix
-    /// count / scatter of sealed generations) processes per check.
-    pub step_rows: usize,
-    /// How long the merge sleeps after a slice when queries are active.
-    /// `Duration::ZERO` disables the back-off (steps still run bounded).
-    pub yield_sleep: Duration,
-}
-
-impl Default for MergePacing {
-    fn default() -> Self {
-        Self {
-            // ~16 KB of bucket cursor work / ~1 generation chunk per
-            // slice: big enough to amortize the pressure check, small
-            // enough that a query arriving mid-merge waits at most one
-            // slice (tens of microseconds) for the CPU.
-            step_buckets: 4096,
-            step_rows: 4096,
-            yield_sleep: Duration::from_micros(200),
-        }
-    }
-}
-
 impl EngineConfig {
     /// Default configuration: `η = 0.1`, auto-merge, seal every batch.
     pub fn new(params: PlshParams, capacity: usize) -> Self {
@@ -151,7 +113,6 @@ impl EngineConfig {
             eta: 0.1,
             auto_merge: true,
             seal_min_points: 1,
-            merge_pacing: MergePacing::default(),
             window: None,
         }
     }
@@ -177,12 +138,6 @@ impl EngineConfig {
     /// Sets the minimum open-generation size before auto-sealing.
     pub fn with_seal_min_points(mut self, points: usize) -> Self {
         self.seal_min_points = points.max(1);
-        self
-    }
-
-    /// Overrides the cooperative-merge pacing knobs.
-    pub fn with_merge_pacing(mut self, pacing: MergePacing) -> Self {
-        self.merge_pacing = pacing;
         self
     }
 
@@ -415,6 +370,14 @@ impl EngineView {
         (self.visible_len - self.static_end()) as usize
     }
 
+    /// Retired rows a merge of this epoch would compact away (retired
+    /// rows still in the open generation wait for a later merge).
+    fn retire_backlog(&self) -> usize {
+        self.retired_below
+            .min(self.visible_len)
+            .saturating_sub(self.static_base) as usize
+    }
+
     /// Points a query against this epoch can touch (the scratch and
     /// candidate-bitvector sizing): the resident visible span.
     fn visible_span(&self) -> usize {
@@ -550,6 +513,16 @@ impl Drop for PressureGuard<'_> {
         self.0.fetch_sub(1, Ordering::Relaxed);
     }
 }
+
+/// Slice budgets of the paced merge ([`Engine::merge_delta_paced`]):
+/// ~16 KB of bucket cursor work, or about one generation chunk, per
+/// slice — big enough to amortize the pressure check, small enough that
+/// a query arriving mid-merge waits at most one slice (tens of
+/// microseconds) for the CPU.
+const MERGE_STEP_BUCKETS: usize = 4096;
+const MERGE_STEP_ROWS: usize = 4096;
+/// How long a paced merge sleeps after a slice while queries are active.
+const MERGE_YIELD_SLEEP: Duration = Duration::from_micros(200);
 
 /// A single-node PLSH engine.
 ///
@@ -758,8 +731,10 @@ impl Engine {
     ///
     /// The batch is hashed once into the open generation under the write
     /// mutex, then (by default) sealed — one epoch swap making it visible
-    /// to queries. The batch is all-or-nothing with respect to capacity;
-    /// dimension errors abort before any vector of the batch is applied.
+    /// to queries. The batch is all-or-nothing with respect to capacity
+    /// (a windowed engine short of room merges first, see
+    /// [`admit`](Self::admit)); dimension errors abort before any vector
+    /// of the batch is applied.
     /// When the sealed delta reaches `η·C` and auto-merge is on, the merge
     /// runs inline on this thread; use
     /// [`StreamingEngine`](crate::streaming::StreamingEngine) to run it in
@@ -776,10 +751,32 @@ impl Engine {
     /// refused while the engine is degraded, or when the resident span
     /// plus `n` would exceed the capacity. Capacity bounds the *resident
     /// span* (compacted prefixes cost nothing); without a window the base
-    /// stays 0 and this is the classic total-vs-capacity check. The answer
-    /// holds for as long as the caller keeps other inserts out — a
-    /// concurrent merge only moves the base forward, freeing room.
-    pub fn admit(&self, n: usize) -> Result<()> {
+    /// stays 0 and this is the classic total-vs-capacity check.
+    ///
+    /// A window's retired prefix is already dead, so when a merge would
+    /// compact it the caller helps instead of being refused: it waits out
+    /// the merge in flight and, if room is still short, runs one merge
+    /// itself on `pool`, then checks once more. A windowless engine, or
+    /// one with no retire backlog, refuses at once. The answer holds for
+    /// as long as the caller keeps other inserts out — a concurrent merge
+    /// only moves the base forward, freeing room. Never call it holding
+    /// the write mutex: a merge publishes under it.
+    pub fn admit(&self, n: usize, pool: &ThreadPool) -> Result<()> {
+        let refused = self.check_room(n);
+        let backlog = || self.epoch.snapshot().retire_backlog() > 0;
+        if !matches!(refused, Err(PlshError::CapacityExceeded { .. })) || !backlog() {
+            return refused;
+        }
+        // Wait out the merge in flight: it may free the room already.
+        drop(self.merge_lock.lock().unwrap_or_else(|e| e.into_inner()));
+        if self.check_room(n).is_err() && backlog() {
+            self.merge_delta(pool);
+        }
+        self.check_room(n)
+    }
+
+    /// [`admit`](Self::admit)'s check alone, without helping.
+    fn check_room(&self, n: usize) -> Result<()> {
         if self.is_degraded() {
             return Err(self.degraded_error());
         }
@@ -810,7 +807,12 @@ impl Engine {
             }
         }
         let mut w = self.write.lock().unwrap_or_else(|e| e.into_inner());
-        self.admit(vs.len())?;
+        if self.check_room(vs.len()).is_err() {
+            drop(w);
+            self.admit(vs.len(), pool)?;
+            w = self.write.lock().unwrap_or_else(|e| e.into_inner());
+            self.check_room(vs.len())?;
+        }
         let from = w.total;
         if !vs.is_empty() {
             // Write-ahead: the batch reaches the WAL (and is fsynced)
@@ -878,8 +880,7 @@ impl Engine {
         // a window, when enough retired rows await compaction that a merge
         // would reclaim η·C worth of memory. Both ride the same background
         // merge, so the resident span stays ≈ window + η·C + batch.
-        let retire_backlog =
-            (w.retired_below.min(view.visible_len)).saturating_sub(view.static_base) as usize;
+        let retire_backlog = view.retire_backlog();
         let threshold = self.config.eta * self.config.capacity as f64;
         let merge_due = self.config.auto_merge
             && (sealed_points as f64 >= threshold || retire_backlog as f64 >= threshold);
@@ -936,21 +937,25 @@ impl Engine {
     /// reclaimed — and generations sealed while the merge was building
     /// simply remain sealed in the new epoch.
     pub fn merge_delta(&self, pool: &ThreadPool) {
-        self.merge_delta_inner(pool, None);
+        self.merge_delta_inner(Some(pool));
     }
 
-    /// The cooperative variant of [`merge_delta`](Self::merge_delta): the
-    /// table build runs as bounded [`crate::table::MergeStepper`] slices,
-    /// sleeping between slices while queries are in flight (the engine's
-    /// query-pressure gauge), so a background merge yields the machine to
-    /// the read path instead of racing it. Output and publish semantics
-    /// are identical to the monolithic merge — the same state machine runs
-    /// both, just with different slice budgets.
-    pub fn merge_delta_paced(&self, pool: &ThreadPool) {
-        self.merge_delta_inner(pool, Some(self.config.merge_pacing));
+    /// The cooperative variant of [`merge_delta`](Self::merge_delta), run
+    /// by the background merge: the table build runs on this thread as
+    /// bounded [`crate::table::MergeStepper`] slices of
+    /// [`MERGE_STEP_BUCKETS`] buckets or [`MERGE_STEP_ROWS`] rows,
+    /// sleeping [`MERGE_YIELD_SLEEP`] after a slice while queries are in
+    /// flight (the engine's query-pressure gauge), so a background merge
+    /// yields the machine to the read path instead of racing it. Output
+    /// and publish semantics are identical to the monolithic merge — the
+    /// same state machine runs both, just with different slice budgets.
+    pub(crate) fn merge_delta_paced(&self) {
+        self.merge_delta_inner(None);
     }
 
-    fn merge_delta_inner(&self, pool: &ThreadPool, pacing: Option<MergePacing>) {
+    /// One merge: monolithic on `pool`, or paced on this thread when
+    /// `pool` is `None`.
+    fn merge_delta_inner(&self, pool: Option<&ThreadPool>) {
         let _m = self.merge_lock.lock().unwrap_or_else(|e| e.into_inner());
         if self.is_degraded() {
             return; // read-only: merging would commit nothing durably
@@ -1003,8 +1008,8 @@ impl Engine {
                 .collect();
         let static_data = CrsMatrix::from_suffixes(p.dim(), &parts);
         let mut yielded = Duration::ZERO;
-        let statics = match pacing {
-            None => StaticTables::merge_generations(
+        let statics = match pool {
+            Some(pool) => StaticTables::merge_generations(
                 v0.statics.as_deref(),
                 p.m(),
                 p.half_bits(),
@@ -1015,7 +1020,7 @@ impl Engine {
                 new_base,
                 pool,
             ),
-            Some(pc) => {
+            None => {
                 let mut stepper = crate::table::MergeStepper::new(
                     v0.statics.as_deref(),
                     p.m(),
@@ -1026,11 +1031,10 @@ impl Engine {
                     old_base,
                     new_base,
                 );
-                while stepper.step(pc.step_buckets, pc.step_rows) {
-                    if !pc.yield_sleep.is_zero() && self.active_queries.load(Ordering::Relaxed) > 0
-                    {
+                while stepper.step(MERGE_STEP_BUCKETS, MERGE_STEP_ROWS) {
+                    if self.active_queries.load(Ordering::Relaxed) > 0 {
                         let s0 = Instant::now();
-                        std::thread::sleep(pc.yield_sleep);
+                        std::thread::sleep(MERGE_YIELD_SLEEP);
                         yielded += s0.elapsed();
                     }
                 }
@@ -1434,7 +1438,7 @@ impl Engine {
             live_points,
             retired_pending_purge,
             window_lag,
-            workers: Vec::new(),
+            ..HealthReport::default()
         }
     }
 

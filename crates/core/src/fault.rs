@@ -21,7 +21,7 @@
 //! | `manifest.swap` | merge-publish and checkpoint manifest rename | [`io_check`] |
 //! | `tomb.append` | tombstone log append | [`io_check`] |
 //! | `static.prepare` | checkpoint segment write | [`io_check`] |
-//! | `merge.build` | background merge worker, per attempt | [`point`] |
+//! | `merge.build` | background merge thread, per merge | [`point`] |
 //! | `ingest.batch` | sharded insert, per shard slice | [`point`] |
 //! | `query.shard` | per-shard query fan-out task | [`point`] |
 //!
@@ -61,7 +61,8 @@ pub const MANIFEST_SWAP: &str = "manifest.swap";
 pub const TOMB_APPEND: &str = "tomb.append";
 /// A checkpoint's static segment write, before the swap that names it.
 pub const STATIC_PREPARE: &str = "static.prepare";
-/// Background merge worker, once per supervised attempt.
+/// Background merge thread, once per merge it starts (outside every
+/// engine lock).
 pub const MERGE_BUILD: &str = "merge.build";
 /// Sharded insert, once per shard as it applies its slice of a batch.
 pub const INGEST_BATCH: &str = "ingest.batch";
@@ -87,8 +88,8 @@ pub enum FaultKind {
     /// error, depending on `times`). At a [`point`] site — which has no
     /// error channel — this panics instead.
     Err,
-    /// Panic with a recognizable message (exercises `catch_unwind`
-    /// supervision).
+    /// Panic with a recognizable message (exercises the merge thread's
+    /// `catch_unwind`).
     Panic,
     /// Sleep for the given duration, then proceed normally (exercises
     /// deadlines and back-pressure).

@@ -1,4 +1,4 @@
-//! Liveness, degradation, and supervision reporting.
+//! Liveness, degradation, and merge-failure reporting.
 //!
 //! Every backend — [`Engine`](crate::engine::Engine),
 //! [`StreamingEngine`](crate::streaming::StreamingEngine), the sharded
@@ -6,35 +6,15 @@
 //! same [`HealthReport`]: is the write path degraded to read-only, how
 //! many rows are durable only in the WAL (replay lag on restart), how
 //! hard has the persistence layer been retrying, how deep is the ingest
-//! backlog, and what state is every supervised background worker in.
+//! backlog, and how many background merges have panicked.
 //! A server front-end's `/healthz` is a straight serialization of this
 //! struct; the chaos suite asserts on it.
-
-/// One supervised background worker (a merge thread), as seen at the
-/// instant of the report.
-#[derive(Debug, Clone)]
-pub struct WorkerHealth {
-    /// Stable worker name, e.g. `merge` or `shard3.merge`.
-    pub name: String,
-    /// Whether the worker (or its supervisor) is still able to make
-    /// progress. `false` means the supervisor exhausted its restart
-    /// budget and gave the worker up.
-    pub alive: bool,
-    /// Panics the supervisor absorbed and restarted from.
-    pub restarts: u64,
-    /// Message of the most recent absorbed panic, if any.
-    pub last_panic: Option<String>,
-    /// The core this worker pinned itself to, when core/shard pinning is
-    /// active (`None`: pinning disabled, refused by the kernel, or not
-    /// applicable to this worker).
-    pub pinned_core: Option<usize>,
-}
 
 /// A point-in-time health summary of one backend.
 ///
 /// Aggregating backends (the sharded index, the root `Index`) fold their
 /// children's reports with [`absorb`](Self::absorb): flags OR, counters
-/// add, worker lists concatenate.
+/// add, the last child's merge-failure message wins.
 #[derive(Debug, Clone, Default)]
 pub struct HealthReport {
     /// The engine has entered degraded read-only mode: queries keep
@@ -64,23 +44,24 @@ pub struct HealthReport {
     /// Resident points beyond what the window spec allows — how far
     /// retirement lags the configured window (0 without a window).
     pub window_lag: usize,
-    /// Every supervised background worker.
-    pub workers: Vec<WorkerHealth>,
+    /// Background merges that panicked. A panicked merge publishes
+    /// nothing; the next trigger (an insert past `η·C`, a flush, or a
+    /// writer short of room) runs it again.
+    pub merge_failures: u64,
+    /// The most recent merge panic's message, if any.
+    pub last_merge_failure: Option<String>,
 }
 
 impl HealthReport {
-    /// `true` when nothing is wrong: not degraded and every worker alive.
+    /// `true` when the write path is not degraded. A merge failure is not
+    /// unhealthy: the next trigger retries it.
     pub fn healthy(&self) -> bool {
-        !self.degraded && self.workers.iter().all(|w| w.alive)
-    }
-
-    /// Total supervisor restarts across all workers.
-    pub fn total_restarts(&self) -> u64 {
-        self.workers.iter().map(|w| w.restarts).sum()
+        !self.degraded
     }
 
     /// Folds a child backend's report into this one, prefixing its
-    /// worker names with `prefix` (e.g. `shard3`) so they stay unique.
+    /// degrade reason and merge-failure message with `prefix` (e.g.
+    /// `shard3`).
     pub fn absorb(&mut self, prefix: &str, child: HealthReport) {
         if child.degraded && !self.degraded {
             self.degraded = true;
@@ -95,10 +76,10 @@ impl HealthReport {
         self.live_points += child.live_points;
         self.retired_pending_purge += child.retired_pending_purge;
         self.window_lag += child.window_lag;
-        self.workers.extend(child.workers.into_iter().map(|mut w| {
-            w.name = format!("{prefix}.{}", w.name);
-            w
-        }));
+        self.merge_failures += child.merge_failures;
+        if let Some(msg) = child.last_merge_failure {
+            self.last_merge_failure = Some(format!("{prefix}.{msg}"));
+        }
     }
 }
 
@@ -120,13 +101,8 @@ mod tests {
                 live_points: 100,
                 retired_pending_purge: 7,
                 window_lag: 1,
-                workers: vec![WorkerHealth {
-                    name: "ingest".into(),
-                    alive: true,
-                    restarts: 1,
-                    last_panic: None,
-                    pinned_core: Some(0),
-                }],
+                merge_failures: 1,
+                last_merge_failure: Some("first".into()),
             },
         );
         agg.absorb(
@@ -140,13 +116,8 @@ mod tests {
                 live_points: 50,
                 retired_pending_purge: 0,
                 window_lag: 0,
-                workers: vec![WorkerHealth {
-                    name: "ingest".into(),
-                    alive: false,
-                    restarts: 4,
-                    last_panic: Some("boom".into()),
-                    pinned_core: None,
-                }],
+                merge_failures: 4,
+                last_merge_failure: Some("boom".into()),
             },
         );
         assert!(agg.degraded);
@@ -157,9 +128,9 @@ mod tests {
         assert_eq!(agg.live_points, 150);
         assert_eq!(agg.retired_pending_purge, 7);
         assert_eq!(agg.window_lag, 1);
-        assert_eq!(agg.total_restarts(), 5);
+        assert_eq!(agg.merge_failures, 5);
+        assert_eq!(agg.last_merge_failure.as_deref(), Some("shard1.boom"));
         assert!(!agg.healthy());
-        assert_eq!(agg.workers[1].name, "shard1.ingest");
     }
 
     #[test]

@@ -63,12 +63,10 @@ pub mod streaming;
 pub mod table;
 pub(crate) mod util;
 
-pub use engine::{
-    Engine, EngineConfig, EngineStats, EpochInfo, MergePacing, MergeReport, WindowSpec,
-};
+pub use engine::{Engine, EngineConfig, EngineStats, EpochInfo, MergeReport, WindowSpec};
 pub use error::{PlshError, Result};
 pub use hash::{Hyperplanes, SketchMatrix};
-pub use health::{HealthReport, WorkerHealth};
+pub use health::HealthReport;
 pub use params::{ParamCandidate, ParamSelection, PlshParams, PlshParamsBuilder};
 pub use persist::RecoveredState;
 pub use query::{BatchStats, Neighbor, QueryPhaseTimings, QueryStats};

@@ -12,6 +12,13 @@
 //!   continue against the current epoch until the merged epoch is
 //!   published with a single swap.
 //!
+//! A background merge is a one-shot task: one spawned thread runs one
+//! paced merge and exits. A panic inside it is caught at the thread's
+//! boundary and counted in [`health`](StreamingEngine::health); the
+//! merge published nothing, and the next trigger — the next insert past
+//! `η·C`, a [`flush`](StreamingEngine::flush), or a writer short of room
+//! (see [`Engine::admit`]) — runs it again.
+//!
 //! ```
 //! use plsh_core::{EngineConfig, PlshParams, SparseVector};
 //! use plsh_core::streaming::StreamingEngine;
@@ -36,12 +43,12 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use plsh_parallel::{affinity, Backoff, ThreadPool, WorkerStatus};
+use plsh_parallel::{affinity, ThreadPool};
 
 use crate::engine::{Engine, EngineConfig, EngineStats, EpochInfo, MergeReport};
 use crate::error::Result;
 use crate::fault;
-use crate::health::{HealthReport, WorkerHealth};
+use crate::health::HealthReport;
 use crate::query::{BatchStats, Neighbor};
 use crate::search::{SearchBackend, SearchRequest, SearchResponse};
 use crate::sparse::SparseVector;
@@ -60,41 +67,11 @@ pub struct ShutdownReport {
     pub merge_abandoned: bool,
 }
 
-/// Sentinel for "no core" in [`MergePin`]'s atomic slots.
+/// Sentinel for "no core" in the merge-pin request.
 const NOT_PINNED: usize = usize::MAX;
 
-/// Core-affinity request for the background-merge worker (shard-per-core
-/// clusters point it at the owning shard's core). `want` is the requested
-/// core, `got` the core the most recent merge thread actually pinned —
-/// they differ when pinning is disabled or the kernel refused.
-struct MergePin {
-    want: AtomicUsize,
-    got: AtomicUsize,
-}
-
-impl MergePin {
-    fn new() -> Arc<Self> {
-        Arc::new(Self {
-            want: AtomicUsize::new(NOT_PINNED),
-            got: AtomicUsize::new(NOT_PINNED),
-        })
-    }
-
-    /// Worker-thread-side: attempt the requested pin, remember the result.
-    fn apply(&self) {
-        let want = self.want.load(Ordering::SeqCst);
-        if want != NOT_PINNED && affinity::pin_current_thread(want) {
-            self.got.store(want, Ordering::SeqCst);
-        }
-    }
-
-    fn pinned(&self) -> Option<usize> {
-        match self.got.load(Ordering::SeqCst) {
-            NOT_PINNED => None,
-            core => Some(core),
-        }
-    }
-}
+/// Why joining a merge thread cannot fail: it catches its merge's panic.
+const MERGE_THREAD_CATCHES: &str = "a merge thread catches its merge's panic";
 
 /// A cloneable, thread-safe streaming handle (see the module docs).
 #[derive(Clone)]
@@ -103,12 +80,12 @@ pub struct StreamingEngine {
     pool: ThreadPool,
     /// The in-flight background merge, if any (all clones share it).
     merger: Arc<Mutex<Option<JoinHandle<()>>>>,
-    /// Liveness/restart accounting for the background merge worker (all
+    /// Background merges that panicked, and the last panic's message (all
     /// clones share it; surfaced through [`health`](Self::health)).
-    merge_status: Arc<WorkerStatus>,
-    /// Core-affinity request for merge worker threads (all clones share
-    /// it).
-    merge_pin: Arc<MergePin>,
+    merge_failures: Arc<Mutex<(u64, Option<String>)>>,
+    /// The core merge threads pin themselves to, or [`NOT_PINNED`] (all
+    /// clones share it).
+    merge_pin: Arc<AtomicUsize>,
 }
 
 impl StreamingEngine {
@@ -124,8 +101,8 @@ impl StreamingEngine {
             engine: Arc::new(engine),
             pool,
             merger: Arc::new(Mutex::new(None)),
-            merge_status: Arc::new(WorkerStatus::new()),
-            merge_pin: MergePin::new(),
+            merge_failures: Arc::default(),
+            merge_pin: Arc::new(AtomicUsize::new(NOT_PINNED)),
         }
     }
 
@@ -133,10 +110,9 @@ impl StreamingEngine {
     /// itself to `core` (shard-per-core clusters pass the owning shard's
     /// core, so ingest and merge share it and stay off the query cores).
     /// A no-op when pinning is disabled (`PLSH_PIN=off`, single-core
-    /// host) or the kernel refuses; [`health`](Self::health) reports the
-    /// core actually pinned.
+    /// host) or the kernel refuses.
     pub fn pin_merge_to(&self, core: usize) {
-        self.merge_pin.want.store(core, Ordering::SeqCst);
+        self.merge_pin.store(core, Ordering::SeqCst);
     }
 
     /// Attaches incremental durability (see [`crate::persist`]): writes a
@@ -230,11 +206,11 @@ impl StreamingEngine {
     /// Starts a background merge unless one is already in flight; returns
     /// whether a new merge was started.
     ///
-    /// The merge runs *supervised*: a panic (the merge build itself, or an
-    /// armed [`crate::fault`] injection) is caught, recorded in
-    /// [`health`](Self::health), and the merge is retried under bounded
-    /// exponential backoff. A merge that keeps panicking through the
-    /// restart budget marks the worker dead instead of spinning forever.
+    /// The merge is a one-shot thread running the paced merge. A panic
+    /// (the merge build itself, or an armed [`fault::MERGE_BUILD`]
+    /// injection, which fires outside every engine lock) is caught at the
+    /// thread's boundary and counted in [`health`](Self::health); the next
+    /// trigger runs the merge again.
     pub fn merge_in_background(&self) -> bool {
         let mut slot = self.merger.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(handle) = slot.take() {
@@ -242,26 +218,39 @@ impl StreamingEngine {
                 *slot = Some(handle);
                 return false; // one merge at a time; the next trigger re-checks
             }
-            join_merge(handle);
+            handle.join().expect(MERGE_THREAD_CATCHES);
         }
         let engine = self.engine.clone();
-        let pool = self.pool.clone();
-        let status = self.merge_status.clone();
-        let pin = self.merge_pin.clone();
+        let failures = self.merge_failures.clone();
+        let core = self.merge_pin.load(Ordering::SeqCst);
         *slot = Some(std::thread::spawn(move || {
-            pin.apply();
-            supervised_merge(&engine, &pool, &status);
+            if core != NOT_PINNED {
+                affinity::pin_current_thread(core);
+            }
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                fault::point(fault::MERGE_BUILD);
+                engine.merge_delta_paced();
+            }));
+            if let Err(payload) = outcome {
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".into());
+                let mut f = failures.lock().unwrap_or_else(|e| e.into_inner());
+                *f = (f.0 + 1, Some(message));
+            }
         }));
         true
     }
 
     /// Blocks until the in-flight background merge (if any) has finished.
-    /// Merge panics never propagate here — they are absorbed by the
-    /// supervisor and reported through [`health`](Self::health).
+    /// Merge panics never propagate here — they are caught in the merge
+    /// thread and reported through [`health`](Self::health).
     pub fn wait_for_merge(&self) {
         let handle = self.merger.lock().unwrap_or_else(|e| e.into_inner()).take();
         if let Some(h) = handle {
-            join_merge(h);
+            h.join().expect(MERGE_THREAD_CATCHES);
         }
     }
 
@@ -294,47 +283,36 @@ impl StreamingEngine {
         self.engine.seal();
         let drained = self.engine.health().wal_lag_rows == 0;
         let handle = self.merger.lock().unwrap_or_else(|e| e.into_inner()).take();
-        let merge_abandoned = if let Some(h) = handle {
+        let merge_abandoned = handle.is_some_and(|h| {
             while !h.is_finished() && t0.elapsed() < deadline {
                 std::thread::sleep(Duration::from_millis(1));
             }
-            if h.is_finished() {
-                join_merge(h);
-                false
-            } else {
-                drop(h); // detach: stop waiting, let it publish on its own
-                true
+            if !h.is_finished() {
+                return true; // detach: stop waiting, let it publish on its own
             }
-        } else {
+            h.join().expect(MERGE_THREAD_CATCHES);
             false
-        };
+        });
         ShutdownReport {
             drained,
             merge_abandoned,
         }
     }
 
-    /// Engine health plus the background merge worker's liveness.
+    /// Engine health plus the background merges' failure count.
     pub fn health(&self) -> HealthReport {
         let mut report = self.engine.health();
-        report.workers.push(WorkerHealth {
-            name: "merge".to_string(),
-            alive: self.merge_status.alive(),
-            restarts: self.merge_status.restarts(),
-            last_panic: self.merge_status.last_panic(),
-            pinned_core: self.merge_pin.pinned(),
-        });
+        (report.merge_failures, report.last_merge_failure) = self
+            .merge_failures
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone();
         report
     }
 
-    /// Attempts to leave degraded read-only mode (see [`Engine::heal`]);
-    /// also revives a merge worker that died under persistent faults.
+    /// Attempts to leave degraded read-only mode (see [`Engine::heal`]).
     pub fn heal(&self) -> bool {
-        let ok = self.engine.heal();
-        if ok {
-            self.merge_status.mark_alive();
-        }
-        ok
+        self.engine.heal()
     }
 
     /// Stored points (sealed + open).
@@ -369,53 +347,6 @@ impl SearchBackend for StreamingEngine {
     /// uses the handle's own pool instead).
     fn search(&self, req: &SearchRequest, pool: &ThreadPool) -> Result<SearchResponse> {
         self.engine.search(req, pool)
-    }
-}
-
-/// Joins a background-merge thread. The supervised loop inside the thread
-/// catches every panic, so the join itself cannot fail; a defensive join
-/// error is ignored rather than re-raised (the failure is already recorded
-/// in the worker status).
-fn join_merge(handle: JoinHandle<()>) {
-    let _ = handle.join();
-}
-
-/// The supervised body of a background-merge thread: run the merge under
-/// `catch_unwind`, absorb panics, and retry with bounded exponential
-/// backoff. The [`fault::MERGE_BUILD`] failpoint fires *inside* the
-/// catch but *outside* every engine lock, so an injected panic exercises
-/// the restart path without poisoning the write path.
-///
-/// The build itself is the *paced* merge: bounded
-/// [`crate::table::MergeStepper`] slices that sleep while queries are in
-/// flight, and any pool fan-out it does perform is submitted at background
-/// priority so foreground query batches always dispatch first.
-fn supervised_merge(engine: &Engine, pool: &ThreadPool, status: &WorkerStatus) {
-    const MAX_RESTARTS: u32 = 3;
-    let mut backoff = Backoff::new(
-        Duration::from_millis(1),
-        Duration::from_millis(50),
-        0x6d65_7267, // "merg"
-    );
-    for attempt in 0..=MAX_RESTARTS {
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            fault::point(fault::MERGE_BUILD);
-            engine.merge_delta_paced(&pool.background());
-        }));
-        match outcome {
-            Ok(()) => {
-                status.mark_alive();
-                return;
-            }
-            Err(payload) => {
-                status.record_restart(payload.as_ref());
-                if attempt == MAX_RESTARTS {
-                    status.mark_dead();
-                    return;
-                }
-                std::thread::sleep(backoff.next_delay());
-            }
-        }
     }
 }
 

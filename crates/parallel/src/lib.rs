@@ -27,8 +27,6 @@
 //! * [`EpochPtr`] — an atomically swappable `Arc` with a generation
 //!   counter and lock-free readers, the publication primitive behind the
 //!   streaming engine's epoch-swapped tables.
-//! * [`Backoff`] / [`WorkerStatus`] — bounded-exponential-backoff
-//!   supervision primitives for the long-lived background merge workers.
 //!
 //! The pool is deliberately small and synchronous: every entry point
 //! blocks until all submitted work completes (the submitting thread
@@ -42,14 +40,12 @@ mod epoch;
 mod pool;
 mod prefix;
 mod scatter;
-mod supervisor;
 mod worker_local;
 
 pub use epoch::EpochPtr;
 pub use pool::{current_num_threads_hint, pinned_worker_count, Priority, ThreadPool};
 pub use prefix::{exclusive_prefix_sum, exclusive_prefix_sum_in_place};
 pub use scatter::SharedSliceMut;
-pub use supervisor::{panic_message, Backoff, WorkerStatus};
 pub use worker_local::WorkerLocal;
 
 #[cfg(test)]

@@ -11,8 +11,8 @@
 //! | `POST /search` | [`SearchRequest`](plsh_core::search::SearchRequest) ⇄ [`SearchResponse`](plsh_core::search::SearchResponse) |
 //! | `POST /ingest` | `insert_batch` into the streaming write path |
 //! | `POST /delete` | tombstone by id |
-//! | `GET /healthz` | [`HealthReport`](plsh_core::health::HealthReport) — 503 when degraded |
-//! | `GET /metrics` | qps, p50/p99, epoch generation, merge backlog, queue depth, shed count, worker restarts |
+//! | `GET /healthz` | [`HealthReport`](plsh_core::health::HealthReport), merge failures included — 503 when degraded |
+//! | `GET /metrics` | qps, p50/p99, epoch generation, merge backlog, queue depth, shed count, merge failures |
 //! | `POST /ctl/shutdown` | request graceful drain |
 //!
 //! Load shedding is layered (bounded accept queue → stale-queue 429 →

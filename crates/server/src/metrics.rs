@@ -4,7 +4,7 @@
 //! relaxed increments: per-status counters, a shed counter, a live queue
 //! depth gauge, a log2-bucketed latency histogram for p50/p99, and a
 //! 16-slot per-second ring for a trailing-10s qps estimate. Backend-side
-//! gauges (epoch generation, merge backlog, worker restarts) are *not*
+//! gauges (epoch generation, merge backlog, merge failures) are *not*
 //! stored here — the `/metrics` handler reads them live off the index so
 //! they can never go stale.
 

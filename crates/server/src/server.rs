@@ -531,19 +531,6 @@ fn metrics_page(shared: &Shared) -> Response {
     let m = &shared.metrics;
     let health = shared.backend.health();
     let epoch = shared.backend.epoch_info();
-    let workers = Json::Arr(
-        health
-            .workers
-            .iter()
-            .map(|w| {
-                Json::obj(vec![
-                    ("name", Json::Str(w.name.clone())),
-                    ("alive", Json::Bool(w.alive)),
-                    ("restarts", Json::Num(w.restarts as f64)),
-                ])
-            })
-            .collect(),
-    );
     let body = Json::obj(vec![
         ("qps", Json::Num(m.qps())),
         ("p50_ms", Json::Num(m.percentile_ms(50.0))),
@@ -556,8 +543,7 @@ fn metrics_page(shared: &Shared) -> Response {
         ("epoch_generation", Json::Num(epoch.generation as f64)),
         ("visible_points", Json::Num(epoch.visible_points as f64)),
         ("merge_backlog", Json::Num(health.merge_backlog as f64)),
-        ("worker_restarts", Json::Num(health.total_restarts() as f64)),
-        ("workers", workers),
+        ("merge_failures", Json::Num(health.merge_failures as f64)),
     ]);
     Response::json(200, body.to_string())
 }

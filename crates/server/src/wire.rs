@@ -206,29 +206,6 @@ fn push_num(out: &mut String, n: f64) {
 
 /// Encode a [`HealthReport`] — `/healthz`'s body, 200 or 503.
 pub fn encode_health(report: &HealthReport) -> Json {
-    let workers = Json::Arr(
-        report
-            .workers
-            .iter()
-            .map(|w| {
-                Json::obj(vec![
-                    ("name", Json::Str(w.name.clone())),
-                    ("alive", Json::Bool(w.alive)),
-                    ("restarts", Json::Num(w.restarts as f64)),
-                    (
-                        "last_panic",
-                        w.last_panic
-                            .as_ref()
-                            .map_or(Json::Null, |p| Json::Str(p.clone())),
-                    ),
-                    (
-                        "pinned_core",
-                        w.pinned_core.map_or(Json::Null, |c| Json::Num(c as f64)),
-                    ),
-                ])
-            })
-            .collect(),
-    );
     Json::obj(vec![
         ("healthy", Json::Bool(report.healthy())),
         ("degraded", Json::Bool(report.degraded)),
@@ -248,7 +225,14 @@ pub fn encode_health(report: &HealthReport) -> Json {
             Json::Num(report.retired_pending_purge as f64),
         ),
         ("window_lag", Json::Num(report.window_lag as f64)),
-        ("workers", workers),
+        ("merge_failures", Json::Num(report.merge_failures as f64)),
+        (
+            "last_merge_failure",
+            report
+                .last_merge_failure
+                .as_ref()
+                .map_or(Json::Null, |m| Json::Str(m.clone())),
+        ),
     ])
 }
 
@@ -444,7 +428,8 @@ mod tests {
             live_points: 40,
             retired_pending_purge: 5,
             window_lag: 1,
-            workers: vec![],
+            merge_failures: 2,
+            last_merge_failure: Some("shard1.boom".into()),
         };
         let j = encode_health(&report);
         assert_eq!(j.get("degraded").and_then(Json::as_bool), Some(true));
@@ -455,5 +440,10 @@ mod tests {
             Some(5)
         );
         assert_eq!(j.get("window_lag").and_then(Json::as_u64), Some(1));
+        assert_eq!(j.get("merge_failures").and_then(Json::as_u64), Some(2));
+        assert_eq!(
+            j.get("last_merge_failure").and_then(Json::as_str),
+            Some("shard1.boom")
+        );
     }
 }

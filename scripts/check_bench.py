@@ -11,7 +11,7 @@ experiment name is rejected. The script asserts the structural invariants
 each experiment guarantees, plus the design bars:
 
 * faults — the chaos soak: faults actually injected, every injected
-  worker panic matched by a supervisor restart, at least one degraded
+  merge panic counted exactly once as a merge failure, at least one degraded
   read-only episode with reads still answering, positive recovery time
   and under-fault throughput (zero means a hang), post-heal answers
   bit-identical to the unfaulted twin, and the journal written through
@@ -129,10 +129,10 @@ def check_faults(path, d):
         fail(path, f"docs must be positive, got {d['docs']!r}")
     if d["faults_injected"] < 1:
         fail(path, "the chaos soak must actually inject faults")
-    if d["supervisor_restarts"] < d["injected_panics"]:
-        fail(path, f"{d['injected_panics']} injected worker panics but only "
-                   f"{d['supervisor_restarts']} supervisor restarts "
-                   "(a panic escaped supervision)")
+    if d["merge_failures"] != d["injected_panics"]:
+        fail(path, f"{d['injected_panics']} injected merge panics but "
+                   f"{d['merge_failures']} merge failures counted "
+                   "(a panic escaped the merge thread, or was counted twice)")
     if d["degraded_episodes"] < 1:
         fail(path, "the persistent-failure phase must trip degraded "
                    "read-only mode at least once")
@@ -151,7 +151,7 @@ def check_faults(path, d):
         fail(path, "the journal written through the faults did not recover "
                    "to the twin's answers")
     print(f"{path} OK: {d['faults_injected']} faults, "
-          f"{d['supervisor_restarts']} restart(s), "
+          f"{d['merge_failures']} merge failure(s), "
           f"{d['degraded_episodes']} degraded episode(s), "
           f"recovered in {d['time_to_recover_ms']} ms")
 

@@ -81,7 +81,7 @@ pub use plsh_server::{ServeBackend, Server, ServerConfig};
 pub use plsh_core::search::{SearchBackend, SearchHit, SearchMode, SearchRequest, SearchResponse};
 pub use plsh_core::{
     BatchStats, EpochInfo, HealthReport, Neighbor, PlshParams, QueryPhaseTimings, QueryStats,
-    ShutdownReport, Snapshot, SparseVector, WindowSpec, WorkerHealth,
+    ShutdownReport, Snapshot, SparseVector, WindowSpec,
 };
 
 /// The one error type every `plsh` operation returns — configuration,

@@ -1,6 +1,7 @@
 //! Runtime fault-tolerance properties: the process *survives* injected
-//! I/O errors, worker panics, and stalls — transient faults are absorbed
-//! invisibly (retry, supervised restart), persistent faults land in an
+//! I/O errors, merge panics, and stalls — transient faults are absorbed
+//! invisibly (a retried write, a panicked merge counted and run again at
+//! the next trigger), persistent faults land in an
 //! explicit degraded read-only mode with queries still answering, and
 //! after the fault heals the answers are bit-identical to an unfaulted
 //! twin fed the same accepted operations.
@@ -265,7 +266,7 @@ fn persistent_wal_failure_degrades_read_only_then_heals() {
 }
 
 #[test]
-fn merge_worker_panics_are_supervised_and_restarted() {
+fn a_panicked_merge_is_counted_and_the_next_trigger_folds() {
     let _g = FAULT_GUARD.lock().unwrap_or_else(|e| e.into_inner());
     fault::disarm_all();
     with_watchdog(60, || {
@@ -280,39 +281,36 @@ fn merge_worker_panics_are_supervised_and_restarted() {
         }
         engine.seal();
 
-        // Two panics, then success: the supervisor's 3-restart budget
-        // must carry the merge through.
+        // Two panics, then success: each trigger is one merge, and a
+        // panicked one publishes nothing.
         fault::arm(
             fault::MERGE_BUILD,
             FaultSpec::new(FaultKind::Panic).times(2),
         );
-        assert!(engine.merge_in_background());
-        engine.wait_for_merge();
+        for _ in 0..3 {
+            assert!(engine.merge_in_background());
+            engine.wait_for_merge();
+        }
+        assert_eq!(fault::fired(fault::MERGE_BUILD), 2, "both panics fired");
         fault::disarm_all();
 
         let health = engine.health();
-        let merge = health
-            .workers
-            .iter()
-            .find(|w| w.name == "merge")
-            .expect("merge worker reported");
-        assert!(merge.alive, "supervisor restarted the merge worker");
-        assert_eq!(merge.restarts, 2, "both panics counted");
+        assert!(health.healthy(), "a failed merge does not degrade");
+        assert_eq!(health.merge_failures, 2, "both panics counted");
         assert!(
-            merge
-                .last_panic
+            health
+                .last_merge_failure
                 .as_deref()
                 .unwrap_or("")
                 .contains("merge.build"),
             "panic message captured: {:?}",
-            merge.last_panic
+            health.last_merge_failure
         );
         assert_eq!(
             engine.engine().delta_len(),
             0,
-            "the retried merge actually folded the deltas"
+            "the third trigger folded the deltas"
         );
-        // Answers survived the supervised restarts.
         let twin =
             StreamingEngine::new(EngineConfig::new(params(17), 4_000), ThreadPool::new(1)).unwrap();
         twin.insert_batch(&vs).unwrap();
@@ -396,8 +394,13 @@ fn chaos_smoke_under_env_or_default_mix() {
             FaultSpec::new(FaultKind::Panic).times(1),
         );
         let dir = tempdir("chaos-smoke");
-        let engine =
-            StreamingEngine::new(EngineConfig::new(params(29), 8_000), ThreadPool::new(2)).unwrap();
+        // η·C = 400 of the 600 docs: an insert triggers a background
+        // merge, so the armed merge panic fires.
+        let engine = StreamingEngine::new(
+            EngineConfig::new(params(29), 8_000).with_eta(0.05),
+            ThreadPool::new(2),
+        )
+        .unwrap();
         engine.persist_to(&dir).unwrap();
         let vs = vectors(600, 55);
         let mut accepted: Vec<SparseVector> = Vec::new();
@@ -422,6 +425,9 @@ fn chaos_smoke_under_env_or_default_mix() {
             }
             let _ = engine.query(&chunk[0]);
         }
+        engine.wait_for_merge();
+        assert_eq!(fault::fired(fault::MERGE_BUILD), 1, "the merge panic fired");
+        assert_eq!(engine.health().merge_failures, 1, "and was counted");
         fault::disarm_all();
         if engine.engine().is_degraded() {
             assert!(engine.heal());
@@ -453,7 +459,7 @@ enum Op {
     Delete(usize),
     /// Force-seal the open generation.
     Seal,
-    /// Fold sealed generations (supervised, on this thread's engine).
+    /// Fold sealed generations in a background merge, and wait for it.
     Merge,
 }
 
@@ -473,7 +479,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
     /// Any interleaving of inserts / deletes / seals / merges under a
     /// bounded transient-fault storm (WAL EIOs, fsync EIOs, tombstone
-    /// EIOs, static-segment and manifest EIOs, one merge panic) must,
+    /// EIOs, static-segment and manifest EIOs, one merge panic, counted)
+    /// must,
     /// after the storm lifts, answer bit-identically to an unfaulted twin
     /// fed the same accepted operations — and the journal written through
     /// all the retries must recover to those same answers. The storm ends
@@ -499,8 +506,9 @@ proptest! {
         )
         .unwrap();
 
-        // Every count is inside a retry/supervision budget: the storm is
-        // rough but survivable, so no op may be refused.
+        // Every I/O count is inside a retry budget and a panicked merge
+        // only waits for the next: the storm is rough but survivable, so
+        // no op may be refused.
         fault::arm(fault::WAL_APPEND, FaultSpec::new(FaultKind::Err).times(3));
         fault::arm(fault::WAL_FSYNC, FaultSpec::new(FaultKind::Err).after(2).times(2));
         fault::arm(fault::TOMB_APPEND, FaultSpec::new(FaultKind::Err).times(2));
@@ -533,7 +541,8 @@ proptest! {
                     twin.seal();
                 }
                 Op::Merge => {
-                    engine.merge_now();
+                    engine.merge_in_background();
+                    engine.wait_for_merge();
                     twin.merge_now();
                 }
             }
@@ -545,9 +554,16 @@ proptest! {
         }
         engine.seal();
         twin.seal();
-        engine.merge_now();
+        // Two background triggers: the armed panic fires at the first
+        // if no `Op::Merge` took it, and the second folds.
+        for _ in 0..2 {
+            engine.merge_in_background();
+            engine.wait_for_merge();
+        }
         twin.merge_now();
         prop_assert_eq!(fault::fired(fault::STATIC_PREPARE), 1, "no checkpoint ran");
+        prop_assert_eq!(fault::fired(fault::MERGE_BUILD), 1, "the merge panic fired");
+        prop_assert_eq!(engine.health().merge_failures, 1, "and was counted");
         fault::disarm_all();
         prop_assert!(!engine.engine().is_degraded(), "bounded storm never degrades");
         engine.flush();

@@ -235,27 +235,16 @@ fn concurrent_queries_see_only_consistent_epochs() {
     }
 }
 
-/// The paced (stepped) background merge — tiny slice budgets, yielding to
-/// live queries between slices — publishes an epoch that answers
+/// The paced (stepped) background merge — bounded slices, yielding to
+/// live queries between them — publishes an epoch that answers
 /// bit-identically to a from-scratch monolithic build over the same rows.
+/// Arbitrary slice budgets are covered by `properties.rs`'s
+/// `stepped_merge_is_bit_identical_to_monolithic`.
 #[test]
 fn paced_background_merge_answers_identically() {
-    use plsh::core::MergePacing;
-    use std::time::Duration;
-
     let n = 1200usize;
-    // Slices far smaller than the table/bucket counts force the stepper
-    // through many hundreds of pressure checks; the sleep keeps it
-    // yielding whenever our queries are in flight.
-    let pacing = MergePacing {
-        step_buckets: 8,
-        step_rows: 16,
-        yield_sleep: Duration::from_micros(20),
-    };
     let engine = StreamingEngine::new(
-        EngineConfig::new(params(91), n)
-            .manual_merge()
-            .with_merge_pacing(pacing),
+        EngineConfig::new(params(91), n).manual_merge(),
         ThreadPool::new(2),
     )
     .unwrap();

@@ -16,23 +16,38 @@
 //!    exact contiguous slice of the ingested order, and answers
 //!    bit-identical to a from-scratch build over that slice.
 //!
+//! 3. **Help, don't refuse** — a windowed stream at capacity 3 × window,
+//!    its background merges slowed, never refuses a batch: a writer short
+//!    of room whose window has retired rows waits out or runs the merge
+//!    that compacts them, and answers stay bit-identical to the twin after
+//!    every batch. A windowless engine at capacity still refuses.
+//!
 //! Power cuts are injected through `plsh::core::persist::fail`, which is
-//! process-global; the arming test serializes on [`FAIL_GUARD`].
+//! process-global; the arming test serializes on [`FAIL_GUARD`]. The
+//! fault registry is process-global too; its tests serialize on
+//! [`FAULT_GUARD`].
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
+use std::time::Duration;
 
 use proptest::prelude::*;
 
 use plsh::core::engine::{Engine, EngineConfig, WindowSpec};
+use plsh::core::fault::{self, FaultKind, FaultSpec};
 use plsh::core::persist::{self, fail};
 use plsh::core::rng::SplitMix64;
-use plsh::core::{PlshParams, SparseVector};
+use plsh::core::streaming::StreamingEngine;
+use plsh::core::{PlshError, PlshParams, SparseVector};
 use plsh::parallel::ThreadPool;
+use plsh::ShardedIndex;
 
 /// Serializes tests that arm the process-global fail injector.
 static FAIL_GUARD: Mutex<()> = Mutex::new(());
+
+/// Serializes tests that arm the process-global fault registry.
+static FAULT_GUARD: Mutex<()> = Mutex::new(());
 
 const DIM: u32 = 32;
 const CAPACITY: usize = 400;
@@ -355,4 +370,129 @@ fn windowed_recovery_survives_a_power_cut_after_every_operation() {
         drop(back);
         let _ = fs::remove_dir_all(&dir);
     }
+}
+
+// ---------------------------------------------------------------------------
+// 3. A full window helps its merge instead of refusing.
+// ---------------------------------------------------------------------------
+
+const STREAM_WINDOW: u32 = 60;
+const STREAM_WINDOWS: usize = 20;
+const STREAM_BATCH: usize = 15;
+
+/// Streams `STREAM_WINDOWS` windows of documents through `insert`, every
+/// background merge's start delayed so merges lag the writer, and after
+/// every batch compares `answers` with a windowless twin that deletes
+/// every id below `cut()`.
+fn stream_against_the_twin(
+    insert: impl Fn(&[SparseVector]),
+    cut: impl Fn() -> u32,
+    answers: impl Fn(&[SparseVector]) -> Vec<Vec<(u32, u32)>>,
+) {
+    let _g = FAULT_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+    let pool = ThreadPool::new(1);
+    let total = STREAM_WINDOW as usize * STREAM_WINDOWS;
+    let vs = vectors(total, 0x5EED);
+    let queries = vectors(12, 0xC0DE);
+    let twin = Engine::new(EngineConfig::new(params(11), total).manual_merge(), &pool).unwrap();
+    fault::disarm_all();
+    fault::arm(
+        fault::MERGE_BUILD,
+        FaultSpec::new(FaultKind::Delay(Duration::from_millis(20))),
+    );
+    let mut synced = 0u32;
+    for (b, batch) in vs.chunks(STREAM_BATCH).enumerate() {
+        insert(batch);
+        twin.insert_batch(batch, &pool).unwrap();
+        let cut = cut();
+        for id in synced..cut {
+            twin.delete(id);
+        }
+        synced = cut;
+        assert_eq!(
+            answers(&queries),
+            engine_answers(&twin, &queries),
+            "answers diverged after batch {b}"
+        );
+    }
+    assert!(
+        fault::fired(fault::MERGE_BUILD) > 0,
+        "no background merge ran"
+    );
+    fault::disarm_all();
+    assert_eq!(synced, (total as u32) - STREAM_WINDOW);
+}
+
+#[test]
+fn a_windowed_stream_at_capacity_helps_instead_of_refusing() {
+    let engine = StreamingEngine::new(
+        EngineConfig::new(params(11), 3 * STREAM_WINDOW as usize)
+            .with_window(WindowSpec::Docs(STREAM_WINDOW)),
+        ThreadPool::new(2),
+    )
+    .unwrap();
+    stream_against_the_twin(
+        |batch| {
+            engine.insert_batch(batch).unwrap();
+        },
+        || engine.engine().retired_below(),
+        |qs| engine_answers(engine.engine(), qs),
+    );
+    engine.wait_for_merge();
+}
+
+#[test]
+fn a_sharded_windowed_stream_at_capacity_helps_instead_of_refusing() {
+    // Capacity is per shard: 2 × 1.5 windows is 3 windows in all.
+    let index = ShardedIndex::builder(
+        EngineConfig::new(params(11), 3 * STREAM_WINDOW as usize / 2)
+            .with_window(WindowSpec::Docs(STREAM_WINDOW)),
+    )
+    .shards(2)
+    .threads(2)
+    .build()
+    .unwrap();
+    stream_against_the_twin(
+        |batch| {
+            index.insert_batch(batch).unwrap();
+        },
+        || index.retired_below(),
+        |qs| {
+            qs.iter()
+                .map(|q| {
+                    let mut hits: Vec<(u32, u32)> = index
+                        .query(q)
+                        .unwrap()
+                        .iter()
+                        .map(|h| (h.index, h.distance.to_bits()))
+                        .collect();
+                    hits.sort_unstable();
+                    hits
+                })
+                .collect()
+        },
+    );
+    index.wait_for_merges();
+}
+
+#[test]
+fn a_windowless_engine_at_capacity_still_refuses() {
+    let engine = StreamingEngine::new(
+        EngineConfig::new(params(11), 3 * STREAM_WINDOW as usize),
+        ThreadPool::new(1),
+    )
+    .unwrap();
+    let vs = vectors(3 * STREAM_WINDOW as usize + 1, 0x5EED);
+    let (full, over) = vs.split_at(3 * STREAM_WINDOW as usize);
+    engine.insert_batch(full).unwrap();
+    engine.wait_for_merge();
+    assert!(matches!(
+        engine.insert_batch(over),
+        Err(PlshError::CapacityExceeded { capacity: 180 })
+    ));
+    assert_eq!(
+        engine.len(),
+        full.len(),
+        "the refused batch was not applied"
+    );
 }
