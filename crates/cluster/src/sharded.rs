@@ -89,6 +89,7 @@ use std::time::{Duration, Instant};
 use plsh_core::engine::{Engine, EngineConfig, EngineStats, EpochInfo, MergeReport, WindowSpec};
 use plsh_core::error::{PlshError, Result as CoreResult};
 use plsh_core::fault;
+use plsh_core::hash::Hyperplanes;
 use plsh_core::health::HealthReport;
 use plsh_core::model::{MachineProfile, PerformanceModel};
 use plsh_core::params::estimate_candidates;
@@ -176,9 +177,12 @@ impl ShardedIndexBuilder {
         let window = self.node.window;
         let mut node = self.node;
         node.window = None;
+        // One plane matrix, generated on the fan-out pool, serves every
+        // shard.
+        let planes = Arc::new(Hyperplanes::for_params(&node.params, &fanout));
         let engines = (0..shards)
             .map(|i| {
-                Engine::new(node.clone(), &ThreadPool::new(1))
+                Engine::with_planes(node.clone(), Arc::clone(&planes))
                     .map(|e| shard_handle(e, i))
                     .map_err(ClusterError::Node)
             })
@@ -278,7 +282,7 @@ impl ShardedStats {
             agg.merges += e.merges;
             agg.static_table_bytes += e.static_table_bytes;
             agg.delta_table_bytes += e.delta_table_bytes;
-            agg.hyperplane_bytes += e.hyperplane_bytes;
+            // The shards share one plane matrix: it counts once.
         }
         agg
     }
@@ -1069,6 +1073,12 @@ impl ShardedIndex {
                 )));
             }
         }
+        // Every shard rebuilds over one plane matrix; a shard whose
+        // parameters differ from the first's fails its rebuild.
+        let planes = Arc::new(Hyperplanes::for_params(states[0].params(), &fanout));
+        for st in &mut states {
+            st.set_planes(Arc::clone(&planes));
+        }
         // Longest globally contiguous prefix. A shard's durable coverage
         // is its whole id *space* — the window-compacted prefix included:
         // those ids existed and are dead, not missing.
@@ -1803,6 +1813,36 @@ mod tests {
                 .collect();
             got.sort_unstable();
             assert_eq!(got, answers(&index, q), "flattened snapshot diverged");
+        }
+    }
+
+    #[test]
+    fn shards_share_one_plane_matrix() {
+        let share_one = |index: &ShardedIndex| {
+            let first = index.shard(0).engine().planes();
+            for i in 1..index.num_shards() {
+                assert!(
+                    Arc::ptr_eq(first, index.shard(i).engine().planes()),
+                    "shard {i}"
+                );
+            }
+            let folded = index.stats().folded();
+            assert_eq!(folded.hyperplane_bytes, first.memory_bytes());
+        };
+        for shards in [2, 3] {
+            let dir = tempdir(&format!("shared-planes-{shards}"));
+            let vs = random_vecs(90, 12);
+            {
+                let index = sharded(shards, 200);
+                share_one(&index);
+                index.insert_batch(&vs).unwrap();
+                index.flush().unwrap();
+                index.persist_to(&dir).unwrap();
+            }
+            let recovered = ShardedIndex::recover_from(&dir).unwrap();
+            assert_eq!(recovered.len(), 90);
+            share_one(&recovered);
+            let _ = fs::remove_dir_all(&dir);
         }
     }
 

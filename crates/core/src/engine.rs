@@ -558,11 +558,28 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Creates an empty engine (hyperplanes are generated here).
+    /// Creates an empty engine; its hyperplanes are generated here, on
+    /// `pool`.
     pub fn new(config: EngineConfig, pool: &ThreadPool) -> Result<Self> {
         config.validate()?;
+        let planes = Hyperplanes::for_params(&config.params, pool);
+        Self::with_planes(config, Arc::new(planes))
+    }
+
+    /// Creates an empty engine over hyperplanes generated elsewhere: the
+    /// shards of a sharded index share one matrix. Planes whose
+    /// dimensionality, hash count or seed differ from `config`'s
+    /// parameters are refused with [`PlshError::InvalidParams`].
+    pub fn with_planes(config: EngineConfig, planes: Arc<Hyperplanes>) -> Result<Self> {
+        config.validate()?;
         let p = &config.params;
-        let planes = Hyperplanes::new_dense(p.dim(), p.num_hashes(), p.seed(), pool);
+        let want = (p.dim(), p.num_hashes(), p.seed());
+        let got = (planes.dim(), planes.n_hashes(), planes.seed());
+        if got != want {
+            return Err(PlshError::InvalidParams(format!(
+                "hyperplanes (dim, hashes, seed) = {got:?} do not match the parameters' {want:?}"
+            )));
+        }
         let scratches = ScratchPool::new(p.m(), p.half_bits(), p.dim());
         Ok(Self {
             epoch: EpochPtr::new(Arc::new(EngineView::empty(p.dim(), config.capacity, 0))),
@@ -579,7 +596,7 @@ impl Engine {
             merges: AtomicU64::new(0),
             last_merge: Mutex::new(MergeReport::default()),
             scratches,
-            planes: Arc::new(planes),
+            planes,
             config,
             persister: RwLock::new(None),
             degraded: AtomicBool::new(false),
@@ -595,6 +612,12 @@ impl Engine {
     /// The engine's configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.config
+    }
+
+    /// The engine's hyperplanes (shared with the other shards of a
+    /// sharded index).
+    pub fn planes(&self) -> &Arc<Hyperplanes> {
+        &self.planes
     }
 
     /// Total stored points (live + deleted, sealed + open).
@@ -2140,6 +2163,37 @@ mod tests {
         // Malformed requests error instead of panicking.
         let bad = SparseVector::unit(vec![(64, 1.0)]).unwrap();
         assert!(e.search(&SearchRequest::query(bad), &pool).is_err());
+    }
+
+    #[test]
+    fn with_planes_refuses_planes_of_other_parameters() {
+        let pool = ThreadPool::new(2);
+        let p = params(64);
+        let planes = |dim, hashes, seed| Arc::new(Hyperplanes::new_dense(dim, hashes, seed, &pool));
+        let config = || EngineConfig::new(p.clone(), 100).manual_merge();
+        let (dim, hashes, seed) = (p.dim(), p.num_hashes(), p.seed());
+        for wrong in [
+            planes(dim + 1, hashes, seed),
+            planes(dim, hashes + 1, seed),
+            planes(dim, hashes, seed ^ 1),
+        ] {
+            let err = Engine::with_planes(config(), wrong)
+                .err()
+                .expect("mismatch refused");
+            assert!(matches!(err, PlshError::InvalidParams(_)), "{err}");
+        }
+        let shared = planes(dim, hashes, seed);
+        let a = Engine::with_planes(config(), Arc::clone(&shared)).unwrap();
+        let b = Engine::new(config(), &pool).unwrap();
+        assert!(Arc::ptr_eq(a.planes(), &shared));
+        let mut rng = SplitMix64::new(3);
+        let vs: Vec<SparseVector> = (0..50).map(|_| random_vec(&mut rng, 64)).collect();
+        a.insert_batch(&vs, &pool).unwrap();
+        b.insert_batch(&vs, &pool).unwrap();
+        for q in vs.iter().step_by(7) {
+            let ids = |e: &Engine| e.query(q).iter().map(|h| h.index).collect::<Vec<_>>();
+            assert_eq!(ids(&a), ids(&b));
+        }
     }
 
     #[test]

@@ -9,51 +9,65 @@
 //! least one row of the dense matrix is read consecutively", which LLVM
 //! auto-vectorizes.
 //!
-//! The matrix is materialized once per engine from the counter-based
-//! generator ([`gaussian_at`]), so the same seed gives the same planes on
-//! every pool size.
+//! The matrix is materialized once per engine, and shared by the shards
+//! of a sharded index. Element `(d, j)` is the counter-based oracle
+//! [`gaussian_at`](crate::rng::gaussian_at)`(seed, d, j)`, so the same
+//! seed gives the same planes on every pool size. Rows are filled whole by
+//! [`gaussian_row`]: a vectorized Box–Muller with fdlibm's `ln` and `cos`
+//! kernels, compiled for AVX2 at that [`simd::level`] and for baseline
+//! `x86_64` below it. It is exact by construction: a guard keeps the
+//! kernel's value only where it cannot round to a different `f32` than
+//! libm's, and takes the oracle's everywhere else (a few dozen elements
+//! in millions).
 
-use plsh_parallel::{SharedSliceMut, ThreadPool};
+use plsh_parallel::ThreadPool;
 
-use crate::rng::gaussian_at;
+use crate::params::PlshParams;
+use crate::rng::gaussian_row;
 use crate::simd;
 use crate::util::HugeVec;
+
+/// Plane rows per generation task of [`Hyperplanes::new_dense`].
+const ROWS_PER_TASK: usize = 256;
 
 /// The `m·k/2` random Gaussian hyperplanes of the hash family.
 #[derive(Debug, Clone)]
 pub struct Hyperplanes {
     dim: u32,
     n_hashes: u32,
+    seed: u64,
     /// Dimension-major dense storage: on huge pages once 2 MB or more, as
     /// Q1 and every insert read one plane row per non-zero at random.
     dense: HugeVec<f32>,
 }
 
 impl Hyperplanes {
-    /// Materializes the dense hyperplane matrix in parallel.
+    /// Materializes the dense hyperplane matrix in parallel, one task per
+    /// 256 rows.
     pub fn new_dense(dim: u32, n_hashes: u32, seed: u64, pool: &ThreadPool) -> Self {
-        let mut data = HugeVec::zeroed(dim as usize * n_hashes as usize);
-        {
-            let shared = SharedSliceMut::new(&mut data);
-            let shared = &shared;
-            pool.parallel_for(0, dim as usize, 256, |range| {
-                for d in range {
-                    let base = d * n_hashes as usize;
-                    for j in 0..n_hashes {
-                        // SAFETY: every (d, j) slot is owned by exactly one
-                        // chunk of the parallel_for.
-                        unsafe {
-                            shared.write(base + j as usize, gaussian_at(seed, d as u32, j));
-                        }
+        let nh = n_hashes as usize;
+        let mut dense = HugeVec::zeroed(dim as usize * nh);
+        if nh > 0 {
+            pool.parallel_tasks(
+                dense.chunks_mut(ROWS_PER_TASK * nh).enumerate(),
+                |(t, rows)| {
+                    for (i, row) in rows.chunks_mut(nh).enumerate() {
+                        gaussian_row(seed, (t * ROWS_PER_TASK + i) as u32, row);
                     }
-                }
-            });
+                },
+            );
         }
         Self {
             dim,
             n_hashes,
-            dense: data,
+            seed,
+            dense,
         }
+    }
+
+    /// The planes `params` hash with: `D × m·k/2` at the parameters' seed.
+    pub fn for_params(params: &PlshParams, pool: &ThreadPool) -> Self {
+        Self::new_dense(params.dim(), params.num_hashes(), params.seed(), pool)
     }
 
     /// Dimensionality `D`.
@@ -64,6 +78,11 @@ impl Hyperplanes {
     /// Number of individual hash functions (`m·k/2`).
     pub fn n_hashes(&self) -> u32 {
         self.n_hashes
+    }
+
+    /// The seed the planes were generated from.
+    pub fn seed(&self) -> u64 {
+        self.seed
     }
 
     /// Bytes held by the dense matrix.

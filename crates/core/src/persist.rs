@@ -109,6 +109,7 @@ use crate::fault;
 
 use crate::engine::{Engine, EngineConfig, WindowSpec};
 use crate::error::Result as PlshResult;
+use crate::hash::Hyperplanes;
 use crate::params::PlshParams;
 use crate::snapshot::Snapshot;
 use crate::sparse::{CrsMatrix, SparseVector};
@@ -1475,6 +1476,9 @@ pub struct RecoveredState {
     /// Whether the rebuilt engine merges on its own: a recovered
     /// directory does; a restored snapshot leaves merging to its caller.
     auto_merge: bool,
+    /// Hyperplanes to rebuild over instead of generating them (sharded
+    /// recovery generates one matrix for every shard).
+    planes: Option<Arc<Hyperplanes>>,
 }
 
 impl RecoveredState {
@@ -1516,6 +1520,14 @@ impl RecoveredState {
     /// directory keeps it in the cluster manifest).
     pub fn set_window(&mut self, window: Option<WindowSpec>) {
         self.manifest.window = window;
+    }
+
+    /// Sets the hyperplanes the engine is rebuilt over, shared with other
+    /// engines (the shards of one index); without them the rebuild
+    /// generates its own. Planes that do not match the stored parameters
+    /// make the rebuild fail with [`PlshError::InvalidParams`](crate::PlshError::InvalidParams).
+    pub fn set_planes(&mut self, planes: Arc<Hyperplanes>) {
+        self.planes = Some(planes);
     }
 
     /// Total recovered *resident* rows (static prefix + contiguous
@@ -1710,6 +1722,7 @@ pub fn load_state(dir: impl AsRef<Path>) -> io::Result<RecoveredState> {
         tomb_retire,
         wal_rows,
         auto_merge: true,
+        planes: None,
     })
 }
 
@@ -1736,7 +1749,10 @@ pub fn rebuild_engine(
     if !st.auto_merge {
         config = config.manual_merge();
     }
-    let engine = Engine::new(config, pool)?;
+    let engine = match &st.planes {
+        Some(planes) => Engine::with_planes(config, Arc::clone(planes))?,
+        None => Engine::new(config, pool)?,
+    };
     if base > 0 {
         // Land the id space where the compacted directory left it: the
         // first recovered row keeps its global id.
@@ -1838,6 +1854,7 @@ impl RecoveredState {
             tomb_retire: 0,
             wal_rows: 0,
             auto_merge: false,
+            planes: None,
         }
     }
 }

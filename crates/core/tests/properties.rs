@@ -10,7 +10,7 @@ use plsh_core::params::{self, PlshParams};
 use plsh_core::query::{
     self, dot_floor, Exec, Neighbor, QueryContext, QueryScratch, ScratchPool, SignatureBound,
 };
-use plsh_core::rng::SplitMix64;
+use plsh_core::rng::{gaussian_at, gaussian_row, SplitMix64};
 use plsh_core::simd::{self, SimdLevel};
 use plsh_core::sparse::{angular_from_dot, dot_sorted, signature, CrsMatrix, SparseVector};
 use plsh_core::table::{DeltaGeneration, MergeStepper, StaticTables};
@@ -1011,4 +1011,68 @@ fn bits(hits: &[Neighbor]) -> Vec<(u32, u32)> {
     hits.iter()
         .map(|h| (h.index, h.distance.to_bits()))
         .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The vectorized plane kernel is the counter-based oracle, bit for
+    /// bit, at every row length (block remainders included), and the
+    /// matrix it fills does not depend on the pool size.
+    #[test]
+    fn plane_rows_equal_the_oracle(seed in any::<u64>(), d in any::<u32>(), n_hashes in 1u32..=300) {
+        let mut row = vec![0.0f32; n_hashes as usize];
+        gaussian_row(seed, d, &mut row);
+        for (j, g) in row.iter().enumerate() {
+            prop_assert_eq!(g.to_bits(), gaussian_at(seed, d, j as u32).to_bits(), "j {}", j);
+        }
+        let dim = 1 + d % 300;
+        for threads in [1, 2] {
+            let planes = Hyperplanes::new_dense(dim, n_hashes, seed, &ThreadPool::new(threads));
+            for dd in 0..dim {
+                for j in 0..n_hashes {
+                    prop_assert_eq!(
+                        planes.component(dd, j).to_bits(),
+                        gaussian_at(seed, dd, j).to_bits(),
+                        "({}, {}) on {} threads", dd, j, threads
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The benchmark's plane matrix (D = 50,000, m·k/2 = 112) at its seed and
+/// two others, every element against the oracle. Ignored by default
+/// (about a second of libm); CI runs it at every SIMD level.
+#[test]
+#[ignore]
+fn planes_equal_the_oracle_at_benchmark_shape() {
+    let (dim, n_hashes) = (50_000u32, 112u32);
+    let pool = ThreadPool::new(2);
+    for seed in [0x5EED, 1, 42] {
+        let start = std::time::Instant::now();
+        let planes = Hyperplanes::new_dense(dim, n_hashes, seed, &pool);
+        let built = start.elapsed();
+        let mut fallbacks = 0;
+        let mut row = vec![0.0f32; n_hashes as usize];
+        for d in 0..dim {
+            fallbacks += gaussian_row(seed, d, &mut row);
+            for j in 0..n_hashes {
+                let want = gaussian_at(seed, d, j).to_bits();
+                assert_eq!(
+                    planes.component(d, j).to_bits(),
+                    want,
+                    "seed {seed} ({d}, {j})"
+                );
+                assert_eq!(row[j as usize].to_bits(), want, "seed {seed} ({d}, {j})");
+            }
+        }
+        println!(
+            "seed {seed:#x}: {dim} x {n_hashes} planes in {:.1} ms on 2 threads ({}), \
+             {fallbacks} elements from the oracle",
+            built.as_secs_f64() * 1e3,
+            simd::level().name()
+        );
+    }
 }

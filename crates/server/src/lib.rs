@@ -9,7 +9,7 @@
 //! | Endpoint | Maps onto |
 //! |---|---|
 //! | `POST /search` | [`SearchRequest`](plsh_core::search::SearchRequest) ⇄ [`SearchResponse`](plsh_core::search::SearchResponse) |
-//! | `POST /ingest` | `insert_batch` into the streaming write path |
+//! | `POST /ingest` | `insert_batch` into the streaming write path — 429 when refused for capacity, 503 when degraded |
 //! | `POST /delete` | tombstone by id |
 //! | `GET /healthz` | [`HealthReport`](plsh_core::health::HealthReport), merge failures included — 503 when degraded |
 //! | `GET /metrics` | qps, p50/p99, epoch generation, merge backlog, queue depth, shed count, merge failures |

@@ -29,7 +29,9 @@
 //!
 //! Per-request CPU is additionally bounded by
 //! `default_max_candidates`/`default_shard_deadline`, applied to search
-//! requests that did not set their own budget.
+//! requests that did not set their own budget. Past the queue, an
+//! `/ingest` the backend refuses for capacity is answered `429` and a
+//! degraded backend's refusal `503`, both with `Retry-After`.
 //!
 //! ## Drain
 //!
@@ -511,7 +513,7 @@ fn delete(shared: &Shared, body: &Json) -> Response {
 fn backend_error(e: &plsh_core::PlshError) -> Response {
     let status = wire::backend_error_status(e);
     let mut resp = Response::error(status, &e.to_string());
-    if status == 503 {
+    if matches!(status, 429 | 503) {
         resp = resp.retry_after(1);
     }
     resp

@@ -236,12 +236,14 @@ pub fn encode_health(report: &HealthReport) -> Json {
     ])
 }
 
-/// Map a backend [`PlshError`] to the status a client should see:
-/// degraded/capacity pressure is 503 (retryable), everything else the
-/// client sent is 400.
+/// Map a backend [`PlshError`] to the status a client should see: a
+/// write refused for capacity is 429 (slow down and retry), a degraded
+/// backend 503 (retry once it heals), an I/O failure 500, and everything
+/// else the client sent 400.
 pub fn backend_error_status(err: &PlshError) -> u16 {
     match err {
-        PlshError::Degraded(_) | PlshError::CapacityExceeded { .. } => 503,
+        PlshError::CapacityExceeded { .. } => 429,
+        PlshError::Degraded(_) => 503,
         PlshError::Io(_) => 500,
         _ => 400,
     }
@@ -251,6 +253,15 @@ pub fn backend_error_status(err: &PlshError) -> u16 {
 mod tests {
     use super::*;
     use crate::json;
+
+    #[test]
+    fn backend_errors_map_to_statuses() {
+        let status = |e: PlshError| backend_error_status(&e);
+        assert_eq!(status(PlshError::CapacityExceeded { capacity: 10 }), 429);
+        assert_eq!(status(PlshError::Degraded("wal".into())), 503);
+        assert_eq!(status(PlshError::Io("disk".into())), 500);
+        assert_eq!(status(PlshError::InvalidParams("k".into())), 400);
+    }
 
     #[test]
     fn search_round_trip_builds_request() {

@@ -31,6 +31,8 @@ use crate::vocab::{prefix_key, term_hash, Vocabulary};
 pub struct CorpusBuilder {
     tokenizer: Tokenizer,
     vocab: Vocabulary,
+    /// The scanned token bytes, reused across documents.
+    buf: String,
 }
 
 impl CorpusBuilder {
@@ -39,15 +41,29 @@ impl CorpusBuilder {
         Self {
             tokenizer,
             vocab: Vocabulary::new(),
+            buf: String::new(),
         }
     }
 
-    /// Observes one raw document (tokenizes and updates the vocabulary).
-    /// Returns the cleaned tokens.
-    pub fn add_document(&mut self, text: &str) -> Vec<String> {
-        let tokens = self.tokenizer.tokenize(text);
-        self.vocab.observe_document(&tokens);
-        tokens
+    /// Observes one raw document: scans its tokens and counts each kept
+    /// one in the vocabulary once, as [`Tokenizer::tokenize`] would list
+    /// it. Returns the number of distinct kept tokens.
+    pub fn add_document(&mut self, text: &str) -> usize {
+        let Self {
+            tokenizer,
+            vocab,
+            buf,
+        } = self;
+        vocab.begin_document();
+        buf.clear();
+        let mut kept = 0;
+        scan(text, buf, |buf, start| {
+            if tokenizer.keeps(&buf[start..]) && vocab.observe(&buf[start..]) {
+                kept += 1;
+            }
+            buf.truncate(start);
+        });
+        kept
     }
 
     /// Number of documents observed so far.

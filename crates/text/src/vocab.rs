@@ -60,6 +60,9 @@ pub struct Vocabulary {
     ends: Vec<usize>,
     slots: Vec<Slot>,
     doc_freq: Vec<u32>,
+    /// Per term, the document (`num_docs` at the time) that last counted
+    /// it: a term repeated within a document counts once.
+    last_doc: Vec<u32>,
     num_docs: u32,
 }
 
@@ -102,18 +105,38 @@ impl Vocabulary {
         self.doc_freq.get(id as usize).copied().unwrap_or(0)
     }
 
-    /// Records one document's (already deduplicated) tokens: unseen terms
-    /// get fresh ids and every token's document frequency increments.
+    /// Records one document's tokens: unseen terms get fresh ids and
+    /// every distinct token's document frequency increments.
     pub fn observe_document<S: AsRef<str>>(&mut self, tokens: &[S]) {
-        self.num_docs += 1;
+        self.begin_document();
         for tok in tokens {
-            let tok = tok.as_ref();
-            let hash = term_hash(tok.as_bytes());
-            match self.find(tok, hash) {
-                Some(id) => self.doc_freq[id as usize] += 1,
-                None => self.push(tok, hash),
-            }
+            self.observe(tok.as_ref());
         }
+    }
+
+    /// Starts a document: the [`observe`](Self::observe) calls that follow
+    /// count towards it.
+    pub(crate) fn begin_document(&mut self) {
+        self.num_docs += 1;
+    }
+
+    /// Counts `term` in the current document, once however often it
+    /// repeats there. Returns whether this was its first time in the
+    /// document.
+    pub(crate) fn observe(&mut self, term: &str) -> bool {
+        let hash = term_hash(term.as_bytes());
+        match self.find(term, hash) {
+            Some(id) => {
+                let id = id as usize;
+                if self.last_doc[id] == self.num_docs {
+                    return false;
+                }
+                self.last_doc[id] = self.num_docs;
+                self.doc_freq[id] += 1;
+            }
+            None => self.push(term, hash),
+        }
+        true
     }
 
     /// Iterates `(term, id, doc_freq)` in id order.
@@ -159,6 +182,7 @@ impl Vocabulary {
         self.arena.push_str(term);
         self.ends.push(self.arena.len());
         self.doc_freq.push(1);
+        self.last_doc.push(self.num_docs);
         place(&mut self.slots, hash, id);
     }
 
@@ -216,6 +240,21 @@ mod tests {
         assert_eq!(v.doc_freq(v.id("x").unwrap()), 2);
         assert_eq!(v.doc_freq(v.id("y").unwrap()), 2);
         assert_eq!(v.doc_freq(99), 0);
+    }
+
+    #[test]
+    fn a_term_repeated_in_a_document_counts_once() {
+        let mut v = Vocabulary::new();
+        v.begin_document();
+        assert!(v.observe("x"));
+        assert!(!v.observe("x"));
+        assert!(v.observe("y"));
+        v.begin_document();
+        assert!(v.observe("x"));
+        assert!(!v.observe("x"));
+        assert_eq!(v.doc_freq(v.id("x").unwrap()), 2);
+        assert_eq!(v.doc_freq(v.id("y").unwrap()), 1);
+        assert_eq!(v.num_docs(), 2);
     }
 
     #[test]

@@ -7,7 +7,9 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use plsh_core::sparse::SparseVector;
-use plsh_text::{CorpusBuilder, IdfWeights, TextError, Tokenizer, Vectorizer, STOP_WORDS};
+use plsh_text::{
+    CorpusBuilder, IdfWeights, TextError, Tokenizer, Vectorizer, Vocabulary, STOP_WORDS,
+};
 
 /// The char-by-char pipeline the scanner replaced, kept as the oracle: it
 /// shares no code with the crate's scanner or term tables.
@@ -206,12 +208,37 @@ fn same_bits(
 
 /// Trains both pipelines on `train`, checks the vocabularies agree term
 /// by term, and returns the crate's vectorizer with the oracle's ids.
+///
+/// `add_document` must count the oracle's tokens and leave the same
+/// frozen vocabulary (terms, first-seen ids, doc freqs, IDF) as one fed
+/// the oracle's token lists.
 fn train_both(oracle: &Oracle, train: &[String]) -> (Vectorizer, HashMap<String, u32>) {
     let mut b = CorpusBuilder::new(oracle.tokenizer());
+    let mut fed = Vocabulary::new();
     for d in train {
-        assert_eq!(b.add_document(d), oracle.tokenize(d), "{d:?}");
+        let tokens = oracle.tokenize(d);
+        assert_eq!(b.add_document(d), tokens.len(), "{d:?}");
+        fed.observe_document(&tokens);
     }
     let v = b.finish();
+    let vocab = v.vocabulary();
+    assert_eq!(vocab.num_docs(), fed.num_docs());
+    assert!(
+        vocab.iter().eq(fed.iter()),
+        "vocabulary differs from one fed the oracle's tokens"
+    );
+    let (idf, fed_idf) = (
+        IdfWeights::from_vocabulary(vocab),
+        IdfWeights::from_vocabulary(&fed),
+    );
+    assert_eq!(idf.len(), fed_idf.len());
+    for id in 0..idf.len() as u32 {
+        assert_eq!(
+            idf.score(id).to_bits(),
+            fed_idf.score(id).to_bits(),
+            "idf of {id}"
+        );
+    }
     let (ids, terms) = oracle.train(train);
     assert_eq!(v.vocabulary().num_docs(), train.len() as u32);
     let got: Vec<(String, u32)> = v

@@ -1,7 +1,7 @@
 //! End-to-end HTTP surface tests against the `plsh` facade: a sharded
 //! `Index` behind `Index::serve`, exercised over real sockets.
 //!
-//! Three guarantees pinned down here that the crate-level protocol suite
+//! Four guarantees pinned down here that the crate-level protocol suite
 //! can't reach:
 //!
 //! 1. Answers over the wire are bit-identical to in-process
@@ -14,6 +14,8 @@
 //! 3. A degraded engine (persistent WAL failure) turns `/healthz` into a
 //!    503 with `"degraded": true` and rejects ingest with 503, while
 //!    searches keep answering.
+//! 4. A write refused for capacity is a 429 with `Retry-After`, and the
+//!    backend stays healthy.
 
 use plsh::core::fault::{self, FaultKind, FaultSpec};
 use plsh::workload::{CorpusConfig, SyntheticCorpus};
@@ -295,4 +297,26 @@ fn degraded_backend_turns_healthz_503_and_rejects_ingest() {
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn ingest_past_capacity_is_429_with_retry_after() {
+    let corpus = corpus();
+    let index = Index::builder(params(corpus.dim()))
+        .capacity(200)
+        .build()
+        .unwrap();
+    index.add_batch(&corpus.vectors()[..200]).unwrap();
+    let server = index.serve("127.0.0.1:0").expect("bind");
+
+    let ingest = format!("{{\"vectors\": [{}]}}", query_json(&corpus, 300));
+    let resp = post(&server, "/ingest", &ingest);
+    assert_eq!(status_of(&resp), 429, "{resp}");
+    assert!(resp.contains("Retry-After: 1\r\n"), "{resp}");
+    assert!(body_of(&resp).contains("capacity"), "{resp}");
+    // A full index is not a sick one.
+    assert_eq!(status_of(&get(&server, "/healthz")), 200);
+    assert_eq!(index.len(), 200);
+
+    server.shutdown();
 }
