@@ -282,6 +282,8 @@ impl ShardedStats {
             agg.merges += e.merges;
             agg.static_table_bytes += e.static_table_bytes;
             agg.delta_table_bytes += e.delta_table_bytes;
+            agg.helped_batches += e.helped_batches;
+            agg.help_wait += e.help_wait;
             // The shards share one plane matrix: it counts once.
         }
         agg

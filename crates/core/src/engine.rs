@@ -473,6 +473,11 @@ pub struct EngineStats {
     /// how far retirement lags the configured window (0 without a window;
     /// transiently nonzero between a batch landing and its retirement).
     pub window_lag: usize,
+    /// Inserts that [`Engine::admit`] held back to wait out or run a
+    /// compacting merge instead of refusing them for capacity.
+    pub helped_batches: u64,
+    /// Wall time those inserts spent helping.
+    pub help_wait: Duration,
 }
 
 /// Snapshot of the engine's published epoch (tests, benches, monitoring).
@@ -545,6 +550,9 @@ pub struct Engine {
     /// paced merge reads between slices to decide whether to back off.
     active_queries: AtomicUsize,
     merges: AtomicU64,
+    /// [`EngineStats::helped_batches`] and `help_wait` (in nanoseconds).
+    helped_batches: AtomicU64,
+    help_wait_ns: AtomicU64,
     last_merge: Mutex<MergeReport>,
     scratches: ScratchPool,
     /// Incremental durability, when attached (see [`crate::persist`]).
@@ -594,6 +602,8 @@ impl Engine {
             total: AtomicUsize::new(0),
             active_queries: AtomicUsize::new(0),
             merges: AtomicU64::new(0),
+            helped_batches: AtomicU64::new(0),
+            help_wait_ns: AtomicU64::new(0),
             last_merge: Mutex::new(MergeReport::default()),
             scratches,
             planes,
@@ -790,11 +800,15 @@ impl Engine {
         if !matches!(refused, Err(PlshError::CapacityExceeded { .. })) || !backlog() {
             return refused;
         }
+        let helping = Instant::now();
         // Wait out the merge in flight: it may free the room already.
         drop(self.merge_lock.lock().unwrap_or_else(|e| e.into_inner()));
         if self.check_room(n).is_err() && backlog() {
             self.merge_delta(pool);
         }
+        self.helped_batches.fetch_add(1, Ordering::Relaxed);
+        self.help_wait_ns
+            .fetch_add(helping.elapsed().as_nanos() as u64, Ordering::Relaxed);
         self.check_room(n)
     }
 
@@ -1632,6 +1646,8 @@ impl Engine {
             retired_points: w.retired_below as usize,
             retired_pending_purge,
             window_lag,
+            helped_batches: self.helped_batches.load(Ordering::Relaxed),
+            help_wait: Duration::from_nanos(self.help_wait_ns.load(Ordering::Relaxed)),
         }
     }
 }

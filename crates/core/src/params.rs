@@ -123,18 +123,6 @@ impl PlshParams {
         (1.0 - t / std::f64::consts::PI).clamp(0.0, 1.0)
     }
 
-    /// Probability a point at distance `t` shares one specific `k/2`-bit
-    /// half-key with the query: `q = p(t)^(k/2)`.
-    pub fn half_key_collision(&self, t: f64) -> f64 {
-        Self::collision_probability(t).powi(self.half_bits() as i32)
-    }
-
-    /// Probability a point at distance `t` lands in the query's bucket of
-    /// one specific table: `p(t)^k`.
-    pub fn table_collision(&self, t: f64) -> f64 {
-        Self::collision_probability(t).powi(self.k as i32)
-    }
-
     /// `P'(t, k, m)` — probability a point at distance `t` is reported
     /// (Section 7.2).
     pub fn recall_at(&self, t: f64) -> f64 {

@@ -34,39 +34,39 @@ impl SparseVector {
     /// Pairs with duplicate dimensions are combined by summation; pairs
     /// whose combined value is exactly zero are dropped.
     pub fn new(mut pairs: Vec<(u32, f32)>) -> Result<Self> {
-        if pairs.iter().any(|(_, v)| !v.is_finite()) {
-            return Err(PlshError::NotNormalizable);
+        // The common case, pairs already strictly increasing, finite and
+        // non-zero (as a client sends them over the wire), needs no sort:
+        // one pass checks it and one splits it.
+        let mut prev = None;
+        let clean = pairs.iter().all(|&(d, v)| {
+            let ok = v.is_finite() && v != 0.0 && prev < Some(d);
+            prev = Some(d);
+            ok
+        });
+        if !clean {
+            if pairs.iter().any(|(_, v)| !v.is_finite()) {
+                return Err(PlshError::NotNormalizable);
+            }
+            pairs.sort_unstable_by_key(|&(d, _)| d);
         }
-        pairs.sort_unstable_by_key(|&(d, _)| d);
         let mut indices = Vec::with_capacity(pairs.len());
-        let mut values: Vec<f32> = Vec::with_capacity(pairs.len());
-        for (d, v) in pairs {
-            match indices.last() {
-                Some(&last) if last == d => {
-                    *values.last_mut().expect("values parallel to indices") += v;
-                }
-                _ => {
-                    indices.push(d);
-                    values.push(v);
-                }
+        let mut values = Vec::with_capacity(pairs.len());
+        let mut rest = pairs.as_slice();
+        while let Some((&(d, first), tail)) = rest.split_first() {
+            // Sum one dimension's run in sorted order; drop an exact zero
+            // (cancellation) as the run closes.
+            let run = tail.iter().take_while(|&&(e, _)| e == d).count();
+            let sum = tail[..run].iter().fold(first, |acc, &(_, v)| acc + v);
+            if sum != 0.0 {
+                indices.push(d);
+                values.push(sum);
             }
+            rest = &tail[run..];
         }
-        // Drop exact zeros produced by cancellation.
-        let mut keep_idx = Vec::with_capacity(indices.len());
-        let mut keep_val = Vec::with_capacity(values.len());
-        for (d, v) in indices.into_iter().zip(values) {
-            if v != 0.0 {
-                keep_idx.push(d);
-                keep_val.push(v);
-            }
-        }
-        if keep_idx.is_empty() {
+        if indices.is_empty() {
             return Err(PlshError::EmptyVector);
         }
-        Ok(Self {
-            indices: keep_idx,
-            values: keep_val,
-        })
+        Ok(Self { indices, values })
     }
 
     /// Builds a **unit** vector from `(dimension, value)` pairs.
@@ -457,6 +457,88 @@ mod tests {
         assert_ne!(signature(short.indices(), short.values()), FULL_SIGNATURE);
         let long = sv(&[(3, 1.0), (70, 0.1)]);
         assert_eq!(signature(long.indices(), long.values()), FULL_SIGNATURE);
+    }
+
+    /// `new` before its one-pass rewrite, kept as the oracle.
+    fn new_reference(mut pairs: Vec<(u32, f32)>) -> Result<SparseVector> {
+        if pairs.iter().any(|(_, v)| !v.is_finite()) {
+            return Err(PlshError::NotNormalizable);
+        }
+        pairs.sort_unstable_by_key(|&(d, _)| d);
+        let mut indices = Vec::with_capacity(pairs.len());
+        let mut values: Vec<f32> = Vec::with_capacity(pairs.len());
+        for (d, v) in pairs {
+            match indices.last() {
+                Some(&last) if last == d => {
+                    *values.last_mut().expect("values parallel to indices") += v;
+                }
+                _ => {
+                    indices.push(d);
+                    values.push(v);
+                }
+            }
+        }
+        let mut keep_idx = Vec::with_capacity(indices.len());
+        let mut keep_val = Vec::with_capacity(values.len());
+        for (d, v) in indices.into_iter().zip(values) {
+            if v != 0.0 {
+                keep_idx.push(d);
+                keep_val.push(v);
+            }
+        }
+        if keep_idx.is_empty() {
+            return Err(PlshError::EmptyVector);
+        }
+        Ok(SparseVector {
+            indices: keep_idx,
+            values: keep_val,
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+
+        /// Duplicates, cancellation to zero, unsorted and sorted input,
+        /// non-finite values and empty input: `new` equals the oracle bit
+        /// for bit, error included.
+        #[test]
+        fn new_equals_the_two_pass_oracle(
+            raw in proptest::collection::vec((0u32..12, 0u8..24, -2.0f32..2.0), 0..12),
+            sorted in 0u8..3,
+        ) {
+            let mut pairs: Vec<(u32, f32)> = raw
+                .iter()
+                .map(|&(d, kind, x)| {
+                    let v = match kind {
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 => f32::NAN,
+                        3 => f32::INFINITY,
+                        4 => f32::NEG_INFINITY,
+                        5 => 0.5,
+                        6 => -0.5,
+                        7 => f32::MAX,
+                        8 => 1e-45,
+                        _ => x,
+                    };
+                    (d, v)
+                })
+                .collect();
+            if sorted > 0 {
+                // Often strictly increasing, so the one-pass path runs.
+                pairs.sort_by_key(|&(d, _)| d);
+                if sorted > 1 {
+                    pairs.dedup_by_key(|p| p.0);
+                }
+            }
+            let bits = |r: Result<SparseVector>| {
+                r.map(|v| (v.indices, v.values.iter().map(|x| x.to_bits()).collect::<Vec<_>>()))
+            };
+            proptest::prop_assert_eq!(
+                bits(SparseVector::new(pairs.clone())),
+                bits(new_reference(pairs))
+            );
+        }
     }
 
     #[test]

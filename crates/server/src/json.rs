@@ -1,11 +1,17 @@
 //! Minimal JSON encode/decode for the wire types.
 //!
 //! The workspace has no external runtime dependencies, so the server
-//! carries its own ~300-line recursive-descent parser and writer. It
-//! covers exactly what the wire needs: the six JSON value kinds, `\uXXXX` escapes, and a depth limit so
-//! a hostile body cannot blow the parser's stack. Numbers are kept as
-//! `f64`, which is lossless for the `u32`/`f32` payloads PLSH exchanges.
+//! carries its own recursive-descent parser and writer. It covers exactly
+//! what the wire needs: the six JSON value kinds, `\uXXXX` escapes, and a
+//! depth limit so a hostile body cannot blow the parser's stack. Numbers
+//! are kept as `f64`, which is lossless for the `u32`/`f32` payloads PLSH
+//! exchanges.
+//!
+//! The lexer is also a pull reader inside the crate: `/search` and
+//! `/ingest` bodies are decoded through it token by token, with no [`Json`]
+//! tree (`wire::decode_search`, `wire::decode_ingest`).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -45,12 +51,7 @@ impl Json {
 
     /// Integral numbers only: rejects `1.5` rather than truncating it.
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
+        self.as_f64().and_then(as_u64)
     }
 
     pub fn as_str(&self) -> Option<&str> {
@@ -144,23 +145,52 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 /// error. The message names the byte offset so protocol tests can assert
 /// something meaningful.
 pub fn parse(input: &str) -> Result<Json, String> {
-    let bytes = input.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
-    p.skip_ws();
-    let value = p.value(0)?;
-    p.skip_ws();
-    if p.pos != bytes.len() {
-        return Err(format!("trailing bytes at offset {}", p.pos));
-    }
+    let mut p = Parser::new(input);
+    let value = p.value_as::<true>(0)?;
+    p.finish()?;
     Ok(value)
 }
 
-struct Parser<'a> {
+/// [`Json::as_u64`] on a bare number: integral values only.
+pub(crate) fn as_u64(n: f64) -> Option<u64> {
+    (n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64).then_some(n as u64)
+}
+
+/// The one JSON lexer: [`parse`] builds its tree on it, and the wire
+/// decoders pull a body through it token by token (`wire::decode_*`), so
+/// both accept the same texts with the same error messages and offsets.
+///
+/// The cursor sits on the next token, whitespace already skipped, after
+/// [`new`](Self::new) and after every method that reads a value or a
+/// separator.
+pub(crate) struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
+    /// A reader on the first value of `input`.
+    pub(crate) fn new(input: &'a str) -> Parser<'a> {
+        let mut p = Parser {
+            input,
+            bytes: input.as_bytes(),
+            pos: 0,
+        };
+        p.skip_ws();
+        p
+    }
+
+    /// Ends the text after its one top-level value: only whitespace may
+    /// follow.
+    pub(crate) fn finish(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(format!("trailing bytes at offset {}", self.pos));
+        }
+        Ok(())
+    }
+
     fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
@@ -171,8 +201,13 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
+    pub(crate) fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
+    }
+
+    /// Whether a number token starts under the cursor.
+    pub(crate) fn at_number(&self) -> bool {
+        matches!(self.peek(), Some(b'-' | b'0'..=b'9'))
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -193,140 +228,233 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, String> {
+    /// Reads a `true` or `false` under the cursor; `None`, having read
+    /// nothing, for anything else.
+    pub(crate) fn bool(&mut self) -> Option<bool> {
+        let b = if self.eat_literal("true") {
+            true
+        } else if self.eat_literal("false") {
+            false
+        } else {
+            return None;
+        };
+        self.skip_ws();
+        Some(b)
+    }
+
+    /// Reads the value under the cursor at nesting `depth`, with every
+    /// check [`parse`] makes, and builds nothing.
+    pub(crate) fn skip_value(&mut self, depth: usize) -> Result<(), String> {
+        self.value_as::<false>(depth).map(drop)
+    }
+
+    /// The value grammar. Without `KEEP` it only checks: strings, arrays
+    /// and objects come back empty and nothing is allocated.
+    fn value_as<const KEEP: bool>(&mut self, depth: usize) -> Result<Json, String> {
         if depth > MAX_DEPTH {
             return Err(format!("nesting deeper than {MAX_DEPTH}"));
         }
-        match self.peek() {
-            None => Err("unexpected end of input".to_string()),
-            Some(b'n') if self.eat_literal("null") => Ok(Json::Null),
-            Some(b't') if self.eat_literal("true") => Ok(Json::Bool(true)),
-            Some(b'f') if self.eat_literal("false") => Ok(Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(b) => Err(format!(
-                "unexpected byte 0x{:02x} at offset {}",
-                b, self.pos
-            )),
-        }
+        let value = match self.peek() {
+            None => return Err("unexpected end of input".to_string()),
+            Some(b'n') if self.eat_literal("null") => Json::Null,
+            Some(b't') if self.eat_literal("true") => Json::Bool(true),
+            Some(b'f') if self.eat_literal("false") => Json::Bool(false),
+            Some(b'"') => Json::Str(self.string(KEEP)?.into_owned()),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                if self.open_array()? {
+                    loop {
+                        let item = self.value_as::<KEEP>(depth + 1)?;
+                        if KEEP {
+                            items.push(item);
+                        }
+                        if !self.next_element()? {
+                            break;
+                        }
+                    }
+                }
+                Json::Arr(items)
+            }
+            Some(b'{') => {
+                let mut map = BTreeMap::new();
+                if self.open_object()? {
+                    loop {
+                        let key = self.key_as(KEEP)?;
+                        let value = self.value_as::<KEEP>(depth + 1)?;
+                        if KEEP {
+                            map.insert(key.into_owned(), value);
+                        }
+                        if !self.next_member()? {
+                            break;
+                        }
+                    }
+                }
+                Json::Obj(map)
+            }
+            Some(b'-' | b'0'..=b'9') => Json::Num(self.number()?),
+            Some(b) => {
+                return Err(format!(
+                    "unexpected byte 0x{:02x} at offset {}",
+                    b, self.pos
+                ))
+            }
+        };
+        self.skip_ws();
+        Ok(value)
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, String> {
+    /// Opens the array under the cursor: `Ok(true)` with its first element
+    /// under the cursor, `Ok(false)` past an empty array's `]`.
+    pub(crate) fn open_array(&mut self) -> Result<bool, String> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            self.skip_ws();
+            return Ok(false);
         }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at offset {}", self.pos)),
+        Ok(true)
+    }
+
+    /// After an element: `Ok(true)` with the next element under the
+    /// cursor, `Ok(false)` past the array's `]`.
+    pub(crate) fn next_element(&mut self) -> Result<bool, String> {
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                self.skip_ws();
+                Ok(true)
             }
+            Some(b']') => {
+                self.pos += 1;
+                self.skip_ws();
+                Ok(false)
+            }
+            _ => Err(format!("expected ',' or ']' at offset {}", self.pos)),
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, String> {
+    /// Opens the object under the cursor: `Ok(true)` with its first key
+    /// under the cursor, `Ok(false)` past an empty object's `}`.
+    pub(crate) fn open_object(&mut self) -> Result<bool, String> {
         self.expect(b'{')?;
-        let mut map = BTreeMap::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(map));
+            self.skip_ws();
+            return Ok(false);
         }
+        Ok(true)
+    }
+
+    /// Reads a member's key and its `:`, leaving the value under the
+    /// cursor. The key is borrowed from the input unless it holds an
+    /// escape.
+    pub(crate) fn key(&mut self) -> Result<Cow<'a, str>, String> {
+        self.key_as(true)
+    }
+
+    fn key_as(&mut self, keep: bool) -> Result<Cow<'a, str>, String> {
+        let key = self.string(keep)?;
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(key)
+    }
+
+    /// After a member's value: `Ok(true)` with the next key under the
+    /// cursor, `Ok(false)` past the object's `}`.
+    pub(crate) fn next_member(&mut self) -> Result<bool, String> {
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                self.skip_ws();
+                Ok(true)
+            }
+            Some(b'}') => {
+                self.pos += 1;
+                self.skip_ws();
+                Ok(false)
+            }
+            _ => Err(format!("expected ',' or '}}' at offset {}", self.pos)),
+        }
+    }
+
+    /// Reads a string token. With `keep` it returns the text, borrowed
+    /// unless it holds an escape; without, it only checks the escapes and
+    /// returns `""`.
+    fn string(&mut self, keep: bool) -> Result<Cow<'a, str>, String> {
+        self.expect(b'"')?;
+        let start = self.pos;
+        let mut owned: Option<String> = None;
         loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                _ => return Err(format!("expected ',' or '}}' at offset {}", self.pos)),
+            let run_start = self.pos;
+            let Some(n) = self.bytes[run_start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+            else {
+                return Err("unterminated string".to_string());
+            };
+            // Both ends of the run are ASCII, so char boundaries of the
+            // already-validated input.
+            let run = &self.input[run_start..run_start + n];
+            self.pos = run_start + n + 1;
+            if self.bytes[run_start + n] == b'"' {
+                self.skip_ws();
+                return Ok(match owned {
+                    Some(mut s) => {
+                        s.push_str(run);
+                        Cow::Owned(s)
+                    }
+                    None if keep => Cow::Borrowed(&self.input[start..run_start + n]),
+                    None => Cow::Borrowed(""),
+                });
+            }
+            let c = self.escape()?;
+            if keep {
+                let s = owned.get_or_insert_with(String::new);
+                s.push_str(run);
+                s.push(c);
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek();
-                    // Every arm leaves `pos` just past what it consumed.
-                    self.pos += 1;
-                    match esc {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let code = self.hex4()?;
-                            // Surrogate pairs: a high surrogate must be
-                            // followed by `\uDC00..DFFF`; lone or mismatched
-                            // surrogates become U+FFFD rather than an error.
-                            let c = if (0xD800..0xDC00).contains(&code) {
-                                if self.eat_literal("\\u") {
-                                    let low = self.hex4()?;
-                                    if (0xDC00..0xE000).contains(&low) {
-                                        let combined =
-                                            0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-                                        char::from_u32(combined).unwrap_or('\u{FFFD}')
-                                    } else {
-                                        '\u{FFFD}'
-                                    }
-                                } else {
-                                    '\u{FFFD}'
-                                }
-                            } else {
-                                char::from_u32(code).unwrap_or('\u{FFFD}')
-                            };
-                            out.push(c);
+    /// Decodes one escape; the cursor is just past its backslash.
+    fn escape(&mut self) -> Result<char, String> {
+        let esc = self.peek();
+        // Every arm leaves `pos` just past what it consumed.
+        self.pos += 1;
+        Ok(match esc {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                let code = self.hex4()?;
+                // Surrogate pairs: a high surrogate must be followed by
+                // `\uDC00..DFFF`; lone or mismatched surrogates become
+                // U+FFFD rather than an error.
+                if (0xD800..0xDC00).contains(&code) {
+                    if self.eat_literal("\\u") {
+                        let low = self.hex4()?;
+                        if (0xDC00..0xE000).contains(&low) {
+                            let combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                            char::from_u32(combined).unwrap_or('\u{FFFD}')
+                        } else {
+                            '\u{FFFD}'
                         }
-                        _ => return Err(format!("bad escape at offset {}", self.pos - 1)),
+                    } else {
+                        '\u{FFFD}'
                     }
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 is passed through unmodified; `input`
-                    // was already validated as a &str.
-                    let start = self.pos;
-                    let s = &self.bytes[start..];
-                    let len = utf8_len(s[0]);
-                    let chunk = std::str::from_utf8(&s[..len.min(s.len())])
-                        .map_err(|_| format!("invalid utf-8 at offset {start}"))?;
-                    out.push_str(chunk);
-                    self.pos += len;
+                } else {
+                    char::from_u32(code).unwrap_or('\u{FFFD}')
                 }
             }
-        }
+            _ => return Err(format!("bad escape at offset {}", self.pos - 1)),
+        })
     }
 
     fn hex4(&mut self) -> Result<u32, String> {
@@ -342,7 +470,9 @@ impl<'a> Parser<'a> {
         Ok(code)
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    /// A number token's text, unchecked: an optional `-`, then every byte
+    /// that may continue a number.
+    fn number_token(&mut self) -> &'a str {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -353,23 +483,37 @@ impl<'a> Parser<'a> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        &self.input[start..self.pos]
+    }
+
+    /// Reads the number under the cursor (see [`at_number`](Self::at_number)).
+    pub(crate) fn number(&mut self) -> Result<f64, String> {
+        let start = self.pos;
+        let text = self.number_token();
         let n: f64 = text
             .parse()
             .map_err(|_| format!("bad number '{text}' at offset {start}"))?;
         if !n.is_finite() {
             return Err(format!("non-finite number '{text}'"));
         }
-        Ok(Json::Num(n))
+        self.skip_ws();
+        Ok(n)
     }
-}
 
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
+    /// Reads the number under the cursor as [`Json::as_u64`] reads its
+    /// value: `None` unless integral and non-negative. A token of at most
+    /// 15 digits is exact in an `f64`, so it skips the float parse.
+    pub(crate) fn integer(&mut self) -> Result<Option<u64>, String> {
+        let start = self.pos;
+        let text = self.number_token();
+        if text.len() <= 15 && !text.is_empty() && text.bytes().all(|b| b.is_ascii_digit()) {
+            self.skip_ws();
+            return Ok(Some(
+                text.bytes().fold(0u64, |n, b| n * 10 + u64::from(b - b'0')),
+            ));
+        }
+        self.pos = start;
+        Ok(as_u64(self.number()?))
     }
 }
 

@@ -420,9 +420,9 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
 
 fn dispatch(shared: &Shared, req: &Request) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
-        ("POST", "/search") => with_body(req, |body| search(shared, body)),
-        ("POST", "/ingest") => with_body(req, |body| ingest(shared, body)),
-        ("POST", "/delete") => with_body(req, |body| delete(shared, body)),
+        ("POST", "/search") => with_text(req, |text| search(shared, text)),
+        ("POST", "/ingest") => with_text(req, |text| ingest(shared, text)),
+        ("POST", "/delete") => with_text(req, |text| delete(shared, text)),
         ("GET", "/healthz") => healthz(shared),
         ("GET", "/metrics") => metrics_page(shared),
         ("POST", "/ctl/shutdown") => {
@@ -442,16 +442,13 @@ fn dispatch(shared: &Shared, req: &Request) -> Response {
     }
 }
 
-/// Parse the body as JSON and hand it to `f`; truncated or invalid JSON
-/// is a 400 here, before any endpoint logic runs.
-fn with_body(req: &Request, f: impl FnOnce(&Json) -> Response) -> Response {
-    let text = match std::str::from_utf8(&req.body) {
-        Ok(t) => t,
-        Err(_) => return Response::error(400, "body is not valid UTF-8"),
-    };
-    match json::parse(text) {
-        Ok(body) => f(&body),
-        Err(e) => Response::error(400, &format!("invalid JSON body: {e}")),
+/// Hand the body's text to `f`; a body that is not UTF-8 is a 400 here,
+/// before any endpoint logic runs. Invalid JSON is a 400 reading
+/// `invalid JSON body: …` from each endpoint's decoder.
+fn with_text(req: &Request, f: impl FnOnce(&str) -> Response) -> Response {
+    match std::str::from_utf8(&req.body) {
+        Ok(text) => f(text),
+        Err(_) => Response::error(400, "body is not valid UTF-8"),
     }
 }
 
@@ -459,8 +456,8 @@ fn wire_error(e: wire::WireError) -> Response {
     Response::error(e.status, &e.message)
 }
 
-fn search(shared: &Shared, body: &Json) -> Response {
-    let mut sreq = match wire::parse_search(body) {
+fn search(shared: &Shared, text: &str) -> Response {
+    let mut sreq = match wire::decode_search(text) {
         Ok(r) => r,
         Err(e) => return wire_error(e),
     };
@@ -482,22 +479,23 @@ fn search(shared: &Shared, body: &Json) -> Response {
     }
 }
 
-fn ingest(shared: &Shared, body: &Json) -> Response {
-    let vectors = match wire::parse_ingest(body) {
+fn ingest(shared: &Shared, text: &str) -> Response {
+    let vectors = match wire::decode_ingest(text) {
         Ok(v) => v,
         Err(e) => return wire_error(e),
     };
     match shared.backend.insert_batch(&vectors) {
-        Ok(ids) => {
-            let ids = Json::Arr(ids.iter().map(|&id| Json::Num(id as f64)).collect());
-            Response::json(200, Json::obj(vec![("ids", ids)]).to_string())
-        }
+        Ok(ids) => Response::json(200, wire::encode_ingest_response(&ids)),
         Err(e) => backend_error(&e),
     }
 }
 
-fn delete(shared: &Shared, body: &Json) -> Response {
-    let id = match wire::parse_delete(body) {
+fn delete(shared: &Shared, text: &str) -> Response {
+    let body = match json::parse(text) {
+        Ok(body) => body,
+        Err(e) => return wire_error(wire::invalid_json(e)),
+    };
+    let id = match wire::parse_delete(&body) {
         Ok(id) => id,
         Err(e) => return wire_error(e),
     };

@@ -14,11 +14,18 @@
 //! * `/ingest` bodies: `{"vectors": [vec, ...]}` (+ `normalize`);
 //!   `/delete` bodies: `{"id": n}`.
 //!
+//! The server decodes `/search` and `/ingest` with [`decode_search`] and
+//! [`decode_ingest`]: one pass over the body's bytes that builds the
+//! vectors directly, with no [`Json`] tree. [`parse_search`] and
+//! [`parse_ingest`] walk a parsed tree instead; they are the reference
+//! decoders, which `tests/wire_decode.rs` holds the byte decoders equal to
+//! on every input, errors included.
+//!
 //! Decoding errors are [`WireError`]s carrying the HTTP status they map
 //! to — always a 4xx; 5xx mapping happens in the server from backend
 //! errors.
 
-use crate::json::Json;
+use crate::json::{self, Json, Parser};
 use plsh_core::health::HealthReport;
 use plsh_core::search::{SearchRequest, SearchResponse};
 use plsh_core::sparse::SparseVector;
@@ -100,7 +107,8 @@ fn parse_vector_list(body: &Json, key: &str, cap: usize) -> Result<Vec<SparseVec
     list.iter().map(|v| parse_vector(v, normalize)).collect()
 }
 
-/// Decode a `/search` body into a [`SearchRequest`].
+/// Decode a parsed `/search` body into a [`SearchRequest`] — the
+/// reference decoder for [`decode_search`].
 pub fn parse_search(body: &Json) -> Result<SearchRequest, WireError> {
     let queries = parse_vector_list(body, "queries", MAX_QUERIES_PER_REQUEST)?;
     let mut req = SearchRequest::batch(queries);
@@ -135,9 +143,291 @@ pub fn parse_search(body: &Json) -> Result<SearchRequest, WireError> {
     Ok(req)
 }
 
-/// Decode an `/ingest` body into the batch to insert.
+/// Decode a parsed `/ingest` body into the batch to insert — the
+/// reference decoder for [`decode_ingest`].
 pub fn parse_ingest(body: &Json) -> Result<Vec<SparseVector>, WireError> {
     parse_vector_list(body, "vectors", MAX_VECTORS_PER_INGEST)
+}
+
+/// Decode a `/search` body's text into a [`SearchRequest`], in one pass
+/// and with no [`Json`] tree. The result equals [`json::parse`] followed
+/// by [`parse_search`] for every input: the same request, or the same
+/// status and message (a syntax error reads `invalid JSON body: …`).
+pub fn decode_search(text: &str) -> Result<SearchRequest, WireError> {
+    let body = Body::read(text, "queries", MAX_QUERIES_PER_REQUEST, &SEARCH_OPTIONS)
+        .map_err(invalid_json)?;
+    let [top_k, radius, max_candidates, shard_deadline_ms] = body.options;
+    let mut req = SearchRequest::batch(body.vectors("queries", MAX_QUERIES_PER_REQUEST)?);
+    if let Some(k) = top_k {
+        let k = k
+            .and_then(json::as_u64)
+            .filter(|&k| k >= 1)
+            .ok_or_else(|| WireError::bad("top_k must be a positive integer"))?;
+        req = req.top_k(k as usize);
+    }
+    if let Some(r) = radius {
+        let r = r
+            .filter(|r| r.is_finite() && *r > 0.0)
+            .ok_or_else(|| WireError::bad("radius must be a positive number"))?;
+        req = req.with_radius(r as f32);
+    }
+    if let Some(b) = max_candidates {
+        let b = b
+            .and_then(json::as_u64)
+            .filter(|&b| b >= 1)
+            .ok_or_else(|| WireError::bad("max_candidates must be a positive integer"))?;
+        req = req.with_max_candidates(b as usize);
+    }
+    if let Some(d) = shard_deadline_ms {
+        let d = d
+            .and_then(json::as_u64)
+            .filter(|&d| d >= 1)
+            .ok_or_else(|| WireError::bad("shard_deadline_ms must be a positive integer"))?;
+        req = req.with_shard_deadline(Duration::from_millis(d));
+    }
+    Ok(req)
+}
+
+/// Decode an `/ingest` body's text into the batch to insert, in one pass
+/// and with no [`Json`] tree. The result equals [`json::parse`] followed
+/// by [`parse_ingest`] for every input.
+pub fn decode_ingest(text: &str) -> Result<Vec<SparseVector>, WireError> {
+    Body::read(text, "vectors", MAX_VECTORS_PER_INGEST, &[])
+        .map_err(invalid_json)?
+        .vectors("vectors", MAX_VECTORS_PER_INGEST)
+}
+
+/// The `/search` members besides `queries` and `normalize`, in the order
+/// [`parse_search`] checks them.
+const SEARCH_OPTIONS: [&str; 4] = ["top_k", "radius", "max_candidates", "shard_deadline_ms"];
+
+/// One body's members as [`Body::read`] found them. A member's `Some(None)`
+/// means present but of the wrong type; a later occurrence of a key
+/// replaces an earlier one, as in the tree's `BTreeMap`.
+#[derive(Default)]
+struct Body {
+    normalize: Option<Option<bool>>,
+    /// `None` when the list is missing or not an array.
+    list: Option<VectorList>,
+    /// Numeric members, parallel to the option names `read` was given.
+    options: [Option<Option<f64>>; 4],
+}
+
+/// A vector list as read: every element counted, vectors built (with
+/// [`SparseVector::new`]; `normalize` may come later) up to the first bad
+/// one and never past the cap.
+#[derive(Default)]
+struct VectorList {
+    len: usize,
+    kept: Vec<SparseVector>,
+    first_bad: Option<WireError>,
+}
+
+impl Body {
+    /// Reads the whole text: the list under `key` and the numeric
+    /// `options`. A syntax error anywhere is the parser's message; the
+    /// semantic checks wait for [`vectors`](Self::vectors).
+    fn read(text: &str, key: &str, cap: usize, options: &[&str]) -> Result<Body, String> {
+        let mut r = Parser::new(text);
+        let mut body = Body::default();
+        // A body that is not an object has none of the members.
+        if r.peek() != Some(b'{') {
+            r.skip_value(0)?;
+        } else if r.open_object()? {
+            // One scratch buffer for every vector's pairs.
+            let mut pairs = Vec::new();
+            loop {
+                let member = r.key()?;
+                if member == key {
+                    body.list = read_vector_list(&mut r, cap, &mut pairs)?;
+                } else if member == "normalize" {
+                    let b = r.bool();
+                    if b.is_none() {
+                        r.skip_value(1)?;
+                    }
+                    body.normalize = Some(b);
+                } else if let Some(i) = options.iter().position(|&o| member == o) {
+                    body.options[i] = Some(if r.at_number() {
+                        Some(r.number()?)
+                    } else {
+                        r.skip_value(1)?;
+                        None
+                    });
+                } else {
+                    r.skip_value(1)?;
+                }
+                if !r.next_member()? {
+                    break;
+                }
+            }
+        }
+        r.finish()?;
+        Ok(body)
+    }
+
+    /// The reference decoder's checks, in its order: `normalize`'s type,
+    /// the list missing, empty or over `cap`, then the first bad vector.
+    fn vectors(self, key: &str, cap: usize) -> Result<Vec<SparseVector>, WireError> {
+        let normalize = match self.normalize {
+            None => false,
+            Some(Some(b)) => b,
+            Some(None) => return Err(WireError::bad("normalize must be a bool")),
+        };
+        let list = self
+            .list
+            .ok_or_else(|| WireError::bad(format!("missing '{key}' array")))?;
+        if list.len == 0 {
+            return Err(WireError::bad(format!("'{key}' must not be empty")));
+        }
+        if list.len > cap {
+            return Err(WireError::bad(format!(
+                "'{key}' holds {} vectors; cap is {cap}",
+                list.len
+            )));
+        }
+        let mut kept = list.kept;
+        if normalize {
+            // `SparseVector::unit` is `new` then `normalize`.
+            for v in &mut kept {
+                v.normalize().map_err(invalid_vector)?;
+            }
+        }
+        match list.first_bad {
+            Some(e) => Err(e),
+            None => Ok(kept),
+        }
+    }
+}
+
+/// The 400 for a body that is not JSON, carrying the parser's message.
+pub(crate) fn invalid_json(e: String) -> WireError {
+    WireError::bad(format!("invalid JSON body: {e}"))
+}
+
+const NOT_A_VECTOR: &str = "vector must be an array of [dim, weight] pairs";
+const NOT_A_PAIR: &str = "vector entry must be a [dim, weight] pair";
+
+fn invalid_vector(e: PlshError) -> WireError {
+    WireError::bad(format!("invalid vector: {e}"))
+}
+
+/// Reads a member's vector list (nesting depth 1); `None`, with the value
+/// read, when it is not an array.
+fn read_vector_list(
+    r: &mut Parser,
+    cap: usize,
+    pairs: &mut Vec<(u32, f32)>,
+) -> Result<Option<VectorList>, String> {
+    if r.peek() != Some(b'[') {
+        r.skip_value(1)?;
+        return Ok(None);
+    }
+    let mut list = VectorList::default();
+    if r.open_array()? {
+        loop {
+            list.len += 1;
+            if list.len == cap + 1 {
+                // Over the cap, no vector matters: free them and keep no more.
+                list.kept = Vec::new();
+            }
+            if list.len <= cap && list.first_bad.is_none() {
+                match read_vector(r, pairs)? {
+                    Ok(v) => list.kept.push(v),
+                    Err(e) => list.first_bad = Some(e),
+                }
+            } else {
+                r.skip_value(2)?;
+            }
+            if !r.next_element()? {
+                break;
+            }
+        }
+    }
+    Ok(Some(list))
+}
+
+/// Reads one `[[dim, weight], ...]` vector (depth 2) into a
+/// [`SparseVector`], or the reference decoder's complaint about it.
+fn read_vector(
+    r: &mut Parser,
+    pairs: &mut Vec<(u32, f32)>,
+) -> Result<Result<SparseVector, WireError>, String> {
+    if r.peek() != Some(b'[') {
+        r.skip_value(2)?;
+        return Ok(Err(WireError::bad(NOT_A_VECTOR)));
+    }
+    pairs.clear();
+    let mut bad = None;
+    if r.open_array()? {
+        loop {
+            if bad.is_none() {
+                match read_pair(r)? {
+                    Ok(pair) => pairs.push(pair),
+                    Err(msg) => bad = Some(msg),
+                }
+            } else {
+                r.skip_value(3)?;
+            }
+            if !r.next_element()? {
+                break;
+            }
+        }
+    }
+    Ok(match bad {
+        Some(msg) => Err(WireError::bad(msg)),
+        None => SparseVector::new(pairs.to_vec()).map_err(invalid_vector),
+    })
+}
+
+/// Reads one `[dim, weight]` entry (depth 3): the pair, or the first of
+/// the reference decoder's checks it fails — its shape, then the dim,
+/// then the weight.
+fn read_pair(r: &mut Parser) -> Result<Result<(u32, f32), &'static str>, String> {
+    if r.peek() != Some(b'[') {
+        r.skip_value(3)?;
+        return Ok(Err(NOT_A_PAIR));
+    }
+    let (mut dim, mut weight, mut n) = (None, None, 0);
+    if r.open_array()? {
+        loop {
+            match n {
+                0 if r.at_number() => dim = r.integer()?,
+                1 if r.at_number() => weight = Some(r.number()?),
+                _ => r.skip_value(4)?,
+            }
+            n += 1;
+            if !r.next_element()? {
+                break;
+            }
+        }
+    }
+    if n != 2 {
+        return Ok(Err(NOT_A_PAIR));
+    }
+    let Some(dim) = dim.filter(|&d| d <= u64::from(u32::MAX)) else {
+        return Ok(Err("vector dimension must be a u32"));
+    };
+    let Some(weight) = weight else {
+        return Ok(Err("vector weight must be a number"));
+    };
+    Ok(Ok((dim as u32, weight as f32)))
+}
+
+/// Encode the `/ingest` answer, `{"ids":[…]}`, straight into a `String`:
+/// the bytes of the tree encoding (a `u32` prints the same digits as the
+/// `f64` a [`Json::Num`] would hold).
+pub fn encode_ingest_response(ids: &[u32]) -> String {
+    use std::fmt::Write;
+    let mut out = String::with_capacity(10 + 11 * ids.len());
+    out.push_str("{\"ids\":[");
+    for (i, id) in ids.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{id}");
+    }
+    out.push_str("]}");
+    out
 }
 
 /// Decode a `/delete` body into the point id to tombstone.

@@ -439,6 +439,9 @@ fn a_windowed_stream_at_capacity_helps_instead_of_refusing() {
         |qs| engine_answers(engine.engine(), qs),
     );
     engine.wait_for_merge();
+    let stats = engine.stats();
+    assert!(stats.helped_batches > 0, "the stream never helped a merge");
+    assert!(stats.help_wait > Duration::ZERO);
 }
 
 #[test]
@@ -473,6 +476,10 @@ fn a_sharded_windowed_stream_at_capacity_helps_instead_of_refusing() {
         },
     );
     index.wait_for_merges();
+    assert!(
+        index.stats().folded().helped_batches > 0,
+        "no shard helped a merge"
+    );
 }
 
 #[test]
@@ -495,4 +502,5 @@ fn a_windowless_engine_at_capacity_still_refuses() {
         full.len(),
         "the refused batch was not applied"
     );
+    assert_eq!(engine.stats().helped_batches, 0);
 }
